@@ -70,6 +70,10 @@ class InequalityReport:
     violations: list = field(default_factory=list)
     constant: ConstantEstimate | None = None
 
+    def __post_init__(self):
+        # verifiers hand in numpy booleans, which json cannot serialize
+        object.__setattr__(self, "holds", bool(self.holds))
+
     def as_dict(self) -> dict:
         return {
             "inequality": self.inequality,

@@ -4,7 +4,8 @@ Subcommands mirror the experiment kinds plus ``export``. Exit codes:
 0 ok, 2 config error, 3 numerical abort, 4 invariant violation.
 
 Any config key can be overridden from the environment with the SUPERCRIT_
-prefix, e.g. SUPERCRIT_SEED=7.
+prefix, e.g. SUPERCRIT_SEED=7 or SUPERCRIT_N=64. Keys match config fields
+case-insensitively; variables that name no field are ignored.
 """
 
 from __future__ import annotations
@@ -12,39 +13,30 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    parse_config,
-    validate,
+from .config import KINDS, ConfigError, ExperimentConfig, parse_config, with_overrides
+from .runner import (
+    EXIT_CONFIG,
+    EXIT_FOR_OUTCOME,
+    EXIT_OK,
+    export_plot_data,
+    run_experiment,
 )
-from .field_core import AmplitudeError
-from .runner import EXIT_FOR_OUTCOME, export_plot_data, run_experiment
-from .wave_integrator import BlowUpError
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-EXIT_INVARIANT = 4
 
 ENV_PREFIX = "SUPERCRIT_"
 
-_KIND_COMMANDS = (
-    "check-assumptions",
-    "simulate-wave",
-    "simulate-nls",
-    "weak-strong",
-    "appendix-construct",
-    "identity-check",
-)
+_FIELD_BY_LOWER = {f.name.lower(): f.name for f in fields(ExperimentConfig)}
 
 
-def _env_overrides() -> dict:
+def _env_overrides(environ=os.environ) -> dict:
+    """Config overrides from SUPERCRIT_<KEY> variables, keyed by field name."""
     out = {}
-    for key, value in os.environ.items():
+    for key, value in environ.items():
         if key.startswith(ENV_PREFIX):
-            out[key[len(ENV_PREFIX):].lower()] = value
+            name = _FIELD_BY_LOWER.get(key[len(ENV_PREFIX):].lower())
+            if name is not None:
+                out[name] = value
     return out
 
 
@@ -54,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for supercritical wave and NLS dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _KIND_COMMANDS:
+    for name in KINDS:
         p = sub.add_parser(name, help=f"run a {name} experiment")
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--output", default="runs", help="output directory")
@@ -88,24 +80,13 @@ def main(argv=None) -> int:
     if env:
         text = text + "\n" + "\n".join(f"{k} = {v}" for k, v in sorted(env.items()))
     try:
-        cfg = parse_config(text, kind=args.command)
-        if args.seed is not None:
-            from dataclasses import replace
-
-            cfg = replace(cfg, seed=args.seed)
-            errs = validate(cfg)
-            if errs:
-                raise ConfigError(errs)
+        cfg = with_overrides(parse_config(text, kind=args.command), seed=args.seed)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    try:
-        manifest = run_experiment(cfg, args.output, jobs=args.jobs)
-    except (BlowUpError, AmplitudeError) as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    manifest = run_experiment(cfg, args.output, jobs=args.jobs)
     print(f"{manifest.experiment_id} {manifest.outcome}")
     return EXIT_FOR_OUTCOME[manifest.outcome]
 

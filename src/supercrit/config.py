@@ -8,7 +8,8 @@ this artifact is flat, so no nesting beyond that is supported.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .nonlinearity import (
     from_selection,
     two_star,
 )
+from .wave_integrator import CFL_SAFETY
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config"]
 
@@ -30,8 +32,6 @@ KINDS = (
     "appendix-construct",
     "identity-check",
 )
-
-CFL_SAFETY = 0.25
 
 
 class ConfigError(ValueError):
@@ -147,6 +147,11 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
 
 def validate(cfg: ExperimentConfig) -> list:
     errors = []
+    for name, conv in _FIELDS.items():
+        value = getattr(cfg, name)
+        values = value if conv == "ladder" else (value,)
+        if conv in (float, "ladder") and not all(map(math.isfinite, values)):
+            errors.append(f"{name}={value} must be finite")
     if cfg.d not in (1, 2, 3):
         errors.append(f"d={cfg.d} must be 1, 2 or 3")
     if cfg.N < 8 or cfg.N & (cfg.N - 1):
@@ -180,7 +185,8 @@ def validate(cfg: ExperimentConfig) -> list:
         limit = CFL_SAFETY * h / np.sqrt(cfg.d)
         if cfg.dt > limit * (1 + 1e-12):
             errors.append(
-                f"dt={cfg.dt:g} violates the stability bound 0.25*h/sqrt(d)={limit:g}"
+                f"dt={cfg.dt:g} violates the stability bound "
+                f"{CFL_SAFETY}*h/sqrt(d)={limit:g}"
             )
     if cfg.kind == "simulate-nls" and cfg.dt > cfg.L / cfg.N:
         errors.append(f"dt={cfg.dt:g} exceeds the accuracy gate h={cfg.L / cfg.N:g}")

@@ -7,7 +7,6 @@ boundary-leakage diagnostic instead.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,8 +26,6 @@ __all__ = [
     "nls_energy",
     "boundary_leakage",
     "bump_field",
-    "write_field",
-    "read_field",
 ]
 
 
@@ -233,35 +230,3 @@ def bump_field(
         out = out * factor
     return out
 
-
-# ---------------------------------------------------------------------------
-# snapshot persistence: one JSON header line, then raw little-endian float64
-# ---------------------------------------------------------------------------
-
-def write_field(path, field: np.ndarray, grid: GridSpec, t: float):
-    kind = "complex" if np.iscomplexobj(field) else "real"
-    header = json.dumps(
-        {"d": grid.d, "N": grid.N, "L": grid.L, "t": t, "kind": kind},
-        sort_keys=True,
-    )
-    if kind == "complex":
-        flat = np.empty(2 * field.size)
-        flat[0::2] = field.real.ravel()
-        flat[1::2] = field.imag.ravel()
-    else:
-        flat = np.asarray(field, dtype=float).ravel()
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        fh.write(flat.astype("<f8").tobytes())
-
-
-def read_field(path):
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    grid = GridSpec(header["d"], header["N"], header["L"])
-    if header["kind"] == "complex":
-        field = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)
-    else:
-        field = raw.reshape(grid.shape)
-    return field, grid, header["t"]

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_core import GridSpec, NlsState, boundary_leakage, nls_energy
-from .wave_integrator import BlowUpError, DiagnosticTrace
+from .field_core import GridSpec, NlsState, nls_energy
+from .wave_integrator import BlowUpError, _integrate, _RunSchedule
 
 __all__ = [
     "NlsRunConfig",
@@ -31,14 +31,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class NlsRunConfig:
+class NlsRunConfig(_RunSchedule):
     grid: GridSpec
     spec: object
     dt: float
     T: float
     u0: np.ndarray
     diagnostics_stride: int = 0
-    leakage_margin: float = 0.0
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -47,17 +46,6 @@ class NlsRunConfig:
             raise ValueError(f"accuracy gate dt <= h: dt={self.dt:g}, h={self.grid.h:g}")
         if self.T <= 0:
             raise ValueError("T must be positive")
-
-    def steps(self) -> int:
-        return max(1, round(self.T / self.dt))
-
-    def stride(self) -> int:
-        if self.diagnostics_stride > 0:
-            return self.diagnostics_stride
-        return max(1, self.steps() // 128)
-
-    def margin(self) -> float:
-        return self.leakage_margin if self.leakage_margin > 0 else self.grid.L / 8.0
 
 
 @dataclass
@@ -103,27 +91,16 @@ def strang_step(state: NlsState, cfg: NlsRunConfig) -> NlsState:
 
 
 def run(cfg: NlsRunConfig):
-    state = NlsState(cfg.grid, np.asarray(cfg.u0, complex), 0.0)
-    n, stride, margin = cfg.steps(), cfg.stride(), cfg.margin()
-    times, us = [], []
-    trace = DiagnosticTrace(
-        ("t", "mass", "H_total", "H_gradient", "H_potential", "leakage", "sup_norm")
-    )
-
-    def record(s: NlsState):
-        times.append(s.t)
-        us.append(s.u)
+    def energy(s: NlsState):
         rep = nls_energy(s, cfg.spec)
-        leak = boundary_leakage(s.u, cfg.grid, margin)
-        trace.add(s.t, rep.mass, rep.total, rep.gradient, rep.potential,
-                  leak, np.max(np.abs(s.u)))
+        return rep.mass, rep.total, rep.gradient, rep.potential
 
-    record(state)
-    for i in range(1, n + 1):
-        state = strang_step(state, cfg)
-        if not state.is_finite():
-            raise BlowUpError(times[-1])
-        if i % stride == 0 or i == n:
-            record(state)
-    traj = NlsTrajectory(cfg.grid, cfg.spec, np.array(times), us)
+    times, states, trace = _integrate(
+        lambda s: strang_step(s, cfg),
+        NlsState(cfg.grid, np.asarray(cfg.u0, complex), 0.0),
+        cfg,
+        ("t", "mass", "H_total", "H_gradient", "H_potential", "leakage", "sup_norm"),
+        energy,
+    )
+    traj = NlsTrajectory(cfg.grid, cfg.spec, times, [s.u for s in states])
     return traj, trace

@@ -18,8 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .assumption_lab import UnboundedEstimateError, classify, verify_nls_cancellation
-from .config import ExperimentConfig, serialize_config
+from .assumption_lab import (
+    UnboundedEstimateError,
+    classify,
+    find_convexity_shift,
+    verify_nls_cancellation,
+)
+from .config import KINDS, ExperimentConfig, serialize_config
 from .field_core import AmplitudeError, bump_field, l2_norm_sq
 from .nonlinearity import (
     NlsNonlinearitySpec,
@@ -37,10 +42,10 @@ from .wave_integrator import (
 )
 from .nls_integrator import NlsRunConfig, run as nls_run
 from .weak_strong import (
-    WeakApproxConfig,
     appendix_construction,
     gronwall_trace_nls,
     gronwall_trace_wave,
+    ladder_problems,
     uniform_integrability_probe,
 )
 
@@ -53,11 +58,16 @@ OUTCOME_BLOWUP = "aborted_blowup"
 OUTCOME_LEAKAGE = "leakage_flag"
 OUTCOME_VIOLATION = "invariant_violation"
 
+EXIT_OK = 0
+EXIT_CONFIG = 2
+EXIT_NUMERICAL = 3
+EXIT_INVARIANT = 4
+
 EXIT_FOR_OUTCOME = {
-    OUTCOME_OK: 0,
-    OUTCOME_BLOWUP: 3,
-    OUTCOME_LEAKAGE: 3,
-    OUTCOME_VIOLATION: 4,
+    OUTCOME_OK: EXIT_OK,
+    OUTCOME_BLOWUP: EXIT_NUMERICAL,
+    OUTCOME_LEAKAGE: EXIT_NUMERICAL,
+    OUTCOME_VIOLATION: EXIT_INVARIANT,
 }
 
 
@@ -86,32 +96,15 @@ def _now() -> str:
 # experiment bodies: each returns (outcome, {filename: bytes})
 # ---------------------------------------------------------------------------
 
-def _wave_run_config(cfg: ExperimentConfig, spec=None) -> WaveRunConfig:
+def _base_run(cfg: ExperimentConfig, spec):
+    """The integrator of spec's equation and its run config for cfg's bump data."""
     grid = cfg.grid()
     u0 = bump_field(grid, cfg.amplitude, cfg.radius)
-    return WaveRunConfig(
-        grid=grid,
-        spec=spec if spec is not None else cfg.spec(),
-        dt=cfg.effective_dt(),
-        T=cfg.T,
-        u0=u0,
-        u1=np.zeros_like(u0),
-        diagnostics_stride=cfg.stride,
-    )
-
-
-def _nls_run_config(cfg: ExperimentConfig, u0=None) -> NlsRunConfig:
-    grid = cfg.grid()
-    if u0 is None:
-        u0 = bump_field(grid, cfg.amplitude, cfg.radius).astype(complex)
-    return NlsRunConfig(
-        grid=grid,
-        spec=cfg.spec(),
-        dt=cfg.effective_dt(),
-        T=cfg.T,
-        u0=u0,
-        diagnostics_stride=cfg.stride,
-    )
+    common = dict(grid=grid, spec=spec, dt=cfg.effective_dt(), T=cfg.T,
+                  diagnostics_stride=cfg.stride)
+    if isinstance(spec, NlsNonlinearitySpec):
+        return nls_run, NlsRunConfig(u0=u0.astype(complex), **common)
+    return wave_run, WaveRunConfig(u0=u0, u1=np.zeros_like(u0), **common)
 
 
 def _do_check_assumptions(cfg: ExperimentConfig):
@@ -124,26 +117,9 @@ def _do_check_assumptions(cfg: ExperimentConfig):
     return outcome, {"report.json": _json_bytes(payload)}
 
 
-def _do_simulate_wave(cfg: ExperimentConfig):
-    try:
-        _, trace = wave_run(_wave_run_config(cfg))
-    except (BlowUpError, AmplitudeError) as exc:
-        t_last = getattr(exc, "t_last", None)
-        return OUTCOME_BLOWUP, {
-            "abort.json": _json_bytes({"error": str(exc), "t_last": t_last})
-        }
-    outcome = OUTCOME_LEAKAGE if max_leakage(trace) > LEAKAGE_LIMIT else OUTCOME_OK
-    return outcome, {"trace.csv": trace.to_csv().encode()}
-
-
-def _do_simulate_nls(cfg: ExperimentConfig):
-    try:
-        _, trace = nls_run(_nls_run_config(cfg))
-    except (BlowUpError, AmplitudeError) as exc:
-        t_last = getattr(exc, "t_last", None)
-        return OUTCOME_BLOWUP, {
-            "abort.json": _json_bytes({"error": str(exc), "t_last": t_last})
-        }
+def _do_simulate(cfg: ExperimentConfig):
+    run, base = _base_run(cfg, cfg.spec())
+    _, trace = run(base)
     outcome = OUTCOME_LEAKAGE if max_leakage(trace) > LEAKAGE_LIMIT else OUTCOME_OK
     return outcome, {"trace.csv": trace.to_csv().encode()}
 
@@ -152,27 +128,22 @@ def _do_weak_strong(cfg: ExperimentConfig, jobs: int = 1):
     """Reference vs perturbed-data ladder; one Gronwall trace per epsilon."""
     ladder = cfg.ladder or (1e-1, 1e-2, 1e-3)
     spec = cfg.spec()
-    is_nls = isinstance(spec, NlsNonlinearitySpec)
     grid = cfg.grid()
     pert = bump_field(grid, 1.0, 0.8 * cfg.radius)
-
-    if is_nls:
-        base = _nls_run_config(cfg)
-        u_traj, _ = nls_run(base)
-        from .assumption_lab import find_convexity_shift
-
+    run, base = _base_run(cfg, spec)
+    u_traj, _ = run(base)
+    if isinstance(spec, NlsNonlinearitySpec):
         A = find_convexity_shift(spec, R=2.0, seed=cfg.seed).value
 
-        def one(eps):
-            v_traj, _ = nls_run(replace(base, u0=base.u0 + eps * pert))
+        def gronwall(v_traj):
             return gronwall_trace_nls(u_traj, v_traj, spec, A)
     else:
-        base = _wave_run_config(cfg, spec)
-        u_traj, _ = wave_run(base)
-
-        def one(eps):
-            v_traj, _ = wave_run(replace(base, u0=base.u0 + eps * pert))
+        def gronwall(v_traj):
             return gronwall_trace_wave(u_traj, v_traj, spec)
+
+    def one(eps):
+        v_traj, _ = run(replace(base, u0=base.u0 + eps * pert))
+        return gronwall(v_traj)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -183,7 +154,7 @@ def _do_weak_strong(cfg: ExperimentConfig, jobs: int = 1):
     pert_g0 = l2_norm_sq(pert, grid)
     files = {}
     summary = {"ladder": list(ladder), "members": []}
-    outcome = OUTCOME_OK
+    outcome = OUTCOME_VIOLATION if ladder_problems(ladder, traces) else OUTCOME_OK
     for i, (eps, tr) in enumerate(zip(ladder, traces)):
         files[f"{i}.json"] = _json_bytes(tr.as_dict())
         files[f"{i}.csv"] = tr.to_csv().encode()
@@ -198,8 +169,6 @@ def _do_weak_strong(cfg: ExperimentConfig, jobs: int = 1):
             member["remainder_min"] = tr.remainder_min
             if tr.remainder_min < -1e-9 * grid.N ** grid.d * grid.cell_volume:
                 outcome = OUTCOME_VIOLATION
-        if not tr.certificate_holds():
-            outcome = OUTCOME_VIOLATION
         summary["members"].append(member)
     summary["pert_l2_sq"] = pert_g0
     files["summary.json"] = _json_bytes(summary)
@@ -207,13 +176,10 @@ def _do_weak_strong(cfg: ExperimentConfig, jobs: int = 1):
 
 
 def _do_appendix_construct(cfg: ExperimentConfig):
-    base = _wave_run_config(cfg)
-    wcfg = WeakApproxConfig("truncation_ladder", base, tuple(cfg.ladder))
-    report = appendix_construction(wcfg)
-    traj, _ = wave_run(base)
-    slope, target, vacuous = uniform_integrability_probe(
-        traj, cfg.spec(), seed=cfg.seed
-    )
+    spec = cfg.spec()
+    _, base = _base_run(cfg, spec)
+    report, ref_traj = appendix_construction(base, tuple(cfg.ladder))
+    slope, target, vacuous = uniform_integrability_probe(ref_traj, spec, seed=cfg.seed)
     payload = report.as_dict()
     payload["uniform_integrability"] = {
         "slope": slope,
@@ -268,7 +234,8 @@ def _do_identity_check(cfg: ExperimentConfig):
     ok = ok and interior == 0.0
 
     # (d) multiplier identity on a short run
-    traj, _ = wave_run(_wave_run_config(cfg, spec))
+    run, base = _base_run(cfg, spec)
+    traj, _ = run(base)
     res = verify_prop_weak_identity(traj, spec)
     results["weak_identity_residual"] = res
     ok = ok and res < 1e-4
@@ -278,24 +245,34 @@ def _do_identity_check(cfg: ExperimentConfig):
     }
 
 
-_DISPATCH = {
-    "check-assumptions": _do_check_assumptions,
-    "simulate-wave": _do_simulate_wave,
-    "simulate-nls": _do_simulate_nls,
-    "weak-strong": _do_weak_strong,
-    "appendix-construct": _do_appendix_construct,
-    "identity-check": _do_identity_check,
-}
+# bodies in KINDS order; both simulate kinds share one body
+_DISPATCH = dict(zip(KINDS, (
+    _do_check_assumptions,
+    _do_simulate,
+    _do_simulate,
+    _do_weak_strong,
+    _do_appendix_construct,
+    _do_identity_check,
+), strict=True))
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir: str, jobs: int = 1) -> RunManifest:
-    """Run, then atomically publish output_dir/<experiment_id>/."""
+    """Run, then atomically publish output_dir/<experiment_id>/.
+
+    A blow-up or potential overflow in any kind publishes abort.json with
+    the outcome aborted_blowup.
+    """
     started = _now()
     body = _DISPATCH[cfg.kind]
-    if cfg.kind == "weak-strong":
-        outcome, files = body(cfg, jobs=jobs)
-    else:
-        outcome, files = body(cfg)
+    try:
+        if cfg.kind == "weak-strong":
+            outcome, files = body(cfg, jobs=jobs)
+        else:
+            outcome, files = body(cfg)
+    except (BlowUpError, AmplitudeError) as exc:
+        t_last = getattr(exc, "t_last", None)
+        outcome = OUTCOME_BLOWUP
+        files = {"abort.json": _json_bytes({"error": str(exc), "t_last": t_last})}
     manifest = RunManifest(
         experiment_id=cfg.experiment_id(),
         config=serialize_config(cfg),

@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 CFL_SAFETY = 0.25
-LEAKAGE_LIMIT = 1e-6
 
 
 class BlowUpError(RuntimeError):
@@ -51,8 +50,27 @@ class BlowUpError(RuntimeError):
         self.t_last = t_last
 
 
+class _RunSchedule:
+    """Step count, record stride and leakage margin of a wave or NLS run.
+
+    Mixed into the run configs, which supply ``grid``, ``dt``, ``T`` and
+    ``diagnostics_stride``.
+    """
+
+    def steps(self) -> int:
+        return max(1, round(self.T / self.dt))
+
+    def stride(self) -> int:
+        if self.diagnostics_stride > 0:
+            return self.diagnostics_stride
+        return max(1, self.steps() // 128)
+
+    def margin(self) -> float:
+        return self.grid.L / 8.0
+
+
 @dataclass(frozen=True)
-class WaveRunConfig:
+class WaveRunConfig(_RunSchedule):
     grid: GridSpec
     spec: object
     dt: float
@@ -60,7 +78,7 @@ class WaveRunConfig:
     u0: np.ndarray
     u1: np.ndarray
     diagnostics_stride: int = 0  # 0: choose for ~128 snapshots
-    leakage_margin: float = 0.0  # 0: L/8
+    # "verlet" is kept only as the tests' independent oracle for "impulse"
     method: str = "impulse"      # "impulse" | "verlet"
 
     def __post_init__(self):
@@ -72,17 +90,6 @@ class WaveRunConfig:
             )
         if self.T <= 0:
             raise ValueError("T must be positive")
-
-    def steps(self) -> int:
-        return max(1, round(self.T / self.dt))
-
-    def stride(self) -> int:
-        if self.diagnostics_stride > 0:
-            return self.diagnostics_stride
-        return max(1, self.steps() // 128)
-
-    def margin(self) -> float:
-        return self.leakage_margin if self.leakage_margin > 0 else self.grid.L / 8.0
 
 
 @dataclass
@@ -154,6 +161,34 @@ class _ImpulseStepper:
         return WaveState(cfg.grid, u_new, ut_new, state.t + cfg.dt)
 
 
+def _integrate(advance, state, cfg, columns, energy):
+    """The time-stepping loop shared by the wave and NLS integrators.
+
+    Applies ``advance`` cfg.steps() times and records the initial state, every
+    cfg.stride()-th state and the final one: time, the values ``energy(state)``
+    returns for ``columns[1:-2]``, boundary leakage and sup norm. Raises
+    BlowUpError at the first non-finite state. Returns (times, states, trace).
+    """
+    n, stride, margin = cfg.steps(), cfg.stride(), cfg.margin()
+    times, states = [], []
+    trace = DiagnosticTrace(columns)
+
+    def record(s):
+        times.append(s.t)
+        states.append(s)
+        trace.add(s.t, *energy(s), boundary_leakage(s.u, cfg.grid, margin),
+                  np.max(np.abs(s.u)))
+
+    record(state)
+    for i in range(1, n + 1):
+        state = advance(state)
+        if not state.is_finite():
+            raise BlowUpError(times[-1])
+        if i % stride == 0 or i == n:
+            record(state)
+    return np.array(times), states, trace
+
+
 def run(cfg: WaveRunConfig):
     """Evolve to T, recording snapshots and the conservation diagnostics."""
     if cfg.method == "impulse":
@@ -163,30 +198,19 @@ def run(cfg: WaveRunConfig):
             return step(s, cfg)
     else:
         raise ValueError(f"unknown method {cfg.method!r}")
-    state = WaveState(cfg.grid, np.asarray(cfg.u0, float), np.asarray(cfg.u1, float), 0.0)
-    n, stride, margin = cfg.steps(), cfg.stride(), cfg.margin()
-    times, us, uts = [], [], []
-    trace = DiagnosticTrace(
-        ("t", "E_total", "E_kinetic", "E_gradient", "E_potential", "leakage", "sup_norm")
-    )
 
-    def record(s: WaveState):
-        times.append(s.t)
-        us.append(s.u)
-        uts.append(s.ut)
+    def energy(s: WaveState):
         rep = wave_energy(s, cfg.spec)
-        leak = boundary_leakage(s.u, cfg.grid, margin)
-        trace.add(s.t, rep.total, rep.kinetic, rep.gradient, rep.potential,
-                  leak, np.max(np.abs(s.u)))
+        return rep.total, rep.kinetic, rep.gradient, rep.potential
 
-    record(state)
-    for i in range(1, n + 1):
-        state = advance(state)
-        if not state.is_finite():
-            raise BlowUpError(times[-1])
-        if i % stride == 0 or i == n:
-            record(state)
-    traj = WaveTrajectory(cfg.grid, cfg.spec, np.array(times), us, uts)
+    state = WaveState(cfg.grid, np.asarray(cfg.u0, float), np.asarray(cfg.u1, float), 0.0)
+    times, states, trace = _integrate(
+        advance, state, cfg,
+        ("t", "E_total", "E_kinetic", "E_gradient", "E_potential", "leakage", "sup_norm"),
+        energy,
+    )
+    traj = WaveTrajectory(cfg.grid, cfg.spec, times,
+                          [s.u for s in states], [s.ut for s in states])
     return traj, trace
 
 

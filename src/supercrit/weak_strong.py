@@ -7,22 +7,22 @@ these proxies; no genuinely non-smooth weak solution is constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field_core import gradient_norm_sq, l2_inner, l2_norm_sq
+from .field_core import gradient_norm_sq, l2_inner, l2_norm_sq, wave_energy
 from .nonlinearity import find_truncation_abscissae, truncate, two_star
 from .wave_integrator import WaveRunConfig, WaveTrajectory, run as wave_run
 from .nls_integrator import NlsTrajectory
 
 __all__ = [
     "GronwallTrace",
-    "WeakApproxConfig",
     "ConvergenceReport",
     "energy_expansion",
     "gronwall_trace_wave",
     "gronwall_trace_nls",
+    "ladder_problems",
     "appendix_construction",
     "uniform_integrability_probe",
     "lemma_main33_probe",
@@ -55,10 +55,6 @@ class GronwallTrace:
     fitted_C: float
     fitted_G0: float
     remainder_min: float | None = None  # NLS only: min of the shifted defect
-
-    def certificate_holds(self, tol: float = 1e-9) -> bool:
-        bound = self.fitted_G0 * np.exp(self.fitted_C * self.times)
-        return bool(np.all(self.G <= bound * (1.0 + tol) + G_FLOOR))
 
     def as_dict(self) -> dict:
         d = {
@@ -128,9 +124,11 @@ def energy_expansion(u_traj: WaveTrajectory, v_traj: WaveTrajectory, spec):
     residual measures only the evolution error (order >= 2 under refinement).
     """
     _check_pair(u_traj, v_traj)
-    from .field_core import wave_energy
+    return _expansion(u_traj, v_traj, spec, _wave_functionals(u_traj, v_traj, spec))
 
-    J, _, _, I_rate, _ = _wave_functionals(u_traj, v_traj, spec)
+
+def _expansion(u_traj: WaveTrajectory, v_traj: WaveTrajectory, spec, functionals):
+    J, _, _, I_rate, _ = functionals
     Eu = np.array([wave_energy(u_traj.state(i), spec).total for i in range(len(u_traj))])
     Ev = np.array([wave_energy(v_traj.state(i), spec).total for i in range(len(v_traj))])
     I0 = Ev[0] - Eu[0] - J[0]
@@ -143,8 +141,9 @@ def energy_expansion(u_traj: WaveTrajectory, v_traj: WaveTrajectory, spec):
 def gronwall_trace_wave(u_traj: WaveTrajectory, v_traj: WaveTrajectory, spec) -> GronwallTrace:
     """Record G = ||Dw||^2 and fit the exponential certificate constant."""
     _check_pair(u_traj, v_traj)
-    I, J, _ = energy_expansion(u_traj, v_traj, spec)
-    _, G, w_l2, _, _ = _wave_functionals(u_traj, v_traj, spec)
+    functionals = _wave_functionals(u_traj, v_traj, spec)
+    I, J, _ = _expansion(u_traj, v_traj, spec, functionals)
+    _, G, w_l2, _, _ = functionals
     C, G0 = _fit_certificate(u_traj.times, G)
     return GronwallTrace(u_traj.times, G, w_l2, I, J, C, G0)
 
@@ -187,21 +186,28 @@ def gronwall_trace_nls(
     return GronwallTrace(u_traj.times, G, w_l2, I, J, C, G0, remainder_min=rem_min)
 
 
+def ladder_problems(ladder, traces) -> list:
+    """Within-run checks of a perturbed-data ladder, one message per failure.
+
+    G(0)/eps^2 must agree within a factor 2 across the ladder (the discrepancy
+    starts quadratic in the perturbation), and the relative spread of
+    sup G / G(0) must stay below 0.5 (the growth does not depend on eps).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g0 = np.array([tr.G[0] for tr in traces]) / np.square(ladder)
+    amp = np.array([np.max(tr.G) / max(tr.G[0], 1e-300) for tr in traces])
+    problems = []
+    # written so that a nan (eps = 0) fails the check
+    if not g0.max() <= 2.0 * g0.min():
+        problems.append(f"G0/eps^2 varies from {g0.min():.4g} to {g0.max():.4g}")
+    if not amp.max() - amp.min() < 0.5 * amp.min():
+        problems.append(f"sup G / G0 spreads from {amp.min():.4g} to {amp.max():.4g}")
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # Appendix: truncation ladder construction
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeakApproxConfig:
-    mode: str                    # "truncation_ladder" | "coarse_grid" | "perturbed_data"
-    base: WaveRunConfig
-    ladder: tuple
-    trunc_C: float = 1.0
-
-    def __post_init__(self):
-        if list(self.ladder) != sorted(set(self.ladder)):
-            raise ValueError("ladder values must be strictly increasing")
-
 
 @dataclass
 class ConvergenceReport:
@@ -227,37 +233,32 @@ def _nonincreasing(values, slack: float = 0.10) -> bool:
     return all(b <= a * (1.0 + slack) + G_FLOOR for a, b in zip(values, values[1:]))
 
 
-def run_truncation_ladder(cfg: WeakApproxConfig):
+def run_truncation_ladder(base: WaveRunConfig, ladder):
     """Simulate the approximate problems at every cut height, plus f itself."""
-    from dataclasses import replace
-
     trajectories = {}
-    for k in cfg.ladder:
-        level = find_truncation_abscissae(cfg.base.spec, k, cfg.trunc_C)
-        spec_k = truncate(cfg.base.spec, level, cfg.trunc_C)
-        traj, trace = wave_run(replace(cfg.base, spec=spec_k))
+    for k in ladder:
+        spec_k = truncate(base.spec, find_truncation_abscissae(base.spec, k))
+        traj, trace = wave_run(replace(base, spec=spec_k))
         trajectories[k] = (spec_k, traj, trace)
-    ref_traj, ref_trace = wave_run(cfg.base)
-    return trajectories, (cfg.base.spec, ref_traj, ref_trace)
+    ref_traj, ref_trace = wave_run(base)
+    return trajectories, (base.spec, ref_traj, ref_trace)
 
 
-def appendix_construction(cfg: WeakApproxConfig, reference: str = "untruncated") -> ConvergenceReport:
+def appendix_construction(base: WaveRunConfig, ladder):
     """Ladder-vs-reference convergence of the truncation construction.
 
-    The reference is the untruncated run (the finest object available); with
-    `reference="finest"` the largest ladder member is used instead.
+    The reference is the untruncated run, the finest object available.
+    Returns the ConvergenceReport and the reference trajectory.
     """
-    if cfg.mode != "truncation_ladder":
-        raise ValueError("appendix_construction needs a truncation ladder")
-    if len(cfg.ladder) < 3:
+    if list(ladder) != sorted(set(ladder)):
+        raise ValueError("ladder values must be strictly increasing")
+    if len(ladder) < 3:
         raise ValueError("need at least 3 ladder levels")
-    trajectories, (ref_spec, ref_traj, _) = run_truncation_ladder(cfg)
-    if reference == "finest":
-        _, ref_traj, _ = trajectories[cfg.ladder[-1]]
-    grid = cfg.base.grid
+    trajectories, (ref_spec, ref_traj, _) = run_truncation_ladder(base, ladder)
+    grid = base.grid
 
     l2_disc, force_disc, drifts = [], [], []
-    for k in cfg.ladder:
+    for k in ladder:
         spec_k, traj, trace = trajectories[k]
         _check_pair(traj, ref_traj)
         sup_l2 = 0.0
@@ -272,14 +273,15 @@ def appendix_construction(cfg: WeakApproxConfig, reference: str = "untruncated")
         force_disc.append(float(np.trapezoid(force_rate, traj.times)))
         E = trace.column("E_total")
         drifts.append(float(np.max(E - E[0]) / max(abs(E[0]), 1e-30)))
-    return ConvergenceReport(
-        list(cfg.ladder),
+    report = ConvergenceReport(
+        list(ladder),
         l2_disc,
         force_disc,
         drifts,
         monotone_l2=_nonincreasing(l2_disc),
         monotone_force=_nonincreasing(force_disc),
     )
+    return report, ref_traj
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Sampled inequality verifiers and their stability gates."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,13 @@ def test_classify_report_sets_match_class():
     assert {"Gronw4", "coercive", "ClaimA"} <= coercive
     # polynomial growth bounds are not applicable to the exponential density
     assert "Gronw6" not in coercive
+
+
+def test_classify_reports_serialize_for_nls_entries():
+    for name in ("nls_cubic", "nls_coercive_exp"):
+        for rep in classify(from_selection(name), n_random=20_000):
+            json.dumps(rep.as_dict())
+            assert type(rep.holds) is bool
 
 
 def test_classify_rejects_unknown_type():

@@ -4,9 +4,11 @@ import json
 import os
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from supercrit.cli import build_parser, main
-from supercrit.config import parse_config
+from supercrit.cli import _env_overrides, build_parser, main
+from supercrit.config import ExperimentConfig, parse_config
 from supercrit.runner import export_plot_data, run_experiment
 
 WAVE_CONFIG = """
@@ -92,6 +94,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["simulate-wave", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_non_finite_value_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(WAVE_CONFIG + "T = nan\n")
+    assert main(["simulate-wave", "--config", str(bad)]) == 2
+    assert "T=nan must be finite" in capsys.readouterr().err
+
+
 def test_leakage_flag_exits_3(tmp_path, capsys):
     cfg = tmp_path / "leaky.cfg"
     cfg.write_text(NLS_LEAKY_CONFIG)
@@ -114,6 +123,27 @@ def test_invariant_violation_exits_4(tmp_path, capsys):
     assert "invariant_violation" in out
 
 
+def test_weak_strong_blowup_writes_abort_artifact(tmp_path, capsys):
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text("kind = weak-strong\nN = 64\namplitude = 1000\n")
+    out = tmp_path / "runs"
+    assert main(["weak-strong", "--config", str(cfg), "--output", str(out)]) == 3
+    exp_id, outcome = capsys.readouterr().out.split()
+    assert outcome == "aborted_blowup"
+    abort = json.loads((out / exp_id / "abort.json").read_text())
+    assert "not finite" in abort["error"]
+
+
+def test_weak_strong_ladder_failing_a_check_exits_4(tmp_path, capsys):
+    # at eps = 4 the nonlinearity amplifies the discrepancy far more than at
+    # eps = 1e-3, so sup G / G0 spreads from 1.34 to 2.83 across the ladder
+    cfg = tmp_path / "ladder.cfg"
+    cfg.write_text("kind = weak-strong\nN = 128\nladder = 0.001,4.0\n")
+    assert main(["weak-strong", "--config", str(cfg),
+                 "--output", str(tmp_path / "runs")]) == 4
+    assert "invariant_violation" in capsys.readouterr().out
+
+
 def test_seed_flag_changes_experiment_id(tmp_path, wave_config):
     out = tmp_path / "runs"
     main(["simulate-wave", "--config", str(wave_config), "--output", str(out)])
@@ -130,6 +160,34 @@ def test_environment_overrides(tmp_path, wave_config, monkeypatch):
     (exp_dir,) = out.iterdir()
     manifest = json.loads((exp_dir / "manifest.json").read_text())
     assert "seed = 11" in manifest["config"]
+
+
+def test_environment_keys_match_fields_case_insensitively(tmp_path, wave_config,
+                                                         monkeypatch):
+    monkeypatch.setenv("SUPERCRIT_N", "64")
+    monkeypatch.setenv("SUPERCRIT_HOME", "/x")
+    out = tmp_path / "runs"
+    assert main(["simulate-wave", "--config", str(wave_config),
+                 "--output", str(out)]) == 0
+    (exp_dir,) = out.iterdir()
+    manifest = json.loads((exp_dir / "manifest.json").read_text())
+    assert "N = 64" in manifest["config"]
+
+
+FIELD_NAMES = list(ExperimentConfig.__dataclass_fields__)
+
+
+@given(st.sampled_from(FIELD_NAMES), st.data())
+def test_env_key_maps_to_field_in_any_case(name, data):
+    cased = "".join(data.draw(st.sampled_from([c.lower(), c.upper()])) for c in name)
+    env = {f"SUPERCRIT_{cased}": "v", "PATH": "/bin"}
+    assert _env_overrides(env) == {name: "v"}
+
+
+@given(st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789", min_size=1))
+def test_env_keys_naming_no_field_are_ignored(key):
+    assume(key.lower() not in {n.lower() for n in FIELD_NAMES})
+    assert _env_overrides({f"SUPERCRIT_{key}": "1"}) == {}
 
 
 def test_export_produces_tidy_csv(tmp_path, wave_config, capsys):

@@ -1,14 +1,19 @@
 """Config parsing, validation, canonical serialization, and experiment ids."""
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from supercrit.config import (
+    KINDS,
     ConfigError,
     ExperimentConfig,
     parse_config,
     serialize_config,
+    validate,
     with_overrides,
 )
+from supercrit.nonlinearity import builtin_catalog
 
 GOOD = """
 kind = simulate-wave
@@ -133,3 +138,42 @@ def test_unknown_nonlinearity_reported():
     with pytest.raises(ConfigError) as info:
         parse_config("kind = simulate-wave\nnonlinearity = cosh_tower\n")
     assert any("cosh_tower" in m for m in info.value.errors)
+
+
+FLOAT_FIELDS = ("L", "dt", "T", "amplitude", "radius", "R")
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    cfg = ExperimentConfig(
+        kind=draw(st.sampled_from(KINDS)),
+        nonlinearity=draw(st.sampled_from([s.name for s in builtin_catalog()])),
+        d=draw(st.integers(1, 3)),
+        N=draw(st.sampled_from([8, 16, 64, 256])),
+        L=draw(st.floats(1e-3, 1e6)),
+        dt=draw(st.just(0.0) | st.floats(1e-9, 1e-4)),
+        T=draw(st.floats(1e-9, 1e6)),
+        amplitude=draw(finite),
+        radius=draw(finite),
+        ladder=tuple(sorted(draw(st.lists(finite, max_size=4, unique=True)))),
+        R=draw(finite),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+        stride=draw(st.integers(0, 10 ** 6)),
+    )
+    assume(not validate(cfg))
+    return cfg
+
+
+@given(valid_configs())
+def test_round_trip_identity_for_finite_configs(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+@given(valid_configs(), st.sampled_from(FLOAT_FIELDS + ("ladder",)),
+       st.sampled_from(["nan", "inf", "-inf"]))
+def test_non_finite_values_rejected(cfg, name, bad):
+    line = f"ladder = 1,{bad}" if name == "ladder" else f"{name} = {bad}"
+    with pytest.raises(ConfigError) as info:
+        parse_config(serialize_config(cfg) + line + "\n")
+    assert any(m.startswith(f"{name}=") and "finite" in m for m in info.value.errors)

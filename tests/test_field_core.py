@@ -1,4 +1,4 @@
-"""Spectral operators, quadrature norms, energies, and field persistence."""
+"""Spectral operators, quadrature norms, and energies."""
 
 import numpy as np
 import pytest
@@ -17,9 +17,7 @@ from supercrit.field_core import (
     l2_norm_sq,
     laplacian,
     nls_energy,
-    read_field,
     wave_energy,
-    write_field,
 )
 from supercrit.nonlinearity import from_selection
 
@@ -163,24 +161,3 @@ def test_leakage_of_zero_field():
     grid = GridSpec(1, 32, 8.0)
     assert boundary_leakage(np.zeros(grid.shape), grid, 1.0) == 0.0
 
-
-@pytest.mark.parametrize("complex_valued", [False, True])
-def test_field_round_trip(tmp_path, complex_valued):
-    grid = GridSpec(2, 16, 4.0)
-    u = random_smooth_field(grid, seed=7, complex_valued=complex_valued)
-    path = tmp_path / "field.bin"
-    write_field(path, u, grid, t=0.625)
-    v, grid2, t = read_field(path)
-    assert grid2 == grid
-    assert t == 0.625
-    assert v.dtype.kind == ("c" if complex_valued else "f")
-    assert np.array_equal(u, v)
-
-
-def test_field_files_are_deterministic(tmp_path):
-    grid = GridSpec(1, 64, 8.0)
-    u = bump_field(grid, 1.0, 1.0)
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    write_field(p1, u, grid, t=0.5)
-    write_field(p2, u, grid, t=0.5)
-    assert p1.read_bytes() == p2.read_bytes()
