@@ -192,6 +192,9 @@ def validate(cfg: ExperimentConfig) -> list:
         errors.append(f"dt={cfg.dt:g} exceeds the accuracy gate h={cfg.L / cfg.N:g}")
     if cfg.kind == "appendix-construct" and len(cfg.ladder) < 3:
         errors.append("appendix-construct needs a ladder of at least 3 levels")
+    # weak-strong divides by eps^2, so each square must be a positive float
+    if not all(v > 0.0 and v * v > 0.0 for v in cfg.ladder):
+        errors.append(f"ladder={cfg.ladder} entries must be positive, with positive squares")
     if cfg.ladder and list(cfg.ladder) != sorted(set(cfg.ladder)):
         errors.append("ladder values must be strictly increasing")
     return errors

@@ -22,6 +22,8 @@ __all__ = [
     "l2_norm_sq",
     "l2_inner",
     "gradient_norm_sq",
+    "half_l2_norm_sq",
+    "half_gradient_norm_sq",
     "wave_energy",
     "nls_energy",
     "boundary_leakage",
@@ -155,12 +157,53 @@ def gradient_norm_sq(field: np.ndarray, grid: GridSpec) -> float:
     )
 
 
+# Norms of a real field from its np.fft.rfftn half spectrum, which keeps the
+# last-axis frequencies 0..N/2 only.
+
+def _half_weights(N: int) -> np.ndarray:
+    """Parseval weights of the last-axis planes of a half spectrum.
+
+    An interior plane also stands for its mirror image -k, which the half
+    spectrum leaves out; the zero and Nyquist planes are their own mirrors.
+    """
+    w = np.full(N // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    return w
+
+
+def _half_parseval(uh: np.ndarray, grid: GridSpec, multiplier) -> float:
+    """h^d / N^d times the full-spectrum sum of multiplier |u_hat|^2."""
+    n = grid.N // 2 + 1
+    if uh.shape != grid.shape[:-1] + (n,):
+        raise ValueError(f"half spectrum shape {uh.shape} does not match grid {grid.shape}")
+    sq = uh.real ** 2 + uh.imag ** 2
+    return float(
+        grid.cell_volume / grid.N ** grid.d
+        * np.sum(multiplier * _half_weights(grid.N) * sq)
+    )
+
+
+def half_l2_norm_sq(uh: np.ndarray, grid: GridSpec) -> float:
+    """l2_norm_sq of the real field whose rfftn half spectrum is uh."""
+    return _half_parseval(uh, grid, 1.0)
+
+
+def half_gradient_norm_sq(uh: np.ndarray, grid: GridSpec) -> float:
+    """gradient_norm_sq of the real field whose rfftn half spectrum is uh."""
+    return _half_parseval(uh, grid, grid.wavenumber_sq()[..., : grid.N // 2 + 1])
+
+
 # ---------------------------------------------------------------------------
 # energies
 # ---------------------------------------------------------------------------
 
-def _potential_integral(values: np.ndarray, grid: GridSpec) -> float:
-    pot = grid.cell_volume * np.sum(values)
+def _potential_integral(potential, u: np.ndarray, grid: GridSpec) -> float:
+    """h^d sum potential(u); raises AmplitudeError if it is not finite.
+
+    The overflow this reports is expected, so numpy's warning is silenced.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        pot = grid.cell_volume * np.sum(potential(u))
     if not np.isfinite(pot):
         raise AmplitudeError("potential integral is not finite; reduce amplitude")
     return float(pot)
@@ -169,7 +212,7 @@ def _potential_integral(values: np.ndarray, grid: GridSpec) -> float:
 def wave_energy(state: WaveState, spec) -> EnergyReport:
     kin = 0.5 * l2_norm_sq(state.ut, state.grid)
     grad = 0.5 * gradient_norm_sq(state.u, state.grid)
-    pot = _potential_integral(spec.F(state.u), state.grid)
+    pot = _potential_integral(spec.F, state.u, state.grid)
     return EnergyReport(kin, grad, pot, kin + grad + pot)
 
 
@@ -181,7 +224,7 @@ def nls_energy(state: NlsState, spec) -> EnergyReport:
     independent RK4 integration of the collocation system).
     """
     grad = 0.5 * gradient_norm_sq(state.u, state.grid)
-    pot = _potential_integral(spec.potential(state.u), state.grid)
+    pot = _potential_integral(spec.potential, state.u, state.grid)
     mass = l2_norm_sq(state.u, state.grid)
     return EnergyReport(0.0, grad, pot, grad + pot, mass=mass)
 
@@ -195,15 +238,22 @@ def boundary_leakage(field: np.ndarray, grid: GridSpec, margin: float) -> float:
     if not (0.0 < margin < grid.L / 2.0):
         raise ValueError("margin must lie in (0, L/2)")
     _check(field, grid)
-    total = np.sum(np.abs(field) ** 2)
+    sq = np.abs(field) ** 2
+    total = np.sum(sq)
     if total == 0.0:
         return 0.0
+    return float(np.sum(sq[_edge_mask(grid, margin)]) / total)
+
+
+@lru_cache(maxsize=32)
+def _edge_mask(grid: GridSpec, margin: float) -> np.ndarray:
     x = grid.axis()
     edge = np.minimum(x, grid.L - x) < margin
     mask = np.zeros(grid.shape, dtype=bool)
     for i in range(grid.d):
         mask |= edge.reshape((1,) * i + (grid.N,) + (1,) * (grid.d - 1 - i))
-    return float(np.sum(np.abs(field[mask]) ** 2) / total)
+    mask.flags.writeable = False
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ which is what the diagnostics record.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,16 +67,25 @@ class NlsTrajectory:
         return -1j * (laplacian(u, self.grid) - self.spec.force(u))
 
 
+@lru_cache(maxsize=8)
+def _propagator(grid: GridSpec, tau: float) -> np.ndarray:
+    prop = np.exp(1j * grid.wavenumber_sq() * tau)
+    prop.flags.writeable = False
+    return prop
+
+
 def linear_flow(state: NlsState, tau: float) -> NlsState:
     """Exact free flow: unitary Fourier multiplier exp(i |xi|^2 tau)."""
     uh = np.fft.fftn(state.u)
-    uh *= np.exp(1j * state.grid.wavenumber_sq() * tau)
+    uh *= _propagator(state.grid, tau)
     return NlsState(state.grid, np.fft.ifftn(uh), state.t + tau)
 
 
 def nonlinear_flow(state: NlsState, tau: float, spec) -> NlsState:
     """Exact pointwise flow of i u_t = -f(u): modulus-preserving phase rotation."""
-    phase = spec.Fsprime(0.5 * np.abs(state.u) ** 2)
+    # an overflow here is reported as BlowUpError, so numpy's warning is silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = spec.Fsprime(0.5 * np.abs(state.u) ** 2)
     if not np.all(np.isfinite(phase)):
         raise BlowUpError(state.t)
     return NlsState(state.grid, state.u * np.exp(1j * phase * tau), state.t + tau)

@@ -5,12 +5,24 @@ Two time-reversible symplectic steppers are provided:
 * ``verlet``: plain velocity leapfrog (the textbook kick-drift-kick form);
 * ``impulse``: kick-drift-kick where the drift is the exact Fourier flow of
   the linearization at zero, i.e. frequencies sqrt(|xi|^2 + f'(0)) and kicks
-  applied only to the residual f(u) - f'(0)u.
+  applied only to the residual f(u) - f'(0)u (the impulse method of
+  Garcia-Archilla, Sanz-Serna & Skeel, SIAM J. Sci. Comput. 20, 1999).
 
 ``impulse`` is the default for runs: it has no linear-part energy error at
 all, so the measured O(dt^2) drift is purely attributable to the genuine
 nonlinearity. Plain leapfrog carries an irreducible dt^2 omega^2 / 8 energy
 oscillation on every excited mode, which drowns tight conservation budgets.
+
+The impulse stepper keeps its state in spectral form: the ``np.fft.rfftn``
+half spectra of u and u_t, the physical u, and the half spectrum of the
+residual force at u. A step is a half kick with that cached residual, the
+exact linear flow on the half spectrum, one ``irfftn`` for the new u, one
+``rfftn`` for its residual, and the closing half kick: two real transforms.
+A diagnostics record takes the kinetic and gradient energies from the half
+spectra by Parseval and makes one ``irfftn`` for the stored u_t (none for the
+initial record, whose u_t is the data). Setting the state up from (u0, u1)
+takes three forward transforms. Stored snapshots are plain real (u, u_t)
+arrays that own their buffers.
 """
 
 from __future__ import annotations
@@ -22,8 +34,11 @@ import numpy as np
 from .field_core import (
     GridSpec,
     WaveState,
+    _potential_integral,
     boundary_leakage,
     gradient_norm_sq,
+    half_gradient_norm_sq,
+    half_l2_norm_sq,
     l2_inner,
     l2_norm_sq,
     laplacian,
@@ -135,39 +150,81 @@ def step(state: WaveState, cfg: WaveRunConfig) -> WaveState:
     return WaveState(grid, u_new, ut_new, state.t + dt)
 
 
-class _ImpulseStepper:
+@dataclass(frozen=True)
+class _SpectralState:
+    """Impulse-stepper state: u with the rfftn half spectra of u, u_t and f(u) - m u.
+
+    ``ut`` is the physical u_t where it is known without a transform (the
+    initial data), else None.
+    """
+
+    u: np.ndarray
+    uh: np.ndarray
+    uth: np.ndarray
+    rh: np.ndarray
+    t: float
+    ut: np.ndarray | None = None
+
+    def is_finite(self) -> bool:
+        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.uth)))
+
+
+class _SpectralImpulse:
     """Kick-drift-kick with the linearized flow solved exactly per mode."""
 
     def __init__(self, cfg: WaveRunConfig):
         self.cfg = cfg
-        mass = max(0.0, float(cfg.spec.fprime(0.0)))
-        self.mass = mass
-        om = np.sqrt(cfg.grid.wavenumber_sq() + mass)
+        self.axes = tuple(range(cfg.grid.d))
+        self.mass = max(0.0, float(cfg.spec.fprime(0.0)))
+        ksq_half = cfg.grid.wavenumber_sq()[..., : cfg.grid.N // 2 + 1]
+        om = np.sqrt(ksq_half + self.mass)
         self.cos = np.cos(om * cfg.dt)
         self.sin_om = np.where(om > 0, np.sin(om * cfg.dt) / np.where(om > 0, om, 1.0),
                                cfg.dt)
         self.om_sin = om * np.sin(om * cfg.dt)
 
-    def residual_force(self, u: np.ndarray) -> np.ndarray:
-        return self.cfg.spec.f(u) - self.mass * u
+    def _residual_spectrum(self, u: np.ndarray) -> np.ndarray:
+        # an overflow here leaves a non-finite u_t, which the loop turns into
+        # BlowUpError, so numpy's warning is silenced
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.fft.rfftn(self.cfg.spec.f(u) - self.mass * u)
 
-    def __call__(self, state: WaveState) -> WaveState:
-        cfg = self.cfg
-        ut = state.ut - 0.5 * cfg.dt * self.residual_force(state.u)
-        uh, uth = np.fft.fftn(state.u), np.fft.fftn(ut)
-        u_new = np.fft.ifftn(self.cos * uh + self.sin_om * uth).real
-        ut_new = np.fft.ifftn(-self.om_sin * uh + self.cos * uth).real
-        ut_new -= 0.5 * cfg.dt * self.residual_force(u_new)
-        return WaveState(cfg.grid, u_new, ut_new, state.t + cfg.dt)
+    def start(self, state: WaveState) -> _SpectralState:
+        return _SpectralState(state.u, np.fft.rfftn(state.u), np.fft.rfftn(state.ut),
+                              self._residual_spectrum(state.u), state.t, state.ut)
+
+    def __call__(self, s: _SpectralState) -> _SpectralState:
+        half_dt = 0.5 * self.cfg.dt
+        uth = s.uth - half_dt * s.rh
+        uh = self.cos * s.uh + self.sin_om * uth
+        uth = self.cos * uth - self.om_sin * s.uh
+        u = np.fft.irfftn(uh, s=self.cfg.grid.shape, axes=self.axes)
+        rh = self._residual_spectrum(u)
+        uth -= half_dt * rh
+        return _SpectralState(u, uh, uth, rh, s.t + self.cfg.dt)
+
+    def energy(self, s: _SpectralState):
+        grid = self.cfg.grid
+        kin = 0.5 * half_l2_norm_sq(s.uth, grid)
+        grad = 0.5 * half_gradient_norm_sq(s.uh, grid)
+        pot = _potential_integral(self.cfg.spec.F, s.u, grid)
+        return kin + grad + pot, kin, grad, pot
+
+    def snapshot(self, s: _SpectralState) -> WaveState:
+        ut = s.ut
+        if ut is None:
+            ut = np.fft.irfftn(s.uth, s=self.cfg.grid.shape, axes=self.axes)
+        return WaveState(self.cfg.grid, s.u, ut, s.t)
 
 
-def _integrate(advance, state, cfg, columns, energy):
+def _integrate(advance, state, cfg, columns, energy, snapshot=lambda s: s):
     """The time-stepping loop shared by the wave and NLS integrators.
 
     Applies ``advance`` cfg.steps() times and records the initial state, every
-    cfg.stride()-th state and the final one: time, the values ``energy(state)``
-    returns for ``columns[1:-2]``, boundary leakage and sup norm. Raises
-    BlowUpError at the first non-finite state. Returns (times, states, trace).
+    cfg.stride()-th state and the final one: ``snapshot(state)`` is stored,
+    and the trace gets time, the values ``energy(state)`` returns for
+    ``columns[1:-2]``, boundary leakage and sup norm. Raises BlowUpError at
+    the first non-finite state. Returns (times, snapshots, trace).
     """
     n, stride, margin = cfg.steps(), cfg.stride(), cfg.margin()
     times, states = [], []
@@ -175,7 +232,7 @@ def _integrate(advance, state, cfg, columns, energy):
 
     def record(s):
         times.append(s.t)
-        states.append(s)
+        states.append(snapshot(s))
         trace.add(s.t, *energy(s), boundary_leakage(s.u, cfg.grid, margin),
                   np.max(np.abs(s.u)))
 
@@ -191,23 +248,28 @@ def _integrate(advance, state, cfg, columns, energy):
 
 def run(cfg: WaveRunConfig):
     """Evolve to T, recording snapshots and the conservation diagnostics."""
+    state = WaveState(cfg.grid, np.asarray(cfg.u0, float), np.asarray(cfg.u1, float), 0.0)
     if cfg.method == "impulse":
-        advance = _ImpulseStepper(cfg)
+        stepper = _SpectralImpulse(cfg)
+        advance, energy, snapshot = stepper, stepper.energy, stepper.snapshot
+        state = stepper.start(state)
     elif cfg.method == "verlet":
         def advance(s):
             return step(s, cfg)
+
+        def energy(s: WaveState):
+            rep = wave_energy(s, cfg.spec)
+            return rep.total, rep.kinetic, rep.gradient, rep.potential
+
+        def snapshot(s):
+            return s
     else:
         raise ValueError(f"unknown method {cfg.method!r}")
 
-    def energy(s: WaveState):
-        rep = wave_energy(s, cfg.spec)
-        return rep.total, rep.kinetic, rep.gradient, rep.potential
-
-    state = WaveState(cfg.grid, np.asarray(cfg.u0, float), np.asarray(cfg.u1, float), 0.0)
     times, states, trace = _integrate(
         advance, state, cfg,
         ("t", "E_total", "E_kinetic", "E_gradient", "E_potential", "leakage", "sup_norm"),
-        energy,
+        energy, snapshot,
     )
     traj = WaveTrajectory(cfg.grid, cfg.spec, times,
                           [s.u for s in states], [s.ut for s in states])

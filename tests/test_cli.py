@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 from hypothesis import assume, given
@@ -127,11 +128,25 @@ def test_weak_strong_blowup_writes_abort_artifact(tmp_path, capsys):
     cfg = tmp_path / "blowup.cfg"
     cfg.write_text("kind = weak-strong\nN = 64\namplitude = 1000\n")
     out = tmp_path / "runs"
-    assert main(["weak-strong", "--config", str(cfg), "--output", str(out)]) == 3
+    # the handled overflow must not surface as a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["weak-strong", "--config", str(cfg), "--output", str(out)]) == 3
     exp_id, outcome = capsys.readouterr().out.split()
     assert outcome == "aborted_blowup"
     abort = json.loads((out / exp_id / "abort.json").read_text())
     assert "not finite" in abort["error"]
+
+
+@pytest.mark.parametrize("ladder", ["0,0.1", "-0.1,0.1", "1e-200,0.1"])
+def test_weak_strong_ladder_without_positive_squares_exits_2(tmp_path, capsys, ladder):
+    # G0 / eps^2 is undefined for these: eps = 0 wrote NaN into summary.json
+    cfg = tmp_path / "ladder.cfg"
+    cfg.write_text(f"kind = weak-strong\nN = 64\nT = 0.1\nladder = {ladder}\n")
+    out = tmp_path / "runs"
+    assert main(["weak-strong", "--config", str(cfg), "--output", str(out)]) == 2
+    assert "with positive squares" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_weak_strong_ladder_failing_a_check_exits_4(tmp_path, capsys):

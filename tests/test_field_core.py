@@ -13,6 +13,8 @@ from supercrit.field_core import (
     boundary_leakage,
     bump_field,
     gradient_norm_sq,
+    half_gradient_norm_sq,
+    half_l2_norm_sq,
     l2_inner,
     l2_norm_sq,
     laplacian,
@@ -76,6 +78,20 @@ def test_norm_of_constant_field():
     grid = GridSpec(2, 16, 4.0)
     u = np.full(grid.shape, 1.5 + 0.5j)
     assert l2_norm_sq(u, grid) == pytest.approx(2.5 * grid.L ** 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_half_spectrum_parseval_matches_physical_norms(d):
+    # white noise puts weight on every mode, the Nyquist planes included
+    grid = GridSpec(d, 16, 8.0)
+    u = np.random.default_rng(d).normal(size=grid.shape)
+    uh = np.fft.rfftn(u)
+    assert np.abs(uh[..., -1]).max() > 0.1
+    assert half_l2_norm_sq(uh, grid) == pytest.approx(l2_norm_sq(u, grid), rel=1e-12)
+    assert half_gradient_norm_sq(uh, grid) == pytest.approx(
+        gradient_norm_sq(u, grid), rel=1e-12)
+    with pytest.raises(ValueError):
+        half_l2_norm_sq(np.fft.fftn(u), grid)
 
 
 def test_shape_mismatch_raises():

@@ -60,6 +60,48 @@ def test_methods_agree_at_small_dt():
     assert np.max(np.abs(final["impulse"] - final["verlet"])) < 1e-6
 
 
+def test_impulse_agrees_with_verlet_oracle_in_3d():
+    grid = GridSpec(3, 16, 8.0)
+    u0 = bump_field(grid, 0.5, 2.5)
+    out = {}
+    for method in ("impulse", "verlet"):
+        cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), 0.005, 0.25,
+                            u0, np.zeros_like(u0), diagnostics_stride=5, method=method)
+        out[method] = run(cfg)
+    (traj, trace), (oracle, oracle_trace) = out["impulse"], out["verlet"]
+    # verlet's own O(dt^2) error sets the scale: about 3e-8 on u, 3e-5 on E
+    assert np.max(np.abs(traj.us[-1] - oracle.us[-1])) < 1e-6
+    assert np.max(np.abs(traj.uts[-1] - oracle.uts[-1])) < 1e-5
+    for name in ("E_total", "E_kinetic", "E_gradient", "E_potential"):
+        ours, ref = trace.column(name), oracle_trace.column(name)
+        assert np.max(np.abs(ours - ref)) < 1e-4 * np.max(np.abs(ref)), name
+
+
+def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    grid = GridSpec(2, 16, 8.0)
+    u0 = bump_field(grid, 0.5, 2.0)
+    dt = 0.05
+    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), dt, 10 * dt,
+                        u0, np.zeros_like(u0), diagnostics_stride=3)
+    traj, _ = run(cfg)
+    assert cfg.steps() == 10 and len(traj) == 5
+    # three transforms set up the spectral state from (u0, u1)
+    assert len(calls) == 3 + 2 * cfg.steps() + (len(traj) - 1)
+
+
+def test_snapshots_own_their_buffers():
+    traj, _ = run(make_config(T=0.25, diagnostics_stride=4))
+    for a in traj.us + traj.uts:
+        assert a.dtype == np.float64
+        assert a.base is None or a.base.nbytes == a.nbytes
+
+
 def test_impulse_exact_on_nearly_linear_problem():
     # cubic force at amplitude 1e-8 is negligible, so the split flow is the
     # exact linear propagator and energy drift sits at rounding level
