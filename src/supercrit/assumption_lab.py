@@ -3,11 +3,15 @@
 Every estimator draws from a seeded plan (quasi-uniform grid plus pseudo-random
 pairs) and reports a sup only when it is stable under sample doubling. These
 are empirical constants, not proofs.
+
+The sampled constants H11, H22, Gronw6 and H222 share one skeleton,
+``_sampled_constant``, and keep its window and sample sups as ``evidence``;
+``find_convexity_shift`` bisects per window and has its own loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,6 +33,7 @@ __all__ = [
     "estimate_remainder_constant",
     "estimate_taylor_constant",
     "estimate_phase_bound",
+    "estimate_nls_taylor_constant",
     "verify_nls_cancellation",
     "find_convexity_shift",
     "classify",
@@ -51,16 +56,10 @@ class ConstantEstimate:
     samples: int
     worst_pair: tuple
     stable: bool = True
+    evidence: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "R": self.R,
-            "value": self.value,
-            "samples": self.samples,
-            "worst_pair": list(self.worst_pair),
-            "stable": self.stable,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -70,17 +69,9 @@ class InequalityReport:
     violations: list = field(default_factory=list)
     constant: ConstantEstimate | None = None
 
-    def __post_init__(self):
-        # verifiers hand in numpy booleans, which json cannot serialize
-        object.__setattr__(self, "holds", bool(self.holds))
-
     def as_dict(self) -> dict:
-        return {
-            "inequality": self.inequality,
-            "holds": self.holds,
-            "violations": self.violations,
-            "constant": None if self.constant is None else self.constant.as_dict(),
-        }
+        """The report, its constant included, as nested dicts for json."""
+        return asdict(self)
 
 
 def _pairs(R: float, W: float, n_random: int, seed: int):
@@ -104,6 +95,34 @@ def _sup_ratio(num, den, u, w):
     if np.iscomplexobj(u) or np.iscomplexobj(w):
         return float(ratio[i]), (str(complex(u[i])), str(complex(w[i])))
     return float(ratio[i]), (float(u[i]), float(w[i]))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _sampled_constant(name, R, plan, ratio, n_random, seed, windows=None):
+    """The sup of num/den, (num, den) = ratio(u, w), over plan(R, 8R, n_random, seed).
+
+    With ``windows``, the subject of its error message, the sup is also taken
+    on the w-windows 16R, 32R and 64R (seeds seed + j), and a sup that grows by
+    more than 1% at each doubling raises. A 2 * n_random sample at seed + 101
+    then decides ``stable``: the two sups differ by at most 5%. The value is
+    the larger sup; the worst pair is the first sample's.
+    """
+    def sweep(W: float, n: int, s: int):
+        u, w = plan(R, W, n, s)
+        return _sup_ratio(*ratio(u, w), u, w)
+
+    W = 8.0 * R
+    value, worst = sweep(W, n_random, seed)
+    evidence = {}
+    if windows is not None:
+        sups = [value] + [sweep(W * 2 ** j, n_random, seed + j)[0] for j in range(1, 4)]
+        if all(b > a * 1.01 for a, b in zip(sups, sups[1:])):
+            raise UnboundedEstimateError(f"{windows} grows under window doubling: {sups}")
+        evidence["window_sups"] = sups
+    value2, _ = sweep(W, 2 * n_random, seed + 101)
+    evidence["sample_sups"] = [value, value2]
+    stable = abs(value2 - value) <= _STABILITY_SLACK * max(value, value2, 1e-12)
+    return ConstantEstimate(name, R, max(value, value2), n_random, worst, stable, evidence)
 
 
 def _scalar_plan(R: float, n: int, seed: int) -> np.ndarray:
@@ -205,23 +224,11 @@ def estimate_remainder_constant(
     if R <= 0:
         raise ValueError("R must be positive")
 
-    def sup_for(W: float, n: int, s: int):
-        u, w = _pairs(R, W, n, s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rem = spec.F(u + w) - spec.F(u) - spec.f(u) * w
-            neg = np.maximum(0.0, -rem)
-        return _sup_ratio(neg, w ** 2, u, w)
+    def ratio(u, w):
+        return np.maximum(0.0, -(spec.F(u + w) - spec.F(u) - spec.f(u) * w)), w ** 2
 
-    W = 8.0 * R
-    sups = [sup_for(W * 2 ** j, n_random, seed + j)[0] for j in range(4)]
-    if sups[1] > sups[0] * 1.01 and sups[2] > sups[1] * 1.01 and sups[3] > sups[2] * 1.01:
-        raise UnboundedEstimateError(
-            f"remainder constant for {spec.name} grows under window doubling: {sups}"
-        )
-    value, worst = sup_for(W, n_random, seed)
-    value2, _ = sup_for(W, 2 * n_random, seed + 101)
-    stable = abs(value2 - value) <= _STABILITY_SLACK * max(value, value2, 1e-12)
-    return ConstantEstimate("H11", R, max(value, value2), n_random, worst, stable)
+    return _sampled_constant("H11", R, _pairs, ratio, n_random, seed,
+                             windows=f"remainder constant for {spec.name}")
 
 
 def estimate_taylor_constant(
@@ -239,22 +246,12 @@ def estimate_taylor_constant(
     if spec.q >= p:
         raise ValueError(f"q={spec.q} is not subcritical for d={d} (2*={p})")
 
-    def sup_for(W: float, n: int, s: int):
-        u, w = _pairs(R, W, n, s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rem = np.abs(spec.f(u + w) - spec.f(u) - spec.fprime(u) * w)
-        return _sup_ratio(rem, w ** 2 + np.abs(w) ** p, u, w)
+    def ratio(u, w):
+        rem = np.abs(spec.f(u + w) - spec.f(u) - spec.fprime(u) * w)
+        return rem, w ** 2 + np.abs(w) ** p
 
-    W = 8.0 * R
-    sups = [sup_for(W * 2 ** j, n_random, seed + j)[0] for j in range(4)]
-    if sups[1] > sups[0] * 1.01 and sups[2] > sups[1] * 1.01 and sups[3] > sups[2] * 1.01:
-        raise UnboundedEstimateError(
-            f"Taylor constant for {spec.name} grows under window doubling: {sups}"
-        )
-    value, worst = sup_for(W, n_random, seed)
-    value2, _ = sup_for(W, 2 * n_random, seed + 101)
-    stable = abs(value2 - value) <= _STABILITY_SLACK * max(value, value2, 1e-12)
-    return ConstantEstimate("H22", R, max(value, value2), n_random, worst, stable)
+    return _sampled_constant("H22", R, _pairs, ratio, n_random, seed,
+                             windows=f"Taylor constant for {spec.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +324,12 @@ def estimate_phase_bound(
 ) -> ConstantEstimate:
     """Sampled C(R) with |(f(u)-f(u+w)).(iw)| <= C(R)(|w|^2 + |w|^p)."""
     p = two_star(d, q_max)
-    u, w = _complex_pairs(R, 8.0 * R, n_random, seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = np.abs(_dot(spec.force(u) - spec.force(u + w), 1j * w))
-    aw = np.abs(w)
-    value, worst_i = _sup_ratio(num, aw ** 2 + aw ** p, u, w)
-    u2, w2 = _complex_pairs(R, 8.0 * R, 2 * n_random, seed + 101)
-    with np.errstate(over="ignore", invalid="ignore"):
-        num2 = np.abs(_dot(spec.force(u2) - spec.force(u2 + w2), 1j * w2))
-    aw2 = np.abs(w2)
-    value2, _ = _sup_ratio(num2, aw2 ** 2 + aw2 ** p, u2, w2)
-    stable = abs(value2 - value) <= _STABILITY_SLACK * max(value, value2, 1e-12)
-    return ConstantEstimate("Gronw6", R, max(value, value2), n_random, worst_i, stable)
+
+    def ratio(u, w):
+        aw = np.abs(w)
+        return np.abs(_dot(spec.force(u) - spec.force(u + w), 1j * w)), aw ** 2 + aw ** p
+
+    return _sampled_constant("Gronw6", R, _complex_pairs, ratio, n_random, seed)
 
 
 def estimate_nls_taylor_constant(
@@ -351,12 +342,12 @@ def estimate_nls_taylor_constant(
 ) -> ConstantEstimate:
     """Complex-setting Taylor constant: |f(u+w)-f(u)-Df(u)w| <= C(|w|^2+|w|^p)."""
     p = two_star(d, q_max)
-    u, w = _complex_pairs(R, 8.0 * R, n_random, seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = np.abs(spec.force(u + w) - spec.force(u) - spec.dforce(u, w))
-    aw = np.abs(w)
-    value, worst = _sup_ratio(num, aw ** 2 + aw ** p, u, w)
-    return ConstantEstimate("H222", R, value, n_random, worst)
+
+    def ratio(u, w):
+        aw = np.abs(w)
+        return np.abs(spec.force(u + w) - spec.force(u) - spec.dforce(u, w)), aw ** 2 + aw ** p
+
+    return _sampled_constant("H222", R, _complex_pairs, ratio, n_random, seed)
 
 
 def find_convexity_shift(
@@ -438,37 +429,30 @@ def classify(
     is mainly useful to keep exploratory calls quick.
     """
     reports = []
+    nv = n_random if n_random is not None else 100_000
     if isinstance(spec, NonlinearitySpec):
         n = n_random if n_random is not None else 1_000_000
-        nv = n_random if n_random is not None else 100_000
         if spec.assumption_class == AssumptionClass.DEFOCUSING:
             reports.append(verify_sign_condition(spec, samples=nv, seed=seed))
         elif spec.assumption_class == AssumptionClass.OSCILLATING:
-            reports.append(
-                verify_potential_lower_bound(spec, C=1.0, samples=nv, seed=seed)
-            )
+            reports.append(verify_potential_lower_bound(spec, C=1.0, samples=nv, seed=seed))
         if spec.q is not None and spec.C_growth is not None:
             reports.append(verify_growth_bound(spec, samples=nv, seed=seed))
-        c11 = estimate_remainder_constant(spec, R, n_random=n, seed=seed)
-        reports.append(InequalityReport("H11", c11.stable, [], c11))
+        constants = [estimate_remainder_constant(spec, R, n_random=n, seed=seed)]
         if spec.q is not None:
-            c22 = estimate_taylor_constant(spec, R, d, n_random=n, seed=seed)
-            reports.append(InequalityReport("H22", c22.stable, [], c22))
+            constants.append(estimate_taylor_constant(spec, R, d, n_random=n, seed=seed))
     elif isinstance(spec, NlsNonlinearitySpec):
         n = n_random if n_random is not None else 400_000
-        nv = n_random if n_random is not None else 100_000
         reports.append(verify_nls_cancellation(spec, samples=nv, seed=seed))
         if spec.assumption_class == AssumptionClass.NLS_COERCIVE:
             reports.append(verify_nls_coercivity(spec, samples=nv, seed=seed))
-        ca = find_convexity_shift(spec, R, n_random=min(n, 200_000), seed=seed)
-        reports.append(InequalityReport("ClaimA", np.isfinite(ca.value), [], ca))
+        constants = [find_convexity_shift(spec, R, n_random=min(n, 200_000), seed=seed)]
         if spec.assumption_class == AssumptionClass.NLS_SUBCRIT:
             # polynomial-denominator bounds presume the subcritical growth
             # hypothesis; they are meaningless for exponential densities
-            c6 = estimate_phase_bound(spec, R, d, n_random=n, seed=seed)
-            reports.append(InequalityReport("Gronw6", c6.stable, [], c6))
-            c222 = estimate_nls_taylor_constant(spec, R, d, n_random=n, seed=seed)
-            reports.append(InequalityReport("H222", np.isfinite(c222.value), [], c222))
+            constants += [estimate_phase_bound(spec, R, d, n_random=n, seed=seed),
+                          estimate_nls_taylor_constant(spec, R, d, n_random=n, seed=seed)]
     else:
         raise TypeError(f"unsupported spec type {type(spec)!r}")
-    return reports
+    # a sampled constant holds when it is stable under doubling
+    return reports + [InequalityReport(c.name, c.stable, [], c) for c in constants]

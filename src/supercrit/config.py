@@ -11,8 +11,6 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .field_core import GridSpec
 from .nonlinearity import (
     NlsNonlinearitySpec,
@@ -20,7 +18,8 @@ from .nonlinearity import (
     from_selection,
     two_star,
 )
-from .wave_integrator import CFL_SAFETY
+from .nls_integrator import accuracy_error
+from .wave_integrator import stability_error, stable_dt
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config"]
 
@@ -68,7 +67,7 @@ class ExperimentConfig:
         h = self.L / self.N
         if self.kind == "simulate-nls":
             return min(h / 4.0, 1e-3)
-        return CFL_SAFETY * h / np.sqrt(self.d)
+        return stable_dt(h, self.d)
 
     def experiment_id(self) -> str:
         canon = serialize_config(self)
@@ -180,16 +179,12 @@ def validate(cfg: ExperimentConfig) -> list:
     if cfg.kind in ("simulate-wave", "appendix-construct") and wants_nls:
         errors.append(f"{cfg.nonlinearity!r} is not a wave nonlinearity")
     if not errors and cfg.kind in ("simulate-wave", "weak-strong", "appendix-construct") \
-            and not wants_nls and cfg.dt > 0:
-        h = cfg.L / cfg.N
-        limit = CFL_SAFETY * h / np.sqrt(cfg.d)
-        if cfg.dt > limit * (1 + 1e-12):
-            errors.append(
-                f"dt={cfg.dt:g} violates the stability bound "
-                f"{CFL_SAFETY}*h/sqrt(d)={limit:g}"
-            )
-    if cfg.kind == "simulate-nls" and cfg.dt > cfg.L / cfg.N:
-        errors.append(f"dt={cfg.dt:g} exceeds the accuracy gate h={cfg.L / cfg.N:g}")
+            and not wants_nls and cfg.dt > 0 \
+            and (problem := stability_error(cfg.dt, cfg.L / cfg.N, cfg.d)):
+        errors.append(problem)
+    if not errors and cfg.kind in ("simulate-nls", "weak-strong") and wants_nls \
+            and (problem := accuracy_error(cfg.dt, cfg.L / cfg.N)):
+        errors.append(problem)
     if cfg.kind == "appendix-construct" and len(cfg.ladder) < 3:
         errors.append("appendix-construct needs a ladder of at least 3 levels")
     # weak-strong divides by eps^2, so each square must be a positive float

@@ -31,6 +31,12 @@ __all__ = [
 ]
 
 
+def accuracy_error(dt: float, h: float) -> str | None:
+    """Why dt fails the accuracy gate dt <= h, or None when it passes."""
+    if dt > h * (1.0 + 1e-12):
+        return f"dt={dt:g} exceeds the accuracy gate h={h:g}"
+
+
 @dataclass(frozen=True)
 class NlsRunConfig(_RunSchedule):
     grid: GridSpec
@@ -43,8 +49,8 @@ class NlsRunConfig(_RunSchedule):
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.dt > self.grid.h * (1.0 + 1e-12):
-            raise ValueError(f"accuracy gate dt <= h: dt={self.dt:g}, h={self.grid.h:g}")
+        if problem := accuracy_error(self.dt, self.grid.h):
+            raise ValueError(problem)
         if self.T <= 0:
             raise ValueError("T must be positive")
 

@@ -285,6 +285,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str, jobs: int = 1) -> Run
     target = os.path.join(output_dir, manifest.experiment_id)
     os.makedirs(output_dir, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".tmp-", dir=output_dir)
+    aside = tmp + ".old"  # the previous result, kept until the swap is done
     try:
         for name, data in files.items():
             with open(os.path.join(tmp, name), "wb") as fh:
@@ -292,11 +293,14 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str, jobs: int = 1) -> Run
         with open(os.path.join(tmp, "manifest.json"), "wb") as fh:
             fh.write(_json_bytes(manifest.as_dict()))
         if os.path.isdir(target):
-            shutil.rmtree(target)
+            os.replace(target, aside)
         os.replace(tmp, target)
     except BaseException:
+        if os.path.isdir(aside):
+            os.replace(aside, target)
         shutil.rmtree(tmp, ignore_errors=True)
         raise
+    shutil.rmtree(aside, ignore_errors=True)
     return manifest
 
 

@@ -59,6 +59,17 @@ __all__ = [
 CFL_SAFETY = 0.25
 
 
+def stable_dt(h: float, d: int) -> float:
+    """The largest stable wave time step, CFL_SAFETY * h / sqrt(d)."""
+    return CFL_SAFETY * h / np.sqrt(d)
+
+
+def stability_error(dt: float, h: float, d: int) -> str | None:
+    """Why dt is not a positive step within the stability bound, or None."""
+    if not 0.0 < dt <= (limit := stable_dt(h, d)) * (1.0 + 1e-12):
+        return f"dt={dt:g} violates the stability bound {CFL_SAFETY}*h/sqrt(d)={limit:g}"
+
+
 class BlowUpError(RuntimeError):
     def __init__(self, t_last: float):
         super().__init__(f"non-finite state; last valid time t={t_last:.6g}")
@@ -97,12 +108,8 @@ class WaveRunConfig(_RunSchedule):
     method: str = "impulse"      # "impulse" | "verlet"
 
     def __post_init__(self):
-        limit = CFL_SAFETY * self.grid.h / np.sqrt(self.grid.d)
-        if not (0.0 < self.dt <= limit * (1.0 + 1e-12)):
-            raise ValueError(
-                f"dt={self.dt:g} violates the stability bound "
-                f"{CFL_SAFETY}*h/sqrt(d)={limit:g}"
-            )
+        if problem := stability_error(self.dt, self.grid.h, self.grid.d):
+            raise ValueError(problem)
         if self.T <= 0:
             raise ValueError("T must be positive")
 

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from supercrit import assumption_lab
 from supercrit.assumption_lab import (
     UnboundedEstimateError,
     classify,
+    estimate_phase_bound,
     estimate_remainder_constant,
     estimate_taylor_constant,
     find_convexity_shift,
@@ -22,6 +24,7 @@ from supercrit.nonlinearity import (
     NlsNonlinearitySpec,
     NonlinearitySpec,
     from_selection,
+    two_star,
 )
 
 N_SMALL = 50_000  # keeps unit tests quick; defaults are exercised in acceptance
@@ -103,6 +106,26 @@ def test_remainder_worst_pair_reproduces_value():
     assert ratio >= est.value * (1.0 - 0.06)
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda spec: estimate_remainder_constant(spec, R=2.0, n_random=N_SMALL),
+    lambda spec: estimate_taylor_constant(spec, R=2.0, d=3, n_random=N_SMALL),
+], ids=["H11", "H22"])
+def test_window_w_sweep_doubles_as_first_sample_pass(monkeypatch, estimate):
+    # four windows plus the doubled sample: the window-W sweep is not redrawn
+    draws = []
+    real_pairs = assumption_lab._pairs
+
+    def counting_pairs(*args):
+        draws.append(args)
+        return real_pairs(*args)
+
+    monkeypatch.setattr(assumption_lab, "_pairs", counting_pairs)
+    est = estimate(from_selection("oscillating_sin:q=2"))
+    assert len(draws) == 5
+    assert len(est.evidence["window_sups"]) == 4
+    assert est.evidence["window_sups"][0] == est.evidence["sample_sups"][0]
+
+
 def test_unbounded_remainder_detected():
     with pytest.raises(UnboundedEstimateError):
         estimate_remainder_constant(_focusing_quartic(), R=1.0, n_random=N_SMALL)
@@ -123,6 +146,53 @@ def test_taylor_constant_flags_derivative_jump():
         from_selection("oscillating_sin:q=1"), R=1.0, d=3, n_random=500_000
     )
     assert not est.stable
+
+
+def test_phase_bound_finite_stable_and_worst_pair_reproduces_value():
+    spec = from_selection("nls_cubic")
+    # the default sample size: smaller plans miss the sup often enough that
+    # the doubled sample moves it by more than 5%
+    est = estimate_phase_bound(spec, R=2.0, d=3)
+    assert np.isfinite(est.value) and est.value > 0.0
+    assert est.stable
+    u, w = (complex(z) for z in est.worst_pair)
+    num = abs(np.real((spec.force(u) - spec.force(u + w)) * np.conj(1j * w)))
+    ratio = num / (abs(w) ** 2 + abs(w) ** two_star(3))
+    # as for H11, the pair belongs to the first of the two passes
+    assert ratio <= est.value * (1.0 + 1e-10)
+    assert ratio >= est.value * (1.0 - 0.06)
+
+
+def _nls_spec(name, Fs, Fsprime, Fsprime2) -> NlsNonlinearitySpec:
+    def real(g):
+        return lambda s: g(np.asarray(s, float))
+
+    return NlsNonlinearitySpec(name, real(Fs), real(Fsprime), real(Fsprime2),
+                               AssumptionClass.NLS_SUBCRIT)
+
+
+def test_claim_a_fails_for_concave_density():
+    # F(s) = -s^1.5 needs a shift A that grows with the w-window, so the
+    # window doubling never settles and the verdict must say so
+    concave = _nls_spec("concave", lambda s: -s ** 1.5, lambda s: -1.5 * s ** 0.5,
+                        lambda s: -0.75 / np.sqrt(s))
+    with np.errstate(divide="ignore"):  # F''(0) is infinite
+        reports = classify(concave, R=1.0, n_random=20_000)
+    rep = {r.inequality: r for r in reports}["ClaimA"]
+    assert not rep.constant.stable
+    assert not rep.holds
+
+
+def test_nls_taylor_constant_fails_for_kinked_density():
+    # F'(s) = |s - 1| jumps in F'' at s = 1, so the Taylor remainder over
+    # |w|^2 is unbounded near the kink and the sup climbs with the sample size
+    kinked = _nls_spec("kinked", lambda s: 0.5 * (s - 1.0) * np.abs(s - 1.0),
+                       lambda s: np.abs(s - 1.0), lambda s: np.sign(s - 1.0))
+    rep = {r.inequality: r for r in classify(kinked, R=1.0, n_random=20_000)}["H222"]
+    assert not rep.holds
+    v_n, v_2n = rep.constant.evidence["sample_sups"]
+    assert abs(v_2n - v_n) > 0.05 * max(v_n, v_2n)
+    assert rep.constant.value == max(v_n, v_2n)
 
 
 def test_nls_cancellation_identity_machine_exact():

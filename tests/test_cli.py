@@ -120,8 +120,16 @@ def test_invariant_violation_exits_4(tmp_path, capsys):
     code = main(["check-assumptions", "--config", str(cfg),
                  "--output", str(tmp_path / "runs")])
     assert code == 4
-    out = capsys.readouterr().out
-    assert "invariant_violation" in out
+    exp_id, outcome = capsys.readouterr().out.split()
+    assert outcome == "invariant_violation"
+    # the report shows why: the doubled sample moves the Taylor sup past 5%
+    reports = json.loads((tmp_path / "runs" / exp_id / "report.json").read_text())
+    h22 = next(r for r in reports if r["inequality"] == "H22")
+    assert not h22["holds"]
+    evidence = h22["constant"]["evidence"]
+    assert len(evidence["window_sups"]) == 4
+    v_n, v_2n = evidence["sample_sups"]
+    assert abs(v_2n - v_n) > 0.05 * max(v_n, v_2n)
 
 
 def test_weak_strong_blowup_writes_abort_artifact(tmp_path, capsys):
@@ -250,10 +258,29 @@ def test_identity_check_artifacts(tmp_path):
     assert report["weak_identity_residual"] < 1e-4
 
 
-def test_rerun_replaces_directory_atomically(tmp_path):
+def test_rerun_replaces_directory_atomically(tmp_path, monkeypatch):
     cfg = parse_config(WAVE_CONFIG)
     m1 = run_experiment(cfg, str(tmp_path))
     m2 = run_experiment(cfg, str(tmp_path))
     assert m1.experiment_id == m2.experiment_id
     assert len(list(tmp_path.iterdir())) == 1
     assert not any(p.name.startswith(".tmp-") for p in tmp_path.iterdir())
+
+    # a rerun whose final rename fails leaves the previous result in place
+    target = tmp_path / m2.experiment_id
+    before = {p.name: p.read_bytes() for p in target.iterdir()}
+    real_replace = os.replace
+    swaps = []
+
+    def failing_swap(src, dst):
+        # the first rename onto the target is the new result's; it fails
+        if os.fspath(dst) == os.fspath(target) and not swaps:
+            swaps.append(src)
+            raise OSError("simulated rename failure")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_swap)
+    with pytest.raises(OSError, match="simulated"):
+        run_experiment(cfg, str(tmp_path))
+    assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == [m2.experiment_id]

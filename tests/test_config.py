@@ -109,9 +109,12 @@ def test_wave_stability_bound_checked_at_parse():
 
 
 def test_nls_accuracy_gate_checked_at_parse():
-    with pytest.raises(ConfigError):
-        parse_config("kind = simulate-nls\nnonlinearity = nls_cubic\n"
-                     "N = 64\nL = 8.0\ndt = 0.5\n")
+    # weak-strong runs the same Strang integrator, which rejects dt > h
+    for kind in ("simulate-nls", "weak-strong"):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"kind = {kind}\nnonlinearity = nls_cubic\n"
+                         "N = 64\nL = 8.0\ndt = 0.5\n")
+        assert any("accuracy gate" in m for m in info.value.errors)
 
 
 def test_ladder_parsing_and_validation():
