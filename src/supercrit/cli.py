@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--output", default="runs", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel ladder members")
+        # accepted for old scripts; ladder members run in lockstep in one thread
+        p.add_argument("--jobs", type=int, default=1, help="ignored")
     p = sub.add_parser("export", help="emit tidy plot CSV for an experiment")
     p.add_argument("experiment_id")
     p.add_argument("--output", default="runs", help="output directory")
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
             print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    manifest = run_experiment(cfg, args.output, jobs=args.jobs)
+    manifest = run_experiment(cfg, args.output)
     print(f"{manifest.experiment_id} {manifest.outcome}")
     return EXIT_FOR_OUTCOME[manifest.outcome]
 

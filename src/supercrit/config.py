@@ -32,6 +32,12 @@ KINDS = (
     "identity-check",
 )
 
+# the perturbation sizes of a weak-strong run whose config sets no ladder
+DEFAULT_LADDER = (1e-1, 1e-2, 1e-3)
+# A config whose estimated working set exceeds this fixed limit (not read from
+# the host) is refused at parse time, before any field is allocated.
+WORKING_SET_LIMIT = 4 * 2 ** 30
+
 
 class ConfigError(ValueError):
     def __init__(self, errors: list):
@@ -192,7 +198,26 @@ def validate(cfg: ExperimentConfig) -> list:
         errors.append(f"ladder={cfg.ladder} entries must be positive, with positive squares")
     if cfg.ladder and list(cfg.ladder) != sorted(set(cfg.ladder)):
         errors.append("ladder values must be strictly increasing")
+    if not errors and (need := working_set_bytes(cfg)) > WORKING_SET_LIMIT:
+        errors.append(f"estimated working set {need / 2 ** 30:.3g} GiB exceeds the "
+                      f"{WORKING_SET_LIMIT / 2 ** 30:g} GiB limit")
     return errors
+
+
+def working_set_bytes(cfg: ExperimentConfig) -> float:
+    """Bytes a run of a valid cfg holds at once.
+
+    160 per grid point for each state stepped in lockstep (measured: 135 for
+    wave, 96 for NLS), one per ladder member plus the reference; the probe
+    of appendix-construct adds 40 per point and record (measured: 33).
+    """
+    points = 0.0 if cfg.kind == "check-assumptions" else float(cfg.N) ** cfg.d
+    ladder = cfg.kind in ("weak-strong", "appendix-construct")
+    total = 160.0 * points * (1 + ladder * len(cfg.ladder or DEFAULT_LADDER))
+    if cfg.kind == "appendix-construct":
+        steps = cfg.T / cfg.effective_dt()
+        total += 40.0 * points * (2 + (steps / cfg.stride if cfg.stride else min(steps, 256)))
+    return total
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -18,15 +18,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field_core import GridSpec, NlsState, nls_energy
-from .wave_integrator import BlowUpError, _integrate, _RunSchedule
+from .field_core import GridSpec, NlsState, laplacian, nls_energy
+from .stepping import BlowUpError, RunSchedule, run_single
 
 __all__ = [
     "NlsRunConfig",
-    "NlsTrajectory",
     "linear_flow",
     "nonlinear_flow",
     "strang_step",
+    "member",
     "run",
 ]
 
@@ -38,7 +38,7 @@ def accuracy_error(dt: float, h: float) -> str | None:
 
 
 @dataclass(frozen=True)
-class NlsRunConfig(_RunSchedule):
+class NlsRunConfig(RunSchedule):
     grid: GridSpec
     spec: object
     dt: float
@@ -53,24 +53,6 @@ class NlsRunConfig(_RunSchedule):
             raise ValueError(problem)
         if self.T <= 0:
             raise ValueError("T must be positive")
-
-
-@dataclass
-class NlsTrajectory:
-    grid: GridSpec
-    spec: object
-    times: np.ndarray
-    us: list
-
-    def __len__(self) -> int:
-        return len(self.us)
-
-    def dt_field(self, i: int) -> np.ndarray:
-        """u_t recovered from the equation: u_t = -i (Lap u - f(u))."""
-        from .field_core import laplacian
-
-        u = self.us[i]
-        return -1j * (laplacian(u, self.grid) - self.spec.force(u))
 
 
 @lru_cache(maxsize=8)
@@ -106,17 +88,31 @@ def strang_step(state: NlsState, cfg: NlsRunConfig) -> NlsState:
     return NlsState(cfg.grid, s.u, state.t + dt)
 
 
-def run(cfg: NlsRunConfig):
-    def energy(s: NlsState):
-        rep = nls_energy(s, cfg.spec)
+class _Strang:
+    """The Strang stepper of one run config, as stepping.integrate drives it."""
+
+    columns = ("mass", "H_total", "H_gradient", "H_potential")
+
+    def __init__(self, cfg: NlsRunConfig):
+        self.cfg = cfg
+
+    def __call__(self, s: NlsState) -> NlsState:
+        return strang_step(s, self.cfg)
+
+    def energy(self, s: NlsState):
+        rep = nls_energy(s, self.cfg.spec)
         return rep.mass, rep.total, rep.gradient, rep.potential
 
-    times, states, trace = _integrate(
-        lambda s: strang_step(s, cfg),
-        NlsState(cfg.grid, np.asarray(cfg.u0, complex), 0.0),
-        cfg,
-        ("t", "mass", "H_total", "H_gradient", "H_potential", "leakage", "sup_norm"),
-        energy,
-    )
-    traj = NlsTrajectory(cfg.grid, cfg.spec, times, [s.u for s in states])
-    return traj, trace
+    def velocity(self, s: NlsState) -> np.ndarray:
+        """u_t recovered from the equation: u_t = -i (Lap u - f(u))."""
+        return -1j * (laplacian(s.u, s.grid) - self.cfg.spec.force(s.u))
+
+
+def member(cfg: NlsRunConfig):
+    """The (stepper, initial state) pair of cfg, a member for stepping.integrate."""
+    return _Strang(cfg), NlsState(cfg.grid, np.asarray(cfg.u0, complex), 0.0)
+
+
+def run(cfg: NlsRunConfig):
+    """Evolve to T; returns the final record (a RunEnd) and the diagnostics trace."""
+    return run_single(*member(cfg), cfg)

@@ -17,7 +17,6 @@ __all__ = [
     "TruncationLevel",
     "AssumptionClass",
     "builtin_catalog",
-    "catalog_by_name",
     "from_selection",
     "truncate",
     "find_truncation_abscissae",
@@ -265,10 +264,6 @@ def builtin_catalog() -> list:
         _nls_coercive_exp(),
         _nls_cubic(),
     ]
-
-
-def catalog_by_name() -> dict:
-    return {spec.name: spec for spec in builtin_catalog()}
 
 
 _FACTORIES = {

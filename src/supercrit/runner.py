@@ -12,19 +12,13 @@ import json
 import os
 import shutil
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .assumption_lab import (
-    UnboundedEstimateError,
-    classify,
-    find_convexity_shift,
-    verify_nls_cancellation,
-)
-from .config import KINDS, ExperimentConfig, serialize_config
+from .assumption_lab import UnboundedEstimateError, classify, verify_nls_cancellation
+from .config import DEFAULT_LADDER, KINDS, ExperimentConfig, serialize_config
 from .field_core import AmplitudeError, bump_field, l2_norm_sq
 from .nonlinearity import (
     NlsNonlinearitySpec,
@@ -33,18 +27,18 @@ from .nonlinearity import (
     find_truncation_abscissae,
     truncate,
 )
+from .stepping import BlowUpError, integrate
 from .wave_integrator import (
-    BlowUpError,
     WaveRunConfig,
+    WeakIdentity,
     max_leakage,
+    member as wave_member,
     run as wave_run,
-    verify_prop_weak_identity,
 )
 from .nls_integrator import NlsRunConfig, run as nls_run
 from .weak_strong import (
     appendix_construction,
-    gronwall_trace_nls,
-    gronwall_trace_wave,
+    gronwall_ladder,
     ladder_problems,
     uniform_integrability_probe,
 )
@@ -96,15 +90,15 @@ def _now() -> str:
 # experiment bodies: each returns (outcome, {filename: bytes})
 # ---------------------------------------------------------------------------
 
-def _base_run(cfg: ExperimentConfig, spec):
-    """The integrator of spec's equation and its run config for cfg's bump data."""
+def _base_config(cfg: ExperimentConfig, spec):
+    """The wave or NLS run config of spec's equation for cfg's bump data."""
     grid = cfg.grid()
     u0 = bump_field(grid, cfg.amplitude, cfg.radius)
     common = dict(grid=grid, spec=spec, dt=cfg.effective_dt(), T=cfg.T,
                   diagnostics_stride=cfg.stride)
     if isinstance(spec, NlsNonlinearitySpec):
-        return nls_run, NlsRunConfig(u0=u0.astype(complex), **common)
-    return wave_run, WaveRunConfig(u0=u0, u1=np.zeros_like(u0), **common)
+        return NlsRunConfig(u0=u0.astype(complex), **common)
+    return WaveRunConfig(u0=u0, u1=np.zeros_like(u0), **common)
 
 
 def _do_check_assumptions(cfg: ExperimentConfig):
@@ -118,38 +112,19 @@ def _do_check_assumptions(cfg: ExperimentConfig):
 
 
 def _do_simulate(cfg: ExperimentConfig):
-    run, base = _base_run(cfg, cfg.spec())
-    _, trace = run(base)
+    base = _base_config(cfg, cfg.spec())
+    _, trace = (nls_run if isinstance(base, NlsRunConfig) else wave_run)(base)
     outcome = OUTCOME_LEAKAGE if max_leakage(trace) > LEAKAGE_LIMIT else OUTCOME_OK
     return outcome, {"trace.csv": trace.to_csv().encode()}
 
 
-def _do_weak_strong(cfg: ExperimentConfig, jobs: int = 1):
+def _do_weak_strong(cfg: ExperimentConfig):
     """Reference vs perturbed-data ladder; one Gronwall trace per epsilon."""
-    ladder = cfg.ladder or (1e-1, 1e-2, 1e-3)
-    spec = cfg.spec()
+    ladder = cfg.ladder or DEFAULT_LADDER
     grid = cfg.grid()
     pert = bump_field(grid, 1.0, 0.8 * cfg.radius)
-    run, base = _base_run(cfg, spec)
-    u_traj, _ = run(base)
-    if isinstance(spec, NlsNonlinearitySpec):
-        A = find_convexity_shift(spec, R=2.0, seed=cfg.seed).value
-
-        def gronwall(v_traj):
-            return gronwall_trace_nls(u_traj, v_traj, spec, A)
-    else:
-        def gronwall(v_traj):
-            return gronwall_trace_wave(u_traj, v_traj, spec)
-
-    def one(eps):
-        v_traj, _ = run(replace(base, u0=base.u0 + eps * pert))
-        return gronwall(v_traj)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(one, ladder))
-    else:
-        traces = [one(eps) for eps in ladder]
+    base = _base_config(cfg, cfg.spec())
+    traces = gronwall_ladder(base, pert, ladder, seed=cfg.seed)
 
     pert_g0 = l2_norm_sq(pert, grid)
     files = {}
@@ -176,10 +151,9 @@ def _do_weak_strong(cfg: ExperimentConfig, jobs: int = 1):
 
 
 def _do_appendix_construct(cfg: ExperimentConfig):
-    spec = cfg.spec()
-    _, base = _base_run(cfg, spec)
-    report, ref_traj = appendix_construction(base, tuple(cfg.ladder))
-    slope, target, vacuous = uniform_integrability_probe(ref_traj, spec, seed=cfg.seed)
+    base = _base_config(cfg, cfg.spec())
+    report, samples = appendix_construction(base, tuple(cfg.ladder))
+    slope, target, vacuous = uniform_integrability_probe(samples, seed=cfg.seed)
     payload = report.as_dict()
     payload["uniform_integrability"] = {
         "slope": slope,
@@ -234,9 +208,8 @@ def _do_identity_check(cfg: ExperimentConfig):
     ok = ok and interior == 0.0
 
     # (d) multiplier identity on a short run
-    run, base = _base_run(cfg, spec)
-    traj, _ = run(base)
-    res = verify_prop_weak_identity(traj, spec)
+    base = _base_config(cfg, spec)
+    _, (res,) = integrate([wave_member(base)], base, [WeakIdentity(spec, base.grid)])
     results["weak_identity_residual"] = res
     ok = ok and res < 1e-4
 
@@ -256,19 +229,15 @@ _DISPATCH = dict(zip(KINDS, (
 ), strict=True))
 
 
-def run_experiment(cfg: ExperimentConfig, output_dir: str, jobs: int = 1) -> RunManifest:
+def run_experiment(cfg: ExperimentConfig, output_dir: str) -> RunManifest:
     """Run, then atomically publish output_dir/<experiment_id>/.
 
     A blow-up or potential overflow in any kind publishes abort.json with
     the outcome aborted_blowup.
     """
     started = _now()
-    body = _DISPATCH[cfg.kind]
     try:
-        if cfg.kind == "weak-strong":
-            outcome, files = body(cfg, jobs=jobs)
-        else:
-            outcome, files = body(cfg)
+        outcome, files = _DISPATCH[cfg.kind](cfg)
     except (BlowUpError, AmplitudeError) as exc:
         t_last = getattr(exc, "t_last", None)
         outcome = OUTCOME_BLOWUP

@@ -18,16 +18,14 @@ half spectra of u and u_t, the physical u, and the half spectrum of the
 residual force at u. A step is a half kick with that cached residual, the
 exact linear flow on the half spectrum, one ``irfftn`` for the new u, one
 ``rfftn`` for its residual, and the closing half kick: two real transforms.
-A diagnostics record takes the kinetic and gradient energies from the half
-spectra by Parseval and makes one ``irfftn`` for the stored u_t (none for the
-initial record, whose u_t is the data). Setting the state up from (u0, u1)
-takes three forward transforms. Stored snapshots are plain real (u, u_t)
-arrays that own their buffers.
+Setting the state up from (u0, u1) takes three forward transforms. The
+energies come from the half spectra by Parseval, so a record makes no
+transform unless an observer asks for the physical u_t (one ``irfftn``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +33,6 @@ from .field_core import (
     GridSpec,
     WaveState,
     _potential_integral,
-    boundary_leakage,
     gradient_norm_sq,
     half_gradient_norm_sq,
     half_l2_norm_sq,
@@ -44,16 +41,15 @@ from .field_core import (
     laplacian,
     wave_energy,
 )
+from .stepping import DiagnosticTrace, RunSchedule, run_single
 
 __all__ = [
     "WaveRunConfig",
-    "WaveTrajectory",
-    "DiagnosticTrace",
-    "BlowUpError",
+    "WeakIdentity",
     "step",
+    "member",
     "run",
     "max_leakage",
-    "verify_prop_weak_identity",
 ]
 
 CFL_SAFETY = 0.25
@@ -70,33 +66,11 @@ def stability_error(dt: float, h: float, d: int) -> str | None:
         return f"dt={dt:g} violates the stability bound {CFL_SAFETY}*h/sqrt(d)={limit:g}"
 
 
-class BlowUpError(RuntimeError):
-    def __init__(self, t_last: float):
-        super().__init__(f"non-finite state; last valid time t={t_last:.6g}")
-        self.t_last = t_last
-
-
-class _RunSchedule:
-    """Step count, record stride and leakage margin of a wave or NLS run.
-
-    Mixed into the run configs, which supply ``grid``, ``dt``, ``T`` and
-    ``diagnostics_stride``.
-    """
-
-    def steps(self) -> int:
-        return max(1, round(self.T / self.dt))
-
-    def stride(self) -> int:
-        if self.diagnostics_stride > 0:
-            return self.diagnostics_stride
-        return max(1, self.steps() // 128)
-
-    def margin(self) -> float:
-        return self.grid.L / 8.0
+WAVE_COLUMNS = ("E_total", "E_kinetic", "E_gradient", "E_potential")
 
 
 @dataclass(frozen=True)
-class WaveRunConfig(_RunSchedule):
+class WaveRunConfig(RunSchedule):
     grid: GridSpec
     spec: object
     dt: float
@@ -114,40 +88,6 @@ class WaveRunConfig(_RunSchedule):
             raise ValueError("T must be positive")
 
 
-@dataclass
-class WaveTrajectory:
-    grid: GridSpec
-    spec: object
-    times: np.ndarray
-    us: list
-    uts: list
-
-    def state(self, i: int) -> WaveState:
-        return WaveState(self.grid, self.us[i], self.uts[i], float(self.times[i]))
-
-    def __len__(self) -> int:
-        return len(self.us)
-
-
-@dataclass
-class DiagnosticTrace:
-    columns: tuple
-    rows: list = field(default_factory=list)
-
-    def add(self, *values: float):
-        self.rows.append(tuple(float(v) for v in values))
-
-    def column(self, name: str) -> np.ndarray:
-        i = self.columns.index(name)
-        return np.array([r[i] for r in self.rows])
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(format(v, ".17g") for v in row))
-        return "\n".join(lines) + "\n"
-
-
 def step(state: WaveState, cfg: WaveRunConfig) -> WaveState:
     """One velocity-leapfrog step; exactly reversible under ut -> -ut."""
     dt, grid, spec = cfg.dt, cfg.grid, cfg.spec
@@ -159,18 +99,13 @@ def step(state: WaveState, cfg: WaveRunConfig) -> WaveState:
 
 @dataclass(frozen=True)
 class _SpectralState:
-    """Impulse-stepper state: u with the rfftn half spectra of u, u_t and f(u) - m u.
-
-    ``ut`` is the physical u_t where it is known without a transform (the
-    initial data), else None.
-    """
+    """Impulse-stepper state: u with the rfftn half spectra of u, u_t and f(u) - m u."""
 
     u: np.ndarray
     uh: np.ndarray
     uth: np.ndarray
     rh: np.ndarray
     t: float
-    ut: np.ndarray | None = None
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.uth)))
@@ -178,6 +113,8 @@ class _SpectralState:
 
 class _SpectralImpulse:
     """Kick-drift-kick with the linearized flow solved exactly per mode."""
+
+    columns = WAVE_COLUMNS
 
     def __init__(self, cfg: WaveRunConfig):
         self.cfg = cfg
@@ -198,7 +135,7 @@ class _SpectralImpulse:
 
     def start(self, state: WaveState) -> _SpectralState:
         return _SpectralState(state.u, np.fft.rfftn(state.u), np.fft.rfftn(state.ut),
-                              self._residual_spectrum(state.u), state.t, state.ut)
+                              self._residual_spectrum(state.u), state.t)
 
     def __call__(self, s: _SpectralState) -> _SpectralState:
         half_dt = 0.5 * self.cfg.dt
@@ -217,96 +154,78 @@ class _SpectralImpulse:
         pot = _potential_integral(self.cfg.spec.F, s.u, grid)
         return kin + grad + pot, kin, grad, pot
 
-    def snapshot(self, s: _SpectralState) -> WaveState:
-        ut = s.ut
-        if ut is None:
-            ut = np.fft.irfftn(s.uth, s=self.cfg.grid.shape, axes=self.axes)
-        return WaveState(self.cfg.grid, s.u, ut, s.t)
+    def velocity(self, s: _SpectralState) -> np.ndarray:
+        return np.fft.irfftn(s.uth, s=self.cfg.grid.shape, axes=self.axes)
 
 
-def _integrate(advance, state, cfg, columns, energy, snapshot=lambda s: s):
-    """The time-stepping loop shared by the wave and NLS integrators.
+class _Verlet:
+    """The velocity-leapfrog stepper, kept as the tests' oracle for the impulse one."""
 
-    Applies ``advance`` cfg.steps() times and records the initial state, every
-    cfg.stride()-th state and the final one: ``snapshot(state)`` is stored,
-    and the trace gets time, the values ``energy(state)`` returns for
-    ``columns[1:-2]``, boundary leakage and sup norm. Raises BlowUpError at
-    the first non-finite state. Returns (times, snapshots, trace).
-    """
-    n, stride, margin = cfg.steps(), cfg.stride(), cfg.margin()
-    times, states = [], []
-    trace = DiagnosticTrace(columns)
+    columns = WAVE_COLUMNS
 
-    def record(s):
-        times.append(s.t)
-        states.append(snapshot(s))
-        trace.add(s.t, *energy(s), boundary_leakage(s.u, cfg.grid, margin),
-                  np.max(np.abs(s.u)))
+    def __init__(self, cfg: WaveRunConfig):
+        self.cfg = cfg
 
-    record(state)
-    for i in range(1, n + 1):
-        state = advance(state)
-        if not state.is_finite():
-            raise BlowUpError(times[-1])
-        if i % stride == 0 or i == n:
-            record(state)
-    return np.array(times), states, trace
+    def start(self, state: WaveState) -> WaveState:
+        return state
+
+    def __call__(self, s: WaveState) -> WaveState:
+        return step(s, self.cfg)
+
+    def energy(self, s: WaveState):
+        rep = wave_energy(s, self.cfg.spec)
+        return rep.total, rep.kinetic, rep.gradient, rep.potential
+
+    def velocity(self, s: WaveState) -> np.ndarray:
+        return s.ut
+
+
+_STEPPERS = {"impulse": _SpectralImpulse, "verlet": _Verlet}
+
+
+def member(cfg: WaveRunConfig):
+    """The (stepper, initial state) pair of cfg, a member for stepping.integrate."""
+    if cfg.method not in _STEPPERS:
+        raise ValueError(f"unknown method {cfg.method!r}")
+    stepper = _STEPPERS[cfg.method](cfg)
+    u0, u1 = np.asarray(cfg.u0, float), np.asarray(cfg.u1, float)
+    return stepper, stepper.start(WaveState(cfg.grid, u0, u1, 0.0))
 
 
 def run(cfg: WaveRunConfig):
-    """Evolve to T, recording snapshots and the conservation diagnostics."""
-    state = WaveState(cfg.grid, np.asarray(cfg.u0, float), np.asarray(cfg.u1, float), 0.0)
-    if cfg.method == "impulse":
-        stepper = _SpectralImpulse(cfg)
-        advance, energy, snapshot = stepper, stepper.energy, stepper.snapshot
-        state = stepper.start(state)
-    elif cfg.method == "verlet":
-        def advance(s):
-            return step(s, cfg)
-
-        def energy(s: WaveState):
-            rep = wave_energy(s, cfg.spec)
-            return rep.total, rep.kinetic, rep.gradient, rep.potential
-
-        def snapshot(s):
-            return s
-    else:
-        raise ValueError(f"unknown method {cfg.method!r}")
-
-    times, states, trace = _integrate(
-        advance, state, cfg,
-        ("t", "E_total", "E_kinetic", "E_gradient", "E_potential", "leakage", "sup_norm"),
-        energy, snapshot,
-    )
-    traj = WaveTrajectory(cfg.grid, cfg.spec, times,
-                          [s.u for s in states], [s.ut for s in states])
-    return traj, trace
+    """Evolve to T; returns the final record (a RunEnd) and the diagnostics trace."""
+    return run_single(*member(cfg), cfg)
 
 
 def max_leakage(trace: DiagnosticTrace) -> float:
     return float(np.max(trace.column("leakage")))
 
 
-def verify_prop_weak_identity(traj: WaveTrajectory, spec=None) -> float:
-    """Residual of the multiplier identity for the solution itself.
+class WeakIdentity:
+    """Observer: relative residual of the multiplier identity for member 0.
 
-    Space-time integral of |grad v|^2 - |v_t|^2 + v f(v) must equal
-    B(0) - B(T) with B(t) = integral of v_t v. (The sign of the boundary
-    term follows from d/dt B = |v_t|^2 - |grad v|^2 - v f(v).)
+    The space-time integral of |grad u|^2 - |u_t|^2 + u f(u) must equal
+    B(0) - B(T) with B(t) = integral of u_t u, since d/dt B = |u_t|^2 -
+    |grad u|^2 - u f(u). The time quadrature needs 64 records.
     """
-    spec = spec if spec is not None else traj.spec
-    grid = traj.grid
-    if len(traj) < 64:
-        raise ValueError("need at least 64 snapshots for the time quadrature")
-    integrand = np.array(
-        [
-            gradient_norm_sq(u, grid) - l2_norm_sq(ut, grid)
-            + l2_inner(u, spec.f(u), grid)
-            for u, ut in zip(traj.us, traj.uts)
-        ]
-    )
-    lhs = float(np.trapezoid(integrand, traj.times))
-    b0 = l2_inner(traj.uts[0], traj.us[0], grid)
-    bT = l2_inner(traj.uts[-1], traj.us[-1], grid)
-    rhs = b0 - bT
-    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
+
+    def __init__(self, spec, grid: GridSpec):
+        self.spec, self.grid = spec, grid
+        self.times, self.integrand = [], []
+        self.b0 = self.bT = None
+
+    def observe(self, records):
+        r, grid = records[0], self.grid
+        self.times.append(r.t)
+        self.integrand.append(gradient_norm_sq(r.u, grid) - l2_norm_sq(r.ut, grid)
+                              + l2_inner(r.u, self.spec.f(r.u), grid))
+        self.bT = l2_inner(r.ut, r.u, grid)
+        if self.b0 is None:
+            self.b0 = self.bT
+
+    def result(self) -> float:
+        if len(self.times) < 64:
+            raise ValueError("need at least 64 records for the time quadrature")
+        lhs = float(np.trapezoid(np.array(self.integrand), np.array(self.times)))
+        rhs = self.b0 - self.bT
+        return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)

@@ -3,6 +3,10 @@
 A "weak-like" trajectory is any of three proxy families: the Lipschitz
 truncation ladder, coarse grids, or perturbed data. All conclusions are about
 these proxies; no genuinely non-smooth weak solution is constructed.
+
+Every functional is an observer of a lockstep run (``stepping.integrate``):
+the reference is member 0, the proxies are the other members, and each
+observer keeps per-record numbers only.
 """
 
 from __future__ import annotations
@@ -11,24 +15,29 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field_core import gradient_norm_sq, l2_inner, l2_norm_sq, wave_energy
+from .assumption_lab import find_convexity_shift
+from .field_core import gradient_norm_sq, l2_inner, l2_norm_sq
+from .nls_integrator import NlsRunConfig, member as nls_member
 from .nonlinearity import find_truncation_abscissae, truncate, two_star
-from .wave_integrator import WaveRunConfig, WaveTrajectory, run as wave_run
-from .nls_integrator import NlsTrajectory
+from .stepping import integrate
+from .wave_integrator import WaveRunConfig, member as wave_member
 
 __all__ = [
     "GronwallTrace",
     "ConvergenceReport",
-    "energy_expansion",
-    "gronwall_trace_wave",
-    "gronwall_trace_nls",
+    "WaveGronwall",
+    "NlsGronwall",
+    "ForceSamples",
+    "gronwall_ladder",
     "ladder_problems",
     "appendix_construction",
     "uniform_integrability_probe",
-    "lemma_main33_probe",
 ]
 
 G_FLOOR = 1e-14
+# the convexity shift is estimated on |u| <= max(visited sup norm, this floor),
+# so a run that stays near zero still samples a box of useful width
+SHIFT_R_FLOOR = 0.1
 
 
 def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -55,6 +64,8 @@ class GronwallTrace:
     fitted_C: float
     fitted_G0: float
     remainder_min: float | None = None  # NLS only: min of the shifted defect
+    # wave only, not serialized: max_t |E(v) - E(u) - I - J| / max(|E(u,0)|, |E(v,0)|)
+    expansion_residual: float | None = None
 
     def as_dict(self) -> dict:
         d = {
@@ -79,111 +90,125 @@ class GronwallTrace:
         return "\n".join(lines) + "\n"
 
 
-def _check_pair(a, b):
-    if a.grid != b.grid:
-        raise ValueError("trajectories live on different grids")
-    if len(a) != len(b) or not np.allclose(a.times, b.times, atol=1e-12):
-        raise ValueError("trajectories have different snapshot times")
-
-
 # ---------------------------------------------------------------------------
-# wave energy expansion E(v) = E(u) + I + J
+# observers of a lockstep run: member 0 is the reference u, the others are v
 # ---------------------------------------------------------------------------
 
-def _wave_functionals(u_traj: WaveTrajectory, v_traj: WaveTrajectory, spec):
-    """Per-snapshot pieces shared by the expansion and the Gronwall trace."""
-    grid = u_traj.grid
-    n = len(u_traj)
-    J = np.empty(n)
-    G = np.empty(n)
-    w_l2 = np.empty(n)
-    I_rate = np.empty(n)          # integrand of I(t)
-    coupling = np.empty(n)        # integral of w (f(u+w) - f(u)), for main33
-    for i in range(n):
-        u, ut = u_traj.us[i], u_traj.uts[i]
-        v, vt = v_traj.us[i], v_traj.uts[i]
-        w, wt = v - u, vt - ut
-        dw_sq = l2_norm_sq(wt, grid) + gradient_norm_sq(w, grid)
-        fu = spec.f(u)
-        fv = spec.f(v)
-        J[i] = 0.5 * dw_sq + grid.cell_volume * float(
-            np.sum(spec.F(v) - spec.F(u) - fu * w)
-        )
-        G[i] = dw_sq
-        w_l2[i] = l2_norm_sq(w, grid)
-        I_rate[i] = l2_inner(fu + spec.fprime(u) * w - fv, ut, grid)
-        coupling[i] = l2_inner(w, fv - fu, grid)
-    return J, G, w_l2, I_rate, coupling
+class WaveGronwall:
+    """Observer: G = ||Dw||^2 and the expansion E(v) = E(u) + I + J per member.
 
-
-def energy_expansion(u_traj: WaveTrajectory, v_traj: WaveTrajectory, spec):
-    """Drift integral I(t), remainder J(t), and the expansion residual.
-
-    For matched data I(0) = 0; for perturbed data the exact expansion carries
-    the initial cross term, so I is anchored at E(v,0) - E(u,0) - J(0) and the
-    residual measures only the evolution error (order >= 2 under refinement).
+    Keeps per record the scalars of each member v against member 0 (w = v - u)
+    and the stepper energies; result() is one GronwallTrace per member. I is
+    anchored at E(v,0) - E(u,0) - J(0), which carries the initial cross term
+    of perturbed data, so ``expansion_residual`` measures only the evolution
+    error (order >= 2 under refinement).
     """
-    _check_pair(u_traj, v_traj)
-    return _expansion(u_traj, v_traj, spec, _wave_functionals(u_traj, v_traj, spec))
+
+    def __init__(self, spec, grid):
+        self.spec, self.grid = spec, grid
+        self.times, self.Eu, self.rows = [], [], None
+
+    def observe(self, records):
+        spec, grid = self.spec, self.grid
+        ref, members = records[0], records[1:]
+        if self.rows is None:
+            self.rows = [[] for _ in members]
+        u, ut = ref.u, ref.ut
+        fu, Fu, fpu = spec.f(u), spec.F(u), spec.fprime(u)
+        self.times.append(ref.t)
+        self.Eu.append(ref.energy[0])
+        for rows, rec in zip(self.rows, members):
+            v = rec.u
+            w, wt = v - u, rec.ut - ut
+            dw_sq = l2_norm_sq(wt, grid) + gradient_norm_sq(w, grid)
+            fv = spec.f(v)
+            J = 0.5 * dw_sq + grid.cell_volume * float(np.sum(spec.F(v) - Fu - fu * w))
+            I_rate = l2_inner(fu + fpu * w - fv, ut, grid)
+            rows.append((dw_sq, l2_norm_sq(w, grid), J, I_rate, rec.energy[0]))
+
+    def result(self) -> list:
+        times, Eu = np.array(self.times), np.array(self.Eu)
+        traces = []
+        for rows in self.rows:
+            G, w_l2, J, I_rate, Ev = (np.array(c) for c in zip(*rows))
+            I0 = Ev[0] - Eu[0] - J[0]
+            I = I0 + _cumtrapz(I_rate, times)
+            scale = max(abs(Eu[0]), abs(Ev[0]), 1e-30)
+            residual = float(np.max(np.abs(Ev - Eu - I - J)) / scale)
+            C, G0 = _fit_certificate(times, G)
+            traces.append(GronwallTrace(times, G, w_l2, I, J, C, G0,
+                                        expansion_residual=residual))
+        return traces
 
 
-def _expansion(u_traj: WaveTrajectory, v_traj: WaveTrajectory, spec, functionals):
-    J, _, _, I_rate, _ = functionals
-    Eu = np.array([wave_energy(u_traj.state(i), spec).total for i in range(len(u_traj))])
-    Ev = np.array([wave_energy(v_traj.state(i), spec).total for i in range(len(v_traj))])
-    I0 = Ev[0] - Eu[0] - J[0]
-    I = I0 + _cumtrapz(I_rate, u_traj.times)
-    scale = max(abs(Eu[0]), abs(Ev[0]), 1e-30)
-    residual = float(np.max(np.abs(Ev - Eu - I - J)) / scale)
-    return I, J, residual
+class NlsGronwall:
+    """Observer: the NLS discrepancy G = ||grad w||^2 + (A+1)||w||^2 per member.
 
-
-def gronwall_trace_wave(u_traj: WaveTrajectory, v_traj: WaveTrajectory, spec) -> GronwallTrace:
-    """Record G = ||Dw||^2 and fit the exponential certificate constant."""
-    _check_pair(u_traj, v_traj)
-    functionals = _wave_functionals(u_traj, v_traj, spec)
-    I, J, _ = _expansion(u_traj, v_traj, spec, functionals)
-    _, G, w_l2, _, _ = functionals
-    C, G0 = _fit_certificate(u_traj.times, G)
-    return GronwallTrace(u_traj.times, G, w_l2, I, J, C, G0)
-
-
-def gronwall_trace_nls(
-    u_traj: NlsTrajectory, v_traj: NlsTrajectory, spec, A: float
-) -> GronwallTrace:
-    """NLS discrepancy G = ||grad w||^2 + (A+1)||w||^2 with the shifted defect.
-
-    The per-snapshot remainder integral of
-    (A+1)|w|^2 + F(|u+w|^2/2) - F(|u|^2/2) - f(u).w must stay >= -1e-9 per
-    cell if A came from a valid convexity-shift estimate.
+    Keeps per record ||grad w||^2, ||w||^2, the integral of the defect
+    F(|u+w|^2/2) - F(|u|^2/2) - f(u).w and the drift integrand, and the largest
+    sup norm of any member. G and the shifted remainder are linear in the
+    convexity shift A, so traces(A) applies A once the visited radius is known.
     """
-    _check_pair(u_traj, v_traj)
-    grid = u_traj.grid
-    n = len(u_traj)
-    G = np.empty(n)
-    w_l2 = np.empty(n)
-    J = np.empty(n)
-    I_rate = np.empty(n)
-    rem_min = np.inf
-    for i in range(n):
-        u, v = u_traj.us[i], v_traj.us[i]
-        w = v - u
-        wl2 = l2_norm_sq(w, grid)
-        gw = gradient_norm_sq(w, grid)
-        fu = spec.force(u)
-        defect = (
-            spec.potential(v) - spec.potential(u) - np.real(fu * np.conj(w))
-        )
-        shifted = (A + 1.0) * np.abs(w) ** 2 + defect
-        rem_min = min(rem_min, float(grid.cell_volume * np.sum(shifted)))
-        G[i] = gw + (A + 1.0) * wl2
-        w_l2[i] = wl2
-        J[i] = 0.5 * gw + grid.cell_volume * float(np.sum(defect))
-        dtu = u_traj.dt_field(i)
-        I_rate[i] = -l2_inner(spec.force(v) - fu - spec.dforce(u, w), dtu, grid)
-    I = _cumtrapz(I_rate, u_traj.times)
-    C, G0 = _fit_certificate(u_traj.times, G)
-    return GronwallTrace(u_traj.times, G, w_l2, I, J, C, G0, remainder_min=rem_min)
+
+    def __init__(self, spec, grid):
+        self.spec, self.grid = spec, grid
+        self.times, self.rows, self.sup_norm = [], None, 0.0
+
+    def observe(self, records):
+        spec, grid = self.spec, self.grid
+        ref, members = records[0], records[1:]
+        if self.rows is None:
+            self.rows = [[] for _ in members]
+        u, dtu = ref.u, ref.ut
+        fu, Pu = spec.force(u), spec.potential(u)
+        self.times.append(ref.t)
+        self.sup_norm = max(self.sup_norm, *(float(np.max(np.abs(r.u))) for r in records))
+        for rows, rec in zip(self.rows, members):
+            v = rec.u
+            w = v - u
+            defect = spec.potential(v) - Pu - np.real(fu * np.conj(w))
+            rows.append((
+                gradient_norm_sq(w, grid),
+                l2_norm_sq(w, grid),
+                grid.cell_volume * float(np.sum(defect)),
+                -l2_inner(spec.force(v) - fu - spec.dforce(u, w), dtu, grid),
+            ))
+
+    def result(self) -> NlsGronwall:
+        return self
+
+    def traces(self, A: float) -> list:
+        times = np.array(self.times)
+        traces = []
+        for rows in self.rows:
+            gw, wl2, defect, I_rate = (np.array(c) for c in zip(*rows))
+            G = gw + (A + 1.0) * wl2
+            J = 0.5 * gw + defect
+            C, G0 = _fit_certificate(times, G)
+            traces.append(GronwallTrace(
+                times, G, wl2, _cumtrapz(I_rate, times), J, C, G0,
+                remainder_min=float(np.min((A + 1.0) * wl2 + defect)),
+            ))
+        return traces
+
+
+def gronwall_ladder(base, pert: np.ndarray, ladder, seed: int = 0) -> list:
+    """Gronwall traces of the members u0 + eps * pert against the run base.
+
+    The reference and every member are stepped in lockstep. For NLS the
+    convexity shift A is estimated after the run at the largest sup norm any
+    of them reached (at least SHIFT_R_FLOOR), the radius the defect visits.
+    """
+    nls = isinstance(base, NlsRunConfig)
+    member = nls_member if nls else wave_member
+    members = [member(base)] + [member(replace(base, u0=base.u0 + eps * pert))
+                                for eps in ladder]
+    observer = (NlsGronwall if nls else WaveGronwall)(base.spec, base.grid)
+    _, (result,) = integrate(members, base, [observer])
+    if not nls:
+        return result
+    R = max(result.sup_norm, SHIFT_R_FLOOR)
+    return result.traces(find_convexity_shift(base.spec, R=R, seed=seed).value)
 
 
 def ladder_problems(ladder, traces) -> list:
@@ -233,46 +258,53 @@ def _nonincreasing(values, slack: float = 0.10) -> bool:
     return all(b <= a * (1.0 + slack) + G_FLOOR for a, b in zip(values, values[1:]))
 
 
-def run_truncation_ladder(base: WaveRunConfig, ladder):
-    """Simulate the approximate problems at every cut height, plus f itself."""
-    trajectories = {}
-    for k in ladder:
-        spec_k = truncate(base.spec, find_truncation_abscissae(base.spec, k))
-        traj, trace = wave_run(replace(base, spec=spec_k))
-        trajectories[k] = (spec_k, traj, trace)
-    ref_traj, ref_trace = wave_run(base)
-    return trajectories, (base.spec, ref_traj, ref_trace)
+class _LadderDiscrepancy:
+    """Observer: each truncated member against the untruncated member 0."""
+
+    def __init__(self, specs, grid):
+        self.specs, self.grid = specs, grid
+        self.times = []
+        self.sup_l2 = [0.0] * (len(specs) - 1)
+        self.force_rate = [[] for _ in specs[1:]]
+        self.energy = [[] for _ in specs[1:]]
+
+    def observe(self, records):
+        grid, ref = self.grid, records[0]
+        f_ref = self.specs[0].f(ref.u)
+        self.times.append(ref.t)
+        for k, (spec_k, rec) in enumerate(zip(self.specs[1:], records[1:])):
+            self.sup_l2[k] = max(self.sup_l2[k], np.sqrt(l2_norm_sq(rec.u - ref.u, grid)))
+            self.force_rate[k].append(
+                grid.cell_volume * float(np.sum(np.abs(spec_k.f(rec.u) - f_ref)))
+            )
+            self.energy[k].append(rec.energy[0])
+
+    def result(self):
+        l2_disc = [float(s) for s in self.sup_l2]
+        force_disc = [float(np.trapezoid(np.array(rate), np.array(self.times)))
+                      for rate in self.force_rate]
+        drifts = [float(np.max(E - E[0]) / max(abs(E[0]), 1e-30))
+                  for E in map(np.array, self.energy)]
+        return l2_disc, force_disc, drifts
 
 
 def appendix_construction(base: WaveRunConfig, ladder):
     """Ladder-vs-reference convergence of the truncation construction.
 
-    The reference is the untruncated run, the finest object available.
-    Returns the ConvergenceReport and the reference trajectory.
+    The problems truncated at every cut height and the untruncated reference,
+    the finest object available, are stepped in lockstep. Returns the
+    ConvergenceReport and the reference's ForceSamples, the input of the
+    uniform-integrability probe.
     """
     if list(ladder) != sorted(set(ladder)):
         raise ValueError("ladder values must be strictly increasing")
     if len(ladder) < 3:
         raise ValueError("need at least 3 ladder levels")
-    trajectories, (ref_spec, ref_traj, _) = run_truncation_ladder(base, ladder)
-    grid = base.grid
-
-    l2_disc, force_disc, drifts = [], [], []
-    for k in ladder:
-        spec_k, traj, trace = trajectories[k]
-        _check_pair(traj, ref_traj)
-        sup_l2 = 0.0
-        force_rate = np.empty(len(traj))
-        for i in range(len(traj)):
-            diff = traj.us[i] - ref_traj.us[i]
-            sup_l2 = max(sup_l2, np.sqrt(l2_norm_sq(diff, grid)))
-            force_rate[i] = grid.cell_volume * float(
-                np.sum(np.abs(spec_k.f(traj.us[i]) - ref_spec.f(ref_traj.us[i])))
-            )
-        l2_disc.append(float(sup_l2))
-        force_disc.append(float(np.trapezoid(force_rate, traj.times)))
-        E = trace.column("E_total")
-        drifts.append(float(np.max(E - E[0]) / max(abs(E[0]), 1e-30)))
+    specs = [base.spec] + [truncate(base.spec, find_truncation_abscissae(base.spec, k))
+                           for k in ladder]
+    members = [wave_member(replace(base, spec=spec)) for spec in specs]
+    observers = [_LadderDiscrepancy(specs, base.grid), ForceSamples(base.spec, base.grid)]
+    _, ((l2_disc, force_disc, drifts), samples) = integrate(members, base, observers)
     report = ConvergenceReport(
         list(ladder),
         l2_disc,
@@ -281,16 +313,30 @@ def appendix_construction(base: WaveRunConfig, ladder):
         monotone_l2=_nonincreasing(l2_disc),
         monotone_force=_nonincreasing(force_disc),
     )
-    return report, ref_traj
+    return report, samples
 
 
 # ---------------------------------------------------------------------------
 # uniform integrability probe
 # ---------------------------------------------------------------------------
 
+class ForceSamples:
+    """Observer: |f(u)| of member 0 at every record, all the probe reads of a run."""
+
+    def __init__(self, spec, grid):
+        self.spec, self.grid = spec, grid
+        self.times, self.absf = [], []
+
+    def observe(self, records):
+        self.times.append(records[0].t)
+        self.absf.append(np.abs(self.spec.f(records[0].u)).ravel())
+
+    def result(self) -> ForceSamples:
+        return self
+
+
 def uniform_integrability_probe(
-    traj: WaveTrajectory,
-    spec,
+    samples: ForceSamples,
     trials: int = 1000,
     seed: int = 0,
     q_max: float = 10.0,
@@ -301,18 +347,17 @@ def uniform_integrability_probe(
     eta/2* with eta = 2* - q; the Hoelder bound makes any slope above it
     admissible, and random unions of cells typically fit close to 1.
     """
-    grid = traj.grid
+    grid, spec = samples.grid, samples.spec
     p = two_star(grid.d, q_max)
     q = spec.q if spec.q is not None else p - 1.0
     eta = max(p - q, 0.0)
-    absf = np.array([np.abs(spec.f(u)).ravel() for u in traj.us])
-    dt_snap = np.diff(traj.times)
+    absf = np.array(samples.absf)
+    dt_snap = np.diff(samples.times)
     cell_w = np.concatenate(
         [[dt_snap[0] / 2], (dt_snap[1:] + dt_snap[:-1]) / 2, [dt_snap[-1] / 2]]
     )
     weights = (cell_w[:, None] * grid.cell_volume * np.ones_like(absf)).ravel()
     values = (absf * cell_w[:, None] * grid.cell_volume).ravel()
-    total_measure = float(np.sum(weights))
     if np.max(absf) == 0.0:
         return 0.0, eta / p, True
 
@@ -332,28 +377,3 @@ def uniform_integrability_probe(
         return 0.0, eta / p, True
     slope = float(np.polyfit(log_m, log_i, 1)[0])
     return slope, eta / p, False
-
-
-# ---------------------------------------------------------------------------
-# Lemma main33 probe
-# ---------------------------------------------------------------------------
-
-def lemma_main33_probe(u_traj: WaveTrajectory, v_traj: WaveTrajectory, spec) -> dict:
-    """Smallest empirical C with
-    I(t) <= C * (int ||w||^2 + int int w (f(u+w) - f(u))) on the trace."""
-    _check_pair(u_traj, v_traj)
-    _, _, w_l2, I_rate, coupling = _wave_functionals(u_traj, v_traj, spec)
-    t = u_traj.times
-    lhs = _cumtrapz(I_rate, t)
-    rhs = _cumtrapz(w_l2, t) + _cumtrapz(coupling, t)
-    C = 0.0
-    finite = True
-    for i in range(1, len(t)):
-        if lhs[i] <= G_FLOOR:
-            continue
-        if rhs[i] <= G_FLOOR:
-            finite = False
-            continue
-        C = max(C, lhs[i] / rhs[i])
-    return {"C": C, "finite": finite, "lhs_max": float(np.max(lhs)),
-            "rhs_max": float(np.max(rhs))}

@@ -10,7 +10,6 @@ import os
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from supercrit.assumption_lab import (
     UnboundedEstimateError,
@@ -37,16 +36,17 @@ from supercrit.nonlinearity import (
     from_selection,
     truncate,
 )
+from supercrit.stepping import integrate
 from supercrit.wave_integrator import (
     WaveRunConfig,
+    WeakIdentity,
+    member as wave_member,
     run as wave_run,
-    verify_prop_weak_identity,
 )
 from supercrit.weak_strong import (
+    ForceSamples,
     appendix_construction,
-    energy_expansion,
-    gronwall_trace_nls,
-    gronwall_trace_wave,
+    gronwall_ladder,
     ladder_problems,
     uniform_integrability_probe,
 )
@@ -60,14 +60,19 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _wave_trajectory(N, T, amplitude, spec, dt_factor=0.25, radius=1.0,
-                     stride=None):
+def _wave_config(N, T, amplitude, spec, dt_factor=0.25, radius=1.0,
+                 stride=None):
     grid = GridSpec(1, N, 8.0)
     u0 = bump_field(grid, amplitude, radius)
     kw = {} if stride is None else {"diagnostics_stride": stride}
-    cfg = WaveRunConfig(grid, spec, dt_factor * grid.h, T, u0,
-                        np.zeros_like(u0), **kw)
-    return wave_run(cfg)
+    return WaveRunConfig(grid, spec, dt_factor * grid.h, T, u0,
+                         np.zeros_like(u0), **kw)
+
+
+def _observe(cfg, observer):
+    """Run cfg alone and return what the observer made of it."""
+    _, (result,) = integrate([wave_member(cfg)], cfg, [observer])
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +184,7 @@ def test_criterion_3_conservation():
     spec = from_selection("defocusing_exp:m=1")
     wave_drifts = []
     for factor in (0.25, 0.125):
-        _, trace = _wave_trajectory(256, 1.0, 0.5, spec, dt_factor=factor)
+        _, trace = wave_run(_wave_config(256, 1.0, 0.5, spec, dt_factor=factor))
         E = np.asarray(trace.column("E_total"))
         wave_drifts.append(float(np.max(np.abs(E - E[0])) / abs(E[0])))
     wave_ratio = wave_drifts[0] / wave_drifts[1]
@@ -219,8 +224,8 @@ def test_criterion_4_weak_identity():
     spec = from_selection("defocusing_exp:m=1")
     residuals = []
     for N in (256, 512, 1024):
-        traj, _ = _wave_trajectory(N, 1.0, 0.5, spec, stride=1)
-        residuals.append(verify_prop_weak_identity(traj))
+        cfg = _wave_config(N, 1.0, 0.5, spec, stride=1)
+        residuals.append(_observe(cfg, WeakIdentity(spec, cfg.grid)))
     orders = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     ok = residuals[0] < 1e-4 and all(o >= 2.0 for o in orders)
     _verdict(4, "weak identity", ok,
@@ -236,21 +241,17 @@ def test_criterion_4_weak_identity():
 def test_criterion_5_energy_expansion():
     spec = from_selection("defocusing_exp:m=1")
     residuals = []
-    last_pair = None
     for N in (128, 256, 512):
         grid = GridSpec(1, N, 8.0)
         u0 = bump_field(grid, 0.5, 1.0)
         pert = bump_field(grid, 1.0, 0.8)
         cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.5, u0,
                             np.zeros_like(u0))
-        u_traj, _ = wave_run(cfg)
-        v_traj, _ = wave_run(replace(cfg, u0=u0 + 1e-2 * pert))
-        _, _, r = energy_expansion(u_traj, v_traj, spec)
-        residuals.append(r)
-        last_pair = (u_traj, spec)
+        # the eps = 0 member is the reference itself
+        pert_tr, self_tr = gronwall_ladder(cfg, pert, (1e-2, 0.0))
+        residuals.append(pert_tr.expansion_residual)
     orders = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
-    _, _, self_residual = energy_expansion(last_pair[0], last_pair[0],
-                                           last_pair[1])
+    self_residual = self_tr.expansion_residual
     ok = all(o >= 2.0 for o in orders) and self_residual == 0.0
     _verdict(5, "energy expansion", ok,
              "orders " + ", ".join(f"{o:.3f}" for o in orders)
@@ -272,25 +273,16 @@ def _wave_ladder(spec_name, dt_factor):
     pert = bump_field(grid, 1.0, 0.8)
     base = WaveRunConfig(grid, spec, dt_factor * grid.h, 1.0, u0,
                          np.zeros_like(u0))
-    u_traj, _ = wave_run(base)
-    return [
-        gronwall_trace_wave(u_traj, wave_run(replace(base, u0=u0 + eps * pert))[0], spec)
-        for eps in LADDER
-    ]
+    return gronwall_ladder(base, pert, LADDER)
 
 
 def _nls_ladder(dt):
     grid = GridSpec(1, 512, 80.0)
     spec = from_selection("nls_coercive_exp")
-    A = find_convexity_shift(spec, R=2.0, n_random=50_000).value
     u0 = bump_field(grid, 0.5, 3.0).astype(complex)
     pert = bump_field(grid, 1.0, 2.4)
     base = NlsRunConfig(grid, spec, dt, 1.0, u0)
-    u_traj, _ = nls_run(base)
-    return [
-        gronwall_trace_nls(u_traj, nls_run(replace(base, u0=u0 + eps * pert))[0], spec, A)
-        for eps in LADDER
-    ]
+    return gronwall_ladder(base, pert, LADDER)
 
 
 def _ladder_checks(name, coarse, fine, problems):
@@ -331,9 +323,8 @@ def test_criterion_7_truncation_construction():
     probe_cfg = WaveRunConfig(probe_grid, spec,
                               0.25 * probe_grid.h / np.sqrt(3.0), 0.5, p0,
                               np.zeros_like(p0))
-    traj, _ = wave_run(probe_cfg)
-    slope, target, vacuous = uniform_integrability_probe(traj, spec,
-                                                         trials=200)
+    samples = _observe(probe_cfg, ForceSamples(spec, probe_grid))
+    slope, target, vacuous = uniform_integrability_probe(samples, trials=200)
 
     ok = (
         report.monotone_l2

@@ -2,14 +2,18 @@
 
 import json
 import os
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from supercrit import cli, config, field_core, wave_integrator, weak_strong
 from supercrit.cli import _env_overrides, build_parser, main
 from supercrit.config import ExperimentConfig, parse_config
+from supercrit.nonlinearity import AssumptionClass, NlsNonlinearitySpec
 from supercrit.runner import export_plot_data, run_experiment
 
 WAVE_CONFIG = """
@@ -229,7 +233,7 @@ def test_weak_strong_summary_artifacts(tmp_path):
     cfg_text = ("kind = weak-strong\nnonlinearity = defocusing_exp:m=1\n"
                 "N = 128\nL = 8.0\nT = 0.25\n")
     cfg = parse_config(cfg_text)
-    manifest = run_experiment(cfg, str(tmp_path), jobs=2)
+    manifest = run_experiment(cfg, str(tmp_path))
     assert manifest.outcome == "ok"
     exp_dir = tmp_path / manifest.experiment_id
     summary = json.loads((exp_dir / "summary.json").read_text())
@@ -284,3 +288,71 @@ def test_rerun_replaces_directory_atomically(tmp_path, monkeypatch):
         run_experiment(cfg, str(tmp_path))
     assert {p.name: p.read_bytes() for p in target.iterdir()} == before
     assert [p.name for p in tmp_path.iterdir()] == [m2.experiment_id]
+
+
+def test_oversized_grid_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    # a run would allocate 8 GiB per field, so it must never start
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail("run started"))
+    path = tmp_path / "big.cfg"
+    path.write_text("nonlinearity = defocusing_exp:m=1\nd = 3\nN = 1024\n")
+    assert main(["simulate-wave", "--config", str(path), "--output", str(tmp_path)]) == 2
+    assert "working set" in capsys.readouterr().err
+
+
+def test_simulate_wave_keeps_no_trajectory(tmp_path):
+    path = tmp_path / "wave3d.cfg"
+    path.write_text("nonlinearity = defocusing_exp:m=1\nd = 3\nN = 32\nL = 8\nT = 1\n")
+    field_bytes = 32 ** 3 * 8
+    tracemalloc.start()
+    try:
+        code = main(["simulate-wave", "--config", str(path), "--output", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # the stepper state and its temporaries take about 17 fields; keeping the
+    # 29 recorded (u, u_t) pairs would add 58 more
+    assert peak < 32 * field_bytes
+
+
+def test_weak_strong_reads_energies_from_the_stepper(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, _fn=field_core.wave_energy, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+
+    for module in (field_core, wave_integrator, weak_strong):
+        if hasattr(module, "wave_energy"):
+            monkeypatch.setattr(module, "wave_energy", counted)
+    path = tmp_path / "ws.cfg"
+    path.write_text("nonlinearity = defocusing_exp:m=1\n")
+    assert main(["weak-strong", "--config", str(path), "--output", str(tmp_path)]) == 0
+    assert calls == []
+
+
+def test_nls_convexity_shift_covers_the_visited_radius(tmp_path, monkeypatch, capsys):
+    # Fs(s) = a b (1 - exp(-s/b)) with s = |u|^2/2 has radial curvature
+    # a exp(-s/b) (1 - 2s/b): convex on |u| <= 2 and concave beyond, down to
+    # -0.45 a at |u| = 3.5. The run reaches |u| = 3.6, where the shift
+    # estimated on |u| <= 2 (about 0.4) leaves the shifted defect negative;
+    # the run needs about 0.8.
+    a, b = 10.0, 4.0
+    density = NlsNonlinearitySpec(
+        name="saturating",
+        Fs=lambda s: a * b * (1.0 - np.exp(-s / b)),
+        Fsprime=lambda s: a * np.exp(-s / b),
+        Fsprime2=lambda s: -a / b * np.exp(-s / b),
+        assumption_class=AssumptionClass.NLS_SUBCRIT,
+    )
+    select = config.from_selection
+    monkeypatch.setattr(config, "from_selection",
+                        lambda name: density if name == "saturating" else select(name))
+    path = tmp_path / "ws.cfg"
+    path.write_text("nonlinearity = saturating\nN = 128\nL = 16\nT = 0.1\n"
+                    "amplitude = 8.5\n")
+    code = main(["weak-strong", "--config", str(path), "--output", str(tmp_path)])
+    exp_id, _ = capsys.readouterr().out.split()
+    summary = json.loads((tmp_path / exp_id / "summary.json").read_text())
+    assert [m["remainder_min"] >= 0.0 for m in summary["members"]] == [True] * 3
+    assert code == 0

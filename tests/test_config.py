@@ -117,6 +117,25 @@ def test_nls_accuracy_gate_checked_at_parse():
         assert any("accuracy gate" in m for m in info.value.errors)
 
 
+def test_working_set_bound_checked_at_parse():
+    # a 1024^3 real field alone takes 8 GiB; parsing allocates no field
+    with pytest.raises(ConfigError) as info:
+        parse_config("kind = simulate-wave\nd = 3\nN = 1024\n")
+    assert any("working set" in m for m in info.value.errors)
+    # one state fits at 256^3; the weak-strong reference and three members do not
+    parse_config("kind = simulate-wave\nd = 3\nN = 256\n")
+    with pytest.raises(ConfigError):
+        parse_config("kind = weak-strong\nd = 3\nN = 256\n")
+    # appendix-construct also keeps the probe's |f(u)| of every record
+    ladder = ("kind = appendix-construct\nnonlinearity = oscillating_sin:q=1\n"
+              "d = 3\nN = 64\nladder = 1,2,4\n")
+    parse_config(ladder)
+    with pytest.raises(ConfigError):
+        parse_config(ladder + "stride = 1\nT = 100\n")
+    # the assumption lab allocates no grid field
+    parse_config("kind = check-assumptions\nd = 3\nN = 1024\n")
+
+
 def test_ladder_parsing_and_validation():
     cfg = parse_config("kind = appendix-construct\n"
                        "nonlinearity = oscillating_sin:q=1\n"

@@ -7,6 +7,7 @@ from supercrit.field_core import GridSpec, NlsState, bump_field, l2_norm_sq
 from supercrit.nls_integrator import (
     NlsRunConfig,
     linear_flow,
+    member,
     nonlinear_flow,
     run,
     strang_step,
@@ -16,7 +17,7 @@ from supercrit.nonlinearity import (
     NlsNonlinearitySpec,
     from_selection,
 )
-from supercrit.wave_integrator import BlowUpError
+from supercrit.stepping import BlowUpError, Record
 
 
 def make_config(N=128, L=16.0, T=0.5, dt=1e-3, amplitude=0.5, radius=2.0,
@@ -79,10 +80,10 @@ def test_plane_wave_oracle_exact():
     k = 2.0 * np.pi * m / grid.L
     u0 = A * np.exp(1j * k * grid.axis())
     cfg = NlsRunConfig(grid, spec, 1e-3, 0.5, u0)
-    traj, _ = run(cfg)
+    end, _ = run(cfg)
     rate = k ** 2 + spec.Fsprime(0.5 * A ** 2)
-    exact = u0 * np.exp(1j * rate * traj.times[-1])
-    assert np.max(np.abs(traj.us[-1] - exact)) < 1e-11
+    exact = u0 * np.exp(1j * rate * end.last.t)
+    assert np.max(np.abs(end.last.u - exact)) < 1e-11
 
 
 def test_mass_conserved_to_machine_precision():
@@ -116,10 +117,10 @@ def test_dt_field_matches_plane_wave_rate():
     A, m = 0.4, 2
     k = 2.0 * np.pi * m / grid.L
     u0 = A * np.exp(1j * k * grid.axis())
-    traj, _ = run(NlsRunConfig(grid, spec, 1e-3, 0.01, u0))
+    first = Record(*member(NlsRunConfig(grid, spec, 1e-3, 0.01, u0)))
     rate = k ** 2 + spec.Fsprime(0.5 * A ** 2)
-    expected = 1j * rate * traj.us[0]
-    assert np.max(np.abs(traj.dt_field(0) - expected)) < 1e-10
+    expected = 1j * rate * first.u
+    assert np.max(np.abs(first.ut - expected)) < 1e-10
 
 
 def test_trace_columns():

@@ -13,7 +13,6 @@ from supercrit.nonlinearity import (
     TruncationLevel,
     beta_cutoff,
     builtin_catalog,
-    catalog_by_name,
     find_truncation_abscissae,
     from_selection,
     truncate,
@@ -41,7 +40,6 @@ def test_catalog_names_unique_and_selectable():
     assert len(names) == len(set(names))
     for name in names:
         assert from_selection(name).name == name
-    assert set(catalog_by_name()) == set(names)
 
 
 @pytest.mark.parametrize("spec", WAVE_SPECS, ids=lambda s: s.name)

@@ -5,14 +5,14 @@ import pytest
 
 from supercrit.field_core import GridSpec, WaveState, bump_field
 from supercrit.nonlinearity import AssumptionClass, NonlinearitySpec, from_selection
+from supercrit.stepping import BlowUpError, DiagnosticTrace, integrate
 from supercrit.wave_integrator import (
-    BlowUpError,
-    DiagnosticTrace,
     WaveRunConfig,
+    WeakIdentity,
     max_leakage,
+    member,
     run,
     step,
-    verify_prop_weak_identity,
 )
 
 
@@ -46,8 +46,8 @@ def test_zero_data_is_fixed_point():
     z = np.zeros(grid.shape)
     cfg = WaveRunConfig(grid, from_selection("pure_power:p=2"),
                         0.25 * grid.h, 0.25, z, z)
-    traj, trace = run(cfg)
-    assert np.all(traj.us[-1] == 0.0)
+    end, trace = run(cfg)
+    assert np.all(end.last.u == 0.0)
     assert trace.column("E_total")[-1] == 0.0
 
 
@@ -55,8 +55,8 @@ def test_methods_agree_at_small_dt():
     final = {}
     for method in ("impulse", "verlet"):
         cfg = make_config(T=0.25, dt=0.02 * 8.0 / 128, method=method)
-        traj, _ = run(cfg)
-        final[method] = traj.us[-1]
+        end, _ = run(cfg)
+        final[method] = end.last.u
     assert np.max(np.abs(final["impulse"] - final["verlet"])) < 1e-6
 
 
@@ -68,10 +68,10 @@ def test_impulse_agrees_with_verlet_oracle_in_3d():
         cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), 0.005, 0.25,
                             u0, np.zeros_like(u0), diagnostics_stride=5, method=method)
         out[method] = run(cfg)
-    (traj, trace), (oracle, oracle_trace) = out["impulse"], out["verlet"]
+    (end, trace), (oracle, oracle_trace) = out["impulse"], out["verlet"]
     # verlet's own O(dt^2) error sets the scale: about 3e-8 on u, 3e-5 on E
-    assert np.max(np.abs(traj.us[-1] - oracle.us[-1])) < 1e-6
-    assert np.max(np.abs(traj.uts[-1] - oracle.uts[-1])) < 1e-5
+    assert np.max(np.abs(end.last.u - oracle.last.u)) < 1e-6
+    assert np.max(np.abs(end.last.ut - oracle.last.ut)) < 1e-5
     for name in ("E_total", "E_kinetic", "E_gradient", "E_potential"):
         ours, ref = trace.column(name), oracle_trace.column(name)
         assert np.max(np.abs(ours - ref)) < 1e-4 * np.max(np.abs(ref)), name
@@ -89,17 +89,23 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
     dt = 0.05
     cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), dt, 10 * dt,
                         u0, np.zeros_like(u0), diagnostics_stride=3)
-    traj, _ = run(cfg)
-    assert cfg.steps() == 10 and len(traj) == 5
-    # three transforms set up the spectral state from (u0, u1)
-    assert len(calls) == 3 + 2 * cfg.steps() + (len(traj) - 1)
+    end, _ = run(cfg)
+    assert cfg.steps() == 10 and len(end) == 5
+    # three transforms set up the spectral state from (u0, u1); the trace's
+    # energies come from the half spectra, so a plain run's records cost none
+    assert len(calls) == 3 + 2 * cfg.steps()
 
+    class ReadsVelocity:
+        def observe(self, records):
+            records[0].ut
 
-def test_snapshots_own_their_buffers():
-    traj, _ = run(make_config(T=0.25, diagnostics_stride=4))
-    for a in traj.us + traj.uts:
-        assert a.dtype == np.float64
-        assert a.base is None or a.base.nbytes == a.nbytes
+        def result(self):
+            return None
+
+    calls.clear()
+    integrate([member(cfg)], cfg, [ReadsVelocity()])
+    # an observer that reads the physical u_t costs one inverse transform
+    assert len(calls) == 3 + 2 * cfg.steps() + len(end)
 
 
 def test_impulse_exact_on_nearly_linear_problem():
@@ -163,19 +169,21 @@ def test_trace_column_lookup_errors():
         trace.column("missing")
 
 
+def weak_identity(cfg):
+    _, (residual,) = integrate([member(cfg)], cfg, [WeakIdentity(cfg.spec, cfg.grid)])
+    return residual
+
+
 def test_weak_identity_residual_small_and_needs_snapshots():
-    cfg = make_config(N=256, T=1.0, diagnostics_stride=1)
-    traj, _ = run(cfg)
-    assert verify_prop_weak_identity(traj) < 1e-4
-    short, _ = run(make_config(T=0.05))
+    assert weak_identity(make_config(N=256, T=1.0, diagnostics_stride=1)) < 1e-4
     with pytest.raises(ValueError):
-        verify_prop_weak_identity(short)
+        weak_identity(make_config(T=0.05))
 
 
 def test_snapshot_times_cover_final_time():
     cfg = make_config(T=0.5)
-    traj, _ = run(cfg)
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(0.5, abs=cfg.dt)
-    state = traj.state(0)
-    assert state.t == 0.0 and state.is_finite()
+    end, trace = run(cfg)
+    times = trace.column("t")
+    assert times[0] == 0.0 and len(times) == len(end)
+    assert end.last.t == times[-1] == pytest.approx(0.5, abs=cfg.dt)
+    assert end.last.state.is_finite()

@@ -6,30 +6,34 @@ from dataclasses import replace
 
 from supercrit.assumption_lab import find_convexity_shift
 from supercrit.field_core import GridSpec, bump_field, l2_norm_sq
-from supercrit.nls_integrator import NlsRunConfig, run as nls_run
+from supercrit.nls_integrator import NlsRunConfig, member as nls_member
 from supercrit.nonlinearity import from_selection
-from supercrit.wave_integrator import WaveRunConfig, run as wave_run
+from supercrit.stepping import integrate
+from supercrit.wave_integrator import WaveRunConfig, member as wave_member, run as wave_run
 from supercrit.weak_strong import (
+    ForceSamples,
     GronwallTrace,
+    NlsGronwall,
     appendix_construction,
-    energy_expansion,
-    gronwall_trace_nls,
-    gronwall_trace_wave,
+    gronwall_ladder,
     ladder_problems,
-    lemma_main33_probe,
     uniform_integrability_probe,
 )
 
 
-def wave_pair(eps=1e-2, N=128, T=0.5, spec_name="defocusing_exp:m=1"):
+def wave_ladder(ladder=(1e-2,), N=128, T=0.5, spec_name="defocusing_exp:m=1"):
+    """Gronwall traces of u0 + eps * pert against u0, one per eps."""
     grid = GridSpec(1, N, 8.0)
     spec = from_selection(spec_name)
     u0 = bump_field(grid, 0.5, 1.0)
     pert = bump_field(grid, 1.0, 0.8)
     cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, T, u0, np.zeros_like(u0))
-    u_traj, _ = wave_run(cfg)
-    v_traj, _ = wave_run(replace(cfg, u0=u0 + eps * pert))
-    return u_traj, v_traj, spec, pert
+    return gronwall_ladder(cfg, pert, ladder)
+
+
+def force_samples(cfg):
+    _, (samples,) = integrate([wave_member(cfg)], cfg, [ForceSamples(cfg.spec, cfg.grid)])
+    return samples
 
 
 def test_fitted_certificate_reproduces_exponential():
@@ -44,47 +48,29 @@ def test_fitted_certificate_reproduces_exponential():
 
 
 def test_identical_trajectories_give_zero_discrepancy():
-    u_traj, _, spec, _ = wave_pair()
-    tr = gronwall_trace_wave(u_traj, u_traj, spec)
+    (tr,) = wave_ladder(ladder=(0.0,))
     assert np.all(tr.G == 0.0)
     assert tr.fitted_C == 0.0
-    _, _, residual = energy_expansion(u_traj, u_traj, spec)
-    assert residual == 0.0
+    assert tr.expansion_residual == 0.0
 
 
 def test_expansion_residual_shrinks_under_refinement():
-    residuals = []
-    for N in (128, 256):
-        u_traj, v_traj, spec, _ = wave_pair(N=N)
-        _, _, r = energy_expansion(u_traj, v_traj, spec)
-        residuals.append(r)
+    residuals = [wave_ladder(N=N)[0].expansion_residual for N in (128, 256)]
     assert residuals[1] < residuals[0] / 3.0
 
 
 def test_initial_discrepancy_scales_with_perturbation():
-    g0 = []
-    for eps in (1e-2, 1e-3):
-        u_traj, v_traj, spec, _ = wave_pair(eps=eps)
-        tr = gronwall_trace_wave(u_traj, v_traj, spec)
-        g0.append(tr.G[0])
+    g0 = [tr.G[0] for tr in wave_ladder(ladder=(1e-2, 1e-3))]
     assert g0[0] / g0[1] == pytest.approx(100.0, rel=1e-6)
 
 
 def test_wave_trace_serialization():
-    u_traj, v_traj, spec, _ = wave_pair()
-    tr = gronwall_trace_wave(u_traj, v_traj, spec)
+    (tr,) = wave_ladder()
     d = tr.as_dict()
     assert set(d) >= {"times", "G", "w_l2", "I", "J", "fitted_C", "fitted_G0"}
     csv = tr.to_csv()
     assert csv.startswith("t,G,w_l2,I,J,bound")
     assert len(csv.strip().split("\n")) == len(tr.times) + 1
-
-
-def test_mismatched_trajectories_rejected():
-    u_traj, v_traj, spec, _ = wave_pair(T=0.5)
-    u_short, _, _, _ = wave_pair(T=0.25)
-    with pytest.raises(ValueError):
-        gronwall_trace_wave(u_traj, u_short, spec)
 
 
 def test_nls_trace_with_valid_shift_has_nonnegative_defect():
@@ -94,9 +80,9 @@ def test_nls_trace_with_valid_shift_has_nonnegative_defect():
     u0 = bump_field(grid, 0.5, 2.0).astype(complex)
     pert = bump_field(grid, 1.0, 1.5)
     cfg = NlsRunConfig(grid, spec, 1e-3, 0.25, u0)
-    u_traj, _ = nls_run(cfg)
-    v_traj, _ = nls_run(replace(cfg, u0=u0 + 1e-2 * pert))
-    tr = gronwall_trace_nls(u_traj, v_traj, spec, A)
+    members = [nls_member(cfg), nls_member(replace(cfg, u0=u0 + 1e-2 * pert))]
+    _, (pieces,) = integrate(members, cfg, [NlsGronwall(spec, grid)])
+    (tr,) = pieces.traces(A)
     assert tr.remainder_min is not None
     assert tr.remainder_min >= -1e-9
     assert tr.G[0] == pytest.approx(
@@ -120,8 +106,10 @@ def test_truncation_ladder_discrepancies_decrease():
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 3.0 * np.e, 1.0)
     base = WaveRunConfig(grid, spec, grid.h / 16.0, 0.5, u0, np.zeros_like(u0))
-    report, ref_traj = appendix_construction(base, (1.0, 2.0, 4.0))
-    assert np.array_equal(ref_traj.us[-1], wave_run(base)[0].us[-1])
+    report, samples = appendix_construction(base, (1.0, 2.0, 4.0))
+    # the probe's samples come from the untruncated reference
+    final_force = np.abs(spec.f(wave_run(base)[0].last.u)).ravel()
+    assert np.array_equal(samples.absf[-1], final_force)
     assert report.monotone_l2 and report.monotone_force
     assert report.l2_discrepancy[0] > report.l2_discrepancy[-1]
     assert all(d <= 1e-5 for d in report.energy_drift)
@@ -151,8 +139,7 @@ def test_uniform_integrability_probe_slope():
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 3.0, 1.0)
     cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.5, u0, np.zeros_like(u0))
-    traj, _ = wave_run(cfg)
-    slope, target, vacuous = uniform_integrability_probe(traj, spec, trials=200)
+    slope, target, vacuous = uniform_integrability_probe(force_samples(cfg), trials=200)
     assert not vacuous
     assert slope >= target - 0.1
 
@@ -162,13 +149,5 @@ def test_uniform_integrability_probe_vacuous_on_zero_field():
     spec = from_selection("pure_power:p=2")
     z = np.zeros(grid.shape)
     cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.25, z, z)
-    traj, _ = wave_run(cfg)
-    _, _, vacuous = uniform_integrability_probe(traj, spec, trials=50)
+    _, _, vacuous = uniform_integrability_probe(force_samples(cfg), trials=50)
     assert vacuous
-
-
-def test_lemma_probe_reports_finite_constant():
-    u_traj, v_traj, spec, _ = wave_pair()
-    out = lemma_main33_probe(u_traj, v_traj, spec)
-    assert set(out) == {"C", "finite", "lhs_max", "rhs_max"}
-    assert np.isfinite(out["C"])
