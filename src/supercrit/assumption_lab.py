@@ -5,13 +5,14 @@ pairs) and reports a sup only when it is stable under sample doubling. These
 are empirical constants, not proofs.
 
 The sampled constants H11, H22, Gronw6 and H222 share one skeleton,
-``_sampled_constant``, and keep its window and sample sups as ``evidence``;
-``find_convexity_shift`` bisects per window and has its own loop.
+``_sampled_constant``, and keep its window and sample sups as ``evidence``.
+The convexity shift (ClaimA) is a sampled sup of the same ``_sup_ratio`` form
+on windows of its own, kept as ``evidence["window_sups"]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +43,8 @@ __all__ = [
 DEFAULT_SEED = 20240811
 _STABILITY_SLACK = 0.05  # sup accepted when doubling moves it less than 5%
 _NONNEG_SLACK = 1e-9     # numerical slack for analytic ">= 0" statements
+SCALAR_RADIUS = 8.0      # the scalar pointwise verifiers sample [-8, 8]
+MAX_CONVEXITY_SHIFT = 1e6  # a larger sampled shift counts as unbounded
 
 
 class UnboundedEstimateError(RuntimeError):
@@ -58,9 +61,6 @@ class ConstantEstimate:
     stable: bool = True
     evidence: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -68,10 +68,6 @@ class InequalityReport:
     holds: bool
     violations: list = field(default_factory=list)
     constant: ConstantEstimate | None = None
-
-    def as_dict(self) -> dict:
-        """The report, its constant included, as nested dicts for json."""
-        return asdict(self)
 
 
 def _pairs(R: float, W: float, n_random: int, seed: int):
@@ -142,12 +138,11 @@ def _record_violations(u: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, limit: i
 
 def verify_sign_condition(
     spec: NonlinearitySpec,
-    R: float = 8.0,
     samples: int = 100_000,
     seed: int = DEFAULT_SEED,
 ) -> InequalityReport:
     """Defocusing sign condition u f(u) >= 0, checked exactly on the plan."""
-    u = _scalar_plan(R, samples, seed)
+    u = _scalar_plan(SCALAR_RADIUS, samples, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         prod = u * spec.f(u)
     violations = _record_violations(u, np.zeros_like(prod), prod)
@@ -156,14 +151,13 @@ def verify_sign_condition(
 
 def verify_growth_bound(
     spec: NonlinearitySpec,
-    R: float = 8.0,
     samples: int = 100_000,
     seed: int = DEFAULT_SEED,
 ) -> InequalityReport:
     """Growth bound |f(u)| <= C |u|^q with the spec's declared C and q."""
     if spec.q is None or spec.C_growth is None:
         raise ValueError(f"{spec.name} declares no growth bound")
-    u = _scalar_plan(R, samples, seed)
+    u = _scalar_plan(SCALAR_RADIUS, samples, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = np.abs(spec.f(u))
         rhs = spec.C_growth * np.abs(u) ** spec.q * (1.0 + 1e-12)
@@ -174,12 +168,11 @@ def verify_growth_bound(
 def verify_potential_lower_bound(
     spec: NonlinearitySpec,
     C: float = 1.0,
-    R: float = 8.0,
     samples: int = 100_000,
     seed: int = DEFAULT_SEED,
 ) -> InequalityReport:
     """Lower bound F(u) >= -C u^2 on the plan (oscillating class and F_k)."""
-    u = _scalar_plan(R, samples, seed)
+    u = _scalar_plan(SCALAR_RADIUS, samples, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = -C * u ** 2 - _NONNEG_SLACK
         rhs = spec.F(u)
@@ -235,14 +228,13 @@ def estimate_taylor_constant(
     spec: NonlinearitySpec,
     R: float,
     d: int,
-    q_max: float = 10.0,
     n_random: int = 1_000_000,
     seed: int = DEFAULT_SEED,
 ) -> ConstantEstimate:
     """Sampled C(R) with |f(u+w) - f(u) - f'(u)w| <= C(R)(w^2 + |w|^p), p = 2*(d)."""
     if spec.q is None:
         raise ValueError(f"{spec.name} carries no growth exponent")
-    p = two_star(d, q_max)
+    p = two_star(d)
     if spec.q >= p:
         raise ValueError(f"q={spec.q} is not subcritical for d={d} (2*={p})")
 
@@ -283,17 +275,16 @@ def _dot(a, b):
 def verify_nls_cancellation(
     spec: NlsNonlinearitySpec,
     samples: int = 100_000,
-    radius: float = 5.0,
     seed: int = DEFAULT_SEED,
-    tol: float = 1e-12,
 ) -> InequalityReport:
-    """Check (f(u)-f(u+w)).(iw) = f(u).(iw) + f(u+w).(iu) exactly.
+    """Check (f(u)-f(u+w)).(iw) = f(u).(iw) + f(u+w).(iu) on |u|, |w| <= 5.
 
-    The identity rests on f(z) conj(z) being real; any violation flags a
-    broken spec rather than numerical noise.
+    The identity rests on f(z) conj(z) being real, so it must hold to a
+    relative 1e-12; any violation flags a broken spec rather than numerical
+    noise.
     """
     rng = np.random.default_rng(seed)
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, (2, samples)))
+    r = 5.0 * np.sqrt(rng.uniform(0.0, 1.0, (2, samples)))
     th = rng.uniform(0.0, 2.0 * np.pi, (2, samples))
     u = r[0] * np.exp(1j * th[0])
     w = r[1] * np.exp(1j * th[1])
@@ -301,7 +292,7 @@ def verify_nls_cancellation(
     lhs = _dot(fu - fv, 1j * w)
     rhs = _dot(fu, 1j * w) + _dot(fv, 1j * u)
     scale = 1.0 + np.abs(lhs) + np.abs(rhs)
-    bad = np.abs(lhs - rhs) > tol * scale
+    bad = np.abs(lhs - rhs) > 1e-12 * scale
     violations = [
         {
             "u": [float(u[i].real), float(u[i].imag)],
@@ -318,12 +309,11 @@ def estimate_phase_bound(
     spec: NlsNonlinearitySpec,
     R: float,
     d: int,
-    q_max: float = 10.0,
     n_random: int = 400_000,
     seed: int = DEFAULT_SEED,
 ) -> ConstantEstimate:
     """Sampled C(R) with |(f(u)-f(u+w)).(iw)| <= C(R)(|w|^2 + |w|^p)."""
-    p = two_star(d, q_max)
+    p = two_star(d)
 
     def ratio(u, w):
         aw = np.abs(w)
@@ -336,12 +326,11 @@ def estimate_nls_taylor_constant(
     spec: NlsNonlinearitySpec,
     R: float,
     d: int,
-    q_max: float = 10.0,
     n_random: int = 400_000,
     seed: int = DEFAULT_SEED,
 ) -> ConstantEstimate:
     """Complex-setting Taylor constant: |f(u+w)-f(u)-Df(u)w| <= C(|w|^2+|w|^p)."""
-    p = two_star(d, q_max)
+    p = two_star(d)
 
     def ratio(u, w):
         aw = np.abs(w)
@@ -355,13 +344,14 @@ def find_convexity_shift(
     R: float,
     n_random: int = 200_000,
     seed: int = DEFAULT_SEED,
-    a_cap: float = 1e6,
 ) -> ConstantEstimate:
-    """Smallest A >= 0 making the shifted convexity defect nonnegative.
+    """Smallest sampled A >= 0 making the shifted convexity defect nonnegative.
 
-    Bisects to 1e-3 on the sampled minimum of
-    F(|u+w|^2/2) - F(|u|^2/2) - f(u).w + (A+1)|w|^2, doubling the w-window
-    until the answer stops moving.
+    With D = F(|u+w|^2/2) - F(|u|^2/2) - f(u).w + |w|^2, the smallest A with
+    D + A|w|^2 >= -slack on every sample is the sup of max(0, -(D + slack))
+    / |w|^2; a non-finite D places no constraint. The sup is taken on the
+    w-windows 4R, 8R, ... (seeds seed + j) until two consecutive ones agree
+    within 1%, and a sup above MAX_CONVEXITY_SHIFT raises.
     """
     if spec.assumption_class not in (
         AssumptionClass.NLS_COERCIVE,
@@ -369,47 +359,28 @@ def find_convexity_shift(
     ):
         raise ValueError(f"{spec.name} is not an admissible NLS class")
 
-    def solve(W: float, s: int):
+    @np.errstate(over="ignore", invalid="ignore")
+    def sweep(W: float, s: int):
         u, w = _complex_pairs(R, W, n_random, s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            base = (
-                spec.potential(u + w)
-                - spec.potential(u)
-                - _dot(spec.force(u), w)
-                + np.abs(w) ** 2
-            )
-        base = np.where(np.isfinite(base), base, np.inf)
         wsq = np.abs(w) ** 2
-
-        def ok(A: float) -> bool:
-            return bool(np.min(base + A * wsq) >= -_NONNEG_SLACK)
-
-        if ok(0.0):
-            return 0.0, (0.0, 0.0)
-        if not ok(a_cap):
+        D = spec.potential(u + w) - spec.potential(u) - _dot(spec.force(u), w) + wsq
+        value, worst = _sup_ratio(np.maximum(0.0, -(D + _NONNEG_SLACK)), wsq, u, w)
+        if value > MAX_CONVEXITY_SHIFT:
             raise UnboundedEstimateError(
-                f"no shift A <= {a_cap:g} suffices for {spec.name} at R={R}"
+                f"no shift A <= {MAX_CONVEXITY_SHIFT:g} suffices for {spec.name} at R={R}"
             )
-        lo, hi = 0.0, a_cap
-        while hi - lo > 1e-3:
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        i = int(np.argmin(base + hi * wsq))
-        return hi, (complex(u[i]), complex(w[i]))
+        return value, worst
 
-    W = 4.0 * R
-    a_prev, worst = solve(W, seed)
-    for j in range(1, 5):
-        a_next, worst = solve(W * 2 ** j, seed + j)
-        if abs(a_next - a_prev) <= 1e-2 * (1.0 + max(a_next, a_prev)):
-            return ConstantEstimate("ClaimA", R, max(a_next, a_prev), n_random,
-                                    (str(worst[0]), str(worst[1])))
-        a_prev = a_next
-    return ConstantEstimate("ClaimA", R, a_prev, n_random,
-                            (str(worst[0]), str(worst[1])), stable=False)
+    sups = []
+    for j in range(5):
+        value, worst = sweep(4.0 * R * 2 ** j, seed + j)
+        sups.append(value)
+        stable = j > 0 and abs(value - sups[-2]) <= 1e-2 * (1.0 + max(sups[-2:]))
+        if stable:
+            break
+    value = max(sups[-2:]) if stable else value
+    return ConstantEstimate("ClaimA", R, value, n_random, worst, stable,
+                            {"window_sups": sups})
 
 
 # ---------------------------------------------------------------------------

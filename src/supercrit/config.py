@@ -209,14 +209,16 @@ def working_set_bytes(cfg: ExperimentConfig) -> float:
 
     160 per grid point for each state stepped in lockstep (measured: 135 for
     wave, 96 for NLS), one per ladder member plus the reference; the probe
-    of appendix-construct adds 40 per point and record (measured: 33).
+    of appendix-construct adds 24 per point and record (measured: 24 at
+    d = 1, N = 1024, 513 records: the |f(u)| samples and about two copies
+    of them while the probe runs).
     """
     points = 0.0 if cfg.kind == "check-assumptions" else float(cfg.N) ** cfg.d
     ladder = cfg.kind in ("weak-strong", "appendix-construct")
     total = 160.0 * points * (1 + ladder * len(cfg.ladder or DEFAULT_LADDER))
     if cfg.kind == "appendix-construct":
         steps = cfg.T / cfg.effective_dt()
-        total += 40.0 * points * (2 + (steps / cfg.stride if cfg.stride else min(steps, 256)))
+        total += 24.0 * points * (2 + (steps / cfg.stride if cfg.stride else min(steps, 256)))
     return total
 
 

@@ -42,11 +42,17 @@ class AssumptionClass:
     NLS_SUBCRIT = "nls_subcrit"        # |f| <= C|u|^q, F(|u|^2/2) >= -C|u|^2
 
 
-def two_star(d: int, q_max: float = 10.0) -> float:
-    """Critical Sobolev exponent 2d/(d-2); for d <= 2 a finite surrogate q_max."""
+# 2* is infinite for d <= 2; every caller uses this finite surrogate instead
+TWO_STAR_SURROGATE = 10.0
+# the constant C of the sign condition s f(s) >= -C s^2 at truncation abscissae
+TRUNCATION_C = 1.0
+
+
+def two_star(d: int) -> float:
+    """Critical Sobolev exponent 2d/(d-2); for d <= 2 the TWO_STAR_SURROGATE."""
     if d >= 3:
         return 2.0 * d / (d - 2.0)
-    return q_max
+    return TWO_STAR_SURROGATE
 
 
 @dataclass(frozen=True)
@@ -60,9 +66,6 @@ class NonlinearitySpec:
     assumption_class: str
     q: float | None = None
     C_growth: float | None = None
-    # DefocusingExp(m=1) has F''(0) = 2 rather than 0; tracked so invariant
-    # checks can skip the one catalog entry that breaks the normalization.
-    normalized_second_derivative: bool = True
 
     def __repr__(self) -> str:  # evaluators are not informative to print
         return f"NonlinearitySpec({self.name!r}, class={self.assumption_class})"
@@ -138,7 +141,6 @@ def _defocusing_exp(m: int) -> NonlinearitySpec:
         f=f,
         fprime=fprime,
         assumption_class=AssumptionClass.DEFOCUSING,
-        normalized_second_derivative=(m >= 2),
     )
 
 
@@ -170,7 +172,6 @@ def _oscillating_sin(q: int) -> NonlinearitySpec:
         assumption_class=AssumptionClass.OSCILLATING,
         q=float(q),
         C_growth=float(q + 1),
-        normalized_second_derivative=(q >= 2),
     )
 
 
@@ -195,7 +196,6 @@ def _pure_power(p: int) -> NonlinearitySpec:
         assumption_class=AssumptionClass.DEFOCUSING,
         q=float(p),
         C_growth=1.0,
-        normalized_second_derivative=(p >= 2),
     )
 
 
@@ -306,13 +306,11 @@ def from_selection(selection: str):
 # Lipschitz truncation
 # ---------------------------------------------------------------------------
 
-def find_truncation_abscissae(
-    spec: NonlinearitySpec, k: float, C: float = 1.0, resolution: int = 1000
-) -> TruncationLevel:
-    """Pick abscissae in [k, 2k] (and its mirror) with s f(s) >= -C s^2.
+def find_truncation_abscissae(spec: NonlinearitySpec, k: float) -> TruncationLevel:
+    """Pick abscissae in [k, 2k] and its mirror with s f(s) >= -TRUNCATION_C s^2.
 
     Defocusing specs admit any abscissa; otherwise the interval is scanned at
-    a fixed resolution and the first admissible sample is taken.
+    1000 points and the first admissible sample is taken.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -320,29 +318,31 @@ def find_truncation_abscissae(
         return TruncationLevel(k=k, r_plus=k, r_minus=-k)
 
     def scan(sign: float) -> float:
-        s = sign * np.linspace(k, 2.0 * k, resolution)
-        ok = s * spec.f(s) >= -C * s ** 2
+        s = sign * np.linspace(k, 2.0 * k, 1000)
+        ok = s * spec.f(s) >= -TRUNCATION_C * s ** 2
         idx = np.flatnonzero(ok)
         if idx.size == 0:
             raise TruncationError(
                 f"no admissible abscissa in [{k}, {2 * k}] "
-                f"(sign {sign:+.0f}) for {spec.name} with C={C}"
+                f"(sign {sign:+.0f}) for {spec.name} with C={TRUNCATION_C}"
             )
         return float(s[idx[0]])
 
     return TruncationLevel(k=k, r_plus=scan(1.0), r_minus=scan(-1.0))
 
 
-def truncate(
-    spec: NonlinearitySpec, level: TruncationLevel, C: float = 1.0
-) -> NonlinearitySpec:
-    """Clamp f outside [r_minus, r_plus]; the primitive is extended affinely."""
+def truncate(spec: NonlinearitySpec, level: TruncationLevel) -> NonlinearitySpec:
+    """Clamp f outside [r_minus, r_plus]; the primitive is extended affinely.
+
+    The abscissae must satisfy the sign condition find_truncation_abscissae
+    picks them by, s f(s) >= -TRUNCATION_C s^2.
+    """
     rp, rm = level.r_plus, level.r_minus
-    if rp * float(spec.f(rp)) < -C * rp ** 2 or rm * float(spec.f(rm)) < -C * rm ** 2:
+    f_rp, f_rm = float(spec.f(rp)), float(spec.f(rm))
+    if rp * f_rp < -TRUNCATION_C * rp ** 2 or rm * f_rm < -TRUNCATION_C * rm ** 2:
         raise TruncationError(
             f"abscissae ({rm}, {rp}) violate the sign condition for {spec.name}"
         )
-    f_rp, f_rm = float(spec.f(rp)), float(spec.f(rm))
     F_rp, F_rm = float(spec.F(rp)), float(spec.F(rm))
     base = spec
 

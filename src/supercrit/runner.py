@@ -12,7 +12,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .weak_strong import (
     appendix_construction,
     gronwall_ladder,
     ladder_problems,
+    ladder_ratios,
     uniform_integrability_probe,
 )
 
@@ -74,9 +75,6 @@ class RunManifest:
     finished_at: str
     outcome: str
 
-    def as_dict(self) -> dict:
-        return self.__dict__.copy()
-
 
 def _json_bytes(payload) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()
@@ -106,7 +104,7 @@ def _do_check_assumptions(cfg: ExperimentConfig):
         reports = classify(cfg.spec(), R=cfg.R, d=max(cfg.d, 3), seed=cfg.seed)
     except UnboundedEstimateError as exc:
         return OUTCOME_VIOLATION, {"report.json": _json_bytes({"error": str(exc)})}
-    payload = [r.as_dict() for r in reports]
+    payload = [asdict(r) for r in reports]
     outcome = OUTCOME_OK if all(r.holds for r in reports) else OUTCOME_VIOLATION
     return outcome, {"report.json": _json_bytes(payload)}
 
@@ -126,26 +124,25 @@ def _do_weak_strong(cfg: ExperimentConfig):
     base = _base_config(cfg, cfg.spec())
     traces = gronwall_ladder(base, pert, ladder, seed=cfg.seed)
 
-    pert_g0 = l2_norm_sq(pert, grid)
+    volume = grid.N ** grid.d * grid.cell_volume
+    outcome = OUTCOME_VIOLATION if ladder_problems(ladder, traces, volume) else OUTCOME_OK
     files = {}
     summary = {"ladder": list(ladder), "members": []}
-    outcome = OUTCOME_VIOLATION if ladder_problems(ladder, traces) else OUTCOME_OK
+    g0, amp = ladder_ratios(ladder, traces)
     for i, (eps, tr) in enumerate(zip(ladder, traces)):
         files[f"{i}.json"] = _json_bytes(tr.as_dict())
         files[f"{i}.csv"] = tr.to_csv().encode()
         member = {
             "epsilon": eps,
             "G0": float(tr.G[0]),
-            "G0_over_eps_sq": float(tr.G[0] / eps ** 2),
-            "sup_G_over_G0": float(np.max(tr.G) / max(tr.G[0], 1e-300)),
+            "G0_over_eps_sq": float(g0[i]),
+            "sup_G_over_G0": float(amp[i]),
             "fitted_C": tr.fitted_C,
         }
         if tr.remainder_min is not None:
             member["remainder_min"] = tr.remainder_min
-            if tr.remainder_min < -1e-9 * grid.N ** grid.d * grid.cell_volume:
-                outcome = OUTCOME_VIOLATION
         summary["members"].append(member)
-    summary["pert_l2_sq"] = pert_g0
+    summary["pert_l2_sq"] = l2_norm_sq(pert, grid)
     files["summary.json"] = _json_bytes(summary)
     return outcome, files
 
@@ -154,7 +151,7 @@ def _do_appendix_construct(cfg: ExperimentConfig):
     base = _base_config(cfg, cfg.spec())
     report, samples = appendix_construction(base, tuple(cfg.ladder))
     slope, target, vacuous = uniform_integrability_probe(samples, seed=cfg.seed)
-    payload = report.as_dict()
+    payload = asdict(report)
     payload["uniform_integrability"] = {
         "slope": slope,
         "target": target,
@@ -260,7 +257,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str) -> RunManifest:
             with open(os.path.join(tmp, name), "wb") as fh:
                 fh.write(data)
         with open(os.path.join(tmp, "manifest.json"), "wb") as fh:
-            fh.write(_json_bytes(manifest.as_dict()))
+            fh.write(_json_bytes(asdict(manifest)))
         if os.path.isdir(target):
             os.replace(target, aside)
         os.replace(tmp, target)

@@ -2,16 +2,18 @@
 
 Two time-reversible symplectic steppers are provided:
 
-* ``verlet``: plain velocity leapfrog (the textbook kick-drift-kick form);
-* ``impulse``: kick-drift-kick where the drift is the exact Fourier flow of
-  the linearization at zero, i.e. frequencies sqrt(|xi|^2 + f'(0)) and kicks
-  applied only to the residual f(u) - f'(0)u (the impulse method of
-  Garcia-Archilla, Sanz-Serna & Skeel, SIAM J. Sci. Comput. 20, 1999).
+* the impulse stepper, which every run uses: kick-drift-kick where the drift
+  is the exact Fourier flow of the linearization at zero, i.e. frequencies
+  sqrt(|xi|^2 + f'(0)) and kicks applied only to the residual f(u) - f'(0)u
+  (the impulse method of Garcia-Archilla, Sanz-Serna & Skeel, SIAM J. Sci.
+  Comput. 20, 1999);
+* ``Verlet``: plain velocity leapfrog (the textbook kick-drift-kick form),
+  kept only as the tests' independent oracle for the impulse stepper.
 
-``impulse`` is the default for runs: it has no linear-part energy error at
-all, so the measured O(dt^2) drift is purely attributable to the genuine
-nonlinearity. Plain leapfrog carries an irreducible dt^2 omega^2 / 8 energy
-oscillation on every excited mode, which drowns tight conservation budgets.
+The impulse stepper has no linear-part energy error at all, so the measured
+O(dt^2) drift is purely attributable to the genuine nonlinearity. Plain
+leapfrog carries an irreducible dt^2 omega^2 / 8 energy oscillation on every
+excited mode, which drowns tight conservation budgets.
 
 The impulse stepper keeps its state in spectral form: the ``np.fft.rfftn``
 half spectra of u and u_t, the physical u, and the half spectrum of the
@@ -46,6 +48,7 @@ from .stepping import DiagnosticTrace, RunSchedule, run_single
 __all__ = [
     "WaveRunConfig",
     "WeakIdentity",
+    "Verlet",
     "step",
     "member",
     "run",
@@ -78,8 +81,6 @@ class WaveRunConfig(RunSchedule):
     u0: np.ndarray
     u1: np.ndarray
     diagnostics_stride: int = 0  # 0: choose for ~128 snapshots
-    # "verlet" is kept only as the tests' independent oracle for "impulse"
-    method: str = "impulse"      # "impulse" | "verlet"
 
     def __post_init__(self):
         if problem := stability_error(self.dt, self.grid.h, self.grid.d):
@@ -158,16 +159,16 @@ class _SpectralImpulse:
         return np.fft.irfftn(s.uth, s=self.cfg.grid.shape, axes=self.axes)
 
 
-class _Verlet:
-    """The velocity-leapfrog stepper, kept as the tests' oracle for the impulse one."""
+class Verlet:
+    """The velocity-leapfrog stepper, kept only as the tests' oracle for the impulse one.
+
+    Its member for stepping.integrate is (Verlet(cfg), the initial WaveState).
+    """
 
     columns = WAVE_COLUMNS
 
     def __init__(self, cfg: WaveRunConfig):
         self.cfg = cfg
-
-    def start(self, state: WaveState) -> WaveState:
-        return state
 
     def __call__(self, s: WaveState) -> WaveState:
         return step(s, self.cfg)
@@ -180,14 +181,9 @@ class _Verlet:
         return s.ut
 
 
-_STEPPERS = {"impulse": _SpectralImpulse, "verlet": _Verlet}
-
-
 def member(cfg: WaveRunConfig):
-    """The (stepper, initial state) pair of cfg, a member for stepping.integrate."""
-    if cfg.method not in _STEPPERS:
-        raise ValueError(f"unknown method {cfg.method!r}")
-    stepper = _STEPPERS[cfg.method](cfg)
+    """The impulse (stepper, initial state) pair of cfg, a member for stepping.integrate."""
+    stepper = _SpectralImpulse(cfg)
     u0, u1 = np.asarray(cfg.u0, float), np.asarray(cfg.u1, float)
     return stepper, stepper.start(WaveState(cfg.grid, u0, u1, 0.0))
 

@@ -29,12 +29,15 @@ __all__ = [
     "NlsGronwall",
     "ForceSamples",
     "gronwall_ladder",
+    "ladder_ratios",
     "ladder_problems",
     "appendix_construction",
     "uniform_integrability_probe",
 ]
 
 G_FLOOR = 1e-14
+# samples the probe reweights per pass, so a pass's temporaries stay small
+_GATHER_CHUNK = 4096
 # the convexity shift is estimated on |u| <= max(visited sup norm, this floor),
 # so a run that stays near zero still samples a box of useful width
 SHIFT_R_FLOOR = 0.1
@@ -83,7 +86,9 @@ class GronwallTrace:
 
     def to_csv(self) -> str:
         lines = ["t,G,w_l2,I,J,bound"]
-        bound = self.fitted_G0 * np.exp(self.fitted_C * self.times)
+        # a steep enough growth overflows the bound to inf, which is its honest value
+        with np.errstate(over="ignore"):
+            bound = self.fitted_G0 * np.exp(self.fitted_C * self.times)
         for i in range(len(self.times)):
             vals = (self.times[i], self.G[i], self.w_l2[i], self.I[i], self.J[i], bound[i])
             lines.append(",".join(format(float(v), ".17g") for v in vals))
@@ -211,22 +216,32 @@ def gronwall_ladder(base, pert: np.ndarray, ladder, seed: int = 0) -> list:
     return result.traces(find_convexity_shift(base.spec, R=R, seed=seed).value)
 
 
-def ladder_problems(ladder, traces) -> list:
+def ladder_ratios(ladder, traces):
+    """G(0)/eps^2 and sup G / G(0) of each member, as two arrays."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g0 = np.array([tr.G[0] for tr in traces]) / np.square(ladder)
+    amp = np.array([np.max(tr.G) / max(tr.G[0], 1e-300) for tr in traces])
+    return g0, amp
+
+
+def ladder_problems(ladder, traces, volume: float) -> list:
     """Within-run checks of a perturbed-data ladder, one message per failure.
 
     G(0)/eps^2 must agree within a factor 2 across the ladder (the discrepancy
     starts quadratic in the perturbation), and the relative spread of
-    sup G / G(0) must stay below 0.5 (the growth does not depend on eps).
+    sup G / G(0) must stay below 0.5 (the growth does not depend on eps). An
+    NLS trace's shifted defect must not fall below -1e-9 times the box volume.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g0 = np.array([tr.G[0] for tr in traces]) / np.square(ladder)
-    amp = np.array([np.max(tr.G) / max(tr.G[0], 1e-300) for tr in traces])
+    g0, amp = ladder_ratios(ladder, traces)
     problems = []
     # written so that a nan (eps = 0) fails the check
     if not g0.max() <= 2.0 * g0.min():
         problems.append(f"G0/eps^2 varies from {g0.min():.4g} to {g0.max():.4g}")
     if not amp.max() - amp.min() < 0.5 * amp.min():
         problems.append(f"sup G / G0 spreads from {amp.min():.4g} to {amp.max():.4g}")
+    for eps, tr in zip(ladder, traces):
+        if tr.remainder_min is not None and tr.remainder_min < -1e-9 * volume:
+            problems.append(f"shifted defect {tr.remainder_min:.4g} < 0 at eps={eps:g}")
     return problems
 
 
@@ -242,16 +257,6 @@ class ConvergenceReport:
     energy_drift: list            # max_t (E(t) - E(0)) / |E(0)|
     monotone_l2: bool = True
     monotone_force: bool = True
-
-    def as_dict(self) -> dict:
-        return {
-            "ladder": list(self.ladder),
-            "l2_discrepancy": self.l2_discrepancy,
-            "force_l1_discrepancy": self.force_l1_discrepancy,
-            "energy_drift": self.energy_drift,
-            "monotone_l2": self.monotone_l2,
-            "monotone_force": self.monotone_force,
-        }
 
 
 def _nonincreasing(values, slack: float = 0.10) -> bool:
@@ -321,7 +326,11 @@ def appendix_construction(base: WaveRunConfig, ladder):
 # ---------------------------------------------------------------------------
 
 class ForceSamples:
-    """Observer: |f(u)| of member 0 at every record, all the probe reads of a run."""
+    """Observer: |f(u)| of member 0 at every record, all the probe reads of a run.
+
+    ``absf`` is a list of flat per-record arrays while the run lasts; result()
+    stacks it into one (records, points) array and drops the list.
+    """
 
     def __init__(self, spec, grid):
         self.spec, self.grid = spec, grid
@@ -332,15 +341,33 @@ class ForceSamples:
         self.absf.append(np.abs(self.spec.f(records[0].u)).ravel())
 
     def result(self) -> ForceSamples:
+        self.absf = np.array(self.absf)
         return self
 
 
-def uniform_integrability_probe(
-    samples: ForceSamples,
-    trials: int = 1000,
-    seed: int = 0,
-    q_max: float = 10.0,
-):
+def _cell_union(rng, absf: np.ndarray, cell_w: np.ndarray, cell_volume: float, count: int):
+    """Measure and force integral of ``count`` distinct cells drawn by rng.
+
+    A cell is one entry of the (records, points) array absf, weighted by its
+    record's trapezoid time width times the cell volume. Besides rng's index
+    draw, this holds one index array and one gathered array of ``count``
+    entries at a time.
+    """
+    idx = rng.choice(absf.size, size=count, replace=False)
+    values = absf.reshape(-1)[idx]
+    idx //= absf.shape[1]  # each sample's record
+    for lo in range(0, count, _GATHER_CHUNK):
+        part = slice(lo, lo + _GATHER_CHUNK)
+        values[part] *= cell_w[idx[part]]
+    values *= cell_volume
+    integral = float(np.sum(values))
+    del values
+    weights = cell_w[idx]
+    weights *= cell_volume
+    return float(np.sum(weights)), integral
+
+
+def uniform_integrability_probe(samples: ForceSamples, trials: int = 1000, seed: int = 0):
     """Fit the measure-vs-integral scaling of the force over random cell unions.
 
     Returns (slope, eta_over_2star, vacuous). The target exponent is
@@ -348,30 +375,25 @@ def uniform_integrability_probe(
     admissible, and random unions of cells typically fit close to 1.
     """
     grid, spec = samples.grid, samples.spec
-    p = two_star(grid.d, q_max)
+    p = two_star(grid.d)
     q = spec.q if spec.q is not None else p - 1.0
     eta = max(p - q, 0.0)
-    absf = np.array(samples.absf)
+    if np.max(samples.absf) == 0.0:
+        return 0.0, eta / p, True
     dt_snap = np.diff(samples.times)
     cell_w = np.concatenate(
         [[dt_snap[0] / 2], (dt_snap[1:] + dt_snap[:-1]) / 2, [dt_snap[-1] / 2]]
     )
-    weights = (cell_w[:, None] * grid.cell_volume * np.ones_like(absf)).ravel()
-    values = (absf * cell_w[:, None] * grid.cell_volume).ravel()
-    if np.max(absf) == 0.0:
-        return 0.0, eta / p, True
 
     rng = np.random.default_rng(seed)
-    n_cells = values.size
     log_m, log_i = [], []
     fractions = 10.0 ** rng.uniform(-4.0, 0.0, trials)
     for frac in fractions:
-        count = max(1, int(frac * n_cells))
-        idx = rng.choice(n_cells, size=count, replace=False)
-        integral = float(np.sum(values[idx]))
+        count = max(1, int(frac * samples.absf.size))
+        measure, integral = _cell_union(rng, samples.absf, cell_w, grid.cell_volume, count)
         if integral <= 0.0:
             continue
-        log_m.append(np.log(float(np.sum(weights[idx]))))
+        log_m.append(np.log(measure))
         log_i.append(np.log(integral))
     if len(log_m) < 10:
         return 0.0, eta / p, True

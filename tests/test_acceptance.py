@@ -85,7 +85,7 @@ def test_criterion_1_algebraic_identities():
     # phase-pairing cancellation, exact on random complex pairs
     for spec in builtin_catalog():
         if isinstance(spec, NlsNonlinearitySpec):
-            rep = verify_nls_cancellation(spec, samples=100_000, tol=1e-12)
+            rep = verify_nls_cancellation(spec, samples=100_000)
             if not rep.holds:
                 problems.append(f"cancellation fails for {spec.name}")
 
@@ -285,8 +285,8 @@ def _nls_ladder(dt):
     return gronwall_ladder(base, pert, LADDER)
 
 
-def _ladder_checks(name, coarse, fine, problems):
-    problems.extend(f"{name}: {p}" for p in ladder_problems(LADDER, coarse))
+def _ladder_checks(name, coarse, fine, volume, problems):
+    problems.extend(f"{name}: {p}" for p in ladder_problems(LADDER, coarse, volume))
     for tr1, tr2 in zip(coarse, fine):
         c1, c2 = tr1.fitted_C, tr2.fitted_C
         if abs(c1 - c2) > 0.2 * max(abs(c1), abs(c2), 1e-6):
@@ -297,9 +297,11 @@ def test_criterion_6_gronwall_ladder():
     problems = []
     for name in ("defocusing_exp:m=1", "oscillating_sin:q=1"):
         _ladder_checks(name, _wave_ladder(name, 0.25),
-                       _wave_ladder(name, 0.125), problems)
+                       _wave_ladder(name, 0.125), 8.0, problems)
+    # the NLS traces also carry the shifted defect, checked against the box
+    # volume 80 of _nls_ladder's grid
     _ladder_checks("nls_coercive_exp", _nls_ladder(1e-3), _nls_ladder(5e-4),
-                   problems)
+                   80.0, problems)
     ok = _verdict(6, "weak-strong Gronwall ladder", not problems,
                   "; ".join(problems))
     assert ok, problems

@@ -1,6 +1,7 @@
 """Sampled inequality verifiers and their stability gates."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -259,7 +260,7 @@ def test_classify_report_sets_match_class():
 def test_classify_reports_serialize_for_nls_entries():
     for name in ("nls_cubic", "nls_coercive_exp"):
         for rep in classify(from_selection(name), n_random=20_000):
-            json.dumps(rep.as_dict())
+            json.dumps(asdict(rep))
             assert type(rep.holds) is bool
 
 

@@ -149,6 +149,17 @@ def test_weak_strong_blowup_writes_abort_artifact(tmp_path, capsys):
     abort = json.loads((out / exp_id / "abort.json").read_text())
     assert "not finite" in abort["error"]
 
+    # the cubic NLS ladder survives this amplitude, but its fitted rate
+    # (about 900) overflows the exponential bound of the trace CSV: the
+    # bound is written as inf and the ladder checks fail
+    cfg.write_text("kind = weak-strong\nnonlinearity = nls_cubic\nN = 64\namplitude = 1000\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["weak-strong", "--config", str(cfg), "--output", str(out)]) == 4
+    exp_id, outcome = capsys.readouterr().out.split()
+    assert outcome == "invariant_violation"
+    assert (out / exp_id / "0.csv").read_text().splitlines()[-1].endswith(",inf")
+
 
 @pytest.mark.parametrize("ladder", ["0,0.1", "-0.1,0.1", "1e-200,0.1"])
 def test_weak_strong_ladder_without_positive_squares_exits_2(tmp_path, capsys, ladder):

@@ -32,7 +32,7 @@ def test_two_star_values():
     assert two_star(4) == 4.0
     assert two_star(6) == 3.0
     assert two_star(1) == 10.0
-    assert two_star(2, q_max=7.0) == 7.0
+    assert two_star(2) == 10.0
 
 
 def test_catalog_names_unique_and_selectable():

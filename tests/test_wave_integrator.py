@@ -5,8 +5,9 @@ import pytest
 
 from supercrit.field_core import GridSpec, WaveState, bump_field
 from supercrit.nonlinearity import AssumptionClass, NonlinearitySpec, from_selection
-from supercrit.stepping import BlowUpError, DiagnosticTrace, integrate
+from supercrit.stepping import BlowUpError, DiagnosticTrace, integrate, run_single
 from supercrit.wave_integrator import (
+    Verlet,
     WaveRunConfig,
     WeakIdentity,
     max_leakage,
@@ -51,24 +52,23 @@ def test_zero_data_is_fixed_point():
     assert trace.column("E_total")[-1] == 0.0
 
 
+def run_verlet(cfg):
+    """The Verlet oracle's run of cfg, shaped like run(cfg)."""
+    return run_single(Verlet(cfg), WaveState(cfg.grid, cfg.u0, cfg.u1, 0.0), cfg)
+
+
 def test_methods_agree_at_small_dt():
-    final = {}
-    for method in ("impulse", "verlet"):
-        cfg = make_config(T=0.25, dt=0.02 * 8.0 / 128, method=method)
-        end, _ = run(cfg)
-        final[method] = end.last.u
-    assert np.max(np.abs(final["impulse"] - final["verlet"])) < 1e-6
+    cfg = make_config(T=0.25, dt=0.02 * 8.0 / 128)
+    (end, _), (oracle, _) = run(cfg), run_verlet(cfg)
+    assert np.max(np.abs(end.last.u - oracle.last.u)) < 1e-6
 
 
 def test_impulse_agrees_with_verlet_oracle_in_3d():
     grid = GridSpec(3, 16, 8.0)
     u0 = bump_field(grid, 0.5, 2.5)
-    out = {}
-    for method in ("impulse", "verlet"):
-        cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), 0.005, 0.25,
-                            u0, np.zeros_like(u0), diagnostics_stride=5, method=method)
-        out[method] = run(cfg)
-    (end, trace), (oracle, oracle_trace) = out["impulse"], out["verlet"]
+    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), 0.005, 0.25,
+                        u0, np.zeros_like(u0), diagnostics_stride=5)
+    (end, trace), (oracle, oracle_trace) = run(cfg), run_verlet(cfg)
     # verlet's own O(dt^2) error sets the scale: about 3e-8 on u, 3e-5 on E
     assert np.max(np.abs(end.last.u - oracle.last.u)) < 1e-6
     assert np.max(np.abs(end.last.ut - oracle.last.ut)) < 1e-5
@@ -125,11 +125,6 @@ def test_energy_drift_quarters_under_dt_halving():
         E = trace.column("E_total")
         drifts.append(np.max(np.abs(E - E[0])) / abs(E[0]))
     assert 3.0 < drifts[0] / drifts[1] < 5.0
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        run(make_config(method="rk4"))
 
 
 def test_blow_up_detected_for_focusing_force():

@@ -1,13 +1,15 @@
 """Discrepancy functionals, certificate fitting, and the truncation ladder."""
 
+import tracemalloc
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from supercrit.assumption_lab import find_convexity_shift
 from supercrit.field_core import GridSpec, bump_field, l2_norm_sq
 from supercrit.nls_integrator import NlsRunConfig, member as nls_member
-from supercrit.nonlinearity import from_selection
+from supercrit.nonlinearity import from_selection, two_star
 from supercrit.stepping import integrate
 from supercrit.wave_integrator import WaveRunConfig, member as wave_member, run as wave_run
 from supercrit.weak_strong import (
@@ -113,7 +115,7 @@ def test_truncation_ladder_discrepancies_decrease():
     assert report.monotone_l2 and report.monotone_force
     assert report.l2_discrepancy[0] > report.l2_discrepancy[-1]
     assert all(d <= 1e-5 for d in report.energy_drift)
-    d = report.as_dict()
+    d = asdict(report)
     assert d["ladder"] == [1.0, 2.0, 4.0]
 
 
@@ -125,13 +127,28 @@ def test_ladder_problems_flag_each_check():
         return GronwallTrace(times, G, G, G, G, 0.0, 0.0)
 
     ladder = (1e-1, 1e-2)
-    assert ladder_problems(ladder, [trace(1e-2 * flat), trace(1e-4 * flat)]) == []
-    (g0,) = ladder_problems(ladder, [trace(1e-2 * flat), trace(1e-3 * flat)])
+    assert ladder_problems(ladder, [trace(1e-2 * flat), trace(1e-4 * flat)], 1.0) == []
+    (g0,) = ladder_problems(ladder, [trace(1e-2 * flat), trace(1e-3 * flat)], 1.0)
     assert "G0/eps^2" in g0
-    (spread,) = ladder_problems(ladder, [trace(1e-2 * flat), trace(1e-4 * growing)])
+    (spread,) = ladder_problems(ladder, [trace(1e-2 * flat), trace(1e-4 * growing)], 1.0)
     assert "sup G / G0" in spread
     # a zero perturbation carries no discrepancy to scale
-    assert len(ladder_problems((0.0, 1e-1), [trace(0.0 * flat), trace(1e-2 * flat)])) == 2
+    assert len(ladder_problems((0.0, 1e-1), [trace(0.0 * flat), trace(1e-2 * flat)], 1.0)) == 2
+
+
+def test_ladder_problems_report_a_negative_shifted_defect():
+    times = np.linspace(0.0, 1.0, 5)
+    flat = np.ones(5)
+
+    def trace(eps, remainder_min):
+        G = eps ** 2 * flat
+        return GronwallTrace(times, G, G, G, G, 0.0, 0.0, remainder_min=remainder_min)
+
+    ladder = (1e-1, 1e-2)
+    # rounding below zero is allowed up to 1e-9 times the box volume (here 10)
+    assert ladder_problems(ladder, [trace(1e-1, 0.0), trace(1e-2, -5e-9)], 10.0) == []
+    (defect,) = ladder_problems(ladder, [trace(1e-1, 0.0), trace(1e-2, -2e-8)], 10.0)
+    assert "shifted defect" in defect and "eps=0.01" in defect
 
 
 def test_uniform_integrability_probe_slope():
@@ -142,6 +159,47 @@ def test_uniform_integrability_probe_slope():
     slope, target, vacuous = uniform_integrability_probe(force_samples(cfg), trials=200)
     assert not vacuous
     assert slope >= target - 0.1
+
+
+def test_uniform_integrability_probe_holds_under_two_sample_copies():
+    # the probe of criterion 7: |f(u)| at 15 records of a 32^3 grid, 3.9 MB.
+    # Its largest union holds 97% of the cells, and rng.choice's draw of it
+    # permutes every cell index, which alone takes 1.97 copies of the samples
+    grid = GridSpec(3, 32, 8.0)
+    spec = from_selection("oscillating_sin:q=1")
+    u0 = bump_field(grid, 3.0, 1.0)
+    cfg = WaveRunConfig(grid, spec, 0.25 * grid.h / np.sqrt(3.0), 0.5, u0, np.zeros_like(u0))
+    samples = force_samples(cfg)
+    sample_bytes = sum(row.nbytes for row in samples.absf)
+    uniform_integrability_probe(samples, trials=20)  # leaves one-time imports untraced
+    tracemalloc.start()
+    try:
+        result = uniform_integrability_probe(samples, trials=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sample_bytes
+    assert result == probe_reference(samples, trials=200)
+
+
+def probe_reference(samples, trials, seed=0):
+    """The probe's fit from full weight and value arrays, one entry per cell."""
+    absf = np.array(samples.absf)
+    dt = np.diff(samples.times)
+    cell_w = np.concatenate([[dt[0] / 2], (dt[1:] + dt[:-1]) / 2, [dt[-1] / 2]])
+    cell_volume = samples.grid.cell_volume
+    weights = (cell_w[:, None] * cell_volume * np.ones_like(absf)).ravel()
+    values = (absf * cell_w[:, None] * cell_volume).ravel()
+    rng = np.random.default_rng(seed)
+    log_m, log_i = [], []
+    for frac in 10.0 ** rng.uniform(-4.0, 0.0, trials):
+        idx = rng.choice(values.size, size=max(1, int(frac * values.size)), replace=False)
+        integral = float(np.sum(values[idx]))
+        if integral > 0.0:
+            log_m.append(np.log(float(np.sum(weights[idx]))))
+            log_i.append(np.log(integral))
+    p = two_star(samples.grid.d)
+    return float(np.polyfit(log_m, log_i, 1)[0]), (p - samples.spec.q) / p, False
 
 
 def test_uniform_integrability_probe_vacuous_on_zero_field():
