@@ -45,6 +45,7 @@ _STABILITY_SLACK = 0.05  # sup accepted when doubling moves it less than 5%
 _NONNEG_SLACK = 1e-9     # numerical slack for analytic ">= 0" statements
 SCALAR_RADIUS = 8.0      # the scalar pointwise verifiers sample [-8, 8]
 MAX_CONVEXITY_SHIFT = 1e6  # a larger sampled shift counts as unbounded
+_BLOCK = 1 << 16         # points per evaluated block: its temporaries fit in cache
 
 
 class UnboundedEstimateError(RuntimeError):
@@ -57,7 +58,7 @@ class ConstantEstimate:
     R: float
     value: float
     samples: int
-    worst_pair: tuple
+    worst_pair: tuple | None
     stable: bool = True
     evidence: dict = field(default_factory=dict)
 
@@ -71,26 +72,48 @@ class InequalityReport:
 
 
 def _pairs(R: float, W: float, n_random: int, seed: int):
-    """Grid plus random (u, w) samples with |u| <= R, |w| <= W."""
+    """Grid plus random (u, w) samples with |u| <= R, |w| <= W, as plan parts.
+
+    The grid part (ug[:, None], wg[None, :]) broadcasts to side x side pairs,
+    row-major in (u, w); the random part (ur, wr) follows it in plan order.
+    """
     side = max(8, int(np.sqrt(n_random)))
     ug = np.linspace(-R, R, side)
     wg = np.linspace(-W, W, side)
-    uu, ww = np.meshgrid(ug, wg, indexing="ij")
     rng = np.random.default_rng(seed)
     ur = rng.uniform(-R, R, n_random)
     wr = rng.uniform(-W, W, n_random)
-    return np.concatenate([uu.ravel(), ur]), np.concatenate([ww.ravel(), wr])
+    return [(ug[:, None], wg[None, :]), (ur, wr)]
 
 
-def _sup_ratio(num, den, u, w):
-    """Max of num/den over samples with den > 0, plus the attaining pair."""
-    mask = den > 0
-    ratio = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
-    ratio = np.where(np.isfinite(ratio), ratio, 0.0)
-    i = int(np.argmax(ratio))
-    if np.iscomplexobj(u) or np.iscomplexobj(w):
-        return float(ratio[i]), (str(complex(u[i])), str(complex(w[i])))
-    return float(ratio[i]), (float(u[i]), float(w[i]))
+def _sup_ratio(ratio, parts):
+    """Max of num/den, (num, den) = ratio(u, w), over samples with den > 0.
+
+    ``parts`` are broadcastable (u, w) pairs in plan order. They are folded in
+    blocks of about _BLOCK points, a 2-D part in whole rows, so u-only terms
+    are evaluated once per row and w-only terms once per column of a block.
+    Returns the sup and the first sample attaining it, or (0.0, None) when no
+    sample has a positive ratio.
+    """
+    best, worst = 0.0, None
+    for u, w in parts:
+        step = max(1, _BLOCK // w.shape[-1]) if w.ndim == 2 else _BLOCK
+        for a in range(0, len(u), step):
+            ub, wb = u[a:a + step], (w if w.ndim == 2 else w[a:a + step])
+            num, den = ratio(ub, wb)
+            mask = den > 0
+            r = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
+            r = np.where(np.isfinite(r), r, 0.0)
+            k = np.unravel_index(int(np.argmax(r)), r.shape)
+            if r[k] > best:
+                best = float(r[k])
+                worst = np.broadcast_to(ub, r.shape)[k], np.broadcast_to(wb, r.shape)[k]
+    if worst is None:
+        return best, None
+    uk, wk = worst
+    if np.iscomplexobj(uk) or np.iscomplexobj(wk):
+        return best, (str(complex(uk)), str(complex(wk)))
+    return best, (float(uk), float(wk))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -104,8 +127,7 @@ def _sampled_constant(name, R, plan, ratio, n_random, seed, windows=None):
     the larger sup; the worst pair is the first sample's.
     """
     def sweep(W: float, n: int, s: int):
-        u, w = plan(R, W, n, s)
-        return _sup_ratio(*ratio(u, w), u, w)
+        return _sup_ratio(ratio, plan(R, W, n, s))
 
     W = 8.0 * R
     value, worst = sweep(W, n_random, seed)
@@ -264,7 +286,7 @@ def _complex_pairs(R: float, W: float, n_random: int, seed: int):
     u = np.concatenate([ug[:m], ur])
     w = np.concatenate([wg[:m][::-1], wr])
     keep = np.abs(u) <= R
-    return u[keep], w[keep]
+    return [(u[keep], w[keep])]
 
 
 def _dot(a, b):
@@ -359,12 +381,14 @@ def find_convexity_shift(
     ):
         raise ValueError(f"{spec.name} is not an admissible NLS class")
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def sweep(W: float, s: int):
-        u, w = _complex_pairs(R, W, n_random, s)
+    def ratio(u, w):
         wsq = np.abs(w) ** 2
         D = spec.potential(u + w) - spec.potential(u) - _dot(spec.force(u), w) + wsq
-        value, worst = _sup_ratio(np.maximum(0.0, -(D + _NONNEG_SLACK)), wsq, u, w)
+        return np.maximum(0.0, -(D + _NONNEG_SLACK)), wsq
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def sweep(W: float, s: int):
+        value, worst = _sup_ratio(ratio, _complex_pairs(R, W, n_random, s))
         if value > MAX_CONVEXITY_SHIFT:
             raise UnboundedEstimateError(
                 f"no shift A <= {MAX_CONVEXITY_SHIFT:g} suffices for {spec.name} at R={R}"

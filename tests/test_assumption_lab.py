@@ -1,7 +1,8 @@
 """Sampled inequality verifiers and their stability gates."""
 
 import json
-from dataclasses import asdict
+import tracemalloc
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from supercrit import assumption_lab
 from supercrit.assumption_lab import (
     UnboundedEstimateError,
     classify,
+    estimate_nls_taylor_constant,
     estimate_phase_bound,
     estimate_remainder_constant,
     estimate_taylor_constant,
@@ -127,6 +129,135 @@ def test_window_w_sweep_doubles_as_first_sample_pass(monkeypatch, estimate):
     assert est.evidence["window_sups"][0] == est.evidence["sample_sups"][0]
 
 
+def _flat_pairs(R, W, n_random, seed):
+    """The plan of _pairs materialised: meshgrid rows, then the randoms."""
+    side = max(8, int(np.sqrt(n_random)))
+    uu, ww = np.meshgrid(np.linspace(-R, R, side), np.linspace(-W, W, side),
+                         indexing="ij")
+    rng = np.random.default_rng(seed)
+    ur = rng.uniform(-R, R, n_random)
+    wr = rng.uniform(-W, W, n_random)
+    return [(np.concatenate([uu.ravel(), ur]), np.concatenate([ww.ravel(), wr]))]
+
+
+def _argmax_sup_ratio(ratio, parts):
+    """Reference sweep: one ratio call on the concatenated plan, then argmax."""
+    u = np.concatenate([np.broadcast_arrays(a, b)[0].ravel() for a, b in parts])
+    w = np.concatenate([np.broadcast_arrays(a, b)[1].ravel() for a, b in parts])
+    num, den = ratio(u, w)
+    mask = den > 0
+    r = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
+    r = np.where(np.isfinite(r), r, 0.0)
+    i = int(np.argmax(r))
+    if not r[i] > 0.0:
+        return 0.0, None
+    if np.iscomplexobj(u):
+        return float(r[i]), (str(complex(u[i])), str(complex(w[i])))
+    return float(r[i]), (float(u[i]), float(w[i]))
+
+
+def _check_matches_reference(monkeypatch, estimate):
+    blocked = estimate()
+    with monkeypatch.context() as m:
+        m.setattr(assumption_lab, "_pairs", _flat_pairs)
+        m.setattr(assumption_lab, "_sup_ratio", _argmax_sup_ratio)
+        reference = estimate()
+    assert blocked.value == reference.value
+    assert blocked.worst_pair == reference.worst_pair
+    assert blocked.evidence == reference.evidence
+    assert blocked.stable == reference.stable
+
+
+def _h11(spec):
+    return estimate_remainder_constant(spec, R=2.0, n_random=N_SMALL)
+
+
+def _h22(spec):
+    return estimate_taylor_constant(spec, R=2.0, d=3, n_random=N_SMALL)
+
+
+# defocusing_exp declares no growth exponent, so it has no H22
+@pytest.mark.parametrize("estimate, name", [
+    (h, name) for name in ("oscillating_sin:q=1", "oscillating_sin:q=2", "pure_power:p=3")
+    for h in (_h11, _h22)
+] + [(_h11, "defocusing_exp:m=1")])
+def test_blocked_sweep_matches_argmax_over_materialised_plan(monkeypatch, estimate, name):
+    spec = from_selection(name)
+    _check_matches_reference(monkeypatch, lambda: estimate(spec))
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda spec: estimate_phase_bound(spec, R=2.0, d=3, n_random=N_SMALL),
+    lambda spec: estimate_nls_taylor_constant(spec, R=2.0, d=3, n_random=N_SMALL),
+    lambda spec: find_convexity_shift(spec, R=2.0, n_random=N_SMALL),
+], ids=["Gronw6", "H222", "ClaimA"])
+def test_blocked_complex_sweep_matches_argmax(monkeypatch, estimate):
+    spec = from_selection("nls_cubic")
+    _check_matches_reference(monkeypatch, lambda: estimate(spec))
+
+
+def test_blocked_sweep_reports_earliest_of_tied_maxima():
+    # the maximal ratio 5 sits in grid row 3 (in the first block) and in grid
+    # row side - 2 and random sample block + 7 (later blocks)
+    side = 2000
+    ug, wg = np.arange(side, dtype=float), np.linspace(1.0, 2.0, side)
+    block = assumption_lab._BLOCK
+    ur, wr = np.arange(3 * block, dtype=float), np.ones(3 * block)
+    hits = {(3.0, wg[5]), (side - 2.0, wg[9]), (block + 7.0, 1.0)}
+
+    def ratio(u, w):
+        hit = np.zeros(np.broadcast_shapes(u.shape, w.shape), bool)
+        for a, b in hits:
+            hit |= (u == a) & (w == b)
+        return np.where(hit, 5.0, 1.0), np.ones(hit.shape)
+
+    parts = [(ug[:, None], wg[None, :]), (ur, wr)]
+    assert assumption_lab._sup_ratio(ratio, parts) == (5.0, (3.0, float(wg[5])))
+    assert _argmax_sup_ratio(ratio, parts) == (5.0, (3.0, float(wg[5])))
+    # without the grid hit the random part's hit, in its second block, wins
+    hits.discard((3.0, wg[5]))
+    hits.discard((side - 2.0, wg[9]))
+    assert assumption_lab._sup_ratio(ratio, parts) == (5.0, (block + 7.0, 1.0))
+
+
+def test_taylor_sweep_memory_stays_below_plan_size():
+    # materialised, the plans (up to 4M points) and their temporaries peaked
+    # at 244 MiB
+    spec = from_selection("oscillating_sin:q=2")
+    tracemalloc.start()
+    try:
+        estimate_taylor_constant(spec, R=2.0, d=3, n_random=1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_grid_u_terms_evaluated_once_per_distinct_value():
+    points = {"F": 0, "f": 0, "fprime": 0}
+
+    def counted(key, g):
+        def wrapped(u):
+            points[key] += np.size(u)
+            return g(u)
+        return wrapped
+
+    base = from_selection("oscillating_sin:q=2")
+    spec = replace(base, **{k: counted(k, getattr(base, k)) for k in points})
+
+    def plan_points(n):  # (distinct grid u, all grid pairs) plus n randoms
+        side = max(8, int(np.sqrt(n)))
+        return side + n, side * side + n
+
+    # four window sweeps at n plus the doubled sample at 2n
+    (u1, uw1), (u2, uw2) = plan_points(N_SMALL), plan_points(2 * N_SMALL)
+    estimate_remainder_constant(spec, R=2.0, n_random=N_SMALL)
+    assert points == {"F": 4 * (u1 + uw1) + u2 + uw2, "f": 4 * u1 + u2, "fprime": 0}
+    points.update(F=0, f=0)
+    estimate_taylor_constant(spec, R=2.0, d=3, n_random=N_SMALL)
+    assert points == {"F": 0, "f": 4 * (u1 + uw1) + u2 + uw2, "fprime": 4 * u1 + u2}
+
+
 def test_unbounded_remainder_detected():
     with pytest.raises(UnboundedEstimateError):
         estimate_remainder_constant(_focusing_quartic(), R=1.0, n_random=N_SMALL)
@@ -194,6 +325,19 @@ def test_nls_taylor_constant_fails_for_kinked_density():
     v_n, v_2n = rep.constant.evidence["sample_sups"]
     assert abs(v_2n - v_n) > 0.05 * max(v_n, v_2n)
     assert rep.constant.value == max(v_n, v_2n)
+
+
+def test_zero_sup_names_no_worst_pair():
+    # the cubic density is convex, so ClaimA is 0 on every sample and no
+    # sample attains it; the same holds for H11 of a convex potential
+    rep = {r.inequality: r for r in classify(from_selection("nls_cubic"),
+                                             n_random=20_000)}["ClaimA"]
+    assert rep.constant.value == 0.0
+    assert rep.constant.worst_pair is None
+    assert json.loads(json.dumps(asdict(rep)))["constant"]["worst_pair"] is None
+    est = estimate_remainder_constant(from_selection("pure_power:p=2"), R=2.0,
+                                      n_random=N_SMALL)
+    assert (est.value, est.worst_pair) == (0.0, None)
 
 
 def test_nls_cancellation_identity_machine_exact():
