@@ -208,7 +208,8 @@ def working_set_bytes(cfg: ExperimentConfig) -> float:
     """Bytes a run of a valid cfg holds at once.
 
     160 per grid point for each state stepped in lockstep (measured: 135 for
-    wave, 96 for NLS), one per ladder member plus the reference; the probe
+    wave; for NLS, 146 for one state and 126 per state of a weak-strong
+    ladder at d = 2, N = 512), one per ladder member plus the reference; the probe
     of appendix-construct adds 24 per point and record (measured: 24 at
     d = 1, N = 1024, 513 records: the |f(u)| samples and about two copies
     of them while the probe runs).

@@ -22,6 +22,7 @@ __all__ = [
     "l2_norm_sq",
     "l2_inner",
     "gradient_norm_sq",
+    "full_gradient_norm_sq",
     "half_l2_norm_sq",
     "half_gradient_norm_sq",
     "wave_energy",
@@ -150,7 +151,12 @@ def l2_inner(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> float:
 def gradient_norm_sq(field: np.ndarray, grid: GridSpec) -> float:
     """Parseval evaluation of the gradient norm: sum |xi|^2 |u_hat|^2."""
     _check(field, grid)
-    uh = np.fft.fftn(field)
+    return full_gradient_norm_sq(np.fft.fftn(field), grid)
+
+
+def full_gradient_norm_sq(uh: np.ndarray, grid: GridSpec) -> float:
+    """gradient_norm_sq of the field whose np.fft.fftn spectrum is uh."""
+    _check(uh, grid)
     n_total = grid.N ** grid.d
     return float(
         grid.cell_volume / n_total * np.sum(grid.wavenumber_sq() * np.abs(uh) ** 2)
@@ -197,13 +203,20 @@ def half_gradient_norm_sq(uh: np.ndarray, grid: GridSpec) -> float:
 # energies
 # ---------------------------------------------------------------------------
 
-def _potential_integral(potential, u: np.ndarray, grid: GridSpec) -> float:
-    """h^d sum potential(u); raises AmplitudeError if it is not finite.
+def _potential_density(potential, u: np.ndarray) -> np.ndarray:
+    """potential(u); an overflow is reported by _potential_integral, so numpy's
+    warning is silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return potential(u)
+
+
+def _potential_integral(density: np.ndarray, grid: GridSpec) -> float:
+    """h^d sum of a potential density; raises AmplitudeError if it is not finite.
 
     The overflow this reports is expected, so numpy's warning is silenced.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        pot = grid.cell_volume * np.sum(potential(u))
+        pot = grid.cell_volume * np.sum(density)
     if not np.isfinite(pot):
         raise AmplitudeError("potential integral is not finite; reduce amplitude")
     return float(pot)
@@ -212,7 +225,7 @@ def _potential_integral(potential, u: np.ndarray, grid: GridSpec) -> float:
 def wave_energy(state: WaveState, spec) -> EnergyReport:
     kin = 0.5 * l2_norm_sq(state.ut, state.grid)
     grad = 0.5 * gradient_norm_sq(state.u, state.grid)
-    pot = _potential_integral(spec.F, state.u, state.grid)
+    pot = _potential_integral(_potential_density(spec.F, state.u), state.grid)
     return EnergyReport(kin, grad, pot, kin + grad + pot)
 
 
@@ -221,10 +234,12 @@ def nls_energy(state: NlsState, spec) -> EnergyReport:
 
     With f(u) = u F'(|u|^2/2) the gradient term carries the factor 1/2; the
     variant without it is not an invariant of the flow (checked against an
-    independent RK4 integration of the collocation system).
+    independent RK4 integration of the collocation system). No run calls it:
+    the NLS stepper takes the same energies from its records' fields, and
+    this is the tests' oracle for them.
     """
     grad = 0.5 * gradient_norm_sq(state.u, state.grid)
-    pot = _potential_integral(spec.potential, state.u, state.grid)
+    pot = _potential_integral(_potential_density(spec.potential, state.u), state.grid)
     mass = l2_norm_sq(state.u, state.grid)
     return EnergyReport(0.0, grad, pot, grad + pot, mass=mass)
 

@@ -5,10 +5,25 @@ rotation), so mass is conserved to machine precision and all Hamiltonian
 drift is attributable to the splitting error.
 
 Sign convention: the equation is i u_t - Lap(u) + f(u) = 0, so the free flow
-multiplies each mode by exp(i |xi|^2 tau); the nonlinear substep is i u_t = -f(u), whose exact flow
-rotates pointwise by exp(+i F'(|u|^2/2) tau). The conserved Hamiltonian for
-this convention and f(u) = u F'(|u|^2/2) is (1/2)||grad u||^2 + int F,
-which is what the diagnostics record.
+multiplies each mode by exp(i |xi|^2 tau); the nonlinear substep is
+i u_t = -f(u), whose exact flow rotates pointwise by exp(+i F'(|u|^2/2) tau).
+The conserved Hamiltonian for this convention and f(u) = u F'(|u|^2/2) is
+(1/2)||grad u||^2 + int F, which is what the diagnostics record.
+
+Every run uses the rotation-reusing stepper of ``member``: half nonlinear,
+full linear, half nonlinear (N-L-N), with its state holding u, the phase
+Fs'(|u|^2/2) and the half rotation exp(i phase dt/2). The rotation preserves
+|u|, so the closing half rotation of one step is also the opening one of the
+next (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2006, on
+first-same-as-last compositions): a step makes two transforms, one Fs' call
+and one cos/sin pair. At a record the stepper gives the ``Record`` fields:
+the spectrum u_hat (one ``fftn`` per member), f(u) = u * phase, and the
+potential density; the gradient energy comes from u_hat by Parseval, and
+u_t = -i (Lap u - f(u)) takes one ``ifftn`` of -|xi|^2 u_hat.
+
+``strang_step``, ``linear_flow`` and ``nonlinear_flow`` take one Strang step
+from its three substeps; no run calls them, they are the tests' oracles for
+the stepper.
 """
 
 from __future__ import annotations
@@ -18,7 +33,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field_core import GridSpec, NlsState, laplacian, nls_energy
+from .field_core import (
+    GridSpec,
+    NlsState,
+    _potential_density,
+    _potential_integral,
+    full_gradient_norm_sq,
+    l2_norm_sq,
+)
 from .stepping import BlowUpError, RunSchedule, run_single
 
 __all__ = [
@@ -53,6 +75,7 @@ class NlsRunConfig(RunSchedule):
             raise ValueError(problem)
         if self.T <= 0:
             raise ValueError("T must be positive")
+        self.snap_dt()
 
 
 @lru_cache(maxsize=8)
@@ -63,14 +86,18 @@ def _propagator(grid: GridSpec, tau: float) -> np.ndarray:
 
 
 def linear_flow(state: NlsState, tau: float) -> NlsState:
-    """Exact free flow: unitary Fourier multiplier exp(i |xi|^2 tau)."""
+    """Exact free flow: unitary Fourier multiplier exp(i |xi|^2 tau).
+
+    A substep of the ``strang_step`` oracle; no run calls it."""
     uh = np.fft.fftn(state.u)
     uh *= _propagator(state.grid, tau)
     return NlsState(state.grid, np.fft.ifftn(uh), state.t + tau)
 
 
 def nonlinear_flow(state: NlsState, tau: float, spec) -> NlsState:
-    """Exact pointwise flow of i u_t = -f(u): modulus-preserving phase rotation."""
+    """Exact pointwise flow of i u_t = -f(u): modulus-preserving phase rotation.
+
+    A substep of the ``strang_step`` oracle; no run calls it."""
     # an overflow here is reported as BlowUpError, so numpy's warning is silenced
     with np.errstate(over="ignore", invalid="ignore"):
         phase = spec.Fsprime(0.5 * np.abs(state.u) ** 2)
@@ -80,7 +107,10 @@ def nonlinear_flow(state: NlsState, tau: float, spec) -> NlsState:
 
 
 def strang_step(state: NlsState, cfg: NlsRunConfig) -> NlsState:
-    """Half nonlinear, full linear, half nonlinear: second order in dt."""
+    """Half nonlinear, full linear, half nonlinear: second order in dt.
+
+    The tests' oracle for the stepper every run uses (``member``), which
+    takes the same step with the rotations shared between steps."""
     dt = cfg.dt
     s = nonlinear_flow(state, 0.5 * dt, cfg.spec)
     s = linear_flow(s, dt)
@@ -88,29 +118,93 @@ def strang_step(state: NlsState, cfg: NlsRunConfig) -> NlsState:
     return NlsState(cfg.grid, s.u, state.t + dt)
 
 
-class _Strang:
-    """The Strang stepper of one run config, as stepping.integrate drives it."""
+@dataclass(frozen=True)
+class _RotatedState:
+    """Spectral-state Strang state: u with phase = Fs'(|u|^2/2) and the half
+    rotation exp(i phase dt/2) that both closes the step to u and opens the next."""
+
+    u: np.ndarray
+    phase: np.ndarray
+    rot: np.ndarray
+    t: float
+
+    def is_finite(self) -> bool:
+        return bool(np.all(np.isfinite(self.u)))
+
+
+class _SpectralStrang:
+    """N-L-N Strang splitting that applies each half rotation to two half-steps."""
 
     columns = ("mass", "H_total", "H_gradient", "H_potential")
 
     def __init__(self, cfg: NlsRunConfig):
         self.cfg = cfg
+        self.prop = _propagator(cfg.grid, cfg.dt)
 
-    def __call__(self, s: NlsState) -> NlsState:
-        return strang_step(s, self.cfg)
+    def _phase_rotation(self, v: np.ndarray):
+        """phase = Fs'(|v|^2/2) and the half rotation cos + i sin of phase dt/2.
 
-    def energy(self, s: NlsState):
-        rep = nls_energy(s, self.cfg.spec)
-        return rep.mass, rep.total, rep.gradient, rep.potential
+        A phase that overflows leaves a nan rotation, so the rotated u is not
+        finite and the loop raises BlowUpError; numpy's warnings are silenced.
+        """
+        density = v.real ** 2
+        density += v.imag ** 2
+        density *= 0.5
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = self.cfg.spec.Fsprime(density)
+            del density
+            rot = np.empty(v.shape, complex)
+            angle = rot.real  # the angle phase dt/2 is kept in place until its cos
+            np.multiply(phase, 0.5 * self.cfg.dt, out=angle)
+            np.sin(angle, out=rot.imag)
+            np.cos(angle, out=angle)
+        return phase, rot
 
-    def velocity(self, s: NlsState) -> np.ndarray:
+    def start(self, u0: np.ndarray) -> _RotatedState:
+        """The initial state: u0 itself, with the opening rotation of step 1."""
+        phase, rot = self._phase_rotation(u0)
+        if not np.all(np.isfinite(phase)):
+            raise BlowUpError(0.0)
+        return _RotatedState(u0, phase, rot, 0.0)
+
+    def __call__(self, s: _RotatedState) -> _RotatedState:
+        # transforms in place: one field-sized buffer is the spectrum and then v
+        v = s.u * s.rot
+        np.fft.fftn(v, out=v)
+        v *= self.prop
+        np.fft.ifftn(v, out=v)
+        phase, rot = self._phase_rotation(v)
+        v *= rot
+        return _RotatedState(v, phase, rot, s.t + self.cfg.dt)
+
+    def spectrum(self, rec) -> np.ndarray:
+        return np.fft.fftn(rec.u, out=np.empty_like(rec.u))
+
+    def force(self, rec) -> np.ndarray:
+        return rec.u * rec.state.phase
+
+    def potential(self, rec) -> np.ndarray:
+        return _potential_density(self.cfg.spec.potential, rec.u)
+
+    def energy(self, rec):
+        grid = self.cfg.grid
+        grad = 0.5 * full_gradient_norm_sq(rec.uh, grid)
+        pot = _potential_integral(rec.potential, grid)
+        return l2_norm_sq(rec.u, grid), grad + pot, grad, pot
+
+    def velocity(self, rec) -> np.ndarray:
         """u_t recovered from the equation: u_t = -i (Lap u - f(u))."""
-        return -1j * (laplacian(s.u, s.grid) - self.cfg.spec.force(s.u))
+        ut = -self.cfg.grid.wavenumber_sq() * rec.uh
+        np.fft.ifftn(ut, out=ut)  # Lap u
+        ut -= rec.force
+        ut *= -1j
+        return ut
 
 
 def member(cfg: NlsRunConfig):
     """The (stepper, initial state) pair of cfg, a member for stepping.integrate."""
-    return _Strang(cfg), NlsState(cfg.grid, np.asarray(cfg.u0, complex), 0.0)
+    stepper = _SpectralStrang(cfg)
+    return stepper, stepper.start(np.asarray(cfg.u0, complex))
 
 
 def run(cfg: NlsRunConfig):

@@ -88,10 +88,15 @@ class NlsNonlinearitySpec:
         """f(u) = u Fs'(|u|^2 / 2) on complex fields."""
         return u * self.Fsprime(0.5 * np.abs(u) ** 2)
 
-    def dforce(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Real-linear derivative Df(u)w = Fs'(s) w + Fs''(s) Re(u conj(w)) u."""
+    def dforce(self, u: np.ndarray, w: np.ndarray, phase=None) -> np.ndarray:
+        """Real-linear derivative Df(u)w = Fs'(s) w + Fs''(s) Re(u conj(w)) u.
+
+        ``phase`` is Fs'(s) at u when the caller already holds it.
+        """
         s = 0.5 * np.abs(u) ** 2
-        return self.Fsprime(s) * w + self.Fsprime2(s) * np.real(u * np.conj(w)) * u
+        if phase is None:
+            phase = self.Fsprime(s)
+        return phase * w + self.Fsprime2(s) * np.real(u * np.conj(w)) * u
 
     def potential(self, u: np.ndarray) -> np.ndarray:
         return self.Fs(0.5 * np.abs(u) ** 2)

@@ -4,21 +4,38 @@
 ``(stepper, state)`` members in lockstep on the grid, dt, T and record stride
 of ``schedule``; each stepper carries its own nonlinearity. It records the
 initial states, every ``schedule.stride()``-th step and the last one. At a
-record it evaluates each member's energies, wraps the states in ``Record``s
-(in member order), and calls ``observer.observe(records)`` on every
+record it wraps the states in ``Record``s (in member order), evaluates each
+member's energies, and calls ``observer.observe(records)`` on every
 observer; at the end it returns the final records and each
 ``observer.result()``. It keeps nothing else, so no run stores a trajectory:
-an observer keeps the per-record numbers it needs, not the records. A
-``Record`` computes the physical u_t once, on first use.
+an observer keeps the per-record numbers it needs, not the records.
 
-A stepper advances a state by dt when called and has ``columns``,
-``energy(state)`` and ``velocity(state)``; a state has ``t``, ``u`` and
-``is_finite()``. A non-finite member raises BlowUpError with the last record
-time.
+A ``Record`` holds a member's ``stepper``, ``state``, ``t`` and ``u``, and
+computes each derived field once, on first use, by calling the stepper
+method named in brackets with the record; the energies and every observer
+share them:
+
+* ``energy`` [``energy``]: the stepper's energy columns;
+* ``ut`` [``velocity``]: the physical u_t;
+* ``uh`` [``spectrum``]: the spectrum of u (the ``np.fft.fftn`` spectrum
+  for NLS, the ``np.fft.rfftn`` half spectrum for wave);
+* ``force`` [``force``]: f(u);
+* ``potential`` [``potential``]: the potential density at u.
+
+A stepper advances a state by dt when called, has ``columns``, and provides
+the fields its records are asked for; the energies come from the record's
+own fields. A state has ``t``, ``u`` and ``is_finite()``. A non-finite member
+raises BlowUpError with the last record time.
+
+The step count is ceil(T/dt - 1e-9), so a T that is a whole number of steps
+up to rounding takes exactly that many, and a run config takes dt = T /
+steps: a run ends at T, and its dt never exceeds the one asked for, so it
+stays within the stability and accuracy bounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,10 +55,15 @@ class BlowUpError(RuntimeError):
 
 class RunSchedule:
     """Steps, record stride and leakage margin; mixed into the wave and NLS run
-    configs, which supply ``grid``, ``dt``, ``T`` and ``diagnostics_stride``."""
+    configs, which supply ``grid``, ``dt``, ``T`` and ``diagnostics_stride``
+    and call ``snap_dt()`` once they are validated."""
 
     def steps(self) -> int:
-        return max(1, round(self.T / self.dt))
+        return max(1, math.ceil(self.T / self.dt - 1e-9))
+
+    def snap_dt(self):
+        """Set dt to T / steps(), so that the last step ends at T."""
+        object.__setattr__(self, "dt", self.T / self.steps())
 
     def stride(self) -> int:
         if self.diagnostics_stride > 0:
@@ -88,7 +110,7 @@ class DiagnosticTrace:
 
 
 class Record:
-    """One member's state at a record; derived quantities are computed once."""
+    """One member's state at a record; each derived field is computed once."""
 
     def __init__(self, stepper, state):
         self.stepper, self.state = stepper, state
@@ -96,11 +118,23 @@ class Record:
 
     @cached_property
     def energy(self) -> tuple:
-        return self.stepper.energy(self.state)
+        return self.stepper.energy(self)
 
     @cached_property
     def ut(self) -> np.ndarray:
-        return self.stepper.velocity(self.state)
+        return self.stepper.velocity(self)
+
+    @cached_property
+    def uh(self) -> np.ndarray:
+        return self.stepper.spectrum(self)
+
+    @cached_property
+    def force(self) -> np.ndarray:
+        return self.stepper.force(self)
+
+    @cached_property
+    def potential(self) -> np.ndarray:
+        return self.stepper.potential(self)
 
 
 @dataclass(frozen=True)
@@ -126,6 +160,9 @@ def integrate(members, schedule, observers=()):
     """
     steppers = [stepper for stepper, _ in members]
     states = [state for _, state in members]
+    # a caller that builds the member list in the call holds no initial
+    # state, so each one is released by its first step
+    del members
     n, stride = schedule.steps(), schedule.stride()
 
     def record() -> float:
@@ -140,7 +177,9 @@ def integrate(members, schedule, observers=()):
 
     t_last = record()
     for i in range(1, n + 1):
-        states = [stepper(s) for stepper, s in zip(steppers, states)]
+        for k, stepper in enumerate(steppers):
+            # in place, so at most one member holds an old and a new state
+            states[k] = stepper(states[k])
         if not all(s.is_finite() for s in states):
             raise BlowUpError(t_last)
         if i % stride == 0 or i == n:

@@ -34,6 +34,7 @@ import numpy as np
 from .field_core import (
     GridSpec,
     WaveState,
+    _potential_density,
     _potential_integral,
     gradient_norm_sq,
     half_gradient_norm_sq,
@@ -87,6 +88,7 @@ class WaveRunConfig(RunSchedule):
             raise ValueError(problem)
         if self.T <= 0:
             raise ValueError("T must be positive")
+        self.snap_dt()
 
 
 def step(state: WaveState, cfg: WaveRunConfig) -> WaveState:
@@ -148,21 +150,31 @@ class _SpectralImpulse:
         uth -= half_dt * rh
         return _SpectralState(u, uh, uth, rh, s.t + self.cfg.dt)
 
-    def energy(self, s: _SpectralState):
+    def spectrum(self, rec) -> np.ndarray:
+        return rec.state.uh
+
+    def force(self, rec) -> np.ndarray:
+        return self.cfg.spec.f(rec.u)
+
+    def potential(self, rec) -> np.ndarray:
+        return _potential_density(self.cfg.spec.F, rec.u)
+
+    def energy(self, rec):
         grid = self.cfg.grid
-        kin = 0.5 * half_l2_norm_sq(s.uth, grid)
-        grad = 0.5 * half_gradient_norm_sq(s.uh, grid)
-        pot = _potential_integral(self.cfg.spec.F, s.u, grid)
+        kin = 0.5 * half_l2_norm_sq(rec.state.uth, grid)
+        grad = 0.5 * half_gradient_norm_sq(rec.uh, grid)
+        pot = _potential_integral(rec.potential, grid)
         return kin + grad + pot, kin, grad, pot
 
-    def velocity(self, s: _SpectralState) -> np.ndarray:
-        return np.fft.irfftn(s.uth, s=self.cfg.grid.shape, axes=self.axes)
+    def velocity(self, rec) -> np.ndarray:
+        return np.fft.irfftn(rec.state.uth, s=self.cfg.grid.shape, axes=self.axes)
 
 
 class Verlet:
     """The velocity-leapfrog stepper, kept only as the tests' oracle for the impulse one.
 
     Its member for stepping.integrate is (Verlet(cfg), the initial WaveState).
+    Its records give the energies and u_t, what the diagnostics trace reads.
     """
 
     columns = WAVE_COLUMNS
@@ -173,12 +185,12 @@ class Verlet:
     def __call__(self, s: WaveState) -> WaveState:
         return step(s, self.cfg)
 
-    def energy(self, s: WaveState):
-        rep = wave_energy(s, self.cfg.spec)
+    def energy(self, rec):
+        rep = wave_energy(rec.state, self.cfg.spec)
         return rep.total, rep.kinetic, rep.gradient, rep.potential
 
-    def velocity(self, s: WaveState) -> np.ndarray:
-        return s.ut
+    def velocity(self, rec) -> np.ndarray:
+        return rec.state.ut
 
 
 def member(cfg: WaveRunConfig):

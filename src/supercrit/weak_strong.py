@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assumption_lab import find_convexity_shift
-from .field_core import gradient_norm_sq, l2_inner, l2_norm_sq
+from .field_core import full_gradient_norm_sq, gradient_norm_sq, l2_inner, l2_norm_sq
 from .nls_integrator import NlsRunConfig, member as nls_member
 from .nonlinearity import find_truncation_abscissae, truncate, two_star
 from .stepping import integrate
@@ -119,16 +119,14 @@ class WaveGronwall:
         if self.rows is None:
             self.rows = [[] for _ in members]
         u, ut = ref.u, ref.ut
-        fu, Fu, fpu = spec.f(u), spec.F(u), spec.fprime(u)
+        fu, Fu, fpu = ref.force, ref.potential, spec.fprime(u)
         self.times.append(ref.t)
         self.Eu.append(ref.energy[0])
         for rows, rec in zip(self.rows, members):
-            v = rec.u
-            w, wt = v - u, rec.ut - ut
+            w, wt = rec.u - u, rec.ut - ut
             dw_sq = l2_norm_sq(wt, grid) + gradient_norm_sq(w, grid)
-            fv = spec.f(v)
-            J = 0.5 * dw_sq + grid.cell_volume * float(np.sum(spec.F(v) - Fu - fu * w))
-            I_rate = l2_inner(fu + fpu * w - fv, ut, grid)
+            J = 0.5 * dw_sq + grid.cell_volume * float(np.sum(rec.potential - Fu - fu * w))
+            I_rate = l2_inner(fu + fpu * w - rec.force, ut, grid)
             rows.append((dw_sq, l2_norm_sq(w, grid), J, I_rate, rec.energy[0]))
 
     def result(self) -> list:
@@ -153,6 +151,9 @@ class NlsGronwall:
     F(|u+w|^2/2) - F(|u|^2/2) - f(u).w and the drift integrand, and the largest
     sup norm of any member. G and the shifted remainder are linear in the
     convexity shift A, so traces(A) applies A once the visited radius is known.
+    ||grad w||^2 comes from w_hat = v_hat - u_hat by Parseval, and the
+    derivative of f at u from the reference's phase Fs'(|u|^2/2), so a record
+    evaluates Fs'' and makes one transform (the reference's u_t).
     """
 
     def __init__(self, spec, grid):
@@ -164,19 +165,18 @@ class NlsGronwall:
         ref, members = records[0], records[1:]
         if self.rows is None:
             self.rows = [[] for _ in members]
-        u, dtu = ref.u, ref.ut
-        fu, Pu = spec.force(u), spec.potential(u)
+        u, uh, fu, Pu, dtu = ref.u, ref.uh, ref.force, ref.potential, ref.ut
         self.times.append(ref.t)
         self.sup_norm = max(self.sup_norm, *(float(np.max(np.abs(r.u))) for r in records))
         for rows, rec in zip(self.rows, members):
-            v = rec.u
-            w = v - u
-            defect = spec.potential(v) - Pu - np.real(fu * np.conj(w))
+            w = rec.u - u
+            defect = rec.potential - Pu - np.real(fu * np.conj(w))
+            dfw = spec.dforce(u, w, phase=ref.state.phase)
             rows.append((
-                gradient_norm_sq(w, grid),
+                full_gradient_norm_sq(rec.uh - uh, grid),
                 l2_norm_sq(w, grid),
                 grid.cell_volume * float(np.sum(defect)),
-                -l2_inner(spec.force(v) - fu - spec.dforce(u, w), dtu, grid),
+                -l2_inner(rec.force - fu - dfw, dtu, grid),
             ))
 
     def result(self) -> NlsGronwall:
@@ -206,10 +206,12 @@ def gronwall_ladder(base, pert: np.ndarray, ladder, seed: int = 0) -> list:
     """
     nls = isinstance(base, NlsRunConfig)
     member = nls_member if nls else wave_member
-    members = [member(base)] + [member(replace(base, u0=base.u0 + eps * pert))
-                                for eps in ladder]
     observer = (NlsGronwall if nls else WaveGronwall)(base.spec, base.grid)
-    _, (result,) = integrate(members, base, [observer])
+    # no member state outlives the run: the members are built in the call, so
+    # each initial state goes at its first step, and the final records are
+    # dropped here, before the shift allocates its sample plan
+    (result,) = integrate([member(base)] + [member(replace(base, u0=base.u0 + eps * pert))
+                                            for eps in ladder], base, [observer])[1]
     if not nls:
         return result
     R = max(result.sup_norm, SHIFT_R_FLOOR)
@@ -264,23 +266,22 @@ def _nonincreasing(values, slack: float = 0.10) -> bool:
 
 
 class _LadderDiscrepancy:
-    """Observer: each truncated member against the untruncated member 0."""
+    """Observer: each of ``levels`` truncated members against the untruncated member 0."""
 
-    def __init__(self, specs, grid):
-        self.specs, self.grid = specs, grid
+    def __init__(self, levels: int, grid):
+        self.grid = grid
         self.times = []
-        self.sup_l2 = [0.0] * (len(specs) - 1)
-        self.force_rate = [[] for _ in specs[1:]]
-        self.energy = [[] for _ in specs[1:]]
+        self.sup_l2 = [0.0] * levels
+        self.force_rate = [[] for _ in range(levels)]
+        self.energy = [[] for _ in range(levels)]
 
     def observe(self, records):
         grid, ref = self.grid, records[0]
-        f_ref = self.specs[0].f(ref.u)
         self.times.append(ref.t)
-        for k, (spec_k, rec) in enumerate(zip(self.specs[1:], records[1:])):
+        for k, rec in enumerate(records[1:]):
             self.sup_l2[k] = max(self.sup_l2[k], np.sqrt(l2_norm_sq(rec.u - ref.u, grid)))
             self.force_rate[k].append(
-                grid.cell_volume * float(np.sum(np.abs(spec_k.f(rec.u) - f_ref)))
+                grid.cell_volume * float(np.sum(np.abs(rec.force - ref.force)))
             )
             self.energy[k].append(rec.energy[0])
 
@@ -308,7 +309,8 @@ def appendix_construction(base: WaveRunConfig, ladder):
     specs = [base.spec] + [truncate(base.spec, find_truncation_abscissae(base.spec, k))
                            for k in ladder]
     members = [wave_member(replace(base, spec=spec)) for spec in specs]
-    observers = [_LadderDiscrepancy(specs, base.grid), ForceSamples(base.spec, base.grid)]
+    observers = [_LadderDiscrepancy(len(ladder), base.grid),
+                 ForceSamples(base.spec, base.grid)]
     _, ((l2_disc, force_disc, drifts), samples) = integrate(members, base, observers)
     report = ConvergenceReport(
         list(ladder),
@@ -338,7 +340,7 @@ class ForceSamples:
 
     def observe(self, records):
         self.times.append(records[0].t)
-        self.absf.append(np.abs(self.spec.f(records[0].u)).ravel())
+        self.absf.append(np.abs(records[0].force).ravel())
 
     def result(self) -> ForceSamples:
         self.absf = np.array(self.absf)

@@ -1,9 +1,13 @@
 """Split-step integrator: substep exactness, conservation, plane-wave oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from supercrit.field_core import GridSpec, NlsState, bump_field, l2_norm_sq
+from supercrit import config, weak_strong
+from supercrit.cli import main
+from supercrit.field_core import GridSpec, NlsState, bump_field, l2_norm_sq, nls_energy
 from supercrit.nls_integrator import (
     NlsRunConfig,
     linear_flow,
@@ -17,7 +21,15 @@ from supercrit.nonlinearity import (
     NlsNonlinearitySpec,
     from_selection,
 )
-from supercrit.stepping import BlowUpError, Record
+from supercrit.stepping import BlowUpError, Record, integrate
+
+SINGULAR = NlsNonlinearitySpec(
+    name="singular",
+    Fs=lambda s: np.log(np.asarray(s, float)),
+    Fsprime=lambda s: 1.0 / np.asarray(s, float),
+    Fsprime2=lambda s: -1.0 / np.asarray(s, float) ** 2,
+    assumption_class=AssumptionClass.NLS_SUBCRIT,
+)
 
 
 def make_config(N=128, L=16.0, T=0.5, dt=1e-3, amplitude=0.5, radius=2.0,
@@ -55,17 +67,42 @@ def test_nonlinear_flow_preserves_modulus_pointwise():
 
 
 def test_nonlinear_flow_aborts_on_singular_phase():
-    singular = NlsNonlinearitySpec(
-        name="singular",
-        Fs=lambda s: np.log(np.asarray(s, float)),
-        Fsprime=lambda s: 1.0 / np.asarray(s, float),
-        Fsprime2=lambda s: -1.0 / np.asarray(s, float) ** 2,
-        assumption_class=AssumptionClass.NLS_SUBCRIT,
-    )
     grid = GridSpec(1, 32, 8.0)
     u = bump_field(grid, 1.0, 1.0).astype(complex)  # vanishes outside the bump
     with np.errstate(divide="ignore"), pytest.raises(BlowUpError):
-        nonlinear_flow(NlsState(grid, u, 0.0), 0.1, singular)
+        nonlinear_flow(NlsState(grid, u, 0.0), 0.1, SINGULAR)
+
+
+def test_stepper_aborts_on_singular_phase(tmp_path, monkeypatch, capsys):
+    grid = GridSpec(1, 32, 8.0)
+    u0 = bump_field(grid, 1.0, 1.0).astype(complex)  # vanishes outside the bump
+    with np.errstate(divide="ignore"), pytest.raises(BlowUpError) as info:
+        member(NlsRunConfig(grid, SINGULAR, 1e-2, 0.1, u0))
+    assert info.value.t_last == 0.0
+
+    # a phase that turns singular mid-run aborts at the last record
+    calls = []
+
+    def fails_on_fifth_call(s):
+        calls.append(1)
+        return np.full_like(s, np.inf if len(calls) == 5 else 1.0)
+
+    spec = dataclasses.replace(from_selection("nls_cubic"), Fsprime=fails_on_fifth_call)
+    cfg = NlsRunConfig(grid, spec, 1e-2, 0.1, u0 + 1.0, diagnostics_stride=2)
+    with pytest.raises(BlowUpError) as info:
+        integrate([member(cfg)], cfg)
+    # call 1 is the start, call k + 1 ends step k: step 4 fails, step 2 was recorded
+    assert info.value.t_last == pytest.approx(2 * cfg.dt)
+
+    select = config.from_selection
+    monkeypatch.setattr(config, "from_selection",
+                        lambda name: SINGULAR if name == "singular" else select(name))
+    path = tmp_path / "singular.cfg"
+    path.write_text("nonlinearity = singular\nN = 64\nL = 16\nT = 0.1\n")
+    with np.errstate(divide="ignore"):
+        code = main(["simulate-nls", "--config", str(path), "--output", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().out.split()[1] == "aborted_blowup"
 
 
 def test_plane_wave_oracle_exact():
@@ -109,6 +146,80 @@ def test_strang_step_advances_time():
     nxt = strang_step(state, cfg)
     assert nxt.t == pytest.approx(cfg.dt)
     assert nxt.u.shape == state.u.shape
+
+
+@pytest.mark.parametrize("name", ["nls_cubic", "nls_coercive_exp"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_stepper_matches_strang_step_oracle(name, d):
+    grid = GridSpec(d, 64 if d == 1 else 32, 16.0)
+    u0 = bump_field(grid, 1.5, 4.0).astype(complex) * np.exp(0.4j * grid.coords()[0])
+    cfg = NlsRunConfig(grid, from_selection(name), 0.02, 20 * 0.02, u0)
+    (last,), _ = integrate([member(cfg)], cfg)
+    oracle = NlsState(grid, u0, 0.0)
+    for _ in range(20):
+        oracle = strang_step(oracle, cfg)
+    assert cfg.steps() == 20 and last.t == pytest.approx(oracle.t, rel=1e-14)
+    assert np.max(np.abs(last.u - oracle.u)) < 1e-10
+    rep = nls_energy(oracle, cfg.spec)
+    assert last.energy == pytest.approx((rep.mass, rep.total, rep.gradient, rep.potential),
+                                        rel=1e-10)
+
+
+def test_nls_ladder_keeps_its_step_count():
+    grid = GridSpec(2, 16, 40.0)
+    cfg = NlsRunConfig(grid, from_selection("nls_coercive_exp"), 0.005, 0.5,
+                       np.zeros(grid.shape, complex))
+    assert cfg.steps() == 100 and cfg.dt == 0.005
+
+
+def ladder_config(steps=10, stride=3):
+    grid = GridSpec(2, 16, 16.0)
+    u0 = bump_field(grid, 1.0, 4.0).astype(complex)
+    cfg = NlsRunConfig(grid, from_selection("nls_coercive_exp"), 0.02, steps * 0.02, u0,
+                       diagnostics_stride=stride)
+    return cfg, bump_field(grid, 1.0, 3.0), (1e-1, 1e-2, 1e-3)
+
+
+def test_ladder_transforms_two_per_step_one_per_record(monkeypatch):
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    cfg, pert, ladder = ladder_config()
+    traces = weak_strong.gronwall_ladder(cfg, pert, ladder)
+    members, records = 1 + len(ladder), len(traces[0].times)
+    assert records == 5  # t = 0, steps 3, 6, 9 and the last
+    # per record: one forward transform per member for the energies and
+    # grad w, and one inverse transform for the reference's u_t
+    assert len(calls) == 2 * cfg.steps() * members + records * members + records
+
+
+def test_ladder_evaluates_phase_once_per_member_and_step(monkeypatch):
+    calls = {"run": 0, "shift": 0}
+    where = ["run"]
+    cfg, pert, ladder = ladder_config(stride=1)
+    fsprime = cfg.spec.Fsprime
+
+    def counted(s):
+        calls[where[0]] += 1
+        return fsprime(s)
+
+    shift = weak_strong.find_convexity_shift
+
+    def counted_shift(*args, **kwargs):
+        where[0] = "shift"
+        try:
+            return shift(*args, **kwargs)
+        finally:
+            where[0] = "run"
+
+    monkeypatch.setattr(weak_strong, "find_convexity_shift", counted_shift)
+    base = dataclasses.replace(cfg, spec=dataclasses.replace(cfg.spec, Fsprime=counted))
+    weak_strong.gronwall_ladder(base, pert, ladder)
+    # records, forces and the derivative of f reuse the stepper's phase
+    assert calls["run"] == (cfg.steps() + 1) * (1 + len(ladder))
 
 
 def test_dt_field_matches_plane_wave_rate():

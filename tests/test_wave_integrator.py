@@ -175,6 +175,19 @@ def test_weak_identity_residual_small_and_needs_snapshots():
         weak_identity(make_config(T=0.05))
 
 
+def test_run_ends_at_T_with_dt_at_most_the_one_asked_for():
+    asked = 0.25 * 8.0 / 128
+    # T / dt = 44.34: 44 steps of the asked dt would stop at t = 0.6875
+    cfg = make_config(T=44.34 * asked, dt=asked)
+    end, trace = run(cfg)
+    assert cfg.steps() == 45 and cfg.dt <= asked
+    assert end.last.t == trace.column("t")[-1] == pytest.approx(cfg.T, rel=1e-14)
+    # a T far below dt is one step of dt = T, not one step of the asked dt
+    short = make_config(T=1e-9, dt=asked)
+    end, _ = run(short)
+    assert short.steps() == 1 and end.last.t == pytest.approx(1e-9, rel=1e-14)
+
+
 def test_snapshot_times_cover_final_time():
     cfg = make_config(T=0.5)
     end, trace = run(cfg)

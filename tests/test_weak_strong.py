@@ -1,6 +1,7 @@
 """Discrepancy functionals, certificate fitting, and the truncation ladder."""
 
 import tracemalloc
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from supercrit.assumption_lab import find_convexity_shift
 from supercrit.field_core import GridSpec, bump_field, l2_norm_sq
+from supercrit import stepping, weak_strong
 from supercrit.nls_integrator import NlsRunConfig, member as nls_member
 from supercrit.nonlinearity import from_selection, two_star
 from supercrit.stepping import integrate
@@ -90,6 +92,31 @@ def test_nls_trace_with_valid_shift_has_nonnegative_defect():
     assert tr.G[0] == pytest.approx(
         sum(tr.G[:1]), rel=1e-12
     )  # sanity: scalar access
+
+
+def test_no_member_state_outlives_the_run_into_the_shift(monkeypatch):
+    states = []
+
+    def watched(members, schedule, observers):
+        states.extend(weakref.ref(s) for _, s in members)
+        finals, results = stepping.integrate(members, schedule, observers)
+        states.extend(weakref.ref(r.state) for r in finals)
+        return finals, results
+
+    shift = weak_strong.find_convexity_shift
+
+    def checked_shift(*args, **kwargs):
+        # the shift's sample plan is the run's largest allocation
+        assert [ref() for ref in states] == [None] * 8
+        return shift(*args, n_random=1000, **kwargs)
+
+    monkeypatch.setattr(weak_strong, "integrate", watched)
+    monkeypatch.setattr(weak_strong, "find_convexity_shift", checked_shift)
+    grid = GridSpec(1, 64, 16.0)
+    u0 = bump_field(grid, 0.5, 2.0).astype(complex)
+    cfg = NlsRunConfig(grid, from_selection("nls_cubic"), 1e-2, 0.05, u0)
+    traces = gronwall_ladder(cfg, bump_field(grid, 1.0, 1.5), (1e-1, 1e-2, 1e-3))
+    assert len(traces) == 3
 
 
 def test_ladder_must_be_increasing():
