@@ -5,9 +5,13 @@ pairs) and reports a sup only when it is stable under sample doubling. These
 are empirical constants, not proofs.
 
 The sampled constants H11, H22, Gronw6 and H222 share one skeleton,
-``_sampled_constant``, and keep its window and sample sups as ``evidence``.
-The convexity shift (ClaimA) is a sampled sup of the same ``_sup_ratio`` form
-on windows of its own, kept as ``evidence["window_sups"]``.
+``_sampled_constants``, and keep its window and sample sups as ``evidence``.
+Constants that share a plan share its sweep, each still judged on its own:
+``_wave_constants`` folds H11 and H22 over one draw of each ``_pairs`` plan,
+``_nls_constants`` Gronw6 and H222 over ``_complex_pairs``; the estimators
+of one constant are the same calls with one name. The convexity shift
+(ClaimA) is a sampled sup of the same ``_sup_ratio`` form on windows of its
+own, kept as ``evidence["window_sups"]``.
 """
 
 from __future__ import annotations
@@ -71,76 +75,99 @@ class InequalityReport:
     constant: ConstantEstimate | None = None
 
 
-def _pairs(R: float, W: float, n_random: int, seed: int):
-    """Grid plus random (u, w) samples with |u| <= R, |w| <= W, as plan parts.
+def _blocks(u, w):
+    """The broadcastable part (u, w) in blocks of about _BLOCK points.
 
-    The grid part (ug[:, None], wg[None, :]) broadcasts to side x side pairs,
-    row-major in (u, w); the random part (ur, wr) follows it in plan order.
+    A 2-D part (u column, w row) is cut into whole rows, so u-only terms are
+    evaluated once per row and w-only terms once per column of a block.
+    """
+    step = max(1, _BLOCK // w.shape[-1]) if w.ndim == 2 else _BLOCK
+    for a in range(0, len(u), step):
+        yield u[a:a + step], (w if w.ndim == 2 else w[a:a + step])
+
+
+def _pairs(R: float, W: float, n_random: int, seed: int):
+    """Grid plus random (u, w) samples with |u| <= R, |w| <= W, as blocks.
+
+    The grid (ug[:, None], wg[None, :]) broadcasts to side x side pairs,
+    row-major in (u, w); n_random random pairs follow it, drawn one block at a
+    time. u comes from PCG64(seed) and w from the same stream advanced by
+    n_random: the values of one bulk draw of every u and then every w.
     """
     side = max(8, int(np.sqrt(n_random)))
-    ug = np.linspace(-R, R, side)
-    wg = np.linspace(-W, W, side)
-    rng = np.random.default_rng(seed)
-    ur = rng.uniform(-R, R, n_random)
-    wr = rng.uniform(-W, W, n_random)
-    return [(ug[:, None], wg[None, :]), (ur, wr)]
+    yield from _blocks(np.linspace(-R, R, side)[:, None], np.linspace(-W, W, side)[None, :])
+    u_rng = np.random.Generator(np.random.PCG64(seed))
+    w_rng = np.random.Generator(np.random.PCG64(seed).advance(n_random))
+    for a in range(0, n_random, _BLOCK):
+        m = min(_BLOCK, n_random - a)
+        yield u_rng.uniform(-R, R, m), w_rng.uniform(-W, W, m)
 
 
-def _sup_ratio(ratio, parts):
-    """Max of num/den, (num, den) = ratio(u, w), over samples with den > 0.
+def _sup_ratio(ratio, blocks):
+    """Max of num/den over samples with den > 0, for each (num, den) of ratio(u, w).
 
-    ``parts`` are broadcastable (u, w) pairs in plan order. They are folded in
-    blocks of about _BLOCK points, a 2-D part in whole rows, so u-only terms
-    are evaluated once per row and w-only terms once per column of a block.
-    Returns the sup and the first sample attaining it, or (0.0, None) when no
+    ``blocks`` are broadcastable (u, w) pairs in plan order, at least one; the
+    ratio returns the same number of (num, den) terms for each. Returns, per
+    term, the sup and the first sample attaining it, or (0.0, None) when no
     sample has a positive ratio.
     """
-    best, worst = 0.0, None
-    for u, w in parts:
-        step = max(1, _BLOCK // w.shape[-1]) if w.ndim == 2 else _BLOCK
-        for a in range(0, len(u), step):
-            ub, wb = u[a:a + step], (w if w.ndim == 2 else w[a:a + step])
-            num, den = ratio(ub, wb)
+    found = None
+    for ub, wb in blocks:
+        terms = ratio(ub, wb)
+        if found is None:
+            found = [[0.0, None] for _ in terms]
+        for slot, (num, den) in zip(found, terms):
             mask = den > 0
             r = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
             r = np.where(np.isfinite(r), r, 0.0)
             k = np.unravel_index(int(np.argmax(r)), r.shape)
-            if r[k] > best:
-                best = float(r[k])
-                worst = np.broadcast_to(ub, r.shape)[k], np.broadcast_to(wb, r.shape)[k]
+            if r[k] > slot[0]:
+                slot[:] = float(r[k]), (np.broadcast_to(ub, r.shape)[k],
+                                        np.broadcast_to(wb, r.shape)[k])
+    return [(best, _as_pair(worst)) for best, worst in found]
+
+
+def _as_pair(worst):
     if worst is None:
-        return best, None
+        return None
     uk, wk = worst
     if np.iscomplexobj(uk) or np.iscomplexobj(wk):
-        return best, (str(complex(uk)), str(complex(wk)))
-    return best, (float(uk), float(wk))
+        return str(complex(uk)), str(complex(wk))
+    return float(uk), float(wk)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _sampled_constant(name, R, plan, ratio, n_random, seed, windows=None):
-    """The sup of num/den, (num, den) = ratio(u, w), over plan(R, 8R, n_random, seed).
+def _sampled_constants(names, R, plan, ratio, n_random, seed, windows=None):
+    """The sups of the terms of ratio(u, w), one per name, over plan(R, 8R, n_random, seed).
 
-    With ``windows``, the subject of its error message, the sup is also taken
-    on the w-windows 16R, 32R and 64R (seeds seed + j), and a sup that grows by
-    more than 1% at each doubling raises. A 2 * n_random sample at seed + 101
-    then decides ``stable``: the two sups differ by at most 5%. The value is
-    the larger sup; the worst pair is the first sample's.
+    Every plan is drawn and swept once for all terms. Each term is then judged
+    on its own, in the order of ``names``. With ``windows``, the subjects of
+    the terms' error messages, the sups are also taken on the w-windows 16R,
+    32R and 64R (seeds seed + j), and a sup that grows by more than 1% at each
+    doubling raises. A 2 * n_random sample at seed + 101 then decides
+    ``stable``: the two sups differ by at most 5%. The value is the larger
+    sup; the worst pair is the first sample's.
     """
     def sweep(W: float, n: int, s: int):
         return _sup_ratio(ratio, plan(R, W, n, s))
 
     W = 8.0 * R
-    value, worst = sweep(W, n_random, seed)
-    evidence = {}
+    first = sweep(W, n_random, seed)
+    evidence = [{} for _ in names]
     if windows is not None:
-        sups = [value] + [sweep(W * 2 ** j, n_random, seed + j)[0] for j in range(1, 4)]
-        if all(b > a * 1.01 for a, b in zip(sups, sups[1:])):
-            raise UnboundedEstimateError(f"{windows} grows under window doubling: {sups}")
-        evidence["window_sups"] = sups
-    value2, _ = sweep(W, 2 * n_random, seed + 101)
-    evidence["sample_sups"] = [value, value2]
-    stable = abs(value2 - value) <= _STABILITY_SLACK * max(value, value2, 1e-12)
-    return ConstantEstimate(name, R, max(value, value2), n_random, worst, stable, evidence)
+        wider = [sweep(W * 2 ** j, n_random, seed + j) for j in range(1, 4)]
+        for i, subject in enumerate(windows):
+            sups = [first[i][0]] + [found[i][0] for found in wider]
+            if all(b > a * 1.01 for a, b in zip(sups, sups[1:])):
+                raise UnboundedEstimateError(f"{subject} grows under window doubling: {sups}")
+            evidence[i]["window_sups"] = sups
+    second = sweep(W, 2 * n_random, seed + 101)
+    out = []
+    for name, (value, worst), (value2, _), ev in zip(names, first, second, evidence):
+        ev["sample_sups"] = [value, value2]
+        stable = abs(value2 - value) <= _STABILITY_SLACK * max(value, value2, 1e-12)
+        out.append(ConstantEstimate(name, R, max(value, value2), n_random, worst, stable, ev))
+    return out
 
 
 def _scalar_plan(R: float, n: int, seed: int) -> np.ndarray:
@@ -229,6 +256,43 @@ def verify_nls_coercivity(
     return InequalityReport("coercive", not violations, violations)
 
 
+def _wave_constants(spec: NonlinearitySpec, R: float, d: int | None, names: list,
+                    n_random: int, seed: int) -> list:
+    """H11 and/or H22, as ``names`` lists them, from one sweep of each _pairs plan.
+
+    Per block the ratios read one jet of u + w and one of u: H11 is
+    F(u+w) - F(u) - f(u)w against w^2, H22 is f(u+w) - f(u) - f'(u)w against
+    w^2 + |w|^p with p = 2*(d).
+    """
+    if R <= 0:
+        raise ValueError("R must be positive")
+    p = None
+    if "H22" in names:
+        if spec.q is None:
+            raise ValueError(f"{spec.name} carries no growth exponent")
+        p = two_star(d)
+        if spec.q >= p:
+            raise ValueError(f"q={spec.q} is not subcritical for d={d} (2*={p})")
+    # only H11 reads F, only H22 reads f'; jets hold derivatives low..top(+1)
+    low, top = (0 if "H11" in names else 1), (0 if p is None else 1)
+    pad = (None,) * low  # so that derivative k sits at index k
+
+    def ratio(u, w):
+        at_v = pad + spec.jet(u + w, top, low)
+        at_u = pad + spec.jet(u, top + 1, low)
+        wsq = w ** 2
+        terms = {}
+        if "H11" in names:
+            terms["H11"] = np.maximum(0.0, -(at_v[0] - at_u[0] - at_u[1] * w)), wsq
+        if p is not None:
+            terms["H22"] = np.abs(at_v[1] - at_u[1] - at_u[2] * w), wsq + np.abs(w) ** p
+        return [terms[n] for n in names]
+
+    subjects = {"H11": "remainder constant", "H22": "Taylor constant"}
+    return _sampled_constants(names, R, _pairs, ratio, n_random, seed,
+                              windows=[f"{subjects[n]} for {spec.name}" for n in names])
+
+
 def estimate_remainder_constant(
     spec: NonlinearitySpec,
     R: float,
@@ -236,14 +300,7 @@ def estimate_remainder_constant(
     seed: int = DEFAULT_SEED,
 ) -> ConstantEstimate:
     """Smallest sampled C(R) with F(u+w) - F(u) - f(u)w >= -C(R) w^2 on |u| <= R."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-
-    def ratio(u, w):
-        return np.maximum(0.0, -(spec.F(u + w) - spec.F(u) - spec.f(u) * w)), w ** 2
-
-    return _sampled_constant("H11", R, _pairs, ratio, n_random, seed,
-                             windows=f"remainder constant for {spec.name}")
+    return _wave_constants(spec, R, None, ["H11"], n_random, seed)[0]
 
 
 def estimate_taylor_constant(
@@ -254,18 +311,7 @@ def estimate_taylor_constant(
     seed: int = DEFAULT_SEED,
 ) -> ConstantEstimate:
     """Sampled C(R) with |f(u+w) - f(u) - f'(u)w| <= C(R)(w^2 + |w|^p), p = 2*(d)."""
-    if spec.q is None:
-        raise ValueError(f"{spec.name} carries no growth exponent")
-    p = two_star(d)
-    if spec.q >= p:
-        raise ValueError(f"q={spec.q} is not subcritical for d={d} (2*={p})")
-
-    def ratio(u, w):
-        rem = np.abs(spec.f(u + w) - spec.f(u) - spec.fprime(u) * w)
-        return rem, w ** 2 + np.abs(w) ** p
-
-    return _sampled_constant("H22", R, _pairs, ratio, n_random, seed,
-                             windows=f"Taylor constant for {spec.name}")
+    return _wave_constants(spec, R, d, ["H22"], n_random, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +332,7 @@ def _complex_pairs(R: float, W: float, n_random: int, seed: int):
     u = np.concatenate([ug[:m], ur])
     w = np.concatenate([wg[:m][::-1], wr])
     keep = np.abs(u) <= R
-    return [(u[keep], w[keep])]
+    return _blocks(u[keep], w[keep])
 
 
 def _dot(a, b):
@@ -327,6 +373,33 @@ def verify_nls_cancellation(
     return InequalityReport("Gronw4", not violations, violations)
 
 
+def _nls_constants(spec: NlsNonlinearitySpec, R: float, d: int, names: list,
+                   n_random: int, seed: int) -> list:
+    """Gronw6 and/or H222, as ``names`` lists them, from one sweep of each _complex_pairs plan.
+
+    Per block f(u + w), f(u) = u Fs'(s) and Fs''(s), s = |u|^2/2, are
+    evaluated once for both ratios, each against |w|^2 + |w|^p with p = 2*(d):
+    Gronw6 is (f(u) - f(u+w)).(iw), H222 is f(u+w) - f(u) - Df(u)w.
+    """
+    p = two_star(d)
+
+    def ratio(u, w):
+        s = 0.5 * np.abs(u) ** 2
+        phase = spec.Fsprime(s)
+        fu, fv = u * phase, spec.force(u + w)
+        aw = np.abs(w)
+        den = aw ** 2 + aw ** p
+        terms = {}
+        if "Gronw6" in names:
+            terms["Gronw6"] = np.abs(_dot(fu - fv, 1j * w)), den
+        if "H222" in names:
+            dfw = spec.dforce(u, w, phase=phase, curv=spec.Fsprime2(s))
+            terms["H222"] = np.abs(fv - fu - dfw), den
+        return [terms[n] for n in names]
+
+    return _sampled_constants(names, R, _complex_pairs, ratio, n_random, seed)
+
+
 def estimate_phase_bound(
     spec: NlsNonlinearitySpec,
     R: float,
@@ -335,13 +408,7 @@ def estimate_phase_bound(
     seed: int = DEFAULT_SEED,
 ) -> ConstantEstimate:
     """Sampled C(R) with |(f(u)-f(u+w)).(iw)| <= C(R)(|w|^2 + |w|^p)."""
-    p = two_star(d)
-
-    def ratio(u, w):
-        aw = np.abs(w)
-        return np.abs(_dot(spec.force(u) - spec.force(u + w), 1j * w)), aw ** 2 + aw ** p
-
-    return _sampled_constant("Gronw6", R, _complex_pairs, ratio, n_random, seed)
+    return _nls_constants(spec, R, d, ["Gronw6"], n_random, seed)[0]
 
 
 def estimate_nls_taylor_constant(
@@ -352,13 +419,7 @@ def estimate_nls_taylor_constant(
     seed: int = DEFAULT_SEED,
 ) -> ConstantEstimate:
     """Complex-setting Taylor constant: |f(u+w)-f(u)-Df(u)w| <= C(|w|^2+|w|^p)."""
-    p = two_star(d)
-
-    def ratio(u, w):
-        aw = np.abs(w)
-        return np.abs(spec.force(u + w) - spec.force(u) - spec.dforce(u, w)), aw ** 2 + aw ** p
-
-    return _sampled_constant("H222", R, _complex_pairs, ratio, n_random, seed)
+    return _nls_constants(spec, R, d, ["H222"], n_random, seed)[0]
 
 
 def find_convexity_shift(
@@ -384,11 +445,11 @@ def find_convexity_shift(
     def ratio(u, w):
         wsq = np.abs(w) ** 2
         D = spec.potential(u + w) - spec.potential(u) - _dot(spec.force(u), w) + wsq
-        return np.maximum(0.0, -(D + _NONNEG_SLACK)), wsq
+        return [(np.maximum(0.0, -(D + _NONNEG_SLACK)), wsq)]
 
     @np.errstate(over="ignore", invalid="ignore")
     def sweep(W: float, s: int):
-        value, worst = _sup_ratio(ratio, _complex_pairs(R, W, n_random, s))
+        [(value, worst)] = _sup_ratio(ratio, _complex_pairs(R, W, n_random, s))
         if value > MAX_CONVEXITY_SHIFT:
             raise UnboundedEstimateError(
                 f"no shift A <= {MAX_CONVEXITY_SHIFT:g} suffices for {spec.name} at R={R}"
@@ -433,9 +494,8 @@ def classify(
             reports.append(verify_potential_lower_bound(spec, C=1.0, samples=nv, seed=seed))
         if spec.q is not None and spec.C_growth is not None:
             reports.append(verify_growth_bound(spec, samples=nv, seed=seed))
-        constants = [estimate_remainder_constant(spec, R, n_random=n, seed=seed)]
-        if spec.q is not None:
-            constants.append(estimate_taylor_constant(spec, R, d, n_random=n, seed=seed))
+        names = ["H11"] if spec.q is None else ["H11", "H22"]
+        constants = _wave_constants(spec, R, d, names, n, seed)
     elif isinstance(spec, NlsNonlinearitySpec):
         n = n_random if n_random is not None else 400_000
         reports.append(verify_nls_cancellation(spec, samples=nv, seed=seed))
@@ -445,8 +505,7 @@ def classify(
         if spec.assumption_class == AssumptionClass.NLS_SUBCRIT:
             # polynomial-denominator bounds presume the subcritical growth
             # hypothesis; they are meaningless for exponential densities
-            constants += [estimate_phase_bound(spec, R, d, n_random=n, seed=seed),
-                          estimate_nls_taylor_constant(spec, R, d, n_random=n, seed=seed)]
+            constants += _nls_constants(spec, R, d, ["Gronw6", "H222"], n, seed)
     else:
         raise TypeError(f"unsupported spec type {type(spec)!r}")
     # a sampled constant holds when it is stable under doubling

@@ -57,7 +57,11 @@ def two_star(d: int) -> float:
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Real scalar nonlinearity: potential F, force f = F', and f'."""
+    """Real scalar nonlinearity: potential F, force f = F', and f'.
+
+    ``fused_jet(u, order, lowest)``, when given, returns the same values as
+    ``jet`` from shared subexpressions.
+    """
 
     name: str
     F: Callable[[np.ndarray], np.ndarray]
@@ -66,6 +70,13 @@ class NonlinearitySpec:
     assumption_class: str
     q: float | None = None
     C_growth: float | None = None
+    fused_jet: Callable[[np.ndarray, int, int], tuple] | None = None
+
+    def jet(self, u: np.ndarray, order: int, lowest: int = 0) -> tuple:
+        """(F(u), f(u), f'(u)) from derivative ``lowest`` up to ``order``."""
+        if self.fused_jet is not None:
+            return self.fused_jet(u, order, lowest)
+        return tuple(g(u) for g in (self.F, self.f, self.fprime)[lowest:order + 1])
 
     def __repr__(self) -> str:  # evaluators are not informative to print
         return f"NonlinearitySpec({self.name!r}, class={self.assumption_class})"
@@ -88,15 +99,17 @@ class NlsNonlinearitySpec:
         """f(u) = u Fs'(|u|^2 / 2) on complex fields."""
         return u * self.Fsprime(0.5 * np.abs(u) ** 2)
 
-    def dforce(self, u: np.ndarray, w: np.ndarray, phase=None) -> np.ndarray:
+    def dforce(self, u: np.ndarray, w: np.ndarray, phase=None, curv=None) -> np.ndarray:
         """Real-linear derivative Df(u)w = Fs'(s) w + Fs''(s) Re(u conj(w)) u.
 
-        ``phase`` is Fs'(s) at u when the caller already holds it.
+        ``phase`` and ``curv`` are Fs'(s) and Fs''(s) at u when the caller
+        already holds them.
         """
-        s = 0.5 * np.abs(u) ** 2
-        if phase is None:
-            phase = self.Fsprime(s)
-        return phase * w + self.Fsprime2(s) * np.real(u * np.conj(w)) * u
+        if phase is None or curv is None:
+            s = 0.5 * np.abs(u) ** 2
+            phase = self.Fsprime(s) if phase is None else phase
+            curv = self.Fsprime2(s) if curv is None else curv
+        return phase * w + curv * np.real(u * np.conj(w)) * u
 
     def potential(self, u: np.ndarray) -> np.ndarray:
         return self.Fs(0.5 * np.abs(u) ** 2)
@@ -150,24 +163,42 @@ def _defocusing_exp(m: int) -> NonlinearitySpec:
 
 
 def _oscillating_sin(q: int) -> NonlinearitySpec:
-    def g(u):
-        return u * np.abs(u) ** q
+    # each quantity is one expression in |u|^q, g = u|u|^q, sin g and cos g,
+    # so the jet, which shares them, returns the evaluators' values
+    def force(aq, cos_g):
+        return (q + 1) * aq * cos_g
+
+    def slope(u, cos_g, sin_g):
+        a = np.abs(u)
+        return (q * (q + 1) * a ** (q - 1) * np.sign(u) * cos_g
+                - (q + 1) ** 2 * a ** (2 * q) * sin_g)
 
     def F(u):
         u = np.asarray(u, dtype=float)
-        return np.sin(g(u))
+        return np.sin(u * np.abs(u) ** q)
 
     def f(u):
         u = np.asarray(u, dtype=float)
-        return (q + 1) * np.abs(u) ** q * np.cos(g(u))
+        aq = np.abs(u) ** q
+        return force(aq, np.cos(u * aq))
 
     def fprime(u):
         u = np.asarray(u, dtype=float)
-        a = np.abs(u)
-        return (
-            q * (q + 1) * a ** (q - 1) * np.sign(u) * np.cos(g(u))
-            - (q + 1) ** 2 * a ** (2 * q) * np.sin(g(u))
-        )
+        g = u * np.abs(u) ** q
+        return slope(u, np.cos(g), np.sin(g))
+
+    def jet(u, order, lowest):
+        u = np.asarray(u, dtype=float)
+        if order == 0:
+            return (F(u),)[lowest:]
+        aq = np.abs(u) ** q
+        g = u * aq
+        sin_g = np.sin(g) if lowest == 0 or order == 2 else None
+        cos_g = np.cos(g)
+        out = (sin_g, force(aq, cos_g))
+        if order == 2:
+            out += (slope(u, cos_g, sin_g),)
+        return out[lowest:]
 
     return NonlinearitySpec(
         name=f"oscillating_sin:q={q}",
@@ -175,6 +206,7 @@ def _oscillating_sin(q: int) -> NonlinearitySpec:
         f=f,
         fprime=fprime,
         assumption_class=AssumptionClass.OSCILLATING,
+        fused_jet=jet,
         q=float(q),
         C_growth=float(q + 1),
     )
@@ -373,6 +405,7 @@ def truncate(spec: NonlinearitySpec, level: TruncationLevel) -> NonlinearitySpec
         F=F_k,
         f=f_k,
         fprime=fprime_k,
+        fused_jet=None,  # the base's jet would evaluate the untruncated force
     )
 
 

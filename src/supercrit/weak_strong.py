@@ -153,7 +153,8 @@ class NlsGronwall:
     convexity shift A, so traces(A) applies A once the visited radius is known.
     ||grad w||^2 comes from w_hat = v_hat - u_hat by Parseval, and the
     derivative of f at u from the reference's phase Fs'(|u|^2/2), so a record
-    evaluates Fs'' and makes one transform (the reference's u_t).
+    evaluates Fs'' once for all members and makes one transform (the
+    reference's u_t).
     """
 
     def __init__(self, spec, grid):
@@ -166,12 +167,13 @@ class NlsGronwall:
         if self.rows is None:
             self.rows = [[] for _ in members]
         u, uh, fu, Pu, dtu = ref.u, ref.uh, ref.force, ref.potential, ref.ut
+        curv = spec.Fsprime2(0.5 * np.abs(u) ** 2)
         self.times.append(ref.t)
         self.sup_norm = max(self.sup_norm, *(float(np.max(np.abs(r.u))) for r in records))
         for rows, rec in zip(self.rows, members):
             w = rec.u - u
             defect = rec.potential - Pu - np.real(fu * np.conj(w))
-            dfw = spec.dforce(u, w, phase=ref.state.phase)
+            dfw = spec.dforce(u, w, phase=ref.state.phase, curv=curv)
             rows.append((
                 full_gradient_norm_sq(rec.uh - uh, grid),
                 l2_norm_sq(w, grid),

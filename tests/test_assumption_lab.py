@@ -3,12 +3,14 @@
 import json
 import tracemalloc
 from dataclasses import asdict, replace
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from supercrit import assumption_lab
 from supercrit.assumption_lab import (
+    DEFAULT_SEED,
     UnboundedEstimateError,
     classify,
     estimate_nls_taylor_constant,
@@ -140,20 +142,24 @@ def _flat_pairs(R, W, n_random, seed):
     return [(np.concatenate([uu.ravel(), ur]), np.concatenate([ww.ravel(), wr]))]
 
 
-def _argmax_sup_ratio(ratio, parts):
-    """Reference sweep: one ratio call on the concatenated plan, then argmax."""
-    u = np.concatenate([np.broadcast_arrays(a, b)[0].ravel() for a, b in parts])
-    w = np.concatenate([np.broadcast_arrays(a, b)[1].ravel() for a, b in parts])
-    num, den = ratio(u, w)
-    mask = den > 0
-    r = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
-    r = np.where(np.isfinite(r), r, 0.0)
-    i = int(np.argmax(r))
-    if not r[i] > 0.0:
-        return 0.0, None
-    if np.iscomplexobj(u):
-        return float(r[i]), (str(complex(u[i])), str(complex(w[i])))
-    return float(r[i]), (float(u[i]), float(w[i]))
+def _argmax_sup_ratio(ratio, blocks):
+    """Reference sweep: one ratio call on the concatenated plan, then argmax per term."""
+    pairs = [np.broadcast_arrays(a, b) for a, b in blocks]
+    u = np.concatenate([a.ravel() for a, _ in pairs])
+    w = np.concatenate([b.ravel() for _, b in pairs])
+    out = []
+    for num, den in ratio(u, w):
+        mask = den > 0
+        r = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
+        r = np.where(np.isfinite(r), r, 0.0)
+        i = int(np.argmax(r))
+        if not r[i] > 0.0:
+            out.append((0.0, None))
+        elif np.iscomplexobj(u):
+            out.append((float(r[i]), (str(complex(u[i])), str(complex(w[i])))))
+        else:
+            out.append((float(r[i]), (float(u[i]), float(w[i]))))
+    return out
 
 
 def _check_matches_reference(monkeypatch, estimate):
@@ -209,15 +215,31 @@ def test_blocked_sweep_reports_earliest_of_tied_maxima():
         hit = np.zeros(np.broadcast_shapes(u.shape, w.shape), bool)
         for a, b in hits:
             hit |= (u == a) & (w == b)
-        return np.where(hit, 5.0, 1.0), np.ones(hit.shape)
+        return [(np.where(hit, 5.0, 1.0), np.ones(hit.shape))]
 
-    parts = [(ug[:, None], wg[None, :]), (ur, wr)]
-    assert assumption_lab._sup_ratio(ratio, parts) == (5.0, (3.0, float(wg[5])))
-    assert _argmax_sup_ratio(ratio, parts) == (5.0, (3.0, float(wg[5])))
+    def blocks():
+        return chain(assumption_lab._blocks(ug[:, None], wg[None, :]),
+                     assumption_lab._blocks(ur, wr))
+
+    assert assumption_lab._sup_ratio(ratio, blocks()) == [(5.0, (3.0, float(wg[5])))]
+    assert _argmax_sup_ratio(ratio, blocks()) == [(5.0, (3.0, float(wg[5])))]
     # without the grid hit the random part's hit, in its second block, wins
     hits.discard((3.0, wg[5]))
     hits.discard((side - 2.0, wg[9]))
-    assert assumption_lab._sup_ratio(ratio, parts) == (5.0, (block + 7.0, 1.0))
+    assert assumption_lab._sup_ratio(ratio, blocks()) == [(5.0, (block + 7.0, 1.0))]
+
+
+def test_streamed_random_pairs_equal_one_bulk_draw():
+    n = 3 * assumption_lab._BLOCK + 5
+    side = max(8, int(np.sqrt(n)))
+    blocks = list(assumption_lab._pairs(2.0, 16.0, n, 7))
+    grid, randoms = blocks[:-4], blocks[-4:]
+    assert [len(u) for u, _ in randoms] == [assumption_lab._BLOCK] * 3 + [5]
+    assert sum(len(u) for u, _ in grid) == side
+    rng = np.random.default_rng(7)
+    ur, wr = rng.uniform(-2.0, 2.0, n), rng.uniform(-16.0, 16.0, n)
+    assert np.array_equal(np.concatenate([u for u, _ in randoms]), ur)
+    assert np.array_equal(np.concatenate([w for _, w in randoms]), wr)
 
 
 def test_taylor_sweep_memory_stays_below_plan_size():
@@ -230,20 +252,25 @@ def test_taylor_sweep_memory_stays_below_plan_size():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    assert peak < 16 * 2 ** 20
 
 
 def test_grid_u_terms_evaluated_once_per_distinct_value():
-    points = {"F": 0, "f": 0, "fprime": 0}
-
-    def counted(key, g):
-        def wrapped(u):
-            points[key] += np.size(u)
-            return g(u)
-        return wrapped
-
+    # jet points by derivative range (lowest, order): the ratios read jets of
+    # u and of u + w only, and only the derivatives they use
+    points = {}
     base = from_selection("oscillating_sin:q=2")
-    spec = replace(base, **{k: counted(k, getattr(base, k)) for k in points})
+
+    def counted(u, order, lowest):
+        points[lowest, order] = points.get((lowest, order), 0) + np.size(u)
+        return base.jet(u, order, lowest)
+
+    def plain(key):
+        def unused(u):
+            raise AssertionError(f"{key} evaluated outside the jet")
+        return unused
+
+    spec = replace(base, fused_jet=counted, **{k: plain(k) for k in ("F", "f", "fprime")})
 
     def plan_points(n):  # (distinct grid u, all grid pairs) plus n randoms
         side = max(8, int(np.sqrt(n)))
@@ -251,11 +278,80 @@ def test_grid_u_terms_evaluated_once_per_distinct_value():
 
     # four window sweeps at n plus the doubled sample at 2n
     (u1, uw1), (u2, uw2) = plan_points(N_SMALL), plan_points(2 * N_SMALL)
+    distinct_u, pairs = 4 * u1 + u2, 4 * uw1 + uw2
     estimate_remainder_constant(spec, R=2.0, n_random=N_SMALL)
-    assert points == {"F": 4 * (u1 + uw1) + u2 + uw2, "f": 4 * u1 + u2, "fprime": 0}
-    points.update(F=0, f=0)
+    assert points == {(0, 0): pairs, (0, 1): distinct_u}
+    points.clear()
     estimate_taylor_constant(spec, R=2.0, d=3, n_random=N_SMALL)
-    assert points == {"F": 0, "f": 4 * (u1 + uw1) + u2 + uw2, "fprime": 4 * u1 + u2}
+    assert points == {(1, 1): pairs, (1, 2): distinct_u}
+    # H11 and H22 together: each distinct u and each u + w once for both
+    points.clear()
+    assumption_lab._wave_constants(spec, 2.0, 3, ["H11", "H22"], N_SMALL, DEFAULT_SEED)
+    assert points == {(0, 1): pairs, (0, 2): distinct_u}
+
+
+@pytest.mark.parametrize("name", ["oscillating_sin:q=1", "oscillating_sin:q=2",
+                                  "pure_power:p=3"])
+def test_fused_sweep_equals_separate_estimates(name):
+    spec = from_selection(name)
+    h11, h22 = assumption_lab._wave_constants(spec, 2.0, 3, ["H11", "H22"], N_SMALL,
+                                              DEFAULT_SEED)
+    assert h11 == _h11(spec)
+    assert h22 == _h22(spec)
+
+
+def test_fused_complex_sweep_equals_separate_estimates():
+    spec = from_selection("nls_cubic")
+    gronw6, h222 = assumption_lab._nls_constants(spec, 2.0, 3, ["Gronw6", "H222"],
+                                                 N_SMALL, DEFAULT_SEED)
+    assert gronw6 == estimate_phase_bound(spec, R=2.0, d=3, n_random=N_SMALL)
+    assert h222 == estimate_nls_taylor_constant(spec, R=2.0, d=3, n_random=N_SMALL)
+
+
+def _counting(monkeypatch, plan_name):
+    draws = []
+    real = getattr(assumption_lab, plan_name)
+
+    def counted(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(assumption_lab, plan_name, counted)
+    return draws
+
+
+def test_classify_draws_each_plan_once_for_all_its_constants(monkeypatch):
+    pairs = _counting(monkeypatch, "_pairs")
+    complex_pairs = _counting(monkeypatch, "_complex_pairs")
+    classify(from_selection("oscillating_sin:q=2"), n_random=N_SMALL)
+    assert len(pairs) == 5  # four windows and the doubled sample, for H11 and H22
+    reports = {r.inequality: r for r in classify(from_selection("nls_cubic"),
+                                                 n_random=20_000)}
+    windows = len(reports["ClaimA"].constant.evidence["window_sups"])
+    assert len(complex_pairs) == windows + 2  # n and 2n, for Gronw6 and H222
+
+
+def _power_spec(name, k, q):
+    """F = sign * u^k for even k, declaring growth exponent q (no growth constant)."""
+    sign = -1.0 if name.startswith("focusing") else 1.0
+    return NonlinearitySpec(
+        name=name,
+        F=lambda u: sign * np.asarray(u, float) ** k,
+        f=lambda u: sign * k * np.asarray(u, float) ** (k - 1),
+        fprime=lambda u: sign * k * (k - 1) * np.asarray(u, float) ** (k - 2),
+        assumption_class=AssumptionClass.DEFOCUSING,
+        q=q,
+    )
+
+
+def test_fused_sweep_raises_h11_before_h22():
+    # -u^12 breaks both: its remainder over w^2 grows like w^10, its Taylor
+    # term over |w|^6 like w^5
+    with pytest.raises(UnboundedEstimateError, match="remainder constant for focusing"):
+        classify(_power_spec("focusing_u12", 12, 2.0), R=1.0, n_random=N_SMALL)
+    # u^12 is convex (H11 = 0) and breaks only H22
+    with pytest.raises(UnboundedEstimateError, match="Taylor constant for defocusing"):
+        classify(_power_spec("defocusing_u12", 12, 2.0), R=1.0, n_random=N_SMALL)
 
 
 def test_unbounded_remainder_detected():

@@ -146,6 +146,24 @@ def test_truncated_force_is_globally_lipschitz():
     assert np.max(slopes) <= bound * 1.01
 
 
+def _jet_specs():
+    for spec in WAVE_SPECS:
+        yield spec
+        yield truncate(spec, find_truncation_abscissae(spec, 2.0))
+
+
+@pytest.mark.parametrize("spec", _jet_specs(), ids=lambda s: s.name)
+def test_jet_equals_separate_evaluators_bitwise(spec):
+    # 0, +-R (R = 2), values beyond the cut, and |u| where F, f or f' overflow
+    u = np.array([0.0, 2.0, -2.0, 0.3, -1.7, 5.0, 40.0, -40.0, 1e200, -1e200, np.inf])
+    with np.errstate(all="ignore"):
+        separate = [a.tobytes() for a in (spec.F(u), spec.f(u), spec.fprime(u))]
+        for order in range(3):
+            for lowest in range(order + 1):
+                jet = spec.jet(u, order, lowest)
+                assert [a.tobytes() for a in jet] == separate[lowest:order + 1]
+
+
 def test_truncate_rejects_sign_violating_level():
     spec = from_selection("oscillating_sin:q=1")
     # f(2)*2 = 8 cos(4) < -4, so r_plus = 2 violates the sign condition with C=1

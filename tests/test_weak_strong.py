@@ -94,6 +94,26 @@ def test_nls_trace_with_valid_shift_has_nonnegative_defect():
     )  # sanity: scalar access
 
 
+def test_nls_gronwall_evaluates_curvature_once_per_record():
+    grid = GridSpec(1, 64, 16.0)
+    base = from_selection("nls_cubic")
+    calls = []
+
+    def counted(s):
+        calls.append(np.size(s))
+        return base.Fsprime2(s)
+
+    spec = replace(base, Fsprime2=counted)
+    u0 = bump_field(grid, 0.5, 2.0).astype(complex)
+    pert = bump_field(grid, 1.0, 1.5)
+    cfg = NlsRunConfig(grid, spec, 1e-2, 0.05, u0)
+    members = [nls_member(cfg)] + [nls_member(replace(cfg, u0=u0 + eps * pert))
+                                   for eps in (1e-1, 1e-2, 1e-3)]
+    _, (pieces,) = integrate(members, cfg, [NlsGronwall(spec, grid)])
+    # one Fs'' of the reference per record, shared by the three members
+    assert calls == [grid.N] * len(pieces.times)
+
+
 def test_no_member_state_outlives_the_run_into_the_shift(monkeypatch):
     states = []
 
