@@ -273,13 +273,10 @@ def _wave_constants(spec: NonlinearitySpec, R: float, d: int | None, names: list
         p = two_star(d)
         if spec.q >= p:
             raise ValueError(f"q={spec.q} is not subcritical for d={d} (2*={p})")
-    # only H11 reads F, only H22 reads f'; jets hold derivatives low..top(+1)
-    low, top = (0 if "H11" in names else 1), (0 if p is None else 1)
-    pad = (None,) * low  # so that derivative k sits at index k
+    top = 0 if p is None else 1  # only H22 reads f(u + w) and f'(u)
 
     def ratio(u, w):
-        at_v = pad + spec.jet(u + w, top, low)
-        at_u = pad + spec.jet(u, top + 1, low)
+        at_v, at_u = spec.jet(u + w, top), spec.jet(u, top + 1)
         wsq = w ** 2
         terms = {}
         if "H11" in names:

@@ -59,8 +59,8 @@ def two_star(d: int) -> float:
 class NonlinearitySpec:
     """Real scalar nonlinearity: potential F, force f = F', and f'.
 
-    ``fused_jet(u, order, lowest)``, when given, returns the same values as
-    ``jet`` from shared subexpressions.
+    ``fused_jet(u, order)``, when given, returns the same values as ``jet``
+    from shared subexpressions.
     """
 
     name: str
@@ -70,13 +70,13 @@ class NonlinearitySpec:
     assumption_class: str
     q: float | None = None
     C_growth: float | None = None
-    fused_jet: Callable[[np.ndarray, int, int], tuple] | None = None
+    fused_jet: Callable[[np.ndarray, int], tuple] | None = None
 
-    def jet(self, u: np.ndarray, order: int, lowest: int = 0) -> tuple:
-        """(F(u), f(u), f'(u)) from derivative ``lowest`` up to ``order``."""
+    def jet(self, u: np.ndarray, order: int) -> tuple:
+        """(F(u), f(u), f'(u)) up to derivative ``order``."""
         if self.fused_jet is not None:
-            return self.fused_jet(u, order, lowest)
-        return tuple(g(u) for g in (self.F, self.f, self.fprime)[lowest:order + 1])
+            return self.fused_jet(u, order)
+        return tuple(g(u) for g in (self.F, self.f, self.fprime)[:order + 1])
 
     def __repr__(self) -> str:  # evaluators are not informative to print
         return f"NonlinearitySpec({self.name!r}, class={self.assumption_class})"
@@ -99,16 +99,11 @@ class NlsNonlinearitySpec:
         """f(u) = u Fs'(|u|^2 / 2) on complex fields."""
         return u * self.Fsprime(0.5 * np.abs(u) ** 2)
 
-    def dforce(self, u: np.ndarray, w: np.ndarray, phase=None, curv=None) -> np.ndarray:
+    def dforce(self, u: np.ndarray, w: np.ndarray, phase, curv) -> np.ndarray:
         """Real-linear derivative Df(u)w = Fs'(s) w + Fs''(s) Re(u conj(w)) u.
 
-        ``phase`` and ``curv`` are Fs'(s) and Fs''(s) at u when the caller
-        already holds them.
+        ``phase`` and ``curv`` are Fs'(s) and Fs''(s) at u, s = |u|^2/2.
         """
-        if phase is None or curv is None:
-            s = 0.5 * np.abs(u) ** 2
-            phase = self.Fsprime(s) if phase is None else phase
-            curv = self.Fsprime2(s) if curv is None else curv
         return phase * w + curv * np.real(u * np.conj(w)) * u
 
     def potential(self, u: np.ndarray) -> np.ndarray:
@@ -168,10 +163,13 @@ def _oscillating_sin(q: int) -> NonlinearitySpec:
     def force(aq, cos_g):
         return (q + 1) * aq * cos_g
 
-    def slope(u, cos_g, sin_g):
+    def slope(u, g, cos_g=None, sin_g=None):
+        # without the jet's cos g and sin g, each is taken where it is used,
+        # so a lone f' never holds both
         a = np.abs(u)
-        return (q * (q + 1) * a ** (q - 1) * np.sign(u) * cos_g
-                - (q + 1) ** 2 * a ** (2 * q) * sin_g)
+        return (q * (q + 1) * a ** (q - 1) * np.sign(u)
+                * (np.cos(g) if cos_g is None else cos_g)
+                - (q + 1) ** 2 * a ** (2 * q) * (np.sin(g) if sin_g is None else sin_g))
 
     def F(u):
         u = np.asarray(u, dtype=float)
@@ -184,21 +182,17 @@ def _oscillating_sin(q: int) -> NonlinearitySpec:
 
     def fprime(u):
         u = np.asarray(u, dtype=float)
-        g = u * np.abs(u) ** q
-        return slope(u, np.cos(g), np.sin(g))
+        return slope(u, u * np.abs(u) ** q)
 
-    def jet(u, order, lowest):
+    def jet(u, order):
         u = np.asarray(u, dtype=float)
         if order == 0:
-            return (F(u),)[lowest:]
+            return (F(u),)
         aq = np.abs(u) ** q
         g = u * aq
-        sin_g = np.sin(g) if lowest == 0 or order == 2 else None
-        cos_g = np.cos(g)
+        sin_g, cos_g = np.sin(g), np.cos(g)
         out = (sin_g, force(aq, cos_g))
-        if order == 2:
-            out += (slope(u, cos_g, sin_g),)
-        return out[lowest:]
+        return out + (slope(u, g, cos_g, sin_g),) if order == 2 else out
 
     return NonlinearitySpec(
         name=f"oscillating_sin:q={q}",

@@ -256,14 +256,14 @@ def test_taylor_sweep_memory_stays_below_plan_size():
 
 
 def test_grid_u_terms_evaluated_once_per_distinct_value():
-    # jet points by derivative range (lowest, order): the ratios read jets of
-    # u and of u + w only, and only the derivatives they use
+    # jet points by order: the ratios read a jet of u + w and one of u, and
+    # only H22 reads f(u + w) and f'(u)
     points = {}
     base = from_selection("oscillating_sin:q=2")
 
-    def counted(u, order, lowest):
-        points[lowest, order] = points.get((lowest, order), 0) + np.size(u)
-        return base.jet(u, order, lowest)
+    def counted(u, order):
+        points[order] = points.get(order, 0) + np.size(u)
+        return base.jet(u, order)
 
     def plain(key):
         def unused(u):
@@ -280,14 +280,14 @@ def test_grid_u_terms_evaluated_once_per_distinct_value():
     (u1, uw1), (u2, uw2) = plan_points(N_SMALL), plan_points(2 * N_SMALL)
     distinct_u, pairs = 4 * u1 + u2, 4 * uw1 + uw2
     estimate_remainder_constant(spec, R=2.0, n_random=N_SMALL)
-    assert points == {(0, 0): pairs, (0, 1): distinct_u}
+    assert points == {0: pairs, 1: distinct_u}
     points.clear()
     estimate_taylor_constant(spec, R=2.0, d=3, n_random=N_SMALL)
-    assert points == {(1, 1): pairs, (1, 2): distinct_u}
+    assert points == {1: pairs, 2: distinct_u}
     # H11 and H22 together: each distinct u and each u + w once for both
     points.clear()
     assumption_lab._wave_constants(spec, 2.0, 3, ["H11", "H22"], N_SMALL, DEFAULT_SEED)
-    assert points == {(0, 1): pairs, (0, 2): distinct_u}
+    assert points == {1: pairs, 2: distinct_u}
 
 
 @pytest.mark.parametrize("name", ["oscillating_sin:q=1", "oscillating_sin:q=2",
