@@ -17,6 +17,7 @@ own, kept as ``evidence["window_sups"]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -86,21 +87,31 @@ def _blocks(u, w):
         yield u[a:a + step], (w if w.ndim == 2 else w[a:a + step])
 
 
+def _uniform_blocks(seed: int, n: int, bounds, pair):
+    """pair(*draws) for n uniform draws on [-b, b] per b of bounds, one _BLOCK at a time.
+
+    The k-th draw comes from PCG64(seed) advanced by k * n, so the blocks
+    hold the values of one bulk draw of n per bound, in bounds order, from
+    PCG64(seed) (each uniform takes one 64-bit output). The draws are
+    released once pair returns, so a yielded block holds only its pair.
+    """
+    rngs = [np.random.Generator(np.random.PCG64(seed).advance(k * n))
+            for k in range(len(bounds))]
+    for a in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - a)
+        yield pair(*[rng.uniform(-b, b, m) for rng, b in zip(rngs, bounds)])
+
+
 def _pairs(R: float, W: float, n_random: int, seed: int):
     """Grid plus random (u, w) samples with |u| <= R, |w| <= W, as blocks.
 
     The grid (ug[:, None], wg[None, :]) broadcasts to side x side pairs,
     row-major in (u, w); n_random random pairs follow it, drawn one block at a
-    time. u comes from PCG64(seed) and w from the same stream advanced by
-    n_random: the values of one bulk draw of every u and then every w.
+    time by _uniform_blocks: every u and then every w of one bulk draw.
     """
     side = max(8, int(np.sqrt(n_random)))
     yield from _blocks(np.linspace(-R, R, side)[:, None], np.linspace(-W, W, side)[None, :])
-    u_rng = np.random.Generator(np.random.PCG64(seed))
-    w_rng = np.random.Generator(np.random.PCG64(seed).advance(n_random))
-    for a in range(0, n_random, _BLOCK):
-        m = min(_BLOCK, n_random - a)
-        yield u_rng.uniform(-R, R, m), w_rng.uniform(-W, W, m)
+    yield from _uniform_blocks(seed, n_random, (R, W), lambda u, w: (u, w))
 
 
 def _sup_ratio(ratio, blocks):
@@ -124,6 +135,8 @@ def _sup_ratio(ratio, blocks):
             if r[k] > slot[0]:
                 slot[:] = float(r[k]), (np.broadcast_to(ub, r.shape)[k],
                                         np.broadcast_to(wb, r.shape)[k])
+        # the next block and its ratio are computed without this block's
+        del terms, num, den, mask, r
     return [(best, _as_pair(worst)) for best, worst in found]
 
 
@@ -316,20 +329,31 @@ def estimate_taylor_constant(
 # ---------------------------------------------------------------------------
 
 def _complex_pairs(R: float, W: float, n_random: int, seed: int):
-    rng = np.random.default_rng(seed)
+    """Grid plus random complex (u, w) samples with |u| <= R, as blocks.
+
+    On the side x side grid g of [-1, 1]^2 (row-major in (re, im)), the k-th
+    pair is u = R g_k and w = W g_(m-1-k), the grid reversed; the mismatched
+    pairing is deliberate, the randoms cover the rest. n_random random pairs
+    follow, re u, im u, re w and im w each from _uniform_blocks. Only pairs
+    with |u| <= R are kept, block by block, so no whole plan is held.
+    """
     side = max(8, int(np.sqrt(n_random // 2)))
     re = np.linspace(-1.0, 1.0, side)
-    gre, gim = np.meshgrid(re, re, indexing="ij")
-    ug = R * (gre + 1j * gim).ravel()
-    wg = W * (gre + 1j * gim).ravel()
-    # mismatched grid pairing is deliberate; randoms cover the rest
-    m = min(ug.size, wg.size)
-    ur = rng.uniform(-R, R, n_random) + 1j * rng.uniform(-R, R, n_random)
-    wr = rng.uniform(-W, W, n_random) + 1j * rng.uniform(-W, W, n_random)
-    u = np.concatenate([ug[:m], ur])
-    w = np.concatenate([wg[:m][::-1], wr])
-    keep = np.abs(u) <= R
-    return _blocks(u[keep], w[keep])
+    er = re[::-1]
+
+    def in_disk(u, w):
+        keep = np.abs(u) <= R
+        return u[keep], w[keep]
+
+    rows = max(1, _BLOCK // side)
+    grid = (in_disk((R * (re[a:a + rows, None] + 1j * re[None, :])).ravel(),
+                    (W * (er[a:a + rows, None] + 1j * er[None, :])).ravel())
+            for a in range(0, side, rows))
+    randoms = _uniform_blocks(seed, n_random, (R, R, W, W),
+                              lambda ur, ui, wr, wi: in_disk(ur + 1j * ui, wr + 1j * wi))
+    for u, w in chain(grid, randoms):
+        if len(u):
+            yield u, w
 
 
 def _dot(a, b):

@@ -11,6 +11,7 @@ case-insensitively; variables that name no field are ignored.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from dataclasses import fields
@@ -27,6 +28,30 @@ from .runner import (
 ENV_PREFIX = "SUPERCRIT_"
 
 _FIELD_BY_LOWER = {f.name.lower(): f.name for f in fields(ExperimentConfig)}
+
+# (glibc mallopt parameter, value): M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 64 MiB
+_HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def _set_heap_policy():
+    """Serve blocks below 32 MiB from the heap and keep up to 64 MiB of freed top.
+
+    A run allocates and frees field-sized temporaries (128 KiB to a few MiB)
+    at every step. glibc's default serves blocks from 128 KiB up by mmap and
+    returns them at free, so each one page-faults afresh, unless an earlier
+    large block happened to raise glibc's dynamic thresholds. Fixed
+    thresholds make every run reuse its heap. Where the C library has no
+    mallopt (not glibc), this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    # no loadable C library (TypeError: Windows takes no None), or no mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_POLICY:
+        mallopt(param, value)
 
 
 def _env_overrides(environ=os.environ) -> dict:
@@ -61,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _set_heap_policy()
 
     if args.command == "export":
         try:

@@ -133,12 +133,15 @@ class _RotatedState:
 
 
 class _SpectralStrang:
-    """N-L-N Strang splitting that applies each half rotation to two half-steps."""
+    """N-L-N Strang splitting that applies each half rotation to two half-steps.
+
+    It keeps the grid, spec and dt of its config, not the config, so no
+    initial field outlives the first step."""
 
     columns = ("mass", "H_total", "H_gradient", "H_potential")
 
     def __init__(self, cfg: NlsRunConfig):
-        self.cfg = cfg
+        self.grid, self.spec, self.dt = cfg.grid, cfg.spec, cfg.dt
         self.prop = _propagator(cfg.grid, cfg.dt)
 
     def _phase_rotation(self, v: np.ndarray):
@@ -151,11 +154,11 @@ class _SpectralStrang:
         density += v.imag ** 2
         density *= 0.5
         with np.errstate(over="ignore", invalid="ignore"):
-            phase = self.cfg.spec.Fsprime(density)
+            phase = self.spec.Fsprime(density)
             del density
             rot = np.empty(v.shape, complex)
             angle = rot.real  # the angle phase dt/2 is kept in place until its cos
-            np.multiply(phase, 0.5 * self.cfg.dt, out=angle)
+            np.multiply(phase, 0.5 * self.dt, out=angle)
             np.sin(angle, out=rot.imag)
             np.cos(angle, out=angle)
         return phase, rot
@@ -175,7 +178,7 @@ class _SpectralStrang:
         np.fft.ifftn(v, out=v)
         phase, rot = self._phase_rotation(v)
         v *= rot
-        return _RotatedState(v, phase, rot, s.t + self.cfg.dt)
+        return _RotatedState(v, phase, rot, s.t + self.dt)
 
     def spectrum(self, rec) -> np.ndarray:
         return np.fft.fftn(rec.u, out=np.empty_like(rec.u))
@@ -184,17 +187,16 @@ class _SpectralStrang:
         return rec.u * rec.state.phase
 
     def potential(self, rec) -> np.ndarray:
-        return _potential_density(self.cfg.spec.potential, rec.u)
+        return _potential_density(self.spec.potential, rec.u)
 
     def energy(self, rec):
-        grid = self.cfg.grid
-        grad = 0.5 * full_gradient_norm_sq(rec.uh, grid)
-        pot = _potential_integral(rec.potential, grid)
-        return l2_norm_sq(rec.u, grid), grad + pot, grad, pot
+        grad = 0.5 * full_gradient_norm_sq(rec.uh, self.grid)
+        pot = _potential_integral(rec.potential, self.grid)
+        return l2_norm_sq(rec.u, self.grid), grad + pot, grad, pot
 
     def velocity(self, rec) -> np.ndarray:
         """u_t recovered from the equation: u_t = -i (Lap u - f(u))."""
-        ut = -self.cfg.grid.wavenumber_sq() * rec.uh
+        ut = -self.grid.wavenumber_sq() * rec.uh
         np.fft.ifftn(ut, out=ut)  # Lap u
         ut -= rec.force
         ut *= -1j
@@ -209,4 +211,4 @@ def member(cfg: NlsRunConfig):
 
 def run(cfg: NlsRunConfig):
     """Evolve to T; returns the final record (a RunEnd) and the diagnostics trace."""
-    return run_single(*member(cfg), cfg)
+    return run_single(member, cfg)

@@ -79,10 +79,11 @@ class DiagnosticTrace:
     """Per-record diagnostics of a run; as an observer it traces member 0.
 
     An observed row is t, the stepper's energies, the boundary leakage
-    (the shell ``margin`` wide) and the sup norm.
+    (the shell ``margin`` wide) and the sup norm; observing sets ``columns``
+    to their names.
     """
 
-    columns: tuple
+    columns: tuple = ()
     rows: list = field(default_factory=list)
     grid: object = None
     margin: float = 0.0
@@ -102,6 +103,7 @@ class DiagnosticTrace:
 
     def observe(self, records):
         r = records[0]
+        self.columns = ("t", *r.stepper.columns, "leakage", "sup_norm")
         self.add(r.t, *r.energy, boundary_leakage(r.u, self.grid, self.margin),
                  np.max(np.abs(r.u)))
 
@@ -188,9 +190,12 @@ def integrate(members, schedule, observers=()):
     return finals, [obs.result() for obs in observers]
 
 
-def run_single(stepper, state, schedule):
-    """Integrate one member with the diagnostics trace; returns (RunEnd, trace)."""
-    trace = DiagnosticTrace(("t", *stepper.columns, "leakage", "sup_norm"),
-                            grid=schedule.grid, margin=schedule.margin())
-    (last,), _ = integrate([(stepper, state)], schedule, [trace])
+def run_single(member, schedule):
+    """Integrate member(schedule), a (stepper, initial state) pair, with the
+    diagnostics trace; returns (RunEnd, trace).
+
+    The member is built in the integrate call, so its initial state goes at
+    the first step."""
+    trace = DiagnosticTrace(grid=schedule.grid, margin=schedule.margin())
+    (last,), _ = integrate([member(schedule)], schedule, [trace])
     return RunEnd(last, len(trace.rows)), trace

@@ -115,13 +115,19 @@ class _SpectralState:
 
 
 class _SpectralImpulse:
-    """Kick-drift-kick with the linearized flow solved exactly per mode."""
+    """Kick-drift-kick with the linearized flow solved exactly per mode.
+
+    It keeps the grid, spec and dt of its config, not the config, so no
+    initial field outlives the first step. Each transform writes into an
+    output array of its own: ``rfftn`` into a new half spectrum, and the
+    inverse, ``np.fft.irfftn``'s per-axis ``ifft`` calls into one scratch
+    half spectrum and its closing ``irfft`` into a new field.
+    """
 
     columns = WAVE_COLUMNS
 
     def __init__(self, cfg: WaveRunConfig):
-        self.cfg = cfg
-        self.axes = tuple(range(cfg.grid.d))
+        self.grid, self.spec, self.dt = cfg.grid, cfg.spec, cfg.dt
         self.mass = max(0.0, float(cfg.spec.fprime(0.0)))
         ksq_half = cfg.grid.wavenumber_sq()[..., : cfg.grid.N // 2 + 1]
         om = np.sqrt(ksq_half + self.mass)
@@ -130,44 +136,53 @@ class _SpectralImpulse:
                                cfg.dt)
         self.om_sin = om * np.sin(om * cfg.dt)
 
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(x, out=np.empty(self.cos.shape, complex))
+
+    def _inverse(self, xh: np.ndarray) -> np.ndarray:
+        """``np.fft.irfftn(xh, s=grid.shape)``, the same transforms in the same order."""
+        scratch = np.empty(xh.shape, complex)
+        for axis in range(self.grid.d - 1):
+            xh = np.fft.ifft(xh, axis=axis, out=scratch)
+        return np.fft.irfft(xh, n=self.grid.N, axis=-1, out=np.empty(self.grid.shape))
+
     def _residual_spectrum(self, u: np.ndarray) -> np.ndarray:
         # an overflow here leaves a non-finite u_t, which the loop turns into
         # BlowUpError, so numpy's warning is silenced
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.fft.rfftn(self.cfg.spec.f(u) - self.mass * u)
+            return self._forward(self.spec.f(u) - self.mass * u)
 
     def start(self, state: WaveState) -> _SpectralState:
-        return _SpectralState(state.u, np.fft.rfftn(state.u), np.fft.rfftn(state.ut),
+        return _SpectralState(state.u, self._forward(state.u), self._forward(state.ut),
                               self._residual_spectrum(state.u), state.t)
 
     def __call__(self, s: _SpectralState) -> _SpectralState:
-        half_dt = 0.5 * self.cfg.dt
+        half_dt = 0.5 * self.dt
         uth = s.uth - half_dt * s.rh
         uh = self.cos * s.uh + self.sin_om * uth
         uth = self.cos * uth - self.om_sin * s.uh
-        u = np.fft.irfftn(uh, s=self.cfg.grid.shape, axes=self.axes)
+        u = self._inverse(uh)
         rh = self._residual_spectrum(u)
         uth -= half_dt * rh
-        return _SpectralState(u, uh, uth, rh, s.t + self.cfg.dt)
+        return _SpectralState(u, uh, uth, rh, s.t + self.dt)
 
     def spectrum(self, rec) -> np.ndarray:
         return rec.state.uh
 
     def force(self, rec) -> np.ndarray:
-        return self.cfg.spec.f(rec.u)
+        return self.spec.f(rec.u)
 
     def potential(self, rec) -> np.ndarray:
-        return _potential_density(self.cfg.spec.F, rec.u)
+        return _potential_density(self.spec.F, rec.u)
 
     def energy(self, rec):
-        grid = self.cfg.grid
-        kin = 0.5 * half_l2_norm_sq(rec.state.uth, grid)
-        grad = 0.5 * half_gradient_norm_sq(rec.uh, grid)
-        pot = _potential_integral(rec.potential, grid)
+        kin = 0.5 * half_l2_norm_sq(rec.state.uth, self.grid)
+        grad = 0.5 * half_gradient_norm_sq(rec.uh, self.grid)
+        pot = _potential_integral(rec.potential, self.grid)
         return kin + grad + pot, kin, grad, pot
 
     def velocity(self, rec) -> np.ndarray:
-        return np.fft.irfftn(rec.state.uth, s=self.cfg.grid.shape, axes=self.axes)
+        return self._inverse(rec.state.uth)
 
 
 class Verlet:
@@ -202,7 +217,7 @@ def member(cfg: WaveRunConfig):
 
 def run(cfg: WaveRunConfig):
     """Evolve to T; returns the final record (a RunEnd) and the diagnostics trace."""
-    return run_single(*member(cfg), cfg)
+    return run_single(member, cfg)
 
 
 def max_leakage(trace: DiagnosticTrace) -> float:

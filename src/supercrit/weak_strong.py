@@ -310,10 +310,11 @@ def appendix_construction(base: WaveRunConfig, ladder):
         raise ValueError("need at least 3 ladder levels")
     specs = [base.spec] + [truncate(base.spec, find_truncation_abscissae(base.spec, k))
                            for k in ladder]
-    members = [wave_member(replace(base, spec=spec)) for spec in specs]
     observers = [_LadderDiscrepancy(len(ladder), base.grid),
                  ForceSamples(base.spec, base.grid)]
-    _, ((l2_disc, force_disc, drifts), samples) = integrate(members, base, observers)
+    # the members are built in the call, so each initial state goes at its first step
+    _, ((l2_disc, force_disc, drifts), samples) = integrate(
+        [wave_member(replace(base, spec=spec)) for spec in specs], base, observers)
     report = ConvergenceReport(
         list(ladder),
         l2_disc,

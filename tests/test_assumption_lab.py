@@ -142,6 +142,22 @@ def _flat_pairs(R, W, n_random, seed):
     return [(np.concatenate([uu.ravel(), ur]), np.concatenate([ww.ravel(), wr]))]
 
 
+def _flat_complex_pairs(R, W, n_random, seed):
+    """The plan of _complex_pairs materialised: grid and randoms, then the |u| <= R filter."""
+    rng = np.random.default_rng(seed)
+    side = max(8, int(np.sqrt(n_random // 2)))
+    re = np.linspace(-1.0, 1.0, side)
+    gre, gim = np.meshgrid(re, re, indexing="ij")
+    ug = R * (gre + 1j * gim).ravel()
+    wg = W * (gre + 1j * gim).ravel()
+    ur = rng.uniform(-R, R, n_random) + 1j * rng.uniform(-R, R, n_random)
+    wr = rng.uniform(-W, W, n_random) + 1j * rng.uniform(-W, W, n_random)
+    u = np.concatenate([ug, ur])
+    w = np.concatenate([wg[::-1], wr])
+    keep = np.abs(u) <= R
+    return [(u[keep], w[keep])]
+
+
 def _argmax_sup_ratio(ratio, blocks):
     """Reference sweep: one ratio call on the concatenated plan, then argmax per term."""
     pairs = [np.broadcast_arrays(a, b) for a, b in blocks]
@@ -166,6 +182,7 @@ def _check_matches_reference(monkeypatch, estimate):
     blocked = estimate()
     with monkeypatch.context() as m:
         m.setattr(assumption_lab, "_pairs", _flat_pairs)
+        m.setattr(assumption_lab, "_complex_pairs", _flat_complex_pairs)
         m.setattr(assumption_lab, "_sup_ratio", _argmax_sup_ratio)
         reference = estimate()
     assert blocked.value == reference.value
@@ -240,6 +257,32 @@ def test_streamed_random_pairs_equal_one_bulk_draw():
     ur, wr = rng.uniform(-2.0, 2.0, n), rng.uniform(-16.0, 16.0, n)
     assert np.array_equal(np.concatenate([u for u, _ in randoms]), ur)
     assert np.array_equal(np.concatenate([w for _, w in randoms]), wr)
+
+
+@pytest.mark.parametrize("n", [1000, N_SMALL, 3 * assumption_lab._BLOCK + 5, 400_000])
+def test_streamed_complex_pairs_equal_bulk_plan(n):
+    blocks = list(assumption_lab._complex_pairs(2.0, 16.0, n, 7))
+    [(u, w)] = _flat_complex_pairs(2.0, 16.0, n, 7)
+    assert all(len(ub) == len(wb) > 0 for ub, wb in blocks)
+    assert np.concatenate([ub for ub, _ in blocks]).tobytes() == u.tobytes()
+    assert np.concatenate([wb for _, wb in blocks]).tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("sweep, bound_mib", [
+    (lambda spec: assumption_lab._nls_constants(spec, 2.0, 3, ["Gronw6", "H222"],
+                                                400_000, DEFAULT_SEED), 24),
+    (lambda spec: find_convexity_shift(spec, R=2.0, n_random=200_000), 12),
+], ids=["Gronw6+H222", "ClaimA"])
+def test_complex_sweep_memory_stays_below_plan_size(sweep, bound_mib):
+    # materialised, the plan and its filter peaked at 109 and 27 MiB
+    spec = from_selection("nls_cubic")
+    tracemalloc.start()
+    try:
+        sweep(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2 ** 20
 
 
 def test_taylor_sweep_memory_stays_below_plan_size():

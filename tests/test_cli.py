@@ -4,6 +4,7 @@ import json
 import os
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -367,3 +368,23 @@ def test_nls_convexity_shift_covers_the_visited_radius(tmp_path, monkeypatch, ca
     summary = json.loads((tmp_path / exp_id / "summary.json").read_text())
     assert [m["remainder_min"] >= 0.0 for m in summary["members"]] == [True] * 3
     assert code == 0
+
+
+def test_heap_policy_fixes_glibc_thresholds(monkeypatch, tmp_path):
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    assert main(["export", "absent", "--output", str(tmp_path)]) == 2
+    # M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 64 MiB
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def _no_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_library, lambda name: object()],
+                         ids=["no-library", "no-mallopt"])
+def test_heap_policy_is_a_no_op_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._set_heap_policy() is None

@@ -54,7 +54,7 @@ def test_zero_data_is_fixed_point():
 
 def run_verlet(cfg):
     """The Verlet oracle's run of cfg, shaped like run(cfg)."""
-    return run_single(Verlet(cfg), WaveState(cfg.grid, cfg.u0, cfg.u1, 0.0), cfg)
+    return run_single(lambda c: (Verlet(c), WaveState(c.grid, c.u0, c.u1, 0.0)), cfg)
 
 
 def test_methods_agree_at_small_dt():
@@ -80,8 +80,8 @@ def test_impulse_agrees_with_verlet_oracle_in_3d():
 def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
     calls = []
     for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
-        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(_fn)
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     grid = GridSpec(2, 16, 8.0)
@@ -92,8 +92,12 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
     end, _ = run(cfg)
     assert cfg.steps() == 10 and len(end) == 5
     # three transforms set up the spectral state from (u0, u1); the trace's
-    # energies come from the half spectra, so a plain run's records cost none
-    assert len(calls) == 3 + 2 * cfg.steps()
+    # energies come from the half spectra, so a plain run's records cost none.
+    # An inverse transform is irfftn's d - 1 per-axis ifft calls and one irfft.
+    assert calls.count("rfftn") == 3 + cfg.steps()
+    assert calls.count("irfft") == cfg.steps()
+    assert calls.count("ifft") == (grid.d - 1) * cfg.steps()
+    assert len(calls) == 3 + (1 + grid.d) * cfg.steps()
 
     class ReadsVelocity:
         def observe(self, records):
@@ -105,7 +109,8 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
     calls.clear()
     integrate([member(cfg)], cfg, [ReadsVelocity()])
     # an observer that reads the physical u_t costs one inverse transform
-    assert len(calls) == 3 + 2 * cfg.steps() + len(end)
+    assert calls.count("irfft") == cfg.steps() + len(end)
+    assert len(calls) == 3 + (1 + grid.d) * cfg.steps() + grid.d * len(end)
 
 
 def test_impulse_exact_on_nearly_linear_problem():

@@ -10,7 +10,7 @@ import pytest
 from supercrit.assumption_lab import find_convexity_shift
 from supercrit.field_core import GridSpec, bump_field, l2_norm_sq
 from supercrit import stepping, weak_strong
-from supercrit.nls_integrator import NlsRunConfig, member as nls_member
+from supercrit.nls_integrator import NlsRunConfig, member as nls_member, run as nls_run
 from supercrit.nonlinearity import from_selection, two_star
 from supercrit.stepping import integrate
 from supercrit.wave_integrator import WaveRunConfig, member as wave_member, run as wave_run
@@ -137,6 +137,69 @@ def test_no_member_state_outlives_the_run_into_the_shift(monkeypatch):
     cfg = NlsRunConfig(grid, from_selection("nls_cubic"), 1e-2, 0.05, u0)
     traces = gronwall_ladder(cfg, bump_field(grid, 1.0, 1.5), (1e-1, 1e-2, 1e-3))
     assert len(traces) == 3
+
+
+def _alive_at_second_record(monkeypatch, observer, pick):
+    """Spy on observer's records: which of pick(first records) are alive at the second."""
+    refs, alive = [], []
+    observe = observer.observe
+
+    def spied(self, records):
+        if not refs:
+            refs.extend(weakref.ref(x) for x in pick(records))
+        elif not alive:
+            alive.extend(ref() is not None for ref in refs)
+        return observe(self, records)
+
+    monkeypatch.setattr(observer, "observe", spied)
+    return alive
+
+
+def _wave_base(spec="defocusing_exp:m=1", amplitude=0.5):
+    grid = GridSpec(1, 64, 16.0)
+    u0 = bump_field(grid, amplitude, 2.0)
+    return WaveRunConfig(grid, from_selection(spec), 0.25 * grid.h, 0.1, u0,
+                         np.zeros_like(u0), diagnostics_stride=1)
+
+
+def _nls_base():
+    grid = GridSpec(1, 64, 16.0)
+    u0 = bump_field(grid, 0.5, 2.0).astype(complex)
+    return NlsRunConfig(grid, from_selection("nls_cubic"), 1e-2, 0.05, u0,
+                        diagnostics_stride=1)
+
+
+@pytest.mark.parametrize("run, base", [(wave_run, _wave_base), (nls_run, _nls_base)],
+                         ids=["wave", "nls"])
+def test_single_run_releases_its_initial_state(monkeypatch, run, base):
+    alive = _alive_at_second_record(monkeypatch, stepping.DiagnosticTrace,
+                                    lambda records: [records[0].state])
+    run(base())
+    assert alive == [False]
+
+
+def _states_and_member_fields(records):
+    # member 0's u is the caller's u0; each ladder member's u is its own u0
+    return [r.state for r in records] + [r.u for r in records[1:]]
+
+
+def _states(records):
+    # every truncated member starts from the caller's u0
+    return [r.state for r in records]
+
+
+@pytest.mark.parametrize("observer, pick, run", [
+    (weak_strong.WaveGronwall, _states_and_member_fields,
+     lambda: gronwall_ladder(base := _wave_base(), bump_field(base.grid, 1.0, 1.5), (0.1, 0.01))),
+    (NlsGronwall, _states_and_member_fields,
+     lambda: gronwall_ladder(base := _nls_base(), bump_field(base.grid, 1.0, 1.5), (0.1, 0.01))),
+    (weak_strong._LadderDiscrepancy, _states,
+     lambda: appendix_construction(_wave_base("oscillating_sin:q=1", 3.0), (1.0, 2.0, 4.0))),
+], ids=["wave-ladder", "nls-ladder", "appendix"])
+def test_ladder_runs_release_every_initial_field(monkeypatch, observer, pick, run):
+    alive = _alive_at_second_record(monkeypatch, observer, pick)
+    run()
+    assert alive and not any(alive)
 
 
 def test_ladder_must_be_increasing():

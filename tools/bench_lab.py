@@ -2,17 +2,22 @@
 
 Run from the repository root:
 
-    python3 tools/bench_lab.py --src src --out BENCH_11.json
-    python3 tools/bench_lab.py --before /path/to/parent/src --src src --out BENCH_11.json
+    python3 tools/bench_lab.py --src src --out BENCH_<n>.json
+    python3 tools/bench_lab.py --before /path/to/parent/src --src src --out BENCH_<n>.json
 
 Each tree is measured in a fresh interpreter; ``--before`` adds a "before"
 column next to the "after" column of ``--src``. Every row records
 
 * ``wall_s``      median of REPEATS perf_counter timings, after one warm-up;
 * ``mpoints``     points handed to the nonlinearity evaluators (F, f, f' and,
-                  where the tree has one, the spec's jet), counted in an
-                  untimed pass;
-* ``peak_bytes``  tracemalloc peak of one untimed pass.
+                  where the tree has one, the spec's jet; Fs, Fs' and Fs'' for
+                  an NLS spec), counted in an untimed pass;
+* ``peak_bytes``  tracemalloc peak of one untimed pass;
+
+and every end-to-end row also
+
+* ``minflt``      median minor page faults of the timed runs, from
+                  ``getrusage(RUSAGE_SELF).ru_minflt`` around each run.
 
 Rows:
 
@@ -22,8 +27,14 @@ Rows:
   tree without jets);
 * ``layer.sweep.H11+H22``          H11 and H22 of oscillating_sin:q=2 at R = 2,
   d = 3, n = 1M, seed 0: every sample plan of both constants;
+* ``layer.sweep.ClaimA``           ``find_convexity_shift`` of nls_cubic at R = 2,
+  n = 200k, seed 0: every window of the complex sample plan;
+* ``layer.sweep.Gronw6+H222``      Gronw6 and H222 of nls_cubic at R = 2, d = 3,
+  n = 400k, seed 0, from one ``_nls_constants`` call;
 * ``e2e.check-assumptions.d<d>``   the CLI ``check-assumptions`` for
-  oscillating_sin:q=2 with d = 1, 2, 3, config file to published directory.
+  oscillating_sin:q=2 with d = 1, 2, 3, config file to published directory;
+* ``e2e.weak-strong.nls``          the CLI ``weak-strong`` for the NLS ladder
+  of nls_coercive_exp at d = 2, N = 128, T = 0.5, dt = 0.005.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -46,6 +58,14 @@ REPEATS = 3
 SPEC = "oscillating_sin:q=2"
 LAYER_POINTS = 1 << 20
 SWEEP = {"R": 2.0, "d": 3, "n_random": 1_000_000, "seed": 0}
+NLS_SPEC = "nls_cubic"
+SHIFT_SWEEP = {"R": 2.0, "n_random": 200_000, "seed": 0}
+NLS_SWEEP = {"R": 2.0, "d": 3, "n_random": 400_000, "seed": 0}
+E2E = {
+    "check-assumptions": "nonlinearity = {spec}\nd = {d}\nseed = 0\n",
+    "weak-strong": "nonlinearity = {spec}\nd = 2\nN = 128\nL = 40\nradius = 5\n"
+                   "T = 0.5\ndt = 0.005\nseed = 0\n",
+}
 
 
 def _counting(spec, counter):
@@ -61,15 +81,21 @@ def _counting(spec, counter):
     return dataclasses.replace(spec, **fields)
 
 
-def _measure(run, make_spec):
-    """wall_s, mpoints and peak_bytes of run(spec); make_spec() builds a fresh spec."""
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _measure(run, make_spec, faults=False):
+    """wall_s, mpoints and peak_bytes of run(spec), and with ``faults`` minflt;
+    make_spec() builds a fresh spec."""
     run(make_spec())  # warm-up: imports, caches
-    times = []
+    times, minflt = [], []
     for _ in range(REPEATS):
         spec = make_spec()
-        start = time.perf_counter()
+        f0, start = _minflt(), time.perf_counter()
         run(spec)
         times.append(time.perf_counter() - start)
+        minflt.append(_minflt() - f0)
     counter = [0]
     run(_counting(make_spec(), counter))
     tracemalloc.start()
@@ -78,8 +104,11 @@ def _measure(run, make_spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {"wall_s": statistics.median(times), "mpoints": counter[0] / 1e6,
-            "peak_bytes": peak}
+    row = {"wall_s": statistics.median(times), "mpoints": counter[0] / 1e6,
+           "peak_bytes": peak}
+    if faults:
+        row["minflt"] = statistics.median(minflt)
+    return row
 
 
 def _sweep(lab, spec):
@@ -91,15 +120,15 @@ def _sweep(lab, spec):
                                          SWEEP["seed"])]
 
 
-def _cli_run(cli, d):
+def _cli_run(cli, kind, text):
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "assume.cfg")
+        cfg = os.path.join(tmp, "bench.cfg")
         with open(cfg, "w") as fh:
-            fh.write(f"nonlinearity = {SPEC}\nd = {d}\nseed = 0\n")
+            fh.write(text)
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["check-assumptions", "--config", cfg, "--output", tmp])
+            code = cli.main([kind, "--config", cfg, "--output", tmp])
     if code != 0:
-        raise RuntimeError(f"check-assumptions d={d} exited {code}")
+        raise RuntimeError(f"{kind} exited {code} for {text!r}")
 
 
 def worker(src: str) -> dict:
@@ -110,24 +139,39 @@ def worker(src: str) -> dict:
     rows = {}
     u = np.random.default_rng(0).uniform(-2.0, 2.0, LAYER_POINTS)
     base = nonlinearity.from_selection(SPEC)
+    nls = nonlinearity.from_selection(NLS_SPEC)
     rows["layer.nonlinearity.separate"] = _measure(
         lambda s: (s.F(u), s.f(u), s.fprime(u)), lambda: base)
     rows["layer.nonlinearity.jet"] = (
         _measure(lambda s: s.jet(u, 2), lambda: base) if hasattr(base, "jet") else None)
     with np.errstate(over="ignore", invalid="ignore"):
         rows["layer.sweep.H11+H22"] = _measure(lambda s: _sweep(assumption_lab, s), lambda: base)
+    rows["layer.sweep.ClaimA"] = _measure(
+        lambda s: assumption_lab.find_convexity_shift(s, **SHIFT_SWEEP), lambda: nls)
+    rows["layer.sweep.Gronw6+H222"] = _measure(
+        lambda s: assumption_lab._nls_constants(s, NLS_SWEEP["R"], NLS_SWEEP["d"],
+                                                ["Gronw6", "H222"], NLS_SWEEP["n_random"],
+                                                NLS_SWEEP["seed"]),
+        lambda: nls)
 
     # the CLI builds its spec from the config; route that through the given spec
     real = config.from_selection
-    for d in (1, 2, 3):
-        def run(spec, d=d):
-            config.from_selection = lambda name: spec
+
+    def e2e(kind, name, **fmt):
+        def run(spec):
+            config.from_selection = lambda _: spec
             try:
-                _cli_run(cli, d)
+                _cli_run(cli, kind, E2E[kind].format(spec=name, **fmt))
             finally:
                 config.from_selection = real
+        return run
 
-        rows[f"e2e.check-assumptions.d{d}"] = _measure(run, lambda: base)
+    for d in (1, 2, 3):
+        rows[f"e2e.check-assumptions.d{d}"] = _measure(
+            e2e("check-assumptions", SPEC, d=d), lambda: base, faults=True)
+    ladder = nonlinearity.from_selection("nls_coercive_exp")
+    rows["e2e.weak-strong.nls"] = _measure(
+        e2e("weak-strong", "nls_coercive_exp"), lambda: ladder, faults=True)
     return rows
 
 
@@ -159,6 +203,10 @@ def main(argv=None) -> int:
         "spec": SPEC,
         "layer_points": LAYER_POINTS,
         "sweep": SWEEP,
+        "nls_spec": NLS_SPEC,
+        "shift_sweep": SHIFT_SWEEP,
+        "nls_sweep": NLS_SWEEP,
+        "e2e_configs": E2E,
         "rows": {name: {col: rows[name] for col, rows in columns.items()}
                  for name in columns["after"]},
     }
