@@ -88,7 +88,7 @@ def _blocks(u, w):
 
 
 def _uniform_blocks(seed: int, n: int, bounds, pair):
-    """pair(*draws) for n uniform draws on [-b, b] per b of bounds, one _BLOCK at a time.
+    """pair(*draws) for n uniform draws per (lo, hi) of bounds, one _BLOCK at a time.
 
     The k-th draw comes from PCG64(seed) advanced by k * n, so the blocks
     hold the values of one bulk draw of n per bound, in bounds order, from
@@ -99,7 +99,7 @@ def _uniform_blocks(seed: int, n: int, bounds, pair):
             for k in range(len(bounds))]
     for a in range(0, n, _BLOCK):
         m = min(_BLOCK, n - a)
-        yield pair(*[rng.uniform(-b, b, m) for rng, b in zip(rngs, bounds)])
+        yield pair(*[rng.uniform(lo, hi, m) for rng, (lo, hi) in zip(rngs, bounds)])
 
 
 def _pairs(R: float, W: float, n_random: int, seed: int):
@@ -111,7 +111,7 @@ def _pairs(R: float, W: float, n_random: int, seed: int):
     """
     side = max(8, int(np.sqrt(n_random)))
     yield from _blocks(np.linspace(-R, R, side)[:, None], np.linspace(-W, W, side)[None, :])
-    yield from _uniform_blocks(seed, n_random, (R, W), lambda u, w: (u, w))
+    yield from _uniform_blocks(seed, n_random, ((-R, R), (-W, W)), lambda u, w: (u, w))
 
 
 def _sup_ratio(ratio, blocks):
@@ -349,7 +349,7 @@ def _complex_pairs(R: float, W: float, n_random: int, seed: int):
     grid = (in_disk((R * (re[a:a + rows, None] + 1j * re[None, :])).ravel(),
                     (W * (er[a:a + rows, None] + 1j * er[None, :])).ravel())
             for a in range(0, side, rows))
-    randoms = _uniform_blocks(seed, n_random, (R, R, W, W),
+    randoms = _uniform_blocks(seed, n_random, ((-R, R), (-R, R), (-W, W), (-W, W)),
                               lambda ur, ui, wr, wi: in_disk(ur + 1j * ui, wr + 1j * wi))
     for u, w in chain(grid, randoms):
         if len(u):
@@ -370,27 +370,32 @@ def verify_nls_cancellation(
 
     The identity rests on f(z) conj(z) being real, so it must hold to a
     relative 1e-12; any violation flags a broken spec rather than numerical
-    noise.
+    noise. The first 16 violations in sample order are reported.
+
+    The samples are drawn block by block: the radii and angles of u and w
+    are the values of default_rng(seed).uniform(0, 1, (2, samples)) and then
+    of .uniform(0, 2 pi, (2, samples)), read from four _uniform_blocks draws.
     """
-    rng = np.random.default_rng(seed)
-    r = 5.0 * np.sqrt(rng.uniform(0.0, 1.0, (2, samples)))
-    th = rng.uniform(0.0, 2.0 * np.pi, (2, samples))
-    u = r[0] * np.exp(1j * th[0])
-    w = r[1] * np.exp(1j * th[1])
-    fu, fv = spec.force(u), spec.force(u + w)
-    lhs = _dot(fu - fv, 1j * w)
-    rhs = _dot(fu, 1j * w) + _dot(fv, 1j * u)
-    scale = 1.0 + np.abs(lhs) + np.abs(rhs)
-    bad = np.abs(lhs - rhs) > 1e-12 * scale
-    violations = [
-        {
-            "u": [float(u[i].real), float(u[i].imag)],
-            "w": [float(w[i].real), float(w[i].imag)],
-            "lhs": float(lhs[i]),
-            "rhs": float(rhs[i]),
-        }
-        for i in np.flatnonzero(bad)[:16]
-    ]
+    def polar(ru, rw, tu, tw):
+        return 5.0 * np.sqrt(ru) * np.exp(1j * tu), 5.0 * np.sqrt(rw) * np.exp(1j * tw)
+
+    violations = []
+    bounds = ((0.0, 1.0), (0.0, 1.0), (0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi))
+    for u, w in _uniform_blocks(seed, samples, bounds, polar):
+        fu, fv = spec.force(u), spec.force(u + w)
+        lhs = _dot(fu - fv, 1j * w)
+        rhs = _dot(fu, 1j * w) + _dot(fv, 1j * u)
+        scale = 1.0 + np.abs(lhs) + np.abs(rhs)
+        bad = np.abs(lhs - rhs) > 1e-12 * scale
+        violations += [
+            {
+                "u": [float(u[i].real), float(u[i].imag)],
+                "w": [float(w[i].real), float(w[i].imag)],
+                "lhs": float(lhs[i]),
+                "rhs": float(rhs[i]),
+            }
+            for i in np.flatnonzero(bad)[:16 - len(violations)]
+        ]
     return InequalityReport("Gronw4", not violations, violations)
 
 

@@ -5,7 +5,10 @@ Subcommands mirror the experiment kinds plus ``export``. Exit codes:
 
 Any config key can be overridden from the environment with the SUPERCRIT_
 prefix, e.g. SUPERCRIT_SEED=7 or SUPERCRIT_N=64. Keys match config fields
-case-insensitively; variables that name no field are ignored.
+case-insensitively; variables that name no field are ignored. Overrides are
+appended to the config text as ``key = value`` lines, the environment's in
+sorted order and then ``--seed``; the last line setting a key wins, so
+``--seed`` beats the environment, which beats the file.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .config import KINDS, ConfigError, ExperimentConfig, parse_config, with_overrides
+from .config import KINDS, ConfigError, ExperimentConfig, parse_config
 from .runner import (
     EXIT_CONFIG,
     EXIT_FOR_OUTCOME,
@@ -103,11 +106,12 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    env = _env_overrides()
-    if env:
-        text = text + "\n" + "\n".join(f"{k} = {v}" for k, v in sorted(env.items()))
+    overrides = [f"{k} = {v}" for k, v in sorted(_env_overrides().items())]
+    if args.seed is not None:
+        overrides.append(f"seed = {args.seed}")
+    text = "\n".join([text, *overrides])
     try:
-        cfg = with_overrides(parse_config(text, kind=args.command), seed=args.seed)
+        cfg = parse_config(text, kind=args.command)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

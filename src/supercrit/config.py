@@ -1,15 +1,15 @@
 """Flat key=value experiment configuration with exact error reporting.
 
-Format: one ``key = value`` per line, ``#`` comments, optional ``[section]``
-headers that prefix the following keys as ``section.key``. Every parameter in
-this artifact is flat, so no nesting beyond that is supported.
+Format: one ``key = value`` per line and ``#`` comments. Every parameter is
+flat: a ``[section]`` header line, whatever its name, is skipped, and the
+keys below it are read as they stand. A key set twice takes its last value.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .field_core import GridSpec
 from .nonlinearity import (
@@ -96,39 +96,31 @@ _FIELDS = {
     "stride": int,
 }
 
-# accepted with or without the section prefix
-_SECTION_ALIASES = {"grid.d": "d", "grid.N": "N", "grid.L": "L", "run.dt": "dt",
-                    "run.T": "T", "run.seed": "seed", "run.stride": "stride"}
-
 
 def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     """Parse and fully validate; raises ConfigError listing every problem."""
     errors: list = []
     values: dict = {}
-    section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
             continue
         key, eq, value = line.partition("=")
         if not eq:
             errors.append(f"line {lineno}: expected key=value, got {raw.strip()!r}")
             continue
         key, value = key.strip(), value.strip()
-        full = f"{section}.{key}" if section else key
-        full = _SECTION_ALIASES.get(full, full if full in _FIELDS else key)
-        if full not in _FIELDS:
+        if key not in _FIELDS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
-        conv = _FIELDS[full]
+        conv = _FIELDS[key]
         try:
             if conv == "ladder":
-                values[full] = tuple(float(v) for v in value.split(",") if v.strip())
+                values[key] = tuple(float(v) for v in value.split(",") if v.strip())
             else:
-                values[full] = conv(value)
+                values[key] = conv(value)
         except ValueError:
             errors.append(f"line {lineno}: bad value for {key!r}: {value!r}")
 
@@ -238,11 +230,3 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             rendered = str(value)
         lines.append(f"{name} = {rendered}")
     return "\n".join(lines) + "\n"
-
-
-def with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    cfg = replace(cfg, **{k: v for k, v in kwargs.items() if v is not None})
-    errors = validate(cfg)
-    if errors:
-        raise ConfigError(errors)
-    return cfg

@@ -41,7 +41,7 @@ from .field_core import (
     full_gradient_norm_sq,
     l2_norm_sq,
 )
-from .stepping import BlowUpError, RunSchedule, run_single
+from .stepping import BlowUpError, RunSchedule
 
 __all__ = [
     "NlsRunConfig",
@@ -49,7 +49,6 @@ __all__ = [
     "nonlinear_flow",
     "strang_step",
     "member",
-    "run",
 ]
 
 
@@ -207,8 +206,3 @@ def member(cfg: NlsRunConfig):
     """The (stepper, initial state) pair of cfg, a member for stepping.integrate."""
     stepper = _SpectralStrang(cfg)
     return stepper, stepper.start(np.asarray(cfg.u0, complex))
-
-
-def run(cfg: NlsRunConfig):
-    """Evolve to T; returns the final record (a RunEnd) and the diagnostics trace."""
-    return run_single(member, cfg)

@@ -27,15 +27,9 @@ from .nonlinearity import (
     find_truncation_abscissae,
     truncate,
 )
-from .stepping import BlowUpError, integrate
-from .wave_integrator import (
-    WaveRunConfig,
-    WeakIdentity,
-    max_leakage,
-    member as wave_member,
-    run as wave_run,
-)
-from .nls_integrator import NlsRunConfig, run as nls_run
+from .stepping import BlowUpError, integrate, run_single
+from .wave_integrator import WaveRunConfig, WeakIdentity, member as wave_member
+from .nls_integrator import NlsRunConfig, member as nls_member
 from .weak_strong import (
     appendix_construction,
     gronwall_ladder,
@@ -111,8 +105,8 @@ def _do_check_assumptions(cfg: ExperimentConfig):
 
 def _do_simulate(cfg: ExperimentConfig):
     base = _base_config(cfg, cfg.spec())
-    _, trace = (nls_run if isinstance(base, NlsRunConfig) else wave_run)(base)
-    outcome = OUTCOME_LEAKAGE if max_leakage(trace) > LEAKAGE_LIMIT else OUTCOME_OK
+    _, trace = run_single(nls_member if isinstance(base, NlsRunConfig) else wave_member, base)
+    outcome = OUTCOME_LEAKAGE if max(trace.column("leakage")) > LEAKAGE_LIMIT else OUTCOME_OK
     return outcome, {"trace.csv": trace.to_csv().encode()}
 
 

@@ -43,8 +43,8 @@ import numpy as np
 
 from .field_core import boundary_leakage
 
-__all__ = ["BlowUpError", "RunSchedule", "DiagnosticTrace", "Record", "RunEnd",
-           "integrate", "run_single"]
+__all__ = ["BlowUpError", "RunSchedule", "DiagnosticTrace", "Record", "integrate",
+           "run_single"]
 
 
 class BlowUpError(RuntimeError):
@@ -54,7 +54,7 @@ class BlowUpError(RuntimeError):
 
 
 class RunSchedule:
-    """Steps, record stride and leakage margin; mixed into the wave and NLS run
+    """Steps and record stride; mixed into the wave and NLS run
     configs, which supply ``grid``, ``dt``, ``T`` and ``diagnostics_stride``
     and call ``snap_dt()`` once they are validated."""
 
@@ -70,23 +70,19 @@ class RunSchedule:
             return self.diagnostics_stride
         return max(1, self.steps() // 128)
 
-    def margin(self) -> float:
-        return self.grid.L / 8.0
-
 
 @dataclass
 class DiagnosticTrace:
     """Per-record diagnostics of a run; as an observer it traces member 0.
 
-    An observed row is t, the stepper's energies, the boundary leakage
-    (the shell ``margin`` wide) and the sup norm; observing sets ``columns``
-    to their names.
+    An observed row is t, the stepper's energies, the boundary leakage (in
+    the shell L/8 wide of the grid) and the sup norm; observing sets
+    ``columns`` to their names.
     """
 
     columns: tuple = ()
     rows: list = field(default_factory=list)
     grid: object = None
-    margin: float = 0.0
 
     def add(self, *values: float):
         self.rows.append(tuple(float(v) for v in values))
@@ -104,7 +100,7 @@ class DiagnosticTrace:
     def observe(self, records):
         r = records[0]
         self.columns = ("t", *r.stepper.columns, "leakage", "sup_norm")
-        self.add(r.t, *r.energy, boundary_leakage(r.u, self.grid, self.margin),
+        self.add(r.t, *r.energy, boundary_leakage(r.u, self.grid, self.grid.L / 8.0),
                  np.max(np.abs(r.u)))
 
     def result(self) -> DiagnosticTrace:
@@ -137,22 +133,6 @@ class Record:
     @cached_property
     def potential(self) -> np.ndarray:
         return self.stepper.potential(self)
-
-
-@dataclass(frozen=True)
-class RunEnd:
-    """The final record of a one-member run and the number of records made."""
-
-    last: Record
-    records: int
-
-    def __len__(self) -> int:
-        return self.records
-
-    @property
-    def us(self) -> tuple:
-        """The fields the run keeps besides its trace: the final u only."""
-        return (self.last.u,)
 
 
 def integrate(members, schedule, observers=()):
@@ -192,10 +172,10 @@ def integrate(members, schedule, observers=()):
 
 def run_single(member, schedule):
     """Integrate member(schedule), a (stepper, initial state) pair, with the
-    diagnostics trace; returns (RunEnd, trace).
+    diagnostics trace; returns (final Record, trace).
 
     The member is built in the integrate call, so its initial state goes at
     the first step."""
-    trace = DiagnosticTrace(grid=schedule.grid, margin=schedule.margin())
+    trace = DiagnosticTrace(grid=schedule.grid)
     (last,), _ = integrate([member(schedule)], schedule, [trace])
-    return RunEnd(last, len(trace.rows)), trace
+    return last, trace

@@ -44,7 +44,7 @@ from .field_core import (
     laplacian,
     wave_energy,
 )
-from .stepping import DiagnosticTrace, RunSchedule, run_single
+from .stepping import RunSchedule
 
 __all__ = [
     "WaveRunConfig",
@@ -52,8 +52,6 @@ __all__ = [
     "Verlet",
     "step",
     "member",
-    "run",
-    "max_leakage",
 ]
 
 CFL_SAFETY = 0.25
@@ -152,9 +150,10 @@ class _SpectralImpulse:
         with np.errstate(over="ignore", invalid="ignore"):
             return self._forward(self.spec.f(u) - self.mass * u)
 
-    def start(self, state: WaveState) -> _SpectralState:
-        return _SpectralState(state.u, self._forward(state.u), self._forward(state.ut),
-                              self._residual_spectrum(state.u), state.t)
+    def start(self, u0: np.ndarray, u1: np.ndarray) -> _SpectralState:
+        """The state at t = 0 of u = u0, u_t = u1."""
+        return _SpectralState(u0, self._forward(u0), self._forward(u1),
+                              self._residual_spectrum(u0), 0.0)
 
     def __call__(self, s: _SpectralState) -> _SpectralState:
         half_dt = 0.5 * self.dt
@@ -211,17 +210,7 @@ class Verlet:
 def member(cfg: WaveRunConfig):
     """The impulse (stepper, initial state) pair of cfg, a member for stepping.integrate."""
     stepper = _SpectralImpulse(cfg)
-    u0, u1 = np.asarray(cfg.u0, float), np.asarray(cfg.u1, float)
-    return stepper, stepper.start(WaveState(cfg.grid, u0, u1, 0.0))
-
-
-def run(cfg: WaveRunConfig):
-    """Evolve to T; returns the final record (a RunEnd) and the diagnostics trace."""
-    return run_single(member, cfg)
-
-
-def max_leakage(trace: DiagnosticTrace) -> float:
-    return float(np.max(trace.column("leakage")))
+    return stepper, stepper.start(np.asarray(cfg.u0, float), np.asarray(cfg.u1, float))
 
 
 class WeakIdentity:

@@ -25,7 +25,7 @@ from supercrit.assumption_lab import (
 from supercrit.cli import main
 from supercrit.config import parse_config, serialize_config
 from supercrit.field_core import GridSpec, bump_field
-from supercrit.nls_integrator import NlsRunConfig, run as nls_run
+from supercrit.nls_integrator import NlsRunConfig, member as nls_member
 from supercrit.nonlinearity import (
     AssumptionClass,
     NlsNonlinearitySpec,
@@ -36,12 +36,11 @@ from supercrit.nonlinearity import (
     from_selection,
     truncate,
 )
-from supercrit.stepping import integrate
+from supercrit.stepping import integrate, run_single
 from supercrit.wave_integrator import (
     WaveRunConfig,
     WeakIdentity,
     member as wave_member,
-    run as wave_run,
 )
 from supercrit.weak_strong import (
     ForceSamples,
@@ -184,7 +183,7 @@ def test_criterion_3_conservation():
     spec = from_selection("defocusing_exp:m=1")
     wave_drifts = []
     for factor in (0.25, 0.125):
-        _, trace = wave_run(_wave_config(256, 1.0, 0.5, spec, dt_factor=factor))
+        _, trace = run_single(wave_member, _wave_config(256, 1.0, 0.5, spec, dt_factor=factor))
         E = np.asarray(trace.column("E_total"))
         wave_drifts.append(float(np.max(np.abs(E - E[0])) / abs(E[0])))
     wave_ratio = wave_drifts[0] / wave_drifts[1]
@@ -194,7 +193,7 @@ def test_criterion_3_conservation():
     u0 = bump_field(grid, 0.5, 3.0).astype(complex)
     mass_drift, ham_drifts = 0.0, []
     for dt in (1e-3, 5e-4):
-        _, trace = nls_run(NlsRunConfig(grid, nspec, dt, 1.0, u0))
+        _, trace = run_single(nls_member, NlsRunConfig(grid, nspec, dt, 1.0, u0))
         mass = np.asarray(trace.column("mass"))
         H = np.asarray(trace.column("H_total"))
         mass_drift = max(mass_drift,

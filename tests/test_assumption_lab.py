@@ -505,6 +505,55 @@ def test_nls_cancellation_detects_broken_force():
     assert not rep.holds
 
 
+def _bulk_cancellation(spec, samples, seed):
+    """verify_nls_cancellation on one bulk draw of every sample, as a reference."""
+    rng = np.random.default_rng(seed)
+    r = 5.0 * np.sqrt(rng.uniform(0.0, 1.0, (2, samples)))
+    th = rng.uniform(0.0, 2.0 * np.pi, (2, samples))
+    u = r[0] * np.exp(1j * th[0])
+    w = r[1] * np.exp(1j * th[1])
+    fu, fv = spec.force(u), spec.force(u + w)
+    lhs = assumption_lab._dot(fu - fv, 1j * w)
+    rhs = assumption_lab._dot(fu, 1j * w) + assumption_lab._dot(fv, 1j * u)
+    bad = np.abs(lhs - rhs) > 1e-12 * (1.0 + np.abs(lhs) + np.abs(rhs))
+    return [{"u": [float(u[i].real), float(u[i].imag)],
+             "w": [float(w[i].real), float(w[i].imag)],
+             "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+            for i in np.flatnonzero(bad)[:16]]
+
+
+# f(u) conj(u) is not real where Fs' turns imaginary: above s = 48 the 43
+# violations of seed 3 start in the first block and run past 16 in the
+# second; above s = 49 the 8 violations lie in the first three blocks
+@pytest.mark.parametrize("s_broken", [0.0, 48.0, 49.0])
+def test_streamed_cancellation_reports_the_bulk_violations(s_broken):
+    spec = NlsNonlinearitySpec(
+        name="broken_above",
+        Fs=lambda s: np.asarray(s, float),
+        Fsprime=lambda s: np.where(np.asarray(s) > s_broken, 1j, 1.0),
+        Fsprime2=lambda s: np.zeros_like(np.asarray(s, float)),
+        assumption_class=AssumptionClass.NLS_SUBCRIT,
+    )
+    n = 3 * assumption_lab._BLOCK + 5
+    rep = verify_nls_cancellation(spec, samples=n, seed=3)
+    assert rep.violations == _bulk_cancellation(spec, n, 3)
+    assert len(rep.violations) == (8 if s_broken == 49.0 else 16) and not rep.holds
+
+
+def test_nls_check_assumptions_peak_stays_below_10_mib():
+    # materialised, the 100k Gronw4 samples and their temporaries peaked at
+    # 15.3 MiB, above every streamed sweep of the run
+    spec = from_selection("nls_cubic")
+    verify_nls_cancellation(spec, samples=10)  # imports numpy.random (0.7 MiB)
+    tracemalloc.start()
+    try:
+        classify(spec, R=2.0, d=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
 def test_nls_coercivity_holds_on_declared_range():
     rep = verify_nls_coercivity(from_selection("nls_coercive_exp"), samples=N_SMALL)
     assert rep.holds

@@ -201,6 +201,16 @@ def test_environment_overrides(tmp_path, wave_config, monkeypatch):
     assert "seed = 11" in manifest["config"]
 
 
+def test_seed_flag_overrides_environment(tmp_path, wave_config, monkeypatch):
+    monkeypatch.setenv("SUPERCRIT_SEED", "11")
+    out = tmp_path / "runs"
+    assert main(["simulate-wave", "--config", str(wave_config), "--output", str(out),
+                 "--seed", "7"]) == 0
+    (exp_dir,) = out.iterdir()
+    manifest = json.loads((exp_dir / "manifest.json").read_text())
+    assert "seed = 7" in manifest["config"]
+
+
 def test_environment_keys_match_fields_case_insensitively(tmp_path, wave_config,
                                                          monkeypatch):
     monkeypatch.setenv("SUPERCRIT_N", "64")

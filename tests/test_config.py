@@ -11,7 +11,6 @@ from supercrit.config import (
     parse_config,
     serialize_config,
     validate,
-    with_overrides,
 )
 from supercrit.nonlinearity import builtin_catalog
 
@@ -43,15 +42,15 @@ def test_id_ignores_formatting_and_order():
 
 
 def test_id_changes_with_any_parameter():
-    cfg = parse_config(GOOD)
-    assert with_overrides(cfg, seed=1).experiment_id() != cfg.experiment_id()
-    assert with_overrides(cfg, T=0.25).experiment_id() != cfg.experiment_id()
+    base = parse_config(GOOD).experiment_id()
+    assert parse_config(GOOD + "seed = 1\n").experiment_id() != base
+    assert parse_config(GOOD + "T = 0.25\n").experiment_id() != base
 
 
 def test_section_headers_are_aliases():
-    text = GOOD + "\n[grid]\nN = 256\n[run]\nseed = 9\n"
+    text = GOOD + "\n[grid]\nN = 256\n[run]\nseed = 9\n[anything]\nL = 4.0\n"
     cfg = parse_config(text)
-    assert cfg.N == 256 and cfg.seed == 9
+    assert cfg.N == 256 and cfg.seed == 9 and cfg.L == 4.0
 
 
 def test_errors_carry_line_numbers_and_accumulate():

@@ -13,7 +13,6 @@ from supercrit.nls_integrator import (
     linear_flow,
     member,
     nonlinear_flow,
-    run,
     strang_step,
 )
 from supercrit.nonlinearity import (
@@ -21,7 +20,7 @@ from supercrit.nonlinearity import (
     NlsNonlinearitySpec,
     from_selection,
 )
-from supercrit.stepping import BlowUpError, Record, integrate
+from supercrit.stepping import BlowUpError, Record, integrate, run_single
 
 SINGULAR = NlsNonlinearitySpec(
     name="singular",
@@ -117,15 +116,15 @@ def test_plane_wave_oracle_exact():
     k = 2.0 * np.pi * m / grid.L
     u0 = A * np.exp(1j * k * grid.axis())
     cfg = NlsRunConfig(grid, spec, 1e-3, 0.5, u0)
-    end, _ = run(cfg)
+    end, _ = run_single(member, cfg)
     rate = k ** 2 + spec.Fsprime(0.5 * A ** 2)
-    exact = u0 * np.exp(1j * rate * end.last.t)
-    assert np.max(np.abs(end.last.u - exact)) < 1e-11
+    exact = u0 * np.exp(1j * rate * end.t)
+    assert np.max(np.abs(end.u - exact)) < 1e-11
 
 
 def test_mass_conserved_to_machine_precision():
     cfg = make_config(T=1.0, dt=5e-3)
-    _, trace = run(cfg)
+    _, trace = run_single(member, cfg)
     mass = trace.column("mass")
     assert np.max(np.abs(mass - mass[0])) / mass[0] < 1e-13
 
@@ -133,7 +132,7 @@ def test_mass_conserved_to_machine_precision():
 def test_hamiltonian_drift_scales_quadratically():
     drifts = []
     for dt in (2e-3, 1e-3):
-        _, trace = run(make_config(T=0.5, dt=dt))
+        _, trace = run_single(member, make_config(T=0.5, dt=dt))
         H = trace.column("H_total")
         drifts.append(np.max(np.abs(H - H[0])) / abs(H[0]))
     assert drifts[0] < 1e-6
@@ -235,7 +234,7 @@ def test_dt_field_matches_plane_wave_rate():
 
 
 def test_trace_columns():
-    _, trace = run(make_config(T=0.1))
+    _, trace = run_single(member, make_config(T=0.1))
     assert trace.columns == ("t", "mass", "H_total", "H_gradient",
                              "H_potential", "leakage", "sup_norm")
     assert np.all(trace.column("leakage") >= 0.0)

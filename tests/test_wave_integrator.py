@@ -6,15 +6,7 @@ import pytest
 from supercrit.field_core import GridSpec, WaveState, bump_field
 from supercrit.nonlinearity import AssumptionClass, NonlinearitySpec, from_selection
 from supercrit.stepping import BlowUpError, DiagnosticTrace, integrate, run_single
-from supercrit.wave_integrator import (
-    Verlet,
-    WaveRunConfig,
-    WeakIdentity,
-    max_leakage,
-    member,
-    run,
-    step,
-)
+from supercrit.wave_integrator import Verlet, WaveRunConfig, WeakIdentity, member, step
 
 
 def make_config(N=128, L=8.0, amplitude=0.5, T=0.5, spec=None, **kw):
@@ -47,20 +39,20 @@ def test_zero_data_is_fixed_point():
     z = np.zeros(grid.shape)
     cfg = WaveRunConfig(grid, from_selection("pure_power:p=2"),
                         0.25 * grid.h, 0.25, z, z)
-    end, trace = run(cfg)
-    assert np.all(end.last.u == 0.0)
+    end, trace = run_single(member, cfg)
+    assert np.all(end.u == 0.0)
     assert trace.column("E_total")[-1] == 0.0
 
 
 def run_verlet(cfg):
-    """The Verlet oracle's run of cfg, shaped like run(cfg)."""
+    """The Verlet oracle's run of cfg, shaped like run_single(member, cfg)."""
     return run_single(lambda c: (Verlet(c), WaveState(c.grid, c.u0, c.u1, 0.0)), cfg)
 
 
 def test_methods_agree_at_small_dt():
     cfg = make_config(T=0.25, dt=0.02 * 8.0 / 128)
-    (end, _), (oracle, _) = run(cfg), run_verlet(cfg)
-    assert np.max(np.abs(end.last.u - oracle.last.u)) < 1e-6
+    (end, _), (oracle, _) = run_single(member, cfg), run_verlet(cfg)
+    assert np.max(np.abs(end.u - oracle.u)) < 1e-6
 
 
 def test_impulse_agrees_with_verlet_oracle_in_3d():
@@ -68,10 +60,10 @@ def test_impulse_agrees_with_verlet_oracle_in_3d():
     u0 = bump_field(grid, 0.5, 2.5)
     cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), 0.005, 0.25,
                         u0, np.zeros_like(u0), diagnostics_stride=5)
-    (end, trace), (oracle, oracle_trace) = run(cfg), run_verlet(cfg)
+    (end, trace), (oracle, oracle_trace) = run_single(member, cfg), run_verlet(cfg)
     # verlet's own O(dt^2) error sets the scale: about 3e-8 on u, 3e-5 on E
-    assert np.max(np.abs(end.last.u - oracle.last.u)) < 1e-6
-    assert np.max(np.abs(end.last.ut - oracle.last.ut)) < 1e-5
+    assert np.max(np.abs(end.u - oracle.u)) < 1e-6
+    assert np.max(np.abs(end.ut - oracle.ut)) < 1e-5
     for name in ("E_total", "E_kinetic", "E_gradient", "E_potential"):
         ours, ref = trace.column(name), oracle_trace.column(name)
         assert np.max(np.abs(ours - ref)) < 1e-4 * np.max(np.abs(ref)), name
@@ -89,8 +81,9 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
     dt = 0.05
     cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), dt, 10 * dt,
                         u0, np.zeros_like(u0), diagnostics_stride=3)
-    end, _ = run(cfg)
-    assert cfg.steps() == 10 and len(end) == 5
+    _, trace = run_single(member, cfg)
+    records = len(trace.rows)
+    assert cfg.steps() == 10 and records == 5
     # three transforms set up the spectral state from (u0, u1); the trace's
     # energies come from the half spectra, so a plain run's records cost none.
     # An inverse transform is irfftn's d - 1 per-axis ifft calls and one irfft.
@@ -109,15 +102,15 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
     calls.clear()
     integrate([member(cfg)], cfg, [ReadsVelocity()])
     # an observer that reads the physical u_t costs one inverse transform
-    assert calls.count("irfft") == cfg.steps() + len(end)
-    assert len(calls) == 3 + (1 + grid.d) * cfg.steps() + grid.d * len(end)
+    assert calls.count("irfft") == cfg.steps() + records
+    assert len(calls) == 3 + (1 + grid.d) * cfg.steps() + grid.d * records
 
 
 def test_impulse_exact_on_nearly_linear_problem():
     # cubic force at amplitude 1e-8 is negligible, so the split flow is the
     # exact linear propagator and energy drift sits at rounding level
     cfg = make_config(amplitude=1e-8, T=1.0, spec=from_selection("pure_power:p=3"))
-    _, trace = run(cfg)
+    _, trace = run_single(member, cfg)
     E = trace.column("E_total")
     assert np.max(np.abs(E - E[0])) / abs(E[0]) < 1e-12
 
@@ -126,7 +119,7 @@ def test_energy_drift_quarters_under_dt_halving():
     drifts = []
     for factor in (0.25, 0.125):
         cfg = make_config(N=128, T=1.0, dt=factor * 8.0 / 128)
-        _, trace = run(cfg)
+        _, trace = run_single(member, cfg)
         E = trace.column("E_total")
         drifts.append(np.max(np.abs(E - E[0])) / abs(E[0]))
     assert 3.0 < drifts[0] / drifts[1] < 5.0
@@ -145,20 +138,20 @@ def test_blow_up_detected_for_focusing_force():
     cfg = make_config(N=64, amplitude=8.0, T=4.0, spec=focusing,
                       dt=0.25 * 8.0 / 64, diagnostics_stride=10 ** 9)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
-        run(cfg)
+        run_single(member, cfg)
     assert info.value.t_last >= 0.0
 
 
 def test_trace_columns_and_csv():
     cfg = make_config(T=0.25, diagnostics_stride=4)
-    _, trace = run(cfg)
+    _, trace = run_single(member, cfg)
     assert trace.columns == ("t", "E_total", "E_kinetic", "E_gradient",
                              "E_potential", "leakage", "sup_norm")
     csv = trace.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == ",".join(trace.columns)
     assert len(lines) == len(trace.rows) + 1
-    assert max_leakage(trace) >= 0.0
+    assert np.max(trace.column("leakage")) >= 0.0
 
 
 def test_trace_column_lookup_errors():
@@ -184,19 +177,19 @@ def test_run_ends_at_T_with_dt_at_most_the_one_asked_for():
     asked = 0.25 * 8.0 / 128
     # T / dt = 44.34: 44 steps of the asked dt would stop at t = 0.6875
     cfg = make_config(T=44.34 * asked, dt=asked)
-    end, trace = run(cfg)
+    end, trace = run_single(member, cfg)
     assert cfg.steps() == 45 and cfg.dt <= asked
-    assert end.last.t == trace.column("t")[-1] == pytest.approx(cfg.T, rel=1e-14)
+    assert end.t == trace.column("t")[-1] == pytest.approx(cfg.T, rel=1e-14)
     # a T far below dt is one step of dt = T, not one step of the asked dt
     short = make_config(T=1e-9, dt=asked)
-    end, _ = run(short)
-    assert short.steps() == 1 and end.last.t == pytest.approx(1e-9, rel=1e-14)
+    end, _ = run_single(member, short)
+    assert short.steps() == 1 and end.t == pytest.approx(1e-9, rel=1e-14)
 
 
 def test_snapshot_times_cover_final_time():
     cfg = make_config(T=0.5)
-    end, trace = run(cfg)
+    end, trace = run_single(member, cfg)
     times = trace.column("t")
-    assert times[0] == 0.0 and len(times) == len(end)
-    assert end.last.t == times[-1] == pytest.approx(0.5, abs=cfg.dt)
-    assert end.last.state.is_finite()
+    assert times[0] == 0.0 and len(times) == len(trace.rows)
+    assert end.t == times[-1] == pytest.approx(0.5, abs=cfg.dt)
+    assert end.state.is_finite()

@@ -10,10 +10,10 @@ import pytest
 from supercrit.assumption_lab import find_convexity_shift
 from supercrit.field_core import GridSpec, bump_field, l2_norm_sq
 from supercrit import stepping, weak_strong
-from supercrit.nls_integrator import NlsRunConfig, member as nls_member, run as nls_run
+from supercrit.nls_integrator import NlsRunConfig, member as nls_member
 from supercrit.nonlinearity import from_selection, two_star
-from supercrit.stepping import integrate
-from supercrit.wave_integrator import WaveRunConfig, member as wave_member, run as wave_run
+from supercrit.stepping import integrate, run_single
+from supercrit.wave_integrator import WaveRunConfig, member as wave_member
 from supercrit.weak_strong import (
     ForceSamples,
     GronwallTrace,
@@ -169,12 +169,12 @@ def _nls_base():
                         diagnostics_stride=1)
 
 
-@pytest.mark.parametrize("run, base", [(wave_run, _wave_base), (nls_run, _nls_base)],
+@pytest.mark.parametrize("member, base", [(wave_member, _wave_base), (nls_member, _nls_base)],
                          ids=["wave", "nls"])
-def test_single_run_releases_its_initial_state(monkeypatch, run, base):
+def test_single_run_releases_its_initial_state(monkeypatch, member, base):
     alive = _alive_at_second_record(monkeypatch, stepping.DiagnosticTrace,
                                     lambda records: [records[0].state])
-    run(base())
+    run_single(member, base())
     assert alive == [False]
 
 
@@ -220,7 +220,7 @@ def test_truncation_ladder_discrepancies_decrease():
     base = WaveRunConfig(grid, spec, grid.h / 16.0, 0.5, u0, np.zeros_like(u0))
     report, samples = appendix_construction(base, (1.0, 2.0, 4.0))
     # the probe's samples come from the untruncated reference
-    final_force = np.abs(spec.f(wave_run(base)[0].last.u)).ravel()
+    final_force = np.abs(spec.f(run_single(wave_member, base)[0].u)).ravel()
     assert np.array_equal(samples.absf[-1], final_force)
     assert report.monotone_l2 and report.monotone_force
     assert report.l2_discrepancy[0] > report.l2_discrepancy[-1]
