@@ -6,9 +6,10 @@ Subcommands mirror the experiment kinds plus ``export``. Exit codes:
 Any config key can be overridden from the environment with the SUPERCRIT_
 prefix, e.g. SUPERCRIT_SEED=7 or SUPERCRIT_N=64. Keys match config fields
 case-insensitively; variables that name no field are ignored. Overrides are
-appended to the config text as ``key = value`` lines, the environment's in
+read after the config file as ``key = value`` lines, the environment's in
 sorted order and then ``--seed``; the last line setting a key wins, so
-``--seed`` beats the environment, which beats the file.
+``--seed`` beats the environment, which beats the file. An error in an
+override names its source (``SUPERCRIT_<KEY>`` or ``--seed``), not a line.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .config import KINDS, ConfigError, ExperimentConfig, parse_config
+from .config import KINDS, ConfigError, ExperimentConfig, parse_with_overrides
 from .runner import (
     EXIT_CONFIG,
     EXIT_FOR_OUTCOME,
@@ -106,12 +107,12 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    overrides = [f"{k} = {v}" for k, v in sorted(_env_overrides().items())]
+    overrides = [(f"{ENV_PREFIX}{k.upper()}", f"{k} = {v}")
+                 for k, v in sorted(_env_overrides().items())]
     if args.seed is not None:
-        overrides.append(f"seed = {args.seed}")
-    text = "\n".join([text, *overrides])
+        overrides.append(("--seed", f"seed = {args.seed}"))
     try:
-        cfg = parse_config(text, kind=args.command)
+        cfg = parse_with_overrides(text, overrides, args.command)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -19,9 +19,11 @@ from .nonlinearity import (
     two_star,
 )
 from .nls_integrator import accuracy_error
-from .wave_integrator import stability_error, stable_dt
+from .stepping import RunSchedule
+from .wave_integrator import WEAK_IDENTITY_RECORDS, stability_error, stable_dt
 
-__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config"]
+__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "parse_with_overrides",
+           "serialize_config"]
 
 KINDS = (
     "check-assumptions",
@@ -99,9 +101,19 @@ _FIELDS = {
 
 def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     """Parse and fully validate; raises ConfigError listing every problem."""
+    return parse_with_overrides(text, (), kind)
+
+
+def parse_with_overrides(text: str, overrides, kind: str | None) -> ExperimentConfig:
+    """parse_config of text followed by the ``(source, line)`` pairs of overrides.
+
+    An error names its line number in text, or the source of its override
+    (such as the environment variable that set it).
+    """
     errors: list = []
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    numbered = [(f"line {n}", raw) for n, raw in enumerate(text.splitlines(), start=1)]
+    for where, raw in [*numbered, *overrides]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -109,11 +121,11 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
             continue
         key, eq, value = line.partition("=")
         if not eq:
-            errors.append(f"line {lineno}: expected key=value, got {raw.strip()!r}")
+            errors.append(f"{where}: expected key=value, got {raw.strip()!r}")
             continue
         key, value = key.strip(), value.strip()
         if key not in _FIELDS:
-            errors.append(f"line {lineno}: unknown key {key!r}")
+            errors.append(f"{where}: unknown key {key!r}")
             continue
         conv = _FIELDS[key]
         try:
@@ -122,7 +134,7 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
             else:
                 values[key] = conv(value)
         except ValueError:
-            errors.append(f"line {lineno}: bad value for {key!r}: {value!r}")
+            errors.append(f"{where}: bad value for {key!r}: {value!r}")
 
     if kind is not None:
         if "kind" in values and values["kind"] != kind:
@@ -176,10 +188,18 @@ def validate(cfg: ExperimentConfig) -> list:
         errors.append(f"{cfg.nonlinearity!r} is not an NLS nonlinearity")
     if cfg.kind in ("simulate-wave", "appendix-construct") and wants_nls:
         errors.append(f"{cfg.nonlinearity!r} is not a wave nonlinearity")
-    if not errors and cfg.kind in ("simulate-wave", "weak-strong", "appendix-construct") \
-            and not wants_nls and cfg.dt > 0 \
+    # identity-check runs the wave equation whatever its nonlinearity
+    wave_run = cfg.kind == "identity-check" or (
+        cfg.kind in ("simulate-wave", "weak-strong", "appendix-construct") and not wants_nls)
+    if not errors and wave_run and cfg.dt > 0 \
             and (problem := stability_error(cfg.dt, cfg.L / cfg.N, cfg.d)):
         errors.append(problem)
+    if not errors and cfg.kind == "identity-check" and (
+            records := _Schedule(cfg.T, cfg.effective_dt(), cfg.stride).records()
+    ) < WEAK_IDENTITY_RECORDS:
+        errors.append(f"identity-check makes {records} records, but the weak identity's "
+                      f"time quadrature needs {WEAK_IDENTITY_RECORDS}: raise T, or lower "
+                      "dt or stride")
     if not errors and cfg.kind in ("simulate-nls", "weak-strong") and wants_nls \
             and (problem := accuracy_error(cfg.dt, cfg.L / cfg.N)):
         errors.append(problem)
@@ -196,14 +216,25 @@ def validate(cfg: ExperimentConfig) -> list:
     return errors
 
 
+@dataclass(frozen=True)
+class _Schedule(RunSchedule):
+    """The step and record counts of a run, from its T, dt and stride alone."""
+
+    T: float
+    dt: float
+    diagnostics_stride: int
+
+
 def working_set_bytes(cfg: ExperimentConfig) -> float:
     """Bytes a run of a valid cfg holds at once.
 
-    160 per grid point for each state stepped in lockstep (measured: 135 for
-    wave; for NLS, 146 for one state and 126 per state of a weak-strong
-    ladder at d = 2, N = 512), one per ladder member plus the reference; the probe
-    of appendix-construct adds 24 per point and record (measured: 24 at
-    d = 1, N = 1024, 513 records: the |f(u)| samples and about two copies
+    160 per grid point for each state stepped in lockstep, one per ladder
+    member plus the reference. Measured as the tracemalloc peak of a CLI
+    run: simulate-wave 90 at d = 2, N = 512, 92 at d = 3, N = 64 and 104 at
+    d = 1, N = 65536, where setting up the bump sets the peak; NLS 146 for
+    one state and 126 per state of a weak-strong ladder at d = 2, N = 512.
+    The probe of appendix-construct adds 24 per point and record (measured:
+    24 at d = 1, N = 1024, 513 records: the |f(u)| samples and about two copies
     of them while the probe runs).
     """
     points = 0.0 if cfg.kind == "check-assumptions" else float(cfg.N) ** cfg.d

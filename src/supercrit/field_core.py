@@ -166,37 +166,40 @@ def full_gradient_norm_sq(uh: np.ndarray, grid: GridSpec) -> float:
 # Norms of a real field from its np.fft.rfftn half spectrum, which keeps the
 # last-axis frequencies 0..N/2 only.
 
-def _half_weights(N: int) -> np.ndarray:
-    """Parseval weights of the last-axis planes of a half spectrum.
+@lru_cache(maxsize=32)
+def _half_multiplier(grid: GridSpec, gradient: bool) -> np.ndarray:
+    """The Parseval multiplier of a half spectrum, 1 or |xi|^2, times its plane weights.
 
-    An interior plane also stands for its mirror image -k, which the half
-    spectrum leaves out; the zero and Nyquist planes are their own mirrors.
+    An interior last-axis plane also stands for its mirror image -k, which
+    the half spectrum leaves out, so it weighs 2; the zero and Nyquist
+    planes are their own mirrors and weigh 1.
     """
-    w = np.full(N // 2 + 1, 2.0)
+    w = np.full(grid.N // 2 + 1, 2.0)
     w[0] = w[-1] = 1.0
-    return w
+    out = (grid.wavenumber_sq()[..., : grid.N // 2 + 1] if gradient else 1.0) * w
+    out.flags.writeable = False
+    return out
 
 
-def _half_parseval(uh: np.ndarray, grid: GridSpec, multiplier) -> float:
-    """h^d / N^d times the full-spectrum sum of multiplier |u_hat|^2."""
+def _half_parseval(uh: np.ndarray, grid: GridSpec, gradient: bool) -> float:
+    """h^d / N^d times the full-spectrum sum of (1 or |xi|^2) |u_hat|^2."""
     n = grid.N // 2 + 1
     if uh.shape != grid.shape[:-1] + (n,):
         raise ValueError(f"half spectrum shape {uh.shape} does not match grid {grid.shape}")
     sq = uh.real ** 2 + uh.imag ** 2
     return float(
-        grid.cell_volume / grid.N ** grid.d
-        * np.sum(multiplier * _half_weights(grid.N) * sq)
+        grid.cell_volume / grid.N ** grid.d * np.sum(_half_multiplier(grid, gradient) * sq)
     )
 
 
 def half_l2_norm_sq(uh: np.ndarray, grid: GridSpec) -> float:
     """l2_norm_sq of the real field whose rfftn half spectrum is uh."""
-    return _half_parseval(uh, grid, 1.0)
+    return _half_parseval(uh, grid, gradient=False)
 
 
 def half_gradient_norm_sq(uh: np.ndarray, grid: GridSpec) -> float:
     """gradient_norm_sq of the real field whose rfftn half spectrum is uh."""
-    return _half_parseval(uh, grid, grid.wavenumber_sq()[..., : grid.N // 2 + 1])
+    return _half_parseval(uh, grid, gradient=True)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +256,14 @@ def boundary_leakage(field: np.ndarray, grid: GridSpec, margin: float) -> float:
     if not (0.0 < margin < grid.L / 2.0):
         raise ValueError("margin must lie in (0, L/2)")
     _check(field, grid)
-    sq = np.abs(field) ** 2
-    total = np.sum(sq)
+    # for a real field np.square is |u|^2 exactly, without the np.abs copy
+    abs_sq = np.square if np.isrealobj(field) else lambda x: np.abs(x) ** 2
+    # squaring the shell's values gives the same numbers in the same order as
+    # selecting the shell of the field's squares, without a second field
+    total = np.sum(abs_sq(field))
     if total == 0.0:
         return 0.0
-    return float(np.sum(sq[_edge_mask(grid, margin)]) / total)
+    return float(np.sum(abs_sq(field[_edge_mask(grid, margin)])) / total)
 
 
 @lru_cache(maxsize=32)

@@ -136,13 +136,23 @@ class TruncationLevel:
 def _defocusing_exp(m: int) -> NonlinearitySpec:
     p = 2 * m
 
+    # a field is evaluated in place, with at most one temporary beside the result
     def F(u):
         u = np.asarray(u, dtype=float)
-        return np.expm1(u ** p)
+        if u.ndim == 0:
+            return np.expm1(u ** p)
+        out = u ** p
+        return np.expm1(out, out=out)
 
     def f(u):
         u = np.asarray(u, dtype=float)
-        return p * u ** (p - 1) * np.exp(u ** p)
+        if u.ndim == 0:
+            return p * u ** (p - 1) * np.exp(u ** p)
+        out = u ** (p - 1)
+        out *= p
+        e = u ** p
+        out *= np.exp(e, out=e)
+        return out
 
     def fprime(u):
         u = np.asarray(u, dtype=float)

@@ -27,6 +27,11 @@ the fields its records are asked for; the energies come from the record's
 own fields. A state has ``t``, ``u`` and ``is_finite()``. A non-finite member
 raises BlowUpError with the last record time.
 
+A stepper may overwrite the arrays of the state it is given (the wave
+stepper does), and ``integrate`` never reads a state after stepping it. So
+an observer must copy, not keep, any array of a record it needs after its
+``observe`` call returns: the next step may overwrite it.
+
 The step count is ceil(T/dt - 1e-9), so a T that is a whole number of steps
 up to rounding takes exactly that many, and a run config takes dt = T /
 steps: a run ends at T, and its dt never exceeds the one asked for, so it
@@ -69,6 +74,10 @@ class RunSchedule:
         if self.diagnostics_stride > 0:
             return self.diagnostics_stride
         return max(1, self.steps() // 128)
+
+    def records(self) -> int:
+        """How many records integrate makes: t = 0, every stride()-th step and the last."""
+        return 1 + -(-self.steps() // self.stride())
 
 
 @dataclass

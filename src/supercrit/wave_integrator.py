@@ -23,6 +23,16 @@ exact linear flow on the half spectrum, one ``irfftn`` for the new u, one
 Setting the state up from (u0, u1) takes three forward transforms. The
 energies come from the half spectra by Parseval, so a record makes no
 transform unless an observer asks for the physical u_t (one ``irfftn``).
+
+A step works in place, so a run holds one state per member. ``start``
+makes the three half spectra, and each step overwrites them; the new u goes
+into a field the stepper allocates at its first step, so the caller's u0 is
+never written and is released once the first step returns. A step's one
+scratch half spectrum holds its intermediate products and the inverse
+transform's per-axis ``ifft`` results, and is dropped before the residual,
+the step's largest allocation. A step makes the same ufunc calls on the
+same values in the same order as one that allocates a new state, so its
+results are bitwise the same.
 """
 
 from __future__ import annotations
@@ -116,10 +126,9 @@ class _SpectralImpulse:
     """Kick-drift-kick with the linearized flow solved exactly per mode.
 
     It keeps the grid, spec and dt of its config, not the config, so no
-    initial field outlives the first step. Each transform writes into an
-    output array of its own: ``rfftn`` into a new half spectrum, and the
-    inverse, ``np.fft.irfftn``'s per-axis ``ifft`` calls into one scratch
-    half spectrum and its closing ``irfft`` into a new field.
+    initial field outlives the first step. A step overwrites the state it
+    is given (see the module docstring) and returns a new state over the
+    same arrays.
     """
 
     columns = WAVE_COLUMNS
@@ -133,35 +142,54 @@ class _SpectralImpulse:
         self.sin_om = np.where(om > 0, np.sin(om * cfg.dt) / np.where(om > 0, om, 1.0),
                                cfg.dt)
         self.om_sin = om * np.sin(om * cfg.dt)
+        self.u_buffer = None
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(x, out=np.empty(self.cos.shape, complex))
 
-    def _inverse(self, xh: np.ndarray) -> np.ndarray:
-        """``np.fft.irfftn(xh, s=grid.shape)``, the same transforms in the same order."""
-        scratch = np.empty(xh.shape, complex)
+    def _inverse(self, xh: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``np.fft.irfftn(xh, s=grid.shape)`` into out, the same transforms in the
+        same order; the per-axis ``ifft`` calls go through the half spectrum scratch."""
         for axis in range(self.grid.d - 1):
             xh = np.fft.ifft(xh, axis=axis, out=scratch)
-        return np.fft.irfft(xh, n=self.grid.N, axis=-1, out=np.empty(self.grid.shape))
+        return np.fft.irfft(xh, n=self.grid.N, axis=-1, out=out)
 
-    def _residual_spectrum(self, u: np.ndarray) -> np.ndarray:
+    def _residual_spectrum(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The half spectrum of f(u) - m u, into out."""
         # an overflow here leaves a non-finite u_t, which the loop turns into
         # BlowUpError, so numpy's warning is silenced
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._forward(self.spec.f(u) - self.mass * u)
+            return np.fft.rfftn(self._residual(u), out=out)
+
+    def _residual(self, u: np.ndarray) -> np.ndarray:
+        """f(u) - m u, with one field beside f(u)'s result."""
+        force = self.spec.f(u)
+        r = self.mass * u
+        return np.subtract(force, r, out=r)
 
     def start(self, u0: np.ndarray, u1: np.ndarray) -> _SpectralState:
-        """The state at t = 0 of u = u0, u_t = u1."""
+        """The state at t = 0 of u = u0, u_t = u1; its half spectra are new arrays."""
         return _SpectralState(u0, self._forward(u0), self._forward(u1),
-                              self._residual_spectrum(u0), 0.0)
+                              self._residual_spectrum(u0, np.empty(self.cos.shape, complex)),
+                              0.0)
 
     def __call__(self, s: _SpectralState) -> _SpectralState:
         half_dt = 0.5 * self.dt
-        uth = s.uth - half_dt * s.rh
-        uh = self.cos * s.uh + self.sin_om * uth
-        uth = self.cos * uth - self.om_sin * s.uh
-        u = self._inverse(uh)
-        rh = self._residual_spectrum(u)
+        uh, uth, rh = s.uh, s.uth, s.rh
+        scratch = np.multiply(half_dt, rh)
+        uth -= scratch
+        # exact flow; rh is free until the new residual, so it holds sin_om * uth
+        np.multiply(self.om_sin, uh, out=scratch)
+        uh *= self.cos
+        uh += np.multiply(self.sin_om, uth, out=rh)
+        uth *= self.cos
+        uth -= scratch
+        if self.u_buffer is None:
+            self.u_buffer = np.empty(self.grid.shape)
+        u = self._inverse(uh, scratch, self.u_buffer)
+        # the residual is the step's largest allocation, so the scratch goes first
+        del scratch
+        self._residual_spectrum(u, rh)
         uth -= half_dt * rh
         return _SpectralState(u, uh, uth, rh, s.t + self.dt)
 
@@ -181,7 +209,8 @@ class _SpectralImpulse:
         return kin + grad + pot, kin, grad, pot
 
     def velocity(self, rec) -> np.ndarray:
-        return self._inverse(rec.state.uth)
+        return self._inverse(rec.state.uth, np.empty(self.cos.shape, complex),
+                             np.empty(self.grid.shape))
 
 
 class Verlet:
@@ -213,12 +242,17 @@ def member(cfg: WaveRunConfig):
     return stepper, stepper.start(np.asarray(cfg.u0, float), np.asarray(cfg.u1, float))
 
 
+# the records WeakIdentity's time quadrature needs; config refuses a run with fewer
+WEAK_IDENTITY_RECORDS = 64
+
+
 class WeakIdentity:
     """Observer: relative residual of the multiplier identity for member 0.
 
     The space-time integral of |grad u|^2 - |u_t|^2 + u f(u) must equal
     B(0) - B(T) with B(t) = integral of u_t u, since d/dt B = |u_t|^2 -
-    |grad u|^2 - u f(u). The time quadrature needs 64 records.
+    |grad u|^2 - u f(u). The time quadrature needs WEAK_IDENTITY_RECORDS
+    records.
     """
 
     def __init__(self, spec, grid: GridSpec):
@@ -236,8 +270,9 @@ class WeakIdentity:
             self.b0 = self.bT
 
     def result(self) -> float:
-        if len(self.times) < 64:
-            raise ValueError("need at least 64 records for the time quadrature")
+        if len(self.times) < WEAK_IDENTITY_RECORDS:
+            raise ValueError(f"need at least {WEAK_IDENTITY_RECORDS} records for the "
+                             "time quadrature")
         lhs = float(np.trapezoid(np.array(self.integrand), np.array(self.times)))
         rhs = self.b0 - self.bT
         return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)

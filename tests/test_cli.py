@@ -107,6 +107,42 @@ def test_non_finite_value_exits_2(tmp_path, capsys):
     assert "T=nan must be finite" in capsys.readouterr().err
 
 
+def test_override_errors_name_their_source(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "two.cfg"
+    path.write_text("nonlinearity = defocusing_exp:m=1\nN = 64\n")
+    monkeypatch.setenv("SUPERCRIT_N", "abc")
+    assert main(["simulate-wave", "--config", str(path), "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: SUPERCRIT_N: bad value for 'N': 'abc'" in err
+    assert "line" not in err
+    # an error in the file still names its line
+    path.write_text("nonlinearity = defocusing_exp:m=1\nN = x\n")
+    assert main(["simulate-wave", "--config", str(path), "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: bad value for 'N': 'x'" in err and "SUPERCRIT_N: bad value" in err
+
+
+@pytest.mark.parametrize("extra, records", [("d = 1\nN = 64\nT = 1\n", 33),
+                                            ("stride = 10\n", 14)])
+def test_identity_check_with_too_few_records_exits_2(tmp_path, capsys, monkeypatch, extra,
+                                                     records):
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail("run started"))
+    path = tmp_path / "short.cfg"
+    path.write_text("nonlinearity = defocusing_exp:m=1\n" + extra)
+    assert main(["identity-check", "--config", str(path), "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"identity-check makes {records} records" in err and "needs 64" in err
+
+
+@pytest.mark.parametrize("spec", ["defocusing_exp:m=1", "nls_cubic"])
+def test_identity_check_with_an_unstable_dt_exits_2(tmp_path, capsys, spec):
+    # the identity is checked on a wave run, whatever the nonlinearity
+    path = tmp_path / "unstable.cfg"
+    path.write_text(f"nonlinearity = {spec}\ndt = 0.1\n")
+    assert main(["identity-check", "--config", str(path), "--output", str(tmp_path)]) == 2
+    assert "stability bound" in capsys.readouterr().err
+
+
 def test_leakage_flag_exits_3(tmp_path, capsys):
     cfg = tmp_path / "leaky.cfg"
     cfg.write_text(NLS_LEAKY_CONFIG)
@@ -332,8 +368,8 @@ def test_simulate_wave_keeps_no_trajectory(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    # the stepper state and its temporaries take about 17 fields; keeping the
-    # 29 recorded (u, u_t) pairs would add 58 more
+    # the run takes about 13 fields (16 with a step that allocates a new
+    # state); keeping the 29 recorded (u, u_t) pairs would add 58 more
     assert peak < 32 * field_bytes
 
 

@@ -162,6 +162,20 @@ def test_jet_equals_separate_evaluators_bitwise(spec):
             assert [a.tobytes() for a in spec.jet(u, order)] == separate[:order + 1]
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_defocusing_exp_in_place_evaluators_equal_the_formula(m):
+    spec, p = from_selection(f"defocusing_exp:m={m}"), 2 * m
+    u = np.random.default_rng(m).uniform(-1.5, 1.5, (16, 24))
+    u[0, :2] = 0.0, -0.0
+    kept = u.copy()
+    for got, want in ((spec.F(u), np.expm1(u ** p)),
+                      (spec.f(u), p * u ** (p - 1) * np.exp(u ** p))):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(u.view(np.int64), kept.view(np.int64))
+    # a scalar input still gives a numpy scalar
+    assert isinstance(spec.f(0.5), np.float64) and isinstance(spec.F(0.5), np.float64)
+
+
 def test_truncate_rejects_sign_violating_level():
     spec = from_selection("oscillating_sin:q=1")
     # f(2)*2 = 8 cos(4) < -4, so r_plus = 2 violates the sign condition with C=1

@@ -1,5 +1,7 @@
 """Wave steppers: reversibility, conservation, and run diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,3 +195,51 @@ def test_snapshot_times_cover_final_time():
     assert times[0] == 0.0 and len(times) == len(trace.rows)
     assert end.t == times[-1] == pytest.approx(0.5, abs=cfg.dt)
     assert end.state.is_finite()
+
+
+@pytest.mark.parametrize("T, stride", [(0.5, 0), (0.5, 1), (0.5, 7), (0.5, 64), (0.5, 10 ** 9),
+                                       (1e-9, 0), (44.34 * 0.25 * 8.0 / 128, 5)])
+def test_schedule_counts_the_records_integrate_makes(T, stride):
+    cfg = make_config(T=T, diagnostics_stride=stride)
+    _, trace = run_single(member, cfg)
+    assert len(trace.rows) == cfg.records()
+
+
+def test_wave_run_holds_one_state_per_member():
+    # the step overwrites its state's spectra; a step that allocated a
+    # second state measured 95.4 bytes per grid point here
+    grid = GridSpec(3, 32, 8.0)
+    u0 = bump_field(grid, 0.5, 1.5)
+    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"),
+                        0.25 * grid.h / np.sqrt(3), 0.5, u0, np.zeros_like(u0))
+    run_single(member, cfg)  # warm the grid's cached arrays
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        run_single(member, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / grid.N ** grid.d <= 80.0
+
+
+def test_impulse_step_matches_an_allocating_step():
+    grid = GridSpec(2, 32, 8.0)
+    u0 = bump_field(grid, 0.7, 2.0)
+    u1 = bump_field(grid, 0.3, 1.5) * np.random.default_rng(1).uniform(-1, 1, grid.shape)
+    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=2"), 0.04, 0.5, u0, u1)
+    stepper, state = member(cfg)
+    uh, uth, rh = (x.copy() for x in (state.uh, state.uth, state.rh))
+    for _ in range(5):
+        # the step as it reads with a new array per operation
+        half_dt = 0.5 * stepper.dt
+        uth = uth - half_dt * rh
+        uh, uth = (stepper.cos * uh + stepper.sin_om * uth,
+                   stepper.cos * uth - stepper.om_sin * uh)
+        u = np.fft.irfftn(uh, s=grid.shape, axes=(0, 1))
+        rh = np.fft.rfftn(cfg.spec.f(u) - stepper.mass * u)
+        uth = uth - half_dt * rh
+        state = stepper(state)
+    # bit for bit, signed zeros included
+    for ours, ref in ((state.u, u), (state.uh, uh), (state.uth, uth), (state.rh, rh)):
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))

@@ -202,6 +202,18 @@ def test_ladder_runs_release_every_initial_field(monkeypatch, observer, pick, ru
     assert alive and not any(alive)
 
 
+def test_runs_leave_the_config_fields_unwritten():
+    grid = GridSpec(1, 64, 16.0)
+    u0, u1 = bump_field(grid, 0.5, 2.0), bump_field(grid, 0.3, 1.5)
+    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), 0.25 * grid.h, 0.1,
+                        u0, u1)
+    before = u0.copy(), u1.copy()
+    run_single(wave_member, cfg)
+    gronwall_ladder(cfg, bump_field(grid, 1.0, 1.5), (0.1, 0.01))
+    for field, copy in zip((cfg.u0, cfg.u1), before):
+        assert np.array_equal(field.view(np.int64), copy.view(np.int64))
+
+
 def test_ladder_must_be_increasing():
     grid = GridSpec(1, 64, 8.0)
     spec = from_selection("oscillating_sin:q=1")

@@ -1,4 +1,5 @@
-"""Layer and end-to-end timings of the assumption lab, for one or two source trees.
+"""Layer and end-to-end timings of the assumption lab and the wave stepper, for one
+or two source trees.
 
 Run from the repository root:
 
@@ -31,10 +32,17 @@ Rows:
   n = 200k, seed 0: every window of the complex sample plan;
 * ``layer.sweep.Gronw6+H222``      Gronw6 and H222 of nls_cubic at R = 2, d = 3,
   n = 400k, seed 0, from one ``_nls_constants`` call;
+* ``layer.step.wave``              one impulse step of defocusing_exp:m=1 on the
+  grid and data of ``e2e.simulate-wave.d3`` (d = 3, N = 64); each spec's
+  member is built at its first call, and each later call advances it by one
+  step, so wall_s and peak_bytes are one step's, while mpoints, from the
+  counting spec's only call, also counts the set-up's evaluation of f;
 * ``e2e.check-assumptions.d<d>``   the CLI ``check-assumptions`` for
   oscillating_sin:q=2 with d = 1, 2, 3, config file to published directory;
 * ``e2e.weak-strong.nls``          the CLI ``weak-strong`` for the NLS ladder
-  of nls_coercive_exp at d = 2, N = 128, T = 0.5, dt = 0.005.
+  of nls_coercive_exp at d = 2, N = 128, T = 0.5, dt = 0.005;
+* ``e2e.simulate-wave.d3``         the CLI ``simulate-wave`` for defocusing_exp:m=1
+  at d = 3, N = 64, L = 10, radius = 1.5, T = 1 (45 steps).
 """
 
 from __future__ import annotations
@@ -61,10 +69,13 @@ SWEEP = {"R": 2.0, "d": 3, "n_random": 1_000_000, "seed": 0}
 NLS_SPEC = "nls_cubic"
 SHIFT_SWEEP = {"R": 2.0, "n_random": 200_000, "seed": 0}
 NLS_SWEEP = {"R": 2.0, "d": 3, "n_random": 400_000, "seed": 0}
+WAVE_SPEC = "defocusing_exp:m=1"
 E2E = {
     "check-assumptions": "nonlinearity = {spec}\nd = {d}\nseed = 0\n",
     "weak-strong": "nonlinearity = {spec}\nd = 2\nN = 128\nL = 40\nradius = 5\n"
                    "T = 0.5\ndt = 0.005\nseed = 0\n",
+    "simulate-wave": "nonlinearity = {spec}\nd = 3\nN = 64\nL = 10\nradius = 1.5\n"
+                     "T = 1\nseed = 0\n",
 }
 
 
@@ -120,6 +131,25 @@ def _sweep(lab, spec):
                                          SWEEP["seed"])]
 
 
+def _wave_stepper(field_core, wave_integrator):
+    """run(spec): one impulse step of the simulate-wave E2E config's grid and data.
+
+    Each spec gets its member at its first call, so a measured call is one step."""
+    import numpy as np
+    members = {}
+
+    def run(spec):
+        if spec not in members:
+            grid = field_core.GridSpec(3, 64, 10.0)
+            u0 = field_core.bump_field(grid, 0.5, 1.5)
+            members[spec] = wave_integrator.member(wave_integrator.WaveRunConfig(
+                grid, spec, wave_integrator.stable_dt(grid.h, grid.d), 1.0, u0,
+                np.zeros_like(u0)))
+        stepper, state = members[spec]
+        members[spec] = stepper, stepper(state)
+    return run
+
+
 def _cli_run(cli, kind, text):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "bench.cfg")
@@ -134,7 +164,7 @@ def _cli_run(cli, kind, text):
 def worker(src: str) -> dict:
     sys.path.insert(0, os.path.abspath(src))
     import numpy as np
-    from supercrit import assumption_lab, cli, config, nonlinearity
+    from supercrit import assumption_lab, cli, config, field_core, nonlinearity, wave_integrator
 
     rows = {}
     u = np.random.default_rng(0).uniform(-2.0, 2.0, LAYER_POINTS)
@@ -153,6 +183,8 @@ def worker(src: str) -> dict:
                                                 ["Gronw6", "H222"], NLS_SWEEP["n_random"],
                                                 NLS_SWEEP["seed"]),
         lambda: nls)
+    wave = nonlinearity.from_selection(WAVE_SPEC)
+    rows["layer.step.wave"] = _measure(_wave_stepper(field_core, wave_integrator), lambda: wave)
 
     # the CLI builds its spec from the config; route that through the given spec
     real = config.from_selection
@@ -172,6 +204,8 @@ def worker(src: str) -> dict:
     ladder = nonlinearity.from_selection("nls_coercive_exp")
     rows["e2e.weak-strong.nls"] = _measure(
         e2e("weak-strong", "nls_coercive_exp"), lambda: ladder, faults=True)
+    rows["e2e.simulate-wave.d3"] = _measure(
+        e2e("simulate-wave", WAVE_SPEC), lambda: wave, faults=True)
     return rows
 
 
@@ -206,6 +240,7 @@ def main(argv=None) -> int:
         "nls_spec": NLS_SPEC,
         "shift_sweep": SHIFT_SWEEP,
         "nls_sweep": NLS_SWEEP,
+        "wave_spec": WAVE_SPEC,
         "e2e_configs": E2E,
         "rows": {name: {col: rows[name] for col, rows in columns.items()}
                  for name in columns["after"]},
