@@ -368,8 +368,11 @@ def verify_nls_cancellation(
 ) -> InequalityReport:
     """Check (f(u)-f(u+w)).(iw) = f(u).(iw) + f(u+w).(iu) on |u|, |w| <= 5.
 
-    The identity rests on f(z) conj(z) being real, so it must hold to a
-    relative 1e-12; any violation flags a broken spec rather than numerical
+    The identity rests on f(z) conj(z) being real, so it must hold to 1e-12
+    relative to the size of its terms, 1 + |f(u)||w| + |f(u+w)|(|u| + |w|):
+    each pairing can be far larger than lhs and rhs, and rounds on its own
+    scale (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sec. 3.1). Any violation flags a broken spec rather than numerical
     noise. The first 16 violations in sample order are reported.
 
     The samples are drawn block by block: the radii and angles of u and w
@@ -385,7 +388,8 @@ def verify_nls_cancellation(
         fu, fv = spec.force(u), spec.force(u + w)
         lhs = _dot(fu - fv, 1j * w)
         rhs = _dot(fu, 1j * w) + _dot(fv, 1j * u)
-        scale = 1.0 + np.abs(lhs) + np.abs(rhs)
+        aw = np.abs(w)
+        scale = 1.0 + np.abs(fu) * aw + np.abs(fv) * (np.abs(u) + aw)
         bad = np.abs(lhs - rhs) > 1e-12 * scale
         violations += [
             {

@@ -230,9 +230,10 @@ def working_set_bytes(cfg: ExperimentConfig) -> float:
 
     160 per grid point for each state stepped in lockstep, one per ladder
     member plus the reference. Measured as the tracemalloc peak of a CLI
-    run: simulate-wave 90 at d = 2, N = 512, 92 at d = 3, N = 64 and 104 at
-    d = 1, N = 65536, where setting up the bump sets the peak; NLS 146 for
-    one state and 126 per state of a weak-strong ladder at d = 2, N = 512.
+    run: simulate-wave 66 at d = 2, N = 512, 68 at d = 3, N = 64 and 88 at
+    d = 1, N = 65536 (L = 10, radius 1.5); NLS 106 for one state and 114
+    per state of a weak-strong ladder at d = 2, N = 512 (L = 40, radius
+    1.5), so NLS still needs the larger bound.
     The probe of appendix-construct adds 24 per point and record (measured:
     24 at d = 1, N = 1024, 513 records: the |f(u)| samples and about two copies
     of them while the probe runs).

@@ -76,16 +76,30 @@ class GridSpec:
         ]
 
     def wavenumber_sq(self) -> np.ndarray:
+        """|xi|^2 on the full np.fft.fftn frequency grid; cached per grid."""
         return _ksq(self.d, self.N, self.L)
+
+    def half_wavenumber_sq(self) -> np.ndarray:
+        """|xi|^2 on the np.fft.rfftn half spectrum, a new array each call.
+
+        Its values are bitwise those of the last-axis half of wavenumber_sq().
+        """
+        return _wavenumber_sq(self.d, self.N, self.L, self.N // 2 + 1)
+
+
+def _wavenumber_sq(d: int, N: int, L: float, last: int) -> np.ndarray:
+    """|xi|^2 on the frequency grid whose last axis keeps its first ``last`` frequencies."""
+    k = 2.0 * np.pi / L * np.fft.fftfreq(N) * N
+    shape = (N,) * (d - 1) + (last,)
+    ksq = np.zeros(shape)
+    for i in range(d):
+        ksq += (k[: shape[i]] ** 2).reshape((1,) * i + (shape[i],) + (1,) * (d - 1 - i))
+    return ksq
 
 
 @lru_cache(maxsize=32)
 def _ksq(d: int, N: int, L: float) -> np.ndarray:
-    k = 2.0 * np.pi / L * np.fft.fftfreq(N) * N
-    ksq = np.zeros((N,) * d)
-    for i in range(d):
-        ksq = ksq + (k ** 2).reshape((1,) * i + (N,) + (1,) * (d - 1 - i))
-    return ksq
+    return _wavenumber_sq(d, N, L, N)
 
 
 @dataclass(frozen=True)
@@ -176,7 +190,7 @@ def _half_multiplier(grid: GridSpec, gradient: bool) -> np.ndarray:
     """
     w = np.full(grid.N // 2 + 1, 2.0)
     w[0] = w[-1] = 1.0
-    out = (grid.wavenumber_sq()[..., : grid.N // 2 + 1] if gradient else 1.0) * w
+    out = (grid.half_wavenumber_sq() if gradient else 1.0) * w
     out.flags.writeable = False
     return out
 

@@ -60,11 +60,12 @@ def accuracy_error(dt: float, h: float) -> str | None:
 
 @dataclass(frozen=True)
 class NlsRunConfig(RunSchedule):
+    """An NLS run's schedule; the initial data go to ``member``, not here."""
+
     grid: GridSpec
     spec: object
     dt: float
     T: float
-    u0: np.ndarray
     diagnostics_stride: int = 0
 
     def __post_init__(self):
@@ -134,8 +135,8 @@ class _RotatedState:
 class _SpectralStrang:
     """N-L-N Strang splitting that applies each half rotation to two half-steps.
 
-    It keeps the grid, spec and dt of its config, not the config, so no
-    initial field outlives the first step."""
+    Its initial state holds u0 itself, and the first step makes a new u, so
+    no stepper keeps an initial field past the first step."""
 
     columns = ("mass", "H_total", "H_gradient", "H_potential")
 
@@ -202,7 +203,8 @@ class _SpectralStrang:
         return ut
 
 
-def member(cfg: NlsRunConfig):
-    """The (stepper, initial state) pair of cfg, a member for stepping.integrate."""
+def member(cfg: NlsRunConfig, u0: np.ndarray):
+    """The (stepper, initial state) pair of cfg from u = u0, a member for
+    stepping.integrate; u0 is not written."""
     stepper = _SpectralStrang(cfg)
-    return stepper, stepper.start(np.asarray(cfg.u0, complex))
+    return stepper, stepper.start(np.asarray(u0, complex))

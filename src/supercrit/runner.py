@@ -83,14 +83,15 @@ def _now() -> str:
 # ---------------------------------------------------------------------------
 
 def _base_config(cfg: ExperimentConfig, spec):
-    """The wave or NLS run config of spec's equation for cfg's bump data."""
-    grid = cfg.grid()
-    u0 = bump_field(grid, cfg.amplitude, cfg.radius)
-    common = dict(grid=grid, spec=spec, dt=cfg.effective_dt(), T=cfg.T,
-                  diagnostics_stride=cfg.stride)
-    if isinstance(spec, NlsNonlinearitySpec):
-        return NlsRunConfig(u0=u0.astype(complex), **common)
-    return WaveRunConfig(u0=u0, u1=np.zeros_like(u0), **common)
+    """The wave or NLS run config of spec's equation; it holds no initial data."""
+    run_config = NlsRunConfig if isinstance(spec, NlsNonlinearitySpec) else WaveRunConfig
+    return run_config(grid=cfg.grid(), spec=spec, dt=cfg.effective_dt(), T=cfg.T,
+                      diagnostics_stride=cfg.stride)
+
+
+def _bump(cfg: ExperimentConfig, grid) -> np.ndarray:
+    """cfg's initial u: the bump of its amplitude and radius (wave data start at rest)."""
+    return bump_field(grid, cfg.amplitude, cfg.radius)
 
 
 def _do_check_assumptions(cfg: ExperimentConfig):
@@ -105,7 +106,9 @@ def _do_check_assumptions(cfg: ExperimentConfig):
 
 def _do_simulate(cfg: ExperimentConfig):
     base = _base_config(cfg, cfg.spec())
-    _, trace = run_single(nls_member if isinstance(base, NlsRunConfig) else wave_member, base)
+    member = nls_member if isinstance(base, NlsRunConfig) else wave_member
+    # the bump is built in the member call, so it is gone once the member has started
+    _, trace = run_single(lambda run: member(run, _bump(cfg, run.grid)), base)
     outcome = OUTCOME_LEAKAGE if max(trace.column("leakage")) > LEAKAGE_LIMIT else OUTCOME_OK
     return outcome, {"trace.csv": trace.to_csv().encode()}
 
@@ -116,7 +119,7 @@ def _do_weak_strong(cfg: ExperimentConfig):
     grid = cfg.grid()
     pert = bump_field(grid, 1.0, 0.8 * cfg.radius)
     base = _base_config(cfg, cfg.spec())
-    traces = gronwall_ladder(base, pert, ladder, seed=cfg.seed)
+    traces = gronwall_ladder(base, _bump(cfg, grid), pert, ladder, seed=cfg.seed)
 
     volume = grid.N ** grid.d * grid.cell_volume
     outcome = OUTCOME_VIOLATION if ladder_problems(ladder, traces, volume) else OUTCOME_OK
@@ -143,7 +146,7 @@ def _do_weak_strong(cfg: ExperimentConfig):
 
 def _do_appendix_construct(cfg: ExperimentConfig):
     base = _base_config(cfg, cfg.spec())
-    report, samples = appendix_construction(base, tuple(cfg.ladder))
+    report, samples = appendix_construction(base, _bump(cfg, base.grid), tuple(cfg.ladder))
     slope, target, vacuous = uniform_integrability_probe(samples, seed=cfg.seed)
     payload = asdict(report)
     payload["uniform_integrability"] = {
@@ -200,7 +203,8 @@ def _do_identity_check(cfg: ExperimentConfig):
 
     # (d) multiplier identity on a short run
     base = _base_config(cfg, spec)
-    _, (res,) = integrate([wave_member(base)], base, [WeakIdentity(spec, base.grid)])
+    _, (res,) = integrate([wave_member(base, _bump(cfg, base.grid))], base,
+                          [WeakIdentity(spec, base.grid)])
     results["weak_identity_residual"] = res
     ok = ok and res < 1e-4
 

@@ -183,8 +183,9 @@ def run_single(member, schedule):
     """Integrate member(schedule), a (stepper, initial state) pair, with the
     diagnostics trace; returns (final Record, trace).
 
-    The member is built in the integrate call, so its initial state goes at
-    the first step."""
+    The member is built in the integrate call, so initial data that member()
+    builds are gone once it returns, and its initial state goes at the first
+    step."""
     trace = DiagnosticTrace(grid=schedule.grid)
     (last,), _ = integrate([member(schedule)], schedule, [trace])
     return last, trace

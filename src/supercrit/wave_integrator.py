@@ -24,15 +24,18 @@ Setting the state up from (u0, u1) takes three forward transforms. The
 energies come from the half spectra by Parseval, so a record makes no
 transform unless an observer asks for the physical u_t (one ``irfftn``).
 
-A step works in place, so a run holds one state per member. ``start``
-makes the three half spectra, and each step overwrites them; the new u goes
-into a field the stepper allocates at its first step, so the caller's u0 is
-never written and is released once the first step returns. A step's one
-scratch half spectrum holds its intermediate products and the inverse
-transform's per-axis ``ifft`` results, and is dropped before the residual,
-the step's largest allocation. A step makes the same ufunc calls on the
-same values in the same order as one that allocates a new state, so its
-results are bitwise the same.
+A step works in place, so a run holds its state, the stepper's three
+multiplier tables (made from the half spectrum's |xi|^2, which is not kept;
+no full-grid |xi|^2 is made) and the cached Parseval multiplier of the
+energies, and nothing else. ``start`` makes the three half spectra from
+(u0, u1) and then copies u0 into the state's own u, which each step's
+inverse transform overwrites, so the caller's arrays are never written; an
+at-rest u1 is a broadcast zero and allocates no field. A step's one scratch
+half spectrum holds its intermediate products and the inverse transform's
+per-axis ``ifft`` results, and is dropped before the residual, the step's
+largest allocation. A step makes the same ufunc calls on the same values in
+the same order as one that allocates a new state, so its results are
+bitwise the same.
 """
 
 from __future__ import annotations
@@ -83,12 +86,12 @@ WAVE_COLUMNS = ("E_total", "E_kinetic", "E_gradient", "E_potential")
 
 @dataclass(frozen=True)
 class WaveRunConfig(RunSchedule):
+    """A wave run's schedule; the initial data go to ``member``, not here."""
+
     grid: GridSpec
     spec: object
     dt: float
     T: float
-    u0: np.ndarray
-    u1: np.ndarray
     diagnostics_stride: int = 0  # 0: choose for ~128 snapshots
 
     def __post_init__(self):
@@ -125,10 +128,8 @@ class _SpectralState:
 class _SpectralImpulse:
     """Kick-drift-kick with the linearized flow solved exactly per mode.
 
-    It keeps the grid, spec and dt of its config, not the config, so no
-    initial field outlives the first step. A step overwrites the state it
-    is given (see the module docstring) and returns a new state over the
-    same arrays.
+    A step overwrites the state it is given (see the module docstring) and
+    returns a new state over the same arrays.
     """
 
     columns = WAVE_COLUMNS
@@ -136,13 +137,11 @@ class _SpectralImpulse:
     def __init__(self, cfg: WaveRunConfig):
         self.grid, self.spec, self.dt = cfg.grid, cfg.spec, cfg.dt
         self.mass = max(0.0, float(cfg.spec.fprime(0.0)))
-        ksq_half = cfg.grid.wavenumber_sq()[..., : cfg.grid.N // 2 + 1]
-        om = np.sqrt(ksq_half + self.mass)
+        om = np.sqrt(cfg.grid.half_wavenumber_sq() + self.mass)
         self.cos = np.cos(om * cfg.dt)
         self.sin_om = np.where(om > 0, np.sin(om * cfg.dt) / np.where(om > 0, om, 1.0),
                                cfg.dt)
         self.om_sin = om * np.sin(om * cfg.dt)
-        self.u_buffer = None
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(x, out=np.empty(self.cos.shape, complex))
@@ -168,10 +167,11 @@ class _SpectralImpulse:
         return np.subtract(force, r, out=r)
 
     def start(self, u0: np.ndarray, u1: np.ndarray) -> _SpectralState:
-        """The state at t = 0 of u = u0, u_t = u1; its half spectra are new arrays."""
-        return _SpectralState(u0, self._forward(u0), self._forward(u1),
-                              self._residual_spectrum(u0, np.empty(self.cos.shape, complex)),
-                              0.0)
+        """The state at t = 0 of u = u0, u_t = u1; all its arrays are new."""
+        uh, uth = self._forward(u0), self._forward(u1)
+        rh = self._residual_spectrum(u0, np.empty(self.cos.shape, complex))
+        # copied last, so the copy is not alive while the residual is made
+        return _SpectralState(np.array(u0, float), uh, uth, rh, 0.0)
 
     def __call__(self, s: _SpectralState) -> _SpectralState:
         half_dt = 0.5 * self.dt
@@ -184,9 +184,7 @@ class _SpectralImpulse:
         uh += np.multiply(self.sin_om, uth, out=rh)
         uth *= self.cos
         uth -= scratch
-        if self.u_buffer is None:
-            self.u_buffer = np.empty(self.grid.shape)
-        u = self._inverse(uh, scratch, self.u_buffer)
+        u = self._inverse(uh, scratch, s.u)
         # the residual is the step's largest allocation, so the scratch goes first
         del scratch
         self._residual_spectrum(u, rh)
@@ -236,10 +234,14 @@ class Verlet:
         return rec.state.ut
 
 
-def member(cfg: WaveRunConfig):
-    """The impulse (stepper, initial state) pair of cfg, a member for stepping.integrate."""
+def member(cfg: WaveRunConfig, u0: np.ndarray, u1: np.ndarray | None = None):
+    """The impulse (stepper, initial state) pair of cfg from u = u0 and u_t = u1,
+    a member for stepping.integrate; u1 None is at rest. u0 and u1 are not written."""
     stepper = _SpectralImpulse(cfg)
-    return stepper, stepper.start(np.asarray(cfg.u0, float), np.asarray(cfg.u1, float))
+    # rfftn of zeros has -0.0 imaginary parts, so a broadcast zero stands in for
+    # an at-rest u_t: the same bytes as a zero field, without allocating one
+    u1 = np.broadcast_to(0.0, cfg.grid.shape) if u1 is None else np.asarray(u1, float)
+    return stepper, stepper.start(np.asarray(u0, float), u1)
 
 
 # the records WeakIdentity's time quadrature needs; config refuses a run with fewer

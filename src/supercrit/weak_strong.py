@@ -199,12 +199,13 @@ class NlsGronwall:
         return traces
 
 
-def gronwall_ladder(base, pert: np.ndarray, ladder, seed: int = 0) -> list:
-    """Gronwall traces of the members u0 + eps * pert against the run base.
+def gronwall_ladder(base, u0: np.ndarray, pert: np.ndarray, ladder, seed: int = 0) -> list:
+    """Gronwall traces of the members u0 + eps * pert against u0, run on base.
 
-    The reference and every member are stepped in lockstep. For NLS the
-    convexity shift A is estimated after the run at the largest sup norm any
-    of them reached (at least SHIFT_R_FLOOR), the radius the defect visits.
+    Wave data start at rest. The reference and every member are stepped in
+    lockstep. For NLS the convexity shift A is estimated after the run at
+    the largest sup norm any of them reached (at least SHIFT_R_FLOOR), the
+    radius the defect visits.
     """
     nls = isinstance(base, NlsRunConfig)
     member = nls_member if nls else wave_member
@@ -212,8 +213,8 @@ def gronwall_ladder(base, pert: np.ndarray, ladder, seed: int = 0) -> list:
     # no member state outlives the run: the members are built in the call, so
     # each initial state goes at its first step, and the final records are
     # dropped here, before the shift allocates its sample plan
-    (result,) = integrate([member(base)] + [member(replace(base, u0=base.u0 + eps * pert))
-                                            for eps in ladder], base, [observer])[1]
+    (result,) = integrate([member(base, u0)] + [member(base, u0 + eps * pert)
+                                                for eps in ladder], base, [observer])[1]
     if not nls:
         return result
     R = max(result.sup_norm, SHIFT_R_FLOOR)
@@ -296,13 +297,13 @@ class _LadderDiscrepancy:
         return l2_disc, force_disc, drifts
 
 
-def appendix_construction(base: WaveRunConfig, ladder):
+def appendix_construction(base: WaveRunConfig, u0: np.ndarray, ladder):
     """Ladder-vs-reference convergence of the truncation construction.
 
     The problems truncated at every cut height and the untruncated reference,
-    the finest object available, are stepped in lockstep. Returns the
-    ConvergenceReport and the reference's ForceSamples, the input of the
-    uniform-integrability probe.
+    the finest object available, are stepped in lockstep from u0 at rest.
+    Returns the ConvergenceReport and the reference's ForceSamples, the input
+    of the uniform-integrability probe.
     """
     if list(ladder) != sorted(set(ladder)):
         raise ValueError("ladder values must be strictly increasing")
@@ -314,7 +315,7 @@ def appendix_construction(base: WaveRunConfig, ladder):
                  ForceSamples(base.spec, base.grid)]
     # the members are built in the call, so each initial state goes at its first step
     _, ((l2_disc, force_disc, drifts), samples) = integrate(
-        [wave_member(replace(base, spec=spec)) for spec in specs], base, observers)
+        [wave_member(replace(base, spec=spec), u0) for spec in specs], base, observers)
     report = ConvergenceReport(
         list(ladder),
         l2_disc,

@@ -61,16 +61,16 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> bool:
 
 def _wave_config(N, T, amplitude, spec, dt_factor=0.25, radius=1.0,
                  stride=None):
+    """A 1-D wave run config and its bump u0."""
     grid = GridSpec(1, N, 8.0)
     u0 = bump_field(grid, amplitude, radius)
     kw = {} if stride is None else {"diagnostics_stride": stride}
-    return WaveRunConfig(grid, spec, dt_factor * grid.h, T, u0,
-                         np.zeros_like(u0), **kw)
+    return WaveRunConfig(grid, spec, dt_factor * grid.h, T, **kw), u0
 
 
-def _observe(cfg, observer):
-    """Run cfg alone and return what the observer made of it."""
-    _, (result,) = integrate([wave_member(cfg)], cfg, [observer])
+def _observe(cfg, u0, observer):
+    """Run cfg from u0 at rest alone and return what the observer made of it."""
+    _, (result,) = integrate([wave_member(cfg, u0)], cfg, [observer])
     return result
 
 
@@ -183,7 +183,8 @@ def test_criterion_3_conservation():
     spec = from_selection("defocusing_exp:m=1")
     wave_drifts = []
     for factor in (0.25, 0.125):
-        _, trace = run_single(wave_member, _wave_config(256, 1.0, 0.5, spec, dt_factor=factor))
+        cfg, u0 = _wave_config(256, 1.0, 0.5, spec, dt_factor=factor)
+        _, trace = run_single(lambda c: wave_member(c, u0), cfg)
         E = np.asarray(trace.column("E_total"))
         wave_drifts.append(float(np.max(np.abs(E - E[0])) / abs(E[0])))
     wave_ratio = wave_drifts[0] / wave_drifts[1]
@@ -193,7 +194,7 @@ def test_criterion_3_conservation():
     u0 = bump_field(grid, 0.5, 3.0).astype(complex)
     mass_drift, ham_drifts = 0.0, []
     for dt in (1e-3, 5e-4):
-        _, trace = run_single(nls_member, NlsRunConfig(grid, nspec, dt, 1.0, u0))
+        _, trace = run_single(lambda c: nls_member(c, u0), NlsRunConfig(grid, nspec, dt, 1.0))
         mass = np.asarray(trace.column("mass"))
         H = np.asarray(trace.column("H_total"))
         mass_drift = max(mass_drift,
@@ -223,8 +224,8 @@ def test_criterion_4_weak_identity():
     spec = from_selection("defocusing_exp:m=1")
     residuals = []
     for N in (256, 512, 1024):
-        cfg = _wave_config(N, 1.0, 0.5, spec, stride=1)
-        residuals.append(_observe(cfg, WeakIdentity(spec, cfg.grid)))
+        cfg, u0 = _wave_config(N, 1.0, 0.5, spec, stride=1)
+        residuals.append(_observe(cfg, u0, WeakIdentity(spec, cfg.grid)))
     orders = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     ok = residuals[0] < 1e-4 and all(o >= 2.0 for o in orders)
     _verdict(4, "weak identity", ok,
@@ -244,10 +245,9 @@ def test_criterion_5_energy_expansion():
         grid = GridSpec(1, N, 8.0)
         u0 = bump_field(grid, 0.5, 1.0)
         pert = bump_field(grid, 1.0, 0.8)
-        cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.5, u0,
-                            np.zeros_like(u0))
+        cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.5)
         # the eps = 0 member is the reference itself
-        pert_tr, self_tr = gronwall_ladder(cfg, pert, (1e-2, 0.0))
+        pert_tr, self_tr = gronwall_ladder(cfg, u0, pert, (1e-2, 0.0))
         residuals.append(pert_tr.expansion_residual)
     orders = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     self_residual = self_tr.expansion_residual
@@ -270,9 +270,8 @@ def _wave_ladder(spec_name, dt_factor):
     spec = from_selection(spec_name)
     u0 = bump_field(grid, 0.5, 1.0)
     pert = bump_field(grid, 1.0, 0.8)
-    base = WaveRunConfig(grid, spec, dt_factor * grid.h, 1.0, u0,
-                         np.zeros_like(u0))
-    return gronwall_ladder(base, pert, LADDER)
+    base = WaveRunConfig(grid, spec, dt_factor * grid.h, 1.0)
+    return gronwall_ladder(base, u0, pert, LADDER)
 
 
 def _nls_ladder(dt):
@@ -280,8 +279,8 @@ def _nls_ladder(dt):
     spec = from_selection("nls_coercive_exp")
     u0 = bump_field(grid, 0.5, 3.0).astype(complex)
     pert = bump_field(grid, 1.0, 2.4)
-    base = NlsRunConfig(grid, spec, dt, 1.0, u0)
-    return gronwall_ladder(base, pert, LADDER)
+    base = NlsRunConfig(grid, spec, dt, 1.0)
+    return gronwall_ladder(base, u0, pert, LADDER)
 
 
 def _ladder_checks(name, coarse, fine, volume, problems):
@@ -314,17 +313,14 @@ def test_criterion_7_truncation_construction():
     grid = GridSpec(1, 256, 8.0)
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 3.0 * np.e, 1.0)
-    base = WaveRunConfig(grid, spec, grid.h / 32.0, 0.5, u0,
-                         np.zeros_like(u0))
-    report, _ = appendix_construction(base, (1.0, 2.0, 4.0, 8.0))
+    base = WaveRunConfig(grid, spec, grid.h / 32.0, 0.5)
+    report, _ = appendix_construction(base, u0, (1.0, 2.0, 4.0, 8.0))
     worst_drift = max(report.energy_drift)
 
     probe_grid = GridSpec(3, 32, 8.0)
     p0 = bump_field(probe_grid, 3.0, 1.0)
-    probe_cfg = WaveRunConfig(probe_grid, spec,
-                              0.25 * probe_grid.h / np.sqrt(3.0), 0.5, p0,
-                              np.zeros_like(p0))
-    samples = _observe(probe_cfg, ForceSamples(spec, probe_grid))
+    probe_cfg = WaveRunConfig(probe_grid, spec, 0.25 * probe_grid.h / np.sqrt(3.0), 0.5)
+    samples = _observe(probe_cfg, p0, ForceSamples(spec, probe_grid))
     slope, target, vacuous = uniform_integrability_probe(samples, trials=200)
 
     ok = (

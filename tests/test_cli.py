@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from supercrit import cli, config, field_core, wave_integrator, weak_strong
+from supercrit import cli, config, field_core, runner, wave_integrator, weak_strong
 from supercrit.cli import _env_overrides, build_parser, main
 from supercrit.config import ExperimentConfig, parse_config
 from supercrit.nonlinearity import AssumptionClass, NlsNonlinearitySpec
@@ -371,6 +372,49 @@ def test_simulate_wave_keeps_no_trajectory(tmp_path):
     # the run takes about 13 fields (16 with a step that allocates a new
     # state); keeping the 29 recorded (u, u_t) pairs would add 58 more
     assert peak < 32 * field_bytes
+
+
+def test_simulate_wave_holds_only_its_state():
+    # a warm run holds the state (u and three half spectra), the stepper's
+    # three tables and the cached energy multiplier, with the step's residual
+    # on top: 62.8 bytes per point. With u0 and u1 kept in the run config and
+    # the full-grid |xi|^2 cached, it measured 79.0
+    cfg = parse_config("nonlinearity = defocusing_exp:m=1\nd = 3\nN = 32\nL = 8\n"
+                       "radius = 1.5\nT = 0.5\n", "simulate-wave")
+    runner._do_simulate(cfg)  # warm the grid's cached arrays
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        runner._do_simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / 32 ** 3 <= 68.0
+
+
+def test_simulate_wave_builds_no_full_grid_wavenumbers(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(self, _fn=field_core.GridSpec.wavenumber_sq):
+        calls.append(self)
+        return _fn(self)
+
+    monkeypatch.setattr(field_core.GridSpec, "wavenumber_sq", counted)
+    path = tmp_path / "wave.cfg"
+    # a grid no other test uses, so no cached array stands in for a call
+    path.write_text("nonlinearity = defocusing_exp:m=1\nN = 128\nL = 7.5\nT = 0.25\n")
+    assert main(["simulate-wave", "--config", str(path), "--output", str(tmp_path)]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", [WAVE_CONFIG, NLS_LEAKY_CONFIG], ids=["wave", "nls"])
+def test_run_configs_hold_no_initial_data(text):
+    cfg = parse_config(text)
+    base = runner._base_config(cfg, cfg.spec())
+    values = [getattr(base, f.name) for f in dataclasses.fields(base)]
+    assert [f.name for f in dataclasses.fields(base)] == [
+        "grid", "spec", "dt", "T", "diagnostics_stride"]
+    assert not any(isinstance(v, np.ndarray) for v in values)
 
 
 def test_weak_strong_reads_energies_from_the_stepper(tmp_path, monkeypatch):

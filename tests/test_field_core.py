@@ -94,6 +94,16 @@ def test_half_spectrum_parseval_matches_physical_norms(d):
         half_l2_norm_sq(np.fft.fftn(u), grid)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [8, 64])
+def test_half_wavenumbers_are_the_full_grid_half_bitwise(d, N):
+    grid = GridSpec(d, N, 7.3)
+    half = grid.half_wavenumber_sq()
+    assert np.array_equal(half.view(np.int64),
+                          grid.wavenumber_sq()[..., : N // 2 + 1].view(np.int64))
+    assert half is not grid.half_wavenumber_sq()  # not cached
+
+
 def test_shape_mismatch_raises():
     grid = GridSpec(1, 32, 8.0)
     with pytest.raises(ValueError):

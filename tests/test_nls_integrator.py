@@ -36,14 +36,18 @@ def make_config(N=128, L=16.0, T=0.5, dt=1e-3, amplitude=0.5, radius=2.0,
     grid = GridSpec(1, N, L)
     u0 = bump_field(grid, amplitude, radius).astype(complex)
     spec = spec if spec is not None else from_selection("nls_cubic")
-    return NlsRunConfig(grid, spec, dt, T, u0, **kw)
+    return NlsRunConfig(grid, spec, dt, T, **kw), u0
+
+
+def starting(u0):
+    """The run_single member of the NLS stepper from u = u0."""
+    return lambda cfg: member(cfg, u0)
 
 
 def test_dt_accuracy_gate():
     grid = GridSpec(1, 64, 8.0)
     with pytest.raises(ValueError):
-        NlsRunConfig(grid, from_selection("nls_cubic"), 2.0 * grid.h, 1.0,
-                     np.zeros(grid.shape, complex))
+        NlsRunConfig(grid, from_selection("nls_cubic"), 2.0 * grid.h, 1.0)
 
 
 def test_linear_flow_is_unitary_and_invertible():
@@ -76,7 +80,7 @@ def test_stepper_aborts_on_singular_phase(tmp_path, monkeypatch, capsys):
     grid = GridSpec(1, 32, 8.0)
     u0 = bump_field(grid, 1.0, 1.0).astype(complex)  # vanishes outside the bump
     with np.errstate(divide="ignore"), pytest.raises(BlowUpError) as info:
-        member(NlsRunConfig(grid, SINGULAR, 1e-2, 0.1, u0))
+        member(NlsRunConfig(grid, SINGULAR, 1e-2, 0.1), u0)
     assert info.value.t_last == 0.0
 
     # a phase that turns singular mid-run aborts at the last record
@@ -87,9 +91,9 @@ def test_stepper_aborts_on_singular_phase(tmp_path, monkeypatch, capsys):
         return np.full_like(s, np.inf if len(calls) == 5 else 1.0)
 
     spec = dataclasses.replace(from_selection("nls_cubic"), Fsprime=fails_on_fifth_call)
-    cfg = NlsRunConfig(grid, spec, 1e-2, 0.1, u0 + 1.0, diagnostics_stride=2)
+    cfg = NlsRunConfig(grid, spec, 1e-2, 0.1, diagnostics_stride=2)
     with pytest.raises(BlowUpError) as info:
-        integrate([member(cfg)], cfg)
+        integrate([member(cfg, u0 + 1.0)], cfg)
     # call 1 is the start, call k + 1 ends step k: step 4 fails, step 2 was recorded
     assert info.value.t_last == pytest.approx(2 * cfg.dt)
 
@@ -115,16 +119,16 @@ def test_plane_wave_oracle_exact():
     A, m = 0.7, 3
     k = 2.0 * np.pi * m / grid.L
     u0 = A * np.exp(1j * k * grid.axis())
-    cfg = NlsRunConfig(grid, spec, 1e-3, 0.5, u0)
-    end, _ = run_single(member, cfg)
+    cfg = NlsRunConfig(grid, spec, 1e-3, 0.5)
+    end, _ = run_single(starting(u0), cfg)
     rate = k ** 2 + spec.Fsprime(0.5 * A ** 2)
     exact = u0 * np.exp(1j * rate * end.t)
     assert np.max(np.abs(end.u - exact)) < 1e-11
 
 
 def test_mass_conserved_to_machine_precision():
-    cfg = make_config(T=1.0, dt=5e-3)
-    _, trace = run_single(member, cfg)
+    cfg, u0 = make_config(T=1.0, dt=5e-3)
+    _, trace = run_single(starting(u0), cfg)
     mass = trace.column("mass")
     assert np.max(np.abs(mass - mass[0])) / mass[0] < 1e-13
 
@@ -132,7 +136,8 @@ def test_mass_conserved_to_machine_precision():
 def test_hamiltonian_drift_scales_quadratically():
     drifts = []
     for dt in (2e-3, 1e-3):
-        _, trace = run_single(member, make_config(T=0.5, dt=dt))
+        cfg, u0 = make_config(T=0.5, dt=dt)
+        _, trace = run_single(starting(u0), cfg)
         H = trace.column("H_total")
         drifts.append(np.max(np.abs(H - H[0])) / abs(H[0]))
     assert drifts[0] < 1e-6
@@ -140,8 +145,8 @@ def test_hamiltonian_drift_scales_quadratically():
 
 
 def test_strang_step_advances_time():
-    cfg = make_config()
-    state = NlsState(cfg.grid, cfg.u0, 0.0)
+    cfg, u0 = make_config()
+    state = NlsState(cfg.grid, u0, 0.0)
     nxt = strang_step(state, cfg)
     assert nxt.t == pytest.approx(cfg.dt)
     assert nxt.u.shape == state.u.shape
@@ -152,8 +157,8 @@ def test_strang_step_advances_time():
 def test_stepper_matches_strang_step_oracle(name, d):
     grid = GridSpec(d, 64 if d == 1 else 32, 16.0)
     u0 = bump_field(grid, 1.5, 4.0).astype(complex) * np.exp(0.4j * grid.coords()[0])
-    cfg = NlsRunConfig(grid, from_selection(name), 0.02, 20 * 0.02, u0)
-    (last,), _ = integrate([member(cfg)], cfg)
+    cfg = NlsRunConfig(grid, from_selection(name), 0.02, 20 * 0.02)
+    (last,), _ = integrate([member(cfg, u0)], cfg)
     oracle = NlsState(grid, u0, 0.0)
     for _ in range(20):
         oracle = strang_step(oracle, cfg)
@@ -166,17 +171,16 @@ def test_stepper_matches_strang_step_oracle(name, d):
 
 def test_nls_ladder_keeps_its_step_count():
     grid = GridSpec(2, 16, 40.0)
-    cfg = NlsRunConfig(grid, from_selection("nls_coercive_exp"), 0.005, 0.5,
-                       np.zeros(grid.shape, complex))
+    cfg = NlsRunConfig(grid, from_selection("nls_coercive_exp"), 0.005, 0.5)
     assert cfg.steps() == 100 and cfg.dt == 0.005
 
 
 def ladder_config(steps=10, stride=3):
     grid = GridSpec(2, 16, 16.0)
     u0 = bump_field(grid, 1.0, 4.0).astype(complex)
-    cfg = NlsRunConfig(grid, from_selection("nls_coercive_exp"), 0.02, steps * 0.02, u0,
+    cfg = NlsRunConfig(grid, from_selection("nls_coercive_exp"), 0.02, steps * 0.02,
                        diagnostics_stride=stride)
-    return cfg, bump_field(grid, 1.0, 3.0), (1e-1, 1e-2, 1e-3)
+    return cfg, u0, bump_field(grid, 1.0, 3.0), (1e-1, 1e-2, 1e-3)
 
 
 def test_ladder_transforms_two_per_step_one_per_record(monkeypatch):
@@ -186,8 +190,8 @@ def test_ladder_transforms_two_per_step_one_per_record(monkeypatch):
             calls.append(_fn)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    cfg, pert, ladder = ladder_config()
-    traces = weak_strong.gronwall_ladder(cfg, pert, ladder)
+    cfg, u0, pert, ladder = ladder_config()
+    traces = weak_strong.gronwall_ladder(cfg, u0, pert, ladder)
     members, records = 1 + len(ladder), len(traces[0].times)
     assert records == 5  # t = 0, steps 3, 6, 9 and the last
     # per record: one forward transform per member for the energies and
@@ -198,7 +202,7 @@ def test_ladder_transforms_two_per_step_one_per_record(monkeypatch):
 def test_ladder_evaluates_phase_once_per_member_and_step(monkeypatch):
     calls = {"run": 0, "shift": 0}
     where = ["run"]
-    cfg, pert, ladder = ladder_config(stride=1)
+    cfg, u0, pert, ladder = ladder_config(stride=1)
     fsprime = cfg.spec.Fsprime
 
     def counted(s):
@@ -216,7 +220,7 @@ def test_ladder_evaluates_phase_once_per_member_and_step(monkeypatch):
 
     monkeypatch.setattr(weak_strong, "find_convexity_shift", counted_shift)
     base = dataclasses.replace(cfg, spec=dataclasses.replace(cfg.spec, Fsprime=counted))
-    weak_strong.gronwall_ladder(base, pert, ladder)
+    weak_strong.gronwall_ladder(base, u0, pert, ladder)
     # records, forces and the derivative of f reuse the stepper's phase
     assert calls["run"] == (cfg.steps() + 1) * (1 + len(ladder))
 
@@ -227,14 +231,15 @@ def test_dt_field_matches_plane_wave_rate():
     A, m = 0.4, 2
     k = 2.0 * np.pi * m / grid.L
     u0 = A * np.exp(1j * k * grid.axis())
-    first = Record(*member(NlsRunConfig(grid, spec, 1e-3, 0.01, u0)))
+    first = Record(*member(NlsRunConfig(grid, spec, 1e-3, 0.01), u0))
     rate = k ** 2 + spec.Fsprime(0.5 * A ** 2)
     expected = 1j * rate * first.u
     assert np.max(np.abs(first.ut - expected)) < 1e-10
 
 
 def test_trace_columns():
-    _, trace = run_single(member, make_config(T=0.1))
+    cfg, u0 = make_config(T=0.1)
+    _, trace = run_single(starting(u0), cfg)
     assert trace.columns == ("t", "mass", "H_total", "H_gradient",
                              "H_potential", "leakage", "sup_norm")
     assert np.all(trace.column("leakage") >= 0.0)

@@ -12,24 +12,28 @@ from supercrit.wave_integrator import Verlet, WaveRunConfig, WeakIdentity, membe
 
 
 def make_config(N=128, L=8.0, amplitude=0.5, T=0.5, spec=None, **kw):
+    """A 1-D run config and its bump u0 (at rest)."""
     grid = GridSpec(1, N, L)
     u0 = bump_field(grid, amplitude, 1.0)
     spec = spec if spec is not None else from_selection("defocusing_exp:m=1")
     dt = kw.pop("dt", 0.25 * grid.h)
-    return WaveRunConfig(grid, spec, dt, T, u0, np.zeros_like(u0), **kw)
+    return WaveRunConfig(grid, spec, dt, T, **kw), u0
+
+
+def starting(u0, u1=None):
+    """The run_single member of the impulse stepper from u = u0, u_t = u1."""
+    return lambda cfg: member(cfg, u0, u1)
 
 
 def test_cfl_gate():
     grid = GridSpec(1, 64, 8.0)
-    u0 = bump_field(grid, 0.5, 1.0)
     with pytest.raises(ValueError):
-        WaveRunConfig(grid, from_selection("pure_power:p=2"), grid.h, 1.0,
-                      u0, np.zeros_like(u0))
+        WaveRunConfig(grid, from_selection("pure_power:p=2"), grid.h, 1.0)
 
 
 def test_step_time_reversible():
-    cfg = make_config()
-    state = WaveState(cfg.grid, cfg.u0, cfg.u1, 0.0)
+    cfg, u0 = make_config()
+    state = WaveState(cfg.grid, u0, np.zeros_like(u0), 0.0)
     fwd = step(state, cfg)
     back = step(WaveState(cfg.grid, fwd.u, -fwd.ut, 0.0), cfg)
     assert np.allclose(back.u, state.u, atol=1e-13)
@@ -39,21 +43,21 @@ def test_step_time_reversible():
 def test_zero_data_is_fixed_point():
     grid = GridSpec(1, 64, 8.0)
     z = np.zeros(grid.shape)
-    cfg = WaveRunConfig(grid, from_selection("pure_power:p=2"),
-                        0.25 * grid.h, 0.25, z, z)
-    end, trace = run_single(member, cfg)
+    cfg = WaveRunConfig(grid, from_selection("pure_power:p=2"), 0.25 * grid.h, 0.25)
+    end, trace = run_single(starting(z, z), cfg)
     assert np.all(end.u == 0.0)
     assert trace.column("E_total")[-1] == 0.0
 
 
-def run_verlet(cfg):
-    """The Verlet oracle's run of cfg, shaped like run_single(member, cfg)."""
-    return run_single(lambda c: (Verlet(c), WaveState(c.grid, c.u0, c.u1, 0.0)), cfg)
+def run_verlet(cfg, u0):
+    """The Verlet oracle's run of cfg from u0 at rest, shaped like run_single's."""
+    return run_single(lambda c: (Verlet(c), WaveState(c.grid, u0, np.zeros_like(u0), 0.0)),
+                      cfg)
 
 
 def test_methods_agree_at_small_dt():
-    cfg = make_config(T=0.25, dt=0.02 * 8.0 / 128)
-    (end, _), (oracle, _) = run_single(member, cfg), run_verlet(cfg)
+    cfg, u0 = make_config(T=0.25, dt=0.02 * 8.0 / 128)
+    (end, _), (oracle, _) = run_single(starting(u0), cfg), run_verlet(cfg, u0)
     assert np.max(np.abs(end.u - oracle.u)) < 1e-6
 
 
@@ -61,8 +65,8 @@ def test_impulse_agrees_with_verlet_oracle_in_3d():
     grid = GridSpec(3, 16, 8.0)
     u0 = bump_field(grid, 0.5, 2.5)
     cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), 0.005, 0.25,
-                        u0, np.zeros_like(u0), diagnostics_stride=5)
-    (end, trace), (oracle, oracle_trace) = run_single(member, cfg), run_verlet(cfg)
+                        diagnostics_stride=5)
+    (end, trace), (oracle, oracle_trace) = run_single(starting(u0), cfg), run_verlet(cfg, u0)
     # verlet's own O(dt^2) error sets the scale: about 3e-8 on u, 3e-5 on E
     assert np.max(np.abs(end.u - oracle.u)) < 1e-6
     assert np.max(np.abs(end.ut - oracle.ut)) < 1e-5
@@ -82,8 +86,8 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
     u0 = bump_field(grid, 0.5, 2.0)
     dt = 0.05
     cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), dt, 10 * dt,
-                        u0, np.zeros_like(u0), diagnostics_stride=3)
-    _, trace = run_single(member, cfg)
+                        diagnostics_stride=3)
+    _, trace = run_single(starting(u0), cfg)
     records = len(trace.rows)
     assert cfg.steps() == 10 and records == 5
     # three transforms set up the spectral state from (u0, u1); the trace's
@@ -102,7 +106,7 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
             return None
 
     calls.clear()
-    integrate([member(cfg)], cfg, [ReadsVelocity()])
+    integrate([member(cfg, u0)], cfg, [ReadsVelocity()])
     # an observer that reads the physical u_t costs one inverse transform
     assert calls.count("irfft") == cfg.steps() + records
     assert len(calls) == 3 + (1 + grid.d) * cfg.steps() + grid.d * records
@@ -111,8 +115,8 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
 def test_impulse_exact_on_nearly_linear_problem():
     # cubic force at amplitude 1e-8 is negligible, so the split flow is the
     # exact linear propagator and energy drift sits at rounding level
-    cfg = make_config(amplitude=1e-8, T=1.0, spec=from_selection("pure_power:p=3"))
-    _, trace = run_single(member, cfg)
+    cfg, u0 = make_config(amplitude=1e-8, T=1.0, spec=from_selection("pure_power:p=3"))
+    _, trace = run_single(starting(u0), cfg)
     E = trace.column("E_total")
     assert np.max(np.abs(E - E[0])) / abs(E[0]) < 1e-12
 
@@ -120,8 +124,8 @@ def test_impulse_exact_on_nearly_linear_problem():
 def test_energy_drift_quarters_under_dt_halving():
     drifts = []
     for factor in (0.25, 0.125):
-        cfg = make_config(N=128, T=1.0, dt=factor * 8.0 / 128)
-        _, trace = run_single(member, cfg)
+        cfg, u0 = make_config(N=128, T=1.0, dt=factor * 8.0 / 128)
+        _, trace = run_single(starting(u0), cfg)
         E = trace.column("E_total")
         drifts.append(np.max(np.abs(E - E[0])) / abs(E[0]))
     assert 3.0 < drifts[0] / drifts[1] < 5.0
@@ -137,16 +141,16 @@ def test_blow_up_detected_for_focusing_force():
     )
     # huge stride: the overflow is hit between diagnostics records, so the
     # non-finite state itself trips the abort
-    cfg = make_config(N=64, amplitude=8.0, T=4.0, spec=focusing,
-                      dt=0.25 * 8.0 / 64, diagnostics_stride=10 ** 9)
+    cfg, u0 = make_config(N=64, amplitude=8.0, T=4.0, spec=focusing,
+                          dt=0.25 * 8.0 / 64, diagnostics_stride=10 ** 9)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
-        run_single(member, cfg)
+        run_single(starting(u0), cfg)
     assert info.value.t_last >= 0.0
 
 
 def test_trace_columns_and_csv():
-    cfg = make_config(T=0.25, diagnostics_stride=4)
-    _, trace = run_single(member, cfg)
+    cfg, u0 = make_config(T=0.25, diagnostics_stride=4)
+    _, trace = run_single(starting(u0), cfg)
     assert trace.columns == ("t", "E_total", "E_kinetic", "E_gradient",
                              "E_potential", "leakage", "sup_norm")
     csv = trace.to_csv()
@@ -164,8 +168,9 @@ def test_trace_column_lookup_errors():
         trace.column("missing")
 
 
-def weak_identity(cfg):
-    _, (residual,) = integrate([member(cfg)], cfg, [WeakIdentity(cfg.spec, cfg.grid)])
+def weak_identity(cfg_and_u0):
+    cfg, u0 = cfg_and_u0
+    _, (residual,) = integrate([member(cfg, u0)], cfg, [WeakIdentity(cfg.spec, cfg.grid)])
     return residual
 
 
@@ -178,19 +183,19 @@ def test_weak_identity_residual_small_and_needs_snapshots():
 def test_run_ends_at_T_with_dt_at_most_the_one_asked_for():
     asked = 0.25 * 8.0 / 128
     # T / dt = 44.34: 44 steps of the asked dt would stop at t = 0.6875
-    cfg = make_config(T=44.34 * asked, dt=asked)
-    end, trace = run_single(member, cfg)
+    cfg, u0 = make_config(T=44.34 * asked, dt=asked)
+    end, trace = run_single(starting(u0), cfg)
     assert cfg.steps() == 45 and cfg.dt <= asked
     assert end.t == trace.column("t")[-1] == pytest.approx(cfg.T, rel=1e-14)
     # a T far below dt is one step of dt = T, not one step of the asked dt
-    short = make_config(T=1e-9, dt=asked)
-    end, _ = run_single(member, short)
+    short, u0 = make_config(T=1e-9, dt=asked)
+    end, _ = run_single(starting(u0), short)
     assert short.steps() == 1 and end.t == pytest.approx(1e-9, rel=1e-14)
 
 
 def test_snapshot_times_cover_final_time():
-    cfg = make_config(T=0.5)
-    end, trace = run_single(member, cfg)
+    cfg, u0 = make_config(T=0.5)
+    end, trace = run_single(starting(u0), cfg)
     times = trace.column("t")
     assert times[0] == 0.0 and len(times) == len(trace.rows)
     assert end.t == times[-1] == pytest.approx(0.5, abs=cfg.dt)
@@ -200,8 +205,8 @@ def test_snapshot_times_cover_final_time():
 @pytest.mark.parametrize("T, stride", [(0.5, 0), (0.5, 1), (0.5, 7), (0.5, 64), (0.5, 10 ** 9),
                                        (1e-9, 0), (44.34 * 0.25 * 8.0 / 128, 5)])
 def test_schedule_counts_the_records_integrate_makes(T, stride):
-    cfg = make_config(T=T, diagnostics_stride=stride)
-    _, trace = run_single(member, cfg)
+    cfg, u0 = make_config(T=T, diagnostics_stride=stride)
+    _, trace = run_single(starting(u0), cfg)
     assert len(trace.rows) == cfg.records()
 
 
@@ -211,24 +216,37 @@ def test_wave_run_holds_one_state_per_member():
     grid = GridSpec(3, 32, 8.0)
     u0 = bump_field(grid, 0.5, 1.5)
     cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"),
-                        0.25 * grid.h / np.sqrt(3), 0.5, u0, np.zeros_like(u0))
-    run_single(member, cfg)  # warm the grid's cached arrays
+                        0.25 * grid.h / np.sqrt(3), 0.5)
+    run_single(starting(u0), cfg)  # warm the grid's cached arrays
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        run_single(member, cfg)
+        run_single(starting(u0), cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (peak - entry) / grid.N ** grid.d <= 80.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_at_rest_member_equals_a_zero_field_bitwise(d):
+    # rfftn of zeros has -0.0 imaginary parts; the broadcast zero keeps them
+    grid = GridSpec(d, 16, 8.0)
+    u0 = bump_field(grid, 0.5, 2.0)
+    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), 0.05, 0.5)
+    (_, rest), (_, zero) = member(cfg, u0), member(cfg, u0, np.zeros(grid.shape))
+    for ours, ref in ((rest.u, zero.u), (rest.uh, zero.uh), (rest.uth, zero.uth),
+                      (rest.rh, zero.rh)):
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+    assert rest.u is not u0 and np.signbit(rest.uth.imag).any()
+
+
 def test_impulse_step_matches_an_allocating_step():
     grid = GridSpec(2, 32, 8.0)
     u0 = bump_field(grid, 0.7, 2.0)
     u1 = bump_field(grid, 0.3, 1.5) * np.random.default_rng(1).uniform(-1, 1, grid.shape)
-    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=2"), 0.04, 0.5, u0, u1)
-    stepper, state = member(cfg)
+    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=2"), 0.04, 0.5)
+    stepper, state = member(cfg, u0, u1)
     uh, uth, rh = (x.copy() for x in (state.uh, state.uth, state.rh))
     for _ in range(5):
         # the step as it reads with a new array per operation

@@ -31,12 +31,12 @@ def wave_ladder(ladder=(1e-2,), N=128, T=0.5, spec_name="defocusing_exp:m=1"):
     spec = from_selection(spec_name)
     u0 = bump_field(grid, 0.5, 1.0)
     pert = bump_field(grid, 1.0, 0.8)
-    cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, T, u0, np.zeros_like(u0))
-    return gronwall_ladder(cfg, pert, ladder)
+    cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, T)
+    return gronwall_ladder(cfg, u0, pert, ladder)
 
 
-def force_samples(cfg):
-    _, (samples,) = integrate([wave_member(cfg)], cfg, [ForceSamples(cfg.spec, cfg.grid)])
+def force_samples(cfg, u0):
+    _, (samples,) = integrate([wave_member(cfg, u0)], cfg, [ForceSamples(cfg.spec, cfg.grid)])
     return samples
 
 
@@ -83,8 +83,8 @@ def test_nls_trace_with_valid_shift_has_nonnegative_defect():
     A = find_convexity_shift(spec, R=2.0, n_random=50_000).value
     u0 = bump_field(grid, 0.5, 2.0).astype(complex)
     pert = bump_field(grid, 1.0, 1.5)
-    cfg = NlsRunConfig(grid, spec, 1e-3, 0.25, u0)
-    members = [nls_member(cfg), nls_member(replace(cfg, u0=u0 + 1e-2 * pert))]
+    cfg = NlsRunConfig(grid, spec, 1e-3, 0.25)
+    members = [nls_member(cfg, u0), nls_member(cfg, u0 + 1e-2 * pert)]
     _, (pieces,) = integrate(members, cfg, [NlsGronwall(spec, grid)])
     (tr,) = pieces.traces(A)
     assert tr.remainder_min is not None
@@ -106,9 +106,9 @@ def test_nls_gronwall_evaluates_curvature_once_per_record():
     spec = replace(base, Fsprime2=counted)
     u0 = bump_field(grid, 0.5, 2.0).astype(complex)
     pert = bump_field(grid, 1.0, 1.5)
-    cfg = NlsRunConfig(grid, spec, 1e-2, 0.05, u0)
-    members = [nls_member(cfg)] + [nls_member(replace(cfg, u0=u0 + eps * pert))
-                                   for eps in (1e-1, 1e-2, 1e-3)]
+    cfg = NlsRunConfig(grid, spec, 1e-2, 0.05)
+    members = [nls_member(cfg, u0)] + [nls_member(cfg, u0 + eps * pert)
+                                       for eps in (1e-1, 1e-2, 1e-3)]
     _, (pieces,) = integrate(members, cfg, [NlsGronwall(spec, grid)])
     # one Fs'' of the reference per record, shared by the three members
     assert calls == [grid.N] * len(pieces.times)
@@ -134,19 +134,20 @@ def test_no_member_state_outlives_the_run_into_the_shift(monkeypatch):
     monkeypatch.setattr(weak_strong, "find_convexity_shift", checked_shift)
     grid = GridSpec(1, 64, 16.0)
     u0 = bump_field(grid, 0.5, 2.0).astype(complex)
-    cfg = NlsRunConfig(grid, from_selection("nls_cubic"), 1e-2, 0.05, u0)
-    traces = gronwall_ladder(cfg, bump_field(grid, 1.0, 1.5), (1e-1, 1e-2, 1e-3))
+    cfg = NlsRunConfig(grid, from_selection("nls_cubic"), 1e-2, 0.05)
+    traces = gronwall_ladder(cfg, u0, bump_field(grid, 1.0, 1.5), (1e-1, 1e-2, 1e-3))
     assert len(traces) == 3
 
 
 def _alive_at_second_record(monkeypatch, observer, pick):
-    """Spy on observer's records: which of pick(first records) are alive at the second."""
+    """Spy on observer's records: which of the weakrefs pick(first records)
+    gives are alive at the second."""
     refs, alive = [], []
     observe = observer.observe
 
     def spied(self, records):
         if not refs:
-            refs.extend(weakref.ref(x) for x in pick(records))
+            refs.extend(pick(records))
         elif not alive:
             alive.extend(ref() is not None for ref in refs)
         return observe(self, records)
@@ -156,47 +157,56 @@ def _alive_at_second_record(monkeypatch, observer, pick):
 
 
 def _wave_base(spec="defocusing_exp:m=1", amplitude=0.5):
+    """A wave run config and its u0."""
     grid = GridSpec(1, 64, 16.0)
-    u0 = bump_field(grid, amplitude, 2.0)
-    return WaveRunConfig(grid, from_selection(spec), 0.25 * grid.h, 0.1, u0,
-                         np.zeros_like(u0), diagnostics_stride=1)
+    cfg = WaveRunConfig(grid, from_selection(spec), 0.25 * grid.h, 0.1, diagnostics_stride=1)
+    return cfg, bump_field(grid, amplitude, 2.0)
 
 
 def _nls_base():
+    """An NLS run config and its u0."""
     grid = GridSpec(1, 64, 16.0)
-    u0 = bump_field(grid, 0.5, 2.0).astype(complex)
-    return NlsRunConfig(grid, from_selection("nls_cubic"), 1e-2, 0.05, u0,
-                        diagnostics_stride=1)
+    cfg = NlsRunConfig(grid, from_selection("nls_cubic"), 1e-2, 0.05, diagnostics_stride=1)
+    return cfg, bump_field(grid, 0.5, 2.0).astype(complex)
 
 
 @pytest.mark.parametrize("member, base", [(wave_member, _wave_base), (nls_member, _nls_base)],
                          ids=["wave", "nls"])
 def test_single_run_releases_its_initial_state(monkeypatch, member, base):
     alive = _alive_at_second_record(monkeypatch, stepping.DiagnosticTrace,
-                                    lambda records: [records[0].state])
-    run_single(member, base())
+                                    lambda records: [weakref.ref(records[0].state)])
+    cfg, u0 = base()
+    run_single(lambda c: member(c, u0), cfg)
     assert alive == [False]
 
 
-def _states_and_member_fields(records):
-    # member 0's u is the caller's u0; each ladder member's u is its own u0
-    return [r.state for r in records] + [r.u for r in records[1:]]
+def _ladder(base):
+    cfg, u0 = base()
+    return gronwall_ladder(cfg, u0, bump_field(cfg.grid, 1.0, 1.5), (0.1, 0.01))
 
 
-def _states(records):
-    # every truncated member starts from the caller's u0
-    return [r.state for r in records]
-
-
-@pytest.mark.parametrize("observer, pick, run", [
-    (weak_strong.WaveGronwall, _states_and_member_fields,
-     lambda: gronwall_ladder(base := _wave_base(), bump_field(base.grid, 1.0, 1.5), (0.1, 0.01))),
-    (NlsGronwall, _states_and_member_fields,
-     lambda: gronwall_ladder(base := _nls_base(), bump_field(base.grid, 1.0, 1.5), (0.1, 0.01))),
-    (weak_strong._LadderDiscrepancy, _states,
-     lambda: appendix_construction(_wave_base("oscillating_sin:q=1", 3.0), (1.0, 2.0, 4.0))),
+@pytest.mark.parametrize("observer, member, fresh, run", [
+    (weak_strong.WaveGronwall, "wave_member", 2, lambda: _ladder(_wave_base)),
+    (NlsGronwall, "nls_member", 2, lambda: _ladder(_nls_base)),
+    (weak_strong._LadderDiscrepancy, "wave_member", 0,
+     lambda: appendix_construction(*_wave_base("oscillating_sin:q=1", 3.0), (1.0, 2.0, 4.0))),
 ], ids=["wave-ladder", "nls-ladder", "appendix"])
-def test_ladder_runs_release_every_initial_field(monkeypatch, observer, pick, run):
+def test_ladder_runs_release_every_initial_field(monkeypatch, observer, member, fresh, run):
+    calls = []  # a weakref to the u0 of each member call
+    build = getattr(weak_strong, member)
+
+    def spied(cfg, u0, *args):
+        calls.append(weakref.ref(u0))
+        return build(cfg, u0, *args)
+
+    def pick(records):
+        # every member's initial state, and each u0 + eps * pert a ladder built
+        # for a member; the caller's own u0, the first call's, lives on
+        data = [ref for ref in calls[1:] if ref() is not calls[0]()]
+        assert len(data) == fresh
+        return [weakref.ref(r.state) for r in records] + data
+
+    monkeypatch.setattr(weak_strong, member, spied)
     alive = _alive_at_second_record(monkeypatch, observer, pick)
     run()
     assert alive and not any(alive)
@@ -205,12 +215,16 @@ def test_ladder_runs_release_every_initial_field(monkeypatch, observer, pick, ru
 def test_runs_leave_the_config_fields_unwritten():
     grid = GridSpec(1, 64, 16.0)
     u0, u1 = bump_field(grid, 0.5, 2.0), bump_field(grid, 0.3, 1.5)
-    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), 0.25 * grid.h, 0.1,
-                        u0, u1)
-    before = u0.copy(), u1.copy()
-    run_single(wave_member, cfg)
-    gronwall_ladder(cfg, bump_field(grid, 1.0, 1.5), (0.1, 0.01))
-    for field, copy in zip((cfg.u0, cfg.u1), before):
+    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), 0.25 * grid.h, 0.1)
+    nls_cfg = NlsRunConfig(grid, from_selection("nls_cubic"), 1e-2, 0.05)
+    nls_u0 = (u0 + 1j * u1)
+    before = u0.copy(), u1.copy(), nls_u0.copy()
+    run_single(lambda c: wave_member(c, u0, u1), cfg)
+    gronwall_ladder(cfg, u0, bump_field(grid, 1.0, 1.5), (0.1, 0.01))
+    appendix_construction(replace(cfg, spec=from_selection("oscillating_sin:q=1")), u0,
+                          (1.0, 2.0, 4.0))
+    run_single(lambda c: nls_member(c, nls_u0), nls_cfg)
+    for field, copy in zip((u0, u1, nls_u0), before):
         assert np.array_equal(field.view(np.int64), copy.view(np.int64))
 
 
@@ -218,21 +232,21 @@ def test_ladder_must_be_increasing():
     grid = GridSpec(1, 64, 8.0)
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 1.0, 1.0)
-    base = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.25, u0, np.zeros_like(u0))
+    base = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.25)
     with pytest.raises(ValueError):
-        appendix_construction(base, (2.0, 1.0, 4.0))
+        appendix_construction(base, u0, (2.0, 1.0, 4.0))
     with pytest.raises(ValueError):
-        appendix_construction(base, (1.0, 2.0))
+        appendix_construction(base, u0, (1.0, 2.0))
 
 
 def test_truncation_ladder_discrepancies_decrease():
     grid = GridSpec(1, 128, 8.0)
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 3.0 * np.e, 1.0)
-    base = WaveRunConfig(grid, spec, grid.h / 16.0, 0.5, u0, np.zeros_like(u0))
-    report, samples = appendix_construction(base, (1.0, 2.0, 4.0))
+    base = WaveRunConfig(grid, spec, grid.h / 16.0, 0.5)
+    report, samples = appendix_construction(base, u0, (1.0, 2.0, 4.0))
     # the probe's samples come from the untruncated reference
-    final_force = np.abs(spec.f(run_single(wave_member, base)[0].u)).ravel()
+    final_force = np.abs(spec.f(run_single(lambda c: wave_member(c, u0), base)[0].u)).ravel()
     assert np.array_equal(samples.absf[-1], final_force)
     assert report.monotone_l2 and report.monotone_force
     assert report.l2_discrepancy[0] > report.l2_discrepancy[-1]
@@ -277,8 +291,8 @@ def test_uniform_integrability_probe_slope():
     grid = GridSpec(1, 128, 8.0)
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 3.0, 1.0)
-    cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.5, u0, np.zeros_like(u0))
-    slope, target, vacuous = uniform_integrability_probe(force_samples(cfg), trials=200)
+    cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.5)
+    slope, target, vacuous = uniform_integrability_probe(force_samples(cfg, u0), trials=200)
     assert not vacuous
     assert slope >= target - 0.1
 
@@ -290,8 +304,8 @@ def test_uniform_integrability_probe_holds_under_two_sample_copies():
     grid = GridSpec(3, 32, 8.0)
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 3.0, 1.0)
-    cfg = WaveRunConfig(grid, spec, 0.25 * grid.h / np.sqrt(3.0), 0.5, u0, np.zeros_like(u0))
-    samples = force_samples(cfg)
+    cfg = WaveRunConfig(grid, spec, 0.25 * grid.h / np.sqrt(3.0), 0.5)
+    samples = force_samples(cfg, u0)
     sample_bytes = sum(row.nbytes for row in samples.absf)
     uniform_integrability_probe(samples, trials=20)  # leaves one-time imports untraced
     tracemalloc.start()
@@ -328,6 +342,6 @@ def test_uniform_integrability_probe_vacuous_on_zero_field():
     grid = GridSpec(1, 64, 8.0)
     spec = from_selection("pure_power:p=2")
     z = np.zeros(grid.shape)
-    cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.25, z, z)
-    _, _, vacuous = uniform_integrability_probe(force_samples(cfg), trials=50)
+    cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.25)
+    _, _, vacuous = uniform_integrability_probe(force_samples(cfg, z), trials=50)
     assert vacuous

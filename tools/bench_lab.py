@@ -37,6 +37,11 @@ Rows:
   member is built at its first call, and each later call advances it by one
   step, so wall_s and peak_bytes are one step's, while mpoints, from the
   counting spec's only call, also counts the set-up's evaluation of f;
+* ``layer.record.wave``            one diagnostics record of that member's initial
+  state, as a simulate-wave run makes it: the energies (F on the grid, Parseval
+  sums of the half spectra), the boundary leakage and the sup norm; each call
+  observes a new record of the same state, and mpoints, as for the step, also
+  counts the set-up's f;
 * ``e2e.check-assumptions.d<d>``   the CLI ``check-assumptions`` for
   oscillating_sin:q=2 with d = 1, 2, 3, config file to published directory;
 * ``e2e.weak-strong.nls``          the CLI ``weak-strong`` for the NLS ladder
@@ -131,22 +136,46 @@ def _sweep(lab, spec):
                                          SWEEP["seed"])]
 
 
+def _wave_member(field_core, wave_integrator, spec):
+    """The impulse member of the simulate-wave E2E config's grid and data, at rest."""
+    grid = field_core.GridSpec(3, 64, 10.0)
+    u0 = field_core.bump_field(grid, 0.5, 1.5)
+    dt = wave_integrator.stable_dt(grid.h, grid.d)
+    if "u0" in {f.name for f in dataclasses.fields(wave_integrator.WaveRunConfig)}:
+        # a tree whose run config holds the initial data
+        import numpy as np
+        return wave_integrator.member(wave_integrator.WaveRunConfig(
+            grid, spec, dt, 1.0, u0, np.zeros_like(u0)))
+    return wave_integrator.member(wave_integrator.WaveRunConfig(grid, spec, dt, 1.0), u0)
+
+
 def _wave_stepper(field_core, wave_integrator):
     """run(spec): one impulse step of the simulate-wave E2E config's grid and data.
 
     Each spec gets its member at its first call, so a measured call is one step."""
-    import numpy as np
     members = {}
 
     def run(spec):
         if spec not in members:
-            grid = field_core.GridSpec(3, 64, 10.0)
-            u0 = field_core.bump_field(grid, 0.5, 1.5)
-            members[spec] = wave_integrator.member(wave_integrator.WaveRunConfig(
-                grid, spec, wave_integrator.stable_dt(grid.h, grid.d), 1.0, u0,
-                np.zeros_like(u0)))
+            members[spec] = _wave_member(field_core, wave_integrator, spec)
         stepper, state = members[spec]
         members[spec] = stepper, stepper(state)
+    return run
+
+
+def _wave_record(field_core, wave_integrator, stepping):
+    """run(spec): one diagnostics record (energies, leakage, sup norm) of the
+    simulate-wave E2E config's initial state.
+
+    Each spec gets its member at its first call, and each call observes a new
+    Record of its state, so a measured call is one record."""
+    members = {}
+
+    def run(spec):
+        if spec not in members:
+            members[spec] = _wave_member(field_core, wave_integrator, spec)
+        stepper, state = members[spec]
+        stepping.DiagnosticTrace(grid=stepper.grid).observe([stepping.Record(stepper, state)])
     return run
 
 
@@ -164,7 +193,8 @@ def _cli_run(cli, kind, text):
 def worker(src: str) -> dict:
     sys.path.insert(0, os.path.abspath(src))
     import numpy as np
-    from supercrit import assumption_lab, cli, config, field_core, nonlinearity, wave_integrator
+    from supercrit import (assumption_lab, cli, config, field_core, nonlinearity, stepping,
+                           wave_integrator)
 
     rows = {}
     u = np.random.default_rng(0).uniform(-2.0, 2.0, LAYER_POINTS)
@@ -185,6 +215,8 @@ def worker(src: str) -> dict:
         lambda: nls)
     wave = nonlinearity.from_selection(WAVE_SPEC)
     rows["layer.step.wave"] = _measure(_wave_stepper(field_core, wave_integrator), lambda: wave)
+    rows["layer.record.wave"] = _measure(_wave_record(field_core, wave_integrator, stepping),
+                                         lambda: wave)
 
     # the CLI builds its spec from the config; route that through the given spec
     real = config.from_selection
