@@ -12,6 +12,13 @@ Constants that share a plan share its sweep, each still judged on its own:
 of one constant are the same calls with one name. The convexity shift
 (ClaimA) is a sampled sup of the same ``_sup_ratio`` form on windows of its
 own, kept as ``evidence["window_sups"]``.
+
+Every sample plan, the scalar verifiers' included, is drawn and evaluated one
+block of ``_BLOCK`` points at a time, and a block's arithmetic is done in
+place: the wave ratios build their numerators in the buffers of the jet of
+u + w, and ``_sup_ratio`` takes each ratio in its numerator. A check holds a
+few block-sized arrays whatever its sample count, and no report depends on
+the block size.
 """
 
 from __future__ import annotations
@@ -50,7 +57,12 @@ _STABILITY_SLACK = 0.05  # sup accepted when doubling moves it less than 5%
 _NONNEG_SLACK = 1e-9     # numerical slack for analytic ">= 0" statements
 SCALAR_RADIUS = 8.0      # the scalar pointwise verifiers sample [-8, 8]
 MAX_CONVEXITY_SHIFT = 1e6  # a larger sampled shift counts as unbounded
-_BLOCK = 1 << 16         # points per evaluated block: its temporaries fit in cache
+# Points per evaluated block. A wave sweep holds about ten arrays of one block,
+# so 2^14 points (128 KiB per float array) keep them in a core's 2 MiB L2:
+# classify(oscillating_sin:q=2) peaks at 1.1 MiB and takes a median 1.06-1.26 s,
+# against 4.5 MiB and 1.54-1.61 s at 2^16; 2^12 (0.4 MiB) is no faster
+# (5 alternating runs per size, 2-vCPU Xeon, numpy 2.4).
+_BLOCK = 1 << 14
 
 
 class UnboundedEstimateError(RuntimeError):
@@ -118,25 +130,28 @@ def _sup_ratio(ratio, blocks):
     """Max of num/den over samples with den > 0, for each (num, den) of ratio(u, w).
 
     ``blocks`` are broadcastable (u, w) pairs in plan order, at least one; the
-    ratio returns the same number of (num, den) terms for each. Returns, per
-    term, the sup and the first sample attaining it, or (0.0, None) when no
-    sample has a positive ratio.
+    ratio returns the same number of (num, den) terms for each. Each num must
+    be a new array of the block's full shape: the term's ratio is taken in it.
+    A den is only read, so terms may share one, and it may be smaller than
+    its num (a grid block's w row). Returns, per term, the sup and the first
+    sample attaining it, or (0.0, None) when no sample has a positive ratio.
     """
     found = None
     for ub, wb in blocks:
         terms = ratio(ub, wb)
         if found is None:
             found = [[0.0, None] for _ in terms]
-        for slot, (num, den) in zip(found, terms):
-            mask = den > 0
-            r = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
-            r = np.where(np.isfinite(r), r, 0.0)
+        for slot, (r, den) in zip(found, terms):
+            positive = den > 0
+            np.divide(r, den, out=r, where=positive)
+            np.copyto(r, 0.0, where=~positive)
+            r[~np.isfinite(r)] = 0.0
             k = np.unravel_index(int(np.argmax(r)), r.shape)
             if r[k] > slot[0]:
                 slot[:] = float(r[k]), (np.broadcast_to(ub, r.shape)[k],
                                         np.broadcast_to(wb, r.shape)[k])
         # the next block and its ratio are computed without this block's
-        del terms, num, den, mask, r
+        del terms, r, den, positive
     return [(best, _as_pair(worst)) for best, worst in found]
 
 
@@ -183,19 +198,34 @@ def _sampled_constants(names, R, plan, ratio, n_random, seed, windows=None):
     return out
 
 
-def _scalar_plan(R: float, n: int, seed: int) -> np.ndarray:
-    """Fixed sample plan on [-R, R]: symmetric grid plus seeded randoms."""
-    grid = np.linspace(-R, R, max(8, n // 4))
-    rng = np.random.default_rng(seed)
-    return np.concatenate([grid, rng.uniform(-R, R, n)])
+def _scalar_plan(grid: np.ndarray, n: int, seed: int, lo: float, hi: float):
+    """Fixed sample plan, one _BLOCK at a time: the grid, then n seeded uniforms on [lo, hi].
+
+    The uniforms are the values of default_rng(seed).uniform(lo, hi, n).
+    """
+    for a in range(0, len(grid), _BLOCK):
+        yield grid[a:a + _BLOCK]
+    yield from _uniform_blocks(seed, n, ((lo, hi),), lambda u: u)
 
 
-def _record_violations(u: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, limit: int = 16):
-    bad = np.flatnonzero(~(lhs <= rhs))
-    return [
-        {"u": float(u[i]), "lhs": float(lhs[i]), "rhs": float(rhs[i])}
-        for i in bad[:limit]
-    ]
+def _symmetric_plan(R: float, n: int, seed: int):
+    """_scalar_plan on [-R, R] with a symmetric grid of max(8, n // 4) points."""
+    return _scalar_plan(np.linspace(-R, R, max(8, n // 4)), n, seed, -R, R)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _violations(plan, sides, limit: int = 16) -> list:
+    """Per (lhs, rhs) term of sides(u), the first ``limit`` samples of the plan
+    where lhs <= rhs fails (NaN included), in plan order."""
+    found = None
+    for u in plan:
+        terms = sides(u)
+        if found is None:
+            found = [[] for _ in terms]
+        for bad, (lhs, rhs) in zip(found, terms):
+            bad += [{"u": float(u[i]), "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+                    for i in np.flatnonzero(~(lhs <= rhs))[:limit - len(bad)]]
+    return found
 
 
 def verify_sign_condition(
@@ -204,10 +234,11 @@ def verify_sign_condition(
     seed: int = DEFAULT_SEED,
 ) -> InequalityReport:
     """Defocusing sign condition u f(u) >= 0, checked exactly on the plan."""
-    u = _scalar_plan(SCALAR_RADIUS, samples, seed)
-    with np.errstate(over="ignore", invalid="ignore"):
+    def sides(u):
         prod = u * spec.f(u)
-    violations = _record_violations(u, np.zeros_like(prod), prod)
+        return [(np.zeros_like(prod), prod)]
+
+    [violations] = _violations(_symmetric_plan(SCALAR_RADIUS, samples, seed), sides)
     return InequalityReport("H1", not violations, violations)
 
 
@@ -219,11 +250,11 @@ def verify_growth_bound(
     """Growth bound |f(u)| <= C |u|^q with the spec's declared C and q."""
     if spec.q is None or spec.C_growth is None:
         raise ValueError(f"{spec.name} declares no growth bound")
-    u = _scalar_plan(SCALAR_RADIUS, samples, seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = np.abs(spec.f(u))
-        rhs = spec.C_growth * np.abs(u) ** spec.q * (1.0 + 1e-12)
-    violations = _record_violations(u, lhs, rhs)
+
+    def sides(u):
+        return [(np.abs(spec.f(u)), spec.C_growth * np.abs(u) ** spec.q * (1.0 + 1e-12))]
+
+    [violations] = _violations(_symmetric_plan(SCALAR_RADIUS, samples, seed), sides)
     return InequalityReport("H2", not violations, violations)
 
 
@@ -234,11 +265,10 @@ def verify_potential_lower_bound(
     seed: int = DEFAULT_SEED,
 ) -> InequalityReport:
     """Lower bound F(u) >= -C u^2 on the plan (oscillating class and F_k)."""
-    u = _scalar_plan(SCALAR_RADIUS, samples, seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = -C * u ** 2 - _NONNEG_SLACK
-        rhs = spec.F(u)
-    violations = _record_violations(u, lhs, rhs)
+    def sides(u):
+        return [(-C * u ** 2 - _NONNEG_SLACK, spec.F(u))]
+
+    [violations] = _violations(_symmetric_plan(SCALAR_RADIUS, samples, seed), sides)
     return InequalityReport("H21", not violations, violations)
 
 
@@ -253,18 +283,18 @@ def verify_nls_coercivity(
 
     The lower end matters: for the built-in coercive entry the quotient
     behaves like 1/sqrt(s) near zero, so the declared constant is only valid
-    down to the plan's s_min.
+    down to the plan's s_min. The first 16 violations of each side are
+    reported, the lower side's first.
     """
     if spec.coercivity_constant is None:
         raise ValueError(f"{spec.name} declares no coercivity constant")
-    rng = np.random.default_rng(seed)
-    s = np.concatenate([
-        np.geomspace(s_min, s_max, max(8, samples // 4)),
-        rng.uniform(s_min, s_max, samples),
-    ])
-    mid = np.sqrt(s) * spec.Fsprime(s)
-    low_bad = _record_violations(s, np.zeros_like(mid), mid)
-    high_bad = _record_violations(s, mid, spec.coercivity_constant * spec.Fs(s))
+
+    def sides(s):
+        mid = np.sqrt(s) * spec.Fsprime(s)
+        return [(np.zeros_like(mid), mid), (mid, spec.coercivity_constant * spec.Fs(s))]
+
+    grid = np.geomspace(s_min, s_max, max(8, samples // 4))
+    low_bad, high_bad = _violations(_scalar_plan(grid, samples, seed, s_min, s_max), sides)
     violations = low_bad + high_bad
     return InequalityReport("coercive", not violations, violations)
 
@@ -288,14 +318,26 @@ def _wave_constants(spec: NonlinearitySpec, R: float, d: int | None, names: list
             raise ValueError(f"q={spec.q} is not subcritical for d={d} (2*={p})")
     top = 0 if p is None else 1  # only H22 reads f(u + w) and f'(u)
 
+    # the numerators are taken in the buffers of the jet of u + w, and the
+    # association of every operation is that of the formulas above
     def ratio(u, w):
         at_v, at_u = spec.jet(u + w, top), spec.jet(u, top + 1)
         wsq = w ** 2
         terms = {}
         if "H11" in names:
-            terms["H11"] = np.maximum(0.0, -(at_v[0] - at_u[0] - at_u[1] * w)), wsq
+            num = at_v[0]
+            num -= at_u[0]
+            num -= at_u[1] * w
+            np.negative(num, out=num)
+            terms["H11"] = np.maximum(0.0, num, out=num), wsq
         if p is not None:
-            terms["H22"] = np.abs(at_v[1] - at_u[1] - at_u[2] * w), wsq + np.abs(w) ** p
+            num = at_v[1]
+            num -= at_u[1]
+            num -= at_u[2] * w
+            den = np.abs(w)
+            den **= p
+            den += wsq
+            terms["H22"] = np.abs(num, out=num), den
         return [terms[n] for n in names]
 
     subjects = {"H11": "remainder constant", "H22": "Taylor constant"}

@@ -60,7 +60,8 @@ class NonlinearitySpec:
     """Real scalar nonlinearity: potential F, force f = F', and f'.
 
     ``fused_jet(u, order)``, when given, returns the same values as ``jet``
-    from shared subexpressions.
+    from shared subexpressions. The assumption lab writes into the arrays of
+    a jet, so each is a new array, not u and not another of the jet's.
     """
 
     name: str
@@ -169,17 +170,29 @@ def _defocusing_exp(m: int) -> NonlinearitySpec:
 
 def _oscillating_sin(q: int) -> NonlinearitySpec:
     # each quantity is one expression in |u|^q, g = u|u|^q, sin g and cos g,
-    # so the jet, which shares them, returns the evaluators' values
+    # so the jet, which shares them, returns the evaluators' values. force and
+    # slope work in place, and on numpy scalars the same statements rebind.
     def force(aq, cos_g):
-        return (q + 1) * aq * cos_g
+        """(q + 1)|u|^q cos g, written into aq."""
+        aq *= q + 1
+        aq *= cos_g
+        return aq
 
     def slope(u, g, cos_g=None, sin_g=None):
+        """f'(u) in two new buffers, without writing u, cos g or sin g."""
         # without the jet's cos g and sin g, each is taken where it is used,
         # so a lone f' never holds both
-        a = np.abs(u)
-        return (q * (q + 1) * a ** (q - 1) * np.sign(u)
-                * (np.cos(g) if cos_g is None else cos_g)
-                - (q + 1) ** 2 * a ** (2 * q) * (np.sin(g) if sin_g is None else sin_g))
+        out = np.abs(u)
+        out **= q - 1
+        out *= q * (q + 1)
+        out *= np.sign(u)
+        out *= np.cos(g) if cos_g is None else cos_g
+        rest = np.abs(u)
+        rest **= 2 * q
+        rest *= (q + 1) ** 2
+        rest *= np.sin(g) if sin_g is None else sin_g
+        out -= rest
+        return out
 
     def F(u):
         u = np.asarray(u, dtype=float)
@@ -196,13 +209,16 @@ def _oscillating_sin(q: int) -> NonlinearitySpec:
 
     def jet(u, order):
         u = np.asarray(u, dtype=float)
-        if order == 0:
-            return (F(u),)
-        aq = np.abs(u) ** q
+        if order == 0 or u.ndim == 0:  # a numpy scalar has no buffer to write
+            return tuple(g(u) for g in (F, f, fprime)[:order + 1])
+        # cos g goes into g's buffer and f into |u|^q's
+        aq = np.abs(u)
+        aq **= q
         g = u * aq
-        sin_g, cos_g = np.sin(g), np.cos(g)
+        sin_g = np.sin(g)
+        cos_g = np.cos(g, out=g)
         out = (sin_g, force(aq, cos_g))
-        return out + (slope(u, g, cos_g, sin_g),) if order == 2 else out
+        return out + (slope(u, None, cos_g, sin_g),) if order == 2 else out
 
     return NonlinearitySpec(
         name=f"oscillating_sin:q={q}",

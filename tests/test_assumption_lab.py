@@ -246,6 +246,87 @@ def test_blocked_sweep_reports_earliest_of_tied_maxima():
     assert assumption_lab._sup_ratio(ratio, blocks()) == [(5.0, (block + 7.0, 1.0))]
 
 
+def test_sup_ratio_judges_each_term_in_its_numerator_and_leaves_den_unwritten():
+    # two terms share one den with zero, negative and NaN entries; a grid
+    # block's den is a (1, side) row under a (rows, side) numerator
+    ug, wg = np.linspace(-1.0, 1.0, 400), np.arange(-150, 150) / 50.0
+    ur = np.random.default_rng(5).uniform(-1.0, 1.0, 3000)
+    wr = np.random.default_rng(6).choice(wg, 3000)
+    dens = []
+
+    def ratio(u, w):
+        den = np.where(w == 2.0, np.nan, w)
+        dens.append((den, den.copy()))
+        return [(np.where(u > 0.9, np.inf, u * u + w), den),
+                (np.where(u < -0.9, np.nan, 3.0 * np.cos(u) * w), den)]
+
+    def blocks():
+        return chain(assumption_lab._blocks(ug[:, None], wg[None, :]),
+                     assumption_lab._blocks(ur, wr))
+
+    got = assumption_lab._sup_ratio(ratio, blocks())
+    assert {den.shape for den, _ in dens} >= {(1, len(wg)), (len(ur),)}
+    assert all(np.array_equal(den, kept, equal_nan=True) for den, kept in dens)
+    assert got == _argmax_sup_ratio(ratio, blocks())
+    assert all(value > 0.0 for value, _ in got)
+
+
+def _broken_scalar_spec():
+    """F, f below every H1, H2 and H21 bound on |u - 3| < 0.003 only, so the
+    violations of a plan lie in many blocks."""
+    def near(u):
+        return np.abs(np.asarray(u, float) - 3.0) < 0.003
+
+    return NonlinearitySpec(
+        name="broken_near_3",
+        F=lambda u: np.where(near(u), -100.0, 0.5 * np.asarray(u, float) ** 2),
+        f=lambda u: np.where(near(u), -100.0, np.asarray(u, float)),
+        fprime=lambda u: np.ones_like(np.asarray(u, float)),
+        assumption_class=AssumptionClass.DEFOCUSING,
+        q=1.0,
+        C_growth=1.0,
+    )
+
+
+def _broken_coercive_spec():
+    """Fs' < 0 near s = 20 and Fs = 0 near s = 30: both coercivity sides fail."""
+    return NlsNonlinearitySpec(
+        name="broken_coercive",
+        Fs=lambda s: np.where(np.abs(np.asarray(s, float) - 30.0) < 0.01, 0.0, s),
+        Fsprime=lambda s: np.where(np.abs(np.asarray(s, float) - 20.0) < 0.01, -1.0, 1.0),
+        Fsprime2=lambda s: np.zeros_like(np.asarray(s, float)),
+        assumption_class=AssumptionClass.NLS_COERCIVE,
+        coercivity_constant=160.0,
+    )
+
+
+def _block_size_runs():
+    """Every block-evaluated report whose bytes must not depend on _BLOCK."""
+    scalar, coercive = _broken_scalar_spec(), _broken_coercive_spec()
+    runs = {name: lambda name=name: classify(from_selection(name), n_random=N_SMALL)
+            for name in ("oscillating_sin:q=2", "pure_power:p=3", "nls_cubic")}
+    runs.update({
+        "H1": lambda: [verify_sign_condition(scalar, samples=N_SMALL)],
+        "H2": lambda: [verify_growth_bound(scalar, samples=N_SMALL)],
+        "H21": lambda: [verify_potential_lower_bound(scalar, samples=N_SMALL)],
+        "coercive": lambda: [verify_nls_coercivity(coercive, samples=N_SMALL)],
+        "Gronw4": lambda: [verify_nls_cancellation(_broken_above(48.0), samples=N_SMALL,
+                                                   seed=3)],
+    })
+    return runs
+
+
+@pytest.mark.parametrize("block", [1 << 16, 1 << 11])
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
+    runs = _block_size_runs()
+    expected = {name: [asdict(r) for r in run()] for name, run in runs.items()}
+    monkeypatch.setattr(assumption_lab, "_BLOCK", block)
+    assert {name: [asdict(r) for r in run()] for name, run in runs.items()} == expected
+    # every broken spec is caught, so its violation list is compared
+    assert all(expected[name][0]["violations"] for name in ("H1", "H2", "H21", "coercive",
+                                                            "Gronw4"))
+
+
 def test_streamed_random_pairs_equal_one_bulk_draw():
     n = 3 * assumption_lab._BLOCK + 5
     side = max(8, int(np.sqrt(n)))
@@ -259,7 +340,8 @@ def test_streamed_random_pairs_equal_one_bulk_draw():
     assert np.array_equal(np.concatenate([w for _, w in randoms]), wr)
 
 
-@pytest.mark.parametrize("n", [1000, N_SMALL, 3 * assumption_lab._BLOCK + 5, 400_000])
+# 196,613 samples are 12 blocks of 2^14 and a partial block of 5
+@pytest.mark.parametrize("n", [1000, N_SMALL, 196_613, 400_000])
 def test_streamed_complex_pairs_equal_bulk_plan(n):
     blocks = list(assumption_lab._complex_pairs(2.0, 16.0, n, 7))
     [(u, w)] = _flat_complex_pairs(2.0, 16.0, n, 7)
@@ -296,6 +378,34 @@ def test_taylor_sweep_memory_stays_below_plan_size():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def _peak_bytes(run):
+    verify_nls_cancellation(from_selection("nls_cubic"), samples=10)  # imports numpy.random
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wave_classify_peak_stays_below_3_mib():
+    # with 2^16-point blocks and a new array per temporary it peaked at 6.0 MiB
+    spec = from_selection("oscillating_sin:q=2")
+    assert _peak_bytes(lambda: classify(spec, R=2.0, d=3)) < 3 * 2 ** 20
+
+
+@pytest.mark.parametrize("verify, name", [
+    (verify_sign_condition, "defocusing_exp:m=1"),
+    (verify_growth_bound, "oscillating_sin:q=2"),
+    (verify_potential_lower_bound, "oscillating_sin:q=2"),
+    (verify_nls_coercivity, "nls_coercive_exp"),
+], ids=["H1", "H2", "H21", "coercive"])
+def test_scalar_verifier_peak_stays_below_2_mib(verify, name):
+    # with the whole plan and its temporaries held at once: 3.8 to 4.5 MiB
+    spec = from_selection(name)
+    assert _peak_bytes(lambda: verify(spec, samples=100_000)) < 2 * 2 ** 20
 
 
 def test_grid_u_terms_evaluated_once_per_distinct_value():
@@ -533,19 +643,25 @@ def _bulk_cancellation(spec, samples, seed):
             for i in np.flatnonzero(bad)[:16]]
 
 
-# f(u) conj(u) is not real where Fs' turns imaginary: above s = 48 the 43
-# violations of seed 3 start in the first block and run past 16 in the
-# second; above s = 49 the 8 violations lie in the first three blocks
-@pytest.mark.parametrize("s_broken", [0.0, 48.0, 49.0])
-def test_streamed_cancellation_reports_the_bulk_violations(s_broken):
-    spec = NlsNonlinearitySpec(
+def _broken_above(s_broken):
+    """f(u) conj(u) is not real where Fs' turns imaginary, above s_broken."""
+    return NlsNonlinearitySpec(
         name="broken_above",
         Fs=lambda s: np.asarray(s, float),
         Fsprime=lambda s: np.where(np.asarray(s) > s_broken, 1j, 1.0),
         Fsprime2=lambda s: np.zeros_like(np.asarray(s, float)),
         assumption_class=AssumptionClass.NLS_SUBCRIT,
     )
-    n = 3 * assumption_lab._BLOCK + 5
+
+
+# The 196,613 samples are 12 blocks of 2^14 and 5 more: above s = 48 the 43
+# violations of seed 3 start in the first block and run past 16 in the fifth;
+# above s = 49 the 8 violations lie in seven blocks, from the second to the
+# twelfth
+@pytest.mark.parametrize("s_broken", [0.0, 48.0, 49.0])
+def test_streamed_cancellation_reports_the_bulk_violations(s_broken):
+    spec = _broken_above(s_broken)
+    n = 196_613
     rep = verify_nls_cancellation(spec, samples=n, seed=3)
     assert rep.violations == _bulk_cancellation(spec, n, 3)
     assert len(rep.violations) == (8 if s_broken == 49.0 else 16) and not rep.holds

@@ -6,10 +6,14 @@ Run from the repository root:
     python3 tools/bench_lab.py --src src --out BENCH_<n>.json
     python3 tools/bench_lab.py --before /path/to/parent/src --src src --out BENCH_<n>.json
 
-Each tree is measured in a fresh interpreter; ``--before`` adds a "before"
-column next to the "after" column of ``--src``. Every row records
+Each tree is measured in ROUNDS fresh interpreters, and every number is the
+median across them. ``--before`` adds a "before" column next to the "after"
+column of ``--src``; the two trees' interpreters then alternate, the tree that
+goes first switching each round, so that a drift in host speed falls on both
+columns alike instead of reading as a change. Every row records
 
-* ``wall_s``      median of REPEATS perf_counter timings, after one warm-up;
+* ``wall_s``      median of REPEATS perf_counter timings, after one warm-up,
+                  with each round's value in ``wall_s_rounds``;
 * ``mpoints``     points handed to the nonlinearity evaluators (F, f, f' and,
                   where the tree has one, the spec's jet; Fs, Fs' and Fs'' for
                   an NLS spec), counted in an untimed pass;
@@ -68,6 +72,7 @@ import time
 import tracemalloc
 
 REPEATS = 3
+ROUNDS = 3
 SPEC = "oscillating_sin:q=2"
 LAYER_POINTS = 1 << 20
 SWEEP = {"R": 2.0, "d": 3, "n_random": 1_000_000, "seed": 0}
@@ -241,6 +246,18 @@ def worker(src: str) -> dict:
     return rows
 
 
+def _median_rows(runs: list) -> dict:
+    """Each row's fields as their median over the workers' runs, plus the rounds' wall_s."""
+    out = {}
+    for name, row in runs[0].items():
+        if row is None:  # a row the tree cannot measure
+            out[name] = None
+            continue
+        out[name] = {key: statistics.median(run[name][key] for run in runs) for key in row}
+        out[name]["wall_s_rounds"] = [run[name]["wall_s"] for run in runs]
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default="src", help="source tree measured as 'after'")
@@ -257,15 +274,19 @@ def main(argv=None) -> int:
                              check=True, capture_output=True, text=True).stdout
         return json.loads(out.splitlines()[-1])
 
-    columns = {"after": measure(args.src)}
-    if args.before:
-        columns = {"before": measure(args.before), **columns}
+    trees = {"before": args.before, "after": args.src} if args.before else {"after": args.src}
+    rounds = {col: [] for col in trees}
+    for k in range(ROUNDS):
+        for col in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
+            rounds[col].append(measure(trees[col]))
+    columns = {col: _median_rows(runs) for col, runs in rounds.items()}
     import numpy
     result = {
         "script": "tools/bench_lab.py",
         "machine": {"python": platform.python_version(), "numpy": numpy.__version__,
                     "platform": platform.platform(), "cpus": os.cpu_count()},
         "repeats": REPEATS,
+        "rounds": ROUNDS,
         "spec": SPEC,
         "layer_points": LAYER_POINTS,
         "sweep": SWEEP,
