@@ -171,6 +171,12 @@ def validate(cfg: ExperimentConfig) -> list:
         errors.append(f"T={cfg.T} must be positive")
     if cfg.dt < 0:
         errors.append(f"dt={cfg.dt} must be nonnegative")
+    if cfg.radius <= 0:
+        errors.append(f"radius={cfg.radius} must be positive")
+    if cfg.R <= 0:
+        errors.append(f"R={cfg.R} must be positive")
+    if cfg.stride < 0:
+        errors.append(f"stride={cfg.stride} must be nonnegative")
     if cfg.seed < 0 or cfg.seed >= 2 ** 64:
         errors.append("seed must fit in 64 bits")
     try:
@@ -195,7 +201,8 @@ def validate(cfg: ExperimentConfig) -> list:
             and (problem := stability_error(cfg.dt, cfg.L / cfg.N, cfg.d)):
         errors.append(problem)
     if not errors and cfg.kind == "identity-check" and (
-            records := _Schedule(cfg.T, cfg.effective_dt(), cfg.stride).records()
+            records := RunSchedule(cfg.grid(), spec, cfg.effective_dt(), cfg.T,
+                                   cfg.stride).records()
     ) < WEAK_IDENTITY_RECORDS:
         errors.append(f"identity-check makes {records} records, but the weak identity's "
                       f"time quadrature needs {WEAK_IDENTITY_RECORDS}: raise T, or lower "
@@ -214,15 +221,6 @@ def validate(cfg: ExperimentConfig) -> list:
         errors.append(f"estimated working set {need / 2 ** 30:.3g} GiB exceeds the "
                       f"{WORKING_SET_LIMIT / 2 ** 30:g} GiB limit")
     return errors
-
-
-@dataclass(frozen=True)
-class _Schedule(RunSchedule):
-    """The step and record counts of a run, from its T, dt and stride alone."""
-
-    T: float
-    dt: float
-    diagnostics_stride: int
 
 
 def working_set_bytes(cfg: ExperimentConfig) -> float:

@@ -10,7 +10,9 @@ i u_t = -f(u), whose exact flow rotates pointwise by exp(+i F'(|u|^2/2) tau).
 The conserved Hamiltonian for this convention and f(u) = u F'(|u|^2/2) is
 (1/2)||grad u||^2 + int F, which is what the diagnostics record.
 
-Every run uses the rotation-reusing stepper of ``member``: half nonlinear,
+Every run uses the rotation-reusing stepper of ``member``, which steps a
+``stepping.RunSchedule`` by its ``step()`` and refuses a schedule whose
+requested dt fails the accuracy gate dt <= h. Its step is half nonlinear,
 full linear, half nonlinear (N-L-N), with its state holding u, the phase
 Fs'(|u|^2/2) and the half rotation exp(i phase dt/2). The rotation preserves
 |u|, so the closing half rotation of one step is also the opening one of the
@@ -44,7 +46,6 @@ from .field_core import (
 from .stepping import BlowUpError, RunSchedule
 
 __all__ = [
-    "NlsRunConfig",
     "linear_flow",
     "nonlinear_flow",
     "strang_step",
@@ -56,26 +57,6 @@ def accuracy_error(dt: float, h: float) -> str | None:
     """Why dt fails the accuracy gate dt <= h, or None when it passes."""
     if dt > h * (1.0 + 1e-12):
         return f"dt={dt:g} exceeds the accuracy gate h={h:g}"
-
-
-@dataclass(frozen=True)
-class NlsRunConfig(RunSchedule):
-    """An NLS run's schedule; the initial data go to ``member``, not here."""
-
-    grid: GridSpec
-    spec: object
-    dt: float
-    T: float
-    diagnostics_stride: int = 0
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if problem := accuracy_error(self.dt, self.grid.h):
-            raise ValueError(problem)
-        if self.T <= 0:
-            raise ValueError("T must be positive")
-        self.snap_dt()
 
 
 @lru_cache(maxsize=8)
@@ -106,12 +87,12 @@ def nonlinear_flow(state: NlsState, tau: float, spec) -> NlsState:
     return NlsState(state.grid, state.u * np.exp(1j * phase * tau), state.t + tau)
 
 
-def strang_step(state: NlsState, cfg: NlsRunConfig) -> NlsState:
-    """Half nonlinear, full linear, half nonlinear: second order in dt.
+def strang_step(state: NlsState, cfg: RunSchedule) -> NlsState:
+    """Half nonlinear, full linear, half nonlinear, over cfg.step(): second order in dt.
 
     The tests' oracle for the stepper every run uses (``member``), which
     takes the same step with the rotations shared between steps."""
-    dt = cfg.dt
+    dt = cfg.step()
     s = nonlinear_flow(state, 0.5 * dt, cfg.spec)
     s = linear_flow(s, dt)
     s = nonlinear_flow(s, 0.5 * dt, cfg.spec)
@@ -140,9 +121,11 @@ class _SpectralStrang:
 
     columns = ("mass", "H_total", "H_gradient", "H_potential")
 
-    def __init__(self, cfg: NlsRunConfig):
-        self.grid, self.spec, self.dt = cfg.grid, cfg.spec, cfg.dt
-        self.prop = _propagator(cfg.grid, cfg.dt)
+    def __init__(self, cfg: RunSchedule):
+        if problem := accuracy_error(cfg.dt, cfg.grid.h):
+            raise ValueError(problem)
+        self.grid, self.spec, self.dt = cfg.grid, cfg.spec, cfg.step()
+        self.prop = _propagator(cfg.grid, self.dt)
 
     def _phase_rotation(self, v: np.ndarray):
         """phase = Fs'(|v|^2/2) and the half rotation cos + i sin of phase dt/2.
@@ -203,8 +186,9 @@ class _SpectralStrang:
         return ut
 
 
-def member(cfg: NlsRunConfig, u0: np.ndarray):
-    """The (stepper, initial state) pair of cfg from u = u0, a member for
-    stepping.integrate; u0 is not written."""
+def member(cfg: RunSchedule, u0: np.ndarray):
+    """The (stepper, initial state) pair of the schedule cfg from u = u0, a member
+    for stepping.integrate; u0 is not written. Raises ValueError if cfg's dt fails
+    the accuracy gate."""
     stepper = _SpectralStrang(cfg)
     return stepper, stepper.start(np.asarray(u0, complex))

@@ -27,9 +27,9 @@ from .nonlinearity import (
     find_truncation_abscissae,
     truncate,
 )
-from .stepping import BlowUpError, integrate, run_single
-from .wave_integrator import WaveRunConfig, WeakIdentity, member as wave_member
-from .nls_integrator import NlsRunConfig, member as nls_member
+from .stepping import BlowUpError, RunSchedule, integrate, run_single
+from .wave_integrator import WeakIdentity, member as wave_member
+from .nls_integrator import member as nls_member
 from .weak_strong import (
     appendix_construction,
     gronwall_ladder,
@@ -82,11 +82,9 @@ def _now() -> str:
 # experiment bodies: each returns (outcome, {filename: bytes})
 # ---------------------------------------------------------------------------
 
-def _base_config(cfg: ExperimentConfig, spec):
-    """The wave or NLS run config of spec's equation; it holds no initial data."""
-    run_config = NlsRunConfig if isinstance(spec, NlsNonlinearitySpec) else WaveRunConfig
-    return run_config(grid=cfg.grid(), spec=spec, dt=cfg.effective_dt(), T=cfg.T,
-                      diagnostics_stride=cfg.stride)
+def _base_config(cfg: ExperimentConfig, spec) -> RunSchedule:
+    """cfg's run schedule with the nonlinearity spec; it holds no initial data."""
+    return RunSchedule(cfg.grid(), spec, cfg.effective_dt(), cfg.T, cfg.stride)
 
 
 def _bump(cfg: ExperimentConfig, grid) -> np.ndarray:
@@ -106,7 +104,7 @@ def _do_check_assumptions(cfg: ExperimentConfig):
 
 def _do_simulate(cfg: ExperimentConfig):
     base = _base_config(cfg, cfg.spec())
-    member = nls_member if isinstance(base, NlsRunConfig) else wave_member
+    member = nls_member if isinstance(base.spec, NlsNonlinearitySpec) else wave_member
     # the bump is built in the member call, so it is gone once the member has started
     _, trace = run_single(lambda run: member(run, _bump(cfg, run.grid)), base)
     outcome = OUTCOME_LEAKAGE if max(trace.column("leakage")) > LEAKAGE_LIMIT else OUTCOME_OK

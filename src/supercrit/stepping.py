@@ -32,10 +32,13 @@ stepper does), and ``integrate`` never reads a state after stepping it. So
 an observer must copy, not keep, any array of a record it needs after its
 ``observe`` call returns: the next step may overwrite it.
 
-The step count is ceil(T/dt - 1e-9), so a T that is a whole number of steps
-up to rounding takes exactly that many, and a run config takes dt = T /
-steps: a run ends at T, and its dt never exceeds the one asked for, so it
-stays within the stability and accuracy bounds.
+A ``RunSchedule`` holds a run's grid, nonlinearity, the dt asked for, T and
+record stride, the same for both equations. The step count is
+ceil(T/dt - 1e-9), so a T that is a whole number of steps up to rounding
+takes exactly that many, and every stepper steps by ``step()`` = T / steps:
+a run ends at T, and its step never exceeds the dt asked for (up to
+rounding). Each stepper checks its own bound, stability or accuracy, on the
+dt asked for, which the configs check too.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .field_core import boundary_leakage
+from .field_core import GridSpec, boundary_leakage
 
 __all__ = ["BlowUpError", "RunSchedule", "DiagnosticTrace", "Record", "integrate",
            "run_single"]
@@ -58,17 +61,28 @@ class BlowUpError(RuntimeError):
         self.t_last = t_last
 
 
+@dataclass(frozen=True)
 class RunSchedule:
-    """Steps and record stride; mixed into the wave and NLS run
-    configs, which supply ``grid``, ``dt``, ``T`` and ``diagnostics_stride``
-    and call ``snap_dt()`` once they are validated."""
+    """The schedule of a wave or NLS run; the initial data go to a member, not here."""
+
+    grid: GridSpec
+    spec: object
+    dt: float
+    T: float
+    diagnostics_stride: int = 0  # 0: choose for ~128 records
+
+    def __post_init__(self):
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
+        if not self.T > 0:
+            raise ValueError("T must be positive")
 
     def steps(self) -> int:
         return max(1, math.ceil(self.T / self.dt - 1e-9))
 
-    def snap_dt(self):
-        """Set dt to T / steps(), so that the last step ends at T."""
-        object.__setattr__(self, "dt", self.T / self.steps())
+    def step(self) -> float:
+        """The step length T / steps(), so that the last step ends at T."""
+        return self.T / self.steps()
 
     def stride(self) -> int:
         if self.diagnostics_stride > 0:

@@ -10,6 +10,10 @@ Two time-reversible symplectic steppers are provided:
 * ``Verlet``: plain velocity leapfrog (the textbook kick-drift-kick form),
   kept only as the tests' independent oracle for the impulse stepper.
 
+Both step a ``stepping.RunSchedule`` by its ``step()``. The impulse stepper
+refuses a schedule whose requested dt breaks the stability bound
+CFL_SAFETY * h / sqrt(d).
+
 The impulse stepper has no linear-part energy error at all, so the measured
 O(dt^2) drift is purely attributable to the genuine nonlinearity. Plain
 leapfrog carries an irreducible dt^2 omega^2 / 8 energy oscillation on every
@@ -60,7 +64,6 @@ from .field_core import (
 from .stepping import RunSchedule
 
 __all__ = [
-    "WaveRunConfig",
     "WeakIdentity",
     "Verlet",
     "step",
@@ -84,27 +87,9 @@ def stability_error(dt: float, h: float, d: int) -> str | None:
 WAVE_COLUMNS = ("E_total", "E_kinetic", "E_gradient", "E_potential")
 
 
-@dataclass(frozen=True)
-class WaveRunConfig(RunSchedule):
-    """A wave run's schedule; the initial data go to ``member``, not here."""
-
-    grid: GridSpec
-    spec: object
-    dt: float
-    T: float
-    diagnostics_stride: int = 0  # 0: choose for ~128 snapshots
-
-    def __post_init__(self):
-        if problem := stability_error(self.dt, self.grid.h, self.grid.d):
-            raise ValueError(problem)
-        if self.T <= 0:
-            raise ValueError("T must be positive")
-        self.snap_dt()
-
-
-def step(state: WaveState, cfg: WaveRunConfig) -> WaveState:
-    """One velocity-leapfrog step; exactly reversible under ut -> -ut."""
-    dt, grid, spec = cfg.dt, cfg.grid, cfg.spec
+def step(state: WaveState, cfg: RunSchedule) -> WaveState:
+    """One velocity-leapfrog step of cfg.step(); exactly reversible under ut -> -ut."""
+    dt, grid, spec = cfg.step(), cfg.grid, cfg.spec
     ut_half = state.ut + 0.5 * dt * (laplacian(state.u, grid) - spec.f(state.u))
     u_new = state.u + dt * ut_half
     ut_new = ut_half + 0.5 * dt * (laplacian(u_new, grid) - spec.f(u_new))
@@ -134,14 +119,16 @@ class _SpectralImpulse:
 
     columns = WAVE_COLUMNS
 
-    def __init__(self, cfg: WaveRunConfig):
-        self.grid, self.spec, self.dt = cfg.grid, cfg.spec, cfg.dt
+    def __init__(self, cfg: RunSchedule):
+        if problem := stability_error(cfg.dt, cfg.grid.h, cfg.grid.d):
+            raise ValueError(problem)
+        dt = cfg.step()
+        self.grid, self.spec, self.dt = cfg.grid, cfg.spec, dt
         self.mass = max(0.0, float(cfg.spec.fprime(0.0)))
         om = np.sqrt(cfg.grid.half_wavenumber_sq() + self.mass)
-        self.cos = np.cos(om * cfg.dt)
-        self.sin_om = np.where(om > 0, np.sin(om * cfg.dt) / np.where(om > 0, om, 1.0),
-                               cfg.dt)
-        self.om_sin = om * np.sin(om * cfg.dt)
+        self.cos = np.cos(om * dt)
+        self.sin_om = np.where(om > 0, np.sin(om * dt) / np.where(om > 0, om, 1.0), dt)
+        self.om_sin = om * np.sin(om * dt)
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(x, out=np.empty(self.cos.shape, complex))
@@ -220,7 +207,7 @@ class Verlet:
 
     columns = WAVE_COLUMNS
 
-    def __init__(self, cfg: WaveRunConfig):
+    def __init__(self, cfg: RunSchedule):
         self.cfg = cfg
 
     def __call__(self, s: WaveState) -> WaveState:
@@ -234,9 +221,10 @@ class Verlet:
         return rec.state.ut
 
 
-def member(cfg: WaveRunConfig, u0: np.ndarray, u1: np.ndarray | None = None):
-    """The impulse (stepper, initial state) pair of cfg from u = u0 and u_t = u1,
-    a member for stepping.integrate; u1 None is at rest. u0 and u1 are not written."""
+def member(cfg: RunSchedule, u0: np.ndarray, u1: np.ndarray | None = None):
+    """The impulse (stepper, initial state) pair of the schedule cfg from u = u0 and
+    u_t = u1, a member for stepping.integrate; u1 None is at rest. u0 and u1 are not
+    written. Raises ValueError if cfg's dt breaks the stability bound."""
     stepper = _SpectralImpulse(cfg)
     # rfftn of zeros has -0.0 imaginary parts, so a broadcast zero stands in for
     # an at-rest u_t: the same bytes as a zero field, without allocating one

@@ -17,10 +17,10 @@ import numpy as np
 
 from .assumption_lab import find_convexity_shift
 from .field_core import full_gradient_norm_sq, gradient_norm_sq, l2_inner, l2_norm_sq
-from .nls_integrator import NlsRunConfig, member as nls_member
-from .nonlinearity import find_truncation_abscissae, truncate, two_star
-from .stepping import integrate
-from .wave_integrator import WaveRunConfig, member as wave_member
+from .nls_integrator import member as nls_member
+from .nonlinearity import NlsNonlinearitySpec, find_truncation_abscissae, truncate, two_star
+from .stepping import RunSchedule, integrate
+from .wave_integrator import member as wave_member
 
 __all__ = [
     "GronwallTrace",
@@ -207,7 +207,7 @@ def gronwall_ladder(base, u0: np.ndarray, pert: np.ndarray, ladder, seed: int = 
     the largest sup norm any of them reached (at least SHIFT_R_FLOOR), the
     radius the defect visits.
     """
-    nls = isinstance(base, NlsRunConfig)
+    nls = isinstance(base.spec, NlsNonlinearitySpec)
     member = nls_member if nls else wave_member
     observer = (NlsGronwall if nls else WaveGronwall)(base.spec, base.grid)
     # no member state outlives the run: the members are built in the call, so
@@ -297,7 +297,7 @@ class _LadderDiscrepancy:
         return l2_disc, force_disc, drifts
 
 
-def appendix_construction(base: WaveRunConfig, u0: np.ndarray, ladder):
+def appendix_construction(base: RunSchedule, u0: np.ndarray, ladder):
     """Ladder-vs-reference convergence of the truncation construction.
 
     The problems truncated at every cut height and the untruncated reference,

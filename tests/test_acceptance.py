@@ -25,7 +25,7 @@ from supercrit.assumption_lab import (
 from supercrit.cli import main
 from supercrit.config import parse_config, serialize_config
 from supercrit.field_core import GridSpec, bump_field
-from supercrit.nls_integrator import NlsRunConfig, member as nls_member
+from supercrit.nls_integrator import member as nls_member
 from supercrit.nonlinearity import (
     AssumptionClass,
     NlsNonlinearitySpec,
@@ -36,12 +36,8 @@ from supercrit.nonlinearity import (
     from_selection,
     truncate,
 )
-from supercrit.stepping import integrate, run_single
-from supercrit.wave_integrator import (
-    WaveRunConfig,
-    WeakIdentity,
-    member as wave_member,
-)
+from supercrit.stepping import RunSchedule, integrate, run_single
+from supercrit.wave_integrator import WeakIdentity, member as wave_member
 from supercrit.weak_strong import (
     ForceSamples,
     appendix_construction,
@@ -61,11 +57,11 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> bool:
 
 def _wave_config(N, T, amplitude, spec, dt_factor=0.25, radius=1.0,
                  stride=None):
-    """A 1-D wave run config and its bump u0."""
+    """A 1-D wave run schedule and its bump u0."""
     grid = GridSpec(1, N, 8.0)
     u0 = bump_field(grid, amplitude, radius)
     kw = {} if stride is None else {"diagnostics_stride": stride}
-    return WaveRunConfig(grid, spec, dt_factor * grid.h, T, **kw), u0
+    return RunSchedule(grid, spec, dt_factor * grid.h, T, **kw), u0
 
 
 def _observe(cfg, u0, observer):
@@ -194,7 +190,7 @@ def test_criterion_3_conservation():
     u0 = bump_field(grid, 0.5, 3.0).astype(complex)
     mass_drift, ham_drifts = 0.0, []
     for dt in (1e-3, 5e-4):
-        _, trace = run_single(lambda c: nls_member(c, u0), NlsRunConfig(grid, nspec, dt, 1.0))
+        _, trace = run_single(lambda c: nls_member(c, u0), RunSchedule(grid, nspec, dt, 1.0))
         mass = np.asarray(trace.column("mass"))
         H = np.asarray(trace.column("H_total"))
         mass_drift = max(mass_drift,
@@ -245,7 +241,7 @@ def test_criterion_5_energy_expansion():
         grid = GridSpec(1, N, 8.0)
         u0 = bump_field(grid, 0.5, 1.0)
         pert = bump_field(grid, 1.0, 0.8)
-        cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.5)
+        cfg = RunSchedule(grid, spec, 0.25 * grid.h, 0.5)
         # the eps = 0 member is the reference itself
         pert_tr, self_tr = gronwall_ladder(cfg, u0, pert, (1e-2, 0.0))
         residuals.append(pert_tr.expansion_residual)
@@ -270,7 +266,7 @@ def _wave_ladder(spec_name, dt_factor):
     spec = from_selection(spec_name)
     u0 = bump_field(grid, 0.5, 1.0)
     pert = bump_field(grid, 1.0, 0.8)
-    base = WaveRunConfig(grid, spec, dt_factor * grid.h, 1.0)
+    base = RunSchedule(grid, spec, dt_factor * grid.h, 1.0)
     return gronwall_ladder(base, u0, pert, LADDER)
 
 
@@ -279,7 +275,7 @@ def _nls_ladder(dt):
     spec = from_selection("nls_coercive_exp")
     u0 = bump_field(grid, 0.5, 3.0).astype(complex)
     pert = bump_field(grid, 1.0, 2.4)
-    base = NlsRunConfig(grid, spec, dt, 1.0)
+    base = RunSchedule(grid, spec, dt, 1.0)
     return gronwall_ladder(base, u0, pert, LADDER)
 
 
@@ -313,13 +309,13 @@ def test_criterion_7_truncation_construction():
     grid = GridSpec(1, 256, 8.0)
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 3.0 * np.e, 1.0)
-    base = WaveRunConfig(grid, spec, grid.h / 32.0, 0.5)
+    base = RunSchedule(grid, spec, grid.h / 32.0, 0.5)
     report, _ = appendix_construction(base, u0, (1.0, 2.0, 4.0, 8.0))
     worst_drift = max(report.energy_drift)
 
     probe_grid = GridSpec(3, 32, 8.0)
     p0 = bump_field(probe_grid, 3.0, 1.0)
-    probe_cfg = WaveRunConfig(probe_grid, spec, 0.25 * probe_grid.h / np.sqrt(3.0), 0.5)
+    probe_cfg = RunSchedule(probe_grid, spec, 0.25 * probe_grid.h / np.sqrt(3.0), 0.5)
     samples = _observe(probe_cfg, p0, ForceSamples(spec, probe_grid))
     slope, target, vacuous = uniform_integrability_probe(samples, trials=200)
 

@@ -17,6 +17,7 @@ from supercrit.cli import _env_overrides, build_parser, main
 from supercrit.config import ExperimentConfig, parse_config
 from supercrit.nonlinearity import AssumptionClass, NlsNonlinearitySpec
 from supercrit.runner import export_plot_data, run_experiment
+from supercrit.stepping import RunSchedule
 
 WAVE_CONFIG = """
 kind = simulate-wave
@@ -133,6 +134,34 @@ def test_identity_check_with_too_few_records_exits_2(tmp_path, capsys, monkeypat
     assert main(["identity-check", "--config", str(path), "--output", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"identity-check makes {records} records" in err and "needs 64" in err
+
+
+@pytest.mark.parametrize("kind, text, key", [
+    ("check-assumptions", "nonlinearity = oscillating_sin:q=2\nR = 0\n", "R"),
+    ("check-assumptions", "nonlinearity = nls_cubic\nR = -1\n", "R"),
+    ("simulate-wave", "nonlinearity = defocusing_exp:m=1\nstride = -3\n", "stride"),
+    ("weak-strong", "nonlinearity = nls_cubic\nradius = 0\n", "radius"),
+])
+def test_bad_radius_or_stride_exits_2(tmp_path, capsys, monkeypatch, kind, text, key):
+    # each ran before it was checked: R ended in a traceback, stride = -3 ran
+    # as the auto stride and radius = 0 on an all-zero bump
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail("run started"))
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main([kind, "--config", str(path), "--output", str(tmp_path)]) == 2
+    assert f"config error: {key}=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, text, step", [
+    ("simulate-wave", "nonlinearity = defocusing_exp:m=1\nd = 3\nN = 64\nL = 10\n"
+                      "radius = 1.5\nT = 1\n", 1 / 45),
+    ("weak-strong", "nonlinearity = nls_coercive_exp\nd = 2\nN = 128\nL = 40\n"
+                    "radius = 5\nT = 0.5\ndt = 0.005\n", 0.005),
+], ids=["wave3d", "nls-ladder"])
+def test_schedule_step_is_T_over_steps_bitwise(kind, text, step):
+    cfg = parse_config(text, kind)
+    base = runner._base_config(cfg, cfg.spec())
+    assert base.step() == base.T / base.steps() == step
 
 
 @pytest.mark.parametrize("spec", ["defocusing_exp:m=1", "nls_cubic"])
@@ -411,6 +440,7 @@ def test_simulate_wave_builds_no_full_grid_wavenumbers(tmp_path, monkeypatch):
 def test_run_configs_hold_no_initial_data(text):
     cfg = parse_config(text)
     base = runner._base_config(cfg, cfg.spec())
+    assert type(base) is RunSchedule
     names = [f.name for f in dataclasses.fields(base)]
     assert names == ["grid", "spec", "dt", "T", "diagnostics_stride"]
     assert not any(isinstance(getattr(base, name), np.ndarray) for name in names)

@@ -148,6 +148,18 @@ def test_ladder_parsing_and_validation():
                      "nonlinearity = oscillating_sin:q=1\nladder = 1, 2\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("R = 0", "R=0.0 must be positive"),
+    ("R = -1", "R=-1.0 must be positive"),
+    ("radius = 0", "radius=0.0 must be positive"),
+    ("stride = -3", "stride=-3 must be nonnegative"),
+])
+def test_radii_and_stride_checked_at_parse(line, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(GOOD + line + "\n")
+    assert info.value.errors == [message]
+
+
 def test_effective_dt_defaults():
     wave = parse_config(GOOD)
     assert wave.effective_dt() == pytest.approx(0.25 * wave.L / wave.N)
@@ -163,6 +175,7 @@ def test_unknown_nonlinearity_reported():
 
 FLOAT_FIELDS = ("L", "dt", "T", "amplitude", "radius", "R")
 finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
@@ -176,9 +189,9 @@ def valid_configs(draw):
         dt=draw(st.just(0.0) | st.floats(1e-9, 1e-4)),
         T=draw(st.floats(1e-9, 1e6)),
         amplitude=draw(finite),
-        radius=draw(finite),
+        radius=draw(positive),
         ladder=tuple(sorted(draw(st.lists(finite, max_size=4, unique=True)))),
-        R=draw(finite),
+        R=draw(positive),
         seed=draw(st.integers(0, 2 ** 64 - 1)),
         stride=draw(st.integers(0, 10 ** 6)),
     )

@@ -9,7 +9,7 @@ from supercrit import config, weak_strong
 from supercrit.cli import main
 from supercrit.field_core import GridSpec, NlsState, bump_field, l2_norm_sq, nls_energy
 from supercrit.nls_integrator import (
-    NlsRunConfig,
+    accuracy_error,
     linear_flow,
     member,
     nonlinear_flow,
@@ -20,7 +20,7 @@ from supercrit.nonlinearity import (
     NlsNonlinearitySpec,
     from_selection,
 )
-from supercrit.stepping import BlowUpError, Record, integrate, run_single
+from supercrit.stepping import BlowUpError, Record, RunSchedule, integrate, run_single
 
 SINGULAR = NlsNonlinearitySpec(
     name="singular",
@@ -36,7 +36,7 @@ def make_config(N=128, L=16.0, T=0.5, dt=1e-3, amplitude=0.5, radius=2.0,
     grid = GridSpec(1, N, L)
     u0 = bump_field(grid, amplitude, radius).astype(complex)
     spec = spec if spec is not None else from_selection("nls_cubic")
-    return NlsRunConfig(grid, spec, dt, T, **kw), u0
+    return RunSchedule(grid, spec, dt, T, **kw), u0
 
 
 def starting(u0):
@@ -46,8 +46,19 @@ def starting(u0):
 
 def test_dt_accuracy_gate():
     grid = GridSpec(1, 64, 8.0)
+    cfg = RunSchedule(grid, from_selection("nls_cubic"), 2.0 * grid.h, 1.0)
     with pytest.raises(ValueError):
-        NlsRunConfig(grid, from_selection("nls_cubic"), 2.0 * grid.h, 1.0)
+        member(cfg, np.zeros(grid.shape, complex))
+
+
+def test_dt_accuracy_gate_reads_the_requested_dt_not_the_step():
+    # 100 steps of dt = h and 5e-10 of one more: each of the 100 steps taken
+    # is 5e-12 (relative) longer than h, more than the gate's 1e-12 allowance
+    grid = GridSpec(1, 64, 8.0)
+    cfg = RunSchedule(grid, from_selection("nls_cubic"), grid.h, grid.h * (100 + 5e-10))
+    assert cfg.steps() == 100 and accuracy_error(cfg.step(), grid.h)
+    stepper, _ = member(cfg, bump_field(grid, 0.5, 1.0).astype(complex))
+    assert stepper.dt == cfg.step()
 
 
 def test_linear_flow_is_unitary_and_invertible():
@@ -80,7 +91,7 @@ def test_stepper_aborts_on_singular_phase(tmp_path, monkeypatch, capsys):
     grid = GridSpec(1, 32, 8.0)
     u0 = bump_field(grid, 1.0, 1.0).astype(complex)  # vanishes outside the bump
     with np.errstate(divide="ignore"), pytest.raises(BlowUpError) as info:
-        member(NlsRunConfig(grid, SINGULAR, 1e-2, 0.1), u0)
+        member(RunSchedule(grid, SINGULAR, 1e-2, 0.1), u0)
     assert info.value.t_last == 0.0
 
     # a phase that turns singular mid-run aborts at the last record
@@ -91,11 +102,11 @@ def test_stepper_aborts_on_singular_phase(tmp_path, monkeypatch, capsys):
         return np.full_like(s, np.inf if len(calls) == 5 else 1.0)
 
     spec = dataclasses.replace(from_selection("nls_cubic"), Fsprime=fails_on_fifth_call)
-    cfg = NlsRunConfig(grid, spec, 1e-2, 0.1, diagnostics_stride=2)
+    cfg = RunSchedule(grid, spec, 1e-2, 0.1, diagnostics_stride=2)
     with pytest.raises(BlowUpError) as info:
         integrate([member(cfg, u0 + 1.0)], cfg)
     # call 1 is the start, call k + 1 ends step k: step 4 fails, step 2 was recorded
-    assert info.value.t_last == pytest.approx(2 * cfg.dt)
+    assert info.value.t_last == pytest.approx(2 * cfg.step())
 
     select = config.from_selection
     monkeypatch.setattr(config, "from_selection",
@@ -119,7 +130,7 @@ def test_plane_wave_oracle_exact():
     A, m = 0.7, 3
     k = 2.0 * np.pi * m / grid.L
     u0 = A * np.exp(1j * k * grid.axis())
-    cfg = NlsRunConfig(grid, spec, 1e-3, 0.5)
+    cfg = RunSchedule(grid, spec, 1e-3, 0.5)
     end, _ = run_single(starting(u0), cfg)
     rate = k ** 2 + spec.Fsprime(0.5 * A ** 2)
     exact = u0 * np.exp(1j * rate * end.t)
@@ -148,7 +159,7 @@ def test_strang_step_advances_time():
     cfg, u0 = make_config()
     state = NlsState(cfg.grid, u0, 0.0)
     nxt = strang_step(state, cfg)
-    assert nxt.t == pytest.approx(cfg.dt)
+    assert nxt.t == pytest.approx(cfg.step())
     assert nxt.u.shape == state.u.shape
 
 
@@ -157,7 +168,7 @@ def test_strang_step_advances_time():
 def test_stepper_matches_strang_step_oracle(name, d):
     grid = GridSpec(d, 64 if d == 1 else 32, 16.0)
     u0 = bump_field(grid, 1.5, 4.0).astype(complex) * np.exp(0.4j * grid.coords()[0])
-    cfg = NlsRunConfig(grid, from_selection(name), 0.02, 20 * 0.02)
+    cfg = RunSchedule(grid, from_selection(name), 0.02, 20 * 0.02)
     (last,), _ = integrate([member(cfg, u0)], cfg)
     oracle = NlsState(grid, u0, 0.0)
     for _ in range(20):
@@ -171,15 +182,15 @@ def test_stepper_matches_strang_step_oracle(name, d):
 
 def test_nls_ladder_keeps_its_step_count():
     grid = GridSpec(2, 16, 40.0)
-    cfg = NlsRunConfig(grid, from_selection("nls_coercive_exp"), 0.005, 0.5)
-    assert cfg.steps() == 100 and cfg.dt == 0.005
+    cfg = RunSchedule(grid, from_selection("nls_coercive_exp"), 0.005, 0.5)
+    assert cfg.steps() == 100 and cfg.step() == 0.005
 
 
 def ladder_config(steps=10, stride=3):
     grid = GridSpec(2, 16, 16.0)
     u0 = bump_field(grid, 1.0, 4.0).astype(complex)
-    cfg = NlsRunConfig(grid, from_selection("nls_coercive_exp"), 0.02, steps * 0.02,
-                       diagnostics_stride=stride)
+    cfg = RunSchedule(grid, from_selection("nls_coercive_exp"), 0.02, steps * 0.02,
+                      diagnostics_stride=stride)
     return cfg, u0, bump_field(grid, 1.0, 3.0), (1e-1, 1e-2, 1e-3)
 
 
@@ -231,7 +242,7 @@ def test_dt_field_matches_plane_wave_rate():
     A, m = 0.4, 2
     k = 2.0 * np.pi * m / grid.L
     u0 = A * np.exp(1j * k * grid.axis())
-    first = Record(*member(NlsRunConfig(grid, spec, 1e-3, 0.01), u0))
+    first = Record(*member(RunSchedule(grid, spec, 1e-3, 0.01), u0))
     rate = k ** 2 + spec.Fsprime(0.5 * A ** 2)
     expected = 1j * rate * first.u
     assert np.max(np.abs(first.ut - expected)) < 1e-10

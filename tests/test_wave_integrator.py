@@ -7,17 +7,24 @@ import pytest
 
 from supercrit.field_core import GridSpec, WaveState, bump_field
 from supercrit.nonlinearity import AssumptionClass, NonlinearitySpec, from_selection
-from supercrit.stepping import BlowUpError, DiagnosticTrace, integrate, run_single
-from supercrit.wave_integrator import Verlet, WaveRunConfig, WeakIdentity, member, step
+from supercrit.stepping import BlowUpError, DiagnosticTrace, RunSchedule, integrate, run_single
+from supercrit.wave_integrator import (
+    Verlet,
+    WeakIdentity,
+    member,
+    stability_error,
+    stable_dt,
+    step,
+)
 
 
 def make_config(N=128, L=8.0, amplitude=0.5, T=0.5, spec=None, **kw):
-    """A 1-D run config and its bump u0 (at rest)."""
+    """A 1-D run schedule and its bump u0 (at rest)."""
     grid = GridSpec(1, N, L)
     u0 = bump_field(grid, amplitude, 1.0)
     spec = spec if spec is not None else from_selection("defocusing_exp:m=1")
     dt = kw.pop("dt", 0.25 * grid.h)
-    return WaveRunConfig(grid, spec, dt, T, **kw), u0
+    return RunSchedule(grid, spec, dt, T, **kw), u0
 
 
 def starting(u0, u1=None):
@@ -27,8 +34,21 @@ def starting(u0, u1=None):
 
 def test_cfl_gate():
     grid = GridSpec(1, 64, 8.0)
+    cfg = RunSchedule(grid, from_selection("pure_power:p=2"), grid.h, 1.0)
     with pytest.raises(ValueError):
-        WaveRunConfig(grid, from_selection("pure_power:p=2"), grid.h, 1.0)
+        member(cfg, np.zeros(grid.shape))
+
+
+def test_cfl_gate_reads_the_requested_dt_not_the_step():
+    # T is 100 steps of the bound and 5e-10 of one more, so the run takes 100
+    # steps, each 5e-12 (relative) longer than the bound, more than its 1e-12
+    # rounding allowance; the dt asked for is within the bound, so it runs
+    grid = GridSpec(1, 64, 8.0)
+    dt = stable_dt(grid.h, grid.d)
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), dt, dt * (100 + 5e-10))
+    assert cfg.steps() == 100 and stability_error(cfg.step(), grid.h, grid.d)
+    stepper, _ = member(cfg, bump_field(grid, 0.5, 1.0))
+    assert stepper.dt == cfg.step()
 
 
 def test_step_time_reversible():
@@ -43,7 +63,7 @@ def test_step_time_reversible():
 def test_zero_data_is_fixed_point():
     grid = GridSpec(1, 64, 8.0)
     z = np.zeros(grid.shape)
-    cfg = WaveRunConfig(grid, from_selection("pure_power:p=2"), 0.25 * grid.h, 0.25)
+    cfg = RunSchedule(grid, from_selection("pure_power:p=2"), 0.25 * grid.h, 0.25)
     end, trace = run_single(starting(z, z), cfg)
     assert np.all(end.u == 0.0)
     assert trace.column("E_total")[-1] == 0.0
@@ -64,8 +84,8 @@ def test_methods_agree_at_small_dt():
 def test_impulse_agrees_with_verlet_oracle_in_3d():
     grid = GridSpec(3, 16, 8.0)
     u0 = bump_field(grid, 0.5, 2.5)
-    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), 0.005, 0.25,
-                        diagnostics_stride=5)
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), 0.005, 0.25,
+                      diagnostics_stride=5)
     (end, trace), (oracle, oracle_trace) = run_single(starting(u0), cfg), run_verlet(cfg, u0)
     # verlet's own O(dt^2) error sets the scale: about 3e-8 on u, 3e-5 on E
     assert np.max(np.abs(end.u - oracle.u)) < 1e-6
@@ -85,8 +105,8 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
     grid = GridSpec(2, 16, 8.0)
     u0 = bump_field(grid, 0.5, 2.0)
     dt = 0.05
-    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), dt, 10 * dt,
-                        diagnostics_stride=3)
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), dt, 10 * dt,
+                      diagnostics_stride=3)
     _, trace = run_single(starting(u0), cfg)
     records = len(trace.rows)
     assert cfg.steps() == 10 and records == 5
@@ -185,7 +205,7 @@ def test_run_ends_at_T_with_dt_at_most_the_one_asked_for():
     # T / dt = 44.34: 44 steps of the asked dt would stop at t = 0.6875
     cfg, u0 = make_config(T=44.34 * asked, dt=asked)
     end, trace = run_single(starting(u0), cfg)
-    assert cfg.steps() == 45 and cfg.dt <= asked
+    assert cfg.steps() == 45 and cfg.step() <= asked
     assert end.t == trace.column("t")[-1] == pytest.approx(cfg.T, rel=1e-14)
     # a T far below dt is one step of dt = T, not one step of the asked dt
     short, u0 = make_config(T=1e-9, dt=asked)
@@ -215,8 +235,8 @@ def test_wave_run_holds_one_state_per_member():
     # second state measured 95.4 bytes per grid point here
     grid = GridSpec(3, 32, 8.0)
     u0 = bump_field(grid, 0.5, 1.5)
-    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"),
-                        0.25 * grid.h / np.sqrt(3), 0.5)
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"),
+                      0.25 * grid.h / np.sqrt(3), 0.5)
     run_single(starting(u0), cfg)  # warm the grid's cached arrays
     tracemalloc.start()
     try:
@@ -233,7 +253,7 @@ def test_at_rest_member_equals_a_zero_field_bitwise(d):
     # rfftn of zeros has -0.0 imaginary parts; the broadcast zero keeps them
     grid = GridSpec(d, 16, 8.0)
     u0 = bump_field(grid, 0.5, 2.0)
-    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), 0.05, 0.5)
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), 0.05, 0.5)
     (_, rest), (_, zero) = member(cfg, u0), member(cfg, u0, np.zeros(grid.shape))
     for ours, ref in ((rest.u, zero.u), (rest.uh, zero.uh), (rest.uth, zero.uth),
                       (rest.rh, zero.rh)):
@@ -245,7 +265,7 @@ def test_impulse_step_matches_an_allocating_step():
     grid = GridSpec(2, 32, 8.0)
     u0 = bump_field(grid, 0.7, 2.0)
     u1 = bump_field(grid, 0.3, 1.5) * np.random.default_rng(1).uniform(-1, 1, grid.shape)
-    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=2"), 0.04, 0.5)
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=2"), 0.04, 0.5)
     stepper, state = member(cfg, u0, u1)
     uh, uth, rh = (x.copy() for x in (state.uh, state.uth, state.rh))
     for _ in range(5):

@@ -10,10 +10,10 @@ import pytest
 from supercrit.assumption_lab import find_convexity_shift
 from supercrit.field_core import GridSpec, bump_field, l2_norm_sq
 from supercrit import stepping, weak_strong
-from supercrit.nls_integrator import NlsRunConfig, member as nls_member
+from supercrit.nls_integrator import member as nls_member
 from supercrit.nonlinearity import from_selection, two_star
-from supercrit.stepping import integrate, run_single
-from supercrit.wave_integrator import WaveRunConfig, member as wave_member
+from supercrit.stepping import RunSchedule, integrate, run_single
+from supercrit.wave_integrator import member as wave_member
 from supercrit.weak_strong import (
     ForceSamples,
     GronwallTrace,
@@ -31,7 +31,7 @@ def wave_ladder(ladder=(1e-2,), N=128, T=0.5, spec_name="defocusing_exp:m=1"):
     spec = from_selection(spec_name)
     u0 = bump_field(grid, 0.5, 1.0)
     pert = bump_field(grid, 1.0, 0.8)
-    cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, T)
+    cfg = RunSchedule(grid, spec, 0.25 * grid.h, T)
     return gronwall_ladder(cfg, u0, pert, ladder)
 
 
@@ -83,7 +83,7 @@ def test_nls_trace_with_valid_shift_has_nonnegative_defect():
     A = find_convexity_shift(spec, R=2.0, n_random=50_000).value
     u0 = bump_field(grid, 0.5, 2.0).astype(complex)
     pert = bump_field(grid, 1.0, 1.5)
-    cfg = NlsRunConfig(grid, spec, 1e-3, 0.25)
+    cfg = RunSchedule(grid, spec, 1e-3, 0.25)
     members = [nls_member(cfg, u0), nls_member(cfg, u0 + 1e-2 * pert)]
     _, (pieces,) = integrate(members, cfg, [NlsGronwall(spec, grid)])
     (tr,) = pieces.traces(A)
@@ -106,7 +106,7 @@ def test_nls_gronwall_evaluates_curvature_once_per_record():
     spec = replace(base, Fsprime2=counted)
     u0 = bump_field(grid, 0.5, 2.0).astype(complex)
     pert = bump_field(grid, 1.0, 1.5)
-    cfg = NlsRunConfig(grid, spec, 1e-2, 0.05)
+    cfg = RunSchedule(grid, spec, 1e-2, 0.05)
     members = [nls_member(cfg, u0)] + [nls_member(cfg, u0 + eps * pert)
                                        for eps in (1e-1, 1e-2, 1e-3)]
     _, (pieces,) = integrate(members, cfg, [NlsGronwall(spec, grid)])
@@ -134,7 +134,7 @@ def test_no_member_state_outlives_the_run_into_the_shift(monkeypatch):
     monkeypatch.setattr(weak_strong, "find_convexity_shift", checked_shift)
     grid = GridSpec(1, 64, 16.0)
     u0 = bump_field(grid, 0.5, 2.0).astype(complex)
-    cfg = NlsRunConfig(grid, from_selection("nls_cubic"), 1e-2, 0.05)
+    cfg = RunSchedule(grid, from_selection("nls_cubic"), 1e-2, 0.05)
     traces = gronwall_ladder(cfg, u0, bump_field(grid, 1.0, 1.5), (1e-1, 1e-2, 1e-3))
     assert len(traces) == 3
 
@@ -157,16 +157,16 @@ def _alive_at_second_record(monkeypatch, observer, pick):
 
 
 def _wave_base(spec="defocusing_exp:m=1", amplitude=0.5):
-    """A wave run config and its u0."""
+    """A wave run schedule and its u0."""
     grid = GridSpec(1, 64, 16.0)
-    cfg = WaveRunConfig(grid, from_selection(spec), 0.25 * grid.h, 0.1, diagnostics_stride=1)
+    cfg = RunSchedule(grid, from_selection(spec), 0.25 * grid.h, 0.1, diagnostics_stride=1)
     return cfg, bump_field(grid, amplitude, 2.0)
 
 
 def _nls_base():
-    """An NLS run config and its u0."""
+    """An NLS run schedule and its u0."""
     grid = GridSpec(1, 64, 16.0)
-    cfg = NlsRunConfig(grid, from_selection("nls_cubic"), 1e-2, 0.05, diagnostics_stride=1)
+    cfg = RunSchedule(grid, from_selection("nls_cubic"), 1e-2, 0.05, diagnostics_stride=1)
     return cfg, bump_field(grid, 0.5, 2.0).astype(complex)
 
 
@@ -215,8 +215,8 @@ def test_ladder_runs_release_every_initial_field(monkeypatch, observer, member, 
 def test_runs_leave_the_config_fields_unwritten():
     grid = GridSpec(1, 64, 16.0)
     u0, u1 = bump_field(grid, 0.5, 2.0), bump_field(grid, 0.3, 1.5)
-    cfg = WaveRunConfig(grid, from_selection("defocusing_exp:m=1"), 0.25 * grid.h, 0.1)
-    nls_cfg = NlsRunConfig(grid, from_selection("nls_cubic"), 1e-2, 0.05)
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), 0.25 * grid.h, 0.1)
+    nls_cfg = RunSchedule(grid, from_selection("nls_cubic"), 1e-2, 0.05)
     nls_u0 = (u0 + 1j * u1)
     before = u0.copy(), u1.copy(), nls_u0.copy()
     run_single(lambda c: wave_member(c, u0, u1), cfg)
@@ -232,7 +232,7 @@ def test_ladder_must_be_increasing():
     grid = GridSpec(1, 64, 8.0)
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 1.0, 1.0)
-    base = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.25)
+    base = RunSchedule(grid, spec, 0.25 * grid.h, 0.25)
     with pytest.raises(ValueError):
         appendix_construction(base, u0, (2.0, 1.0, 4.0))
     with pytest.raises(ValueError):
@@ -243,7 +243,7 @@ def test_truncation_ladder_discrepancies_decrease():
     grid = GridSpec(1, 128, 8.0)
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 3.0 * np.e, 1.0)
-    base = WaveRunConfig(grid, spec, grid.h / 16.0, 0.5)
+    base = RunSchedule(grid, spec, grid.h / 16.0, 0.5)
     report, samples = appendix_construction(base, u0, (1.0, 2.0, 4.0))
     # the probe's samples come from the untruncated reference
     final_force = np.abs(spec.f(run_single(lambda c: wave_member(c, u0), base)[0].u)).ravel()
@@ -291,7 +291,7 @@ def test_uniform_integrability_probe_slope():
     grid = GridSpec(1, 128, 8.0)
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 3.0, 1.0)
-    cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.5)
+    cfg = RunSchedule(grid, spec, 0.25 * grid.h, 0.5)
     slope, target, vacuous = uniform_integrability_probe(force_samples(cfg, u0), trials=200)
     assert not vacuous
     assert slope >= target - 0.1
@@ -304,7 +304,7 @@ def test_uniform_integrability_probe_holds_under_two_sample_copies():
     grid = GridSpec(3, 32, 8.0)
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 3.0, 1.0)
-    cfg = WaveRunConfig(grid, spec, 0.25 * grid.h / np.sqrt(3.0), 0.5)
+    cfg = RunSchedule(grid, spec, 0.25 * grid.h / np.sqrt(3.0), 0.5)
     samples = force_samples(cfg, u0)
     sample_bytes = sum(row.nbytes for row in samples.absf)
     uniform_integrability_probe(samples, trials=20)  # leaves one-time imports untraced
@@ -342,6 +342,6 @@ def test_uniform_integrability_probe_vacuous_on_zero_field():
     grid = GridSpec(1, 64, 8.0)
     spec = from_selection("pure_power:p=2")
     z = np.zeros(grid.shape)
-    cfg = WaveRunConfig(grid, spec, 0.25 * grid.h, 0.25)
+    cfg = RunSchedule(grid, spec, 0.25 * grid.h, 0.25)
     _, _, vacuous = uniform_integrability_probe(force_samples(cfg, z), trials=50)
     assert vacuous

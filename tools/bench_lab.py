@@ -14,9 +14,9 @@ columns alike instead of reading as a change. Every row records
 
 * ``wall_s``      median of REPEATS perf_counter timings, after one warm-up,
                   with each round's value in ``wall_s_rounds``;
-* ``mpoints``     points handed to the nonlinearity evaluators (F, f, f' and,
-                  where the tree has one, the spec's jet; Fs, Fs' and Fs'' for
-                  an NLS spec), counted in an untimed pass;
+* ``mpoints``     points handed to the nonlinearity evaluators (F, f, f' and
+                  the spec's jet; Fs, Fs' and Fs'' for an NLS spec), counted in
+                  an untimed pass;
 * ``peak_bytes``  tracemalloc peak of one untimed pass;
 
 and every end-to-end row also
@@ -28,8 +28,7 @@ Rows:
 
 * ``layer.nonlinearity.separate``  F, f and f' of oscillating_sin:q=2, each on
   the same 2^20 points;
-* ``layer.nonlinearity.jet``       ``spec.jet(u, 2)`` on those points (null in a
-  tree without jets);
+* ``layer.nonlinearity.jet``       ``spec.jet(u, 2)`` on those points;
 * ``layer.sweep.H11+H22``          H11 and H22 of oscillating_sin:q=2 at R = 2,
   d = 3, n = 1M, seed 0: every sample plan of both constants;
 * ``layer.sweep.ClaimA``           ``find_convexity_shift`` of nls_cubic at R = 2,
@@ -37,21 +36,25 @@ Rows:
 * ``layer.sweep.Gronw6+H222``      Gronw6 and H222 of nls_cubic at R = 2, d = 3,
   n = 400k, seed 0, from one ``_nls_constants`` call;
 * ``layer.step.wave``              one impulse step of defocusing_exp:m=1 on the
-  grid and data of ``e2e.simulate-wave.d3`` (d = 3, N = 64); each spec's
-  member is built at its first call, and each later call advances it by one
-  step, so wall_s and peak_bytes are one step's, while mpoints, from the
-  counting spec's only call, also counts the set-up's evaluation of f;
+  grid and data of the ``wave3d`` workload (d = 3, N = 64), its member built by
+  the runner's ``_base_config`` and ``_bump``; each spec's member is built at
+  its first call, and each later call advances it by one step, so wall_s and
+  peak_bytes are one step's, while mpoints, from the counting spec's only
+  call, also counts the set-up's evaluation of f;
 * ``layer.record.wave``            one diagnostics record of that member's initial
   state, as a simulate-wave run makes it: the energies (F on the grid, Parseval
   sums of the half spectra), the boundary leakage and the sup norm; each call
   observes a new record of the same state, and mpoints, as for the step, also
   counts the set-up's f;
-* ``e2e.check-assumptions.d<d>``   the CLI ``check-assumptions`` for
-  oscillating_sin:q=2 with d = 1, 2, 3, config file to published directory;
-* ``e2e.weak-strong.nls``          the CLI ``weak-strong`` for the NLS ladder
-  of nls_coercive_exp at d = 2, N = 128, T = 0.5, dt = 0.005;
-* ``e2e.simulate-wave.d3``         the CLI ``simulate-wave`` for defocusing_exp:m=1
-  at d = 3, N = 64, L = 10, radius = 1.5, T = 1 (45 steps).
+* ``e2e.check-assumptions.d<d>``   the CLI run of the ``assume`` workload of
+  ``bench/workloads.py`` (check-assumptions, oscillating_sin:q=2) with
+  ``d = <d>`` appended, for d = 1, 2, 3, config file to published directory;
+* ``e2e.weak-strong.nls``          the CLI run of the ``nls-ladder`` workload
+  (weak-strong, nls_coercive_exp at d = 2, N = 128, T = 0.5, dt = 0.005);
+* ``e2e.simulate-wave.d3``         the CLI run of the ``wave3d`` workload
+  (simulate-wave, defocusing_exp:m=1 at d = 3, N = 64, T = 1: 45 steps).
+
+Every e2e config is the workload's at seed 0.
 """
 
 from __future__ import annotations
@@ -71,6 +74,10 @@ import tempfile
 import time
 import tracemalloc
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+from workloads import WORKLOADS  # noqa: E402
+
 REPEATS = 3
 ROUNDS = 3
 SPEC = "oscillating_sin:q=2"
@@ -80,12 +87,14 @@ NLS_SPEC = "nls_cubic"
 SHIFT_SWEEP = {"R": 2.0, "n_random": 200_000, "seed": 0}
 NLS_SWEEP = {"R": 2.0, "d": 3, "n_random": 400_000, "seed": 0}
 WAVE_SPEC = "defocusing_exp:m=1"
+# e2e row: (subcommand, config text), each a workload's config at seed 0
 E2E = {
-    "check-assumptions": "nonlinearity = {spec}\nd = {d}\nseed = 0\n",
-    "weak-strong": "nonlinearity = {spec}\nd = 2\nN = 128\nL = 40\nradius = 5\n"
-                   "T = 0.5\ndt = 0.005\nseed = 0\n",
-    "simulate-wave": "nonlinearity = {spec}\nd = 3\nN = 64\nL = 10\nradius = 1.5\n"
-                     "T = 1\nseed = 0\n",
+    **{f"e2e.check-assumptions.d{d}": (WORKLOADS["assume"].command,
+                                       WORKLOADS["assume"].config_text(0) + f"d = {d}\n")
+       for d in (1, 2, 3)},
+    "e2e.weak-strong.nls": (WORKLOADS["nls-ladder"].command,
+                            WORKLOADS["nls-ladder"].config_text(0)),
+    "e2e.simulate-wave.d3": (WORKLOADS["wave3d"].command, WORKLOADS["wave3d"].config_text(0)),
 }
 
 
@@ -132,45 +141,30 @@ def _measure(run, make_spec, faults=False):
     return row
 
 
-def _sweep(lab, spec):
-    if hasattr(lab, "_wave_constants"):  # one fused sweep per plan
-        return lab._wave_constants(spec, SWEEP["R"], SWEEP["d"], ["H11", "H22"],
-                                   SWEEP["n_random"], SWEEP["seed"])
-    return [lab.estimate_remainder_constant(spec, SWEEP["R"], SWEEP["n_random"], SWEEP["seed"]),
-            lab.estimate_taylor_constant(spec, SWEEP["R"], SWEEP["d"], SWEEP["n_random"],
-                                         SWEEP["seed"])]
+def _wave_member(config, runner, wave_integrator, spec):
+    """The impulse member of the wave3d workload's config with spec, at rest."""
+    cfg = config.parse_config(WORKLOADS["wave3d"].config_text(0), "simulate-wave")
+    base = runner._base_config(cfg, spec)
+    return wave_integrator.member(base, runner._bump(cfg, base.grid))
 
 
-def _wave_member(field_core, wave_integrator, spec):
-    """The impulse member of the simulate-wave E2E config's grid and data, at rest."""
-    grid = field_core.GridSpec(3, 64, 10.0)
-    u0 = field_core.bump_field(grid, 0.5, 1.5)
-    dt = wave_integrator.stable_dt(grid.h, grid.d)
-    if "u0" in {f.name for f in dataclasses.fields(wave_integrator.WaveRunConfig)}:
-        # a tree whose run config holds the initial data
-        import numpy as np
-        return wave_integrator.member(wave_integrator.WaveRunConfig(
-            grid, spec, dt, 1.0, u0, np.zeros_like(u0)))
-    return wave_integrator.member(wave_integrator.WaveRunConfig(grid, spec, dt, 1.0), u0)
-
-
-def _wave_stepper(field_core, wave_integrator):
-    """run(spec): one impulse step of the simulate-wave E2E config's grid and data.
+def _wave_stepper(make_member):
+    """run(spec): one impulse step of the wave3d workload's grid and data.
 
     Each spec gets its member at its first call, so a measured call is one step."""
     members = {}
 
     def run(spec):
         if spec not in members:
-            members[spec] = _wave_member(field_core, wave_integrator, spec)
+            members[spec] = make_member(spec)
         stepper, state = members[spec]
         members[spec] = stepper, stepper(state)
     return run
 
 
-def _wave_record(field_core, wave_integrator, stepping):
+def _wave_record(make_member, stepping):
     """run(spec): one diagnostics record (energies, leakage, sup norm) of the
-    simulate-wave E2E config's initial state.
+    wave3d workload's initial state.
 
     Each spec gets its member at its first call, and each call observes a new
     Record of its state, so a measured call is one record."""
@@ -178,7 +172,7 @@ def _wave_record(field_core, wave_integrator, stepping):
 
     def run(spec):
         if spec not in members:
-            members[spec] = _wave_member(field_core, wave_integrator, spec)
+            members[spec] = make_member(spec)
         stepper, state = members[spec]
         stepping.DiagnosticTrace(grid=stepper.grid).observe([stepping.Record(stepper, state)])
     return run
@@ -198,7 +192,7 @@ def _cli_run(cli, kind, text):
 def worker(src: str) -> dict:
     sys.path.insert(0, os.path.abspath(src))
     import numpy as np
-    from supercrit import (assumption_lab, cli, config, field_core, nonlinearity, stepping,
+    from supercrit import (assumption_lab, cli, config, nonlinearity, runner, stepping,
                            wave_integrator)
 
     rows = {}
@@ -207,10 +201,12 @@ def worker(src: str) -> dict:
     nls = nonlinearity.from_selection(NLS_SPEC)
     rows["layer.nonlinearity.separate"] = _measure(
         lambda s: (s.F(u), s.f(u), s.fprime(u)), lambda: base)
-    rows["layer.nonlinearity.jet"] = (
-        _measure(lambda s: s.jet(u, 2), lambda: base) if hasattr(base, "jet") else None)
+    rows["layer.nonlinearity.jet"] = _measure(lambda s: s.jet(u, 2), lambda: base)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows["layer.sweep.H11+H22"] = _measure(lambda s: _sweep(assumption_lab, s), lambda: base)
+        rows["layer.sweep.H11+H22"] = _measure(
+            lambda s: assumption_lab._wave_constants(s, SWEEP["R"], SWEEP["d"], ["H11", "H22"],
+                                                     SWEEP["n_random"], SWEEP["seed"]),
+            lambda: base)
     rows["layer.sweep.ClaimA"] = _measure(
         lambda s: assumption_lab.find_convexity_shift(s, **SHIFT_SWEEP), lambda: nls)
     rows["layer.sweep.Gronw6+H222"] = _measure(
@@ -219,30 +215,28 @@ def worker(src: str) -> dict:
                                                 NLS_SWEEP["seed"]),
         lambda: nls)
     wave = nonlinearity.from_selection(WAVE_SPEC)
-    rows["layer.step.wave"] = _measure(_wave_stepper(field_core, wave_integrator), lambda: wave)
-    rows["layer.record.wave"] = _measure(_wave_record(field_core, wave_integrator, stepping),
-                                         lambda: wave)
+
+    def make_member(spec):
+        return _wave_member(config, runner, wave_integrator, spec)
+
+    rows["layer.step.wave"] = _measure(_wave_stepper(make_member), lambda: wave)
+    rows["layer.record.wave"] = _measure(_wave_record(make_member, stepping), lambda: wave)
 
     # the CLI builds its spec from the config; route that through the given spec
     real = config.from_selection
 
-    def e2e(kind, name, **fmt):
+    def e2e(kind, text):
         def run(spec):
             config.from_selection = lambda _: spec
             try:
-                _cli_run(cli, kind, E2E[kind].format(spec=name, **fmt))
+                _cli_run(cli, kind, text)
             finally:
                 config.from_selection = real
         return run
 
-    for d in (1, 2, 3):
-        rows[f"e2e.check-assumptions.d{d}"] = _measure(
-            e2e("check-assumptions", SPEC, d=d), lambda: base, faults=True)
-    ladder = nonlinearity.from_selection("nls_coercive_exp")
-    rows["e2e.weak-strong.nls"] = _measure(
-        e2e("weak-strong", "nls_coercive_exp"), lambda: ladder, faults=True)
-    rows["e2e.simulate-wave.d3"] = _measure(
-        e2e("simulate-wave", WAVE_SPEC), lambda: wave, faults=True)
+    for name, (kind, text) in E2E.items():
+        spec = nonlinearity.from_selection(config.parse_config(text, kind).nonlinearity)
+        rows[name] = _measure(e2e(kind, text), lambda: spec, faults=True)
     return rows
 
 
@@ -250,9 +244,6 @@ def _median_rows(runs: list) -> dict:
     """Each row's fields as their median over the workers' runs, plus the rounds' wall_s."""
     out = {}
     for name, row in runs[0].items():
-        if row is None:  # a row the tree cannot measure
-            out[name] = None
-            continue
         out[name] = {key: statistics.median(run[name][key] for run in runs) for key in row}
         out[name]["wall_s_rounds"] = [run[name]["wall_s"] for run in runs]
     return out
@@ -294,7 +285,8 @@ def main(argv=None) -> int:
         "shift_sweep": SHIFT_SWEEP,
         "nls_sweep": NLS_SWEEP,
         "wave_spec": WAVE_SPEC,
-        "e2e_configs": E2E,
+        "e2e_configs": {name: {"command": kind, "config": text}
+                        for name, (kind, text) in E2E.items()},
         "rows": {name: {col: rows[name] for col, rows in columns.items()}
                  for name in columns["after"]},
     }
