@@ -8,8 +8,7 @@ The sampled constants H11, H22, Gronw6 and H222 share one skeleton,
 ``_sampled_constants``, and keep its window and sample sups as ``evidence``.
 Constants that share a plan share its sweep, each still judged on its own:
 ``_wave_constants`` folds H11 and H22 over one draw of each ``_pairs`` plan,
-``_nls_constants`` Gronw6 and H222 over ``_complex_pairs``; the estimators
-of one constant are the same calls with one name. The convexity shift
+``_nls_constants`` Gronw6 and H222 over ``_complex_pairs``. The convexity shift
 (ClaimA) is a sampled sup of the same ``_sup_ratio`` form on windows of its
 own, kept as ``evidence["window_sups"]``.
 
@@ -43,10 +42,6 @@ __all__ = [
     "verify_growth_bound",
     "verify_potential_lower_bound",
     "verify_nls_coercivity",
-    "estimate_remainder_constant",
-    "estimate_taylor_constant",
-    "estimate_phase_bound",
-    "estimate_nls_taylor_constant",
     "verify_nls_cancellation",
     "find_convexity_shift",
     "classify",
@@ -299,9 +294,10 @@ def verify_nls_coercivity(
     return InequalityReport("coercive", not violations, violations)
 
 
-def _wave_constants(spec: NonlinearitySpec, R: float, d: int | None, names: list,
-                    n_random: int, seed: int) -> list:
-    """H11 and/or H22, as ``names`` lists them, from one sweep of each _pairs plan.
+def _wave_constants(spec: NonlinearitySpec, R: float, d: int, n_random: int,
+                    seed: int) -> list:
+    """H11, and H22 when the spec declares a growth exponent q, from one sweep of
+    each _pairs plan.
 
     Per block the ratios read one jet of u + w and one of u: H11 is
     F(u+w) - F(u) - f(u)w against w^2, H22 is f(u+w) - f(u) - f'(u)w against
@@ -310,9 +306,7 @@ def _wave_constants(spec: NonlinearitySpec, R: float, d: int | None, names: list
     if R <= 0:
         raise ValueError("R must be positive")
     p = None
-    if "H22" in names:
-        if spec.q is None:
-            raise ValueError(f"{spec.name} carries no growth exponent")
+    if spec.q is not None:
         p = two_star(d)
         if spec.q >= p:
             raise ValueError(f"q={spec.q} is not subcritical for d={d} (2*={p})")
@@ -323,13 +317,11 @@ def _wave_constants(spec: NonlinearitySpec, R: float, d: int | None, names: list
     def ratio(u, w):
         at_v, at_u = spec.jet(u + w, top), spec.jet(u, top + 1)
         wsq = w ** 2
-        terms = {}
-        if "H11" in names:
-            num = at_v[0]
-            num -= at_u[0]
-            num -= at_u[1] * w
-            np.negative(num, out=num)
-            terms["H11"] = np.maximum(0.0, num, out=num), wsq
+        num = at_v[0]
+        num -= at_u[0]
+        num -= at_u[1] * w
+        np.negative(num, out=num)
+        terms = [(np.maximum(0.0, num, out=num), wsq)]
         if p is not None:
             num = at_v[1]
             num -= at_u[1]
@@ -337,33 +329,13 @@ def _wave_constants(spec: NonlinearitySpec, R: float, d: int | None, names: list
             den = np.abs(w)
             den **= p
             den += wsq
-            terms["H22"] = np.abs(num, out=num), den
-        return [terms[n] for n in names]
+            terms.append((np.abs(num, out=num), den))
+        return terms
 
+    names = ["H11"] if p is None else ["H11", "H22"]
     subjects = {"H11": "remainder constant", "H22": "Taylor constant"}
     return _sampled_constants(names, R, _pairs, ratio, n_random, seed,
                               windows=[f"{subjects[n]} for {spec.name}" for n in names])
-
-
-def estimate_remainder_constant(
-    spec: NonlinearitySpec,
-    R: float,
-    n_random: int = 1_000_000,
-    seed: int = DEFAULT_SEED,
-) -> ConstantEstimate:
-    """Smallest sampled C(R) with F(u+w) - F(u) - f(u)w >= -C(R) w^2 on |u| <= R."""
-    return _wave_constants(spec, R, None, ["H11"], n_random, seed)[0]
-
-
-def estimate_taylor_constant(
-    spec: NonlinearitySpec,
-    R: float,
-    d: int,
-    n_random: int = 1_000_000,
-    seed: int = DEFAULT_SEED,
-) -> ConstantEstimate:
-    """Sampled C(R) with |f(u+w) - f(u) - f'(u)w| <= C(R)(w^2 + |w|^p), p = 2*(d)."""
-    return _wave_constants(spec, R, d, ["H22"], n_random, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +417,9 @@ def verify_nls_cancellation(
     return InequalityReport("Gronw4", not violations, violations)
 
 
-def _nls_constants(spec: NlsNonlinearitySpec, R: float, d: int, names: list,
-                   n_random: int, seed: int) -> list:
-    """Gronw6 and/or H222, as ``names`` lists them, from one sweep of each _complex_pairs plan.
+def _nls_constants(spec: NlsNonlinearitySpec, R: float, d: int, n_random: int,
+                   seed: int) -> list:
+    """Gronw6 and H222 from one sweep of each _complex_pairs plan.
 
     Per block f(u + w), f(u) = u Fs'(s) and Fs''(s), s = |u|^2/2, are
     evaluated once for both ratios, each against |w|^2 + |w|^p with p = 2*(d):
@@ -461,37 +433,11 @@ def _nls_constants(spec: NlsNonlinearitySpec, R: float, d: int, names: list,
         fu, fv = u * phase, spec.force(u + w)
         aw = np.abs(w)
         den = aw ** 2 + aw ** p
-        terms = {}
-        if "Gronw6" in names:
-            terms["Gronw6"] = np.abs(_dot(fu - fv, 1j * w)), den
-        if "H222" in names:
-            dfw = spec.dforce(u, w, phase=phase, curv=spec.Fsprime2(s))
-            terms["H222"] = np.abs(fv - fu - dfw), den
-        return [terms[n] for n in names]
+        gronw6 = np.abs(_dot(fu - fv, 1j * w))
+        dfw = spec.dforce(u, w, phase=phase, curv=spec.Fsprime2(s))
+        return [(gronw6, den), (np.abs(fv - fu - dfw), den)]
 
-    return _sampled_constants(names, R, _complex_pairs, ratio, n_random, seed)
-
-
-def estimate_phase_bound(
-    spec: NlsNonlinearitySpec,
-    R: float,
-    d: int,
-    n_random: int = 400_000,
-    seed: int = DEFAULT_SEED,
-) -> ConstantEstimate:
-    """Sampled C(R) with |(f(u)-f(u+w)).(iw)| <= C(R)(|w|^2 + |w|^p)."""
-    return _nls_constants(spec, R, d, ["Gronw6"], n_random, seed)[0]
-
-
-def estimate_nls_taylor_constant(
-    spec: NlsNonlinearitySpec,
-    R: float,
-    d: int,
-    n_random: int = 400_000,
-    seed: int = DEFAULT_SEED,
-) -> ConstantEstimate:
-    """Complex-setting Taylor constant: |f(u+w)-f(u)-Df(u)w| <= C(|w|^2+|w|^p)."""
-    return _nls_constants(spec, R, d, ["H222"], n_random, seed)[0]
+    return _sampled_constants(["Gronw6", "H222"], R, _complex_pairs, ratio, n_random, seed)
 
 
 def find_convexity_shift(
@@ -566,8 +512,7 @@ def classify(
             reports.append(verify_potential_lower_bound(spec, C=1.0, samples=nv, seed=seed))
         if spec.q is not None and spec.C_growth is not None:
             reports.append(verify_growth_bound(spec, samples=nv, seed=seed))
-        names = ["H11"] if spec.q is None else ["H11", "H22"]
-        constants = _wave_constants(spec, R, d, names, n, seed)
+        constants = _wave_constants(spec, R, d, n, seed)
     elif isinstance(spec, NlsNonlinearitySpec):
         n = n_random if n_random is not None else 400_000
         reports.append(verify_nls_cancellation(spec, samples=nv, seed=seed))
@@ -577,7 +522,7 @@ def classify(
         if spec.assumption_class == AssumptionClass.NLS_SUBCRIT:
             # polynomial-denominator bounds presume the subcritical growth
             # hypothesis; they are meaningless for exponential densities
-            constants += _nls_constants(spec, R, d, ["Gronw6", "H222"], n, seed)
+            constants += _nls_constants(spec, R, d, n, seed)
     else:
         raise TypeError(f"unsupported spec type {type(spec)!r}")
     # a sampled constant holds when it is stable under doubling

@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .config import KINDS, ConfigError, ExperimentConfig, parse_with_overrides
+from .config import KINDS, ConfigError, ExperimentConfig, parse_config
 from .runner import (
     EXIT_CONFIG,
     EXIT_FOR_OUTCOME,
@@ -112,7 +112,7 @@ def main(argv=None) -> int:
     if args.seed is not None:
         overrides.append(("--seed", f"seed = {args.seed}"))
     try:
-        cfg = parse_with_overrides(text, overrides, args.command)
+        cfg = parse_config(text, args.command, overrides)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .field_core import GridSpec
 from .nonlinearity import (
@@ -22,8 +22,7 @@ from .nls_integrator import accuracy_error
 from .stepping import RunSchedule
 from .wave_integrator import WEAK_IDENTITY_RECORDS, stability_error, stable_dt
 
-__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "parse_with_overrides",
-           "serialize_config"]
+__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config"]
 
 KINDS = (
     "check-assumptions",
@@ -82,33 +81,21 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-_FIELDS = {
-    "kind": str,
-    "nonlinearity": str,
-    "d": int,
-    "N": int,
-    "L": float,
-    "dt": float,
-    "T": float,
-    "amplitude": float,
-    "radius": float,
-    "ladder": "ladder",
-    "R": float,
-    "seed": int,
-    "stride": int,
-}
+def _ladder(value: str) -> tuple:
+    return tuple(float(v) for v in value.split(",") if v.strip())
 
 
-def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
-    """Parse and fully validate; raises ConfigError listing every problem."""
-    return parse_with_overrides(text, (), kind)
+# each key's parser, from the annotation of its ExperimentConfig field
+_FIELDS = {f.name: {"str": str, "int": int, "float": float, "tuple": _ladder}[f.type]
+           for f in fields(ExperimentConfig)}
 
 
-def parse_with_overrides(text: str, overrides, kind: str | None) -> ExperimentConfig:
-    """parse_config of text followed by the ``(source, line)`` pairs of overrides.
+def parse_config(text: str, kind: str | None = None, overrides=()) -> ExperimentConfig:
+    """Parse text, then the ``(source, line)`` pairs of overrides, and fully validate.
 
-    An error names its line number in text, or the source of its override
-    (such as the environment variable that set it).
+    Raises ConfigError listing every problem. An error names its line number
+    in text, or the source of its override (such as the environment variable
+    that set it).
     """
     errors: list = []
     values: dict = {}
@@ -127,12 +114,8 @@ def parse_with_overrides(text: str, overrides, kind: str | None) -> ExperimentCo
         if key not in _FIELDS:
             errors.append(f"{where}: unknown key {key!r}")
             continue
-        conv = _FIELDS[key]
         try:
-            if conv == "ladder":
-                values[key] = tuple(float(v) for v in value.split(",") if v.strip())
-            else:
-                values[key] = conv(value)
+            values[key] = _FIELDS[key](value)
         except ValueError:
             errors.append(f"{where}: bad value for {key!r}: {value!r}")
 
@@ -158,8 +141,8 @@ def validate(cfg: ExperimentConfig) -> list:
     errors = []
     for name, conv in _FIELDS.items():
         value = getattr(cfg, name)
-        values = value if conv == "ladder" else (value,)
-        if conv in (float, "ladder") and not all(map(math.isfinite, values)):
+        values = value if conv is _ladder else (value,)
+        if conv in (float, _ladder) and not all(map(math.isfinite, values)):
             errors.append(f"{name}={value} must be finite")
     if cfg.d not in (1, 2, 3):
         errors.append(f"d={cfg.d} must be 1, 2 or 3")

@@ -104,6 +104,9 @@ def _ksq(d: int, N: int, L: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveState:
+    """A wave state (u, u_t) at time t, for the oracles ``wave_integrator.step`` and
+    ``Verlet``; runs step the impulse stepper's own state."""
+
     grid: GridSpec
     u: np.ndarray
     ut: np.ndarray
@@ -115,6 +118,9 @@ class WaveState:
 
 @dataclass(frozen=True)
 class NlsState:
+    """An NLS state u at time t, for the oracle ``nls_integrator.strang_step`` and its
+    substeps; runs step the Strang stepper's own state."""
+
     grid: GridSpec
     u: np.ndarray
     t: float
@@ -125,6 +131,9 @@ class NlsState:
 
 @dataclass(frozen=True)
 class EnergyReport:
+    """The energies of a state, as the oracles ``wave_energy`` and ``nls_energy``
+    compute them; runs take theirs from their records."""
+
     kinetic: float
     gradient: float
     potential: float
@@ -142,7 +151,10 @@ def _check(field: np.ndarray, grid: GridSpec):
 
 
 def laplacian(field: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Exact spectral Laplacian: each mode scaled by -|xi|^2."""
+    """Exact spectral Laplacian: each mode scaled by -|xi|^2.
+
+    Only the oracle ``wave_integrator.step`` calls it; the steppers apply
+    -|xi|^2 to the spectra they keep."""
     _check(field, grid)
     out = np.fft.ifftn(-grid.wavenumber_sq() * np.fft.fftn(field))
     if np.isrealobj(field):
@@ -240,6 +252,10 @@ def _potential_integral(density: np.ndarray, grid: GridSpec) -> float:
 
 
 def wave_energy(state: WaveState, spec) -> EnergyReport:
+    """Kinetic, gradient and potential energy of a wave state and their total.
+
+    Only the oracle ``wave_integrator.Verlet`` calls it: the impulse stepper
+    takes the same energies from its records' fields."""
     kin = 0.5 * l2_norm_sq(state.ut, state.grid)
     grad = 0.5 * gradient_norm_sq(state.u, state.grid)
     pot = _potential_integral(_potential_density(spec.F, state.u), state.grid)

@@ -202,7 +202,7 @@ def _do_identity_check(cfg: ExperimentConfig):
     # (d) multiplier identity on a short run
     base = _base_config(cfg, spec)
     _, (res,) = integrate([wave_member(base, _bump(cfg, base.grid))], base,
-                          [WeakIdentity(spec, base.grid)])
+                          [WeakIdentity(base.grid)])
     results["weak_identity_residual"] = res
     ok = ok and res < 1e-4
 

@@ -245,8 +245,8 @@ class WeakIdentity:
     records.
     """
 
-    def __init__(self, spec, grid: GridSpec):
-        self.spec, self.grid = spec, grid
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
         self.times, self.integrand = [], []
         self.b0 = self.bT = None
 
@@ -254,7 +254,7 @@ class WeakIdentity:
         r, grid = records[0], self.grid
         self.times.append(r.t)
         self.integrand.append(gradient_norm_sq(r.u, grid) - l2_norm_sq(r.ut, grid)
-                              + l2_inner(r.u, self.spec.f(r.u), grid))
+                              + l2_inner(r.u, r.force, grid))
         self.bT = l2_inner(r.ut, r.u, grid)
         if self.b0 is None:
             self.b0 = self.bT

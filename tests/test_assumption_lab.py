@@ -13,10 +13,6 @@ from supercrit.assumption_lab import (
     DEFAULT_SEED,
     UnboundedEstimateError,
     classify,
-    estimate_nls_taylor_constant,
-    estimate_phase_bound,
-    estimate_remainder_constant,
-    estimate_taylor_constant,
     find_convexity_shift,
     verify_growth_bound,
     verify_nls_cancellation,
@@ -78,31 +74,29 @@ def test_potential_lower_bound_unit_constant():
 
 def test_remainder_constant_zero_for_convex_potential():
     # |u|^3/3 is convex, so the remainder is nonnegative and the constant is 0
-    est = estimate_remainder_constant(
-        from_selection("pure_power:p=2"), R=2.0, n_random=N_SMALL
-    )
-    assert est.value == 0.0
-    assert est.stable
+    h11, _ = assumption_lab._wave_constants(from_selection("pure_power:p=2"), 2.0, 3,
+                                            N_SMALL, DEFAULT_SEED)
+    assert h11.value == 0.0
+    assert h11.stable
 
 
 def test_remainder_constant_finite_and_stable_for_oscillating():
-    est = estimate_remainder_constant(
-        from_selection("oscillating_sin:q=1"), R=2.0, n_random=200_000
-    )
-    assert np.isfinite(est.value) and est.value > 0.0
-    assert est.stable
+    h11, _ = assumption_lab._wave_constants(from_selection("oscillating_sin:q=1"), 2.0, 3,
+                                            200_000, DEFAULT_SEED)
+    assert np.isfinite(h11.value) and h11.value > 0.0
+    assert h11.stable
 
 
 def test_remainder_constant_monotone_in_radius():
     spec = from_selection("oscillating_sin:q=2")
-    c1 = estimate_remainder_constant(spec, R=1.0, n_random=N_SMALL).value
-    c2 = estimate_remainder_constant(spec, R=2.0, n_random=N_SMALL).value
-    assert c1 <= c2 * (1.0 + 1e-6)
+    (c1, _), (c2, _) = (assumption_lab._wave_constants(spec, R, 3, N_SMALL, DEFAULT_SEED)
+                        for R in (1.0, 2.0))
+    assert c1.value <= c2.value * (1.0 + 1e-6)
 
 
 def test_remainder_worst_pair_reproduces_value():
     spec = from_selection("oscillating_sin:q=1")
-    est = estimate_remainder_constant(spec, R=2.0, n_random=N_SMALL)
+    est, _ = assumption_lab._wave_constants(spec, 2.0, 3, N_SMALL, DEFAULT_SEED)
     u, w = est.worst_pair
     ratio = max(0.0, -(spec.F(u + w) - spec.F(u) - spec.f(u) * w)) / w ** 2
     # the reported constant is the max of two passes; the stored pair belongs
@@ -111,11 +105,7 @@ def test_remainder_worst_pair_reproduces_value():
     assert ratio >= est.value * (1.0 - 0.06)
 
 
-@pytest.mark.parametrize("estimate", [
-    lambda spec: estimate_remainder_constant(spec, R=2.0, n_random=N_SMALL),
-    lambda spec: estimate_taylor_constant(spec, R=2.0, d=3, n_random=N_SMALL),
-], ids=["H11", "H22"])
-def test_window_w_sweep_doubles_as_first_sample_pass(monkeypatch, estimate):
+def test_window_w_sweep_doubles_as_first_sample_pass(monkeypatch):
     # four windows plus the doubled sample: the window-W sweep is not redrawn
     draws = []
     real_pairs = assumption_lab._pairs
@@ -125,10 +115,13 @@ def test_window_w_sweep_doubles_as_first_sample_pass(monkeypatch, estimate):
         return real_pairs(*args)
 
     monkeypatch.setattr(assumption_lab, "_pairs", counting_pairs)
-    est = estimate(from_selection("oscillating_sin:q=2"))
+    estimates = assumption_lab._wave_constants(from_selection("oscillating_sin:q=2"), 2.0, 3,
+                                               N_SMALL, DEFAULT_SEED)
     assert len(draws) == 5
-    assert len(est.evidence["window_sups"]) == 4
-    assert est.evidence["window_sups"][0] == est.evidence["sample_sups"][0]
+    assert [est.name for est in estimates] == ["H11", "H22"]
+    for est in estimates:
+        assert len(est.evidence["window_sups"]) == 4
+        assert est.evidence["window_sups"][0] == est.evidence["sample_sups"][0]
 
 
 def _flat_pairs(R, W, n_random, seed):
@@ -191,12 +184,13 @@ def _check_matches_reference(monkeypatch, estimate):
     assert blocked.stable == reference.stable
 
 
+# the cases name the constant of the one wave sweep that each compares
 def _h11(spec):
-    return estimate_remainder_constant(spec, R=2.0, n_random=N_SMALL)
+    return assumption_lab._wave_constants(spec, 2.0, 3, N_SMALL, DEFAULT_SEED)[0]
 
 
 def _h22(spec):
-    return estimate_taylor_constant(spec, R=2.0, d=3, n_random=N_SMALL)
+    return assumption_lab._wave_constants(spec, 2.0, 3, N_SMALL, DEFAULT_SEED)[1]
 
 
 # defocusing_exp declares no growth exponent, so it has no H22
@@ -210,8 +204,8 @@ def test_blocked_sweep_matches_argmax_over_materialised_plan(monkeypatch, estima
 
 
 @pytest.mark.parametrize("estimate", [
-    lambda spec: estimate_phase_bound(spec, R=2.0, d=3, n_random=N_SMALL),
-    lambda spec: estimate_nls_taylor_constant(spec, R=2.0, d=3, n_random=N_SMALL),
+    lambda spec: assumption_lab._nls_constants(spec, 2.0, 3, N_SMALL, DEFAULT_SEED)[0],
+    lambda spec: assumption_lab._nls_constants(spec, 2.0, 3, N_SMALL, DEFAULT_SEED)[1],
     lambda spec: find_convexity_shift(spec, R=2.0, n_random=N_SMALL),
 ], ids=["Gronw6", "H222", "ClaimA"])
 def test_blocked_complex_sweep_matches_argmax(monkeypatch, estimate):
@@ -351,8 +345,7 @@ def test_streamed_complex_pairs_equal_bulk_plan(n):
 
 
 @pytest.mark.parametrize("sweep, bound_mib", [
-    (lambda spec: assumption_lab._nls_constants(spec, 2.0, 3, ["Gronw6", "H222"],
-                                                400_000, DEFAULT_SEED), 24),
+    (lambda spec: assumption_lab._nls_constants(spec, 2.0, 3, 400_000, DEFAULT_SEED), 24),
     (lambda spec: find_convexity_shift(spec, R=2.0, n_random=200_000), 12),
 ], ids=["Gronw6+H222", "ClaimA"])
 def test_complex_sweep_memory_stays_below_plan_size(sweep, bound_mib):
@@ -373,7 +366,7 @@ def test_taylor_sweep_memory_stays_below_plan_size():
     spec = from_selection("oscillating_sin:q=2")
     tracemalloc.start()
     try:
-        estimate_taylor_constant(spec, R=2.0, d=3, n_random=1_000_000)
+        assumption_lab._wave_constants(spec, 2.0, 3, 1_000_000, DEFAULT_SEED)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -432,33 +425,13 @@ def test_grid_u_terms_evaluated_once_per_distinct_value():
     # four window sweeps at n plus the doubled sample at 2n
     (u1, uw1), (u2, uw2) = plan_points(N_SMALL), plan_points(2 * N_SMALL)
     distinct_u, pairs = 4 * u1 + u2, 4 * uw1 + uw2
-    estimate_remainder_constant(spec, R=2.0, n_random=N_SMALL)
+    # H11 alone, for a spec without a growth exponent
+    assumption_lab._wave_constants(replace(spec, q=None), 2.0, 3, N_SMALL, DEFAULT_SEED)
     assert points == {0: pairs, 1: distinct_u}
-    points.clear()
-    estimate_taylor_constant(spec, R=2.0, d=3, n_random=N_SMALL)
-    assert points == {1: pairs, 2: distinct_u}
     # H11 and H22 together: each distinct u and each u + w once for both
     points.clear()
-    assumption_lab._wave_constants(spec, 2.0, 3, ["H11", "H22"], N_SMALL, DEFAULT_SEED)
+    assumption_lab._wave_constants(spec, 2.0, 3, N_SMALL, DEFAULT_SEED)
     assert points == {1: pairs, 2: distinct_u}
-
-
-@pytest.mark.parametrize("name", ["oscillating_sin:q=1", "oscillating_sin:q=2",
-                                  "pure_power:p=3"])
-def test_fused_sweep_equals_separate_estimates(name):
-    spec = from_selection(name)
-    h11, h22 = assumption_lab._wave_constants(spec, 2.0, 3, ["H11", "H22"], N_SMALL,
-                                              DEFAULT_SEED)
-    assert h11 == _h11(spec)
-    assert h22 == _h22(spec)
-
-
-def test_fused_complex_sweep_equals_separate_estimates():
-    spec = from_selection("nls_cubic")
-    gronw6, h222 = assumption_lab._nls_constants(spec, 2.0, 3, ["Gronw6", "H222"],
-                                                 N_SMALL, DEFAULT_SEED)
-    assert gronw6 == estimate_phase_bound(spec, R=2.0, d=3, n_random=N_SMALL)
-    assert h222 == estimate_nls_taylor_constant(spec, R=2.0, d=3, n_random=N_SMALL)
 
 
 def _counting(monkeypatch, plan_name):
@@ -509,31 +482,29 @@ def test_fused_sweep_raises_h11_before_h22():
 
 def test_unbounded_remainder_detected():
     with pytest.raises(UnboundedEstimateError):
-        estimate_remainder_constant(_focusing_quartic(), R=1.0, n_random=N_SMALL)
+        assumption_lab._wave_constants(_focusing_quartic(), 1.0, 3, N_SMALL, DEFAULT_SEED)
 
 
 def test_taylor_constant_smooth_entry():
-    est = estimate_taylor_constant(
-        from_selection("oscillating_sin:q=2"), R=1.0, d=3, n_random=200_000
-    )
-    assert np.isfinite(est.value)
-    assert est.stable
+    _, h22 = assumption_lab._wave_constants(from_selection("oscillating_sin:q=2"), 1.0, 3,
+                                            200_000, DEFAULT_SEED)
+    assert np.isfinite(h22.value)
+    assert h22.stable
 
 
 def test_taylor_constant_flags_derivative_jump():
     # q=1 has a force with a derivative jump at the origin, so the sampled sup
     # keeps climbing as the plan is refined and the gate must report unstable
-    est = estimate_taylor_constant(
-        from_selection("oscillating_sin:q=1"), R=1.0, d=3, n_random=500_000
-    )
-    assert not est.stable
+    _, h22 = assumption_lab._wave_constants(from_selection("oscillating_sin:q=1"), 1.0, 3,
+                                            500_000, DEFAULT_SEED)
+    assert not h22.stable
 
 
 def test_phase_bound_finite_stable_and_worst_pair_reproduces_value():
     spec = from_selection("nls_cubic")
     # the default sample size: smaller plans miss the sup often enough that
     # the doubled sample moves it by more than 5%
-    est = estimate_phase_bound(spec, R=2.0, d=3)
+    est, _ = assumption_lab._nls_constants(spec, 2.0, 3, 400_000, DEFAULT_SEED)
     assert np.isfinite(est.value) and est.value > 0.0
     assert est.stable
     u, w = (complex(z) for z in est.worst_pair)
@@ -584,9 +555,9 @@ def test_zero_sup_names_no_worst_pair():
     assert rep.constant.value == 0.0
     assert rep.constant.worst_pair is None
     assert json.loads(json.dumps(asdict(rep)))["constant"]["worst_pair"] is None
-    est = estimate_remainder_constant(from_selection("pure_power:p=2"), R=2.0,
-                                      n_random=N_SMALL)
-    assert (est.value, est.worst_pair) == (0.0, None)
+    h11, _ = assumption_lab._wave_constants(from_selection("pure_power:p=2"), 2.0, 3,
+                                            N_SMALL, DEFAULT_SEED)
+    assert (h11.value, h11.worst_pair) == (0.0, None)
 
 
 def test_nls_cancellation_identity_machine_exact():

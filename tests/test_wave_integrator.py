@@ -190,7 +190,7 @@ def test_trace_column_lookup_errors():
 
 def weak_identity(cfg_and_u0):
     cfg, u0 = cfg_and_u0
-    _, (residual,) = integrate([member(cfg, u0)], cfg, [WeakIdentity(cfg.spec, cfg.grid)])
+    _, (residual,) = integrate([member(cfg, u0)], cfg, [WeakIdentity(cfg.grid)])
     return residual
 
 

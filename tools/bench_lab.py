@@ -204,15 +204,14 @@ def worker(src: str) -> dict:
     rows["layer.nonlinearity.jet"] = _measure(lambda s: s.jet(u, 2), lambda: base)
     with np.errstate(over="ignore", invalid="ignore"):
         rows["layer.sweep.H11+H22"] = _measure(
-            lambda s: assumption_lab._wave_constants(s, SWEEP["R"], SWEEP["d"], ["H11", "H22"],
+            lambda s: assumption_lab._wave_constants(s, SWEEP["R"], SWEEP["d"],
                                                      SWEEP["n_random"], SWEEP["seed"]),
             lambda: base)
     rows["layer.sweep.ClaimA"] = _measure(
         lambda s: assumption_lab.find_convexity_shift(s, **SHIFT_SWEEP), lambda: nls)
     rows["layer.sweep.Gronw6+H222"] = _measure(
         lambda s: assumption_lab._nls_constants(s, NLS_SWEEP["R"], NLS_SWEEP["d"],
-                                                ["Gronw6", "H222"], NLS_SWEEP["n_random"],
-                                                NLS_SWEEP["seed"]),
+                                                NLS_SWEEP["n_random"], NLS_SWEEP["seed"]),
         lambda: nls)
     wave = nonlinearity.from_selection(WAVE_SPEC)
 
