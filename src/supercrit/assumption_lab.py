@@ -13,11 +13,11 @@ Constants that share a plan share its sweep, each still judged on its own:
 own, kept as ``evidence["window_sups"]``.
 
 Every sample plan, the scalar verifiers' included, is drawn and evaluated one
-block of ``_BLOCK`` points at a time, and a block's arithmetic is done in
-place: the wave ratios build their numerators in the buffers of the jet of
-u + w, and ``_sup_ratio`` takes each ratio in its numerator. A check holds a
-few block-sized arrays whatever its sample count, and no report depends on
-the block size.
+block of ``field_core._BLOCK`` points at a time, and a block's arithmetic is
+done in place: the wave ratios build their numerators in the buffers of the
+jet of u + w, and ``_sup_ratio`` takes each ratio in its numerator. A check
+holds a few block-sized arrays whatever its sample count, and no report
+depends on the block size.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import field_core
 from .nonlinearity import (
     AssumptionClass,
     NlsNonlinearitySpec,
@@ -52,12 +53,6 @@ _STABILITY_SLACK = 0.05  # sup accepted when doubling moves it less than 5%
 _NONNEG_SLACK = 1e-9     # numerical slack for analytic ">= 0" statements
 SCALAR_RADIUS = 8.0      # the scalar pointwise verifiers sample [-8, 8]
 MAX_CONVEXITY_SHIFT = 1e6  # a larger sampled shift counts as unbounded
-# Points per evaluated block. A wave sweep holds about ten arrays of one block,
-# so 2^14 points (128 KiB per float array) keep them in a core's 2 MiB L2:
-# classify(oscillating_sin:q=2) peaks at 1.1 MiB and takes a median 1.06-1.26 s,
-# against 4.5 MiB and 1.54-1.61 s at 2^16; 2^12 (0.4 MiB) is no faster
-# (5 alternating runs per size, 2-vCPU Xeon, numpy 2.4).
-_BLOCK = 1 << 14
 
 
 class UnboundedEstimateError(RuntimeError):
@@ -84,18 +79,19 @@ class InequalityReport:
 
 
 def _blocks(u, w):
-    """The broadcastable part (u, w) in blocks of about _BLOCK points.
+    """The broadcastable part (u, w) in blocks of about field_core._BLOCK points.
 
     A 2-D part (u column, w row) is cut into whole rows, so u-only terms are
     evaluated once per row and w-only terms once per column of a block.
     """
-    step = max(1, _BLOCK // w.shape[-1]) if w.ndim == 2 else _BLOCK
+    block = field_core._BLOCK
+    step = max(1, block // w.shape[-1]) if w.ndim == 2 else block
     for a in range(0, len(u), step):
         yield u[a:a + step], (w if w.ndim == 2 else w[a:a + step])
 
 
 def _uniform_blocks(seed: int, n: int, bounds, pair):
-    """pair(*draws) for n uniform draws per (lo, hi) of bounds, one _BLOCK at a time.
+    """pair(*draws) for n uniform draws per (lo, hi) of bounds, one block at a time.
 
     The k-th draw comes from PCG64(seed) advanced by k * n, so the blocks
     hold the values of one bulk draw of n per bound, in bounds order, from
@@ -104,8 +100,9 @@ def _uniform_blocks(seed: int, n: int, bounds, pair):
     """
     rngs = [np.random.Generator(np.random.PCG64(seed).advance(k * n))
             for k in range(len(bounds))]
-    for a in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - a)
+    block = field_core._BLOCK
+    for a in range(0, n, block):
+        m = min(block, n - a)
         yield pair(*[rng.uniform(lo, hi, m) for rng, (lo, hi) in zip(rngs, bounds)])
 
 
@@ -194,12 +191,13 @@ def _sampled_constants(names, R, plan, ratio, n_random, seed, windows=None):
 
 
 def _scalar_plan(grid: np.ndarray, n: int, seed: int, lo: float, hi: float):
-    """Fixed sample plan, one _BLOCK at a time: the grid, then n seeded uniforms on [lo, hi].
+    """Fixed sample plan, one block at a time: the grid, then n seeded uniforms on [lo, hi].
 
     The uniforms are the values of default_rng(seed).uniform(lo, hi, n).
     """
-    for a in range(0, len(grid), _BLOCK):
-        yield grid[a:a + _BLOCK]
+    block = field_core._BLOCK
+    for a in range(0, len(grid), block):
+        yield grid[a:a + block]
     yield from _uniform_blocks(seed, n, ((lo, hi),), lambda u: u)
 
 
@@ -359,7 +357,7 @@ def _complex_pairs(R: float, W: float, n_random: int, seed: int):
         keep = np.abs(u) <= R
         return u[keep], w[keep]
 
-    rows = max(1, _BLOCK // side)
+    rows = max(1, field_core._BLOCK // side)
     grid = (in_disk((R * (re[a:a + rows, None] + 1j * re[None, :])).ravel(),
                     (W * (er[a:a + rows, None] + 1j * er[None, :])).ravel())
             for a in range(0, side, rows))
@@ -393,8 +391,15 @@ def verify_nls_cancellation(
     are the values of default_rng(seed).uniform(0, 1, (2, samples)) and then
     of .uniform(0, 2 pi, (2, samples)), read from four _uniform_blocks draws.
     """
+    def disk(r, theta):
+        """5 sqrt(r) exp(i theta), built in the buffer of i theta and in r's draw."""
+        z = np.multiply(1j, theta)
+        np.exp(z, out=z)
+        z *= np.multiply(np.sqrt(r, out=r), 5.0, out=r)
+        return z
+
     def polar(ru, rw, tu, tw):
-        return 5.0 * np.sqrt(ru) * np.exp(1j * tu), 5.0 * np.sqrt(rw) * np.exp(1j * tw)
+        return disk(ru, tu), disk(rw, tw)
 
     violations = []
     bounds = ((0.0, 1.0), (0.0, 1.0), (0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi))
@@ -414,6 +419,8 @@ def verify_nls_cancellation(
             }
             for i in np.flatnonzero(bad)[:16 - len(violations)]
         ]
+        # the next block is drawn without this block's arrays
+        del u, w, fu, fv, lhs, rhs, aw, scale, bad
     return InequalityReport("Gronw4", not violations, violations)
 
 

@@ -211,8 +211,8 @@ def working_set_bytes(cfg: ExperimentConfig) -> float:
 
     160 per grid point for each state stepped in lockstep, one per ladder
     member plus the reference. Measured as the tracemalloc peak of a CLI
-    run: simulate-wave 66 at d = 2, N = 512, 68 at d = 3, N = 64 and 88 at
-    d = 1, N = 65536 (L = 10, radius 1.5); NLS 106 for one state and 114
+    run: simulate-wave 58 at d = 2, N = 512, 59 at d = 3, N = 64 and 89 at
+    d = 1, N = 65536 (L = 10, radius 1.5); NLS 105 for one state and 106
     per state of a weak-strong ladder at d = 2, N = 512 (L = 40, radius
     1.5), so NLS still needs the larger bound.
     The probe of appendix-construct adds 24 per point and record (measured:

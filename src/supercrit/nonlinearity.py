@@ -100,12 +100,23 @@ class NlsNonlinearitySpec:
         """f(u) = u Fs'(|u|^2 / 2) on complex fields."""
         return u * self.Fsprime(0.5 * np.abs(u) ** 2)
 
-    def dforce(self, u: np.ndarray, w: np.ndarray, phase, curv) -> np.ndarray:
+    def dforce(self, u: np.ndarray, w: np.ndarray, phase, curv, out=None,
+               scratch=None) -> np.ndarray:
         """Real-linear derivative Df(u)w = Fs'(s) w + Fs''(s) Re(u conj(w)) u.
 
-        ``phase`` and ``curv`` are Fs'(s) and Fs''(s) at u, s = |u|^2/2.
+        ``phase`` and ``curv`` are Fs'(s) and Fs''(s) at u, s = |u|^2/2. The
+        result goes into ``out`` if given, which may be w itself. ``scratch``,
+        a complex and a real array shaped like u, neither of them w, holds the
+        intermediate products; without it two new arrays do.
         """
-        return phase * w + curv * np.real(u * np.conj(w)) * u
+        t, re = scratch if scratch is not None else (np.empty(u.shape, complex),
+                                                     np.empty(u.shape))
+        np.multiply(u, np.conj(w, out=t), out=t)
+        np.multiply(curv, t.real, out=re)
+        np.multiply(re, u, out=t)
+        out = np.multiply(phase, w, out=out)
+        out += t
+        return out
 
     def potential(self, u: np.ndarray) -> np.ndarray:
         return self.Fs(0.5 * np.abs(u) ** 2)

@@ -123,8 +123,9 @@ class DiagnosticTrace:
     def observe(self, records):
         r = records[0]
         self.columns = ("t", *r.stepper.columns, "leakage", "sup_norm")
-        self.add(r.t, *r.energy, boundary_leakage(r.u, self.grid, self.grid.L / 8.0),
-                 np.max(np.abs(r.u)))
+        # a real field's sup norm as max(max u, -min u) makes no |u| field
+        sup = np.max(np.abs(r.u)) if np.iscomplexobj(r.u) else np.maximum(r.u.max(), -r.u.min())
+        self.add(r.t, *r.energy, boundary_leakage(r.u, self.grid, self.grid.L / 8.0), sup)
 
     def result(self) -> DiagnosticTrace:
         return self

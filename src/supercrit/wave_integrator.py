@@ -37,9 +37,12 @@ inverse transform overwrites, so the caller's arrays are never written; an
 at-rest u1 is a broadcast zero and allocates no field. A step's one scratch
 half spectrum holds its intermediate products and the inverse transform's
 per-axis ``ifft`` results, and is dropped before the residual, the step's
-largest allocation. A step makes the same ufunc calls on the same values in
-the same order as one that allocates a new state, so its results are
-bitwise the same.
+largest allocation. The residual f(u) - m u is written into one new field,
+one ``field_core._BLOCK`` of points at a time, so that f's temporaries are
+block-sized; f acts pointwise, so the field is bitwise the one a single
+whole-field evaluation gives, whatever the block size. A step makes the same
+ufunc calls on the same values in the same order as one that allocates a
+new state, so its results are bitwise the same.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import field_core
 from .field_core import (
     GridSpec,
     WaveState,
@@ -148,10 +152,16 @@ class _SpectralImpulse:
             return np.fft.rfftn(self._residual(u), out=out)
 
     def _residual(self, u: np.ndarray) -> np.ndarray:
-        """f(u) - m u, with one field beside f(u)'s result."""
-        force = self.spec.f(u)
-        r = self.mass * u
-        return np.subtract(force, r, out=r)
+        """f(u) - m u in a new field, evaluated one field_core._BLOCK of points at a
+        time, so that besides the field only block-sized temporaries are made."""
+        out = np.empty(u.shape)
+        flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+        block = field_core._BLOCK
+        for a in range(0, flat_u.size, block):
+            ub, rb = flat_u[a:a + block], flat_out[a:a + block]
+            np.multiply(self.mass, ub, out=rb)
+            np.subtract(self.spec.f(ub), rb, out=rb)
+        return out
 
     def start(self, u0: np.ndarray, u1: np.ndarray) -> _SpectralState:
         """The state at t = 0 of u = u0, u_t = u1; all its arrays are new."""

@@ -154,7 +154,9 @@ class NlsGronwall:
     ||grad w||^2 comes from w_hat = v_hat - u_hat by Parseval, and the
     derivative of f at u from the reference's phase Fs'(|u|^2/2), so a record
     evaluates Fs'' once for all members and makes one transform (the
-    reference's u_t).
+    reference's u_t). Each member's w, spectrum difference, defect, Df(u)w
+    and drift residual are built in two complex buffers and one real one,
+    made once per record.
     """
 
     def __init__(self, spec, grid):
@@ -170,16 +172,19 @@ class NlsGronwall:
         curv = spec.Fsprime2(0.5 * np.abs(u) ** 2)
         self.times.append(ref.t)
         self.sup_norm = max(self.sup_norm, *(float(np.max(np.abs(r.u))) for r in records))
+        # every member's fields are built in these three buffers
+        w, c, re = np.empty_like(u), np.empty_like(u), np.empty(u.shape)
         for rows, rec in zip(self.rows, members):
-            w = rec.u - u
-            defect = rec.potential - Pu - np.real(fu * np.conj(w))
-            dfw = spec.dforce(u, w, phase=ref.state.phase, curv=curv)
-            rows.append((
-                full_gradient_norm_sq(rec.uh - uh, grid),
-                l2_norm_sq(w, grid),
-                grid.cell_volume * float(np.sum(defect)),
-                -l2_inner(rec.force - fu - dfw, dtu, grid),
-            ))
+            np.subtract(rec.u, u, out=w)
+            gw = full_gradient_norm_sq(np.subtract(rec.uh, uh, out=c), grid)
+            # F(|u+w|^2/2) - F(|u|^2/2) - Re(f(u) conj(w))
+            defect = np.subtract(rec.potential, Pu, out=re)
+            defect -= np.multiply(fu, np.conj(w, out=c), out=c).real
+            row = (gw, l2_norm_sq(w, grid), grid.cell_volume * float(np.sum(defect)))
+            dfw = spec.dforce(u, w, ref.state.phase, curv, out=w, scratch=(c, re))
+            drift = np.subtract(rec.force, fu, out=c)
+            drift -= dfw
+            rows.append(row + (-l2_inner(drift, dtu, grid),))
 
     def result(self) -> NlsGronwall:
         return self

@@ -8,7 +8,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from supercrit import assumption_lab
+from supercrit import assumption_lab, field_core
 from supercrit.assumption_lab import (
     DEFAULT_SEED,
     UnboundedEstimateError,
@@ -219,7 +219,7 @@ def test_blocked_sweep_reports_earliest_of_tied_maxima():
     # row side - 2 and random sample block + 7 (later blocks)
     side = 2000
     ug, wg = np.arange(side, dtype=float), np.linspace(1.0, 2.0, side)
-    block = assumption_lab._BLOCK
+    block = field_core._BLOCK
     ur, wr = np.arange(3 * block, dtype=float), np.ones(3 * block)
     hits = {(3.0, wg[5]), (side - 2.0, wg[9]), (block + 7.0, 1.0)}
 
@@ -315,7 +315,7 @@ def _block_size_runs():
 def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
     runs = _block_size_runs()
     expected = {name: [asdict(r) for r in run()] for name, run in runs.items()}
-    monkeypatch.setattr(assumption_lab, "_BLOCK", block)
+    monkeypatch.setattr(field_core, "_BLOCK", block)
     assert {name: [asdict(r) for r in run()] for name, run in runs.items()} == expected
     # every broken spec is caught, so its violation list is compared
     assert all(expected[name][0]["violations"] for name in ("H1", "H2", "H21", "coercive",
@@ -323,11 +323,11 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
 
 
 def test_streamed_random_pairs_equal_one_bulk_draw():
-    n = 3 * assumption_lab._BLOCK + 5
+    n = 3 * field_core._BLOCK + 5
     side = max(8, int(np.sqrt(n)))
     blocks = list(assumption_lab._pairs(2.0, 16.0, n, 7))
     grid, randoms = blocks[:-4], blocks[-4:]
-    assert [len(u) for u, _ in randoms] == [assumption_lab._BLOCK] * 3 + [5]
+    assert [len(u) for u, _ in randoms] == [field_core._BLOCK] * 3 + [5]
     assert sum(len(u) for u, _ in grid) == side
     rng = np.random.default_rng(7)
     ur, wr = rng.uniform(-2.0, 2.0, n), rng.uniform(-16.0, 16.0, n)
@@ -382,6 +382,14 @@ def _peak_bytes(run):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["nls_cubic", "nls_coercive_exp"])
+def test_cancellation_check_holds_one_block_at_a_time(name):
+    # drawing each block beside the last block's arrays, with a new array per
+    # polar factor, it peaked at 3.02 MiB
+    spec = from_selection(name)
+    assert _peak_bytes(lambda: verify_nls_cancellation(spec)) < 2.5 * 2 ** 20
 
 
 def test_wave_classify_peak_stays_below_3_mib():

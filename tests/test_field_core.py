@@ -12,6 +12,7 @@ from supercrit.field_core import (
     WaveState,
     boundary_leakage,
     bump_field,
+    full_gradient_norm_sq,
     gradient_norm_sq,
     half_gradient_norm_sq,
     half_l2_norm_sq,
@@ -187,3 +188,89 @@ def test_leakage_of_zero_field():
     grid = GridSpec(1, 32, 8.0)
     assert boundary_leakage(np.zeros(grid.shape), grid, 1.0) == 0.0
 
+
+
+def _plane_weights(grid):
+    """A half spectrum's last-axis plane weights: 1 for the zero and Nyquist planes, else 2."""
+    w = np.full(grid.N // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    return w
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_reductions_equal_their_np_sum_formulas(d, complex_valued):
+    # the einsum passes sum in another order than np.sum, so they agree to
+    # rounding, not bitwise
+    grid = GridSpec(d, 16, 8.0)
+    rng = np.random.default_rng(d)
+
+    def field():
+        u = rng.normal(size=grid.shape)
+        return u + 1j * rng.normal(size=grid.shape) if complex_valued else u
+
+    a, b = field(), field()
+    h, n = grid.cell_volume, grid.N ** grid.d
+    assert l2_norm_sq(a, grid) == pytest.approx(h * np.sum(np.abs(a) ** 2), rel=1e-13)
+    assert l2_inner(a, b, grid) == pytest.approx(h * np.sum(np.real(a * np.conj(b))),
+                                                 rel=1e-13)
+    # a real field against a complex one pairs with the complex one's real part
+    assert l2_inner(a.real, b, grid) == pytest.approx(h * np.sum(a.real * b.real), rel=1e-13)
+    uh = np.fft.fftn(a)
+    assert full_gradient_norm_sq(uh, grid) == pytest.approx(
+        h / n * np.sum(grid.wavenumber_sq() * np.abs(uh) ** 2), rel=1e-13)
+    if not complex_valued:
+        half = np.fft.rfftn(a)
+        sq = _plane_weights(grid) * np.abs(half) ** 2
+        assert half_l2_norm_sq(half, grid) == pytest.approx(h / n * np.sum(sq), rel=1e-13)
+        assert half_gradient_norm_sq(half, grid) == pytest.approx(
+            h / n * np.sum(grid.half_wavenumber_sq() * sq), rel=1e-13)
+
+
+def test_reductions_read_non_contiguous_fields():
+    grid = GridSpec(2, 16, 8.0)
+    rng = np.random.default_rng(7)
+    big = rng.normal(size=(32, 16, 3)) + 1j * rng.normal(size=(32, 16, 3))
+    a, b = big[::2, :, 0], big[1::2, :, 2]
+    assert not a.flags.c_contiguous
+    h = grid.cell_volume
+    assert l2_norm_sq(a, grid) == pytest.approx(h * np.sum(np.abs(a) ** 2), rel=1e-13)
+    assert l2_inner(a, b, grid) == pytest.approx(h * np.sum(np.real(a * np.conj(b))),
+                                                 rel=1e-13)
+    half = np.fft.rfftn(big[:, :, 1].real)[::2]
+    assert not half.flags.c_contiguous
+    assert half_l2_norm_sq(half, grid) == pytest.approx(
+        h / 16 ** 2 * np.sum(_plane_weights(grid) * np.abs(half) ** 2), rel=1e-13)
+
+
+def _mask_leakage(field, grid, margin):
+    """The boolean-mask formula of the boundary leakage, the oracle of its slab sums."""
+    x = grid.axis()
+    edge = np.minimum(x, grid.L - x) < margin
+    mask = np.zeros(grid.shape, dtype=bool)
+    for i in range(grid.d):
+        mask |= edge.reshape((1,) * i + (grid.N,) + (1,) * (grid.d - 1 - i))
+    total = np.sum(np.abs(field) ** 2)
+    return 0.0 if total == 0.0 else float(np.sum(np.abs(field[mask]) ** 2) / total)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_slab_leakage_equals_the_mask_formula(d, complex_valued):
+    grid = GridSpec(d, 32, 10.0)
+    margin = grid.L / 8.0
+    # the edge set is x < 1.25 (4 points) and x > 8.75 (3 points)
+    x = grid.axis()
+    assert (x < margin).sum() == 4 and (grid.L - x < margin).sum() == 3
+    rng = np.random.default_rng(d)
+    u = rng.normal(size=grid.shape)
+    if complex_valued:
+        u = u + 1j * rng.normal(size=grid.shape)
+    assert boundary_leakage(u, grid, margin) == pytest.approx(_mask_leakage(u, grid, margin),
+                                                              rel=1e-14)
+    # a bump across the shell's inner edge, and one clear of the shell
+    edge = bump_field(grid, 1.0, 1.0, center=0.5)
+    assert boundary_leakage(edge, grid, margin) == pytest.approx(
+        _mask_leakage(edge, grid, margin), rel=1e-14)
+    assert boundary_leakage(bump_field(grid, 1.0, 1.0), grid, margin) == 0.0
+    assert boundary_leakage(np.zeros(grid.shape, u.dtype), grid, margin) == 0.0

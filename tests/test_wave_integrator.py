@@ -5,9 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from supercrit import field_core
 from supercrit.field_core import GridSpec, WaveState, bump_field
 from supercrit.nonlinearity import AssumptionClass, NonlinearitySpec, from_selection
-from supercrit.stepping import BlowUpError, DiagnosticTrace, RunSchedule, integrate, run_single
+from supercrit.stepping import (
+    BlowUpError,
+    DiagnosticTrace,
+    Record,
+    RunSchedule,
+    integrate,
+    run_single,
+)
 from supercrit.wave_integrator import (
     Verlet,
     WeakIdentity,
@@ -246,6 +254,44 @@ def test_wave_run_holds_one_state_per_member():
     finally:
         tracemalloc.stop()
     assert (peak - entry) / grid.N ** grid.d <= 80.0
+
+
+def test_wave_record_allocates_at_most_one_field_and_a_third():
+    # a record's one field is its potential density: the Parseval sums, the
+    # leakage and the sup norm allocate none. With a new array per square, a
+    # gathered shell and |u| it measured 2.05 fields
+    grid = GridSpec(3, 32, 8.0)
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"),
+                      0.25 * grid.h / np.sqrt(3), 0.5)
+    stepper, state = member(cfg, bump_field(grid, 0.5, 1.5))
+
+    def record():
+        rec = Record(stepper, state)
+        rec.energy
+        DiagnosticTrace(grid=grid).observe([rec])
+
+    record()  # warm the cached energy multipliers
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        record()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / (8 * grid.N ** grid.d) <= 1.3
+
+
+def test_residual_does_not_depend_on_the_block_size(monkeypatch):
+    # 4096 points: blocks of 1000 leave a last block of 96
+    grid = GridSpec(3, 16, 8.0)
+    u0 = bump_field(grid, 0.7, 2.5) * np.random.default_rng(2).uniform(-1, 1, grid.shape)
+    spec = from_selection("defocusing_exp:m=1")
+    cfg = RunSchedule(grid, spec, 0.05, 0.5)
+    monkeypatch.setattr(field_core, "_BLOCK", 1000)
+    stepper, state = member(cfg, u0)
+    assert stepper.mass == 2.0
+    expected = np.fft.rfftn(spec.f(u0) - stepper.mass * u0)
+    assert np.array_equal(state.rh.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

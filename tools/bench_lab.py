@@ -1,5 +1,5 @@
-"""Layer and end-to-end timings of the assumption lab and the wave stepper, for one
-or two source trees.
+"""Layer and end-to-end timings of the assumption lab, the wave stepper and the wave
+and NLS diagnostics records, for one or two source trees.
 
 Run from the repository root:
 
@@ -46,6 +46,12 @@ Rows:
   sums of the half spectra), the boundary leakage and the sup norm; each call
   observes a new record of the same state, and mpoints, as for the step, also
   counts the set-up's f;
+* ``layer.record.nls``             one record of a weak-strong run of the
+  ``nls-ladder`` workload (nls_coercive_exp at d = 2, N = 128): the energies
+  of the reference and its three ladder members, built at t = 0 as
+  ``gronwall_ladder`` builds them, and one ``NlsGronwall`` observation of
+  them; as for the wave record, each call observes new records of the same
+  states, and mpoints also counts the members' set-up;
 * ``e2e.check-assumptions.d<d>``   the CLI run of the ``assume`` workload of
   ``bench/workloads.py`` (check-assumptions, oscillating_sin:q=2) with
   ``d = <d>`` appended, for d = 1, 2, 3, config file to published directory;
@@ -178,6 +184,35 @@ def _wave_record(make_member, stepping):
     return run
 
 
+def _nls_members(config, runner, nls_integrator, field_core, spec):
+    """The reference and ladder members of the nls-ladder workload's config with
+    spec, built as gronwall_ladder builds them."""
+    cfg = config.parse_config(WORKLOADS["nls-ladder"].config_text(0), "weak-strong")
+    base = runner._base_config(cfg, spec)
+    u0 = runner._bump(cfg, base.grid)
+    pert = field_core.bump_field(base.grid, 1.0, 0.8 * cfg.radius)
+    return [nls_integrator.member(base, u0)] + [
+        nls_integrator.member(base, u0 + eps * pert) for eps in config.DEFAULT_LADDER]
+
+
+def _nls_record(make_members, stepping, weak_strong):
+    """run(spec): the energies and one NlsGronwall observation of the nls-ladder
+    workload's members at t = 0.
+
+    Each spec gets its members at its first call, and each call observes new
+    Records of their states, so a measured call is one record."""
+    members = {}
+
+    def run(spec):
+        if spec not in members:
+            members[spec] = make_members(spec)
+        records = [stepping.Record(stepper, state) for stepper, state in members[spec]]
+        for rec in records:
+            rec.energy
+        weak_strong.NlsGronwall(spec, records[0].stepper.grid).observe(records)
+    return run
+
+
 def _cli_run(cli, kind, text):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "bench.cfg")
@@ -192,8 +227,8 @@ def _cli_run(cli, kind, text):
 def worker(src: str) -> dict:
     sys.path.insert(0, os.path.abspath(src))
     import numpy as np
-    from supercrit import (assumption_lab, cli, config, nonlinearity, runner, stepping,
-                           wave_integrator)
+    from supercrit import (assumption_lab, cli, config, field_core, nls_integrator,
+                           nonlinearity, runner, stepping, wave_integrator, weak_strong)
 
     rows = {}
     u = np.random.default_rng(0).uniform(-2.0, 2.0, LAYER_POINTS)
@@ -220,6 +255,14 @@ def worker(src: str) -> dict:
 
     rows["layer.step.wave"] = _measure(_wave_stepper(make_member), lambda: wave)
     rows["layer.record.wave"] = _measure(_wave_record(make_member, stepping), lambda: wave)
+    ladder_spec = nonlinearity.from_selection(
+        config.parse_config(WORKLOADS["nls-ladder"].config_text(0), "weak-strong").nonlinearity)
+
+    def make_members(spec):
+        return _nls_members(config, runner, nls_integrator, field_core, spec)
+
+    rows["layer.record.nls"] = _measure(_nls_record(make_members, stepping, weak_strong),
+                                        lambda: ladder_spec)
 
     # the CLI builds its spec from the config; route that through the given spec
     real = config.from_selection
