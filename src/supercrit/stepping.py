@@ -3,12 +3,20 @@
 ``integrate(members, schedule, observers)`` advances one or more
 ``(stepper, state)`` members in lockstep on the grid, dt, T and record stride
 of ``schedule``; each stepper carries its own nonlinearity. It records the
-initial states, every ``schedule.stride()``-th step and the last one. At a
-record it wraps the states in ``Record``s (in member order), evaluates each
-member's energies, and calls ``observer.observe(records)`` on every
-observer; at the end it returns the final records and each
-``observer.result()``. It keeps nothing else, so no run stores a trajectory:
-an observer keeps the per-record numbers it needs, not the records.
+initial states, every ``schedule.stride()``-th step and the last one. A
+record streams the members through the observers, one member at a time. It
+wraps member 0's state in a ``Record``, evaluates its energies and calls
+``observer.observe(ref)`` on every observer; an observer returns None, or a
+reader that takes each later member's ``Record``. Then each later member in
+turn gets its ``Record``, its energies, and every reader's call, and its
+``Record`` is dropped before the next member's is built. So a record holds
+the derived fields of member 0 and of at most one other member. A potential
+that overflows raises AmplitudeError when that member's energies are
+evaluated, before any observer evaluates the force on its record (the
+observers may have read the members before it). At the end
+``integrate`` returns the final records and each ``observer.result()``. It
+keeps nothing else, so no run stores a trajectory: an observer keeps the
+per-record numbers it needs, not the records.
 
 A ``Record`` holds a member's ``stepper``, ``state``, ``t`` and ``u``, and
 computes each derived field once, on first use, by calling the stepper
@@ -29,8 +37,9 @@ raises BlowUpError with the last record time.
 
 A stepper may overwrite the arrays of the state it is given (the wave
 stepper does), and ``integrate`` never reads a state after stepping it. So
-an observer must copy, not keep, any array of a record it needs after its
-``observe`` call returns: the next step may overwrite it.
+an observer must copy, not keep, any array of a record it needs after the
+record: the next step may overwrite it. Its reader may keep member 0's
+``Record`` until the record ends, and must not keep a later member's.
 
 A ``RunSchedule`` holds a run's grid, nonlinearity, the dt asked for, T and
 record stride, the same for both equations. The step count is
@@ -120,8 +129,7 @@ class DiagnosticTrace:
             lines.append(",".join(format(v, ".17g") for v in row))
         return "\n".join(lines) + "\n"
 
-    def observe(self, records):
-        r = records[0]
+    def observe(self, r):
         self.columns = ("t", *r.stepper.columns, "leakage", "sup_norm")
         # a real field's sup norm as max(max u, -min u) makes no |u| field
         sup = np.max(np.abs(r.u)) if np.iscomplexobj(r.u) else np.maximum(r.u.max(), -r.u.min())
@@ -172,14 +180,17 @@ def integrate(members, schedule, observers=()):
     n, stride = schedule.steps(), schedule.stride()
 
     def record() -> float:
-        records = [Record(stepper, s) for stepper, s in zip(steppers, states)]
-        for r in records:
-            # a potential that overflows raises AmplitudeError here, before
-            # any observer evaluates the force on the record
-            r.energy
-        for obs in observers:
-            obs.observe(records)
-        return records[0].t
+        ref = Record(steppers[0], states[0])
+        ref.energy  # raises AmplitudeError before an observer reads the record
+        readers = [read for obs in observers if (read := obs.observe(ref)) is not None]
+        for stepper, state in zip(steppers[1:], states[1:]):
+            rec = Record(stepper, state)
+            rec.energy
+            for read in readers:
+                read(rec)
+            # dropped before the next member's record is built
+            del rec
+        return ref.t
 
     t_last = record()
     for i in range(1, n + 1):

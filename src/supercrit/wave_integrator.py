@@ -57,7 +57,6 @@ from .field_core import (
     WaveState,
     _potential_density,
     _potential_integral,
-    gradient_norm_sq,
     half_gradient_norm_sq,
     half_l2_norm_sq,
     l2_inner,
@@ -212,7 +211,8 @@ class Verlet:
     """The velocity-leapfrog stepper, kept only as the tests' oracle for the impulse one.
 
     Its member for stepping.integrate is (Verlet(cfg), the initial WaveState).
-    Its records give the energies and u_t, what the diagnostics trace reads.
+    Its records give the energies, u_t, f(u) and the rfftn half spectrum, what
+    the diagnostics trace and the weak identity read.
     """
 
     columns = WAVE_COLUMNS
@@ -229,6 +229,12 @@ class Verlet:
 
     def velocity(self, rec) -> np.ndarray:
         return rec.state.ut
+
+    def spectrum(self, rec) -> np.ndarray:
+        return np.fft.rfftn(rec.u)
+
+    def force(self, rec) -> np.ndarray:
+        return self.cfg.spec.f(rec.u)
 
 
 def member(cfg: RunSchedule, u0: np.ndarray, u1: np.ndarray | None = None):
@@ -251,8 +257,10 @@ class WeakIdentity:
 
     The space-time integral of |grad u|^2 - |u_t|^2 + u f(u) must equal
     B(0) - B(T) with B(t) = integral of u_t u, since d/dt B = |u_t|^2 -
-    |grad u|^2 - u f(u). The time quadrature needs WEAK_IDENTITY_RECORDS
-    records.
+    |grad u|^2 - u f(u). |grad u|^2 comes from the record's rfftn half
+    spectrum by Parseval, so a record of the impulse stepper makes one
+    transform, the inverse one of u_t. The time quadrature needs
+    WEAK_IDENTITY_RECORDS records.
     """
 
     def __init__(self, grid: GridSpec):
@@ -260,10 +268,10 @@ class WeakIdentity:
         self.times, self.integrand = [], []
         self.b0 = self.bT = None
 
-    def observe(self, records):
-        r, grid = records[0], self.grid
+    def observe(self, r):
+        grid = self.grid
         self.times.append(r.t)
-        self.integrand.append(gradient_norm_sq(r.u, grid) - l2_norm_sq(r.ut, grid)
+        self.integrand.append(half_gradient_norm_sq(r.uh, grid) - l2_norm_sq(r.ut, grid)
                               + l2_inner(r.u, r.force, grid))
         self.bT = l2_inner(r.ut, r.u, grid)
         if self.b0 is None:

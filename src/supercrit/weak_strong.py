@@ -6,7 +6,10 @@ these proxies; no genuinely non-smooth weak solution is constructed.
 
 Every functional is an observer of a lockstep run (``stepping.integrate``):
 the reference is member 0, the proxies are the other members, and each
-observer keeps per-record numbers only.
+observer keeps per-record numbers only. At a record an observer takes the
+reference's ``Record`` first and does the work that depends on it alone
+once; its reader then takes each proxy's ``Record`` in turn, so the derived
+fields of the reference and of one proxy are alive at a time.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ __all__ = [
 ]
 
 G_FLOOR = 1e-14
-# samples the probe reweights per pass, so a pass's temporaries stay small
-_GATHER_CHUNK = 4096
+# cells the probe draws from per block, so a block's temporaries stay small
+_DRAW_BLOCK = 1 << 14
 # the convexity shift is estimated on |u| <= max(visited sup norm, this floor),
 # so a run that stays near zero still samples a box of useful width
 SHIFT_R_FLOOR = 0.1
@@ -102,37 +105,39 @@ class GronwallTrace:
 class WaveGronwall:
     """Observer: G = ||Dw||^2 and the expansion E(v) = E(u) + I + J per member.
 
-    Keeps per record the scalars of each member v against member 0 (w = v - u)
-    and the stepper energies; result() is one GronwallTrace per member. I is
-    anchored at E(v,0) - E(u,0) - J(0), which carries the initial cross term
-    of perturbed data, so ``expansion_residual`` measures only the evolution
-    error (order >= 2 under refinement).
+    Keeps per record the reference's time and energy, and the scalars of each
+    member v against it (w = v - u) with v's energy, one row per member; the
+    reference's f'(u) is evaluated once per record. result() is one
+    GronwallTrace per member. I is anchored at E(v,0) - E(u,0) - J(0), which
+    carries the initial cross term of perturbed data, so
+    ``expansion_residual`` measures only the evolution error (order >= 2
+    under refinement).
     """
 
     def __init__(self, spec, grid):
         self.spec, self.grid = spec, grid
-        self.times, self.Eu, self.rows = [], [], None
+        self.times, self.Eu, self.rows = [], [], []
 
-    def observe(self, records):
-        spec, grid = self.spec, self.grid
-        ref, members = records[0], records[1:]
-        if self.rows is None:
-            self.rows = [[] for _ in members]
+    def observe(self, ref):
+        grid = self.grid
         u, ut = ref.u, ref.ut
-        fu, Fu, fpu = ref.force, ref.potential, spec.fprime(u)
+        fu, Fu, fpu = ref.force, ref.potential, self.spec.fprime(u)
         self.times.append(ref.t)
         self.Eu.append(ref.energy[0])
-        for rows, rec in zip(self.rows, members):
+        self.rows.append(rows := [])
+
+        def read(rec):
             w, wt = rec.u - u, rec.ut - ut
             dw_sq = l2_norm_sq(wt, grid) + gradient_norm_sq(w, grid)
             J = 0.5 * dw_sq + grid.cell_volume * float(np.sum(rec.potential - Fu - fu * w))
             I_rate = l2_inner(fu + fpu * w - rec.force, ut, grid)
             rows.append((dw_sq, l2_norm_sq(w, grid), J, I_rate, rec.energy[0]))
+        return read
 
     def result(self) -> list:
         times, Eu = np.array(self.times), np.array(self.Eu)
         traces = []
-        for rows in self.rows:
+        for rows in zip(*self.rows):
             G, w_l2, J, I_rate, Ev = (np.array(c) for c in zip(*rows))
             I0 = Ev[0] - Eu[0] - J[0]
             I = I0 + _cumtrapz(I_rate, times)
@@ -154,37 +159,42 @@ class NlsGronwall:
     ||grad w||^2 comes from w_hat = v_hat - u_hat by Parseval, and the
     derivative of f at u from the reference's phase Fs'(|u|^2/2), so a record
     evaluates Fs'' once for all members and makes one transform (the
-    reference's u_t). Each member's w, spectrum difference, defect, Df(u)w
-    and drift residual are built in two complex buffers and one real one,
-    made once per record.
+    reference's u_t). Each member's w, spectrum difference, defect, Df(u)w,
+    force f(v) = v Fs'(|v|^2/2) and drift residual are built in two complex
+    buffers and one real one, made after the member's energies; its record
+    caches only the spectrum and potential density its energies read.
+    ``rows`` holds per record one row per member.
     """
 
     def __init__(self, spec, grid):
         self.spec, self.grid = spec, grid
-        self.times, self.rows, self.sup_norm = [], None, 0.0
+        self.times, self.rows, self.sup_norm = [], [], 0.0
 
-    def observe(self, records):
+    def observe(self, ref):
         spec, grid = self.spec, self.grid
-        ref, members = records[0], records[1:]
-        if self.rows is None:
-            self.rows = [[] for _ in members]
         u, uh, fu, Pu, dtu = ref.u, ref.uh, ref.force, ref.potential, ref.ut
+        phase = ref.state.phase
         curv = spec.Fsprime2(0.5 * np.abs(u) ** 2)
         self.times.append(ref.t)
-        self.sup_norm = max(self.sup_norm, *(float(np.max(np.abs(r.u))) for r in records))
-        # every member's fields are built in these three buffers
-        w, c, re = np.empty_like(u), np.empty_like(u), np.empty(u.shape)
-        for rows, rec in zip(self.rows, members):
+        self.sup_norm = max(self.sup_norm, float(np.max(np.abs(u))))
+        self.rows.append(rows := [])
+
+        def read(rec):
+            self.sup_norm = max(self.sup_norm, float(np.max(np.abs(rec.u))))
+            # the member's fields are built in these three buffers
+            w, c, re = np.empty_like(u), np.empty_like(u), np.empty(u.shape)
             np.subtract(rec.u, u, out=w)
             gw = full_gradient_norm_sq(np.subtract(rec.uh, uh, out=c), grid)
             # F(|u+w|^2/2) - F(|u|^2/2) - Re(f(u) conj(w))
             defect = np.subtract(rec.potential, Pu, out=re)
             defect -= np.multiply(fu, np.conj(w, out=c), out=c).real
             row = (gw, l2_norm_sq(w, grid), grid.cell_volume * float(np.sum(defect)))
-            dfw = spec.dforce(u, w, ref.state.phase, curv, out=w, scratch=(c, re))
-            drift = np.subtract(rec.force, fu, out=c)
+            dfw = spec.dforce(u, w, phase, curv, out=w, scratch=(c, re))
+            drift = np.multiply(rec.u, rec.state.phase, out=c)  # f(v), as force(rec) makes it
+            drift -= fu
             drift -= dfw
             rows.append(row + (-l2_inner(drift, dtu, grid),))
+        return read
 
     def result(self) -> NlsGronwall:
         return self
@@ -192,7 +202,7 @@ class NlsGronwall:
     def traces(self, A: float) -> list:
         times = np.array(self.times)
         traces = []
-        for rows in self.rows:
+        for rows in zip(*self.rows):
             gw, wl2, defect, I_rate = (np.array(c) for c in zip(*rows))
             G = gw + (A + 1.0) * wl2
             J = 0.5 * gw + defect
@@ -274,31 +284,34 @@ def _nonincreasing(values, slack: float = 0.10) -> bool:
 
 
 class _LadderDiscrepancy:
-    """Observer: each of ``levels`` truncated members against the untruncated member 0."""
+    """Observer: each truncated member against the untruncated member 0.
 
-    def __init__(self, levels: int, grid):
+    Keeps per record one row per member: ||v - u||, the integral of
+    |f_k(v) - f(u)| and v's energy.
+    """
+
+    def __init__(self, grid):
         self.grid = grid
-        self.times = []
-        self.sup_l2 = [0.0] * levels
-        self.force_rate = [[] for _ in range(levels)]
-        self.energy = [[] for _ in range(levels)]
+        self.times, self.rows = [], []
 
-    def observe(self, records):
-        grid, ref = self.grid, records[0]
+    def observe(self, ref):
+        grid = self.grid
         self.times.append(ref.t)
-        for k, rec in enumerate(records[1:]):
-            self.sup_l2[k] = max(self.sup_l2[k], np.sqrt(l2_norm_sq(rec.u - ref.u, grid)))
-            self.force_rate[k].append(
-                grid.cell_volume * float(np.sum(np.abs(rec.force - ref.force)))
-            )
-            self.energy[k].append(rec.energy[0])
+        self.rows.append(rows := [])
+
+        def read(rec):
+            rows.append((np.sqrt(l2_norm_sq(rec.u - ref.u, grid)),
+                         grid.cell_volume * float(np.sum(np.abs(rec.force - ref.force))),
+                         rec.energy[0]))
+        return read
 
     def result(self):
-        l2_disc = [float(s) for s in self.sup_l2]
-        force_disc = [float(np.trapezoid(np.array(rate), np.array(self.times)))
-                      for rate in self.force_rate]
-        drifts = [float(np.max(E - E[0]) / max(abs(E[0]), 1e-30))
-                  for E in map(np.array, self.energy)]
+        times = np.array(self.times)
+        # each (members, records)
+        l2, force_rate, energy = np.array(self.rows).T
+        l2_disc = [float(np.max(s)) for s in l2]
+        force_disc = [float(np.trapezoid(rate, times)) for rate in force_rate]
+        drifts = [float(np.max(E - E[0]) / max(abs(E[0]), 1e-30)) for E in energy]
         return l2_disc, force_disc, drifts
 
 
@@ -316,7 +329,7 @@ def appendix_construction(base: RunSchedule, u0: np.ndarray, ladder):
         raise ValueError("need at least 3 ladder levels")
     specs = [base.spec] + [truncate(base.spec, find_truncation_abscissae(base.spec, k))
                            for k in ladder]
-    observers = [_LadderDiscrepancy(len(ladder), base.grid),
+    observers = [_LadderDiscrepancy(base.grid),
                  ForceSamples(base.spec, base.grid)]
     # the members are built in the call, so each initial state goes at its first step
     _, ((l2_disc, force_disc, drifts), samples) = integrate(
@@ -347,9 +360,9 @@ class ForceSamples:
         self.spec, self.grid = spec, grid
         self.times, self.absf = [], []
 
-    def observe(self, records):
-        self.times.append(records[0].t)
-        self.absf.append(np.abs(records[0].force).ravel())
+    def observe(self, ref):
+        self.times.append(ref.t)
+        self.absf.append(np.abs(ref.force).ravel())
 
     def result(self) -> ForceSamples:
         self.absf = np.array(self.absf)
@@ -360,22 +373,29 @@ def _cell_union(rng, absf: np.ndarray, cell_w: np.ndarray, cell_volume: float, c
     """Measure and force integral of ``count`` distinct cells drawn by rng.
 
     A cell is one entry of the (records, points) array absf, weighted by its
-    record's trapezoid time width times the cell volume. Besides rng's index
-    draw, this holds one index array and one gathered array of ``count``
-    entries at a time.
+    record's trapezoid time width times the cell volume. The flat cells are
+    cut into blocks of _DRAW_BLOCK. One multivariate hypergeometric draw gives
+    how many of the count cells each block holds, so the union is uniform
+    over all sets of count cells, and then each block's cells are drawn
+    without replacement. So the draw holds one block's indices and values
+    at a time, besides one count per block.
     """
-    idx = rng.choice(absf.size, size=count, replace=False)
-    values = absf.reshape(-1)[idx]
-    idx //= absf.shape[1]  # each sample's record
-    for lo in range(0, count, _GATHER_CHUNK):
-        part = slice(lo, lo + _GATHER_CHUNK)
-        values[part] *= cell_w[idx[part]]
-    values *= cell_volume
-    integral = float(np.sum(values))
-    del values
-    weights = cell_w[idx]
-    weights *= cell_volume
-    return float(np.sum(weights)), integral
+    flat = absf.reshape(-1)
+    starts = range(0, flat.size, _DRAW_BLOCK)
+    sizes = [min(_DRAW_BLOCK, flat.size - a) for a in starts]
+    counts = rng.multivariate_hypergeometric(sizes, count, method="marginals")
+    measure = integral = 0.0
+    for a, size, k in zip(starts, sizes, counts):
+        if k:
+            idx = rng.choice(size, k, replace=False, shuffle=False)
+            idx += a
+            values = flat[idx]
+            idx //= absf.shape[1]  # each cell's record
+            weights = cell_w[idx]
+            measure += float(np.sum(weights))
+            values *= weights
+            integral += float(np.sum(values))
+    return cell_volume * measure, cell_volume * integral
 
 
 def uniform_integrability_probe(samples: ForceSamples, trials: int = 1000, seed: int = 0):

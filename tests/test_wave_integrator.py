@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from supercrit import field_core
+from supercrit.config import parse_config
 from supercrit.field_core import GridSpec, WaveState, bump_field
 from supercrit.nonlinearity import AssumptionClass, NonlinearitySpec, from_selection
+from supercrit.runner import run_experiment
 from supercrit.stepping import (
     BlowUpError,
     DiagnosticTrace,
@@ -127,8 +129,8 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
     assert len(calls) == 3 + (1 + grid.d) * cfg.steps()
 
     class ReadsVelocity:
-        def observe(self, records):
-            records[0].ut
+        def observe(self, ref):
+            ref.ut
 
         def result(self):
             return None
@@ -208,6 +210,23 @@ def test_weak_identity_residual_small_and_needs_snapshots():
         weak_identity(make_config(T=0.05))
 
 
+def test_weak_identity_records_make_no_complex_transform(monkeypatch, tmp_path):
+    # |grad u|^2 comes from the record's half spectrum; a full fftn of u per
+    # record made 129 of a default identity-check's transforms
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(1) or fftn(*a, **k))
+    cfg = parse_config("nonlinearity = defocusing_exp:m=1\n", "identity-check")
+    assert run_experiment(cfg, str(tmp_path)).outcome == "ok"
+    assert calls == []
+    # the Verlet oracle's records take the same half-spectrum path; its
+    # leapfrog error leaves a larger residual than the impulse stepper's
+    cfg, u0 = make_config(N=256, T=1.0, diagnostics_stride=1)
+    start = WaveState(cfg.grid, u0, np.zeros_like(u0), 0.0)
+    _, (residual,) = integrate([(Verlet(cfg), start)], cfg, [WeakIdentity(cfg.grid)])
+    assert residual < 1e-2
+
+
 def test_run_ends_at_T_with_dt_at_most_the_one_asked_for():
     asked = 0.25 * 8.0 / 128
     # T / dt = 44.34: 44 steps of the asked dt would stop at t = 0.6875
@@ -268,7 +287,7 @@ def test_wave_record_allocates_at_most_one_field_and_a_third():
     def record():
         rec = Record(stepper, state)
         rec.energy
-        DiagnosticTrace(grid=grid).observe([rec])
+        DiagnosticTrace(grid=grid).observe(rec)
 
     record()  # warm the cached energy multipliers
     tracemalloc.start()

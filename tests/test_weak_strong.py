@@ -118,15 +118,14 @@ class _AllocatingNlsGronwall(NlsGronwall):
     """NlsGronwall's rows with a new array per operation and np.sum's sums: the
     oracle of its buffered observe."""
 
-    def observe(self, records):
+    def observe(self, ref):
         spec, grid = self.spec, self.grid
-        ref, members = records[0], records[1:]
         u, uh, fu, Pu, dtu = ref.u, ref.uh, ref.force, ref.potential, ref.ut
         curv = spec.Fsprime2(0.5 * np.abs(u) ** 2)
         h, n = grid.cell_volume, grid.N ** grid.d
-        if self.rows is None:
-            self.rows = [[] for _ in members]
-        for rows, rec in zip(self.rows, members):
+        self.rows.append(rows := [])
+
+        def read(rec):
             w = rec.u - u
             defect = rec.potential - Pu - np.real(fu * np.conj(w))
             dfw = ref.state.phase * w + curv * np.real(u * np.conj(w)) * u
@@ -137,6 +136,7 @@ class _AllocatingNlsGronwall(NlsGronwall):
                 h * float(np.sum(defect)),
                 -h * float(np.sum(np.real(drift * np.conj(dtu)))),
             ))
+        return read
 
 
 @pytest.mark.parametrize("name", ["nls_cubic", "nls_coercive_exp"])
@@ -150,8 +150,8 @@ def test_nls_gronwall_buffers_give_the_allocating_rows(name):
                                        for eps in (1e-1, 1e-2, 1e-3)]
     observers = [NlsGronwall(spec, grid), _AllocatingNlsGronwall(spec, grid)]
     _, (ours, ref) = integrate(members, cfg, observers)
-    assert len(ours.rows[0]) == cfg.records()
-    for rows, expected in zip(ours.rows, ref.rows):
+    assert len(ours.rows) == cfg.records() and len(ours.rows[0]) == 3
+    for rows, expected in zip(zip(*ours.rows), zip(*ref.rows)):
         got, want = np.array(rows), np.array(expected)
         # the defect integral is summed as before, bit for bit
         assert np.array_equal(got[:, 2], want[:, 2])
@@ -186,18 +186,28 @@ def test_no_member_state_outlives_the_run_into_the_shift(monkeypatch):
     assert len(traces) == 3
 
 
-def _alive_at_second_record(monkeypatch, observer, pick):
-    """Spy on observer's records: which of the weakrefs pick(first records)
-    gives are alive at the second."""
-    refs, alive = [], []
+def _alive_at_second_record(monkeypatch, observer, extra=list):
+    """Spy on observer's records: which of the states of the first record's
+    members, and of the weakrefs extra() gives then, are alive at the second."""
+    refs, alive, seen = [], [], []
     observe = observer.observe
 
-    def spied(self, records):
-        if not refs:
-            refs.extend(pick(records))
-        elif not alive:
-            alive.extend(ref() is not None for ref in refs)
-        return observe(self, records)
+    def spied(self, ref):
+        seen.append(ref.t)
+        if len(seen) == 2:
+            alive.extend(r() is not None for r in refs)
+        read = observe(self, ref)
+        if len(seen) > 1:
+            return read
+        refs.extend(extra())
+        refs.append(weakref.ref(ref.state))
+        if read is None:
+            return None
+
+        def spied_read(rec):
+            refs.append(weakref.ref(rec.state))
+            return read(rec)
+        return spied_read
 
     monkeypatch.setattr(observer, "observe", spied)
     return alive
@@ -220,8 +230,7 @@ def _nls_base():
 @pytest.mark.parametrize("member, base", [(wave_member, _wave_base), (nls_member, _nls_base)],
                          ids=["wave", "nls"])
 def test_single_run_releases_its_initial_state(monkeypatch, member, base):
-    alive = _alive_at_second_record(monkeypatch, stepping.DiagnosticTrace,
-                                    lambda records: [weakref.ref(records[0].state)])
+    alive = _alive_at_second_record(monkeypatch, stepping.DiagnosticTrace)
     cfg, u0 = base()
     run_single(lambda c: member(c, u0), cfg)
     assert alive == [False]
@@ -246,17 +255,110 @@ def test_ladder_runs_release_every_initial_field(monkeypatch, observer, member, 
         calls.append(weakref.ref(u0))
         return build(cfg, u0, *args)
 
-    def pick(records):
-        # every member's initial state, and each u0 + eps * pert a ladder built
-        # for a member; the caller's own u0, the first call's, lives on
+    def extra():
+        # each u0 + eps * pert a ladder built for a member; the caller's own
+        # u0, the first call's, lives on
         data = [ref for ref in calls[1:] if ref() is not calls[0]()]
         assert len(data) == fresh
-        return [weakref.ref(r.state) for r in records] + data
+        return data
 
     monkeypatch.setattr(weak_strong, member, spied)
-    alive = _alive_at_second_record(monkeypatch, observer, pick)
+    alive = _alive_at_second_record(monkeypatch, observer, extra)
     run()
-    assert alive and not any(alive)
+    # every member's initial state, and each built u0 + eps * pert
+    assert len(alive) == len(calls) + fresh and not any(alive)
+
+
+def _derived_fields(rec):
+    """Weakrefs to rec and to the fields it has cached that are not its state's
+    arrays (a wave record's spectrum is its state's own), keyed by name."""
+    state_arrays = [a for a in vars(rec.state).values() if isinstance(a, np.ndarray)]
+    fields = {name: weakref.ref(value) for name, value in vars(rec).items()
+              if name not in ("u", "state") and isinstance(value, np.ndarray)
+              and not any(value is a for a in state_arrays)}
+    return {"record": weakref.ref(rec), **fields}
+
+
+@pytest.mark.parametrize("observer, fields, run", [
+    (weak_strong.WaveGronwall, {"ut", "potential", "force"}, lambda: _ladder(_wave_base)),
+    (NlsGronwall, {"uh", "potential"}, lambda: _ladder(_nls_base)),
+    (weak_strong._LadderDiscrepancy, {"potential", "force"},
+     lambda: appendix_construction(*_wave_base("oscillating_sin:q=1", 3.0), (1.0, 2.0, 4.0))),
+], ids=["wave-ladder", "nls-ladder", "appendix"])
+def test_a_record_holds_one_member_beside_the_reference(monkeypatch, observer, fields, run):
+    # when the observer reads member k, member k - 1's record and its derived
+    # fields are gone, and when it observes a record, so are the last record's
+    last_ref, last_member, alive, names = {}, {}, [], set()
+    observe = observer.observe
+
+    def spied(self, ref):
+        alive.extend(name for name, r in {**last_ref, **last_member}.items() if r() is not None)
+        last_ref.clear()
+        last_member.clear()
+        read = observe(self, ref)
+
+        def spied_read(rec):
+            alive.extend(name for name, r in last_member.items() if r() is not None)
+            read(rec)
+            last_ref.update({f"ref.{k}": r for k, r in _derived_fields(ref).items()})
+            last_member.clear()
+            last_member.update(_derived_fields(rec))
+            names.update(last_member)
+        return spied_read
+
+    monkeypatch.setattr(observer, "observe", spied)
+    run()
+    assert names == {"record"} | fields
+    assert alive == []
+
+
+class _Recorded(Exception):
+    pass
+
+
+class _RecordOnly:
+    """A stepper that ends the run at its first step, so that integrate makes
+    one record: every other attribute is the wrapped stepper's."""
+
+    def __init__(self, stepper):
+        self.stepper = stepper
+
+    def __getattr__(self, name):
+        return getattr(self.stepper, name)
+
+    def __call__(self, state):
+        raise _Recorded
+
+
+def test_nls_ladder_record_holds_one_member_beside_the_reference():
+    # one record of a reference and three members: the energies and the
+    # Gronwall rows: 9.1 complex fields. With every member's fields alive at
+    # once it measured 15.1
+    grid = GridSpec(2, 64, 40.0)
+    spec = from_selection("nls_coercive_exp")
+    u0 = bump_field(grid, 0.5, 5.0).astype(complex)
+    pert = bump_field(grid, 1.0, 4.0)
+    cfg = RunSchedule(grid, spec, 0.005, 0.5)
+    members = [nls_member(cfg, u0)] + [nls_member(cfg, u0 + eps * pert)
+                                       for eps in (1e-1, 1e-2, 1e-3)]
+    members = [(_RecordOnly(stepper), state) for stepper, state in members]
+
+    def record():
+        observer = NlsGronwall(spec, grid)
+        with pytest.raises(_Recorded):
+            integrate(members, cfg, [observer])
+        return observer
+
+    record()  # warm the grid's cached arrays
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        observer = record()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / (16 * grid.N ** grid.d) <= 10.0
+    assert len(observer.rows) == 1 and len(observer.rows[0]) == 3
 
 
 def test_runs_leave_the_config_fields_unwritten():
@@ -344,39 +446,60 @@ def test_uniform_integrability_probe_slope():
     assert slope >= target - 0.1
 
 
-def test_uniform_integrability_probe_holds_under_two_sample_copies():
-    # the probe of criterion 7: |f(u)| at 15 records of a 32^3 grid, 3.9 MB.
-    # Its largest union holds 97% of the cells, and rng.choice's draw of it
-    # permutes every cell index, which alone takes 1.97 copies of the samples
+def _probe_samples():
+    """The samples of criterion 7's probe: |f(u)| at 15 records of a 32^3 grid, 3.9 MB."""
     grid = GridSpec(3, 32, 8.0)
-    spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 3.0, 1.0)
-    cfg = RunSchedule(grid, spec, 0.25 * grid.h / np.sqrt(3.0), 0.5)
-    samples = force_samples(cfg, u0)
-    sample_bytes = sum(row.nbytes for row in samples.absf)
+    cfg = RunSchedule(grid, from_selection("oscillating_sin:q=1"),
+                      0.25 * grid.h / np.sqrt(3.0), 0.5)
+    return force_samples(cfg, u0)
+
+
+def _probe_peak(samples, trials):
+    """The probe's result and its tracemalloc peak over the samples' bytes."""
     uniform_integrability_probe(samples, trials=20)  # leaves one-time imports untraced
     tracemalloc.start()
     try:
-        result = uniform_integrability_probe(samples, trials=200)
+        result = uniform_integrability_probe(samples, trials=trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * sample_bytes
-    assert result == probe_reference(samples, trials=200)
+    return result, peak / samples.absf.nbytes
+
+
+def test_uniform_integrability_probe_holds_under_two_sample_copies():
+    samples = _probe_samples()
+    result, peak = _probe_peak(samples, trials=200)
+    assert peak < 2
+    slope, target, vacuous = probe_reference(samples, trials=200)
+    assert result == (pytest.approx(slope, rel=1e-12), target, vacuous)
+
+
+def test_uniform_integrability_probe_draws_below_one_index_per_cell():
+    # the largest union holds 97% of the cells. A draw of all cells at once
+    # permuted every cell index, which took 1.98 copies of the samples; the
+    # block-wise draw takes 0.17 (one float64 sample is one int64 index)
+    _, peak = _probe_peak(_probe_samples(), trials=200)
+    assert peak < 0.5
 
 
 def probe_reference(samples, trials, seed=0):
-    """The probe's fit from full weight and value arrays, one entry per cell."""
-    absf = np.array(samples.absf)
+    """The probe's fit from full weight and value arrays, one entry per cell,
+    over the union of each block's cells drawn as the probe draws them."""
+    absf = samples.absf
     dt = np.diff(samples.times)
     cell_w = np.concatenate([[dt[0] / 2], (dt[1:] + dt[:-1]) / 2, [dt[-1] / 2]])
     cell_volume = samples.grid.cell_volume
     weights = (cell_w[:, None] * cell_volume * np.ones_like(absf)).ravel()
     values = (absf * cell_w[:, None] * cell_volume).ravel()
+    starts = np.arange(0, values.size, weak_strong._DRAW_BLOCK)
+    sizes = np.minimum(weak_strong._DRAW_BLOCK, values.size - starts)
     rng = np.random.default_rng(seed)
     log_m, log_i = [], []
     for frac in 10.0 ** rng.uniform(-4.0, 0.0, trials):
-        idx = rng.choice(values.size, size=max(1, int(frac * values.size)), replace=False)
+        counts = rng.multivariate_hypergeometric(sizes, max(1, int(frac * values.size)))
+        idx = np.concatenate([a + rng.choice(size, k, replace=False, shuffle=False)
+                              for a, size, k in zip(starts, sizes, counts) if k])
         integral = float(np.sum(values[idx]))
         if integral > 0.0:
             log_m.append(np.log(float(np.sum(weights[idx]))))

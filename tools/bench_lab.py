@@ -24,6 +24,10 @@ and every end-to-end row also
 * ``minflt``      median minor page faults of the timed runs, from
                   ``getrusage(RUSAGE_SELF).ru_minflt`` around each run.
 
+An end-to-end row's ``wall_s`` is not a claim: three rounds of three runs do
+not resolve a 15% change on a host whose speed drifts, so the JSON marks it
+under ``not_a_claim``. Its ``mpoints`` and ``peak_bytes`` are exact.
+
 Rows:
 
 * ``layer.nonlinearity.separate``  F, f and f' of oscillating_sin:q=2, each on
@@ -49,9 +53,14 @@ Rows:
 * ``layer.record.nls``             one record of a weak-strong run of the
   ``nls-ladder`` workload (nls_coercive_exp at d = 2, N = 128): the energies
   of the reference and its three ladder members, built at t = 0 as
-  ``gronwall_ladder`` builds them, and one ``NlsGronwall`` observation of
-  them; as for the wave record, each call observes new records of the same
-  states, and mpoints also counts the members' set-up;
+  ``gronwall_ladder`` builds them, and the ``NlsGronwall`` rows of the
+  members; as for the wave record, each call observes new records of the
+  same states, and mpoints also counts the members' set-up.
+
+Both record rows run ``stepping.integrate(members, schedule, observers)``
+on members whose stepper ends the run at its first step, so a call is the
+initial record as the time loop makes it, in whatever order the tree under
+test builds and observes the members' records.
 * ``e2e.check-assumptions.d<d>``   the CLI run of the ``assume`` workload of
   ``bench/workloads.py`` (check-assumptions, oscillating_sin:q=2) with
   ``d = <d>`` appended, for d = 1, 2, 3, config file to published directory;
@@ -147,11 +156,12 @@ def _measure(run, make_spec, faults=False):
     return row
 
 
-def _wave_member(config, runner, wave_integrator, spec):
-    """The impulse member of the wave3d workload's config with spec, at rest."""
+def _wave_run(config, runner, wave_integrator, spec):
+    """The schedule and the one impulse member of the wave3d workload's config
+    with spec, at rest."""
     cfg = config.parse_config(WORKLOADS["wave3d"].config_text(0), "simulate-wave")
     base = runner._base_config(cfg, spec)
-    return wave_integrator.member(base, runner._bump(cfg, base.grid))
+    return base, [wave_integrator.member(base, runner._bump(cfg, base.grid))]
 
 
 def _wave_stepper(make_member):
@@ -168,49 +178,53 @@ def _wave_stepper(make_member):
     return run
 
 
-def _wave_record(make_member, stepping):
-    """run(spec): one diagnostics record (energies, leakage, sup norm) of the
-    wave3d workload's initial state.
+class _Recorded(Exception):
+    pass
 
-    Each spec gets its member at its first call, and each call observes a new
-    Record of its state, so a measured call is one record."""
-    members = {}
+
+class _RecordOnly:
+    """A stepper that ends the run at its first step, so that integrate makes
+    one record: every other attribute is the wrapped stepper's."""
+
+    def __init__(self, stepper):
+        self.stepper = stepper
+
+    def __getattr__(self, name):
+        return getattr(self.stepper, name)
+
+    def __call__(self, state):
+        raise _Recorded
+
+
+def _record(make_run, stepping, make_observer):
+    """run(spec): the initial record of make_run(spec)'s (schedule, members),
+    observed by make_observer(spec, grid), through stepping.integrate.
+
+    Each spec gets its members at its first call, and each call observes new
+    Records of their states, so a measured call is one record."""
+    runs = {}
 
     def run(spec):
-        if spec not in members:
-            members[spec] = make_member(spec)
-        stepper, state = members[spec]
-        stepping.DiagnosticTrace(grid=stepper.grid).observe([stepping.Record(stepper, state)])
+        if spec not in runs:
+            base, members = make_run(spec)
+            runs[spec] = base, [(_RecordOnly(stepper), state) for stepper, state in members]
+        base, members = runs[spec]
+        try:
+            stepping.integrate(members, base, [make_observer(spec, base.grid)])
+        except _Recorded:
+            pass
     return run
 
 
-def _nls_members(config, runner, nls_integrator, field_core, spec):
-    """The reference and ladder members of the nls-ladder workload's config with
-    spec, built as gronwall_ladder builds them."""
+def _nls_run(config, runner, nls_integrator, field_core, spec):
+    """The schedule, reference and ladder members of the nls-ladder workload's
+    config with spec, built as gronwall_ladder builds them."""
     cfg = config.parse_config(WORKLOADS["nls-ladder"].config_text(0), "weak-strong")
     base = runner._base_config(cfg, spec)
     u0 = runner._bump(cfg, base.grid)
     pert = field_core.bump_field(base.grid, 1.0, 0.8 * cfg.radius)
-    return [nls_integrator.member(base, u0)] + [
+    return base, [nls_integrator.member(base, u0)] + [
         nls_integrator.member(base, u0 + eps * pert) for eps in config.DEFAULT_LADDER]
-
-
-def _nls_record(make_members, stepping, weak_strong):
-    """run(spec): the energies and one NlsGronwall observation of the nls-ladder
-    workload's members at t = 0.
-
-    Each spec gets its members at its first call, and each call observes new
-    Records of their states, so a measured call is one record."""
-    members = {}
-
-    def run(spec):
-        if spec not in members:
-            members[spec] = make_members(spec)
-        records = [stepping.Record(stepper, state) for stepper, state in members[spec]]
-        for rec in records:
-            rec.energy
-        weak_strong.NlsGronwall(spec, records[0].stepper.grid).observe(records)
-    return run
 
 
 def _cli_run(cli, kind, text):
@@ -250,19 +264,20 @@ def worker(src: str) -> dict:
         lambda: nls)
     wave = nonlinearity.from_selection(WAVE_SPEC)
 
-    def make_member(spec):
-        return _wave_member(config, runner, wave_integrator, spec)
+    def wave_run(spec):
+        return _wave_run(config, runner, wave_integrator, spec)
 
-    rows["layer.step.wave"] = _measure(_wave_stepper(make_member), lambda: wave)
-    rows["layer.record.wave"] = _measure(_wave_record(make_member, stepping), lambda: wave)
+    rows["layer.step.wave"] = _measure(_wave_stepper(lambda spec: wave_run(spec)[1][0]),
+                                       lambda: wave)
+    rows["layer.record.wave"] = _measure(
+        _record(wave_run, stepping, lambda spec, grid: stepping.DiagnosticTrace(grid=grid)),
+        lambda: wave)
     ladder_spec = nonlinearity.from_selection(
         config.parse_config(WORKLOADS["nls-ladder"].config_text(0), "weak-strong").nonlinearity)
-
-    def make_members(spec):
-        return _nls_members(config, runner, nls_integrator, field_core, spec)
-
-    rows["layer.record.nls"] = _measure(_nls_record(make_members, stepping, weak_strong),
-                                        lambda: ladder_spec)
+    rows["layer.record.nls"] = _measure(
+        _record(lambda spec: _nls_run(config, runner, nls_integrator, field_core, spec),
+                stepping, weak_strong.NlsGronwall),
+        lambda: ladder_spec)
 
     # the CLI builds its spec from the config; route that through the given spec
     real = config.from_selection
@@ -329,6 +344,7 @@ def main(argv=None) -> int:
         "wave_spec": WAVE_SPEC,
         "e2e_configs": {name: {"command": kind, "config": text}
                         for name, (kind, text) in E2E.items()},
+        "not_a_claim": {name: ["wall_s", "wall_s_rounds"] for name in E2E},
         "rows": {name: {col: rows[name] for col, rows in columns.items()}
                  for name in columns["after"]},
     }
