@@ -211,20 +211,22 @@ def working_set_bytes(cfg: ExperimentConfig) -> float:
 
     160 per grid point for each state stepped in lockstep, one per ladder
     member plus the reference. Measured as the tracemalloc peak of a CLI
-    run: simulate-wave 58 at d = 2, N = 512, 59 at d = 3, N = 64 and 89 at
-    d = 1, N = 65536 (L = 10, radius 1.5); NLS 105 for one state and 82
-    per state of a weak-strong ladder at d = 2, N = 512 (L = 40, radius
-    1.5), so one NLS state needs the larger bound.
-    The probe of appendix-construct adds 17 per point and record (measured:
-    the slope from 257 to 513 records at d = 1, N = 1024: the |f(u)| samples
-    and their stacked copy; the probe's draw adds a few blocks).
+    run: simulate-wave 47 at d = 2, N = 512, 49 at d = 3, N = 64 and 79 at
+    d = 1, N = 65536 (L = 10, radius 1.5); a wave weak-strong ladder 66 per
+    state at d = 3, N = 64; NLS 97 for one state and 80 per state of a
+    weak-strong ladder at d = 2, N = 512 (L = 40, radius 1.5), so one NLS
+    state needs the larger bound.
+    The probe of appendix-construct adds 9 per point and record (measured:
+    the slope from 257 to 513 records at d = 1, N = 1024 is 7.9, and 8.4 for
+    the time loop alone: the |f(u)| samples, written in place; the probe's
+    draw adds a few blocks).
     """
     points = 0.0 if cfg.kind == "check-assumptions" else float(cfg.N) ** cfg.d
     ladder = cfg.kind in ("weak-strong", "appendix-construct")
     total = 160.0 * points * (1 + ladder * len(cfg.ladder or DEFAULT_LADDER))
     if cfg.kind == "appendix-construct":
         steps = cfg.T / cfg.effective_dt()
-        total += 17.0 * points * (2 + (steps / cfg.stride if cfg.stride else min(steps, 256)))
+        total += 9.0 * points * (2 + (steps / cfg.stride if cfg.stride else min(steps, 256)))
     return total
 
 

@@ -18,10 +18,14 @@ Fs'(|u|^2/2) and the half rotation exp(i phase dt/2). The rotation preserves
 |u|, so the closing half rotation of one step is also the opening one of the
 next (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2006, on
 first-same-as-last compositions): a step makes two transforms, one Fs' call
-and one cos/sin pair. At a record the stepper gives the ``Record`` fields:
-the spectrum u_hat (one ``fftn`` per member), f(u) = u * phase, and the
-potential density; the gradient energy comes from u_hat by Parseval, and
-u_t = -i (Lap u - f(u)) takes one ``ifftn`` of -|xi|^2 u_hat.
+and one cos/sin pair. The propagator exp(i |xi|^2 dt) is a cached table;
+|xi|^2 is bitwise even in each frequency, so for d >= 2 the table keeps rows
+0..N/2 of axis 0 only, and ``field_core.mirror_halves`` applies it to all N
+rows in two calls. At a record the stepper gives the ``Record`` fields: the
+spectrum u_hat (one ``fftn`` per member), f(u) = u * phase, and the
+potential density, which the energies sum, since ``NlsGronwall`` reads it
+on every member anyway; the gradient energy comes from u_hat by Parseval,
+and u_t = -i (Lap u - f(u)) takes one ``ifftn`` of -|xi|^2 u_hat.
 
 ``strang_step``, ``linear_flow`` and ``nonlinear_flow`` take one Strang step
 from its three substeps; no run calls them, they are the tests' oracles for
@@ -42,6 +46,7 @@ from .field_core import (
     _potential_integral,
     full_gradient_norm_sq,
     l2_norm_sq,
+    mirror_halves,
 )
 from .stepping import BlowUpError, RunSchedule
 
@@ -61,17 +66,24 @@ def accuracy_error(dt: float, h: float) -> str | None:
 
 @lru_cache(maxsize=8)
 def _propagator(grid: GridSpec, tau: float) -> np.ndarray:
-    prop = np.exp(1j * grid.wavenumber_sq() * tau)
+    """exp(i |xi|^2 tau) on the rows of axis 0 a table keeps (see mirror_halves)."""
+    prop = np.exp(1j * grid.table_wavenumber_sq(half=False) * tau)
     prop.flags.writeable = False
     return prop
+
+
+def _propagate(uh: np.ndarray, prop: np.ndarray) -> np.ndarray:
+    """uh times the propagator table prop, in place."""
+    for rows, (p,) in mirror_halves(uh.shape[0], prop):
+        uh[rows] *= p
+    return uh
 
 
 def linear_flow(state: NlsState, tau: float) -> NlsState:
     """Exact free flow: unitary Fourier multiplier exp(i |xi|^2 tau).
 
     A substep of the ``strang_step`` oracle; no run calls it."""
-    uh = np.fft.fftn(state.u)
-    uh *= _propagator(state.grid, tau)
+    uh = _propagate(np.fft.fftn(state.u), _propagator(state.grid, tau))
     return NlsState(state.grid, np.fft.ifftn(uh), state.t + tau)
 
 
@@ -156,9 +168,7 @@ class _SpectralStrang:
     def __call__(self, s: _RotatedState) -> _RotatedState:
         # transforms in place: one field-sized buffer is the spectrum and then v
         v = s.u * s.rot
-        np.fft.fftn(v, out=v)
-        v *= self.prop
-        np.fft.ifftn(v, out=v)
+        np.fft.ifftn(_propagate(np.fft.fftn(v, out=v), self.prop), out=v)
         phase, rot = self._phase_rotation(v)
         v *= rot
         return _RotatedState(v, phase, rot, s.t + self.dt)

@@ -28,7 +28,9 @@ share them:
 * ``uh`` [``spectrum``]: the spectrum of u (the ``np.fft.fftn`` spectrum
   for NLS, the ``np.fft.rfftn`` half spectrum for wave);
 * ``force`` [``force``]: f(u);
-* ``potential`` [``potential``]: the potential density at u.
+* ``potential`` [``potential``]: the potential density at u. The NLS
+  energies read it; the wave energies sum F a block at a time, so a wave
+  record builds it only for an observer that reads it (``WaveGronwall``).
 
 A stepper advances a state by dt when called, has ``columns``, and provides
 the fields its records are asked for; the energies come from the record's

@@ -20,29 +20,47 @@ leapfrog carries an irreducible dt^2 omega^2 / 8 energy oscillation on every
 excited mode, which drowns tight conservation budgets.
 
 The impulse stepper keeps its state in spectral form: the ``np.fft.rfftn``
-half spectra of u and u_t, the physical u, and the half spectrum of the
-residual force at u. A step is a half kick with that cached residual, the
-exact linear flow on the half spectrum, one ``irfftn`` for the new u, one
-``rfftn`` for its residual, and the closing half kick: two real transforms.
-Setting the state up from (u0, u1) takes three forward transforms. The
-energies come from the half spectra by Parseval, so a record makes no
-transform unless an observer asks for the physical u_t (one ``irfftn``).
+half spectra of u and u_t, the physical u, and the half kick, 0.5 dt times
+the half spectrum of the residual force f(u) - m u at u. A step is the half
+kick, the exact linear flow on the half spectrum, one inverse transform for
+the new u, one forward transform for its kick, and the closing half kick:
+two real transforms. Setting the state up from (u0, u1) takes three forward
+transforms. The energies come from the half spectra by Parseval, so a record
+makes no transform unless an observer asks for the physical u_t (one
+inverse transform).
 
-A step works in place, so a run holds its state, the stepper's three
-multiplier tables (made from the half spectrum's |xi|^2, which is not kept;
-no full-grid |xi|^2 is made) and the cached Parseval multiplier of the
-energies, and nothing else. ``start`` makes the three half spectra from
-(u0, u1) and then copies u0 into the state's own u, which each step's
-inverse transform overwrites, so the caller's arrays are never written; an
-at-rest u1 is a broadcast zero and allocates no field. A step's one scratch
-half spectrum holds its intermediate products and the inverse transform's
-per-axis ``ifft`` results, and is dropped before the residual, the step's
-largest allocation. The residual f(u) - m u is written into one new field,
-one ``field_core._BLOCK`` of points at a time, so that f's temporaries are
-block-sized; f acts pointwise, so the field is bitwise the one a single
-whole-field evaluation gives, whatever the block size. A step makes the same
-ufunc calls on the same values in the same order as one that allocates a
-new state, so its results are bitwise the same.
+A run holds its state, the stepper's three multiplier tables and the cached
+Parseval multiplier of the energies, and nothing else:
+
+* the tables cos(om dt), sin(om dt) / om and om sin(om dt) are made from the
+  half spectrum's |xi|^2, which is not kept. |xi|^2 is bitwise even in each
+  frequency, so for d >= 2 each table keeps rows 0..N/2 of axis 0 only, and
+  ``field_core.mirror_halves`` applies it to all N rows in two calls: a
+  table is about half a real half spectrum. No full-grid |xi|^2 is made;
+* ``start`` makes the three half spectra from (u0, u1) and then copies u0
+  into the state's own u, which each step's inverse transform overwrites, so
+  the caller's arrays are never written; an at-rest u1 is a broadcast zero
+  and allocates no field;
+* the state keeps the kick already scaled, so each half kick is one in-place
+  subtraction. Between the opening kick and the new one the kick's array is
+  free: the flow writes sin_om * u_t into it, one mirror half at a time, with
+  om_sin * u in a temporary of one half, the step's only field-sized
+  allocation; then the inverse transform's per-axis ``ifft`` results go
+  through it;
+* the residual is evaluated one slab of whole last-axis lines at a time,
+  about ``field_core._BLOCK`` points (the whole line at d = 1), so that f's
+  temporaries are block-sized, and each slab is ``rfft``'d straight into the
+  kick's lines; then axes d-2..0 are ``fft``'d in place, rfftn's transforms
+  in its order. f acts pointwise and each line is transformed alone, so the
+  kick is bitwise the one a whole-field residual gives, whatever the block
+  size;
+* a record's potential energy sums F over blocks of u
+  (``field_core._blocked_potential_integral``), bitwise np.sum of the
+  density, which no record builds unless an observer reads it.
+
+A step makes the same ufunc calls on the same values in the same order as
+one that allocates a new state and whole tables, so its results are bitwise
+the same.
 """
 
 from __future__ import annotations
@@ -55,13 +73,14 @@ from . import field_core
 from .field_core import (
     GridSpec,
     WaveState,
+    _blocked_potential_integral,
     _potential_density,
-    _potential_integral,
     half_gradient_norm_sq,
     half_l2_norm_sq,
     l2_inner,
     l2_norm_sq,
     laplacian,
+    mirror_halves,
     wave_energy,
 )
 from .stepping import RunSchedule
@@ -101,7 +120,8 @@ def step(state: WaveState, cfg: RunSchedule) -> WaveState:
 
 @dataclass(frozen=True)
 class _SpectralState:
-    """Impulse-stepper state: u with the rfftn half spectra of u, u_t and f(u) - m u."""
+    """Impulse-stepper state: u with the rfftn half spectra of u and u_t, and rh,
+    the half kick: 0.5 dt times the half spectrum of f(u) - m u."""
 
     u: np.ndarray
     uh: np.ndarray
@@ -128,13 +148,14 @@ class _SpectralImpulse:
         dt = cfg.step()
         self.grid, self.spec, self.dt = cfg.grid, cfg.spec, dt
         self.mass = max(0.0, float(cfg.spec.fprime(0.0)))
-        om = np.sqrt(cfg.grid.half_wavenumber_sq() + self.mass)
+        self.half_shape = cfg.grid.shape[:-1] + (cfg.grid.N // 2 + 1,)
+        om = np.sqrt(cfg.grid.table_wavenumber_sq(half=True) + self.mass)
         self.cos = np.cos(om * dt)
         self.sin_om = np.where(om > 0, np.sin(om * dt) / np.where(om > 0, om, 1.0), dt)
         self.om_sin = om * np.sin(om * dt)
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(x, out=np.empty(self.cos.shape, complex))
+        return np.fft.rfftn(x, out=np.empty(self.half_shape, complex))
 
     def _inverse(self, xh: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``np.fft.irfftn(xh, s=grid.shape)`` into out, the same transforms in the
@@ -143,49 +164,60 @@ class _SpectralImpulse:
             xh = np.fft.ifft(xh, axis=axis, out=scratch)
         return np.fft.irfft(xh, n=self.grid.N, axis=-1, out=out)
 
-    def _residual_spectrum(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The half spectrum of f(u) - m u, into out."""
-        # an overflow here leaves a non-finite u_t, which the loop turns into
-        # BlowUpError, so numpy's warning is silenced
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.fft.rfftn(self._residual(u), out=out)
+    def _kick(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The half kick, 0.5 dt times the half spectrum of f(u) - m u, into out.
 
-    def _residual(self, u: np.ndarray) -> np.ndarray:
-        """f(u) - m u in a new field, evaluated one field_core._BLOCK of points at a
-        time, so that besides the field only block-sized temporaries are made."""
-        out = np.empty(u.shape)
-        flat_u, flat_out = u.reshape(-1), out.reshape(-1)
-        block = field_core._BLOCK
-        for a in range(0, flat_u.size, block):
-            ub, rb = flat_u[a:a + block], flat_out[a:a + block]
-            np.multiply(self.mass, ub, out=rb)
-            np.subtract(self.spec.f(ub), rb, out=rb)
+        f(u) - m u is evaluated one slab of whole last-axis lines at a time,
+        about field_core._BLOCK points (one line if a line is longer), and each
+        slab is ``rfft``'d straight into its lines of out; then axes d-2..0 are
+        ``fft``'d in place, rfftn's transforms in its order. f acts pointwise
+        and each line is transformed alone, so out is bitwise
+        0.5 dt * rfftn(f(u) - m u), whatever the block size.
+        """
+        N = self.grid.N
+        flat_u, lines = u.reshape(-1), out.reshape(-1, N // 2 + 1)
+        slab = max(1, field_core._BLOCK // N) * N
+        buf = np.empty(min(slab, flat_u.size))
+        # an overflow here leaves a non-finite u_t, which the loop turns into
+        # BlowUpError, so numpy's warnings are silenced; the scaling too can
+        # overflow, so it stays inside
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in range(0, flat_u.size, slab):
+                ub = flat_u[a:a + slab]
+                rb = buf[:ub.size]
+                np.multiply(self.mass, ub, out=rb)
+                np.subtract(self.spec.f(ub), rb, out=rb)
+                np.fft.rfft(rb.reshape(-1, N), axis=-1, out=lines[a // N:(a + ub.size) // N])
+            for axis in range(self.grid.d - 2, -1, -1):
+                np.fft.fft(out, axis=axis, out=out)
+            out *= 0.5 * self.dt
         return out
 
     def start(self, u0: np.ndarray, u1: np.ndarray) -> _SpectralState:
         """The state at t = 0 of u = u0, u_t = u1; all its arrays are new."""
         uh, uth = self._forward(u0), self._forward(u1)
-        rh = self._residual_spectrum(u0, np.empty(self.cos.shape, complex))
-        # copied last, so the copy is not alive while the residual is made
-        return _SpectralState(np.array(u0, float), uh, uth, rh, 0.0)
+        kick = self._kick(u0, np.empty(self.half_shape, complex))
+        # copied last, so the copy is not alive while the kick is made
+        return _SpectralState(np.array(u0, float), uh, uth, kick, 0.0)
 
     def __call__(self, s: _SpectralState) -> _SpectralState:
-        half_dt = 0.5 * self.dt
-        uh, uth, rh = s.uh, s.uth, s.rh
-        scratch = np.multiply(half_dt, rh)
-        uth -= scratch
-        # exact flow; rh is free until the new residual, so it holds sin_om * uth
-        np.multiply(self.om_sin, uh, out=scratch)
-        uh *= self.cos
-        uh += np.multiply(self.sin_om, uth, out=rh)
-        uth *= self.cos
-        uth -= scratch
-        u = self._inverse(uh, scratch, s.u)
-        # the residual is the step's largest allocation, so the scratch goes first
-        del scratch
-        self._residual_spectrum(u, rh)
-        uth -= half_dt * rh
-        return _SpectralState(u, uh, uth, rh, s.t + self.dt)
+        uh, uth, kick = s.uh, s.uth, s.rh
+        uth -= kick
+        # the exact flow, one mirror half at a time: kick is free until the new
+        # one, so it holds sin_om * uth, and tmp, one half, holds om_sin * uh
+        tmp = np.empty(self.cos.shape, complex)
+        for rows, (cos, sin_om, om_sin) in mirror_halves(uh.shape[0], self.cos,
+                                                         self.sin_om, self.om_sin):
+            a, b = uh[rows], uth[rows]
+            t = np.multiply(om_sin, a, out=tmp[:len(a)])
+            a *= cos
+            a += np.multiply(sin_om, b, out=kick[rows])
+            b *= cos
+            b -= t
+        del tmp, t  # t views tmp, so both go before the kick's temporaries
+        u = self._inverse(uh, kick, s.u)
+        uth -= self._kick(u, kick)
+        return _SpectralState(u, uh, uth, kick, s.t + self.dt)
 
     def spectrum(self, rec) -> np.ndarray:
         return rec.state.uh
@@ -199,12 +231,12 @@ class _SpectralImpulse:
     def energy(self, rec):
         kin = 0.5 * half_l2_norm_sq(rec.state.uth, self.grid)
         grad = 0.5 * half_gradient_norm_sq(rec.uh, self.grid)
-        pot = _potential_integral(rec.potential, self.grid)
+        pot = _blocked_potential_integral(self.spec.F, rec.u, self.grid)
         return kin + grad + pot, kin, grad, pot
 
     def velocity(self, rec) -> np.ndarray:
-        return self._inverse(rec.state.uth, np.empty(self.cos.shape, complex),
-                             np.empty(self.grid.shape))
+        uth = rec.state.uth
+        return self._inverse(uth, np.empty_like(uth), np.empty(self.grid.shape))
 
 
 class Verlet:

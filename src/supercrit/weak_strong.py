@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assumption_lab import find_convexity_shift
-from .field_core import full_gradient_norm_sq, gradient_norm_sq, l2_inner, l2_norm_sq
+from .field_core import full_gradient_norm_sq, half_gradient_norm_sq, l2_inner, l2_norm_sq
 from .nls_integrator import member as nls_member
 from .nonlinearity import NlsNonlinearitySpec, find_truncation_abscissae, truncate, two_star
 from .stepping import RunSchedule, integrate
@@ -107,7 +107,9 @@ class WaveGronwall:
 
     Keeps per record the reference's time and energy, and the scalars of each
     member v against it (w = v - u) with v's energy, one row per member; the
-    reference's f'(u) is evaluated once per record. result() is one
+    reference's f'(u) is evaluated once per record. ||grad w||^2 comes from
+    the half spectra's difference by Parseval, so a record makes no forward
+    transform (and one inverse per member, its u_t). result() is one
     GronwallTrace per member. I is anchored at E(v,0) - E(u,0) - J(0), which
     carries the initial cross term of perturbed data, so
     ``expansion_residual`` measures only the evolution error (order >= 2
@@ -128,7 +130,7 @@ class WaveGronwall:
 
         def read(rec):
             w, wt = rec.u - u, rec.ut - ut
-            dw_sq = l2_norm_sq(wt, grid) + gradient_norm_sq(w, grid)
+            dw_sq = l2_norm_sq(wt, grid) + half_gradient_norm_sq(rec.uh - ref.uh, grid)
             J = 0.5 * dw_sq + grid.cell_volume * float(np.sum(rec.potential - Fu - fu * w))
             I_rate = l2_inner(fu + fpu * w - rec.force, ut, grid)
             rows.append((dw_sq, l2_norm_sq(w, grid), J, I_rate, rec.energy[0]))
@@ -329,8 +331,7 @@ def appendix_construction(base: RunSchedule, u0: np.ndarray, ladder):
         raise ValueError("need at least 3 ladder levels")
     specs = [base.spec] + [truncate(base.spec, find_truncation_abscissae(base.spec, k))
                            for k in ladder]
-    observers = [_LadderDiscrepancy(base.grid),
-                 ForceSamples(base.spec, base.grid)]
+    observers = [_LadderDiscrepancy(base.grid), ForceSamples(base)]
     # the members are built in the call, so each initial state goes at its first step
     _, ((l2_disc, force_disc, drifts), samples) = integrate(
         [wave_member(replace(base, spec=spec), u0) for spec in specs], base, observers)
@@ -350,22 +351,24 @@ def appendix_construction(base: RunSchedule, u0: np.ndarray, ladder):
 # ---------------------------------------------------------------------------
 
 class ForceSamples:
-    """Observer: |f(u)| of member 0 at every record, all the probe reads of a run.
+    """Observer: |f(u)| of member 0 at every record of the schedule, all the probe
+    reads of a run.
 
-    ``absf`` is a list of flat per-record arrays while the run lasts; result()
-    stacks it into one (records, points) array and drops the list.
+    ``absf`` is one (records, points) array, sized by the schedule's
+    ``records()``; each record writes its row, so the samples are held once.
     """
 
-    def __init__(self, spec, grid):
-        self.spec, self.grid = spec, grid
-        self.times, self.absf = [], []
+    def __init__(self, schedule: RunSchedule):
+        self.spec, self.grid = schedule.spec, schedule.grid
+        self.times = []
+        self.absf = np.empty((schedule.records(), schedule.grid.N ** schedule.grid.d))
 
     def observe(self, ref):
+        row = self.absf[len(self.times)]
         self.times.append(ref.t)
-        self.absf.append(np.abs(ref.force).ravel())
+        np.abs(ref.force, out=row.reshape(ref.force.shape))
 
     def result(self) -> ForceSamples:
-        self.absf = np.array(self.absf)
         return self
 
 

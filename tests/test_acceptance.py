@@ -317,7 +317,7 @@ def test_criterion_7_truncation_construction():
     probe_grid = GridSpec(3, 32, 8.0)
     p0 = bump_field(probe_grid, 3.0, 1.0)
     probe_cfg = RunSchedule(probe_grid, spec, 0.25 * probe_grid.h / np.sqrt(3.0), 0.5)
-    samples = _observe(probe_cfg, p0, ForceSamples(spec, probe_grid))
+    samples = _observe(probe_cfg, p0, ForceSamples(probe_cfg))
     slope, target, vacuous = uniform_integrability_probe(samples, trials=200)
 
     ok = (

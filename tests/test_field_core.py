@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from supercrit.field_core import (
     AmplitudeError,
+    _blocked_potential_integral,
     GridSpec,
     NlsState,
     WaveState,
@@ -19,6 +20,7 @@ from supercrit.field_core import (
     l2_inner,
     l2_norm_sq,
     laplacian,
+    mirror_halves,
     nls_energy,
     wave_energy,
 )
@@ -105,6 +107,33 @@ def test_half_wavenumbers_are_the_full_grid_half_bitwise(d, N):
     assert half is not grid.half_wavenumber_sq()  # not cached
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [8, 64])
+def test_mirror_halves_product_is_the_full_table_product_bitwise(d, N):
+    grid = GridSpec(d, N, 7.3)
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    ksq = grid.table_wavenumber_sq(half=False)
+    # a real table and a complex one, both even in the axis-0 frequency
+    for table, full in ((ksq, grid.wavenumber_sq()),
+                        (np.exp(1j * ksq), np.exp(1j * grid.wavenumber_sq()))):
+        ours = x.copy()
+        pairs = mirror_halves(N, table)
+        assert len(pairs) == (2 if d >= 2 else 1)
+        for rows, (view,) in pairs:
+            ours[rows] *= view
+        assert np.array_equal(ours.view(np.int64), (x * full).view(np.int64))
+
+
+@pytest.mark.parametrize("d, N", [(1, 1024), (1, 1 << 16), (2, 128), (2, 256), (3, 32),
+                                  (3, 64)])
+def test_blocked_potential_integral_is_the_np_sum_formula_bitwise(d, N):
+    grid = GridSpec(d, N, 10.0)
+    u = bump_field(grid, 1.2, 4.0) * np.random.default_rng(d).uniform(-1, 1, grid.shape)
+    spec = from_selection("defocusing_exp:m=1")
+    assert _blocked_potential_integral(spec.F, u, grid) == grid.cell_volume * np.sum(spec.F(u))
+
+
 def test_shape_mismatch_raises():
     grid = GridSpec(1, 32, 8.0)
     with pytest.raises(ValueError):
@@ -162,6 +191,8 @@ def test_overflowing_potential_raises():
     state = WaveState(grid, np.full(grid.shape, 40.0), np.zeros(grid.shape), 0.0)
     with pytest.raises(AmplitudeError):
         wave_energy(state, spec)
+    with pytest.raises(AmplitudeError):
+        _blocked_potential_integral(spec.F, state.u, grid)
 
 
 def test_bump_compact_support_and_peak():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from supercrit import field_core
+from supercrit import field_core, nls_integrator
 from supercrit.config import parse_config
 from supercrit.field_core import GridSpec, WaveState, bump_field
 from supercrit.nonlinearity import AssumptionClass, NonlinearitySpec, from_selection
@@ -112,6 +112,10 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
+    # slabs of 4 lines of 16 points: a forward transform of the kick is 4 rfft
+    # calls, one per slab, and d - 1 in-place fft calls
+    monkeypatch.setattr(field_core, "_BLOCK", 64)
+    slabs = 4
     grid = GridSpec(2, 16, 8.0)
     u0 = bump_field(grid, 0.5, 2.0)
     dt = 0.05
@@ -120,13 +124,17 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
     _, trace = run_single(starting(u0), cfg)
     records = len(trace.rows)
     assert cfg.steps() == 10 and records == 5
-    # three transforms set up the spectral state from (u0, u1); the trace's
+    # three forward transforms set up the spectral state from (u0, u1): two
+    # rfftn and the kick's; a step makes one forward (the kick) and one
+    # inverse (irfftn's d - 1 per-axis ifft calls and one irfft). The trace's
     # energies come from the half spectra, so a plain run's records cost none.
-    # An inverse transform is irfftn's d - 1 per-axis ifft calls and one irfft.
-    assert calls.count("rfftn") == 3 + cfg.steps()
+    kicks = 1 + cfg.steps()
+    assert calls.count("rfftn") == 2
+    assert calls.count("rfft") == slabs * kicks
+    assert calls.count("fft") == (grid.d - 1) * kicks
     assert calls.count("irfft") == cfg.steps()
     assert calls.count("ifft") == (grid.d - 1) * cfg.steps()
-    assert len(calls) == 3 + (1 + grid.d) * cfg.steps()
+    assert len(calls) == 2 + (slabs + grid.d - 1) * kicks + grid.d * cfg.steps()
 
     class ReadsVelocity:
         def observe(self, ref):
@@ -139,7 +147,8 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
     integrate([member(cfg, u0)], cfg, [ReadsVelocity()])
     # an observer that reads the physical u_t costs one inverse transform
     assert calls.count("irfft") == cfg.steps() + records
-    assert len(calls) == 3 + (1 + grid.d) * cfg.steps() + grid.d * records
+    assert len(calls) == (2 + (slabs + grid.d - 1) * kicks + grid.d * cfg.steps()
+                          + grid.d * records)
 
 
 def test_impulse_exact_on_nearly_linear_problem():
@@ -276,9 +285,10 @@ def test_wave_run_holds_one_state_per_member():
 
 
 def test_wave_record_allocates_at_most_one_field_and_a_third():
-    # a record's one field is its potential density: the Parseval sums, the
-    # leakage and the sup norm allocate none. With a new array per square, a
-    # gathered shell and |u| it measured 2.05 fields
+    # the energies evaluate F a block at a time (0.51 fields here, one block
+    # of field_core._BLOCK points), and the Parseval sums, the leakage and the
+    # sup norm allocate none. With a new array per square, a gathered shell
+    # and |u| it measured 2.05 fields, and 1.02 with a potential density
     grid = GridSpec(3, 32, 8.0)
     cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"),
                       0.25 * grid.h / np.sqrt(3), 0.5)
@@ -300,17 +310,61 @@ def test_wave_record_allocates_at_most_one_field_and_a_third():
     assert (peak - entry) / (8 * grid.N ** grid.d) <= 1.3
 
 
+def _traced_peak(fn):
+    """fn()'s result and the bytes its run allocated at its peak beyond those
+    alive when it began."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - entry
+
+
+def test_a_wave_step_allocates_one_mirror_half_and_a_record_no_field():
+    # the wave3d benchmark's grid. A step with a whole-spectrum scratch and a
+    # residual field allocated 2.1 mirror halves here, and a record that built
+    # the potential density one field
+    grid = GridSpec(3, 64, 10.0)
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"),
+                      0.25 * grid.h / np.sqrt(3), 1.0)
+    stepper, state = member(cfg, bump_field(grid, 0.5, 1.5))
+
+    def record():
+        rec = Record(stepper, state)
+        rec.energy
+        DiagnosticTrace(grid=grid).observe(rec)
+
+    record()  # the first record caches the energy multipliers
+    state = stepper(state)
+    state, step_bytes = _traced_peak(lambda: stepper(state))
+    half = 16 * 33 * 64 * 33  # rows 0..N/2 of axis 0 of the complex half spectrum
+    # besides the mirror half, numpy's buffer for casting the real tables to
+    # complex (getbufsize() elements) and a few small objects
+    assert step_bytes <= half + 16 * np.getbufsize() + 2 ** 14
+    assert stepper.cos.shape == (33, 64, 33)
+    _, record_bytes = _traced_peak(record)
+    # F's block temporaries: a few blocks of field_core._BLOCK points
+    assert record_bytes <= 0.2 * 8 * grid.N ** grid.d
+
+
 def test_residual_does_not_depend_on_the_block_size(monkeypatch):
-    # 4096 points: blocks of 1000 leave a last block of 96
-    grid = GridSpec(3, 16, 8.0)
-    u0 = bump_field(grid, 0.7, 2.5) * np.random.default_rng(2).uniform(-1, 1, grid.shape)
+    # at d = 3, 256 lines of 16: blocks of 1000 make slabs of 62 lines and a last
+    # one of 8; blocks of 10, shorter than a line, make slabs of one line. At
+    # d = 1 the slab is the whole line, longer than the block
     spec = from_selection("defocusing_exp:m=1")
-    cfg = RunSchedule(grid, spec, 0.05, 0.5)
-    monkeypatch.setattr(field_core, "_BLOCK", 1000)
-    stepper, state = member(cfg, u0)
-    assert stepper.mass == 2.0
-    expected = np.fft.rfftn(spec.f(u0) - stepper.mass * u0)
-    assert np.array_equal(state.rh.view(np.int64), expected.view(np.int64))
+    for d, N, block in ((3, 16, 1000), (3, 16, 10), (1, 256, 100)):
+        grid = GridSpec(d, N, 8.0)
+        u0 = bump_field(grid, 0.7, 2.5) * np.random.default_rng(2).uniform(-1, 1, grid.shape)
+        cfg = RunSchedule(grid, spec, stable_dt(grid.h, d), 0.5)
+        monkeypatch.setattr(field_core, "_BLOCK", block)
+        stepper, state = member(cfg, u0)
+        assert stepper.mass == 2.0
+        # the state keeps the half kick, 0.5 dt times the residual's spectrum
+        expected = 0.5 * stepper.dt * np.fft.rfftn(spec.f(u0) - stepper.mass * u0)
+        assert np.array_equal(state.rh.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -326,23 +380,65 @@ def test_at_rest_member_equals_a_zero_field_bitwise(d):
     assert rest.u is not u0 and np.signbit(rest.uth.imag).any()
 
 
+def _full_tables(grid, mass, dt):
+    """The impulse stepper's cos, sin_om and om_sin on the whole rfftn half spectrum."""
+    om = np.sqrt(grid.half_wavenumber_sq() + mass)
+    return (np.cos(om * dt),
+            np.where(om > 0, np.sin(om * dt) / np.where(om > 0, om, 1.0), dt),
+            om * np.sin(om * dt))
+
+
+def _unmirror(table, n):
+    """The table a mirrored one stands for, on all n rows of axis 0."""
+    full = np.empty((n,) + table.shape[1:], table.dtype)
+    for rows, (view,) in field_core.mirror_halves(n, table):
+        full[rows] = view
+    return full
+
+
 def test_impulse_step_matches_an_allocating_step():
     grid = GridSpec(2, 32, 8.0)
     u0 = bump_field(grid, 0.7, 2.0)
     u1 = bump_field(grid, 0.3, 1.5) * np.random.default_rng(1).uniform(-1, 1, grid.shape)
     cfg = RunSchedule(grid, from_selection("defocusing_exp:m=2"), 0.04, 0.5)
     stepper, state = member(cfg, u0, u1)
-    uh, uth, rh = (x.copy() for x in (state.uh, state.uth, state.rh))
+    cos, sin_om, om_sin = _full_tables(grid, stepper.mass, stepper.dt)
+    half_dt = 0.5 * stepper.dt
+    uh, uth = state.uh.copy(), state.uth.copy()
+    kick = half_dt * np.fft.rfftn(cfg.spec.f(u0) - stepper.mass * u0)
     for _ in range(5):
-        # the step as it reads with a new array per operation
-        half_dt = 0.5 * stepper.dt
-        uth = uth - half_dt * rh
-        uh, uth = (stepper.cos * uh + stepper.sin_om * uth,
-                   stepper.cos * uth - stepper.om_sin * uh)
+        # the step as it reads with a new array per operation and whole tables
+        uth = uth - kick
+        uh, uth = cos * uh + sin_om * uth, cos * uth - om_sin * uh
         u = np.fft.irfftn(uh, s=grid.shape, axes=(0, 1))
-        rh = np.fft.rfftn(cfg.spec.f(u) - stepper.mass * u)
-        uth = uth - half_dt * rh
+        kick = half_dt * np.fft.rfftn(cfg.spec.f(u) - stepper.mass * u)
+        uth = uth - kick
         state = stepper(state)
-    # bit for bit, signed zeros included
-    for ours, ref in ((state.u, u), (state.uh, uh), (state.uth, uth), (state.rh, rh)):
+    # bit for bit, signed zeros included; the stored kick is 0.5 dt times the
+    # residual spectrum
+    for ours, ref in ((state.u, u), (state.uh, uh), (state.uth, uth), (state.rh, kick)):
         assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("d, N, L", [(1, 16, 8.0), (1, 256, 16.0), (2, 8, 3.0), (2, 64, 10.0),
+                                     (3, 16, 8.0), (3, 32, 10.0)])
+def test_every_stepper_table_equals_its_mirror(d, N, L):
+    # |xi|^2 is bitwise even in each frequency, so each table kept on rows
+    # 0..N/2 of axis 0 stands for the whole one
+    grid = GridSpec(d, N, L)
+    half = grid.shape[:-1] + (N // 2 + 1,)
+    ksq = grid.table_wavenumber_sq(half=True)
+    assert ksq.shape == ((N // 2 + 1,) + half[1:] if d >= 2 else half)
+    assert np.array_equal(_unmirror(ksq, half[0]), grid.half_wavenumber_sq())
+    assert np.array_equal(_unmirror(grid.table_wavenumber_sq(half=False), N),
+                          grid.wavenumber_sq())
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), 0.25 * grid.h / np.sqrt(d), 1.0)
+    stepper, _ = member(cfg, bump_field(grid, 0.5, 1.0))
+    ours = (stepper.cos, stepper.sin_om, stepper.om_sin)
+    for table, ref in zip(ours, _full_tables(grid, stepper.mass, stepper.dt)):
+        assert table.shape == ksq.shape
+        assert np.array_equal(_unmirror(table, half[0]).view(np.int64), ref.view(np.int64))
+    prop = nls_integrator._propagator(grid, 0.01)
+    ref = np.exp(1j * grid.wavenumber_sq() * 0.01)
+    assert prop.shape[0] == (N // 2 + 1 if d >= 2 else N)
+    assert np.array_equal(_unmirror(prop, N).view(np.int64), ref.view(np.int64))

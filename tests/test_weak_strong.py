@@ -36,7 +36,7 @@ def wave_ladder(ladder=(1e-2,), N=128, T=0.5, spec_name="defocusing_exp:m=1"):
 
 
 def force_samples(cfg, u0):
-    _, (samples,) = integrate([wave_member(cfg, u0)], cfg, [ForceSamples(cfg.spec, cfg.grid)])
+    _, (samples,) = integrate([wave_member(cfg, u0)], cfg, [ForceSamples(cfg)])
     return samples
 
 
@@ -66,6 +66,16 @@ def test_expansion_residual_shrinks_under_refinement():
 def test_initial_discrepancy_scales_with_perturbation():
     g0 = [tr.G[0] for tr in wave_ladder(ladder=(1e-2, 1e-3))]
     assert g0[0] / g0[1] == pytest.approx(100.0, rel=1e-6)
+
+
+def test_wave_ladder_reader_makes_no_forward_transform(monkeypatch):
+    # ||grad w||^2 comes from the members' half spectra by Parseval; an fftn of
+    # w per member and record made 141 in a weak-strong run at d = 2, N = 64, T = 1
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(1) or fftn(*a, **k))
+    traces = wave_ladder(ladder=(1e-2, 1e-3))
+    assert calls == [] and len(traces) == 2
 
 
 def test_wave_trace_serialization():
@@ -282,7 +292,9 @@ def _derived_fields(rec):
 @pytest.mark.parametrize("observer, fields, run", [
     (weak_strong.WaveGronwall, {"ut", "potential", "force"}, lambda: _ladder(_wave_base)),
     (NlsGronwall, {"uh", "potential"}, lambda: _ladder(_nls_base)),
-    (weak_strong._LadderDiscrepancy, {"potential", "force"},
+    # the wave energies sum F a block at a time, so a record whose observers
+    # read no potential builds none
+    (weak_strong._LadderDiscrepancy, {"force"},
      lambda: appendix_construction(*_wave_base("oscillating_sin:q=1", 3.0), (1.0, 2.0, 4.0))),
 ], ids=["wave-ladder", "nls-ladder", "appendix"])
 def test_a_record_holds_one_member_beside_the_reference(monkeypatch, observer, fields, run):
@@ -444,6 +456,30 @@ def test_uniform_integrability_probe_slope():
     slope, target, vacuous = uniform_integrability_probe(force_samples(cfg, u0), trials=200)
     assert not vacuous
     assert slope >= target - 0.1
+
+
+def test_force_samples_hold_one_copy_of_the_samples():
+    # appendix-construct at d = 1, N = 1024, stride 1: the peak grows by 8
+    # bytes per point and record, one float64 sample. Stacking a list of
+    # per-record rows held two copies at the end of the run: 16.6 bytes
+    def peak(steps):
+        grid = GridSpec(1, 1024, 8.0)
+        dt = 0.25 * grid.h
+        base = RunSchedule(grid, from_selection("oscillating_sin:q=1"), dt, steps * dt,
+                           diagnostics_stride=1)
+        u0 = bump_field(grid, 0.5, 1.0)
+        tracemalloc.start()
+        try:
+            _, samples = appendix_construction(base, u0, (1.0, 2.0, 4.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.absf.shape == (base.records(), grid.N)
+        return peak
+
+    peak(2)  # leaves one-time imports and caches untraced
+    slope = (peak(512) - peak(256)) / (1024 * 256)
+    assert slope <= 9.5
 
 
 def _probe_samples():

@@ -67,7 +67,11 @@ test builds and observes the members' records.
 * ``e2e.weak-strong.nls``          the CLI run of the ``nls-ladder`` workload
   (weak-strong, nls_coercive_exp at d = 2, N = 128, T = 0.5, dt = 0.005);
 * ``e2e.simulate-wave.d3``         the CLI run of the ``wave3d`` workload
-  (simulate-wave, defocusing_exp:m=1 at d = 3, N = 64, T = 1: 45 steps).
+  (simulate-wave, defocusing_exp:m=1 at d = 3, N = 64, T = 1: 45 steps);
+* ``e2e.weak-strong.wave.d3``      a weak-strong run of the ``wave3d``
+  workload's config at T = 0.5 (23 steps): the reference and the default
+  ladder's three members stepped in lockstep, with ``WaveGronwall`` reading
+  each member's potential density and u_t at every record.
 
 Every e2e config is the workload's at seed 0.
 """
@@ -110,6 +114,8 @@ E2E = {
     "e2e.weak-strong.nls": (WORKLOADS["nls-ladder"].command,
                             WORKLOADS["nls-ladder"].config_text(0)),
     "e2e.simulate-wave.d3": (WORKLOADS["wave3d"].command, WORKLOADS["wave3d"].config_text(0)),
+    # a later line of a config overrides an earlier one
+    "e2e.weak-strong.wave.d3": ("weak-strong", WORKLOADS["wave3d"].config_text(0) + "T = 0.5\n"),
 }
 
 
