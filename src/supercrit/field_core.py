@@ -39,8 +39,8 @@ __all__ = [
 
 
 # Points per block of a pointwise evaluation done a block at a time: the
-# assumption lab's sample plans, and the wave stepper's residual (in slabs of
-# whole last-axis lines) and potential integral. An assumption
+# assumption lab's sample plans, the wave stepper's residual (in slabs of
+# whole last-axis lines) and every energy's potential integral. An assumption
 # lab sweep holds about ten arrays of one block, so 2^14 points (128 KiB per
 # float array) keep them in a core's 2 MiB L2: classify(oscillating_sin:q=2)
 # peaks at 1.1 MiB and takes a median 1.06-1.26 s, against 4.5 MiB and
@@ -312,34 +312,15 @@ def half_gradient_norm_sq(uh: np.ndarray, grid: GridSpec) -> float:
 # energies
 # ---------------------------------------------------------------------------
 
-def _potential_density(potential, u: np.ndarray) -> np.ndarray:
-    """potential(u); an overflow is reported by _potential_integral, so numpy's
-    warning is silenced."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return potential(u)
-
-
-def _potential_integral(density: np.ndarray, grid: GridSpec) -> float:
-    """h^d sum of a potential density; raises AmplitudeError if it is not finite.
-
-    The overflow this reports is expected, so numpy's warning is silenced.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        pot = grid.cell_volume * np.sum(density)
-    if not np.isfinite(pot):
-        raise AmplitudeError("potential integral is not finite; reduce amplitude")
-    return float(pot)
-
-
-def _blocked_potential_integral(potential, u: np.ndarray, grid: GridSpec) -> float:
+def _potential_integral(potential, u: np.ndarray, grid: GridSpec) -> float:
     """h^d times the sum of potential(u), made without a potential field;
     raises AmplitudeError if it is not finite.
 
     potential is evaluated one _BLOCK of points at a time, and the block sums
     are added pairwise, halving the list as np.sum's pairwise summation
     halves an array. A grid has a power of two of points, so with a power of
-    two _BLOCK the sum is bitwise ``_potential_integral(potential(u))``. The
-    overflow this reports is expected, so numpy's warning is silenced.
+    two _BLOCK the sum is bitwise ``grid.cell_volume * np.sum(potential(u))``.
+    The overflow this reports is expected, so numpy's warning is silenced.
     """
     flat, block = u.reshape(-1), _BLOCK
 
@@ -362,7 +343,7 @@ def wave_energy(state: WaveState, spec) -> EnergyReport:
     takes the same energies from its records' fields."""
     kin = 0.5 * l2_norm_sq(state.ut, state.grid)
     grad = 0.5 * gradient_norm_sq(state.u, state.grid)
-    pot = _potential_integral(_potential_density(spec.F, state.u), state.grid)
+    pot = _potential_integral(spec.F, state.u, state.grid)
     return EnergyReport(kin, grad, pot, kin + grad + pot)
 
 
@@ -376,7 +357,7 @@ def nls_energy(state: NlsState, spec) -> EnergyReport:
     this is the tests' oracle for them.
     """
     grad = 0.5 * gradient_norm_sq(state.u, state.grid)
-    pot = _potential_integral(_potential_density(spec.potential, state.u), state.grid)
+    pot = _potential_integral(spec.potential, state.u, state.grid)
     mass = l2_norm_sq(state.u, state.grid)
     return EnergyReport(0.0, grad, pot, grad + pot, mass=mass)
 

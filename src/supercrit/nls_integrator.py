@@ -22,10 +22,10 @@ and one cos/sin pair. The propagator exp(i |xi|^2 dt) is a cached table;
 |xi|^2 is bitwise even in each frequency, so for d >= 2 the table keeps rows
 0..N/2 of axis 0 only, and ``field_core.mirror_halves`` applies it to all N
 rows in two calls. At a record the stepper gives the ``Record`` fields: the
-spectrum u_hat (one ``fftn`` per member), f(u) = u * phase, and the
-potential density, which the energies sum, since ``NlsGronwall`` reads it
-on every member anyway; the gradient energy comes from u_hat by Parseval,
-and u_t = -i (Lap u - f(u)) takes one ``ifftn`` of -|xi|^2 u_hat.
+spectrum u_hat (one ``fftn`` per member) and f(u) = u * phase; the gradient
+energy comes from u_hat by Parseval, the potential energy sums F(|u|^2/2)
+over blocks of u, so no record builds a potential density, and
+u_t = -i (Lap u - f(u)) takes one ``ifftn`` of -|xi|^2 u_hat.
 
 ``strang_step``, ``linear_flow`` and ``nonlinear_flow`` take one Strang step
 from its three substeps; no run calls them, they are the tests' oracles for
@@ -42,7 +42,6 @@ import numpy as np
 from .field_core import (
     GridSpec,
     NlsState,
-    _potential_density,
     _potential_integral,
     full_gradient_norm_sq,
     l2_norm_sq,
@@ -179,12 +178,9 @@ class _SpectralStrang:
     def force(self, rec) -> np.ndarray:
         return rec.u * rec.state.phase
 
-    def potential(self, rec) -> np.ndarray:
-        return _potential_density(self.spec.potential, rec.u)
-
     def energy(self, rec):
         grad = 0.5 * full_gradient_norm_sq(rec.uh, self.grid)
-        pot = _potential_integral(rec.potential, self.grid)
+        pot = _potential_integral(self.spec.potential, rec.u, self.grid)
         return l2_norm_sq(rec.u, self.grid), grad + pot, grad, pot
 
     def velocity(self, rec) -> np.ndarray:

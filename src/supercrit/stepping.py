@@ -23,14 +23,14 @@ computes each derived field once, on first use, by calling the stepper
 method named in brackets with the record; the energies and every observer
 share them:
 
-* ``energy`` [``energy``]: the stepper's energy columns;
+* ``energy`` [``energy``]: the stepper's energy columns, whose last is the
+  potential integral for both equations (``field_core._potential_integral``,
+  which sums the potential a block at a time, so no record builds a
+  potential density); an observer that needs the integral reads it here;
 * ``ut`` [``velocity``]: the physical u_t;
 * ``uh`` [``spectrum``]: the spectrum of u (the ``np.fft.fftn`` spectrum
   for NLS, the ``np.fft.rfftn`` half spectrum for wave);
-* ``force`` [``force``]: f(u);
-* ``potential`` [``potential``]: the potential density at u. The NLS
-  energies read it; the wave energies sum F a block at a time, so a wave
-  record builds it only for an observer that reads it (``WaveGronwall``).
+* ``force`` [``force``]: f(u).
 
 A stepper advances a state by dt when called, has ``columns``, and provides
 the fields its records are asked for; the energies come from the record's
@@ -163,10 +163,6 @@ class Record:
     @cached_property
     def force(self) -> np.ndarray:
         return self.stepper.force(self)
-
-    @cached_property
-    def potential(self) -> np.ndarray:
-        return self.stepper.potential(self)
 
 
 def integrate(members, schedule, observers=()):

@@ -55,8 +55,8 @@ Parseval multiplier of the energies, and nothing else:
   kick is bitwise the one a whole-field residual gives, whatever the block
   size;
 * a record's potential energy sums F over blocks of u
-  (``field_core._blocked_potential_integral``), bitwise np.sum of the
-  density, which no record builds unless an observer reads it.
+  (``field_core._potential_integral``), bitwise np.sum of the density,
+  which no record builds.
 
 A step makes the same ufunc calls on the same values in the same order as
 one that allocates a new state and whole tables, so its results are bitwise
@@ -73,8 +73,7 @@ from . import field_core
 from .field_core import (
     GridSpec,
     WaveState,
-    _blocked_potential_integral,
-    _potential_density,
+    _potential_integral,
     half_gradient_norm_sq,
     half_l2_norm_sq,
     l2_inner,
@@ -225,13 +224,10 @@ class _SpectralImpulse:
     def force(self, rec) -> np.ndarray:
         return self.spec.f(rec.u)
 
-    def potential(self, rec) -> np.ndarray:
-        return _potential_density(self.spec.F, rec.u)
-
     def energy(self, rec):
         kin = 0.5 * half_l2_norm_sq(rec.state.uth, self.grid)
         grad = 0.5 * half_gradient_norm_sq(rec.uh, self.grid)
-        pot = _blocked_potential_integral(self.spec.F, rec.u, self.grid)
+        pot = _potential_integral(self.spec.F, rec.u, self.grid)
         return kin + grad + pot, kin, grad, pot
 
     def velocity(self, rec) -> np.ndarray:
@@ -243,8 +239,8 @@ class Verlet:
     """The velocity-leapfrog stepper, kept only as the tests' oracle for the impulse one.
 
     Its member for stepping.integrate is (Verlet(cfg), the initial WaveState).
-    Its records give the energies, u_t, f(u) and the rfftn half spectrum, what
-    the diagnostics trace and the weak identity read.
+    Its records give the energies, u_t and f(u), what the diagnostics trace
+    and the weak identity read.
     """
 
     columns = WAVE_COLUMNS
@@ -261,9 +257,6 @@ class Verlet:
 
     def velocity(self, rec) -> np.ndarray:
         return rec.state.ut
-
-    def spectrum(self, rec) -> np.ndarray:
-        return np.fft.rfftn(rec.u)
 
     def force(self, rec) -> np.ndarray:
         return self.cfg.spec.f(rec.u)
@@ -289,10 +282,10 @@ class WeakIdentity:
 
     The space-time integral of |grad u|^2 - |u_t|^2 + u f(u) must equal
     B(0) - B(T) with B(t) = integral of u_t u, since d/dt B = |u_t|^2 -
-    |grad u|^2 - u f(u). |grad u|^2 comes from the record's rfftn half
-    spectrum by Parseval, so a record of the impulse stepper makes one
-    transform, the inverse one of u_t. The time quadrature needs
-    WEAK_IDENTITY_RECORDS records.
+    |grad u|^2 - u f(u). The integral of |grad u|^2 is twice the record's
+    gradient energy, so a record of the impulse stepper makes one transform,
+    the inverse one of u_t. The time quadrature needs WEAK_IDENTITY_RECORDS
+    records.
     """
 
     def __init__(self, grid: GridSpec):
@@ -303,7 +296,7 @@ class WeakIdentity:
     def observe(self, r):
         grid = self.grid
         self.times.append(r.t)
-        self.integrand.append(half_gradient_norm_sq(r.uh, grid) - l2_norm_sq(r.ut, grid)
+        self.integrand.append(2.0 * r.energy[2] - l2_norm_sq(r.ut, grid)
                               + l2_inner(r.u, r.force, grid))
         self.bT = l2_inner(r.ut, r.u, grid)
         if self.b0 is None:

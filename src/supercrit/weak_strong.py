@@ -109,11 +109,12 @@ class WaveGronwall:
     member v against it (w = v - u) with v's energy, one row per member; the
     reference's f'(u) is evaluated once per record. ||grad w||^2 comes from
     the half spectra's difference by Parseval, so a record makes no forward
-    transform (and one inverse per member, its u_t). result() is one
-    GronwallTrace per member. I is anchored at E(v,0) - E(u,0) - J(0), which
-    carries the initial cross term of perturbed data, so
-    ``expansion_residual`` measures only the evolution error (order >= 2
-    under refinement).
+    transform (and one inverse per member, its u_t), and the potential
+    integrals of J from the members' energies, so F is evaluated once per
+    member and record. result() is one GronwallTrace per member. I is
+    anchored at E(v,0) - E(u,0) - J(0), which carries the initial cross term
+    of perturbed data, so ``expansion_residual`` measures only the evolution
+    error (order >= 2 under refinement).
     """
 
     def __init__(self, spec, grid):
@@ -123,7 +124,7 @@ class WaveGronwall:
     def observe(self, ref):
         grid = self.grid
         u, ut = ref.u, ref.ut
-        fu, Fu, fpu = ref.force, ref.potential, self.spec.fprime(u)
+        fu, fpu = ref.force, self.spec.fprime(u)
         self.times.append(ref.t)
         self.Eu.append(ref.energy[0])
         self.rows.append(rows := [])
@@ -131,7 +132,8 @@ class WaveGronwall:
         def read(rec):
             w, wt = rec.u - u, rec.ut - ut
             dw_sq = l2_norm_sq(wt, grid) + half_gradient_norm_sq(rec.uh - ref.uh, grid)
-            J = 0.5 * dw_sq + grid.cell_volume * float(np.sum(rec.potential - Fu - fu * w))
+            # int F(v) - F(u) - f(u) w, with the potential integrals of the energies
+            J = 0.5 * dw_sq + (rec.energy[-1] - ref.energy[-1]) - l2_inner(fu, w, grid)
             I_rate = l2_inner(fu + fpu * w - rec.force, ut, grid)
             rows.append((dw_sq, l2_norm_sq(w, grid), J, I_rate, rec.energy[0]))
         return read
@@ -158,14 +160,15 @@ class NlsGronwall:
     F(|u+w|^2/2) - F(|u|^2/2) - f(u).w and the drift integrand, and the largest
     sup norm of any member. G and the shifted remainder are linear in the
     convexity shift A, so traces(A) applies A once the visited radius is known.
-    ||grad w||^2 comes from w_hat = v_hat - u_hat by Parseval, and the
-    derivative of f at u from the reference's phase Fs'(|u|^2/2), so a record
-    evaluates Fs'' once for all members and makes one transform (the
-    reference's u_t). Each member's w, spectrum difference, defect, Df(u)w,
-    force f(v) = v Fs'(|v|^2/2) and drift residual are built in two complex
-    buffers and one real one, made after the member's energies; its record
-    caches only the spectrum and potential density its energies read.
-    ``rows`` holds per record one row per member.
+    ||grad w||^2 comes from w_hat = v_hat - u_hat by Parseval, the defect's
+    potential integrals from the members' energies, and the derivative of f
+    at u from the reference's phase Fs'(|u|^2/2), so a record evaluates Fs''
+    once for all members and makes one transform (the reference's u_t). Each
+    member's w, spectrum difference, Df(u)w, force f(v) = v Fs'(|v|^2/2) and
+    drift residual are built in two complex buffers, with one real buffer as
+    Df(u)w's scratch, made after the member's energies; its record caches
+    only the spectrum its energies read. ``rows`` holds per record one row
+    per member.
     """
 
     def __init__(self, spec, grid):
@@ -174,7 +177,7 @@ class NlsGronwall:
 
     def observe(self, ref):
         spec, grid = self.spec, self.grid
-        u, uh, fu, Pu, dtu = ref.u, ref.uh, ref.force, ref.potential, ref.ut
+        u, uh, fu, dtu = ref.u, ref.uh, ref.force, ref.ut
         phase = ref.state.phase
         curv = spec.Fsprime2(0.5 * np.abs(u) ** 2)
         self.times.append(ref.t)
@@ -187,10 +190,9 @@ class NlsGronwall:
             w, c, re = np.empty_like(u), np.empty_like(u), np.empty(u.shape)
             np.subtract(rec.u, u, out=w)
             gw = full_gradient_norm_sq(np.subtract(rec.uh, uh, out=c), grid)
-            # F(|u+w|^2/2) - F(|u|^2/2) - Re(f(u) conj(w))
-            defect = np.subtract(rec.potential, Pu, out=re)
-            defect -= np.multiply(fu, np.conj(w, out=c), out=c).real
-            row = (gw, l2_norm_sq(w, grid), grid.cell_volume * float(np.sum(defect)))
+            # int F(|u+w|^2/2) - F(|u|^2/2) - Re(f(u) conj(w))
+            defect = rec.energy[-1] - ref.energy[-1] - l2_inner(fu, w, grid)
+            row = (gw, l2_norm_sq(w, grid), defect)
             dfw = spec.dforce(u, w, phase, curv, out=w, scratch=(c, re))
             drift = np.multiply(rec.u, rec.state.phase, out=c)  # f(v), as force(rec) makes it
             drift -= fu

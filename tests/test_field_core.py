@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from supercrit.field_core import (
     AmplitudeError,
-    _blocked_potential_integral,
+    _potential_integral,
     GridSpec,
     NlsState,
     WaveState,
@@ -131,7 +131,12 @@ def test_blocked_potential_integral_is_the_np_sum_formula_bitwise(d, N):
     grid = GridSpec(d, N, 10.0)
     u = bump_field(grid, 1.2, 4.0) * np.random.default_rng(d).uniform(-1, 1, grid.shape)
     spec = from_selection("defocusing_exp:m=1")
-    assert _blocked_potential_integral(spec.F, u, grid) == grid.cell_volume * np.sum(spec.F(u))
+    assert _potential_integral(spec.F, u, grid) == grid.cell_volume * np.sum(spec.F(u))
+    # the NLS energies sum F(|u|^2/2) of a complex field the same way
+    z = u * np.exp(1j * grid.coords()[0])
+    nls = from_selection("nls_coercive_exp")
+    expected = grid.cell_volume * np.sum(nls.potential(z))
+    assert _potential_integral(nls.potential, z, grid) == expected
 
 
 def test_shape_mismatch_raises():
@@ -192,7 +197,7 @@ def test_overflowing_potential_raises():
     with pytest.raises(AmplitudeError):
         wave_energy(state, spec)
     with pytest.raises(AmplitudeError):
-        _blocked_potential_integral(spec.F, state.u, grid)
+        _potential_integral(spec.F, state.u, grid)
 
 
 def test_bump_compact_support_and_peak():

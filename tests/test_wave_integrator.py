@@ -220,7 +220,7 @@ def test_weak_identity_residual_small_and_needs_snapshots():
 
 
 def test_weak_identity_records_make_no_complex_transform(monkeypatch, tmp_path):
-    # |grad u|^2 comes from the record's half spectrum; a full fftn of u per
+    # |grad u|^2 comes from the record's gradient energy; a full fftn of u per
     # record made 129 of a default identity-check's transforms
     calls = []
     fftn = np.fft.fftn
@@ -228,7 +228,7 @@ def test_weak_identity_records_make_no_complex_transform(monkeypatch, tmp_path):
     cfg = parse_config("nonlinearity = defocusing_exp:m=1\n", "identity-check")
     assert run_experiment(cfg, str(tmp_path)).outcome == "ok"
     assert calls == []
-    # the Verlet oracle's records take the same half-spectrum path; its
+    # the Verlet oracle's records read their gradient energy too; its
     # leapfrog error leaves a larger residual than the impulse stepper's
     cfg, u0 = make_config(N=256, T=1.0, diagnostics_stride=1)
     start = WaveState(cfg.grid, u0, np.zeros_like(u0), 0.0)

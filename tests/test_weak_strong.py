@@ -125,19 +125,30 @@ def test_nls_gronwall_evaluates_curvature_once_per_record():
 
 
 class _AllocatingNlsGronwall(NlsGronwall):
-    """NlsGronwall's rows with a new array per operation and np.sum's sums: the
-    oracle of its buffered observe."""
+    """NlsGronwall's rows with a new array per operation and np.sum's sums, the
+    defect from its pointwise density: the oracle of its buffered observe.
+
+    ``scales`` keeps per record and member the integral of |F(v)| + |F(u)|, the
+    size of the potential integrals whose difference the defect is."""
+
+    def __init__(self, spec, grid):
+        super().__init__(spec, grid)
+        self.scales = []
 
     def observe(self, ref):
         spec, grid = self.spec, self.grid
-        u, uh, fu, Pu, dtu = ref.u, ref.uh, ref.force, ref.potential, ref.ut
+        u, uh, fu, dtu = ref.u, ref.uh, ref.force, ref.ut
+        Pu = spec.potential(u)
         curv = spec.Fsprime2(0.5 * np.abs(u) ** 2)
         h, n = grid.cell_volume, grid.N ** grid.d
         self.rows.append(rows := [])
+        self.scales.append(scales := [])
 
         def read(rec):
             w = rec.u - u
-            defect = rec.potential - Pu - np.real(fu * np.conj(w))
+            Pv = spec.potential(rec.u)
+            defect = Pv - Pu - np.real(fu * np.conj(w))
+            scales.append(h * float(np.sum(np.abs(Pv) + np.abs(Pu))))
             dfw = ref.state.phase * w + curv * np.real(u * np.conj(w)) * u
             drift = rec.force - fu - dfw
             rows.append((
@@ -161,10 +172,13 @@ def test_nls_gronwall_buffers_give_the_allocating_rows(name):
     observers = [NlsGronwall(spec, grid), _AllocatingNlsGronwall(spec, grid)]
     _, (ours, ref) = integrate(members, cfg, observers)
     assert len(ours.rows) == cfg.records() and len(ours.rows[0]) == 3
-    for rows, expected in zip(zip(*ours.rows), zip(*ref.rows)):
+    for rows, expected, scale in zip(zip(*ours.rows), zip(*ref.rows), zip(*ref.scales)):
         got, want = np.array(rows), np.array(expected)
-        # the defect integral is summed as before, bit for bit
-        assert np.array_equal(got[:, 2], want[:, 2])
+        # the defect is a difference of the members' potential integrals, so
+        # it keeps their absolute rounding, not digits relative to itself
+        # (1.5e-16 of the integrals measured here, 4.3e-11 of the defect itself
+        # on nls_cubic at eps = 1e-3)
+        assert np.all(np.abs(got[:, 2] - want[:, 2]) <= 1e-15 * np.array(scale))
         np.testing.assert_allclose(got[:, :2], want[:, :2], rtol=1e-13)
         # the drift rate pairs nearly cancelling fields, so its sums keep fewer
         # digits (2.2e-13 measured here)
@@ -290,10 +304,10 @@ def _derived_fields(rec):
 
 
 @pytest.mark.parametrize("observer, fields, run", [
-    (weak_strong.WaveGronwall, {"ut", "potential", "force"}, lambda: _ladder(_wave_base)),
-    (NlsGronwall, {"uh", "potential"}, lambda: _ladder(_nls_base)),
-    # the wave energies sum F a block at a time, so a record whose observers
-    # read no potential builds none
+    (weak_strong.WaveGronwall, {"ut", "force"}, lambda: _ladder(_wave_base)),
+    # the energies sum the potential a block at a time, and the Gronwall terms
+    # read its integrals from them, so no record builds a potential density
+    (NlsGronwall, {"uh"}, lambda: _ladder(_nls_base)),
     (weak_strong._LadderDiscrepancy, {"force"},
      lambda: appendix_construction(*_wave_base("oscillating_sin:q=1", 3.0), (1.0, 2.0, 4.0))),
 ], ids=["wave-ladder", "nls-ladder", "appendix"])
