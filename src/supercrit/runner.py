@@ -201,10 +201,12 @@ def _do_identity_check(cfg: ExperimentConfig):
 
     # (d) multiplier identity on a short run
     base = _base_config(cfg, spec)
-    _, (res,) = integrate([wave_member(base, _bump(cfg, base.grid))], base,
+    _, (rep,) = integrate([wave_member(base, _bump(cfg, base.grid))], base,
                           [WeakIdentity(base.grid)])
-    results["weak_identity_residual"] = res
-    ok = ok and res < 1e-4
+    results["weak_identity_residual"] = rep.residual
+    results["weak_identity_scale"] = rep.scale
+    results["weak_identity_quadrature_error"] = rep.quadrature
+    ok = ok and rep.holds
 
     return (OUTCOME_OK if ok else OUTCOME_VIOLATION), {
         "identities.json": _json_bytes(results)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from supercrit import cli, config, field_core, runner, wave_integrator, weak_strong
 from supercrit.cli import _env_overrides, build_parser, main
 from supercrit.config import ExperimentConfig, parse_config
-from supercrit.nonlinearity import AssumptionClass, NlsNonlinearitySpec
+from supercrit.nonlinearity import AssumptionClass, NlsNonlinearitySpec, builtin_catalog
 from supercrit.runner import export_plot_data, run_experiment
 from supercrit.stepping import RunSchedule
 
@@ -347,7 +347,36 @@ def test_identity_check_artifacts(tmp_path):
     )
     assert all(report["cancellation"].values())
     assert report["truncation_interior_max_diff"] == 0.0
-    assert report["weak_identity_residual"] < 1e-4
+    assert report["weak_identity_scale"] > 0.0
+    assert report["weak_identity_residual"] < (wave_integrator.WEAK_IDENTITY_GATE
+                                               + report["weak_identity_quadrature_error"])
+
+
+WAVE_ENTRIES = [spec.name for spec in builtin_catalog()
+                if not isinstance(spec, NlsNonlinearitySpec)]
+
+
+@pytest.mark.parametrize("text", [f"nonlinearity = {name}\n" for name in WAVE_ENTRIES]
+                         + [f"N = 128\nL = 16\nT = {T}\n" for T in (2, 4, 8)],
+                         ids=WAVE_ENTRIES + [f"L16-T{T}" for T in (2, 4, 8)])
+def test_identity_check_holds_on_correct_runs(tmp_path, text):
+    # with the residual scaled by |lhs| + |rhs|, the sides' difference, five
+    # defaults read 2.0e-4 to 4.5e-4 and the L = 16 runs 1.7e-4 to 5.0e-3,
+    # against a gate of 1e-4: each exited 4
+    path = tmp_path / "id.cfg"
+    path.write_text(text)
+    assert main(["identity-check", "--config", str(path), "--output", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("name", ["pure_power:p=3", "defocusing_exp:m=1"])
+def test_identity_check_fails_a_force_off_by_one_percent(tmp_path, monkeypatch, name):
+    # the run steps the true force; only the records the identity reads are off
+    force = wave_integrator._SpectralImpulse.force
+    monkeypatch.setattr(wave_integrator._SpectralImpulse, "force",
+                        lambda self, rec: 1.01 * force(self, rec))
+    path = tmp_path / "id.cfg"
+    path.write_text(f"nonlinearity = {name}\n")
+    assert main(["identity-check", "--config", str(path), "--output", str(tmp_path)]) == 4
 
 
 def test_rerun_replaces_directory_atomically(tmp_path, monkeypatch):

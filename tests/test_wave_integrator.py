@@ -209,12 +209,12 @@ def test_trace_column_lookup_errors():
 
 def weak_identity(cfg_and_u0):
     cfg, u0 = cfg_and_u0
-    _, (residual,) = integrate([member(cfg, u0)], cfg, [WeakIdentity(cfg.grid)])
-    return residual
+    _, (report,) = integrate([member(cfg, u0)], cfg, [WeakIdentity(cfg.grid)])
+    return report
 
 
 def test_weak_identity_residual_small_and_needs_snapshots():
-    assert weak_identity(make_config(N=256, T=1.0, diagnostics_stride=1)) < 1e-4
+    assert weak_identity(make_config(N=256, T=1.0, diagnostics_stride=1)).holds
     with pytest.raises(ValueError):
         weak_identity(make_config(T=0.05))
 
@@ -230,10 +230,11 @@ def test_weak_identity_records_make_no_complex_transform(monkeypatch, tmp_path):
     assert calls == []
     # the Verlet oracle's records read their gradient energy too; its
     # leapfrog error leaves a larger residual than the impulse stepper's
+    # (1.4e-4 here, against 2.1e-6)
     cfg, u0 = make_config(N=256, T=1.0, diagnostics_stride=1)
     start = WaveState(cfg.grid, u0, np.zeros_like(u0), 0.0)
-    _, (residual,) = integrate([(Verlet(cfg), start)], cfg, [WeakIdentity(cfg.grid)])
-    assert residual < 1e-2
+    _, (report,) = integrate([(Verlet(cfg), start)], cfg, [WeakIdentity(cfg.grid)])
+    assert report.residual < 1e-3
 
 
 def test_run_ends_at_T_with_dt_at_most_the_one_asked_for():

@@ -9,7 +9,7 @@ import pytest
 
 from supercrit.assumption_lab import find_convexity_shift
 from supercrit.field_core import GridSpec, bump_field, l2_norm_sq
-from supercrit import stepping, weak_strong
+from supercrit import field_core, stepping, weak_strong
 from supercrit.nls_integrator import member as nls_member
 from supercrit.nonlinearity import from_selection, two_star
 from supercrit.stepping import RunSchedule, integrate, run_single
@@ -102,6 +102,45 @@ def test_nls_trace_with_valid_shift_has_nonnegative_defect():
     assert tr.G[0] == pytest.approx(
         sum(tr.G[:1]), rel=1e-12
     )  # sanity: scalar access
+
+
+def test_wave_ladder_evaluates_the_potential_once_per_state_and_record():
+    # J reads the members' potential integrals from their energies; a record
+    # that also built each member's potential density evaluated F twice
+    grid = GridSpec(1, 128, 8.0)
+    base = from_selection("defocusing_exp:m=1")
+    points = []
+
+    def counted(u):
+        points.append(np.size(u))
+        return base.F(u)
+
+    cfg = RunSchedule(grid, replace(base, F=counted), 0.25 * grid.h, 0.25)
+    ladder = (1e-1, 1e-2)
+    gronwall_ladder(cfg, bump_field(grid, 0.5, 1.0), bump_field(grid, 1.0, 0.8), ladder)
+    states = 1 + len(ladder)
+    assert sum(points) / (grid.N * states * cfg.records()) == 1.0
+
+
+def test_nls_ladder_evaluates_the_potential_a_block_at_a_time(monkeypatch):
+    # the energies sum F(|u|^2/2) one block at a time and the defect reads
+    # them, so no record evaluates the potential on a whole field
+    monkeypatch.setattr(field_core, "_BLOCK", 512)
+    shift = weak_strong.find_convexity_shift
+    monkeypatch.setattr(weak_strong, "find_convexity_shift",
+                        lambda *args, **kwargs: shift(*args, n_random=1000, **kwargs))
+    grid = GridSpec(2, 64, 16.0)
+    base = from_selection("nls_cubic")
+    sizes = []
+
+    def counted(s):
+        sizes.append(np.size(s))
+        return base.Fs(s)
+
+    cfg = RunSchedule(grid, replace(base, Fs=counted), 0.1, 0.2)
+    u0 = bump_field(grid, 0.5, 2.0).astype(complex)
+    gronwall_ladder(cfg, u0, bump_field(grid, 1.0, 1.5), (1e-1, 1e-2))
+    assert grid.N ** grid.d > 512 and sizes and max(sizes) <= 512
 
 
 def test_nls_gronwall_evaluates_curvature_once_per_record():
