@@ -212,8 +212,8 @@ def working_set_bytes(cfg: ExperimentConfig) -> float:
     160 per grid point for each state stepped in lockstep, one per ladder
     member plus the reference. Measured as the tracemalloc peak of a CLI
     run: simulate-wave 47 at d = 2, N = 512, 49 at d = 3, N = 64 and 79 at
-    d = 1, N = 65536 (L = 10, radius 1.5); a wave weak-strong ladder 66 per
-    state at d = 3, N = 64; NLS 97 for one state and 80 per state of a
+    d = 1, N = 65536 (L = 10, radius 1.5); a wave weak-strong ladder 62 per
+    state at d = 3, N = 64; NLS 97 for one state and 76 per state of a
     weak-strong ladder at d = 2, N = 512 (L = 40, radius 1.5), so one NLS
     state needs the larger bound.
     The probe of appendix-construct adds 9 per point and record (measured:

@@ -17,7 +17,11 @@ columns alike instead of reading as a change. Every row records
 * ``mpoints``     points handed to the nonlinearity evaluators (F, f, f' and
                   the spec's jet; Fs, Fs' and Fs'' for an NLS spec), counted in
                   an untimed pass;
-* ``peak_bytes``  tracemalloc peak of one untimed pass;
+* ``peak_bytes``  tracemalloc peak of one untimed pass, made after every
+                  ``lru_cache`` of the measured tree is emptied, so that it
+                  counts the tables a cold run builds (such as the NLS
+                  propagator and the Parseval multipliers), which the warm-up
+                  and counting passes would otherwise have left allocated;
 
 and every end-to-end row also
 
@@ -71,7 +75,8 @@ test builds and observes the members' records.
 * ``e2e.weak-strong.wave.d3``      a weak-strong run of the ``wave3d``
   workload's config at T = 0.5 (23 steps): the reference and the default
   ladder's three members stepped in lockstep, with ``WaveGronwall`` reading
-  each member's potential density and u_t at every record.
+  each member's u_t and f(u), and the potential integrals of its energies,
+  at every record.
 
 Every e2e config is the workload's at seed 0.
 """
@@ -136,9 +141,19 @@ def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def _clear_caches():
+    """Empty every lru_cache of the measured tree's modules."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "supercrit":
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
 def _measure(run, make_spec, faults=False):
     """wall_s, mpoints and peak_bytes of run(spec), and with ``faults`` minflt;
-    make_spec() builds a fresh spec."""
+    make_spec() builds a fresh spec. The traced pass starts with the tree's
+    caches empty."""
     run(make_spec())  # warm-up: imports, caches
     times, minflt = [], []
     for _ in range(REPEATS):
@@ -149,6 +164,7 @@ def _measure(run, make_spec, faults=False):
         minflt.append(_minflt() - f0)
     counter = [0]
     run(_counting(make_spec(), counter))
+    _clear_caches()
     tracemalloc.start()
     try:
         run(make_spec())
