@@ -33,6 +33,8 @@ KINDS = (
     "identity-check",
 )
 
+# check-assumptions takes its constants at this d, its default and only value
+CHECK_ASSUMPTIONS_D = 3
 # the perturbation sizes of a weak-strong run whose config sets no ladder
 DEFAULT_LADDER = (1e-1, 1e-2, 1e-3)
 # A config whose estimated working set exceeds this fixed limit (not read from
@@ -130,6 +132,8 @@ def parse_config(text: str, kind: str | None = None, overrides=()) -> Experiment
 
     if errors:
         raise ConfigError(errors)
+    if values["kind"] == "check-assumptions":
+        values.setdefault("d", CHECK_ASSUMPTIONS_D)
     cfg = ExperimentConfig(**values)
     errors = validate(cfg)
     if errors:
@@ -146,6 +150,9 @@ def validate(cfg: ExperimentConfig) -> list:
             errors.append(f"{name}={value} must be finite")
     if cfg.d not in (1, 2, 3):
         errors.append(f"d={cfg.d} must be 1, 2 or 3")
+    elif cfg.kind == "check-assumptions" and cfg.d != CHECK_ASSUMPTIONS_D:
+        errors.append(f"d={cfg.d}: check-assumptions takes its constants at "
+                      f"d = {CHECK_ASSUMPTIONS_D} only")
     if cfg.N < 8 or cfg.N & (cfg.N - 1):
         errors.append(f"N={cfg.N} must be a power of two >= 8")
     if cfg.L <= 0:
@@ -211,8 +218,8 @@ def working_set_bytes(cfg: ExperimentConfig) -> float:
 
     160 per grid point for each state stepped in lockstep, one per ladder
     member plus the reference. Measured as the tracemalloc peak of a CLI
-    run: simulate-wave 47 at d = 2, N = 512, 49 at d = 3, N = 64 and 79 at
-    d = 1, N = 65536 (L = 10, radius 1.5); a wave weak-strong ladder 62 per
+    run: simulate-wave 43 at d = 2, N = 512, 43 at d = 3, N = 64 and 77 at
+    d = 1, N = 65536 (L = 10, radius 1.5); a wave weak-strong ladder 56 per
     state at d = 3, N = 64; NLS 97 for one state and 76 per state of a
     weak-strong ladder at d = 2, N = 512 (L = 40, radius 1.5), so one NLS
     state needs the larger bound.

@@ -98,7 +98,8 @@ class GridSpec:
         return _ksq(self.d, self.N, self.L)
 
     def half_wavenumber_sq(self) -> np.ndarray:
-        """|xi|^2 on the np.fft.rfftn half spectrum, a new array each call.
+        """|xi|^2 on the np.fft.rfftn half spectrum, a new array each call; the
+        tests' oracle for the tables kept on rows 0..N/2 of axis 0.
 
         Its values are bitwise those of the last-axis half of wavenumber_sq().
         """
@@ -224,17 +225,27 @@ def _re_pairing(a: np.ndarray, b: np.ndarray, *weight: np.ndarray) -> float:
     ``np.dot``, ``np.vdot`` and ``@``, calls no BLAS, whose threads spin on a
     second core. It sums in sequence, so it keeps a field's first axis and
     np.sum adds the partial sums: on the nls-ladder fields that rounds like
-    np.sum (5e-16 relative, against 2e-14 for one sequential sum).
+    np.sum (5e-16 relative, against 2e-14 for one sequential sum). A weight
+    table kept on rows 0..n/2 of axis 0 (see mirror_halves) pairs each mirror
+    half of the fields with its view, and the rows' partial sums are
+    concatenated in row order, so the sum is bitwise the whole table's.
     """
     views = [(a.real, b.real)]
     if np.iscomplexobj(a) and np.iscomplexobj(b):
         views.append((a.imag, b.imag))
+    # a weight of the fields' rank is a table, which may keep rows 0..n/2 only
+    # of axis 0; a lower-rank one broadcasts on the last axes
+    pairs = (mirror_halves(a.shape[0], *weight) if weight and weight[0].ndim == a.ndim
+             else [(slice(None), weight)])
     total = 0.0
-    for ops in views:
-        ops = weight + ops
-        n = max(op.ndim for op in ops)
-        args = [x for op in ops for x in (op, list(range(n - op.ndim, n)))]
-        total += float(np.sum(np.einsum(*args, [0] if n > 1 else [])))
+    for x, y in views:
+        parts = []
+        for rows, w in pairs:
+            ops = w + (x[rows], y[rows])
+            n = max(op.ndim for op in ops)
+            args = [z for op in ops for z in (op, list(range(n - op.ndim, n)))]
+            parts.append(np.einsum(*args, [0] if n > 1 else []))
+        total += float(np.sum(np.concatenate(parts) if len(parts) > 1 else parts[0]))
     return total
 
 
@@ -274,13 +285,16 @@ def _half_multiplier(grid: GridSpec, gradient: bool) -> np.ndarray:
 
     An interior last-axis plane also stands for its mirror image -k, which
     the half spectrum leaves out, so it weighs 2; the zero and Nyquist
-    planes are their own mirrors and weigh 1.
+    planes are their own mirrors and weigh 1. The plane weights alone are a
+    last-axis vector; the gradient's table keeps, like the stepper's tables,
+    rows 0..N/2 of axis 0 only for d >= 2 (``GridSpec.table_wavenumber_sq``),
+    which ``_re_pairing`` mirrors.
     """
     w = np.full(grid.N // 2 + 1, 2.0)
     w[0] = w[-1] = 1.0
     if gradient:
         # in place, so that the first record holds one copy of the table
-        out = grid.half_wavenumber_sq()
+        out = grid.table_wavenumber_sq(half=True)
         out *= w
     else:
         out = w

@@ -145,6 +145,27 @@ class TruncationLevel:
 # builtin catalog
 # ---------------------------------------------------------------------------
 
+def _int_power(u, k: int):
+    """u ** k for an integer k >= 0, u a float array or scalar.
+
+    k <= 2 is numpy's own u ** k, whose fast paths give ones, a copy and a
+    square. A larger k goes by squarings and multiplications by u, left to
+    right through k's bits, in the result's buffer. libm's pow is slow for a
+    negative base: u ** 4 took 1.33 ms per 2^14 points, against 10-13 us
+    for np.square(np.square(u)) and 62-81 us for |u| ** 4 (2-vCPU Xeon,
+    numpy 2.4). The product may differ from pow in the last digits.
+    """
+    if k <= 2:
+        return u ** k
+    out = u * u
+    for i, bit in enumerate(bin(k)[3:]):
+        if i:
+            out *= out
+        if bit == "1":
+            out *= u
+    return out
+
+
 def _defocusing_exp(m: int) -> NonlinearitySpec:
     p = 2 * m
 
@@ -152,23 +173,24 @@ def _defocusing_exp(m: int) -> NonlinearitySpec:
     def F(u):
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
-            return np.expm1(u ** p)
-        out = u ** p
+            return np.expm1(_int_power(u, p))
+        out = _int_power(u, p)
         return np.expm1(out, out=out)
 
     def f(u):
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
-            return p * u ** (p - 1) * np.exp(u ** p)
-        out = u ** (p - 1)
+            return p * _int_power(u, p - 1) * np.exp(_int_power(u, p))
+        out = _int_power(u, p - 1)
         out *= p
-        e = u ** p
+        e = _int_power(u, p)
         out *= np.exp(e, out=e)
         return out
 
     def fprime(u):
         u = np.asarray(u, dtype=float)
-        return (p * (p - 1) * u ** (p - 2) + p * p * u ** (2 * p - 2)) * np.exp(u ** p)
+        return ((p * (p - 1) * _int_power(u, p - 2) + p * p * _int_power(u, 2 * p - 2))
+                * np.exp(_int_power(u, p)))
 
     return NonlinearitySpec(
         name=f"defocusing_exp:m={m}",

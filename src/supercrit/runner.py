@@ -94,7 +94,7 @@ def _bump(cfg: ExperimentConfig, grid) -> np.ndarray:
 
 def _do_check_assumptions(cfg: ExperimentConfig):
     try:
-        reports = classify(cfg.spec(), R=cfg.R, d=max(cfg.d, 3), seed=cfg.seed)
+        reports = classify(cfg.spec(), R=cfg.R, d=cfg.d, seed=cfg.seed)
     except UnboundedEstimateError as exc:
         return OUTCOME_VIOLATION, {"report.json": _json_bytes({"error": str(exc)})}
     payload = [asdict(r) for r in reports]

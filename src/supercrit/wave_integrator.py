@@ -24,29 +24,34 @@ half spectra of u and u_t, the physical u, and the half kick, 0.5 dt times
 the half spectrum of the residual force f(u) - m u at u. A step is the half
 kick, the exact linear flow on the half spectrum, one inverse transform for
 the new u, one forward transform for its kick, and the closing half kick:
-two real transforms. Setting the state up from (u0, u1) takes three forward
-transforms. The energies come from the half spectra by Parseval, so a record
+two real transforms. Setting the state up from (u0, u1) takes two forward
+transforms; the first step makes the opening kick from the state's u, a
+third. The energies come from the half spectra by Parseval, so a record
 makes no transform unless an observer asks for the physical u_t (one
 inverse transform).
 
-A run holds its state, the stepper's three multiplier tables and the cached
-Parseval multiplier of the energies, and nothing else:
+A run holds its state and the stepper's three multiplier tables, and nothing
+else; after its first step, a step allocates no field-sized array:
 
 * the tables cos(om dt), sin(om dt) / om and om sin(om dt) are made from the
   half spectrum's |xi|^2, which is not kept. |xi|^2 is bitwise even in each
   frequency, so for d >= 2 each table keeps rows 0..N/2 of axis 0 only, and
   ``field_core.mirror_halves`` applies it to all N rows in two calls: a
-  table is about half a real half spectrum. No full-grid |xi|^2 is made;
-* ``start`` makes the three half spectra from (u0, u1) and then copies u0
-  into the state's own u, which each step's inverse transform overwrites, so
-  the caller's arrays are never written; an at-rest u1 is a broadcast zero
-  and allocates no field;
+  table is about half a real half spectrum. No full-grid |xi|^2 is made. The
+  tables are cached read-only per (grid, dt, mass), so the members of a
+  ladder share one set; so does the Parseval multiplier of the energies,
+  kept on the same rows;
+* ``start`` makes the two half spectra from (u0, u1) and then copies u0 into
+  the state's own u, which each step's inverse transform overwrites, so the
+  caller's arrays are never written; it makes no kick, so u0 and the copy
+  are never alive beside one. An at-rest u1 is a broadcast zero and
+  allocates no field;
 * the state keeps the kick already scaled, so each half kick is one in-place
   subtraction. Between the opening kick and the new one the kick's array is
-  free: the flow writes sin_om * u_t into it, one mirror half at a time, with
-  om_sin * u in a temporary of one half, the step's only field-sized
-  allocation; then the inverse transform's per-axis ``ifft`` results go
-  through it;
+  free: the flow goes through each mirror half in chunks of at most half the
+  kick's rows, and writes a chunk's om_sin * u into the kick's first rows
+  and its sin_om * u_t into the next ones; then the inverse transform's
+  per-axis ``ifft`` results go through it;
 * the residual is evaluated one slab of whole last-axis lines at a time,
   about ``field_core._BLOCK`` points (the whole line at d = 1), so that f's
   temporaries are block-sized, and each slab is ``rfft``'d straight into the
@@ -58,14 +63,14 @@ Parseval multiplier of the energies, and nothing else:
   (``field_core._potential_integral``), bitwise np.sum of the density,
   which no record builds.
 
-A step makes the same ufunc calls on the same values in the same order as
-one that allocates a new state and whole tables, so its results are bitwise
-the same.
+A step makes the same elementwise operations on the same values as one that
+allocates a new state and whole tables, so its results are bitwise the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,16 +125,30 @@ def step(state: WaveState, cfg: RunSchedule) -> WaveState:
 @dataclass(frozen=True)
 class _SpectralState:
     """Impulse-stepper state: u with the rfftn half spectra of u and u_t, and rh,
-    the half kick: 0.5 dt times the half spectrum of f(u) - m u."""
+    the half kick: 0.5 dt times the half spectrum of f(u) - m u, or None at t = 0."""
 
     u: np.ndarray
     uh: np.ndarray
     uth: np.ndarray
-    rh: np.ndarray
+    rh: np.ndarray | None
     t: float
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.uth)))
+
+
+@lru_cache(maxsize=8)
+def _flow_tables(grid: GridSpec, dt: float, mass: float) -> tuple:
+    """The impulse stepper's read-only cos(om dt), sin(om dt) / om and om sin(om dt),
+    om = sqrt(|xi|^2 + mass), on the rows of axis 0 a table keeps (see
+    mirror_halves); cached, so the members of a ladder share one set."""
+    om = np.sqrt(grid.table_wavenumber_sq(half=True) + mass)
+    tables = (np.cos(om * dt),
+              np.where(om > 0, np.sin(om * dt) / np.where(om > 0, om, 1.0), dt),
+              om * np.sin(om * dt))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 class _SpectralImpulse:
@@ -148,10 +167,7 @@ class _SpectralImpulse:
         self.grid, self.spec, self.dt = cfg.grid, cfg.spec, dt
         self.mass = max(0.0, float(cfg.spec.fprime(0.0)))
         self.half_shape = cfg.grid.shape[:-1] + (cfg.grid.N // 2 + 1,)
-        om = np.sqrt(cfg.grid.table_wavenumber_sq(half=True) + self.mass)
-        self.cos = np.cos(om * dt)
-        self.sin_om = np.where(om > 0, np.sin(om * dt) / np.where(om > 0, om, 1.0), dt)
-        self.om_sin = om * np.sin(om * dt)
+        self.cos, self.sin_om, self.om_sin = _flow_tables(cfg.grid, dt, self.mass)
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(x, out=np.empty(self.half_shape, complex))
@@ -193,27 +209,31 @@ class _SpectralImpulse:
         return out
 
     def start(self, u0: np.ndarray, u1: np.ndarray) -> _SpectralState:
-        """The state at t = 0 of u = u0, u_t = u1; all its arrays are new."""
-        uh, uth = self._forward(u0), self._forward(u1)
-        kick = self._kick(u0, np.empty(self.half_shape, complex))
-        # copied last, so the copy is not alive while the kick is made
-        return _SpectralState(np.array(u0, float), uh, uth, kick, 0.0)
+        """The state at t = 0 of u = u0, u_t = u1, without its kick (rh None), which
+        the first step makes from the state's u; all its arrays are new."""
+        return _SpectralState(np.array(u0, float), self._forward(u0), self._forward(u1),
+                              None, 0.0)
 
     def __call__(self, s: _SpectralState) -> _SpectralState:
         uh, uth, kick = s.uh, s.uth, s.rh
+        if kick is None:
+            kick = self._kick(s.u, np.empty(self.half_shape, complex))
         uth -= kick
-        # the exact flow, one mirror half at a time: kick is free until the new
-        # one, so it holds sin_om * uth, and tmp, one half, holds om_sin * uh
-        tmp = np.empty(self.cos.shape, complex)
-        for rows, (cos, sin_om, om_sin) in mirror_halves(uh.shape[0], self.cos,
-                                                         self.sin_om, self.om_sin):
-            a, b = uh[rows], uth[rows]
-            t = np.multiply(om_sin, a, out=tmp[:len(a)])
-            a *= cos
-            a += np.multiply(sin_om, b, out=kick[rows])
-            b *= cos
-            b -= t
-        del tmp, t  # t views tmp, so both go before the kick's temporaries
+        # the exact flow, in chunks of at most half the kick's rows of each
+        # mirror half: kick is free until the new one, so a chunk's om_sin * uh
+        # goes into its first r rows and sin_om * uth into the next r
+        chunk = kick.shape[0] // 2
+        for rows, tables in mirror_halves(uh.shape[0], self.cos, self.sin_om, self.om_sin):
+            for i in range(0, len(tables[0]), chunk):
+                part = slice(i, i + chunk)
+                a, b = uh[rows][part], uth[rows][part]
+                cos, sin_om, om_sin = (table[part] for table in tables)
+                r = len(a)
+                t = np.multiply(om_sin, a, out=kick[:r])
+                a *= cos
+                a += np.multiply(sin_om, b, out=kick[r:2 * r])
+                b *= cos
+                b -= t
         u = self._inverse(uh, kick, s.u)
         uth -= self._kick(u, kick)
         return _SpectralState(u, uh, uth, kick, s.t + self.dt)

@@ -152,6 +152,34 @@ def test_bad_radius_or_stride_exits_2(tmp_path, capsys, monkeypatch, kind, text,
     assert f"config error: {key}=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_check_assumptions_at_another_d_exits_2(tmp_path, capsys, monkeypatch, d):
+    # the constants are taken at d = 3; d = 1, 2 and 3 gave one report under
+    # three experiment ids
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail("run started"))
+    path = tmp_path / "assume.cfg"
+    path.write_text(f"nonlinearity = oscillating_sin:q=2\nd = {d}\n")
+    assert main(["check-assumptions", "--config", str(path), "--output", str(tmp_path)]) == 2
+    assert "check-assumptions takes its constants at d = 3" in capsys.readouterr().err
+
+
+def test_check_assumptions_of_a_supercritical_power_exits_2(tmp_path, capsys):
+    # q = 7 >= 2* = 6 at the lab's d = 3; validated at the config's d = 1, it
+    # ended in the lab's ValueError
+    path = tmp_path / "assume.cfg"
+    path.write_text("nonlinearity = pure_power:p=7\n")
+    assert main(["check-assumptions", "--config", str(path), "--output", str(tmp_path)]) == 2
+    assert "violates the subcritical growth bound" in capsys.readouterr().err
+
+
+def test_check_assumptions_defaults_to_d_3():
+    text = "nonlinearity = oscillating_sin:q=2\n"
+    default = parse_config(text, "check-assumptions")
+    assert default.d == 3
+    assert default.experiment_id() == parse_config(text + "d = 3\n",
+                                                   "check-assumptions").experiment_id()
+
+
 @pytest.mark.parametrize("kind, text, step", [
     ("simulate-wave", "nonlinearity = defocusing_exp:m=1\nd = 3\nN = 64\nL = 10\n"
                       "radius = 1.5\nT = 1\n", 1 / 45),

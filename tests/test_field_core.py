@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supercrit import field_core
 from supercrit.field_core import (
     AmplitudeError,
     _potential_integral,
@@ -261,6 +262,25 @@ def test_reductions_equal_their_np_sum_formulas(d, complex_valued):
         assert half_l2_norm_sq(half, grid) == pytest.approx(h / n * np.sum(sq), rel=1e-13)
         assert half_gradient_norm_sq(half, grid) == pytest.approx(
             h / n * np.sum(grid.half_wavenumber_sq() * sq), rel=1e-13)
+
+
+@pytest.mark.parametrize("d, N, L", [(2, 8, 3.0), (2, 64, 7.3), (2, 256, 40.0),
+                                     (3, 16, 8.0), (3, 64, 10.0)])
+def test_mirrored_gradient_multiplier_pairs_like_the_whole_table_bitwise(d, N, L):
+    # the multiplier keeps rows 0..N/2 of axis 0, as the stepper tables do; each
+    # row's partial sum reads its mirror row, so the total is the whole table's
+    grid = GridSpec(d, N, L)
+    mult = field_core._half_multiplier(grid, True)
+    assert mult.shape == (N // 2 + 1,) + grid.shape[1:-1] + (N // 2 + 1,)
+    whole = grid.half_wavenumber_sq() * _plane_weights(grid)
+    rng = np.random.default_rng(N)
+    for scale in (1e-4, 1.0, 1e5):
+        uh = np.fft.rfftn(scale * rng.normal(size=grid.shape))
+        ref = grid.cell_volume / N ** d * field_core._re_pairing(uh, uh, whole)
+        assert half_gradient_norm_sq(uh, grid) == ref
+        strided = np.stack([uh, uh], axis=-1)[..., 1]
+        assert not strided.flags.c_contiguous
+        assert half_gradient_norm_sq(strided, grid) == ref
 
 
 def test_reductions_read_non_contiguous_fields():

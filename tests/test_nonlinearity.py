@@ -11,6 +11,7 @@ from supercrit.nonlinearity import (
     SelectionError,
     TruncationError,
     TruncationLevel,
+    _int_power,
     beta_cutoff,
     builtin_catalog,
     find_truncation_abscissae,
@@ -170,12 +171,29 @@ def test_defocusing_exp_in_place_evaluators_equal_the_formula(m):
     u = np.random.default_rng(m).uniform(-1.5, 1.5, (16, 24))
     u[0, :2] = 0.0, -0.0
     kept = u.copy()
-    for got, want in ((spec.F(u), np.expm1(u ** p)),
-                      (spec.f(u), p * u ** (p - 1) * np.exp(u ** p))):
+    # powers above 2 are products, not libm's pow, which is 100 times slower
+    # on a negative base; they agree with pow to a few ulp
+    power = {1: u ** 1, 2: u ** 2, 3: u * u * u, 4: (u * u) * (u * u)}
+    for got, want, pow_formula in (
+            (spec.F(u), np.expm1(power[p]), np.expm1(u ** p)),
+            (spec.f(u), p * power[p - 1] * np.exp(power[p]), p * u ** (p - 1) * np.exp(u ** p))):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_allclose(got, pow_formula, rtol=2e-15, atol=0.0)
     assert np.array_equal(u.view(np.int64), kept.view(np.int64))
     # a scalar input still gives a numpy scalar
     assert isinstance(spec.f(0.5), np.float64) and isinstance(spec.F(0.5), np.float64)
+
+
+def test_integer_powers_are_numpys_up_to_2_and_products_above():
+    u = np.random.default_rng(5).uniform(-3.0, 3.0, 1000)
+    u[:4] = 0.0, -0.0, 1.0, -1.0
+    for k in range(9):
+        got = _int_power(u, k)
+        if k <= 2:
+            assert np.array_equal(got.view(np.int64), (u ** k).view(np.int64))
+        else:
+            np.testing.assert_allclose(got, u ** k, rtol=k * 2.3e-16, atol=0.0)
+        assert got is not u and isinstance(_int_power(np.float64(-1.5), k), np.float64)
 
 
 def test_truncate_rejects_sign_violating_level():

@@ -324,10 +324,13 @@ def _traced_peak(fn):
     return result, peak - entry
 
 
-def test_a_wave_step_allocates_one_mirror_half_and_a_record_no_field():
-    # the wave3d benchmark's grid. A step with a whole-spectrum scratch and a
-    # residual field allocated 2.1 mirror halves here, and a record that built
-    # the potential density one field
+def test_a_wave_step_and_its_record_allocate_no_field(monkeypatch):
+    # the wave3d benchmark's grid, with small residual slabs. The flow's products
+    # go into the spent kick, so a step allocates numpy's buffer for casting the
+    # real tables to complex (getbufsize() elements), a slab and a few small
+    # objects: 0.06 half spectra. A step with a half-size temporary allocated
+    # 0.58 here, and a record that built the potential density one field
+    monkeypatch.setattr(field_core, "_BLOCK", 1 << 10)
     grid = GridSpec(3, 64, 10.0)
     cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"),
                       0.25 * grid.h / np.sqrt(3), 1.0)
@@ -339,16 +342,32 @@ def test_a_wave_step_allocates_one_mirror_half_and_a_record_no_field():
         DiagnosticTrace(grid=grid).observe(rec)
 
     record()  # the first record caches the energy multipliers
-    state = stepper(state)
+    state = stepper(state)  # the first step makes the opening kick
     state, step_bytes = _traced_peak(lambda: stepper(state))
-    half = 16 * 33 * 64 * 33  # rows 0..N/2 of axis 0 of the complex half spectrum
-    # besides the mirror half, numpy's buffer for casting the real tables to
-    # complex (getbufsize() elements) and a few small objects
-    assert step_bytes <= half + 16 * np.getbufsize() + 2 ** 14
+    half = 16 * 64 * 64 * 33  # the complex half spectrum
+    assert step_bytes < 0.25 * half
     assert stepper.cos.shape == (33, 64, 33)
     _, record_bytes = _traced_peak(record)
     # F's block temporaries: a few blocks of field_core._BLOCK points
     assert record_bytes <= 0.2 * 8 * grid.N ** grid.d
+
+
+def test_member_makes_no_kick_and_members_share_the_flow_tables():
+    grid = GridSpec(3, 32, 10.0)
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), stable_dt(grid.h, 3), 1.0)
+    u0 = bump_field(grid, 0.5, 1.5)
+    first, _ = member(cfg, u0)  # builds the flow tables
+    (stepper, state), member_bytes = _traced_peak(lambda: member(cfg, u0))
+    assert state.rh is None
+    # u, the half spectra of u and u_t, and the transforms' transients: 2.95
+    # half spectra; a member that made the kick and its own tables held 5.2
+    half = 16 * 32 * 32 * 17
+    assert member_bytes < 3.25 * half
+    for ours, theirs in zip((stepper.cos, stepper.sin_om, stepper.om_sin),
+                            (first.cos, first.sin_om, first.om_sin)):
+        assert ours is theirs and not ours.flags.writeable
+    other = RunSchedule(grid, cfg.spec, 0.5 * cfg.dt, 1.0)
+    assert member(other, u0)[0].cos is not first.cos
 
 
 def test_residual_does_not_depend_on_the_block_size(monkeypatch):
@@ -363,9 +382,11 @@ def test_residual_does_not_depend_on_the_block_size(monkeypatch):
         monkeypatch.setattr(field_core, "_BLOCK", block)
         stepper, state = member(cfg, u0)
         assert stepper.mass == 2.0
-        # the state keeps the half kick, 0.5 dt times the residual's spectrum
+        # the half kick, 0.5 dt times the residual's spectrum, which the first
+        # step makes from the state's u
+        kick = stepper._kick(state.u, np.empty(stepper.half_shape, complex))
         expected = 0.5 * stepper.dt * np.fft.rfftn(spec.f(u0) - stepper.mass * u0)
-        assert np.array_equal(state.rh.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(kick.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -374,11 +395,16 @@ def test_at_rest_member_equals_a_zero_field_bitwise(d):
     grid = GridSpec(d, 16, 8.0)
     u0 = bump_field(grid, 0.5, 2.0)
     cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), 0.05, 0.5)
-    (_, rest), (_, zero) = member(cfg, u0), member(cfg, u0, np.zeros(grid.shape))
+    (stepper, rest), (_, zero) = member(cfg, u0), member(cfg, u0, np.zeros(grid.shape))
+    assert rest.u is not u0 and np.signbit(rest.uth.imag).any()
+    assert rest.rh is None and zero.rh is None
+    for ours, ref in ((rest.u, zero.u), (rest.uh, zero.uh), (rest.uth, zero.uth)):
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+    # the first step makes the opening kick from each state's u
+    rest, zero = stepper(rest), stepper(zero)
     for ours, ref in ((rest.u, zero.u), (rest.uh, zero.uh), (rest.uth, zero.uth),
                       (rest.rh, zero.rh)):
         assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
-    assert rest.u is not u0 and np.signbit(rest.uth.imag).any()
 
 
 def _full_tables(grid, mass, dt):

@@ -46,14 +46,15 @@ Rows:
 * ``layer.step.wave``              one impulse step of defocusing_exp:m=1 on the
   grid and data of the ``wave3d`` workload (d = 3, N = 64), its member built by
   the runner's ``_base_config`` and ``_bump``; each spec's member is built at
-  its first call, and each later call advances it by one step, so wall_s and
-  peak_bytes are one step's, while mpoints, from the counting spec's only
-  call, also counts the set-up's evaluation of f;
+  its first call, which also makes its first step, and each later call
+  advances it by one step, so wall_s and peak_bytes are one later step's,
+  while mpoints, from the counting spec's only call, also counts the opening
+  kick's evaluation of f (made by the member or by its first step);
 * ``layer.record.wave``            one diagnostics record of that member's initial
   state, as a simulate-wave run makes it: the energies (F on the grid, Parseval
   sums of the half spectra), the boundary leakage and the sup norm; each call
-  observes a new record of the same state, and mpoints, as for the step, also
-  counts the set-up's f;
+  observes a new record of the same state, and mpoints also counts the
+  set-up's f where the member makes the opening kick;
 * ``layer.record.nls``             one record of a weak-strong run of the
   ``nls-ladder`` workload (nls_coercive_exp at d = 2, N = 128): the energies
   of the reference and its three ladder members, built at t = 0 as
@@ -65,13 +66,15 @@ Both record rows run ``stepping.integrate(members, schedule, observers)``
 on members whose stepper ends the run at its first step, so a call is the
 initial record as the time loop makes it, in whatever order the tree under
 test builds and observes the members' records.
-* ``e2e.check-assumptions.d<d>``   the CLI run of the ``assume`` workload of
-  ``bench/workloads.py`` (check-assumptions, oscillating_sin:q=2) with
-  ``d = <d>`` appended, for d = 1, 2, 3, config file to published directory;
+* ``e2e.check-assumptions``        the CLI run of the ``assume`` workload of
+  ``bench/workloads.py`` (check-assumptions, oscillating_sin:q=2, whose
+  constants are taken at d = 3 only), config file to published directory;
 * ``e2e.weak-strong.nls``          the CLI run of the ``nls-ladder`` workload
   (weak-strong, nls_coercive_exp at d = 2, N = 128, T = 0.5, dt = 0.005);
 * ``e2e.simulate-wave.d3``         the CLI run of the ``wave3d`` workload
   (simulate-wave, defocusing_exp:m=1 at d = 3, N = 64, T = 1: 45 steps);
+* ``e2e.simulate-wave.m2``         that run with defocusing_exp:m=2, whose F and
+  f take fourth and third powers;
 * ``e2e.weak-strong.wave.d3``      a weak-strong run of the ``wave3d``
   workload's config at T = 0.5 (23 steps): the reference and the default
   ladder's three members stepped in lockstep, with ``WaveGronwall`` reading
@@ -113,13 +116,13 @@ NLS_SWEEP = {"R": 2.0, "d": 3, "n_random": 400_000, "seed": 0}
 WAVE_SPEC = "defocusing_exp:m=1"
 # e2e row: (subcommand, config text), each a workload's config at seed 0
 E2E = {
-    **{f"e2e.check-assumptions.d{d}": (WORKLOADS["assume"].command,
-                                       WORKLOADS["assume"].config_text(0) + f"d = {d}\n")
-       for d in (1, 2, 3)},
+    "e2e.check-assumptions": (WORKLOADS["assume"].command, WORKLOADS["assume"].config_text(0)),
     "e2e.weak-strong.nls": (WORKLOADS["nls-ladder"].command,
                             WORKLOADS["nls-ladder"].config_text(0)),
     "e2e.simulate-wave.d3": (WORKLOADS["wave3d"].command, WORKLOADS["wave3d"].config_text(0)),
     # a later line of a config overrides an earlier one
+    "e2e.simulate-wave.m2": (WORKLOADS["wave3d"].command, WORKLOADS["wave3d"].config_text(0)
+                             + "nonlinearity = defocusing_exp:m=2\n"),
     "e2e.weak-strong.wave.d3": ("weak-strong", WORKLOADS["wave3d"].config_text(0) + "T = 0.5\n"),
 }
 
