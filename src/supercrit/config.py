@@ -15,7 +15,10 @@ from .field_core import GridSpec
 from .nonlinearity import (
     NlsNonlinearitySpec,
     SelectionError,
+    TruncationError,
+    find_truncation_abscissae,
     from_selection,
+    truncate,
     two_star,
 )
 from .nls_integrator import accuracy_error
@@ -207,6 +210,13 @@ def validate(cfg: ExperimentConfig) -> list:
         errors.append(f"ladder={cfg.ladder} entries must be positive, with positive squares")
     if cfg.ladder and list(cfg.ladder) != sorted(set(cfg.ladder)):
         errors.append("ladder values must be strictly increasing")
+    if not errors and cfg.kind == "appendix-construct":
+        # each cut height needs an admissible abscissa and finite cut values
+        for k in cfg.ladder:
+            try:
+                truncate(spec, find_truncation_abscissae(spec, k))
+            except TruncationError as exc:
+                errors.append(f"ladder level {k:g}: {exc}")
     if not errors and (need := working_set_bytes(cfg)) > WORKING_SET_LIMIT:
         errors.append(f"estimated working set {need / 2 ** 30:.3g} GiB exceeds the "
                       f"{WORKING_SET_LIMIT / 2 ** 30:g} GiB limit")
@@ -222,19 +232,12 @@ def working_set_bytes(cfg: ExperimentConfig) -> float:
     d = 1, N = 65536 (L = 10, radius 1.5); a wave weak-strong ladder 56 per
     state at d = 3, N = 64; NLS 97 for one state and 76 per state of a
     weak-strong ladder at d = 2, N = 512 (L = 40, radius 1.5), so one NLS
-    state needs the larger bound.
-    The probe of appendix-construct adds 9 per point and record (measured:
-    the slope from 257 to 513 records at d = 1, N = 1024 is 7.9, and 8.4 for
-    the time loop alone: the |f(u)| samples, written in place; the probe's
-    draw adds a few blocks).
+    state needs the larger bound. The integrability probe of
+    appendix-construct keeps scalars per record.
     """
     points = 0.0 if cfg.kind == "check-assumptions" else float(cfg.N) ** cfg.d
     ladder = cfg.kind in ("weak-strong", "appendix-construct")
-    total = 160.0 * points * (1 + ladder * len(cfg.ladder or DEFAULT_LADDER))
-    if cfg.kind == "appendix-construct":
-        steps = cfg.T / cfg.effective_dt()
-        total += 9.0 * points * (2 + (steps / cfg.stride if cfg.stride else min(steps, 256)))
-    return total
+    return 160.0 * points * (1 + ladder * len(cfg.ladder or DEFAULT_LADDER))
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -409,7 +409,9 @@ def find_truncation_abscissae(spec: NonlinearitySpec, k: float) -> TruncationLev
 
     def scan(sign: float) -> float:
         s = sign * np.linspace(k, 2.0 * k, 1000)
-        ok = s * spec.f(s) >= -TRUNCATION_C * s ** 2
+        # a force that overflows to inf or nan at s admits no abscissa there
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = s * spec.f(s) >= -TRUNCATION_C * s ** 2
         idx = np.flatnonzero(ok)
         if idx.size == 0:
             raise TruncationError(
@@ -425,15 +427,20 @@ def truncate(spec: NonlinearitySpec, level: TruncationLevel) -> NonlinearitySpec
     """Clamp f outside [r_minus, r_plus]; the primitive is extended affinely.
 
     The abscissae must satisfy the sign condition find_truncation_abscissae
-    picks them by, s f(s) >= -TRUNCATION_C s^2.
+    picks them by, s f(s) >= -TRUNCATION_C s^2, and f and F must be finite
+    there.
     """
     rp, rm = level.r_plus, level.r_minus
-    f_rp, f_rm = float(spec.f(rp)), float(spec.f(rm))
-    if rp * f_rp < -TRUNCATION_C * rp ** 2 or rm * f_rm < -TRUNCATION_C * rm ** 2:
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_rp, f_rm = float(spec.f(rp)), float(spec.f(rm))
+        F_rp, F_rm = float(spec.F(rp)), float(spec.F(rm))
+    if not np.all(np.isfinite((f_rp, f_rm, F_rp, F_rm))):
+        raise TruncationError(f"f or F of {spec.name} is not finite at ({rm}, {rp})")
+    # s f(s) >= -C s^2 divided by s^2, so no large abscissa overflows
+    if f_rp / rp < -TRUNCATION_C or f_rm / rm < -TRUNCATION_C:
         raise TruncationError(
             f"abscissae ({rm}, {rp}) violate the sign condition for {spec.name}"
         )
-    F_rp, F_rm = float(spec.F(rp)), float(spec.F(rm))
     base = spec
 
     def f_k(u):

@@ -31,6 +31,7 @@ __all__ = [
     "WaveGronwall",
     "NlsGronwall",
     "ForceSamples",
+    "IntegrabilityProbe",
     "gronwall_ladder",
     "ladder_ratios",
     "ladder_problems",
@@ -39,8 +40,10 @@ __all__ = [
 ]
 
 G_FLOOR = 1e-14
-# cells the probe draws from per block, so a block's temporaries stay small
-_DRAW_BLOCK = 1 << 14
+# the integrability probe holds iff its grid exponent is below this: the
+# midpoint between a resolved force (0) and one concentrated at grid scale on
+# a set of codimension 1 (1)
+GRID_EXPONENT_LIMIT = 0.5
 # the convexity shift is estimated on |u| <= max(visited sup norm, this floor),
 # so a run that stays near zero still samples a box of useful width
 SHIFT_R_FLOOR = 0.1
@@ -353,85 +356,84 @@ def appendix_construction(base: RunSchedule, u0: np.ndarray, ladder):
 # ---------------------------------------------------------------------------
 
 class ForceSamples:
-    """Observer: |f(u)| of member 0 at every record of the schedule, all the probe
-    reads of a run.
+    """Observer: the L^r sums of f(u) of member 0 at every record, all the
+    probe reads of a run, with r = 2*/q the exponent of the Hoelder bound.
 
-    ``absf`` is one (records, points) array, sized by the schedule's
-    ``records()``; each record writes its row, so the samples are held once.
+    ``rows`` holds per record the logs of the sums of |f|^r over the grid
+    and of |fbar|^r over the grid coarse-grained by 2 along each space axis,
+    fbar the mean of f on each block of 2^d cells. Each sum is taken in units
+    of the record's max |f|, so no finite force overflows. ``r`` is None, and
+    nothing is kept, when the bound does not decay (q <= 0 or q >= 2*).
     """
 
     def __init__(self, schedule: RunSchedule):
-        self.spec, self.grid = schedule.spec, schedule.grid
-        self.times = []
-        self.absf = np.empty((schedule.records(), schedule.grid.N ** schedule.grid.d))
+        self.grid = schedule.grid
+        p = two_star(self.grid.d)
+        q = schedule.spec.q if schedule.spec.q is not None else p - 1.0
+        self.r = p / q if 0.0 < q < p else None
+        self.times, self.rows = [], []
 
     def observe(self, ref):
-        row = self.absf[len(self.times)]
+        if self.r is None:
+            return
+        f, d, r = ref.force, self.grid.d, self.r
         self.times.append(ref.t)
-        np.abs(ref.force, out=row.reshape(ref.force.shape))
+        m = float(max(f.max(), -f.min()))
+        if m == 0.0:
+            self.rows.append((-np.inf, -np.inf))
+            return
+        # new arrays: a later observer of the record reads ref.force
+        fine = np.abs(f)
+        fine /= m
+        fine **= r
+        coarse = f.reshape((self.grid.N // 2, 2) * d).sum(axis=tuple(range(1, 2 * d, 2)))
+        np.abs(coarse, out=coarse)
+        coarse /= 2 ** d * m
+        coarse **= r
+        # a coarse sum of 0 (f cancels on every block) is log 0 = -inf
+        with np.errstate(divide="ignore"):
+            self.rows.append((r * np.log(m) + np.log(np.sum(fine)),
+                              r * np.log(m) + np.log(np.sum(coarse))))
 
     def result(self) -> ForceSamples:
         return self
 
 
-def _cell_union(rng, absf: np.ndarray, cell_w: np.ndarray, cell_volume: float, count: int):
-    """Measure and force integral of ``count`` distinct cells drawn by rng.
+@dataclass(frozen=True)
+class IntegrabilityProbe:
+    """The integrability probe's evidence and verdict; its fields are the payload."""
 
-    A cell is one entry of the (records, points) array absf, weighted by its
-    record's trapezoid time width times the cell volume. The flat cells are
-    cut into blocks of _DRAW_BLOCK. One multivariate hypergeometric draw gives
-    how many of the count cells each block holds, so the union is uniform
-    over all sets of count cells, and then each block's cells are drawn
-    without replacement. So the draw holds one block's indices and values
-    at a time, besides one count per block.
+    r: float | None        # the Hoelder exponent 2*/q
+    norm: float            # ||f(u)||_{L^r} over space-time on the grid, N_h
+    coarse_norm: float     # the same on the grid coarse-grained by 2, N_2h
+    grid_exponent: float   # g = log2(N_h / N_2h) / (1 - 1/r)
+    vacuous: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.vacuous or self.grid_exponent < GRID_EXPONENT_LIMIT
+
+
+def uniform_integrability_probe(samples: ForceSamples) -> IntegrabilityProbe:
+    """Whether the force's L^r norm over space-time is resolved on the grid.
+
+    The Hoelder bound int_E |f| <= ||f||_{L^r} |E|^t, with t = eta/2* =
+    1 - 1/r, makes the force uniformly integrable with the constant
+    ||f(u)||_{L^r}, each record weighted by its trapezoid time width. By
+    Jensen, g = log2(N_h / N_2h) / t >= 0. A force resolved on the grid
+    reads g near 0, so the constant belongs to the solution; a force whose
+    norm sits at grid scale on a set of codimension k reads k (a one-cell
+    spike reads d), so its constant grows without bound under refinement.
+    Vacuous when every |f| is 0 or the bound does not decay.
     """
-    flat = absf.reshape(-1)
-    starts = range(0, flat.size, _DRAW_BLOCK)
-    sizes = [min(_DRAW_BLOCK, flat.size - a) for a in starts]
-    counts = rng.multivariate_hypergeometric(sizes, count, method="marginals")
-    measure = integral = 0.0
-    for a, size, k in zip(starts, sizes, counts):
-        if k:
-            idx = rng.choice(size, k, replace=False, shuffle=False)
-            idx += a
-            values = flat[idx]
-            idx //= absf.shape[1]  # each cell's record
-            weights = cell_w[idx]
-            measure += float(np.sum(weights))
-            values *= weights
-            integral += float(np.sum(values))
-    return cell_volume * measure, cell_volume * integral
-
-
-def uniform_integrability_probe(samples: ForceSamples, trials: int = 1000, seed: int = 0):
-    """Fit the measure-vs-integral scaling of the force over random cell unions.
-
-    Returns (slope, eta_over_2star, vacuous). The target exponent is
-    eta/2* with eta = 2* - q; the Hoelder bound makes any slope above it
-    admissible, and random unions of cells typically fit close to 1.
-    """
-    grid, spec = samples.grid, samples.spec
-    p = two_star(grid.d)
-    q = spec.q if spec.q is not None else p - 1.0
-    eta = max(p - q, 0.0)
-    if np.max(samples.absf) == 0.0:
-        return 0.0, eta / p, True
-    dt_snap = np.diff(samples.times)
-    cell_w = np.concatenate(
-        [[dt_snap[0] / 2], (dt_snap[1:] + dt_snap[:-1]) / 2, [dt_snap[-1] / 2]]
-    )
-
-    rng = np.random.default_rng(seed)
-    log_m, log_i = [], []
-    fractions = 10.0 ** rng.uniform(-4.0, 0.0, trials)
-    for frac in fractions:
-        count = max(1, int(frac * samples.absf.size))
-        measure, integral = _cell_union(rng, samples.absf, cell_w, grid.cell_volume, count)
-        if integral <= 0.0:
-            continue
-        log_m.append(np.log(measure))
-        log_i.append(np.log(integral))
-    if len(log_m) < 10:
-        return 0.0, eta / p, True
-    slope = float(np.polyfit(log_m, log_i, 1)[0])
-    return slope, eta / p, False
+    if samples.r is None or max(row[0] for row in samples.rows) == -np.inf:
+        return IntegrabilityProbe(samples.r, 0.0, 0.0, 0.0, True)
+    r, grid = samples.r, samples.grid
+    fine, coarse = np.array(samples.rows).T
+    dt = np.diff(samples.times)
+    log_w = np.log(np.concatenate([[dt[0] / 2], (dt[1:] + dt[:-1]) / 2, [dt[-1] / 2]]))
+    log_norm = (np.logaddexp.reduce(log_w + fine) + grid.d * np.log(grid.h)) / r
+    log_coarse = (np.logaddexp.reduce(log_w + coarse) + grid.d * np.log(2.0 * grid.h)) / r
+    g = (log_norm - log_coarse) / (np.log(2.0) * (1.0 - 1.0 / r))
+    return IntegrabilityProbe(r, float(np.exp(log_norm)), float(np.exp(log_coarse)),
+                              float(g), False)

@@ -11,6 +11,7 @@ from supercrit.config import (
     parse_config,
     serialize_config,
     validate,
+    working_set_bytes,
 )
 from supercrit.nonlinearity import NlsNonlinearitySpec, builtin_catalog
 from supercrit.wave_integrator import stable_dt
@@ -126,12 +127,12 @@ def test_working_set_bound_checked_at_parse():
     parse_config("kind = simulate-wave\nd = 3\nN = 256\n")
     with pytest.raises(ConfigError):
         parse_config("kind = weak-strong\nd = 3\nN = 256\n")
-    # appendix-construct also keeps the probe's |f(u)| of every record
+    # the integrability probe keeps scalars per record, so a long
+    # appendix-construct is accepted and its estimate ignores T and stride
     ladder = ("kind = appendix-construct\nnonlinearity = oscillating_sin:q=1\n"
               "d = 3\nN = 64\nladder = 1,2,4\n")
-    parse_config(ladder)
-    with pytest.raises(ConfigError):
-        parse_config(ladder + "stride = 1\nT = 100\n")
+    short, long = parse_config(ladder), parse_config(ladder + "stride = 1\nT = 100\n")
+    assert working_set_bytes(short) == working_set_bytes(long) == 4 * 160.0 * 64 ** 3
     # the assumption lab allocates no grid field
     parse_config("kind = check-assumptions\nd = 3\nN = 1024\n")
 
