@@ -12,7 +12,7 @@ Constants that share a plan share its sweep, each still judged on its own:
 (ClaimA) is a sampled sup of the same ``_sup_ratio`` form on windows of its
 own, kept as ``evidence["window_sups"]``.
 
-Every sample plan, the scalar verifiers' included, is drawn and evaluated one
+Every sample plan, the scalar plans included, is drawn and evaluated one
 block of ``field_core._BLOCK`` points at a time, and a block's arithmetic is
 done in place: the wave ratios build their numerators in the buffers of the
 jet of u + w, and ``_sup_ratio`` takes each ratio in its numerator. A check
@@ -39,9 +39,7 @@ __all__ = [
     "ConstantEstimate",
     "InequalityReport",
     "UnboundedEstimateError",
-    "verify_sign_condition",
-    "verify_growth_bound",
-    "verify_potential_lower_bound",
+    "verify_wave_pointwise",
     "verify_nls_coercivity",
     "verify_nls_cancellation",
     "find_convexity_shift",
@@ -51,7 +49,10 @@ __all__ = [
 DEFAULT_SEED = 20240811
 _STABILITY_SLACK = 0.05  # sup accepted when doubling moves it less than 5%
 _NONNEG_SLACK = 1e-9     # numerical slack for analytic ">= 0" statements
-SCALAR_RADIUS = 8.0      # the scalar pointwise verifiers sample [-8, 8]
+SCALAR_RADIUS = 8.0      # the wave pointwise checks sample [-8, 8]
+POTENTIAL_LOWER_C = 1.0  # the C of H21, F(u) >= -C u^2
+COERCIVITY_S_MIN = 5e-5  # the coercivity check samples densities in [5e-5, 50]
+COERCIVITY_S_MAX = 50.0
 MAX_CONVEXITY_SHIFT = 1e6  # a larger sampled shift counts as unbounded
 
 
@@ -201,11 +202,6 @@ def _scalar_plan(grid: np.ndarray, n: int, seed: int, lo: float, hi: float):
     yield from _uniform_blocks(seed, n, ((lo, hi),), lambda u: u)
 
 
-def _symmetric_plan(R: float, n: int, seed: int):
-    """_scalar_plan on [-R, R] with a symmetric grid of max(8, n // 4) points."""
-    return _scalar_plan(np.linspace(-R, R, max(8, n // 4)), n, seed, -R, R)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _violations(plan, sides, limit: int = 16) -> list:
     """Per (lhs, rhs) term of sides(u), the first ``limit`` samples of the plan
@@ -218,65 +214,69 @@ def _violations(plan, sides, limit: int = 16) -> list:
         for bad, (lhs, rhs) in zip(found, terms):
             bad += [{"u": float(u[i]), "lhs": float(lhs[i]), "rhs": float(rhs[i])}
                     for i in np.flatnonzero(~(lhs <= rhs))[:limit - len(bad)]]
+        # the next block is drawn without this block's arrays
+        del terms, lhs, rhs
     return found
 
 
-def verify_sign_condition(
+def verify_wave_pointwise(
     spec: NonlinearitySpec,
     samples: int = 100_000,
     seed: int = DEFAULT_SEED,
-) -> InequalityReport:
-    """Defocusing sign condition u f(u) >= 0, checked exactly on the plan."""
-    def sides(u):
-        prod = u * spec.f(u)
-        return [(np.zeros_like(prod), prod)]
+) -> list:
+    """The pointwise hypotheses of a wave spec, from one sweep of the scalar plan.
 
-    [violations] = _violations(_symmetric_plan(SCALAR_RADIUS, samples, seed), sides)
-    return InequalityReport("H1", not violations, violations)
-
-
-def verify_growth_bound(
-    spec: NonlinearitySpec,
-    samples: int = 100_000,
-    seed: int = DEFAULT_SEED,
-) -> InequalityReport:
-    """Growth bound |f(u)| <= C |u|^q with the spec's declared C and q."""
-    if spec.q is None or spec.C_growth is None:
-        raise ValueError(f"{spec.name} declares no growth bound")
+    The sign condition H1, u f(u) >= 0, for the defocusing class, or the
+    potential lower bound H21, F(u) >= -POTENTIAL_LOWER_C u^2, for the
+    oscillating class; then the growth bound H2, |f(u)| <= C |u|^q, when the
+    spec declares C and q. The plan is the grid of max(8, samples // 4)
+    points of [-SCALAR_RADIUS, SCALAR_RADIUS], then ``samples`` uniforms.
+    A block evaluates the spec once: one jet of order 1 when H21 reads F,
+    else one f, which H1 and H2 share. Each report lists the first 16
+    violations of its inequality in plan order.
+    """
+    lower = {AssumptionClass.DEFOCUSING: "H1",
+             AssumptionClass.OSCILLATING: "H21"}.get(spec.assumption_class)
+    growth = spec.q is not None and spec.C_growth is not None
+    names = ([lower] if lower else []) + (["H2"] if growth else [])
 
     def sides(u):
-        return [(np.abs(spec.f(u)), spec.C_growth * np.abs(u) ** spec.q * (1.0 + 1e-12))]
+        F, f = spec.jet(u, 1) if lower == "H21" else (None, spec.f(u))
+        terms = []
+        if lower == "H1":
+            prod = u * f
+            terms.append((np.zeros_like(prod), prod))
+        elif lower == "H21":
+            # each bound in one buffer (C * x is x * C bitwise): no temporaries
+            floor = u ** 2
+            floor *= -POTENTIAL_LOWER_C
+            floor -= _NONNEG_SLACK
+            terms.append((floor, F))
+        if growth:
+            bound = np.abs(u)
+            bound **= spec.q
+            bound *= spec.C_growth
+            bound *= 1.0 + 1e-12
+            terms.append((np.abs(f), bound))
+        return terms
 
-    [violations] = _violations(_symmetric_plan(SCALAR_RADIUS, samples, seed), sides)
-    return InequalityReport("H2", not violations, violations)
-
-
-def verify_potential_lower_bound(
-    spec: NonlinearitySpec,
-    C: float = 1.0,
-    samples: int = 100_000,
-    seed: int = DEFAULT_SEED,
-) -> InequalityReport:
-    """Lower bound F(u) >= -C u^2 on the plan (oscillating class and F_k)."""
-    def sides(u):
-        return [(-C * u ** 2 - _NONNEG_SLACK, spec.F(u))]
-
-    [violations] = _violations(_symmetric_plan(SCALAR_RADIUS, samples, seed), sides)
-    return InequalityReport("H21", not violations, violations)
+    R = SCALAR_RADIUS
+    plan = _scalar_plan(np.linspace(-R, R, max(8, samples // 4)), samples, seed, -R, R)
+    return [InequalityReport(name, not bad, bad)
+            for name, bad in zip(names, _violations(plan, sides))]
 
 
 def verify_nls_coercivity(
     spec: NlsNonlinearitySpec,
-    s_min: float = 5e-5,
-    s_max: float = 50.0,
     samples: int = 100_000,
     seed: int = DEFAULT_SEED,
 ) -> InequalityReport:
-    """Coercivity 0 <= sqrt(s) F'(s) <= C F(s) on the density plan [s_min, s_max].
+    """Coercivity 0 <= sqrt(s) F'(s) <= C F(s) on the density plan
+    [COERCIVITY_S_MIN, COERCIVITY_S_MAX].
 
     The lower end matters: for the built-in coercive entry the quotient
     behaves like 1/sqrt(s) near zero, so the declared constant is only valid
-    down to the plan's s_min. The first 16 violations of each side are
+    down to the plan's lower end. The first 16 violations of each side are
     reported, the lower side's first.
     """
     if spec.coercivity_constant is None:
@@ -286,8 +286,9 @@ def verify_nls_coercivity(
         mid = np.sqrt(s) * spec.Fsprime(s)
         return [(np.zeros_like(mid), mid), (mid, spec.coercivity_constant * spec.Fs(s))]
 
-    grid = np.geomspace(s_min, s_max, max(8, samples // 4))
-    low_bad, high_bad = _violations(_scalar_plan(grid, samples, seed, s_min, s_max), sides)
+    lo, hi = COERCIVITY_S_MIN, COERCIVITY_S_MAX
+    grid = np.geomspace(lo, hi, max(8, samples // 4))
+    low_bad, high_bad = _violations(_scalar_plan(grid, samples, seed, lo, hi), sides)
     violations = low_bad + high_bad
     return InequalityReport("coercive", not violations, violations)
 
@@ -513,12 +514,7 @@ def classify(
     nv = n_random if n_random is not None else 100_000
     if isinstance(spec, NonlinearitySpec):
         n = n_random if n_random is not None else 1_000_000
-        if spec.assumption_class == AssumptionClass.DEFOCUSING:
-            reports.append(verify_sign_condition(spec, samples=nv, seed=seed))
-        elif spec.assumption_class == AssumptionClass.OSCILLATING:
-            reports.append(verify_potential_lower_bound(spec, C=1.0, samples=nv, seed=seed))
-        if spec.q is not None and spec.C_growth is not None:
-            reports.append(verify_growth_bound(spec, samples=nv, seed=seed))
+        reports += verify_wave_pointwise(spec, samples=nv, seed=seed)
         constants = _wave_constants(spec, R, d, n, seed)
     elif isinstance(spec, NlsNonlinearitySpec):
         n = n_random if n_random is not None else 400_000

@@ -11,6 +11,8 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .field_core import GridSpec
 from .nonlinearity import (
     NlsNonlinearitySpec,
@@ -183,13 +185,17 @@ def validate(cfg: ExperimentConfig) -> list:
             "violates the subcritical growth bound"
         )
     wants_nls = isinstance(spec, NlsNonlinearitySpec)
+    with np.errstate(all="ignore"):
+        at_zero = (spec.Fs(0.0), spec.Fsprime(0.0)) if wants_nls else (spec.F(0.0), spec.f(0.0))
+    if not np.all(np.isfinite(at_zero)):
+        names = "Fs or Fs'" if wants_nls else "F or f"
+        errors.append(f"{cfg.nonlinearity!r}: {names} is not finite at 0")
     if cfg.kind == "simulate-nls" and not wants_nls:
         errors.append(f"{cfg.nonlinearity!r} is not an NLS nonlinearity")
-    if cfg.kind in ("simulate-wave", "appendix-construct") and wants_nls:
+    wave_kinds = ("simulate-wave", "appendix-construct", "identity-check")
+    if cfg.kind in wave_kinds and wants_nls:
         errors.append(f"{cfg.nonlinearity!r} is not a wave nonlinearity")
-    # identity-check runs the wave equation whatever its nonlinearity
-    wave_run = cfg.kind == "identity-check" or (
-        cfg.kind in ("simulate-wave", "weak-strong", "appendix-construct") and not wants_nls)
+    wave_run = cfg.kind in wave_kinds + ("weak-strong",) and not wants_nls
     if not errors and wave_run and cfg.dt > 0 \
             and (problem := stability_error(cfg.dt, cfg.L / cfg.N, cfg.d)):
         errors.append(problem)

@@ -22,7 +22,7 @@ from .config import (DEFAULT_LADDER, KINDS, ConfigError, ExperimentConfig, seria
                      validate)
 from .field_core import AmplitudeError, bump_field, l2_norm_sq
 from .nonlinearity import NlsNonlinearitySpec, beta_cutoff, builtin_catalog
-from .stepping import BlowUpError, RunSchedule, integrate, run_single
+from .stepping import LEAKAGE_LIMIT, BlowUpError, RunSchedule, integrate, run_single
 from .wave_integrator import WeakIdentity, member as wave_member
 from .nls_integrator import member as nls_member
 from .weak_strong import (
@@ -34,8 +34,6 @@ from .weak_strong import (
 )
 
 __all__ = ["RunManifest", "run_experiment", "export_plot_data"]
-
-LEAKAGE_LIMIT = 1e-6
 
 OUTCOME_OK = "ok"
 OUTCOME_BLOWUP = "aborted_blowup"
@@ -143,15 +141,13 @@ def _do_appendix_construct(cfg: ExperimentConfig):
     probe = uniform_integrability_probe(samples)
     payload = asdict(report)
     payload["uniform_integrability"] = asdict(probe)
-    ok = (
-        report.monotone_l2
-        and report.monotone_force
-        and all(d <= 1e-6 for d in report.energy_drift)
-        and probe.holds
-    )
-    return (OUTCOME_OK if ok else OUTCOME_VIOLATION), {
-        "report.json": _json_bytes(payload)
-    }
+    if report.reference_leakage > LEAKAGE_LIMIT:
+        outcome = OUTCOME_LEAKAGE
+    elif report.monotone_l2 and report.monotone_force and report.bounded_drift and probe.holds:
+        outcome = OUTCOME_OK
+    else:
+        outcome = OUTCOME_VIOLATION
+    return outcome, {"report.json": _json_bytes(payload)}
 
 
 def _do_identity_check(cfg: ExperimentConfig):
@@ -180,10 +176,7 @@ def _do_identity_check(cfg: ExperimentConfig):
     results["beta_knot_derivative_jumps"] = knots
 
     # (c) multiplier identity on a short run
-    spec = cfg.spec()
-    if isinstance(spec, NlsNonlinearitySpec):
-        spec = builtin_catalog()[0]
-    base = _base_config(cfg, spec)
+    base = _base_config(cfg, cfg.spec())
     _, (rep,) = integrate([wave_member(base, _bump(cfg, base.grid))], base,
                           [WeakIdentity(base.grid)])
     results["weak_identity_residual"] = rep.residual

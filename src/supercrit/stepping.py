@@ -63,7 +63,10 @@ import numpy as np
 from .field_core import GridSpec, boundary_leakage
 
 __all__ = ["BlowUpError", "RunSchedule", "DiagnosticTrace", "Record", "integrate",
-           "run_single"]
+           "run_single", "leakage"]
+
+# a run whose leakage exceeds this at any record has reached the periodic boundary
+LEAKAGE_LIMIT = 1e-6
 
 
 class BlowUpError(RuntimeError):
@@ -105,13 +108,17 @@ class RunSchedule:
         return 1 + -(-self.steps() // self.stride())
 
 
+def leakage(u: np.ndarray, grid: GridSpec) -> float:
+    """A run's boundary leakage: the share of |u|^2 in the shell L/8 wide of the box."""
+    return boundary_leakage(u, grid, grid.L / 8.0)
+
+
 @dataclass
 class DiagnosticTrace:
     """Per-record diagnostics of a run; as an observer it traces member 0.
 
-    An observed row is t, the stepper's energies, the boundary leakage (in
-    the shell L/8 wide of the grid) and the sup norm; observing sets
-    ``columns`` to their names.
+    An observed row is t, the stepper's energies, the boundary leakage
+    (``leakage``) and the sup norm; observing sets ``columns`` to their names.
     """
 
     columns: tuple = ()
@@ -135,7 +142,7 @@ class DiagnosticTrace:
         self.columns = ("t", *r.stepper.columns, "leakage", "sup_norm")
         # a real field's sup norm as max(max u, -min u) makes no |u| field
         sup = np.max(np.abs(r.u)) if np.iscomplexobj(r.u) else np.maximum(r.u.max(), -r.u.min())
-        self.add(r.t, *r.energy, boundary_leakage(r.u, self.grid, self.grid.L / 8.0), sup)
+        self.add(r.t, *r.energy, leakage(r.u, self.grid), sup)
 
     def result(self) -> DiagnosticTrace:
         return self

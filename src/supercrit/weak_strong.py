@@ -22,7 +22,7 @@ from .assumption_lab import find_convexity_shift
 from .field_core import full_gradient_norm_sq, half_gradient_norm_sq, l2_inner, l2_norm_sq
 from .nls_integrator import member as nls_member
 from .nonlinearity import NlsNonlinearitySpec, find_truncation_abscissae, truncate, two_star
-from .stepping import RunSchedule, integrate
+from .stepping import RunSchedule, integrate, leakage
 from .wave_integrator import member as wave_member
 
 __all__ = [
@@ -44,6 +44,9 @@ G_FLOOR = 1e-14
 # midpoint between a resolved force (0) and one concentrated at grid scale on
 # a set of codimension 1 (1)
 GRID_EXPONENT_LIMIT = 0.5
+# a ladder member's energy drift may be at most this multiple of the
+# untruncated reference's: measured members read at most 1.0 times it
+DRIFT_MULTIPLE = 2.0
 # the convexity shift is estimated on |u| <= max(visited sup norm, this floor),
 # so a run that stays near zero still samples a box of useful width
 SHIFT_R_FLOOR = 0.1
@@ -281,29 +284,39 @@ class ConvergenceReport:
     ladder: list
     l2_discrepancy: list          # sup_t ||v^k - v_ref||_L2
     force_l1_discrepancy: list    # spacetime L1 of f_k(v^k) - f(v_ref)
-    energy_drift: list            # max_t (E(t) - E(0)) / |E(0)|
+    energy_drift: list            # max_t |E(t) - E(0)| / |E(0)|
+    reference_drift: float        # the same for the untruncated reference
+    reference_leakage: float      # max_t boundary leakage of the reference
     monotone_l2: bool = True
     monotone_force: bool = True
+    bounded_drift: bool = True    # every drift <= DRIFT_MULTIPLE * reference_drift
 
 
 def _nonincreasing(values, slack: float = 0.10) -> bool:
     return all(b <= a * (1.0 + slack) + G_FLOOR for a, b in zip(values, values[1:]))
 
 
+def _drift(E) -> float:
+    """The relative energy drift max_t |E(t) - E(0)| / |E(0)|."""
+    return float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-30))
+
+
 class _LadderDiscrepancy:
     """Observer: each truncated member against the untruncated member 0.
 
-    Keeps per record one row per member: ||v - u||, the integral of
-    |f_k(v) - f(u)| and v's energy.
+    Keeps per record the reference's energy and boundary leakage, and one
+    row per member: ||v - u||, the integral of |f_k(v) - f(u)| and v's
+    energy.
     """
 
     def __init__(self, grid):
         self.grid = grid
-        self.times, self.rows = [], []
+        self.times, self.reference, self.rows = [], [], []
 
     def observe(self, ref):
         grid = self.grid
         self.times.append(ref.t)
+        self.reference.append((ref.energy[0], leakage(ref.u, grid)))
         self.rows.append(rows := [])
 
         def read(rec):
@@ -316,10 +329,11 @@ class _LadderDiscrepancy:
         times = np.array(self.times)
         # each (members, records)
         l2, force_rate, energy = np.array(self.rows).T
+        ref_energy, ref_leakage = np.array(self.reference).T
         l2_disc = [float(np.max(s)) for s in l2]
         force_disc = [float(np.trapezoid(rate, times)) for rate in force_rate]
-        drifts = [float(np.max(E - E[0]) / max(abs(E[0]), 1e-30)) for E in energy]
-        return l2_disc, force_disc, drifts
+        return (l2_disc, force_disc, [_drift(E) for E in energy], _drift(ref_energy),
+                float(np.max(ref_leakage)))
 
 
 def appendix_construction(base: RunSchedule, u0: np.ndarray, ladder):
@@ -338,15 +352,18 @@ def appendix_construction(base: RunSchedule, u0: np.ndarray, ladder):
                            for k in ladder]
     observers = [_LadderDiscrepancy(base.grid), ForceSamples(base)]
     # the members are built in the call, so each initial state goes at its first step
-    _, ((l2_disc, force_disc, drifts), samples) = integrate(
+    _, ((l2_disc, force_disc, drifts, ref_drift, ref_leakage), samples) = integrate(
         [wave_member(replace(base, spec=spec), u0) for spec in specs], base, observers)
     report = ConvergenceReport(
         list(ladder),
         l2_disc,
         force_disc,
         drifts,
+        ref_drift,
+        ref_leakage,
         monotone_l2=_nonincreasing(l2_disc),
         monotone_force=_nonincreasing(force_disc),
+        bounded_drift=all(d <= DRIFT_MULTIPLE * ref_drift for d in drifts),
     )
     return report, samples
 

@@ -16,11 +16,9 @@ from supercrit.assumption_lab import (
     DEFAULT_SEED,
     UnboundedEstimateError,
     find_convexity_shift,
-    verify_growth_bound,
     verify_nls_cancellation,
     verify_nls_coercivity,
-    verify_potential_lower_bound,
-    verify_sign_condition,
+    verify_wave_pointwise,
 )
 from supercrit.cli import main
 from supercrit.config import parse_config, serialize_config
@@ -115,6 +113,10 @@ def test_criterion_1_algebraic_identities():
 # 2. assumption suite over the whole catalog
 # ---------------------------------------------------------------------------
 
+POINTWISE_LABELS = {"H1": "sign condition", "H21": "potential lower bound",
+                    "H2": "growth bound"}
+
+
 def test_criterion_2_assumption_suite():
     # Expected red: the q=1 oscillating entry carries a jump in f' at the
     # origin, so its Taylor constant grows with the sample count instead of
@@ -122,19 +124,24 @@ def test_criterion_2_assumption_suite():
     failures = []
     for spec in builtin_catalog():
         if isinstance(spec, NonlinearitySpec):
-            if spec.assumption_class == AssumptionClass.DEFOCUSING:
-                if not verify_sign_condition(spec).holds:
-                    failures.append(f"{spec.name}: sign condition")
-            else:
-                if not verify_potential_lower_bound(spec, C=1.0).holds:
-                    failures.append(f"{spec.name}: potential lower bound")
-                level = find_truncation_abscissae(spec, 2.0)
-                cut = truncate(spec, level)
-                if not verify_potential_lower_bound(cut, C=1.0).holds:
-                    failures.append(f"{spec.name}: truncated lower bound")
+            # the sign condition for the defocusing class, else the potential
+            # lower bound, on the spec and on its truncation at k = 2; then the
+            # growth bound, where declared
+            defocusing = spec.assumption_class == AssumptionClass.DEFOCUSING
+            checked = [("", spec)]
+            if not defocusing:
+                cut = truncate(spec, find_truncation_abscissae(spec, 2.0))
+                checked.append(("truncated ", cut))
+            expected = ["H1" if defocusing else "H21"]
             if spec.q is not None and spec.C_growth is not None:
-                if not verify_growth_bound(spec).holds:
-                    failures.append(f"{spec.name}: growth bound")
+                expected.append("H2")
+            for prefix, checked_spec in checked:
+                reports = verify_wave_pointwise(checked_spec)
+                if [r.inequality for r in reports] != expected:
+                    failures.append(f"{spec.name}: {prefix}pointwise checks "
+                                    f"{[r.inequality for r in reports]}")
+                failures += [f"{spec.name}: {prefix}{POINTWISE_LABELS[r.inequality]}"
+                             for r in reports if not r.holds]
             try:
                 c11, *c22 = assumption_lab._wave_constants(spec, 2.0, 3, 1_000_000,
                                                            DEFAULT_SEED)
@@ -325,12 +332,13 @@ def test_criterion_7_truncation_construction():
         report.monotone_l2
         and report.monotone_force
         and worst_drift <= 1e-6
+        and report.bounded_drift
         and not probe.vacuous
         and probe.holds
     )
     _verdict(7, "truncation ladder construction", ok,
-             f"drift {worst_drift:.2e}; probe grid exponent {probe.grid_exponent:.3f} "
-             f"vs limit {GRID_EXPONENT_LIMIT}")
+             f"drift {worst_drift:.2e} (reference {report.reference_drift:.2e}); "
+             f"probe grid exponent {probe.grid_exponent:.3f} vs limit {GRID_EXPONENT_LIMIT}")
     assert ok
 
 

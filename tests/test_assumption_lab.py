@@ -14,11 +14,9 @@ from supercrit.assumption_lab import (
     UnboundedEstimateError,
     classify,
     find_convexity_shift,
-    verify_growth_bound,
     verify_nls_cancellation,
     verify_nls_coercivity,
-    verify_potential_lower_bound,
-    verify_sign_condition,
+    verify_wave_pointwise,
 )
 from supercrit.nonlinearity import (
     AssumptionClass,
@@ -41,35 +39,62 @@ def _focusing_quartic() -> NonlinearitySpec:
     )
 
 
+def _pointwise(spec) -> dict:
+    return {r.inequality: r for r in verify_wave_pointwise(spec, samples=N_SMALL)}
+
+
 def test_sign_condition_holds_for_defocusing_entries():
     for name in ("defocusing_exp:m=1", "defocusing_exp:m=2", "pure_power:p=2"):
-        rep = verify_sign_condition(from_selection(name), samples=N_SMALL)
+        rep = _pointwise(from_selection(name))["H1"]
         assert rep.holds and not rep.violations
 
 
 def test_sign_condition_detects_focusing_force():
-    rep = verify_sign_condition(_focusing_quartic(), samples=N_SMALL)
-    assert not rep.holds
-    assert rep.violations and {"u", "lhs", "rhs"} <= set(rep.violations[0])
+    reports = verify_wave_pointwise(_focusing_quartic(), samples=N_SMALL)
+    # the quartic declares no growth bound, so H1 is its only check
+    assert [r.inequality for r in reports] == ["H1"]
+    assert not reports[0].holds
+    assert reports[0].violations and {"u", "lhs", "rhs"} <= set(reports[0].violations[0])
 
 
 def test_growth_bound_exact_for_pure_power():
-    rep = verify_growth_bound(from_selection("pure_power:p=3"), samples=N_SMALL)
-    assert rep.holds
+    assert _pointwise(from_selection("pure_power:p=3"))["H2"].holds
 
 
 def test_growth_bound_holds_for_oscillating():
     for q in (1, 2, 3):
-        rep = verify_growth_bound(from_selection(f"oscillating_sin:q={q}"),
-                                  samples=N_SMALL)
-        assert rep.holds
+        assert _pointwise(from_selection(f"oscillating_sin:q={q}"))["H2"].holds
 
 
 def test_potential_lower_bound_unit_constant():
-    spec = from_selection("oscillating_sin:q=1")
-    assert verify_potential_lower_bound(spec, C=1.0, samples=N_SMALL).holds
-    # a much smaller constant cannot absorb the -1 troughs of the potential
-    assert not verify_potential_lower_bound(spec, C=1e-4, samples=N_SMALL).holds
+    for q in (1, 2, 3):
+        assert _pointwise(from_selection(f"oscillating_sin:q={q}"))["H21"].holds
+
+
+def _negative_quadratic(assumption_class) -> NonlinearitySpec:
+    """F = -2u^2, f = -4u, declared |f| <= |u|: it breaks H1, H21 and H2."""
+    return NonlinearitySpec(
+        name="negative_quadratic",
+        F=lambda u: -2.0 * np.asarray(u, float) ** 2,
+        f=lambda u: -4.0 * np.asarray(u, float),
+        fprime=lambda u: np.full_like(np.asarray(u, float), -4.0),
+        assumption_class=assumption_class,
+        q=1.0,
+        C_growth=1.0,
+    )
+
+
+@pytest.mark.parametrize("assumption_class, names", [
+    (AssumptionClass.DEFOCUSING, ["H1", "H2"]),
+    (AssumptionClass.OSCILLATING, ["H21", "H2"]),
+])
+def test_pointwise_checks_each_fail_on_a_spec_that_breaks_them(assumption_class, names):
+    reports = verify_wave_pointwise(_negative_quadratic(assumption_class), samples=N_SMALL)
+    assert [r.inequality for r in reports] == names
+    for rep in reports:
+        assert not rep.holds and len(rep.violations) == 16
+        # the first violations in plan order: the grid's, from -8 upwards
+        assert rep.violations[0]["u"] == -assumption_lab.SCALAR_RADIUS
 
 
 def test_remainder_constant_zero_for_convex_potential():
@@ -300,10 +325,10 @@ def _block_size_runs():
     scalar, coercive = _broken_scalar_spec(), _broken_coercive_spec()
     runs = {name: lambda name=name: classify(from_selection(name), n_random=N_SMALL)
             for name in ("oscillating_sin:q=2", "pure_power:p=3", "nls_cubic")}
+    oscillating = replace(scalar, assumption_class=AssumptionClass.OSCILLATING)
     runs.update({
-        "H1": lambda: [verify_sign_condition(scalar, samples=N_SMALL)],
-        "H2": lambda: [verify_growth_bound(scalar, samples=N_SMALL)],
-        "H21": lambda: [verify_potential_lower_bound(scalar, samples=N_SMALL)],
+        "H1": lambda: verify_wave_pointwise(scalar, samples=N_SMALL),
+        "H21": lambda: verify_wave_pointwise(oscillating, samples=N_SMALL),
         "coercive": lambda: [verify_nls_coercivity(coercive, samples=N_SMALL)],
         "Gronw4": lambda: [verify_nls_cancellation(_broken_above(48.0), samples=N_SMALL,
                                                    seed=3)],
@@ -317,9 +342,11 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
     expected = {name: [asdict(r) for r in run()] for name, run in runs.items()}
     monkeypatch.setattr(field_core, "_BLOCK", block)
     assert {name: [asdict(r) for r in run()] for name, run in runs.items()} == expected
-    # every broken spec is caught, so its violation list is compared
-    assert all(expected[name][0]["violations"] for name in ("H1", "H2", "H21", "coercive",
-                                                            "Gronw4"))
+    # every broken spec is caught, so its violation lists are compared: H1
+    # and H21 each come with H2
+    assert all(r["violations"] for name in ("H1", "H21", "coercive", "Gronw4")
+               for r in expected[name])
+    assert [len(expected[name]) for name in ("H1", "H21")] == [2, 2]
 
 
 def test_streamed_random_pairs_equal_one_bulk_draw():
@@ -399,11 +426,11 @@ def test_wave_classify_peak_stays_below_3_mib():
 
 
 @pytest.mark.parametrize("verify, name", [
-    (verify_sign_condition, "defocusing_exp:m=1"),
-    (verify_growth_bound, "oscillating_sin:q=2"),
-    (verify_potential_lower_bound, "oscillating_sin:q=2"),
+    (verify_wave_pointwise, "defocusing_exp:m=1"),
+    (verify_wave_pointwise, "pure_power:p=3"),
+    (verify_wave_pointwise, "oscillating_sin:q=2"),
     (verify_nls_coercivity, "nls_coercive_exp"),
-], ids=["H1", "H2", "H21", "coercive"])
+], ids=["H1", "H1+H2", "H21+H2", "coercive"])
 def test_scalar_verifier_peak_stays_below_2_mib(verify, name):
     # with the whole plan and its temporaries held at once: 3.8 to 4.5 MiB
     spec = from_selection(name)
@@ -443,6 +470,32 @@ def test_grid_u_terms_evaluated_once_per_distinct_value():
     assert points == {1: pairs, 2: distinct_u}
 
 
+@pytest.mark.parametrize("name, expected", [
+    ("pure_power:p=3", {"f": 125_000}),
+    ("oscillating_sin:q=2", {"jet 1": 125_000}),
+    ("defocusing_exp:m=1", {"f": 125_000}),
+])
+def test_classify_evaluates_the_scalar_plan_once(monkeypatch, name, expected):
+    # the default plan: 25,000 grid points and 100,000 uniforms; H1 and H2
+    # share one f per block, H21 and H2 one jet of order 1
+    points = {}
+    base = from_selection(name)
+
+    def counted(key, g):
+        def run(u, *order):
+            tag = " ".join([key, *map(str, order)])
+            points[tag] = points.get(tag, 0) + np.size(u)
+            return g(u, *order)
+        return run
+
+    spec = replace(base, fused_jet=base.fused_jet and counted("jet", base.fused_jet),
+                   **{k: counted(k, getattr(base, k)) for k in ("F", "f", "fprime")})
+    monkeypatch.setattr(assumption_lab, "_wave_constants", lambda *args: [])
+    reports = classify(spec)
+    assert all(r.holds for r in reports)
+    assert points == expected
+
+
 def _counting(monkeypatch, plan_name):
     draws = []
     real = getattr(assumption_lab, plan_name)
@@ -458,8 +511,10 @@ def _counting(monkeypatch, plan_name):
 def test_classify_draws_each_plan_once_for_all_its_constants(monkeypatch):
     pairs = _counting(monkeypatch, "_pairs")
     complex_pairs = _counting(monkeypatch, "_complex_pairs")
+    scalar = _counting(monkeypatch, "_scalar_plan")
     classify(from_selection("oscillating_sin:q=2"), n_random=N_SMALL)
     assert len(pairs) == 5  # four windows and the doubled sample, for H11 and H22
+    assert len(scalar) == 1  # one sweep for H21 and H2
     reports = {r.inequality: r for r in classify(from_selection("nls_cubic"),
                                                  n_random=20_000)}
     windows = len(reports["ClaimA"].constant.evidence["window_sups"])
@@ -666,12 +721,11 @@ def test_nls_coercivity_holds_on_declared_range():
     assert rep.holds
 
 
-def test_nls_coercivity_diverges_near_zero_density():
+def test_nls_coercivity_diverges_near_zero_density(monkeypatch):
     # the quotient behaves like 1/sqrt(s): pushing the plan toward 0 must
     # break any fixed constant
-    rep = verify_nls_coercivity(
-        from_selection("nls_coercive_exp"), s_min=1e-9, samples=N_SMALL
-    )
+    monkeypatch.setattr(assumption_lab, "COERCIVITY_S_MIN", 1e-9)
+    rep = verify_nls_coercivity(from_selection("nls_coercive_exp"), samples=N_SMALL)
     assert not rep.holds
 
 

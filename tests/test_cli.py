@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from supercrit import cli, config, field_core, runner, wave_integrator, weak_strong
 from supercrit.cli import _env_overrides, build_parser, main
-from supercrit.config import ConfigError, ExperimentConfig, parse_config
+from supercrit.config import KINDS, ConfigError, ExperimentConfig, parse_config
 from supercrit.nonlinearity import AssumptionClass, NlsNonlinearitySpec, builtin_catalog
 from supercrit.runner import export_plot_data, run_experiment
 from supercrit.stepping import RunSchedule
@@ -214,15 +214,61 @@ def test_appendix_construct_holds_on_the_wave_defaults(tmp_path, capsys, name):
     path.write_text(f"nonlinearity = {name}\nladder = 1,2,4\n")
     assert main(["appendix-construct", "--config", str(path), "--output", str(tmp_path)]) == 0
     exp_id = capsys.readouterr().out.split()[0]
-    probe = json.loads((tmp_path / exp_id / "report.json").read_text())["uniform_integrability"]
+    report = json.loads((tmp_path / exp_id / "report.json").read_text())
+    probe = report["uniform_integrability"]
     assert set(probe) == {"r", "norm", "coarse_norm", "grid_exponent", "vacuous"}
     assert not probe["vacuous"] and 0.0 <= probe["grid_exponent"] < 0.01
+    # the energies only fall, so the one-sided drift read 0.0; no member is
+    # truncated, so each drifts as the reference does (3.9e-7 to 2.8e-5)
+    assert report["bounded_drift"] and report["reference_leakage"] < runner.LEAKAGE_LIMIT
+    assert report["energy_drift"] == [report["reference_drift"]] * 3
+    assert 1e-7 < report["reference_drift"] < 1e-4
+
+
+def test_appendix_construct_fails_a_potential_that_is_not_the_primitive(tmp_path, capsys,
+                                                                        monkeypatch):
+    # F_k gains (u - r)^2 beyond each cut r, so a truncated member's energy
+    # falls as its peak (3 at t = 0) drops below the cut: the one-sided drift
+    # read 0.0 and the run exited 0; the two-sided drifts of the members cut
+    # at 1 and 2 read 0.17 and 0.024, against the reference's 5.2e-4
+    real = weak_strong.truncate
+
+    def broken(spec, level):
+        cut = real(spec, level)
+
+        def F(u):
+            u = np.asarray(u, float)
+            return cut.F(u) + (u - np.clip(u, level.r_minus, level.r_plus)) ** 2
+        return dataclasses.replace(cut, F=F)
+
+    monkeypatch.setattr(weak_strong, "truncate", broken)
+    path = tmp_path / "ladder.cfg"
+    path.write_text(f"nonlinearity = pure_power:p=3\nN = 128\namplitude = {3 * np.e!r}\n"
+                    "ladder = 1,2,4\n")
+    assert main(["appendix-construct", "--config", str(path), "--output", str(tmp_path)]) == 4
+    exp_id = capsys.readouterr().out.split()[0]
+    report = json.loads((tmp_path / exp_id / "report.json").read_text())
+    assert not report["bounded_drift"]
+    bound = weak_strong.DRIFT_MULTIPLE * report["reference_drift"]
+    assert [d > bound for d in report["energy_drift"]] == [True, True, False]
+
+
+def test_appendix_construct_flags_boundary_leakage_as_simulate_wave_does(tmp_path, capsys):
+    # the sup norm climbs from 0.07 at t = 4 to 0.42 at t = 8 as the wave wraps
+    # round the box; appendix-construct exited 4 on the drift 2.8e-3
+    path = tmp_path / "leaky.cfg"
+    for kind in ("simulate-wave", "appendix-construct"):
+        path.write_text("nonlinearity = oscillating_sin:q=2\nN = 128\nL = 16\nT = 8\n"
+                        "ladder = 1,2,4\n")
+        assert main([kind, "--config", str(path), "--output", str(tmp_path)]) == 3
+        assert capsys.readouterr().out.split()[1] == "leakage_flag"
 
 
 def test_appendix_construct_report_does_not_depend_on_the_seed(tmp_path, capsys):
-    # the probe's random cell unions drew from the seed
+    # the probe's random cell unions drew from the seed; at N = 64 the
+    # reference's boundary leakage reads 1.8e-6 and the run exits 3
     path = tmp_path / "ladder.cfg"
-    path.write_text("nonlinearity = oscillating_sin:q=1\nN = 64\nladder = 1,2,4\n")
+    path.write_text("nonlinearity = oscillating_sin:q=1\nN = 128\nladder = 1,2,4\n")
     reports = []
     for seed in ("0", "7"):
         assert main(["appendix-construct", "--config", str(path), "--output", str(tmp_path),
@@ -244,13 +290,38 @@ def test_schedule_step_is_T_over_steps_bitwise(kind, text, step):
     assert base.step() == base.T / base.steps() == step
 
 
-@pytest.mark.parametrize("spec", ["defocusing_exp:m=1", "nls_cubic"])
-def test_identity_check_with_an_unstable_dt_exits_2(tmp_path, capsys, spec):
-    # the identity is checked on a wave run, whatever the nonlinearity
+@pytest.mark.parametrize("spec, message", [
+    ("defocusing_exp:m=1", "stability bound"),
+    ("nls_cubic", "'nls_cubic' is not a wave nonlinearity"),
+])
+def test_identity_check_with_an_unstable_dt_exits_2(tmp_path, capsys, spec, message):
     path = tmp_path / "unstable.cfg"
     path.write_text(f"nonlinearity = {spec}\ndt = 0.1\n")
     assert main(["identity-check", "--config", str(path), "--output", str(tmp_path)]) == 2
-    assert "stability bound" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_identity_check_of_an_nls_nonlinearity_exits_2(tmp_path, capsys, monkeypatch):
+    # the run's spec was replaced by defocusing_exp:m=1, and the run exited 0
+    # with the weak identity of a force the config never named
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail("run started"))
+    path = tmp_path / "id.cfg"
+    path.write_text("nonlinearity = nls_cubic\nN = 128\n")
+    assert main(["identity-check", "--config", str(path), "--output", str(tmp_path)]) == 2
+    assert "'nls_cubic' is not a wave nonlinearity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", ["pure_power:p=0", "defocusing_exp:m=0"])
+def test_a_force_not_finite_at_0_exits_2(tmp_path, capsys, monkeypatch, kind, name):
+    # f(0) is 0 * 0^-1 * e, nan: simulate-wave and appendix-construct of
+    # p = 0 exited 3 at t = 0, and check-assumptions exited 4 for p = 0 and
+    # 0 for m = 0, whose even-sized grid never samples u = 0
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail("run started"))
+    path = tmp_path / "zero.cfg"
+    path.write_text(f"nonlinearity = {name}\nladder = 1,2,4\n")
+    assert main([kind, "--config", str(path), "--output", str(tmp_path)]) == 2
+    assert f"{name!r}: F or f is not finite at 0" in capsys.readouterr().err
 
 
 def test_leakage_flag_exits_3(tmp_path, capsys):

@@ -190,7 +190,7 @@ def valid_configs(draw):
     specs = builtin_catalog()
     if kind == "simulate-nls":
         specs = [s for s in specs if isinstance(s, NlsNonlinearitySpec)]
-    elif kind in ("simulate-wave", "appendix-construct"):
+    elif kind in ("simulate-wave", "appendix-construct", "identity-check"):
         specs = [s for s in specs if not isinstance(s, NlsNonlinearitySpec)]
     spec = draw(st.sampled_from(specs))
     d = draw(st.integers(1, 3))
@@ -198,8 +198,7 @@ def valid_configs(draw):
     N = draw(st.sampled_from([8, 16, 64] if kind in ("weak-strong", "appendix-construct")
                              and d == 3 else [8, 16, 64, 256]))
     L = draw(st.floats(1e-3, 1e6))
-    nls_run = isinstance(spec, NlsNonlinearitySpec) and kind != "identity-check"
-    bound = L / N if nls_run else stable_dt(L / N, d)
+    bound = L / N if isinstance(spec, NlsNonlinearitySpec) else stable_dt(L / N, d)
     dt = draw(st.just(0.0) | st.floats(1e-6, 1.0).map(lambda f: f * bound))
     stride = draw(st.integers(0, 10 ** 6))
     T = draw(st.floats(1e-9, 1e6))

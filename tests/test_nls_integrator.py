@@ -108,15 +108,21 @@ def test_stepper_aborts_on_singular_phase(tmp_path, monkeypatch, capsys):
     # call 1 is the start, call k + 1 ends step k: step 4 fails, step 2 was recorded
     assert info.value.t_last == pytest.approx(2 * cfg.step())
 
+    # through the CLI: a phase singular at 0 is refused when the config is
+    # parsed, and one singular where the data reach aborts the run
+    away = dataclasses.replace(
+        SINGULAR, name="singular_away_from_0", Fs=lambda s: np.asarray(s, float),
+        Fsprime=lambda s: np.where(np.asarray(s, float) > 1e-3, np.inf, 1.0))
+    specs = {spec.name: spec for spec in (SINGULAR, away)}
     select = config.from_selection
-    monkeypatch.setattr(config, "from_selection",
-                        lambda name: SINGULAR if name == "singular" else select(name))
+    monkeypatch.setattr(config, "from_selection", lambda name: specs.get(name) or select(name))
     path = tmp_path / "singular.cfg"
-    path.write_text("nonlinearity = singular\nN = 64\nL = 16\nT = 0.1\n")
-    with np.errstate(divide="ignore"):
-        code = main(["simulate-nls", "--config", str(path), "--output", str(tmp_path)])
-    assert code == 3
-    assert capsys.readouterr().out.split()[1] == "aborted_blowup"
+    for name, code, message in (("singular", 2, "Fs or Fs' is not finite at 0"),
+                                ("singular_away_from_0", 3, "aborted_blowup")):
+        path.write_text(f"nonlinearity = {name}\nN = 64\nL = 16\nT = 0.1\n")
+        assert main(["simulate-nls", "--config", str(path), "--output", str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        assert message in out + err
 
 
 def test_plane_wave_oracle_exact():

@@ -466,7 +466,10 @@ def test_truncation_ladder_discrepancies_decrease():
                                                 rel=1e-13)
     assert report.monotone_l2 and report.monotone_force
     assert report.l2_discrepancy[0] > report.l2_discrepancy[-1]
-    assert all(d <= 1e-5 for d in report.energy_drift)
+    # two-sided, the drifts read 8.7e-7, 3.8e-6 and 1.44e-5 (the uncut member
+    # drifts as the reference does); one-sided, they read 0, 3.8e-6, 3.8e-6
+    assert report.bounded_drift and report.reference_drift > 0.0
+    assert all(d <= 2e-5 for d in report.energy_drift)
     d = asdict(report)
     assert d["ladder"] == [1.0, 2.0, 4.0]
 
