@@ -54,6 +54,9 @@ POTENTIAL_LOWER_C = 1.0  # the C of H21, F(u) >= -C u^2
 COERCIVITY_S_MIN = 5e-5  # the coercivity check samples densities in [5e-5, 50]
 COERCIVITY_S_MAX = 50.0
 MAX_CONVEXITY_SHIFT = 1e6  # a larger sampled shift counts as unbounded
+# the space dimension of every constant whose denominator reads 2*(d):
+# check-assumptions runs at this d only
+LAB_D = 3
 
 
 class UnboundedEstimateError(RuntimeError):
@@ -293,22 +296,21 @@ def verify_nls_coercivity(
     return InequalityReport("coercive", not violations, violations)
 
 
-def _wave_constants(spec: NonlinearitySpec, R: float, d: int, n_random: int,
-                    seed: int) -> list:
+def _wave_constants(spec: NonlinearitySpec, R: float, n_random: int, seed: int) -> list:
     """H11, and H22 when the spec declares a growth exponent q, from one sweep of
     each _pairs plan.
 
     Per block the ratios read one jet of u + w and one of u: H11 is
     F(u+w) - F(u) - f(u)w against w^2, H22 is f(u+w) - f(u) - f'(u)w against
-    w^2 + |w|^p with p = 2*(d).
+    w^2 + |w|^p with p = 2*(LAB_D).
     """
     if R <= 0:
         raise ValueError("R must be positive")
     p = None
     if spec.q is not None:
-        p = two_star(d)
+        p = two_star(LAB_D)
         if spec.q >= p:
-            raise ValueError(f"q={spec.q} is not subcritical for d={d} (2*={p})")
+            raise ValueError(f"q={spec.q} is not subcritical for d={LAB_D} (2*={p})")
     top = 0 if p is None else 1  # only H22 reads f(u + w) and f'(u)
 
     # the numerators are taken in the buffers of the jet of u + w, and the
@@ -425,15 +427,14 @@ def verify_nls_cancellation(
     return InequalityReport("Gronw4", not violations, violations)
 
 
-def _nls_constants(spec: NlsNonlinearitySpec, R: float, d: int, n_random: int,
-                   seed: int) -> list:
+def _nls_constants(spec: NlsNonlinearitySpec, R: float, n_random: int, seed: int) -> list:
     """Gronw6 and H222 from one sweep of each _complex_pairs plan.
 
     Per block f(u + w), f(u) = u Fs'(s) and Fs''(s), s = |u|^2/2, are
-    evaluated once for both ratios, each against |w|^2 + |w|^p with p = 2*(d):
+    evaluated once for both ratios, each against |w|^2 + |w|^p with p = 2*(LAB_D):
     Gronw6 is (f(u) - f(u+w)).(iw), H222 is f(u+w) - f(u) - Df(u)w.
     """
-    p = two_star(d)
+    p = two_star(LAB_D)
 
     def ratio(u, w):
         s = 0.5 * np.abs(u) ** 2
@@ -501,7 +502,6 @@ def find_convexity_shift(
 def classify(
     spec,
     R: float = 2.0,
-    d: int = 3,
     seed: int = DEFAULT_SEED,
     n_random: int | None = None,
 ) -> list:
@@ -515,7 +515,7 @@ def classify(
     if isinstance(spec, NonlinearitySpec):
         n = n_random if n_random is not None else 1_000_000
         reports += verify_wave_pointwise(spec, samples=nv, seed=seed)
-        constants = _wave_constants(spec, R, d, n, seed)
+        constants = _wave_constants(spec, R, n, seed)
     elif isinstance(spec, NlsNonlinearitySpec):
         n = n_random if n_random is not None else 400_000
         reports.append(verify_nls_cancellation(spec, samples=nv, seed=seed))
@@ -525,7 +525,7 @@ def classify(
         if spec.assumption_class == AssumptionClass.NLS_SUBCRIT:
             # polynomial-denominator bounds presume the subcritical growth
             # hypothesis; they are meaningless for exponential densities
-            constants += _nls_constants(spec, R, d, n, seed)
+            constants += _nls_constants(spec, R, n, seed)
     else:
         raise TypeError(f"unsupported spec type {type(spec)!r}")
     # a sampled constant holds when it is stable under doubling

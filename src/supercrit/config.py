@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .assumption_lab import LAB_D
 from .field_core import GridSpec
 from .nonlinearity import (
     NlsNonlinearitySpec,
@@ -38,8 +39,6 @@ KINDS = (
     "identity-check",
 )
 
-# check-assumptions takes its constants at this d, its default and only value
-CHECK_ASSUMPTIONS_D = 3
 # the perturbation sizes of a weak-strong run whose config sets no ladder
 DEFAULT_LADDER = (1e-1, 1e-2, 1e-3)
 # A config whose estimated working set exceeds this fixed limit (not read from
@@ -138,7 +137,7 @@ def parse_config(text: str, kind: str | None = None, overrides=()) -> Experiment
     if errors:
         raise ConfigError(errors)
     if values["kind"] == "check-assumptions":
-        values.setdefault("d", CHECK_ASSUMPTIONS_D)
+        values.setdefault("d", LAB_D)
     cfg = ExperimentConfig(**values)
     errors = validate(cfg)
     if errors:
@@ -155,9 +154,8 @@ def validate(cfg: ExperimentConfig) -> list:
             errors.append(f"{name}={value} must be finite")
     if cfg.d not in (1, 2, 3):
         errors.append(f"d={cfg.d} must be 1, 2 or 3")
-    elif cfg.kind == "check-assumptions" and cfg.d != CHECK_ASSUMPTIONS_D:
-        errors.append(f"d={cfg.d}: check-assumptions takes its constants at "
-                      f"d = {CHECK_ASSUMPTIONS_D} only")
+    elif cfg.kind == "check-assumptions" and cfg.d != LAB_D:
+        errors.append(f"d={cfg.d}: check-assumptions takes its constants at d = {LAB_D} only")
     if cfg.N < 8 or cfg.N & (cfg.N - 1):
         errors.append(f"N={cfg.N} must be a power of two >= 8")
     if cfg.L <= 0:
@@ -199,10 +197,15 @@ def validate(cfg: ExperimentConfig) -> list:
     if not errors and wave_run and cfg.dt > 0 \
             and (problem := stability_error(cfg.dt, cfg.L / cfg.N, cfg.d)):
         errors.append(problem)
-    if not errors and cfg.kind == "identity-check" and (
-            records := RunSchedule(cfg.grid(), spec, cfg.effective_dt(), cfg.T,
-                                   cfg.stride).records()
-    ) < WEAK_IDENTITY_RECORDS:
+    schedule = None
+    if not errors and cfg.kind != "check-assumptions":
+        # the run's own schedule, so that its rules are checked where they are kept
+        try:
+            schedule = RunSchedule(cfg.grid(), spec, cfg.effective_dt(), cfg.T, cfg.stride)
+        except ValueError as exc:
+            errors.append(str(exc))
+    if schedule is not None and cfg.kind == "identity-check" \
+            and (records := schedule.records()) < WEAK_IDENTITY_RECORDS:
         errors.append(f"identity-check makes {records} records, but the weak identity's "
                       f"time quadrature needs {WEAK_IDENTITY_RECORDS}: raise T, or lower "
                       "dt or stride")

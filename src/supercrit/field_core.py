@@ -1,8 +1,14 @@
 """Periodic-grid fields, spectral operators, quadrature norms, and energies.
 
 The periodic box stands in for free space: wave runs rely on unit propagation
-speed to keep the support away from the boundary, NLS runs are guarded by the
-boundary-leakage diagnostic instead.
+speed to keep the support away from the boundary, and every run is guarded
+by the boundary leakage (``leakage``, ``LEAKAGE_LIMIT``).
+
+Runs read |xi|^2 from one layout, the tables of ``table_wavenumber_sq``,
+which keep rows 0..N/2 of axis 0 (``mirror_halves``): the steppers'
+multipliers, the NLS u_t and every Parseval sum (``parseval_norm_sq``, which
+reads an ``fftn`` spectrum or an ``rfftn`` half spectrum by its shape). The
+full-grid ``GridSpec.wavenumber_sq`` is the oracles' and the tests' only.
 
 The quadrature norms, pairings and Parseval sums and the boundary leakage
 make no field-sized temporary: each is one ``np.einsum`` pass per float view
@@ -27,13 +33,11 @@ __all__ = [
     "l2_norm_sq",
     "l2_inner",
     "gradient_norm_sq",
-    "full_gradient_norm_sq",
-    "half_l2_norm_sq",
-    "half_gradient_norm_sq",
+    "parseval_norm_sq",
     "mirror_halves",
     "wave_energy",
     "nls_energy",
-    "boundary_leakage",
+    "leakage",
     "bump_field",
 ]
 
@@ -48,6 +52,11 @@ __all__ = [
 # size, 2-vCPU Xeon, numpy 2.4). Read at call time, so patching this one name
 # changes every blocked evaluation.
 _BLOCK = 1 << 14
+
+# a run's boundary shell is this share of L wide on each side of the box
+LEAKAGE_SHELL = 1.0 / 8.0
+# a run whose leakage exceeds this at any record has reached the periodic boundary
+LEAKAGE_LIMIT = 1e-6
 
 
 class AmplitudeError(RuntimeError):
@@ -94,8 +103,10 @@ class GridSpec:
         ]
 
     def wavenumber_sq(self) -> np.ndarray:
-        """|xi|^2 on the full np.fft.fftn frequency grid; cached per grid."""
-        return _ksq(self.d, self.N, self.L)
+        """|xi|^2 on the full np.fft.fftn frequency grid, a new array each call;
+        only the oracles ``laplacian`` and ``gradient_norm_sq`` and the tests
+        read it, runs read the tables of table_wavenumber_sq()."""
+        return _wavenumber_sq(self.shape, self.N, self.L)
 
     def half_wavenumber_sq(self) -> np.ndarray:
         """|xi|^2 on the np.fft.rfftn half spectrum, a new array each call; the
@@ -130,11 +141,6 @@ def _wavenumber_sq(shape: tuple, N: int, L: float) -> np.ndarray:
     for i in range(d):
         ksq += (k[: shape[i]] ** 2).reshape((1,) * i + (shape[i],) + (1,) * (d - 1 - i))
     return ksq
-
-
-@lru_cache(maxsize=32)
-def _ksq(d: int, N: int, L: float) -> np.ndarray:
-    return _wavenumber_sq((N,) * d, N, L)
 
 
 def mirror_halves(n: int, *tables: np.ndarray) -> list:
@@ -263,63 +269,47 @@ def l2_inner(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> float:
 
 
 def gradient_norm_sq(field: np.ndarray, grid: GridSpec) -> float:
-    """Parseval evaluation of the gradient norm: sum |xi|^2 |u_hat|^2."""
+    """Parseval evaluation of the gradient norm: sum |xi|^2 |u_hat|^2 over the
+    full-grid wavenumber_sq(); the tests' oracle for ``parseval_norm_sq``."""
     _check(field, grid)
-    return full_gradient_norm_sq(np.fft.fftn(field), grid)
+    uh = np.fft.fftn(field)
+    return grid.cell_volume / grid.N ** grid.d * _re_pairing(uh, uh, grid.wavenumber_sq())
 
-
-def full_gradient_norm_sq(uh: np.ndarray, grid: GridSpec) -> float:
-    """gradient_norm_sq of the field whose np.fft.fftn spectrum is uh, in one pass
-    per float view."""
-    _check(uh, grid)
-    n_total = grid.N ** grid.d
-    return grid.cell_volume / n_total * _re_pairing(uh, uh, grid.wavenumber_sq())
-
-
-# Norms of a real field from its np.fft.rfftn half spectrum, which keeps the
-# last-axis frequencies 0..N/2 only.
 
 @lru_cache(maxsize=32)
-def _half_multiplier(grid: GridSpec, gradient: bool) -> np.ndarray:
-    """The Parseval multiplier of a half spectrum, 1 or |xi|^2, times its plane weights.
+def _parseval_multiplier(grid: GridSpec, half: bool, gradient: bool) -> tuple:
+    """The read-only weights of a Parseval sum, as _re_pairing takes them: for
+    the gradient, the |xi|^2 table of ``GridSpec.table_wavenumber_sq``, which
+    keeps rows 0..N/2 of axis 0 only for d >= 2 and which _re_pairing
+    mirrors; on a half spectrum, times its plane weights (alone a last-axis
+    vector); none for the norm of a full spectrum.
 
-    An interior last-axis plane also stands for its mirror image -k, which
-    the half spectrum leaves out, so it weighs 2; the zero and Nyquist
-    planes are their own mirrors and weigh 1. The plane weights alone are a
-    last-axis vector; the gradient's table keeps, like the stepper's tables,
-    rows 0..N/2 of axis 0 only for d >= 2 (``GridSpec.table_wavenumber_sq``),
-    which ``_re_pairing`` mirrors.
+    An interior last-axis plane of a half spectrum also stands for its mirror
+    image -k, which the half spectrum leaves out, so it weighs 2; the zero
+    and Nyquist planes are their own mirrors and weigh 1.
     """
-    w = np.full(grid.N // 2 + 1, 2.0)
-    w[0] = w[-1] = 1.0
-    if gradient:
-        # in place, so that the first record holds one copy of the table
-        out = grid.table_wavenumber_sq(half=True)
-        out *= w
-    else:
-        out = w
+    if not (half or gradient):
+        return ()
+    out = grid.table_wavenumber_sq(half) if gradient else np.ones(grid.N // 2 + 1)
+    if half:
+        out[..., 1:-1] *= 2.0  # in place, so that the first record holds one copy
     out.flags.writeable = False
-    return out
+    return (out,)
 
 
-def _half_parseval(uh: np.ndarray, grid: GridSpec, gradient: bool) -> float:
-    """h^d / N^d times the full-spectrum sum of (1 or |xi|^2) |u_hat|^2, in one
-    pass per float view."""
-    n = grid.N // 2 + 1
-    if uh.shape != grid.shape[:-1] + (n,):
-        raise ValueError(f"half spectrum shape {uh.shape} does not match grid {grid.shape}")
+def parseval_norm_sq(uh: np.ndarray, grid: GridSpec, gradient: bool = False) -> float:
+    """l2_norm_sq, or with ``gradient`` gradient_norm_sq, of the field whose
+    spectrum is uh, in one pass per float view.
+
+    uh of the grid's shape is an np.fft.fftn spectrum; uh whose last axis
+    keeps the frequencies 0..N/2 is the np.fft.rfftn half spectrum of a real
+    field. Any other shape raises ValueError.
+    """
+    if uh.shape not in (grid.shape, half := grid.shape[:-1] + (grid.N // 2 + 1,)):
+        raise ValueError(f"spectrum shape {uh.shape} matches neither layout of grid "
+                         f"{grid.shape}")
     return (grid.cell_volume / grid.N ** grid.d
-            * _re_pairing(uh, uh, _half_multiplier(grid, gradient)))
-
-
-def half_l2_norm_sq(uh: np.ndarray, grid: GridSpec) -> float:
-    """l2_norm_sq of the real field whose rfftn half spectrum is uh."""
-    return _half_parseval(uh, grid, gradient=False)
-
-
-def half_gradient_norm_sq(uh: np.ndarray, grid: GridSpec) -> float:
-    """gradient_norm_sq of the real field whose rfftn half spectrum is uh."""
-    return _half_parseval(uh, grid, gradient=True)
+            * _re_pairing(uh, uh, *_parseval_multiplier(grid, uh.shape == half, gradient)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,24 +366,23 @@ def nls_energy(state: NlsState, spec) -> EnergyReport:
     return EnergyReport(0.0, grad, pot, grad + pot, mass=mass)
 
 
-def boundary_leakage(field: np.ndarray, grid: GridSpec, margin: float) -> float:
-    """Fraction of |u|^2 mass within `margin` of the box boundary.
+def leakage(field: np.ndarray, grid: GridSpec) -> float:
+    """A run's boundary leakage: the share of |u|^2 in the shell LEAKAGE_SHELL * L
+    wide at the box boundary.
 
     Data are centered at the box center, so the boundary shell is where any
-    coordinate is within `margin` of 0 or L. On each axis that edge set is a
-    prefix and a suffix of the grid, so the shell is the disjoint union of
-    slabs: for each axis, its prefix and its suffix, with the earlier axes
-    kept to their interior. Each slab is a view of the field, summed in one
-    pass per float view, so no mask, gather or square is made.
+    coordinate is within the shell's width of 0 or L. On each axis that edge
+    set is a prefix and a suffix of the grid, so the shell is the disjoint
+    union of slabs: for each axis, its prefix and its suffix, with the
+    earlier axes kept to their interior. Each slab is a view of the field,
+    summed in one pass per float view, so no mask, gather or square is made.
     """
-    if not (0.0 < margin < grid.L / 2.0):
-        raise ValueError("margin must lie in (0, L/2)")
     _check(field, grid)
     total = _re_pairing(field, field)
     if total == 0.0:
         return 0.0
     x = grid.axis()
-    edge = np.minimum(x, grid.L - x) < margin
+    edge = np.minimum(x, grid.L - x) < LEAKAGE_SHELL * grid.L
     # the grid's middle point, x = L/2, is never in the edge set
     lo, hi = int(np.argmin(edge)), grid.N - int(np.argmin(edge[::-1]))
     shell = 0.0

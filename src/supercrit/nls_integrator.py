@@ -23,9 +23,12 @@ and one cos/sin pair. The propagator exp(i |xi|^2 dt) is a cached table;
 0..N/2 of axis 0 only, and ``field_core.mirror_halves`` applies it to all N
 rows in two calls. At a record the stepper gives the ``Record`` fields: the
 spectrum u_hat (one ``fftn`` per member) and f(u) = u * phase; the gradient
-energy comes from u_hat by Parseval, the potential energy sums F(|u|^2/2)
-over blocks of u, so no record builds a potential density, and
-u_t = -i (Lap u - f(u)) takes one ``ifftn`` of -|xi|^2 u_hat.
+energy comes from u_hat by Parseval (``field_core.parseval_norm_sq``), the
+potential energy sums F(|u|^2/2) over blocks of u, so no record builds a
+potential density, and u_t = -i (Lap u - f(u)) takes one ``ifftn`` of
+-|xi|^2 u_hat, which is made in one new array from -u_hat and the |xi|^2
+table of the Parseval gradient, mirrored like the propagator. No run makes a
+full-grid |xi|^2.
 
 ``strang_step``, ``linear_flow`` and ``nonlinear_flow`` take one Strang step
 from its three substeps; no run calls them, they are the tests' oracles for
@@ -42,10 +45,11 @@ import numpy as np
 from .field_core import (
     GridSpec,
     NlsState,
+    _parseval_multiplier,
     _potential_integral,
-    full_gradient_norm_sq,
     l2_norm_sq,
     mirror_halves,
+    parseval_norm_sq,
 )
 from .stepping import BlowUpError, RunSchedule
 
@@ -71,9 +75,9 @@ def _propagator(grid: GridSpec, tau: float) -> np.ndarray:
     return prop
 
 
-def _propagate(uh: np.ndarray, prop: np.ndarray) -> np.ndarray:
-    """uh times the propagator table prop, in place."""
-    for rows, (p,) in mirror_halves(uh.shape[0], prop):
+def _propagate(uh: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """uh times a table kept as the propagator is (see mirror_halves), in place."""
+    for rows, (p,) in mirror_halves(uh.shape[0], table):
         uh[rows] *= p
     return uh
 
@@ -137,6 +141,9 @@ class _SpectralStrang:
             raise ValueError(problem)
         self.grid, self.spec, self.dt = cfg.grid, cfg.spec, cfg.step()
         self.prop = _propagator(cfg.grid, self.dt)
+        # |xi|^2 on the propagator's rows: the Parseval gradient's cached table,
+        # called as parseval_norm_sq calls it (lru_cache keys keywords apart)
+        (self.ksq,) = _parseval_multiplier(cfg.grid, False, True)
 
     def _phase_rotation(self, v: np.ndarray):
         """phase = Fs'(|v|^2/2) and the half rotation cos + i sin of phase dt/2.
@@ -179,13 +186,14 @@ class _SpectralStrang:
         return rec.u * rec.state.phase
 
     def energy(self, rec):
-        grad = 0.5 * full_gradient_norm_sq(rec.uh, self.grid)
+        grad = 0.5 * parseval_norm_sq(rec.uh, self.grid, gradient=True)
         pot = _potential_integral(self.spec.potential, rec.u, self.grid)
         return l2_norm_sq(rec.u, self.grid), grad + pot, grad, pot
 
     def velocity(self, rec) -> np.ndarray:
         """u_t recovered from the equation: u_t = -i (Lap u - f(u))."""
-        ut = -self.grid.wavenumber_sq() * rec.uh
+        # -|xi|^2 u_hat, the product of the exact negation -u_hat
+        ut = _propagate(np.negative(rec.uh), self.ksq)
         np.fft.ifftn(ut, out=ut)  # Lap u
         ut -= rec.force
         ut *= -1j

@@ -20,9 +20,9 @@ from . import __version__
 from .assumption_lab import UnboundedEstimateError, classify, verify_nls_cancellation
 from .config import (DEFAULT_LADDER, KINDS, ConfigError, ExperimentConfig, serialize_config,
                      validate)
-from .field_core import AmplitudeError, bump_field, l2_norm_sq
+from .field_core import LEAKAGE_LIMIT, AmplitudeError, bump_field, l2_norm_sq
 from .nonlinearity import NlsNonlinearitySpec, beta_cutoff, builtin_catalog
-from .stepping import LEAKAGE_LIMIT, BlowUpError, RunSchedule, integrate, run_single
+from .stepping import BlowUpError, RunSchedule, integrate, run_single
 from .wave_integrator import WeakIdentity, member as wave_member
 from .nls_integrator import member as nls_member
 from .weak_strong import (
@@ -87,7 +87,7 @@ def _bump(cfg: ExperimentConfig, grid) -> np.ndarray:
 
 def _do_check_assumptions(cfg: ExperimentConfig):
     try:
-        reports = classify(cfg.spec(), R=cfg.R, d=cfg.d, seed=cfg.seed)
+        reports = classify(cfg.spec(), R=cfg.R, seed=cfg.seed)
     except UnboundedEstimateError as exc:
         return OUTCOME_VIOLATION, {"report.json": _json_bytes({"error": str(exc)})}
     payload = [asdict(r) for r in reports]

@@ -44,12 +44,13 @@ record: the next step may overwrite it. Its reader may keep member 0's
 ``Record`` until the record ends, and must not keep a later member's.
 
 A ``RunSchedule`` holds a run's grid, nonlinearity, the dt asked for, T and
-record stride, the same for both equations. The step count is
-ceil(T/dt - 1e-9), so a T that is a whole number of steps up to rounding
-takes exactly that many, and every stepper steps by ``step()`` = T / steps:
-a run ends at T, and its step never exceeds the dt asked for (up to
-rounding). Each stepper checks its own bound, stability or accuracy, on the
-dt asked for, which the configs check too.
+record stride, the same for both equations; it refuses a T/dt that
+overflows. The step count is ceil(T/dt - 1e-9), so a T that is a whole
+number of steps up to rounding takes exactly that many, and every stepper
+steps by ``step()`` = T / steps: a run ends at T, and its step never
+exceeds the dt asked for (up to rounding). Each stepper checks its own
+bound, stability or accuracy, on the dt asked for, which the configs check
+too.
 """
 
 from __future__ import annotations
@@ -60,13 +61,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .field_core import GridSpec, boundary_leakage
+from .field_core import GridSpec, leakage
 
 __all__ = ["BlowUpError", "RunSchedule", "DiagnosticTrace", "Record", "integrate",
-           "run_single", "leakage"]
-
-# a run whose leakage exceeds this at any record has reached the periodic boundary
-LEAKAGE_LIMIT = 1e-6
+           "run_single"]
 
 
 class BlowUpError(RuntimeError):
@@ -90,6 +88,9 @@ class RunSchedule:
             raise ValueError("dt must be positive")
         if not self.T > 0:
             raise ValueError("T must be positive")
+        # as Python floats, whose overflow is inf rather than a numpy warning
+        if not math.isfinite(float(self.T) / float(self.dt)):
+            raise ValueError(f"T/dt = {self.T:g}/{self.dt:g} overflows: no finite step count")
 
     def steps(self) -> int:
         return max(1, math.ceil(self.T / self.dt - 1e-9))
@@ -108,22 +109,18 @@ class RunSchedule:
         return 1 + -(-self.steps() // self.stride())
 
 
-def leakage(u: np.ndarray, grid: GridSpec) -> float:
-    """A run's boundary leakage: the share of |u|^2 in the shell L/8 wide of the box."""
-    return boundary_leakage(u, grid, grid.L / 8.0)
-
-
 @dataclass
 class DiagnosticTrace:
     """Per-record diagnostics of a run; as an observer it traces member 0.
 
     An observed row is t, the stepper's energies, the boundary leakage
-    (``leakage``) and the sup norm; observing sets ``columns`` to their names.
+    (``field_core.leakage``) and the sup norm; observing sets ``columns`` to
+    their names.
     """
 
+    grid: GridSpec
     columns: tuple = ()
     rows: list = field(default_factory=list)
-    grid: object = None
 
     def add(self, *values: float):
         self.rows.append(tuple(float(v) for v in values))
@@ -217,6 +214,6 @@ def run_single(member, schedule):
     The member is built in the integrate call, so initial data that member()
     builds are gone once it returns, and its initial state goes at the first
     step."""
-    trace = DiagnosticTrace(grid=schedule.grid)
+    trace = DiagnosticTrace(schedule.grid)
     (last,), _ = integrate([member(schedule)], schedule, [trace])
     return last, trace

@@ -79,12 +79,11 @@ from .field_core import (
     GridSpec,
     WaveState,
     _potential_integral,
-    half_gradient_norm_sq,
-    half_l2_norm_sq,
     l2_inner,
     l2_norm_sq,
     laplacian,
     mirror_halves,
+    parseval_norm_sq,
     wave_energy,
 )
 from .stepping import RunSchedule
@@ -245,8 +244,8 @@ class _SpectralImpulse:
         return self.spec.f(rec.u)
 
     def energy(self, rec):
-        kin = 0.5 * half_l2_norm_sq(rec.state.uth, self.grid)
-        grad = 0.5 * half_gradient_norm_sq(rec.uh, self.grid)
+        kin = 0.5 * parseval_norm_sq(rec.state.uth, self.grid)
+        grad = 0.5 * parseval_norm_sq(rec.uh, self.grid, gradient=True)
         pot = _potential_integral(self.spec.F, rec.u, self.grid)
         return kin + grad + pot, kin, grad, pot
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assumption_lab import find_convexity_shift
-from .field_core import full_gradient_norm_sq, half_gradient_norm_sq, l2_inner, l2_norm_sq
+from .field_core import l2_inner, l2_norm_sq, leakage, parseval_norm_sq
 from .nls_integrator import member as nls_member
 from .nonlinearity import NlsNonlinearitySpec, find_truncation_abscissae, truncate, two_star
-from .stepping import RunSchedule, integrate, leakage
+from .stepping import RunSchedule, integrate
 from .wave_integrator import member as wave_member
 
 __all__ = [
@@ -137,7 +137,7 @@ class WaveGronwall:
 
         def read(rec):
             w, wt = rec.u - u, rec.ut - ut
-            dw_sq = l2_norm_sq(wt, grid) + half_gradient_norm_sq(rec.uh - ref.uh, grid)
+            dw_sq = l2_norm_sq(wt, grid) + parseval_norm_sq(rec.uh - ref.uh, grid, gradient=True)
             # int F(v) - F(u) - f(u) w, with the potential integrals of the energies
             J = 0.5 * dw_sq + (rec.energy[-1] - ref.energy[-1]) - l2_inner(fu, w, grid)
             I_rate = l2_inner(fu + fpu * w - rec.force, ut, grid)
@@ -195,7 +195,7 @@ class NlsGronwall:
             # the member's fields are built in these three buffers
             w, c, re = np.empty_like(u), np.empty_like(u), np.empty(u.shape)
             np.subtract(rec.u, u, out=w)
-            gw = full_gradient_norm_sq(np.subtract(rec.uh, uh, out=c), grid)
+            gw = parseval_norm_sq(np.subtract(rec.uh, uh, out=c), grid, gradient=True)
             # int F(|u+w|^2/2) - F(|u|^2/2) - Re(f(u) conj(w))
             defect = rec.energy[-1] - ref.energy[-1] - l2_inner(fu, w, grid)
             row = (gw, l2_norm_sq(w, grid), defect)

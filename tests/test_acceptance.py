@@ -143,7 +143,7 @@ def test_criterion_2_assumption_suite():
                 failures += [f"{spec.name}: {prefix}{POINTWISE_LABELS[r.inequality]}"
                              for r in reports if not r.holds]
             try:
-                c11, *c22 = assumption_lab._wave_constants(spec, 2.0, 3, 1_000_000,
+                c11, *c22 = assumption_lab._wave_constants(spec, 2.0, 1_000_000,
                                                            DEFAULT_SEED)
             except UnboundedEstimateError as exc:
                 failures.append(f"{spec.name}: {exc}")

@@ -99,14 +99,14 @@ def test_pointwise_checks_each_fail_on_a_spec_that_breaks_them(assumption_class,
 
 def test_remainder_constant_zero_for_convex_potential():
     # |u|^3/3 is convex, so the remainder is nonnegative and the constant is 0
-    h11, _ = assumption_lab._wave_constants(from_selection("pure_power:p=2"), 2.0, 3,
+    h11, _ = assumption_lab._wave_constants(from_selection("pure_power:p=2"), 2.0,
                                             N_SMALL, DEFAULT_SEED)
     assert h11.value == 0.0
     assert h11.stable
 
 
 def test_remainder_constant_finite_and_stable_for_oscillating():
-    h11, _ = assumption_lab._wave_constants(from_selection("oscillating_sin:q=1"), 2.0, 3,
+    h11, _ = assumption_lab._wave_constants(from_selection("oscillating_sin:q=1"), 2.0,
                                             200_000, DEFAULT_SEED)
     assert np.isfinite(h11.value) and h11.value > 0.0
     assert h11.stable
@@ -114,14 +114,14 @@ def test_remainder_constant_finite_and_stable_for_oscillating():
 
 def test_remainder_constant_monotone_in_radius():
     spec = from_selection("oscillating_sin:q=2")
-    (c1, _), (c2, _) = (assumption_lab._wave_constants(spec, R, 3, N_SMALL, DEFAULT_SEED)
+    (c1, _), (c2, _) = (assumption_lab._wave_constants(spec, R, N_SMALL, DEFAULT_SEED)
                         for R in (1.0, 2.0))
     assert c1.value <= c2.value * (1.0 + 1e-6)
 
 
 def test_remainder_worst_pair_reproduces_value():
     spec = from_selection("oscillating_sin:q=1")
-    est, _ = assumption_lab._wave_constants(spec, 2.0, 3, N_SMALL, DEFAULT_SEED)
+    est, _ = assumption_lab._wave_constants(spec, 2.0, N_SMALL, DEFAULT_SEED)
     u, w = est.worst_pair
     ratio = max(0.0, -(spec.F(u + w) - spec.F(u) - spec.f(u) * w)) / w ** 2
     # the reported constant is the max of two passes; the stored pair belongs
@@ -141,7 +141,7 @@ def test_window_w_sweep_doubles_as_first_sample_pass(monkeypatch, name):
         return real_pairs(*args)
 
     monkeypatch.setattr(assumption_lab, "_pairs", counting_pairs)
-    estimates = assumption_lab._wave_constants(from_selection("oscillating_sin:q=2"), 2.0, 3,
+    estimates = assumption_lab._wave_constants(from_selection("oscillating_sin:q=2"), 2.0,
                                                N_SMALL, DEFAULT_SEED)
     assert len(draws) == 5
     assert [est.name for est in estimates] == ["H11", "H22"]
@@ -212,11 +212,11 @@ def _check_matches_reference(monkeypatch, estimate):
 
 # the cases name the constant of the one wave sweep that each compares
 def _h11(spec):
-    return assumption_lab._wave_constants(spec, 2.0, 3, N_SMALL, DEFAULT_SEED)[0]
+    return assumption_lab._wave_constants(spec, 2.0, N_SMALL, DEFAULT_SEED)[0]
 
 
 def _h22(spec):
-    return assumption_lab._wave_constants(spec, 2.0, 3, N_SMALL, DEFAULT_SEED)[1]
+    return assumption_lab._wave_constants(spec, 2.0, N_SMALL, DEFAULT_SEED)[1]
 
 
 # defocusing_exp declares no growth exponent, so it has no H22
@@ -230,8 +230,8 @@ def test_blocked_sweep_matches_argmax_over_materialised_plan(monkeypatch, estima
 
 
 @pytest.mark.parametrize("estimate", [
-    lambda spec: assumption_lab._nls_constants(spec, 2.0, 3, N_SMALL, DEFAULT_SEED)[0],
-    lambda spec: assumption_lab._nls_constants(spec, 2.0, 3, N_SMALL, DEFAULT_SEED)[1],
+    lambda spec: assumption_lab._nls_constants(spec, 2.0, N_SMALL, DEFAULT_SEED)[0],
+    lambda spec: assumption_lab._nls_constants(spec, 2.0, N_SMALL, DEFAULT_SEED)[1],
     lambda spec: find_convexity_shift(spec, R=2.0, n_random=N_SMALL),
 ], ids=["Gronw6", "H222", "ClaimA"])
 def test_blocked_complex_sweep_matches_argmax(monkeypatch, estimate):
@@ -373,7 +373,7 @@ def test_streamed_complex_pairs_equal_bulk_plan(n):
 
 
 @pytest.mark.parametrize("sweep, bound_mib", [
-    (lambda spec: assumption_lab._nls_constants(spec, 2.0, 3, 400_000, DEFAULT_SEED), 24),
+    (lambda spec: assumption_lab._nls_constants(spec, 2.0, 400_000, DEFAULT_SEED), 24),
     (lambda spec: find_convexity_shift(spec, R=2.0, n_random=200_000), 12),
 ], ids=["Gronw6+H222", "ClaimA"])
 def test_complex_sweep_memory_stays_below_plan_size(sweep, bound_mib):
@@ -394,7 +394,7 @@ def test_taylor_sweep_memory_stays_below_plan_size():
     spec = from_selection("oscillating_sin:q=2")
     tracemalloc.start()
     try:
-        assumption_lab._wave_constants(spec, 2.0, 3, 1_000_000, DEFAULT_SEED)
+        assumption_lab._wave_constants(spec, 2.0, 1_000_000, DEFAULT_SEED)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -422,7 +422,7 @@ def test_cancellation_check_holds_one_block_at_a_time(name):
 def test_wave_classify_peak_stays_below_3_mib():
     # with 2^16-point blocks and a new array per temporary it peaked at 6.0 MiB
     spec = from_selection("oscillating_sin:q=2")
-    assert _peak_bytes(lambda: classify(spec, R=2.0, d=3)) < 3 * 2 ** 20
+    assert _peak_bytes(lambda: classify(spec, R=2.0)) < 3 * 2 ** 20
 
 
 @pytest.mark.parametrize("verify, name", [
@@ -462,11 +462,11 @@ def test_grid_u_terms_evaluated_once_per_distinct_value():
     (u1, uw1), (u2, uw2) = plan_points(N_SMALL), plan_points(2 * N_SMALL)
     distinct_u, pairs = 4 * u1 + u2, 4 * uw1 + uw2
     # H11 alone, for a spec without a growth exponent
-    assumption_lab._wave_constants(replace(spec, q=None), 2.0, 3, N_SMALL, DEFAULT_SEED)
+    assumption_lab._wave_constants(replace(spec, q=None), 2.0, N_SMALL, DEFAULT_SEED)
     assert points == {0: pairs, 1: distinct_u}
     # H11 and H22 together: each distinct u and each u + w once for both
     points.clear()
-    assumption_lab._wave_constants(spec, 2.0, 3, N_SMALL, DEFAULT_SEED)
+    assumption_lab._wave_constants(spec, 2.0, N_SMALL, DEFAULT_SEED)
     assert points == {1: pairs, 2: distinct_u}
 
 
@@ -546,11 +546,11 @@ def test_fused_sweep_raises_h11_before_h22():
 
 def test_unbounded_remainder_detected():
     with pytest.raises(UnboundedEstimateError):
-        assumption_lab._wave_constants(_focusing_quartic(), 1.0, 3, N_SMALL, DEFAULT_SEED)
+        assumption_lab._wave_constants(_focusing_quartic(), 1.0, N_SMALL, DEFAULT_SEED)
 
 
 def test_taylor_constant_smooth_entry():
-    _, h22 = assumption_lab._wave_constants(from_selection("oscillating_sin:q=2"), 1.0, 3,
+    _, h22 = assumption_lab._wave_constants(from_selection("oscillating_sin:q=2"), 1.0,
                                             200_000, DEFAULT_SEED)
     assert np.isfinite(h22.value)
     assert h22.stable
@@ -559,7 +559,7 @@ def test_taylor_constant_smooth_entry():
 def test_taylor_constant_flags_derivative_jump():
     # q=1 has a force with a derivative jump at the origin, so the sampled sup
     # keeps climbing as the plan is refined and the gate must report unstable
-    _, h22 = assumption_lab._wave_constants(from_selection("oscillating_sin:q=1"), 1.0, 3,
+    _, h22 = assumption_lab._wave_constants(from_selection("oscillating_sin:q=1"), 1.0,
                                             500_000, DEFAULT_SEED)
     assert not h22.stable
 
@@ -568,7 +568,7 @@ def test_phase_bound_finite_stable_and_worst_pair_reproduces_value():
     spec = from_selection("nls_cubic")
     # the default sample size: smaller plans miss the sup often enough that
     # the doubled sample moves it by more than 5%
-    est, _ = assumption_lab._nls_constants(spec, 2.0, 3, 400_000, DEFAULT_SEED)
+    est, _ = assumption_lab._nls_constants(spec, 2.0, 400_000, DEFAULT_SEED)
     assert np.isfinite(est.value) and est.value > 0.0
     assert est.stable
     u, w = (complex(z) for z in est.worst_pair)
@@ -619,7 +619,7 @@ def test_zero_sup_names_no_worst_pair():
     assert rep.constant.value == 0.0
     assert rep.constant.worst_pair is None
     assert json.loads(json.dumps(asdict(rep)))["constant"]["worst_pair"] is None
-    h11, _ = assumption_lab._wave_constants(from_selection("pure_power:p=2"), 2.0, 3,
+    h11, _ = assumption_lab._wave_constants(from_selection("pure_power:p=2"), 2.0,
                                             N_SMALL, DEFAULT_SEED)
     assert (h11.value, h11.worst_pair) == (0.0, None)
 
@@ -709,7 +709,7 @@ def test_nls_check_assumptions_peak_stays_below_10_mib():
     verify_nls_cancellation(spec, samples=10)  # imports numpy.random (0.7 MiB)
     tracemalloc.start()
     try:
-        classify(spec, R=2.0, d=3)
+        classify(spec, R=2.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -600,7 +600,13 @@ def test_simulate_wave_holds_only_its_state():
     assert (peak - entry) / 32 ** 3 <= 68.0
 
 
-def test_simulate_wave_builds_no_full_grid_wavenumbers(tmp_path, monkeypatch):
+@pytest.mark.parametrize("kind, text", [
+    ("simulate-wave", "nonlinearity = defocusing_exp:m=1\nN = 128\nL = 7.5\nT = 0.25\n"),
+    ("simulate-nls", "nonlinearity = nls_cubic\nN = 128\nL = 15.7\nT = 0.05\n"),
+    # the NLS Gronwall reads each member's u_t, -|xi|^2 u_hat transformed back
+    ("weak-strong", "nonlinearity = nls_cubic\nd = 2\nN = 32\nL = 7.9\nT = 0.05\n"),
+], ids=["simulate-wave", "simulate-nls", "weak-strong-nls"])
+def test_runs_build_no_full_grid_wavenumbers(tmp_path, monkeypatch, kind, text):
     calls = []
 
     def counted(self, _fn=field_core.GridSpec.wavenumber_sq):
@@ -608,11 +614,26 @@ def test_simulate_wave_builds_no_full_grid_wavenumbers(tmp_path, monkeypatch):
         return _fn(self)
 
     monkeypatch.setattr(field_core.GridSpec, "wavenumber_sq", counted)
-    path = tmp_path / "wave.cfg"
-    # a grid no other test uses, so this run also builds the cached energy multiplier
-    path.write_text("nonlinearity = defocusing_exp:m=1\nN = 128\nL = 7.5\nT = 0.25\n")
-    assert main(["simulate-wave", "--config", str(path), "--output", str(tmp_path)]) == 0
+    path = tmp_path / "run.cfg"
+    # grids no other test uses, so each run also builds its cached Parseval multipliers
+    path.write_text(text)
+    assert main([kind, "--config", str(path), "--output", str(tmp_path)]) == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("simulate-wave", "dt = 1e-320\n"),
+    ("simulate-wave", "T = 1e308\n"),
+    ("simulate-nls", "nonlinearity = nls_cubic\ndt = 1e-320\n"),
+    ("weak-strong", "dt = 1e-320\n"),
+    ("identity-check", "dt = 1e-320\n"),
+], ids=["simulate-wave", "simulate-wave-T", "simulate-nls", "weak-strong", "identity-check"])
+def test_a_step_count_that_overflows_is_a_config_error(tmp_path, capsys, kind, text):
+    # dt = 1e-320 is positive and within every step bound, but T/dt is inf
+    path = tmp_path / "overflow.cfg"
+    path.write_text(text)
+    assert main([kind, "--config", str(path), "--output", str(tmp_path)]) == 2
+    assert "no finite step count" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [WAVE_CONFIG, NLS_LEAKY_CONFIG], ids=["wave", "nls"])

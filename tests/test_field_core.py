@@ -12,17 +12,15 @@ from supercrit.field_core import (
     GridSpec,
     NlsState,
     WaveState,
-    boundary_leakage,
     bump_field,
-    full_gradient_norm_sq,
     gradient_norm_sq,
-    half_gradient_norm_sq,
-    half_l2_norm_sq,
     l2_inner,
     l2_norm_sq,
     laplacian,
+    leakage,
     mirror_halves,
     nls_energy,
+    parseval_norm_sq,
     wave_energy,
 )
 from supercrit.nonlinearity import from_selection
@@ -85,17 +83,25 @@ def test_norm_of_constant_field():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_half_spectrum_parseval_matches_physical_norms(d):
+@pytest.mark.parametrize("transform", [np.fft.rfftn, np.fft.fftn], ids=["half", "full"])
+def test_parseval_matches_physical_norms(d, transform):
     # white noise puts weight on every mode, the Nyquist planes included
     grid = GridSpec(d, 16, 8.0)
     u = np.random.default_rng(d).normal(size=grid.shape)
-    uh = np.fft.rfftn(u)
-    assert np.abs(uh[..., -1]).max() > 0.1
-    assert half_l2_norm_sq(uh, grid) == pytest.approx(l2_norm_sq(u, grid), rel=1e-12)
-    assert half_gradient_norm_sq(uh, grid) == pytest.approx(
+    uh = transform(u)
+    assert np.abs(uh[..., grid.N // 2]).max() > 0.1
+    assert parseval_norm_sq(uh, grid) == pytest.approx(l2_norm_sq(u, grid), rel=1e-12)
+    assert parseval_norm_sq(uh, grid, gradient=True) == pytest.approx(
         gradient_norm_sq(u, grid), rel=1e-12)
-    with pytest.raises(ValueError):
-        half_l2_norm_sq(np.fft.fftn(u), grid)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_parseval_refuses_a_shape_of_neither_layout(d):
+    grid = GridSpec(d, 16, 8.0)
+    uh = np.fft.fftn(np.random.default_rng(d).normal(size=grid.shape))
+    for bad in (uh[..., :grid.N // 2], uh[..., :grid.N // 2 + 2], uh[:-1]):
+        with pytest.raises(ValueError, match="neither layout"):
+            parseval_norm_sq(bad, grid)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -212,18 +218,17 @@ def test_bump_compact_support_and_peak():
 
 
 def test_leakage_centered_vs_edge():
+    # the shell is L/8 = 2 wide
     grid = GridSpec(1, 256, 16.0)
     centered = bump_field(grid, 1.0, 1.0)
-    assert boundary_leakage(centered, grid, margin=2.0) == 0.0
+    assert leakage(centered, grid) == 0.0
     edge = bump_field(grid, 1.0, 1.0, center=0.5)
-    assert boundary_leakage(edge, grid, margin=2.0) > 0.9
-    with pytest.raises(ValueError):
-        boundary_leakage(centered, grid, margin=9.0)
+    assert leakage(edge, grid) > 0.9
 
 
 def test_leakage_of_zero_field():
     grid = GridSpec(1, 32, 8.0)
-    assert boundary_leakage(np.zeros(grid.shape), grid, 1.0) == 0.0
+    assert leakage(np.zeros(grid.shape), grid) == 0.0
 
 
 
@@ -254,33 +259,39 @@ def test_reductions_equal_their_np_sum_formulas(d, complex_valued):
     # a real field against a complex one pairs with the complex one's real part
     assert l2_inner(a.real, b, grid) == pytest.approx(h * np.sum(a.real * b.real), rel=1e-13)
     uh = np.fft.fftn(a)
-    assert full_gradient_norm_sq(uh, grid) == pytest.approx(
+    assert parseval_norm_sq(uh, grid, gradient=True) == pytest.approx(
         h / n * np.sum(grid.wavenumber_sq() * np.abs(uh) ** 2), rel=1e-13)
     if not complex_valued:
         half = np.fft.rfftn(a)
         sq = _plane_weights(grid) * np.abs(half) ** 2
-        assert half_l2_norm_sq(half, grid) == pytest.approx(h / n * np.sum(sq), rel=1e-13)
-        assert half_gradient_norm_sq(half, grid) == pytest.approx(
+        assert parseval_norm_sq(half, grid) == pytest.approx(h / n * np.sum(sq), rel=1e-13)
+        assert parseval_norm_sq(half, grid, gradient=True) == pytest.approx(
             h / n * np.sum(grid.half_wavenumber_sq() * sq), rel=1e-13)
 
 
 @pytest.mark.parametrize("d, N, L", [(2, 8, 3.0), (2, 64, 7.3), (2, 256, 40.0),
                                      (3, 16, 8.0), (3, 64, 10.0)])
-def test_mirrored_gradient_multiplier_pairs_like_the_whole_table_bitwise(d, N, L):
+@pytest.mark.parametrize("half", [True, False], ids=["half", "full"])
+def test_mirrored_gradient_multiplier_pairs_like_the_whole_table_bitwise(d, N, L, half):
     # the multiplier keeps rows 0..N/2 of axis 0, as the stepper tables do; each
-    # row's partial sum reads its mirror row, so the total is the whole table's
+    # row's partial sum reads its mirror row, so the total is the whole table's:
+    # the weighted half-spectrum |xi|^2 of the wave energies, or the full-grid
+    # |xi|^2 of the NLS ones
     grid = GridSpec(d, N, L)
-    mult = field_core._half_multiplier(grid, True)
-    assert mult.shape == (N // 2 + 1,) + grid.shape[1:-1] + (N // 2 + 1,)
-    whole = grid.half_wavenumber_sq() * _plane_weights(grid)
+    (mult,) = field_core._parseval_multiplier(grid, half, True)
+    width = N // 2 + 1 if half else N
+    assert mult.shape == (N // 2 + 1,) + grid.shape[1:-1] + (width,)
+    whole = (grid.half_wavenumber_sq() * _plane_weights(grid) if half
+             else grid.wavenumber_sq())
     rng = np.random.default_rng(N)
     for scale in (1e-4, 1.0, 1e5):
-        uh = np.fft.rfftn(scale * rng.normal(size=grid.shape))
+        u = scale * rng.normal(size=grid.shape)
+        uh = np.fft.rfftn(u) if half else np.fft.fftn(u + 1j * rng.normal(size=grid.shape))
         ref = grid.cell_volume / N ** d * field_core._re_pairing(uh, uh, whole)
-        assert half_gradient_norm_sq(uh, grid) == ref
+        assert parseval_norm_sq(uh, grid, gradient=True) == ref
         strided = np.stack([uh, uh], axis=-1)[..., 1]
         assert not strided.flags.c_contiguous
-        assert half_gradient_norm_sq(strided, grid) == ref
+        assert parseval_norm_sq(strided, grid, gradient=True) == ref
 
 
 def test_reductions_read_non_contiguous_fields():
@@ -295,7 +306,7 @@ def test_reductions_read_non_contiguous_fields():
                                                  rel=1e-13)
     half = np.fft.rfftn(big[:, :, 1].real)[::2]
     assert not half.flags.c_contiguous
-    assert half_l2_norm_sq(half, grid) == pytest.approx(
+    assert parseval_norm_sq(half, grid) == pytest.approx(
         h / 16 ** 2 * np.sum(_plane_weights(grid) * np.abs(half) ** 2), rel=1e-13)
 
 
@@ -322,11 +333,9 @@ def test_slab_leakage_equals_the_mask_formula(d, complex_valued):
     u = rng.normal(size=grid.shape)
     if complex_valued:
         u = u + 1j * rng.normal(size=grid.shape)
-    assert boundary_leakage(u, grid, margin) == pytest.approx(_mask_leakage(u, grid, margin),
-                                                              rel=1e-14)
+    assert leakage(u, grid) == pytest.approx(_mask_leakage(u, grid, margin), rel=1e-14)
     # a bump across the shell's inner edge, and one clear of the shell
     edge = bump_field(grid, 1.0, 1.0, center=0.5)
-    assert boundary_leakage(edge, grid, margin) == pytest.approx(
-        _mask_leakage(edge, grid, margin), rel=1e-14)
-    assert boundary_leakage(bump_field(grid, 1.0, 1.0), grid, margin) == 0.0
-    assert boundary_leakage(np.zeros(grid.shape, u.dtype), grid, margin) == 0.0
+    assert leakage(edge, grid) == pytest.approx(_mask_leakage(edge, grid, margin), rel=1e-14)
+    assert leakage(bump_field(grid, 1.0, 1.0), grid) == 0.0
+    assert leakage(np.zeros(grid.shape, u.dtype), grid) == 0.0

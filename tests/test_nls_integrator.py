@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from supercrit import config, weak_strong
+from supercrit import config, field_core, weak_strong
 from supercrit.cli import main
 from supercrit.field_core import GridSpec, NlsState, bump_field, l2_norm_sq, nls_energy
 from supercrit.nls_integrator import (
@@ -252,6 +252,22 @@ def test_dt_field_matches_plane_wave_rate():
     rate = k ** 2 + spec.Fsprime(0.5 * A ** 2)
     expected = 1j * rate * first.u
     assert np.max(np.abs(first.ut - expected)) < 1e-10
+
+
+def test_nls_record_reads_one_cached_wavenumber_table():
+    # u_t and the Parseval gradient read one |xi|^2 table, kept on the rows
+    # 0..N/2 of axis 0 the propagator keeps; u_t equals the full-grid formula
+    field_core._parseval_multiplier.cache_clear()
+    grid = GridSpec(2, 32, 8.0)
+    spec = from_selection("nls_cubic")
+    stepper, state = member(RunSchedule(grid, spec, 0.01, 0.02), bump_field(grid, 0.5, 1.0))
+    rec = Record(stepper, state)
+    rec.energy
+    lap = np.fft.ifftn(-grid.wavenumber_sq() * np.fft.fftn(rec.u))
+    assert np.array_equal(rec.ut, -1j * (lap - rec.force))
+    assert field_core._parseval_multiplier.cache_info().currsize == 1
+    (table,) = field_core._parseval_multiplier(grid, False, True)
+    assert stepper.ksq is table and table.shape == (17, 32)
 
 
 def test_trace_columns():

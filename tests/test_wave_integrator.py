@@ -200,7 +200,7 @@ def test_trace_columns_and_csv():
 
 
 def test_trace_column_lookup_errors():
-    trace = DiagnosticTrace(("t", "x"))
+    trace = DiagnosticTrace(GridSpec(1, 8, 1.0), ("t", "x"))
     trace.add(0.0, 1.0)
     assert trace.column("x") == [1.0]
     with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""Layer and end-to-end timings of the assumption lab, the wave stepper and the wave
-and NLS diagnostics records, for one or two source trees.
+"""Layer and end-to-end timings of the assumption lab, the wave and NLS steppers and
+the wave and NLS diagnostics records, for one or two source trees.
 
 Run from the repository root:
 
@@ -50,6 +50,10 @@ Rows:
   advances it by one step, so wall_s and peak_bytes are one later step's,
   while mpoints, from the counting spec's only call, also counts the opening
   kick's evaluation of f (made by the member or by its first step);
+* ``layer.step.nls``               one Strang step of the ``nls-ladder``
+  workload's reference member (nls_coercive_exp at d = 2, N = 128), built by
+  the runner's ``_base_config`` and ``_bump`` and measured as the wave step
+  is, so mpoints also counts the opening rotation's Fs' of the member;
 * ``layer.record.wave``            one diagnostics record of that member's initial
   state, as a simulate-wave run makes it: the energies (F on the grid, Parseval
   sums of the half spectra), the boundary leakage and the sup norm; each call
@@ -89,6 +93,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -109,10 +114,12 @@ REPEATS = 3
 ROUNDS = 3
 SPEC = "oscillating_sin:q=2"
 LAYER_POINTS = 1 << 20
-SWEEP = {"R": 2.0, "d": 3, "n_random": 1_000_000, "seed": 0}
+SWEEP = {"R": 2.0, "n_random": 1_000_000, "seed": 0}
 NLS_SPEC = "nls_cubic"
 SHIFT_SWEEP = {"R": 2.0, "n_random": 200_000, "seed": 0}
-NLS_SWEEP = {"R": 2.0, "d": 3, "n_random": 400_000, "seed": 0}
+NLS_SWEEP = {"R": 2.0, "n_random": 400_000, "seed": 0}
+# the dimension of the lab's constants, an argument in trees that still take one
+LAB_D = 3
 WAVE_SPEC = "defocusing_exp:m=1"
 # e2e row: (subcommand, config text), each a workload's config at seed 0
 E2E = {
@@ -189,8 +196,13 @@ def _wave_run(config, runner, wave_integrator, spec):
     return base, [wave_integrator.member(base, runner._bump(cfg, base.grid))]
 
 
-def _wave_stepper(make_member):
-    """run(spec): one impulse step of the wave3d workload's grid and data.
+def _lab_args(constants, sweep: dict) -> dict:
+    """sweep as the keywords of the lab's constants, with d = LAB_D where they take it."""
+    return {**sweep, "d": LAB_D} if "d" in inspect.signature(constants).parameters else sweep
+
+
+def _stepper(make_member):
+    """run(spec): one step of the member make_member(spec).
 
     Each spec gets its member at its first call, so a measured call is one step."""
     members = {}
@@ -241,7 +253,7 @@ def _record(make_run, stepping, make_observer):
     return run
 
 
-def _nls_run(config, runner, nls_integrator, field_core, spec):
+def _nls_run(config, runner, nls_integrator, field_core, spec, ladder):
     """The schedule, reference and ladder members of the nls-ladder workload's
     config with spec, built as gronwall_ladder builds them."""
     cfg = config.parse_config(WORKLOADS["nls-ladder"].config_text(0), "weak-strong")
@@ -249,7 +261,7 @@ def _nls_run(config, runner, nls_integrator, field_core, spec):
     u0 = runner._bump(cfg, base.grid)
     pert = field_core.bump_field(base.grid, 1.0, 0.8 * cfg.radius)
     return base, [nls_integrator.member(base, u0)] + [
-        nls_integrator.member(base, u0 + eps * pert) for eps in config.DEFAULT_LADDER]
+        nls_integrator.member(base, u0 + eps * pert) for eps in ladder]
 
 
 def _cli_run(cli, kind, text):
@@ -278,31 +290,35 @@ def worker(src: str) -> dict:
     rows["layer.nonlinearity.jet"] = _measure(lambda s: s.jet(u, 2), lambda: base)
     with np.errstate(over="ignore", invalid="ignore"):
         rows["layer.sweep.H11+H22"] = _measure(
-            lambda s: assumption_lab._wave_constants(s, SWEEP["R"], SWEEP["d"],
-                                                     SWEEP["n_random"], SWEEP["seed"]),
+            lambda s: assumption_lab._wave_constants(
+                s, **_lab_args(assumption_lab._wave_constants, SWEEP)),
             lambda: base)
     rows["layer.sweep.ClaimA"] = _measure(
         lambda s: assumption_lab.find_convexity_shift(s, **SHIFT_SWEEP), lambda: nls)
     rows["layer.sweep.Gronw6+H222"] = _measure(
-        lambda s: assumption_lab._nls_constants(s, NLS_SWEEP["R"], NLS_SWEEP["d"],
-                                                NLS_SWEEP["n_random"], NLS_SWEEP["seed"]),
+        lambda s: assumption_lab._nls_constants(
+            s, **_lab_args(assumption_lab._nls_constants, NLS_SWEEP)),
         lambda: nls)
     wave = nonlinearity.from_selection(WAVE_SPEC)
 
     def wave_run(spec):
         return _wave_run(config, runner, wave_integrator, spec)
 
-    rows["layer.step.wave"] = _measure(_wave_stepper(lambda spec: wave_run(spec)[1][0]),
+    rows["layer.step.wave"] = _measure(_stepper(lambda spec: wave_run(spec)[1][0]),
                                        lambda: wave)
     rows["layer.record.wave"] = _measure(
         _record(wave_run, stepping, lambda spec, grid: stepping.DiagnosticTrace(grid=grid)),
         lambda: wave)
     ladder_spec = nonlinearity.from_selection(
         config.parse_config(WORKLOADS["nls-ladder"].config_text(0), "weak-strong").nonlinearity)
+
+    def nls_run(spec, ladder=config.DEFAULT_LADDER):
+        return _nls_run(config, runner, nls_integrator, field_core, spec, ladder)
+
+    rows["layer.step.nls"] = _measure(_stepper(lambda spec: nls_run(spec, ())[1][0]),
+                                      lambda: ladder_spec)
     rows["layer.record.nls"] = _measure(
-        _record(lambda spec: _nls_run(config, runner, nls_integrator, field_core, spec),
-                stepping, weak_strong.NlsGronwall),
-        lambda: ladder_spec)
+        _record(nls_run, stepping, weak_strong.NlsGronwall), lambda: ladder_spec)
 
     # the CLI builds its spec from the config; route that through the given spec
     real = config.from_selection
