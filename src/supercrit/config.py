@@ -39,11 +39,28 @@ KINDS = (
     "identity-check",
 )
 
-# the perturbation sizes of a weak-strong run whose config sets no ladder
-DEFAULT_LADDER = (1e-1, 1e-2, 1e-3)
+# the perturbation sizes of a weak-strong run whose config sets no ladder,
+# increasing as validate asks of every ladder
+DEFAULT_LADDER = (1e-3, 1e-2, 1e-1)
+# The keys a kind takes where its config sets none. check-assumptions takes its
+# constants at d = LAB_D only. simulate-nls takes the nls-ladder geometry: its
+# bump disperses at unbounded speed, so on the wave's L = 8 it reaches the
+# boundary shell by T = 1 (largest shell share 0.20 at d = 1, 0.36 at d = 2),
+# while L = 40, radius 5, T = 0.5 keep it at 2.9e-8 (d = 1, N = 256), 9.4e-7
+# (d = 2, N = 64) and 9.2e-9 (d = 3, N = 32).
+KIND_DEFAULTS = {
+    "check-assumptions": {"d": LAB_D},
+    "simulate-nls": {"L": 40.0, "radius": 5.0, "T": 0.5},
+}
 # A config whose estimated working set exceeds this fixed limit (not read from
 # the host) is refused at parse time, before any field is allocated.
 WORKING_SET_LIMIT = 4 * 2 ** 30
+# A config whose work, steps x N^d x states stepped in lockstep, exceeds this
+# fixed limit is refused at parse time. A point-step took 38 ns in wave3d
+# (45 steps of 64^3 points in 0.45 s) and 120 ns in nls-ladder (4 states of
+# 100 steps of 128^2 points in 0.80 s) on a 2-vCPU Xeon, so the limit is 20 to
+# 60 minutes of stepping.
+WORK_LIMIT = 3e10
 
 
 class ConfigError(ValueError):
@@ -136,8 +153,8 @@ def parse_config(text: str, kind: str | None = None, overrides=()) -> Experiment
 
     if errors:
         raise ConfigError(errors)
-    if values["kind"] == "check-assumptions":
-        values.setdefault("d", LAB_D)
+    for key, value in KIND_DEFAULTS.get(values["kind"], {}).items():
+        values.setdefault(key, value)
     cfg = ExperimentConfig(**values)
     errors = validate(cfg)
     if errors:
@@ -229,7 +246,18 @@ def validate(cfg: ExperimentConfig) -> list:
     if not errors and (need := working_set_bytes(cfg)) > WORKING_SET_LIMIT:
         errors.append(f"estimated working set {need / 2 ** 30:.3g} GiB exceeds the "
                       f"{WORKING_SET_LIMIT / 2 ** 30:g} GiB limit")
+    if not errors and schedule is not None \
+            and (work := schedule.steps() * _states(cfg) * float(cfg.N) ** cfg.d) > WORK_LIMIT:
+        errors.append(f"the run's {work:.3g} point-steps exceed the {WORK_LIMIT:g} limit: "
+                      "raise dt, or lower T or N")
     return errors
+
+
+def _states(cfg: ExperimentConfig) -> int:
+    """The states a run of cfg steps in lockstep: one per ladder member of
+    weak-strong and appendix-construct, plus the reference."""
+    ladder = cfg.kind in ("weak-strong", "appendix-construct")
+    return 1 + ladder * len(cfg.ladder or DEFAULT_LADDER)
 
 
 def working_set_bytes(cfg: ExperimentConfig) -> float:
@@ -245,8 +273,7 @@ def working_set_bytes(cfg: ExperimentConfig) -> float:
     appendix-construct keeps scalars per record.
     """
     points = 0.0 if cfg.kind == "check-assumptions" else float(cfg.N) ** cfg.d
-    ladder = cfg.kind in ("weak-strong", "appendix-construct")
-    return 160.0 * points * (1 + ladder * len(cfg.ladder or DEFAULT_LADDER))
+    return 160.0 * points * _states(cfg)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -1,8 +1,12 @@
 """Periodic-grid fields, spectral operators, quadrature norms, and energies.
 
-The periodic box stands in for free space: wave runs rely on unit propagation
-speed to keep the support away from the boundary, and every run is guarded
-by the boundary leakage (``leakage``, ``LEAKAGE_LIMIT``).
+The periodic box stands in for free space, so a run is valid only until its
+solution reaches the box boundary. ``leakage`` gives a record's two shares:
+the share of |u|^2 in the boundary shell and the share of |u_hat|^2 in the
+top third of the modes. A run reached the boundary iff its largest shell
+share exceeds both ``LEAKAGE_LIMIT`` and its largest tail share: a field that
+is under-resolved puts its spectral tail in the shell too. That one rule is
+``stepping.Boundary.reached``.
 
 Runs read |xi|^2 from one layout, the tables of ``table_wavenumber_sq``,
 which keep rows 0..N/2 of axis 0 (``mirror_halves``): the steppers'
@@ -10,7 +14,7 @@ multipliers, the NLS u_t and every Parseval sum (``parseval_norm_sq``, which
 reads an ``fftn`` spectrum or an ``rfftn`` half spectrum by its shape). The
 full-grid ``GridSpec.wavenumber_sq`` is the oracles' and the tests' only.
 
-The quadrature norms, pairings and Parseval sums and the boundary leakage
+The quadrature norms, pairings and Parseval sums and the boundary shares
 make no field-sized temporary: each is one ``np.einsum`` pass per float view
 of its fields (``_re_pairing``). They do not sum in ``np.sum``'s order, so
 they may differ from an np.sum formula in the last digits.
@@ -18,6 +22,7 @@ they may differ from an np.sum formula in the last digits.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,7 +60,7 @@ _BLOCK = 1 << 14
 
 # a run's boundary shell is this share of L wide on each side of the box
 LEAKAGE_SHELL = 1.0 / 8.0
-# a run whose leakage exceeds this at any record has reached the periodic boundary
+# the shell share a run must exceed, beside its tail share, to have reached the boundary
 LEAKAGE_LIMIT = 1e-6
 
 
@@ -305,11 +310,17 @@ def parseval_norm_sq(uh: np.ndarray, grid: GridSpec, gradient: bool = False) -> 
     keeps the frequencies 0..N/2 is the np.fft.rfftn half spectrum of a real
     field. Any other shape raises ValueError.
     """
+    return (grid.cell_volume / grid.N ** grid.d
+            * _re_pairing(uh, uh, *_parseval_multiplier(grid, _is_half(uh, grid), gradient)))
+
+
+def _is_half(uh: np.ndarray, grid: GridSpec) -> bool:
+    """Whether uh is an rfftn half spectrum of the grid, not an fftn spectrum;
+    ValueError if it is neither."""
     if uh.shape not in (grid.shape, half := grid.shape[:-1] + (grid.N // 2 + 1,)):
         raise ValueError(f"spectrum shape {uh.shape} matches neither layout of grid "
                          f"{grid.shape}")
-    return (grid.cell_volume / grid.N ** grid.d
-            * _re_pairing(uh, uh, *_parseval_multiplier(grid, uh.shape == half, gradient)))
+    return uh.shape == half
 
 
 # ---------------------------------------------------------------------------
@@ -366,31 +377,55 @@ def nls_energy(state: NlsState, spec) -> EnergyReport:
     return EnergyReport(0.0, grad, pot, grad + pot, mass=mass)
 
 
-def leakage(field: np.ndarray, grid: GridSpec) -> float:
-    """A run's boundary leakage: the share of |u|^2 in the shell LEAKAGE_SHELL * L
-    wide at the box boundary.
+def leakage(field: np.ndarray, spectrum: np.ndarray, grid: GridSpec) -> tuple:
+    """A record's boundary shares (shell, tail) of the field and its spectrum.
 
-    Data are centered at the box center, so the boundary shell is where any
-    coordinate is within the shell's width of 0 or L. On each axis that edge
-    set is a prefix and a suffix of the grid, so the shell is the disjoint
-    union of slabs: for each axis, its prefix and its suffix, with the
-    earlier axes kept to their interior. Each slab is a view of the field,
-    summed in one pass per float view, so no mask, gather or square is made.
+    shell is the share of |u|^2 in the shell LEAKAGE_SHELL * L wide at the
+    box boundary. Data are centered at the box center, so the shell is where
+    any coordinate is within the shell's width of 0 or L. On each axis that
+    edge set is a prefix and a suffix of the grid, so the shell is the
+    disjoint union of slabs: for each axis, its prefix and its suffix, with
+    the earlier axes kept to their interior.
+
+    tail is the share of |u_hat|^2 on the modes with some |k_i| > N/3, the
+    top third of the resolved frequencies (Orszag's 2/3 rule). The modes
+    with every |k_i| <= N/3 are the 2^d low corner blocks of an fftn
+    spectrum, or the 2^(d-1) of an rfftn half spectrum (read by its shape,
+    as parseval_norm_sq reads it, and weighted as it weighs the planes), and
+    the tail is what they leave of N^d times the shell's total, by Parseval.
+
+    Each slab and block is a view, summed in one pass per float view, so no
+    mask, gather, square or transform is made.
     """
     _check(field, grid)
+    half = _is_half(spectrum, grid)
     total = _re_pairing(field, field)
     if total == 0.0:
-        return 0.0
+        return 0.0, 0.0
+    N = grid.N
     x = grid.axis()
     edge = np.minimum(x, grid.L - x) < LEAKAGE_SHELL * grid.L
     # the grid's middle point, x = L/2, is never in the edge set
-    lo, hi = int(np.argmin(edge)), grid.N - int(np.argmin(edge[::-1]))
+    lo, hi = int(np.argmin(edge)), N - int(np.argmin(edge[::-1]))
     shell = 0.0
     for axis in range(grid.d):
-        for part in (slice(0, lo), slice(hi, grid.N)):
+        for part in (slice(0, lo), slice(hi, N)):
             slab = field[(slice(lo, hi),) * axis + (part,)]
             shell += _re_pairing(slab, slab)
-    return shell / total
+    # |k| <= N/3 (never a whole number) is the first K + 1 and the last K indices
+    K = N // 3
+    axes = [(slice(0, K + 1), slice(N - K, N))] * grid.d
+    if half:
+        axes[-1] = (slice(0, K + 1),)
+    kept = 0.0
+    for block in itertools.product(*axes):
+        view = spectrum[block]
+        kept += _re_pairing(view, view)
+        if half:
+            # a half spectrum's plane k > 0 also stands for its mirror -k; a
+            # second unweighted sum, as a weighted one buffers its three operands
+            kept += _re_pairing(view[..., 1:], view[..., 1:])
+    return shell / total, max(0.0, 1.0 - kept / (N ** grid.d * total))
 
 
 # ---------------------------------------------------------------------------

@@ -373,7 +373,8 @@ def from_selection(selection: str):
     selection = selection.strip()
     name, _, rest = selection.partition(":")
     if name not in _FACTORIES:
-        raise SelectionError(f"unknown nonlinearity {name!r}")
+        known = ", ".join(spec.name for spec in builtin_catalog())
+        raise SelectionError(f"unknown nonlinearity {name!r}; the catalog has {known}")
     factory, params = _FACTORIES[name]
     kwargs = {}
     if rest:
@@ -477,7 +478,9 @@ def beta_cutoff(s, k: float):
     """Odd C1 saturation: identity up to k, parabolic blend, constant 3k/2.
 
     Middle branch is s - (s-k)^2/(2k); the additive variant sometimes quoted
-    is discontinuous at s = 2k and cannot be the C1 function intended.
+    is discontinuous at s = 2k and cannot be the C1 function intended. No run
+    calls it: it is kept as a test oracle of the paper's cutoff, whose C1
+    knots acceptance criterion 1 checks.
     """
     if k <= 0:
         raise ValueError("k must be positive")

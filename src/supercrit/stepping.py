@@ -14,9 +14,17 @@ the derived fields of member 0 and of at most one other member. A potential
 that overflows raises AmplitudeError when that member's energies are
 evaluated, before any observer evaluates the force on its record (the
 observers may have read the members before it). At the end
-``integrate`` returns the final records and each ``observer.result()``. It
-keeps nothing else, so no run stores a trajectory: an observer keeps the
+``integrate`` returns the final records, each ``observer.result()`` and the
+run's ``Boundary``: the largest shell and tail shares of member 0's records.
+It keeps nothing else, so no run stores a trajectory: an observer keeps the
 per-record numbers it needs, not the records.
+
+``Boundary.reached`` is the one rule for whether a run reached the periodic
+box's boundary, which the runner applies to every integrating kind: the
+largest shell share exceeds both ``field_core.LEAKAGE_LIMIT`` and the largest
+tail share. A field whose top third of modes holds more than the shell is
+under-resolved, and its spectral tail is what the shell reads, not mass that
+travelled there (Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 11).
 
 A ``Record`` holds a member's ``stepper``, ``state``, ``t`` and ``u``, and
 computes each derived field once, on first use, by calling the stepper
@@ -30,12 +38,14 @@ share them:
 * ``ut`` [``velocity``]: the physical u_t;
 * ``uh`` [``spectrum``]: the spectrum of u (the ``np.fft.fftn`` spectrum
   for NLS, the ``np.fft.rfftn`` half spectrum for wave);
-* ``force`` [``force``]: f(u).
+* ``force`` [``force``]: f(u);
+* ``leakage`` and ``tail``: the boundary shares of u and ``uh``
+  (``field_core.leakage``), computed together, with no transform.
 
-A stepper advances a state by dt when called, has ``columns``, and provides
-the fields its records are asked for; the energies come from the record's
-own fields. A state has ``t``, ``u`` and ``is_finite()``. A non-finite member
-raises BlowUpError with the last record time.
+A stepper advances a state by dt when called, has ``columns`` and ``grid``,
+and provides the fields its records are asked for; the energies come from
+the record's own fields. A state has ``t``, ``u`` and ``is_finite()``. A
+non-finite member raises BlowUpError with the last record time.
 
 A stepper may overwrite the arrays of the state it is given (the wave
 stepper does), and ``integrate`` never reads a state after stepping it. So
@@ -61,10 +71,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .field_core import GridSpec, leakage
+from .field_core import LEAKAGE_LIMIT, GridSpec, leakage
 
-__all__ = ["BlowUpError", "RunSchedule", "DiagnosticTrace", "Record", "integrate",
-           "run_single"]
+__all__ = ["BlowUpError", "RunSchedule", "Boundary", "DiagnosticTrace", "Record",
+           "integrate", "run_single"]
 
 
 class BlowUpError(RuntimeError):
@@ -109,16 +119,30 @@ class RunSchedule:
         return 1 + -(-self.steps() // self.stride())
 
 
+@dataclass(frozen=True)
+class Boundary:
+    """The largest boundary shares of member 0's records over a run: shell
+    (``leakage``) and tail; its fields are a payload's evidence."""
+
+    leakage: float
+    tail: float
+
+    @property
+    def reached(self) -> bool:
+        """Whether the run reached the box boundary: the one rule (see the
+        module docstring)."""
+        return self.leakage > max(LEAKAGE_LIMIT, self.tail)
+
+
 @dataclass
 class DiagnosticTrace:
     """Per-record diagnostics of a run; as an observer it traces member 0.
 
-    An observed row is t, the stepper's energies, the boundary leakage
-    (``field_core.leakage``) and the sup norm; observing sets ``columns`` to
-    their names.
+    An observed row is t, the stepper's energies, the record's boundary
+    shares (``leakage`` and ``tail``) and the sup norm; observing sets
+    ``columns`` to their names.
     """
 
-    grid: GridSpec
     columns: tuple = ()
     rows: list = field(default_factory=list)
 
@@ -136,10 +160,10 @@ class DiagnosticTrace:
         return "\n".join(lines) + "\n"
 
     def observe(self, r):
-        self.columns = ("t", *r.stepper.columns, "leakage", "sup_norm")
+        self.columns = ("t", *r.stepper.columns, "leakage", "tail", "sup_norm")
         # a real field's sup norm as max(max u, -min u) makes no |u| field
         sup = np.max(np.abs(r.u)) if np.iscomplexobj(r.u) else np.maximum(r.u.max(), -r.u.min())
-        self.add(r.t, *r.energy, leakage(r.u, self.grid), sup)
+        self.add(r.t, *r.energy, r.leakage, r.tail, sup)
 
     def result(self) -> DiagnosticTrace:
         return self
@@ -168,11 +192,23 @@ class Record:
     def force(self) -> np.ndarray:
         return self.stepper.force(self)
 
+    @cached_property
+    def shares(self) -> tuple:
+        return leakage(self.u, self.uh, self.stepper.grid)
+
+    @property
+    def leakage(self) -> float:
+        return self.shares[0]
+
+    @property
+    def tail(self) -> float:
+        return self.shares[1]
+
 
 def integrate(members, schedule, observers=()):
     """Advance every (stepper, state) member to T in lockstep, feeding observers.
 
-    Returns (final records, observer results); see the module docstring.
+    Returns (final records, observer results, Boundary); see the module docstring.
     """
     steppers = [stepper for stepper, _ in members]
     states = [state for _, state in members]
@@ -180,10 +216,13 @@ def integrate(members, schedule, observers=()):
     # state, so each one is released by its first step
     del members
     n, stride = schedule.steps(), schedule.stride()
+    shell = tail = 0.0  # member 0's largest boundary shares
 
     def record() -> float:
+        nonlocal shell, tail
         ref = Record(steppers[0], states[0])
         ref.energy  # raises AmplitudeError before an observer reads the record
+        shell, tail = max(shell, ref.leakage), max(tail, ref.tail)
         readers = [read for obs in observers if (read := obs.observe(ref)) is not None]
         for stepper, state in zip(steppers[1:], states[1:]):
             rec = Record(stepper, state)
@@ -204,16 +243,16 @@ def integrate(members, schedule, observers=()):
         if i % stride == 0 or i == n:
             t_last = record()
     finals = [Record(stepper, s) for stepper, s in zip(steppers, states)]
-    return finals, [obs.result() for obs in observers]
+    return finals, [obs.result() for obs in observers], Boundary(shell, tail)
 
 
 def run_single(member, schedule):
     """Integrate member(schedule), a (stepper, initial state) pair, with the
-    diagnostics trace; returns (final Record, trace).
+    diagnostics trace; returns (final Record, trace, Boundary).
 
     The member is built in the integrate call, so initial data that member()
     builds are gone once it returns, and its initial state goes at the first
     step."""
-    trace = DiagnosticTrace(schedule.grid)
-    (last,), _ = integrate([member(schedule)], schedule, [trace])
-    return last, trace
+    trace = DiagnosticTrace()
+    (last,), _, boundary = integrate([member(schedule)], schedule, [trace])
+    return last, trace, boundary

@@ -258,14 +258,14 @@ class Verlet:
     """The velocity-leapfrog stepper, kept only as the tests' oracle for the impulse one.
 
     Its member for stepping.integrate is (Verlet(cfg), the initial WaveState).
-    Its records give the energies, u_t and f(u), what the diagnostics trace
-    and the weak identity read.
+    Its records give the energies, u_t, f(u) and the half spectrum of u, what
+    the diagnostics trace, the weak identity and the boundary shares read.
     """
 
     columns = WAVE_COLUMNS
 
     def __init__(self, cfg: RunSchedule):
-        self.cfg = cfg
+        self.cfg, self.grid = cfg, cfg.grid
 
     def __call__(self, s: WaveState) -> WaveState:
         return step(s, self.cfg)
@@ -276,6 +276,9 @@ class Verlet:
 
     def velocity(self, rec) -> np.ndarray:
         return rec.state.ut
+
+    def spectrum(self, rec) -> np.ndarray:
+        return np.fft.rfftn(rec.u)
 
     def force(self, rec) -> np.ndarray:
         return self.cfg.spec.f(rec.u)

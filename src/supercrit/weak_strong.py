@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assumption_lab import find_convexity_shift
-from .field_core import l2_inner, l2_norm_sq, leakage, parseval_norm_sq
+from .field_core import l2_inner, l2_norm_sq, parseval_norm_sq
 from .nls_integrator import member as nls_member
 from .nonlinearity import NlsNonlinearitySpec, find_truncation_abscissae, truncate, two_star
 from .stepping import RunSchedule, integrate
@@ -224,8 +224,9 @@ class NlsGronwall:
         return traces
 
 
-def gronwall_ladder(base, u0: np.ndarray, pert: np.ndarray, ladder, seed: int = 0) -> list:
-    """Gronwall traces of the members u0 + eps * pert against u0, run on base.
+def gronwall_ladder(base, u0: np.ndarray, pert: np.ndarray, ladder, seed: int = 0):
+    """Gronwall traces of the members u0 + eps * pert against u0, run on base,
+    and the reference's ``stepping.Boundary``.
 
     Wave data start at rest. The reference and every member are stepped in
     lockstep. For NLS the convexity shift A is estimated after the run at
@@ -238,12 +239,12 @@ def gronwall_ladder(base, u0: np.ndarray, pert: np.ndarray, ladder, seed: int = 
     # no member state outlives the run: the members are built in the call, so
     # each initial state goes at its first step, and the final records are
     # dropped here, before the shift allocates its sample plan
-    (result,) = integrate([member(base, u0)] + [member(base, u0 + eps * pert)
-                                                for eps in ladder], base, [observer])[1]
+    (result,), boundary = integrate([member(base, u0)] + [member(base, u0 + eps * pert)
+                                                          for eps in ladder], base, [observer])[1:]
     if not nls:
-        return result
+        return result, boundary
     R = max(result.sup_norm, SHIFT_R_FLOOR)
-    return result.traces(find_convexity_shift(base.spec, R=R, seed=seed).value)
+    return result.traces(find_convexity_shift(base.spec, R=R, seed=seed).value), boundary
 
 
 def ladder_ratios(ladder, traces):
@@ -286,7 +287,6 @@ class ConvergenceReport:
     force_l1_discrepancy: list    # spacetime L1 of f_k(v^k) - f(v_ref)
     energy_drift: list            # max_t |E(t) - E(0)| / |E(0)|
     reference_drift: float        # the same for the untruncated reference
-    reference_leakage: float      # max_t boundary leakage of the reference
     monotone_l2: bool = True
     monotone_force: bool = True
     bounded_drift: bool = True    # every drift <= DRIFT_MULTIPLE * reference_drift
@@ -304,9 +304,8 @@ def _drift(E) -> float:
 class _LadderDiscrepancy:
     """Observer: each truncated member against the untruncated member 0.
 
-    Keeps per record the reference's energy and boundary leakage, and one
-    row per member: ||v - u||, the integral of |f_k(v) - f(u)| and v's
-    energy.
+    Keeps per record the reference's energy, and one row per member:
+    ||v - u||, the integral of |f_k(v) - f(u)| and v's energy.
     """
 
     def __init__(self, grid):
@@ -316,7 +315,7 @@ class _LadderDiscrepancy:
     def observe(self, ref):
         grid = self.grid
         self.times.append(ref.t)
-        self.reference.append((ref.energy[0], leakage(ref.u, grid)))
+        self.reference.append(ref.energy[0])
         self.rows.append(rows := [])
 
         def read(rec):
@@ -329,11 +328,9 @@ class _LadderDiscrepancy:
         times = np.array(self.times)
         # each (members, records)
         l2, force_rate, energy = np.array(self.rows).T
-        ref_energy, ref_leakage = np.array(self.reference).T
         l2_disc = [float(np.max(s)) for s in l2]
         force_disc = [float(np.trapezoid(rate, times)) for rate in force_rate]
-        return (l2_disc, force_disc, [_drift(E) for E in energy], _drift(ref_energy),
-                float(np.max(ref_leakage)))
+        return l2_disc, force_disc, [_drift(E) for E in energy], _drift(np.array(self.reference))
 
 
 def appendix_construction(base: RunSchedule, u0: np.ndarray, ladder):
@@ -341,8 +338,8 @@ def appendix_construction(base: RunSchedule, u0: np.ndarray, ladder):
 
     The problems truncated at every cut height and the untruncated reference,
     the finest object available, are stepped in lockstep from u0 at rest.
-    Returns the ConvergenceReport and the reference's ForceSamples, the input
-    of the uniform-integrability probe.
+    Returns the ConvergenceReport, the reference's ForceSamples, the input
+    of the uniform-integrability probe, and its ``stepping.Boundary``.
     """
     if list(ladder) != sorted(set(ladder)):
         raise ValueError("ladder values must be strictly increasing")
@@ -352,7 +349,7 @@ def appendix_construction(base: RunSchedule, u0: np.ndarray, ladder):
                            for k in ladder]
     observers = [_LadderDiscrepancy(base.grid), ForceSamples(base)]
     # the members are built in the call, so each initial state goes at its first step
-    _, ((l2_disc, force_disc, drifts, ref_drift, ref_leakage), samples) = integrate(
+    _, ((l2_disc, force_disc, drifts, ref_drift), samples), boundary = integrate(
         [wave_member(replace(base, spec=spec), u0) for spec in specs], base, observers)
     report = ConvergenceReport(
         list(ladder),
@@ -360,12 +357,11 @@ def appendix_construction(base: RunSchedule, u0: np.ndarray, ladder):
         force_disc,
         drifts,
         ref_drift,
-        ref_leakage,
         monotone_l2=_nonincreasing(l2_disc),
         monotone_force=_nonincreasing(force_disc),
         bounded_drift=all(d <= DRIFT_MULTIPLE * ref_drift for d in drifts),
     )
-    return report, samples
+    return report, samples, boundary
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def _wave_config(N, T, amplitude, spec, dt_factor=0.25, radius=1.0,
 
 def _observe(cfg, u0, observer):
     """Run cfg from u0 at rest alone and return what the observer made of it."""
-    _, (result,) = integrate([wave_member(cfg, u0)], cfg, [observer])
+    _, (result,), _ = integrate([wave_member(cfg, u0)], cfg, [observer])
     return result
 
 
@@ -189,7 +189,7 @@ def test_criterion_3_conservation():
     wave_drifts = []
     for factor in (0.25, 0.125):
         cfg, u0 = _wave_config(256, 1.0, 0.5, spec, dt_factor=factor)
-        _, trace = run_single(lambda c: wave_member(c, u0), cfg)
+        _, trace, _ = run_single(lambda c: wave_member(c, u0), cfg)
         E = np.asarray(trace.column("E_total"))
         wave_drifts.append(float(np.max(np.abs(E - E[0])) / abs(E[0])))
     wave_ratio = wave_drifts[0] / wave_drifts[1]
@@ -199,7 +199,7 @@ def test_criterion_3_conservation():
     u0 = bump_field(grid, 0.5, 3.0).astype(complex)
     mass_drift, ham_drifts = 0.0, []
     for dt in (1e-3, 5e-4):
-        _, trace = run_single(lambda c: nls_member(c, u0), RunSchedule(grid, nspec, dt, 1.0))
+        _, trace, _ = run_single(lambda c: nls_member(c, u0), RunSchedule(grid, nspec, dt, 1.0))
         mass = np.asarray(trace.column("mass"))
         H = np.asarray(trace.column("H_total"))
         mass_drift = max(mass_drift,
@@ -253,7 +253,7 @@ def test_criterion_5_energy_expansion():
         pert = bump_field(grid, 1.0, 0.8)
         cfg = RunSchedule(grid, spec, 0.25 * grid.h, 0.5)
         # the eps = 0 member is the reference itself
-        pert_tr, self_tr = gronwall_ladder(cfg, u0, pert, (1e-2, 0.0))
+        (pert_tr, self_tr), _ = gronwall_ladder(cfg, u0, pert, (1e-2, 0.0))
         residuals.append(pert_tr.expansion_residual)
     orders = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     self_residual = self_tr.expansion_residual
@@ -277,7 +277,7 @@ def _wave_ladder(spec_name, dt_factor):
     u0 = bump_field(grid, 0.5, 1.0)
     pert = bump_field(grid, 1.0, 0.8)
     base = RunSchedule(grid, spec, dt_factor * grid.h, 1.0)
-    return gronwall_ladder(base, u0, pert, LADDER)
+    return gronwall_ladder(base, u0, pert, LADDER)[0]
 
 
 def _nls_ladder(dt):
@@ -286,7 +286,7 @@ def _nls_ladder(dt):
     u0 = bump_field(grid, 0.5, 3.0).astype(complex)
     pert = bump_field(grid, 1.0, 2.4)
     base = RunSchedule(grid, spec, dt, 1.0)
-    return gronwall_ladder(base, u0, pert, LADDER)
+    return gronwall_ladder(base, u0, pert, LADDER)[0]
 
 
 def _ladder_checks(name, coarse, fine, volume, problems):
@@ -320,7 +320,7 @@ def test_criterion_7_truncation_construction():
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 3.0 * np.e, 1.0)
     base = RunSchedule(grid, spec, grid.h / 32.0, 0.5)
-    report, _ = appendix_construction(base, u0, (1.0, 2.0, 4.0, 8.0))
+    report, _, _ = appendix_construction(base, u0, (1.0, 2.0, 4.0, 8.0))
     worst_drift = max(report.energy_drift)
 
     probe_grid = GridSpec(3, 32, 8.0)

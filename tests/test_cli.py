@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, artifacts, determinism."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -220,7 +221,7 @@ def test_appendix_construct_holds_on_the_wave_defaults(tmp_path, capsys, name):
     assert not probe["vacuous"] and 0.0 <= probe["grid_exponent"] < 0.01
     # the energies only fall, so the one-sided drift read 0.0; no member is
     # truncated, so each drifts as the reference does (3.9e-7 to 2.8e-5)
-    assert report["bounded_drift"] and report["reference_leakage"] < runner.LEAKAGE_LIMIT
+    assert report["bounded_drift"] and report["boundary"]["leakage"] < field_core.LEAKAGE_LIMIT
     assert report["energy_drift"] == [report["reference_drift"]] * 3
     assert 1e-7 < report["reference_drift"] < 1e-4
 
@@ -331,6 +332,57 @@ def test_leakage_flag_exits_3(tmp_path, capsys):
                  "--output", str(tmp_path / "runs")])
     assert code == 3
     assert "leakage_flag" in capsys.readouterr().out
+
+
+def _boundary_evidence(exp_dir):
+    """The largest (shell, tail) shares a payload holds: the trace's columns,
+    or the boundary entry of its JSON report."""
+    if (exp_dir / "trace.csv").exists():
+        with open(exp_dir / "trace.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        return tuple(max(float(r[c]) for r in rows) for c in ("leakage", "tail"))
+    (name,) = [n for n in ("summary.json", "report.json", "identities.json")
+               if (exp_dir / n).exists()]
+    boundary = json.loads((exp_dir / name).read_text())["boundary"]
+    return boundary["leakage"], boundary["tail"]
+
+
+@pytest.mark.parametrize("kind", ["simulate-wave", "weak-strong", "identity-check",
+                                  "appendix-construct"])
+def test_every_integrating_kind_flags_a_run_that_reaches_the_boundary(tmp_path, capsys,
+                                                                       kind):
+    # defocusing_exp:m=1 reaches the L/8 shell by T = 4 (shell share 0.205,
+    # tail 1.9e-8): weak-strong and identity-check never asked, and exited 0
+    path = tmp_path / "far.cfg"
+    path.write_text("T = 4\nladder = 1,2,4\n")
+    assert main([kind, "--config", str(path), "--output", str(tmp_path)]) == 3
+    exp_id, outcome = capsys.readouterr().out.split()
+    assert outcome == "leakage_flag"
+    shell, tail = _boundary_evidence(tmp_path / exp_id)
+    assert shell == pytest.approx(0.205, abs=1e-3) and tail < 1e-7
+
+
+@pytest.mark.parametrize("N", [32, 64, 128])
+def test_an_under_resolved_wave_is_not_flagged_as_leakage(tmp_path, capsys, N):
+    # the wave stays within radius + T = 2 of the centre, short of the shell
+    # at 3L/8 = 3; at N = 64 the shell read its spectral tail, 1.8e-6, and
+    # the run exited 3, while N = 32 (1.1e-7) and N = 128 (1.5e-9) exited 0
+    path = tmp_path / "q1.cfg"
+    path.write_text(f"nonlinearity = oscillating_sin:q=1\nN = {N}\n")
+    assert main(["simulate-wave", "--config", str(path), "--output", str(tmp_path)]) == 0
+    shell, tail = _boundary_evidence(tmp_path / capsys.readouterr().out.split()[0])
+    assert shell < tail
+
+
+@pytest.mark.parametrize("d, N", [(1, 256), (2, 64), (3, 32)])
+def test_the_default_simulate_nls_stays_off_the_boundary(tmp_path, capsys, d, N):
+    # on the wave's L = 8, radius 1 and T = 1 the bump dispersed into the shell
+    # (shares 0.20, 0.36 and 0.47) and each run exited 3
+    path = tmp_path / "nls.cfg"
+    path.write_text(f"nonlinearity = nls_cubic\nd = {d}\nN = {N}\n")
+    assert main(["simulate-nls", "--config", str(path), "--output", str(tmp_path)]) == 0
+    shell, _ = _boundary_evidence(tmp_path / capsys.readouterr().out.split()[0])
+    assert shell < 1e-6
 
 
 def test_invariant_violation_exits_4(tmp_path, capsys):
@@ -476,7 +528,7 @@ def test_weak_strong_summary_artifacts(tmp_path):
     assert manifest.outcome == "ok"
     exp_dir = tmp_path / manifest.experiment_id
     summary = json.loads((exp_dir / "summary.json").read_text())
-    assert summary["ladder"] == [0.1, 0.01, 0.001]
+    assert summary["ladder"] == [0.001, 0.01, 0.1]
     for member in summary["members"]:
         assert member["G0"] > 0.0
         assert member["sup_G_over_G0"] >= 1.0
@@ -496,7 +548,6 @@ def test_identity_check_artifacts(tmp_path):
     report = json.loads(
         (tmp_path / manifest.experiment_id / "identities.json").read_text()
     )
-    assert all(report["cancellation"].values())
     assert report["weak_identity_scale"] > 0.0
     assert report["weak_identity_residual"] < (wave_integrator.WEAK_IDENTITY_GATE
                                                + report["weak_identity_quadrature_error"])
@@ -507,8 +558,8 @@ WAVE_ENTRIES = [spec.name for spec in builtin_catalog()
 
 
 @pytest.mark.parametrize("text", [f"nonlinearity = {name}\n" for name in WAVE_ENTRIES]
-                         + [f"N = 128\nL = 16\nT = {T}\n" for T in (2, 4, 8)],
-                         ids=WAVE_ENTRIES + [f"L16-T{T}" for T in (2, 4, 8)])
+                         + [f"N = 128\nL = 16\nT = {T}\n" for T in (2, 4)],
+                         ids=WAVE_ENTRIES + [f"L16-T{T}" for T in (2, 4)])
 def test_identity_check_holds_on_correct_runs(tmp_path, text):
     # with the residual scaled by |lhs| + |rhs|, the sides' difference, five
     # defaults read 2.0e-4 to 4.5e-4 and the L = 16 runs 1.7e-4 to 5.0e-3,
@@ -516,6 +567,23 @@ def test_identity_check_holds_on_correct_runs(tmp_path, text):
     path = tmp_path / "id.cfg"
     path.write_text(text)
     assert main(["identity-check", "--config", str(path), "--output", str(tmp_path)]) == 0
+
+
+def test_identity_check_that_wraps_around_the_box_is_flagged_but_still_holds(tmp_path,
+                                                                             capsys):
+    # at T = 8 the wave wraps around the torus (shell share 0.35, against a
+    # tail of 5.4e-4), so the run ends as leakage_flag; the identity is exact
+    # on the torus, so its residual still passes the gate (3.4e-5 against an
+    # estimate of 4.4e-5)
+    path = tmp_path / "id.cfg"
+    path.write_text("N = 128\nL = 16\nT = 8\n")
+    assert main(["identity-check", "--config", str(path), "--output", str(tmp_path)]) == 3
+    exp_id, outcome = capsys.readouterr().out.split()
+    assert outcome == "leakage_flag"
+    report = json.loads((tmp_path / exp_id / "identities.json").read_text())
+    assert report["boundary"]["leakage"] > 0.3 > 1e-3 > report["boundary"]["tail"]
+    assert report["weak_identity_residual"] < (wave_integrator.WEAK_IDENTITY_GATE
+                                               + report["weak_identity_quadrature_error"])
 
 
 @pytest.mark.parametrize("name", ["pure_power:p=3", "defocusing_exp:m=1"])

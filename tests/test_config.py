@@ -1,11 +1,15 @@
 """Config parsing, validation, canonical serialization, and experiment ids."""
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from supercrit.config import (
+    DEFAULT_LADDER,
     KINDS,
+    WORK_LIMIT,
     ConfigError,
     ExperimentConfig,
     parse_config,
@@ -137,6 +141,42 @@ def test_working_set_bound_checked_at_parse():
     parse_config("kind = check-assumptions\nd = 3\nN = 1024\n")
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("simulate-wave", ""),
+    ("simulate-nls", "nonlinearity = nls_cubic\n"),
+    ("weak-strong", ""),
+    ("identity-check", ""),
+])
+def test_work_bound_checked_at_parse(kind, text):
+    # dt = 1e-300 is positive, within every step bound, and T/dt is finite:
+    # the run was accepted and stepped until killed
+    with pytest.raises(ConfigError) as info:
+        parse_config(text + "dt = 1e-300\n", kind)
+    assert any("point-steps exceed" in m for m in info.value.errors)
+    # the benchmark's runs, 1.2e7 and 6.6e6 point-steps, are accepted
+    parse_config("nonlinearity = defocusing_exp:m=1\nd = 3\nN = 64\nL = 10\nradius = 1.5\n"
+                 "T = 1\n", "simulate-wave")
+    parse_config("nonlinearity = nls_coercive_exp\nd = 2\nN = 128\nL = 40\nradius = 5\n"
+                 "T = 0.5\ndt = 0.005\n", "weak-strong")
+
+
+def test_the_default_ladder_can_be_written_in_a_config():
+    # the default was decreasing, so writing it out (0.1,0.01,0.001) exited 2
+    written = ",".join(format(eps, "g") for eps in DEFAULT_LADDER)
+    cfg = parse_config(f"ladder = {written}\n", "weak-strong")
+    assert cfg.ladder == DEFAULT_LADDER == tuple(sorted(DEFAULT_LADDER))
+
+
+def test_kind_defaults_fill_only_the_keys_a_config_leaves_unset():
+    nls = parse_config("nonlinearity = nls_cubic\n", "simulate-nls")
+    assert (nls.L, nls.radius, nls.T, nls.effective_dt()) == (40.0, 5.0, 0.5, 1e-3)
+    nls = parse_config("nonlinearity = nls_cubic\nL = 8\n", "simulate-nls")
+    assert (nls.L, nls.radius, nls.T) == (8.0, 5.0, 0.5)
+    wave = parse_config("", "simulate-wave")
+    assert (wave.L, wave.radius, wave.T, wave.d) == (8.0, 1.0, 1.0, 1)
+    assert parse_config("", "check-assumptions").d == 3
+
+
 def test_ladder_parsing_and_validation():
     cfg = parse_config("kind = appendix-construct\n"
                        "nonlinearity = oscillating_sin:q=1\n"
@@ -172,7 +212,8 @@ def test_effective_dt_defaults():
 def test_unknown_nonlinearity_reported():
     with pytest.raises(ConfigError) as info:
         parse_config("kind = simulate-wave\nnonlinearity = cosh_tower\n")
-    assert any("cosh_tower" in m for m in info.value.errors)
+    assert any("cosh_tower" in m and "the catalog has defocusing_exp:m=1," in m
+               for m in info.value.errors)
 
 
 FLOAT_FIELDS = ("L", "dt", "T", "amplitude", "radius", "R")
@@ -185,7 +226,8 @@ def valid_configs(draw):
     """Configs that validate, drawn from combinations validate accepts, so that
     assume() rarely filters one out: a nonlinearity of the kind's equation, a dt
     within the equation's bound, an identity-check T with enough records, and
-    a ladder of positive values, at least three for appendix-construct."""
+    a ladder of positive values, at least three for appendix-construct, and a
+    T whose run makes at most WORK_LIMIT point-steps."""
     kind = draw(st.sampled_from(KINDS))
     specs = builtin_catalog()
     if kind == "simulate-nls":
@@ -223,6 +265,10 @@ def valid_configs(draw):
         seed=draw(st.integers(0, 2 ** 64 - 1)),
         stride=stride,
     )
+    # at most WORK_LIMIT point-steps, the work validate accepts
+    states = 1 + (kind in ("weak-strong", "appendix-construct")) * len(ladder or DEFAULT_LADDER)
+    T_max = 0.99 * WORK_LIMIT / (states * float(N) ** d) * cfg.effective_dt()
+    cfg = dataclasses.replace(cfg, T=min(cfg.T, T_max))
     assume(not validate(cfg))
     return cfg
 

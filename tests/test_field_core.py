@@ -217,18 +217,24 @@ def test_bump_compact_support_and_peak():
     assert np.argmax(u) == np.argmin(np.abs(x - grid.L / 2.0))
 
 
+def _shell(field, grid):
+    """The shell share of leakage, read beside the field's fftn spectrum."""
+    return leakage(field, np.fft.fftn(field), grid)[0]
+
+
 def test_leakage_centered_vs_edge():
     # the shell is L/8 = 2 wide
     grid = GridSpec(1, 256, 16.0)
     centered = bump_field(grid, 1.0, 1.0)
-    assert leakage(centered, grid) == 0.0
+    assert _shell(centered, grid) == 0.0
     edge = bump_field(grid, 1.0, 1.0, center=0.5)
-    assert leakage(edge, grid) > 0.9
+    assert _shell(edge, grid) > 0.9
 
 
 def test_leakage_of_zero_field():
     grid = GridSpec(1, 32, 8.0)
-    assert leakage(np.zeros(grid.shape), grid) == 0.0
+    zero = np.zeros(grid.shape)
+    assert leakage(zero, np.fft.rfftn(zero), grid) == (0.0, 0.0)
 
 
 
@@ -333,9 +339,45 @@ def test_slab_leakage_equals_the_mask_formula(d, complex_valued):
     u = rng.normal(size=grid.shape)
     if complex_valued:
         u = u + 1j * rng.normal(size=grid.shape)
-    assert leakage(u, grid) == pytest.approx(_mask_leakage(u, grid, margin), rel=1e-14)
+    assert _shell(u, grid) == pytest.approx(_mask_leakage(u, grid, margin), rel=1e-14)
     # a bump across the shell's inner edge, and one clear of the shell
     edge = bump_field(grid, 1.0, 1.0, center=0.5)
-    assert leakage(edge, grid) == pytest.approx(_mask_leakage(edge, grid, margin), rel=1e-14)
-    assert leakage(bump_field(grid, 1.0, 1.0), grid) == 0.0
-    assert leakage(np.zeros(grid.shape, u.dtype), grid) == 0.0
+    assert _shell(edge, grid) == pytest.approx(_mask_leakage(edge, grid, margin), rel=1e-14)
+    assert _shell(bump_field(grid, 1.0, 1.0), grid) == 0.0
+    assert _shell(np.zeros(grid.shape, u.dtype), grid) == 0.0
+
+
+def _mask_tail(field, grid):
+    """The boolean-mask formula of the tail share, the oracle of its corner-block sums:
+    the share of |fftn(u)|^2 on the modes with some |k_i| > N/3."""
+    k = np.fft.fftfreq(grid.N) * grid.N
+    high = np.abs(k) > grid.N / 3.0
+    mask = np.zeros(grid.shape, dtype=bool)
+    for i in range(grid.d):
+        mask |= high.reshape((1,) * i + (grid.N,) + (1,) * (grid.d - 1 - i))
+    power = np.abs(np.fft.fftn(field)) ** 2
+    return float(np.sum(power[mask]) / np.sum(power))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("layout", ["fftn", "rfftn", "fftn-complex"])
+def test_tail_equals_the_mask_formula(d, layout):
+    grid = GridSpec(d, 32, 10.0)
+    # |k| <= 32/3 keeps 21 of each axis's 32 frequencies
+    assert (np.abs(np.fft.fftfreq(32) * 32) <= 32 / 3).sum() == 21
+    rng = np.random.default_rng(d)
+    u = rng.normal(size=grid.shape)
+    if layout == "fftn-complex":
+        u = u + 1j * rng.normal(size=grid.shape)
+    transform = np.fft.rfftn if layout == "rfftn" else np.fft.fftn
+    # noise puts about 1 - (21/32)^d of its power in the tail (0.20 at d = 1 here)
+    shell, tail = leakage(u, transform(u), grid)
+    assert tail == pytest.approx(_mask_tail(u, grid), rel=1e-12) and tail > 0.15
+    assert shell == pytest.approx(_shell(u, grid), rel=1e-14)
+    # a resolved bump's tail is small, and its difference from 1 keeps the
+    # absolute rounding of the sums
+    bump = bump_field(grid, 1.0, 2.0)
+    assert leakage(bump, transform(bump), grid)[1] == pytest.approx(_mask_tail(bump, grid),
+                                                                    abs=1e-14)
+    with pytest.raises(ValueError, match="neither layout"):
+        leakage(u, transform(u)[..., :-1], grid)

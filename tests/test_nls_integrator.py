@@ -137,7 +137,7 @@ def test_plane_wave_oracle_exact():
     k = 2.0 * np.pi * m / grid.L
     u0 = A * np.exp(1j * k * grid.axis())
     cfg = RunSchedule(grid, spec, 1e-3, 0.5)
-    end, _ = run_single(starting(u0), cfg)
+    end, _, _ = run_single(starting(u0), cfg)
     rate = k ** 2 + spec.Fsprime(0.5 * A ** 2)
     exact = u0 * np.exp(1j * rate * end.t)
     assert np.max(np.abs(end.u - exact)) < 1e-11
@@ -145,7 +145,7 @@ def test_plane_wave_oracle_exact():
 
 def test_mass_conserved_to_machine_precision():
     cfg, u0 = make_config(T=1.0, dt=5e-3)
-    _, trace = run_single(starting(u0), cfg)
+    _, trace, _ = run_single(starting(u0), cfg)
     mass = trace.column("mass")
     assert np.max(np.abs(mass - mass[0])) / mass[0] < 1e-13
 
@@ -154,7 +154,7 @@ def test_hamiltonian_drift_scales_quadratically():
     drifts = []
     for dt in (2e-3, 1e-3):
         cfg, u0 = make_config(T=0.5, dt=dt)
-        _, trace = run_single(starting(u0), cfg)
+        _, trace, _ = run_single(starting(u0), cfg)
         H = trace.column("H_total")
         drifts.append(np.max(np.abs(H - H[0])) / abs(H[0]))
     assert drifts[0] < 1e-6
@@ -175,7 +175,7 @@ def test_stepper_matches_strang_step_oracle(name, d):
     grid = GridSpec(d, 64 if d == 1 else 32, 16.0)
     u0 = bump_field(grid, 1.5, 4.0).astype(complex) * np.exp(0.4j * grid.coords()[0])
     cfg = RunSchedule(grid, from_selection(name), 0.02, 20 * 0.02)
-    (last,), _ = integrate([member(cfg, u0)], cfg)
+    (last,), _, _ = integrate([member(cfg, u0)], cfg)
     oracle = NlsState(grid, u0, 0.0)
     for _ in range(20):
         oracle = strang_step(oracle, cfg)
@@ -208,7 +208,7 @@ def test_ladder_transforms_two_per_step_one_per_record(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     cfg, u0, pert, ladder = ladder_config()
-    traces = weak_strong.gronwall_ladder(cfg, u0, pert, ladder)
+    traces, _ = weak_strong.gronwall_ladder(cfg, u0, pert, ladder)
     members, records = 1 + len(ladder), len(traces[0].times)
     assert records == 5  # t = 0, steps 3, 6, 9 and the last
     # per record: one forward transform per member for the energies and
@@ -272,7 +272,7 @@ def test_nls_record_reads_one_cached_wavenumber_table():
 
 def test_trace_columns():
     cfg, u0 = make_config(T=0.1)
-    _, trace = run_single(starting(u0), cfg)
+    _, trace, _ = run_single(starting(u0), cfg)
     assert trace.columns == ("t", "mass", "H_total", "H_gradient",
-                             "H_potential", "leakage", "sup_norm")
+                             "H_potential", "leakage", "tail", "sup_norm")
     assert np.all(trace.column("leakage") >= 0.0)

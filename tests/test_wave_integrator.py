@@ -12,6 +12,7 @@ from supercrit.nonlinearity import AssumptionClass, NonlinearitySpec, from_selec
 from supercrit.runner import run_experiment
 from supercrit.stepping import (
     BlowUpError,
+    Boundary,
     DiagnosticTrace,
     Record,
     RunSchedule,
@@ -74,7 +75,7 @@ def test_zero_data_is_fixed_point():
     grid = GridSpec(1, 64, 8.0)
     z = np.zeros(grid.shape)
     cfg = RunSchedule(grid, from_selection("pure_power:p=2"), 0.25 * grid.h, 0.25)
-    end, trace = run_single(starting(z, z), cfg)
+    end, trace, _ = run_single(starting(z, z), cfg)
     assert np.all(end.u == 0.0)
     assert trace.column("E_total")[-1] == 0.0
 
@@ -87,7 +88,7 @@ def run_verlet(cfg, u0):
 
 def test_methods_agree_at_small_dt():
     cfg, u0 = make_config(T=0.25, dt=0.02 * 8.0 / 128)
-    (end, _), (oracle, _) = run_single(starting(u0), cfg), run_verlet(cfg, u0)
+    (end, _, _), (oracle, _, _) = run_single(starting(u0), cfg), run_verlet(cfg, u0)
     assert np.max(np.abs(end.u - oracle.u)) < 1e-6
 
 
@@ -96,7 +97,7 @@ def test_impulse_agrees_with_verlet_oracle_in_3d():
     u0 = bump_field(grid, 0.5, 2.5)
     cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), 0.005, 0.25,
                       diagnostics_stride=5)
-    (end, trace), (oracle, oracle_trace) = run_single(starting(u0), cfg), run_verlet(cfg, u0)
+    (end, trace, _), (oracle, oracle_trace, _) = run_single(starting(u0), cfg), run_verlet(cfg, u0)
     # verlet's own O(dt^2) error sets the scale: about 3e-8 on u, 3e-5 on E
     assert np.max(np.abs(end.u - oracle.u)) < 1e-6
     assert np.max(np.abs(end.ut - oracle.ut)) < 1e-5
@@ -121,7 +122,7 @@ def test_impulse_costs_two_transforms_per_step_and_one_per_record(monkeypatch):
     dt = 0.05
     cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), dt, 10 * dt,
                       diagnostics_stride=3)
-    _, trace = run_single(starting(u0), cfg)
+    _, trace, _ = run_single(starting(u0), cfg)
     records = len(trace.rows)
     assert cfg.steps() == 10 and records == 5
     # three forward transforms set up the spectral state from (u0, u1): two
@@ -155,7 +156,7 @@ def test_impulse_exact_on_nearly_linear_problem():
     # cubic force at amplitude 1e-8 is negligible, so the split flow is the
     # exact linear propagator and energy drift sits at rounding level
     cfg, u0 = make_config(amplitude=1e-8, T=1.0, spec=from_selection("pure_power:p=3"))
-    _, trace = run_single(starting(u0), cfg)
+    _, trace, _ = run_single(starting(u0), cfg)
     E = trace.column("E_total")
     assert np.max(np.abs(E - E[0])) / abs(E[0]) < 1e-12
 
@@ -164,7 +165,7 @@ def test_energy_drift_quarters_under_dt_halving():
     drifts = []
     for factor in (0.25, 0.125):
         cfg, u0 = make_config(N=128, T=1.0, dt=factor * 8.0 / 128)
-        _, trace = run_single(starting(u0), cfg)
+        _, trace, _ = run_single(starting(u0), cfg)
         E = trace.column("E_total")
         drifts.append(np.max(np.abs(E - E[0])) / abs(E[0]))
     assert 3.0 < drifts[0] / drifts[1] < 5.0
@@ -189,9 +190,9 @@ def test_blow_up_detected_for_focusing_force():
 
 def test_trace_columns_and_csv():
     cfg, u0 = make_config(T=0.25, diagnostics_stride=4)
-    _, trace = run_single(starting(u0), cfg)
+    _, trace, _ = run_single(starting(u0), cfg)
     assert trace.columns == ("t", "E_total", "E_kinetic", "E_gradient",
-                             "E_potential", "leakage", "sup_norm")
+                             "E_potential", "leakage", "tail", "sup_norm")
     csv = trace.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == ",".join(trace.columns)
@@ -199,8 +200,33 @@ def test_trace_columns_and_csv():
     assert np.max(trace.column("leakage")) >= 0.0
 
 
+@pytest.mark.parametrize("kind", ["wave", "nls"])
+def test_integrate_keeps_the_largest_boundary_shares_of_the_trace(kind):
+    grid = GridSpec(1, 64, 8.0)
+    if kind == "wave":
+        # the wave reaches the shell at 3L/8 = 3 after t = 2
+        u0 = bump_field(grid, 0.5, 1.0)
+        cfg = RunSchedule(grid, from_selection("oscillating_sin:q=1"), 0.25 * grid.h, 2.5)
+        start = starting(u0)
+    else:
+        u0 = bump_field(grid, 0.5, 1.0).astype(complex)
+        cfg = RunSchedule(grid, from_selection("nls_cubic"), 1e-3, 0.2)
+        start = lambda c: nls_integrator.member(c, u0)  # noqa: E731
+    _, trace, boundary = run_single(start, cfg)
+    assert boundary == Boundary(max(trace.column("leakage")), max(trace.column("tail")))
+    assert boundary.leakage > 0.0 and boundary.tail > 0.0
+    assert boundary.reached == (boundary.leakage > max(field_core.LEAKAGE_LIMIT, boundary.tail))
+
+
+def test_boundary_rule_weighs_the_shell_against_the_limit_and_the_tail():
+    assert Boundary(2e-6, 1e-7).reached
+    assert not Boundary(2e-6, 1e-5).reached  # the shell holds the spectral tail
+    assert not Boundary(5e-7, 0.0).reached   # below LEAKAGE_LIMIT
+    assert not Boundary(0.0, 0.0).reached
+
+
 def test_trace_column_lookup_errors():
-    trace = DiagnosticTrace(GridSpec(1, 8, 1.0), ("t", "x"))
+    trace = DiagnosticTrace(("t", "x"))
     trace.add(0.0, 1.0)
     assert trace.column("x") == [1.0]
     with pytest.raises(ValueError):
@@ -209,7 +235,7 @@ def test_trace_column_lookup_errors():
 
 def weak_identity(cfg_and_u0):
     cfg, u0 = cfg_and_u0
-    _, (report,) = integrate([member(cfg, u0)], cfg, [WeakIdentity(cfg.grid)])
+    _, (report,), _ = integrate([member(cfg, u0)], cfg, [WeakIdentity(cfg.grid)])
     return report
 
 
@@ -233,7 +259,7 @@ def test_weak_identity_records_make_no_complex_transform(monkeypatch, tmp_path):
     # (1.4e-4 here, against 2.1e-6)
     cfg, u0 = make_config(N=256, T=1.0, diagnostics_stride=1)
     start = WaveState(cfg.grid, u0, np.zeros_like(u0), 0.0)
-    _, (report,) = integrate([(Verlet(cfg), start)], cfg, [WeakIdentity(cfg.grid)])
+    _, (report,), _ = integrate([(Verlet(cfg), start)], cfg, [WeakIdentity(cfg.grid)])
     assert report.residual < 1e-3
 
 
@@ -241,18 +267,18 @@ def test_run_ends_at_T_with_dt_at_most_the_one_asked_for():
     asked = 0.25 * 8.0 / 128
     # T / dt = 44.34: 44 steps of the asked dt would stop at t = 0.6875
     cfg, u0 = make_config(T=44.34 * asked, dt=asked)
-    end, trace = run_single(starting(u0), cfg)
+    end, trace, _ = run_single(starting(u0), cfg)
     assert cfg.steps() == 45 and cfg.step() <= asked
     assert end.t == trace.column("t")[-1] == pytest.approx(cfg.T, rel=1e-14)
     # a T far below dt is one step of dt = T, not one step of the asked dt
     short, u0 = make_config(T=1e-9, dt=asked)
-    end, _ = run_single(starting(u0), short)
+    end, _, _ = run_single(starting(u0), short)
     assert short.steps() == 1 and end.t == pytest.approx(1e-9, rel=1e-14)
 
 
 def test_snapshot_times_cover_final_time():
     cfg, u0 = make_config(T=0.5)
-    end, trace = run_single(starting(u0), cfg)
+    end, trace, _ = run_single(starting(u0), cfg)
     times = trace.column("t")
     assert times[0] == 0.0 and len(times) == len(trace.rows)
     assert end.t == times[-1] == pytest.approx(0.5, abs=cfg.dt)
@@ -263,7 +289,7 @@ def test_snapshot_times_cover_final_time():
                                        (1e-9, 0), (44.34 * 0.25 * 8.0 / 128, 5)])
 def test_schedule_counts_the_records_integrate_makes(T, stride):
     cfg, u0 = make_config(T=T, diagnostics_stride=stride)
-    _, trace = run_single(starting(u0), cfg)
+    _, trace, _ = run_single(starting(u0), cfg)
     assert len(trace.rows) == cfg.records()
 
 
@@ -298,7 +324,7 @@ def test_wave_record_allocates_at_most_one_field_and_a_third():
     def record():
         rec = Record(stepper, state)
         rec.energy
-        DiagnosticTrace(grid=grid).observe(rec)
+        DiagnosticTrace().observe(rec)
 
     record()  # warm the cached energy multipliers
     tracemalloc.start()
@@ -339,7 +365,7 @@ def test_a_wave_step_and_its_record_allocate_no_field(monkeypatch):
     def record():
         rec = Record(stepper, state)
         rec.energy
-        DiagnosticTrace(grid=grid).observe(rec)
+        DiagnosticTrace().observe(rec)
 
     record()  # the first record caches the energy multipliers
     state = stepper(state)  # the first step makes the opening kick

@@ -33,11 +33,11 @@ def wave_ladder(ladder=(1e-2,), N=128, T=0.5, spec_name="defocusing_exp:m=1"):
     u0 = bump_field(grid, 0.5, 1.0)
     pert = bump_field(grid, 1.0, 0.8)
     cfg = RunSchedule(grid, spec, 0.25 * grid.h, T)
-    return gronwall_ladder(cfg, u0, pert, ladder)
+    return gronwall_ladder(cfg, u0, pert, ladder)[0]
 
 
 def force_samples(cfg, u0):
-    _, (samples,) = integrate([wave_member(cfg, u0)], cfg, [ForceSamples(cfg)])
+    _, (samples,), _ = integrate([wave_member(cfg, u0)], cfg, [ForceSamples(cfg)])
     return samples
 
 
@@ -96,7 +96,7 @@ def test_nls_trace_with_valid_shift_has_nonnegative_defect():
     pert = bump_field(grid, 1.0, 1.5)
     cfg = RunSchedule(grid, spec, 1e-3, 0.25)
     members = [nls_member(cfg, u0), nls_member(cfg, u0 + 1e-2 * pert)]
-    _, (pieces,) = integrate(members, cfg, [NlsGronwall(spec, grid)])
+    _, (pieces,), _ = integrate(members, cfg, [NlsGronwall(spec, grid)])
     (tr,) = pieces.traces(A)
     assert tr.remainder_min is not None
     assert tr.remainder_min >= -1e-9
@@ -159,7 +159,7 @@ def test_nls_gronwall_evaluates_curvature_once_per_record():
     cfg = RunSchedule(grid, spec, 1e-2, 0.05)
     members = [nls_member(cfg, u0)] + [nls_member(cfg, u0 + eps * pert)
                                        for eps in (1e-1, 1e-2, 1e-3)]
-    _, (pieces,) = integrate(members, cfg, [NlsGronwall(spec, grid)])
+    _, (pieces,), _ = integrate(members, cfg, [NlsGronwall(spec, grid)])
     # one Fs'' of the reference per record, shared by the three members
     assert calls == [grid.N] * len(pieces.times)
 
@@ -210,7 +210,7 @@ def test_nls_gronwall_buffers_give_the_allocating_rows(name):
     members = [nls_member(cfg, u0)] + [nls_member(cfg, u0 + eps * pert)
                                        for eps in (1e-1, 1e-2, 1e-3)]
     observers = [NlsGronwall(spec, grid), _AllocatingNlsGronwall(spec, grid)]
-    _, (ours, ref) = integrate(members, cfg, observers)
+    _, (ours, ref), _ = integrate(members, cfg, observers)
     assert len(ours.rows) == cfg.records() and len(ours.rows[0]) == 3
     for rows, expected, scale in zip(zip(*ours.rows), zip(*ref.rows), zip(*ref.scales)):
         got, want = np.array(rows), np.array(expected)
@@ -230,9 +230,9 @@ def test_no_member_state_outlives_the_run_into_the_shift(monkeypatch):
 
     def watched(members, schedule, observers):
         states.extend(weakref.ref(s) for _, s in members)
-        finals, results = stepping.integrate(members, schedule, observers)
+        finals, results, boundary = stepping.integrate(members, schedule, observers)
         states.extend(weakref.ref(r.state) for r in finals)
-        return finals, results
+        return finals, results, boundary
 
     shift = weak_strong.find_convexity_shift
 
@@ -246,7 +246,7 @@ def test_no_member_state_outlives_the_run_into_the_shift(monkeypatch):
     grid = GridSpec(1, 64, 16.0)
     u0 = bump_field(grid, 0.5, 2.0).astype(complex)
     cfg = RunSchedule(grid, from_selection("nls_cubic"), 1e-2, 0.05)
-    traces = gronwall_ladder(cfg, u0, bump_field(grid, 1.0, 1.5), (1e-1, 1e-2, 1e-3))
+    traces, _ = gronwall_ladder(cfg, u0, bump_field(grid, 1.0, 1.5), (1e-1, 1e-2, 1e-3))
     assert len(traces) == 3
 
 
@@ -459,7 +459,7 @@ def test_truncation_ladder_discrepancies_decrease():
     spec = from_selection("oscillating_sin:q=1")
     u0 = bump_field(grid, 3.0 * np.e, 1.0)
     base = RunSchedule(grid, spec, grid.h / 16.0, 0.5)
-    report, samples = appendix_construction(base, u0, (1.0, 2.0, 4.0))
+    report, samples, _ = appendix_construction(base, u0, (1.0, 2.0, 4.0))
     # the probe's samples come from the untruncated reference
     final_force = np.abs(spec.f(run_single(lambda c: wave_member(c, u0), base)[0].u))
     assert samples.rows[-1][0] == pytest.approx(np.log(np.sum(final_force ** samples.r)),
@@ -531,7 +531,7 @@ def test_force_samples_keep_scalars_per_record():
         u0 = bump_field(grid, 0.5, 1.0)
         tracemalloc.start()
         try:
-            _, samples = appendix_construction(base, u0, (1.0, 2.0, 4.0))
+            _, samples, _ = appendix_construction(base, u0, (1.0, 2.0, 4.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -56,15 +56,17 @@ Rows:
   is, so mpoints also counts the opening rotation's Fs' of the member;
 * ``layer.record.wave``            one diagnostics record of that member's initial
   state, as a simulate-wave run makes it: the energies (F on the grid, Parseval
-  sums of the half spectra), the boundary leakage and the sup norm; each call
-  observes a new record of the same state, and mpoints also counts the
-  set-up's f where the member makes the opening kick;
+  sums of the half spectra), the boundary shares (shell and, in trees that
+  have it, spectral tail) and the sup norm; each call observes a new record
+  of the same state, and mpoints also counts the set-up's f where the member
+  makes the opening kick;
 * ``layer.record.nls``             one record of a weak-strong run of the
   ``nls-ladder`` workload (nls_coercive_exp at d = 2, N = 128): the energies
   of the reference and its three ladder members, built at t = 0 as
-  ``gronwall_ladder`` builds them, and the ``NlsGronwall`` rows of the
-  members; as for the wave record, each call observes new records of the
-  same states, and mpoints also counts the members' set-up.
+  ``gronwall_ladder`` builds them, the reference's boundary shares where the
+  time loop takes them, and the ``NlsGronwall`` rows of the members; as for
+  the wave record, each call observes new records of the same states, and
+  mpoints also counts the members' set-up.
 
 Both record rows run ``stepping.integrate(members, schedule, observers)``
 on members whose stepper ends the run at its first step, so a call is the
@@ -201,6 +203,12 @@ def _lab_args(constants, sweep: dict) -> dict:
     return {**sweep, "d": LAB_D} if "d" in inspect.signature(constants).parameters else sweep
 
 
+def _trace(stepping, grid):
+    """A diagnostics trace, given the grid in trees whose trace still takes one."""
+    takes_grid = "grid" in {f.name for f in dataclasses.fields(stepping.DiagnosticTrace)}
+    return stepping.DiagnosticTrace(grid=grid) if takes_grid else stepping.DiagnosticTrace()
+
+
 def _stepper(make_member):
     """run(spec): one step of the member make_member(spec).
 
@@ -307,7 +315,7 @@ def worker(src: str) -> dict:
     rows["layer.step.wave"] = _measure(_stepper(lambda spec: wave_run(spec)[1][0]),
                                        lambda: wave)
     rows["layer.record.wave"] = _measure(
-        _record(wave_run, stepping, lambda spec, grid: stepping.DiagnosticTrace(grid=grid)),
+        _record(wave_run, stepping, lambda spec, grid: _trace(stepping, grid)),
         lambda: wave)
     ladder_spec = nonlinearity.from_selection(
         config.parse_config(WORKLOADS["nls-ladder"].config_text(0), "weak-strong").nonlinearity)
