@@ -43,11 +43,12 @@ KINDS = (
 # increasing as validate asks of every ladder
 DEFAULT_LADDER = (1e-3, 1e-2, 1e-1)
 # The keys a kind takes where its config sets none. check-assumptions takes its
-# constants at d = LAB_D only. simulate-nls takes the nls-ladder geometry: its
-# bump disperses at unbounded speed, so on the wave's L = 8 it reaches the
-# boundary shell by T = 1 (largest shell share 0.20 at d = 1, 0.36 at d = 2),
-# while L = 40, radius 5, T = 0.5 keep it at 2.9e-8 (d = 1, N = 256), 9.4e-7
-# (d = 2, N = 64) and 9.2e-9 (d = 3, N = 32).
+# constants at d = LAB_D only. simulate-nls, and weak-strong of an NLS
+# nonlinearity, take the nls-ladder geometry: the NLS bump disperses at
+# unbounded speed, so on the wave's L = 8 it reaches the boundary shell by
+# T = 1 (largest shell share 0.20 at d = 1, 0.36 at d = 2), while L = 40,
+# radius 5, T = 0.5 keep it at 2.9e-8 (d = 1, N = 256), 9.4e-7 (d = 2, N = 64)
+# and 9.2e-9 (d = 3, N = 32). A wave weak-strong keeps the wave's geometry.
 KIND_DEFAULTS = {
     "check-assumptions": {"d": LAB_D},
     "simulate-nls": {"L": 40.0, "radius": 5.0, "T": 0.5},
@@ -56,10 +57,10 @@ KIND_DEFAULTS = {
 # the host) is refused at parse time, before any field is allocated.
 WORKING_SET_LIMIT = 4 * 2 ** 30
 # A config whose work, steps x N^d x states stepped in lockstep, exceeds this
-# fixed limit is refused at parse time. A point-step took 38 ns in wave3d
-# (45 steps of 64^3 points in 0.45 s) and 120 ns in nls-ladder (4 states of
-# 100 steps of 128^2 points in 0.80 s) on a 2-vCPU Xeon, so the limit is 20 to
-# 60 minutes of stepping.
+# fixed limit is refused at parse time. A point-step took 42 ns in wave3d
+# (45 steps of 64^3 points in 0.49 s) and 121 ns in nls-ladder (4 states of
+# 100 steps of 128^2 points in 0.80 s), medians of 5 benchmark runs each on a
+# 2-vCPU Xeon, so the limit is 20 to 60 minutes of stepping.
 WORK_LIMIT = 3e10
 
 
@@ -153,13 +154,26 @@ def parse_config(text: str, kind: str | None = None, overrides=()) -> Experiment
 
     if errors:
         raise ConfigError(errors)
-    for key, value in KIND_DEFAULTS.get(values["kind"], {}).items():
+    defaults = KIND_DEFAULTS.get(values["kind"], {})
+    if values["kind"] == "weak-strong" \
+            and _selects_nls(values.get("nonlinearity", ExperimentConfig.nonlinearity)):
+        defaults = KIND_DEFAULTS["simulate-nls"]
+    for key, value in defaults.items():
         values.setdefault(key, value)
     cfg = ExperimentConfig(**values)
     errors = validate(cfg)
     if errors:
         raise ConfigError(errors)
     return cfg
+
+
+def _selects_nls(selection: str) -> bool:
+    """Whether selection names an NLS nonlinearity; an unknown one, which
+    validate reports, does not."""
+    try:
+        return isinstance(from_selection(selection), NlsNonlinearitySpec)
+    except SelectionError:
+        return False
 
 
 def validate(cfg: ExperimentConfig) -> list:

@@ -52,10 +52,10 @@ __all__ = [
 # whole last-axis lines) and every energy's potential integral. An assumption
 # lab sweep holds about ten arrays of one block, so 2^14 points (128 KiB per
 # float array) keep them in a core's 2 MiB L2: classify(oscillating_sin:q=2)
-# peaks at 1.1 MiB and takes a median 1.06-1.26 s, against 4.5 MiB and
-# 1.54-1.61 s at 2^16; 2^12 (0.4 MiB) is no faster (5 alternating runs per
-# size, 2-vCPU Xeon, numpy 2.4). Read at call time, so patching this one name
-# changes every blocked evaluation.
+# peaks at 1.1 MiB and takes 0.38-0.54 s (median 0.39 s), against 4.5 MiB and
+# 0.61-0.64 s at 2^16 and 0.4 MiB and 0.51-0.56 s at 2^12 (5 alternating runs
+# per size, 2-vCPU Xeon, numpy 2.4). Read at call time, so patching this one
+# name changes every blocked evaluation.
 _BLOCK = 1 << 14
 
 # a run's boundary shell is this share of L wide on each side of the box

@@ -18,7 +18,8 @@ Fs'(|u|^2/2) and the half rotation exp(i phase dt/2). The rotation preserves
 |u|, so the closing half rotation of one step is also the opening one of the
 next (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2006, on
 first-same-as-last compositions): a step makes two transforms, one Fs' call
-and one cos/sin pair. The propagator exp(i |xi|^2 dt) is a cached table;
+and one tangent, from which ``nonlinearity._sin_cos`` takes the rotation's
+cos and sin. The propagator exp(i |xi|^2 dt) is a cached table;
 |xi|^2 is bitwise even in each frequency, so for d >= 2 the table keeps rows
 0..N/2 of axis 0 only, and ``field_core.mirror_halves`` applies it to all N
 rows in two calls. At a record the stepper gives the ``Record`` fields: the
@@ -51,6 +52,7 @@ from .field_core import (
     mirror_halves,
     parseval_norm_sq,
 )
+from .nonlinearity import _sin_cos
 from .stepping import BlowUpError, RunSchedule
 
 __all__ = [
@@ -148,6 +150,8 @@ class _SpectralStrang:
     def _phase_rotation(self, v: np.ndarray):
         """phase = Fs'(|v|^2/2) and the half rotation cos + i sin of phase dt/2.
 
+        The angle is built in rot.imag, where ``_sin_cos`` takes its half
+        angle's tangent and then sin, while r and then cos go into rot.real.
         A phase that overflows leaves a nan rotation, so the rotated u is not
         finite and the loop raises BlowUpError; numpy's warnings are silenced.
         """
@@ -158,10 +162,8 @@ class _SpectralStrang:
             phase = self.spec.Fsprime(density)
             del density
             rot = np.empty(v.shape, complex)
-            angle = rot.real  # the angle phase dt/2 is kept in place until its cos
-            np.multiply(phase, 0.5 * self.dt, out=angle)
-            np.sin(angle, out=rot.imag)
-            np.cos(angle, out=angle)
+            np.multiply(phase, 0.5 * self.dt, out=rot.imag)
+            _sin_cos(rot.imag, out=(rot.imag, rot.real))
         return phase, rot
 
     def start(self, u0: np.ndarray) -> _RotatedState:

@@ -1,6 +1,8 @@
 """Sampled inequality verifiers and their stability gates."""
 
+import importlib
 import json
+import pathlib
 import tracemalloc
 from dataclasses import asdict, replace
 from itertools import chain
@@ -423,6 +425,18 @@ def test_wave_classify_peak_stays_below_3_mib():
     # with 2^16-point blocks and a new array per temporary it peaked at 6.0 MiB
     spec = from_selection("oscillating_sin:q=2")
     assert _peak_bytes(lambda: classify(spec, R=2.0)) < 3 * 2 ** 20
+
+
+def test_classify_keeps_the_constants_the_benchmark_recorded(monkeypatch):
+    # the assume workload checks these to 1e-9; hold them here too, so that a
+    # change to the lab's arithmetic is caught by the tests, not only the benchmark
+    monkeypatch.syspath_prepend(pathlib.Path(__file__).resolve().parents[1] / "bench")
+    workloads = importlib.import_module("workloads")
+    reports = classify(from_selection("oscillating_sin:q=2"), seed=workloads.ASSUME_DEFAULT_SEED)
+    assert all(r.holds for r in reports)
+    values = {r.inequality: r.constant.value for r in reports if r.constant}
+    for name, recorded in workloads.ASSUME_RECORDED.items():
+        assert values[name] == pytest.approx(recorded, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("verify, name", [

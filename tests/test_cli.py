@@ -385,6 +385,20 @@ def test_the_default_simulate_nls_stays_off_the_boundary(tmp_path, capsys, d, N)
     assert shell < 1e-6
 
 
+@pytest.mark.parametrize("nonlinearity", ["nls_cubic", "nls_coercive_exp"])
+def test_the_default_nls_weak_strong_stays_off_the_boundary(tmp_path, capsys, nonlinearity):
+    # on the wave's L = 8, radius 1 and T = 1 the reference reached the shell
+    # (share 0.204) and each run exited 3
+    path = tmp_path / "ws.cfg"
+    path.write_text(f"nonlinearity = {nonlinearity}\n")
+    assert main(["weak-strong", "--config", str(path), "--output", str(tmp_path)]) == 0
+    exp_dir = tmp_path / capsys.readouterr().out.split()[0]
+    shell, _ = _boundary_evidence(exp_dir)
+    assert shell < 1e-6
+    members = json.loads((exp_dir / "summary.json").read_text())["members"]
+    assert all(m["remainder_min"] > 0.0 for m in members)
+
+
 def test_invariant_violation_exits_4(tmp_path, capsys):
     # the q=1 entry carries a derivative jump, so its Taylor constant is
     # reported unstable and the assumption check flags a violation
@@ -419,10 +433,11 @@ def test_weak_strong_blowup_writes_abort_artifact(tmp_path, capsys):
     abort = json.loads((out / exp_id / "abort.json").read_text())
     assert "not finite" in abort["error"]
 
-    # the cubic NLS ladder survives this amplitude, but its fitted rate
-    # (about 900) overflows the exponential bound of the trace CSV: the
-    # bound is written as inf and the ladder checks fail
-    cfg.write_text("kind = weak-strong\nnonlinearity = nls_cubic\nN = 64\namplitude = 1000\n")
+    # the cubic NLS ladder survives this amplitude, but on the wave's
+    # geometry its fitted rate (about 900) overflows the exponential bound of
+    # the trace CSV: the bound is written as inf and the ladder checks fail
+    cfg.write_text("kind = weak-strong\nnonlinearity = nls_cubic\nN = 64\namplitude = 1000\n"
+                   "L = 8\nradius = 1\nT = 1\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["weak-strong", "--config", str(cfg), "--output", str(out)]) == 4
@@ -672,7 +687,7 @@ def test_simulate_wave_holds_only_its_state():
     ("simulate-wave", "nonlinearity = defocusing_exp:m=1\nN = 128\nL = 7.5\nT = 0.25\n"),
     ("simulate-nls", "nonlinearity = nls_cubic\nN = 128\nL = 15.7\nT = 0.05\n"),
     # the NLS Gronwall reads each member's u_t, -|xi|^2 u_hat transformed back
-    ("weak-strong", "nonlinearity = nls_cubic\nd = 2\nN = 32\nL = 7.9\nT = 0.05\n"),
+    ("weak-strong", "nonlinearity = nls_cubic\nd = 2\nN = 32\nL = 7.9\nT = 0.05\nradius = 1\n"),
 ], ids=["simulate-wave", "simulate-nls", "weak-strong-nls"])
 def test_runs_build_no_full_grid_wavenumbers(tmp_path, monkeypatch, kind, text):
     calls = []

@@ -174,6 +174,11 @@ def test_kind_defaults_fill_only_the_keys_a_config_leaves_unset():
     assert (nls.L, nls.radius, nls.T) == (8.0, 5.0, 0.5)
     wave = parse_config("", "simulate-wave")
     assert (wave.L, wave.radius, wave.T, wave.d) == (8.0, 1.0, 1.0, 1)
+    # weak-strong serves both equations, and each takes its own geometry
+    ladder = parse_config("nonlinearity = nls_coercive_exp\nT = 0.25\n", "weak-strong")
+    assert (ladder.L, ladder.radius, ladder.T) == (40.0, 5.0, 0.25)
+    ladder = parse_config("", "weak-strong")
+    assert (ladder.L, ladder.radius, ladder.T) == (8.0, 1.0, 1.0)
     assert parse_config("", "check-assumptions").d == 3
 
 

@@ -18,6 +18,7 @@ from supercrit.nls_integrator import (
 from supercrit.nonlinearity import (
     AssumptionClass,
     NlsNonlinearitySpec,
+    _sin_cos,
     from_selection,
 )
 from supercrit.stepping import BlowUpError, Record, RunSchedule, integrate, run_single
@@ -78,6 +79,21 @@ def test_nonlinear_flow_preserves_modulus_pointwise():
     u = bump_field(grid, 1.5, 2.0).astype(complex) * np.exp(0.3j)
     moved = nonlinear_flow(NlsState(grid, u, 0.0), 0.21, spec)
     assert np.allclose(np.abs(moved.u), np.abs(u), atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["nls_cubic", "nls_coercive_exp"])
+def test_stepper_rotation_is_the_kernels_and_unimodular(name):
+    # the rotation is built in the real and imaginary planes of one complex
+    # array; its bits are those of the kernel on the angle phase dt/2
+    grid = GridSpec(2, 32, 16.0)
+    u = bump_field(grid, 2.5, 4.0).astype(complex) * np.exp(0.7j * grid.coords()[1])
+    cfg = RunSchedule(grid, from_selection(name), 0.05, 1.0)
+    stepper, state = member(cfg, u)
+    sin, cos = _sin_cos(state.phase * (0.5 * cfg.step()))
+    assert np.array_equal(state.rot.imag.view(np.int64), sin.view(np.int64))
+    assert np.array_equal(state.rot.real.view(np.int64), cos.view(np.int64))
+    assert np.abs(np.abs(state.rot) - 1.0).max() <= 1e-15
+    assert np.abs(np.abs(stepper(state).rot) - 1.0).max() <= 1e-15
 
 
 def test_nonlinear_flow_aborts_on_singular_phase():

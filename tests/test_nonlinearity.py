@@ -1,5 +1,7 @@
 """Catalog evaluators, selection grammar, truncation, and the saturation cutoff."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from supercrit.nonlinearity import (
     TruncationError,
     TruncationLevel,
     _int_power,
+    _sin_cos,
     beta_cutoff,
     builtin_catalog,
     find_truncation_abscissae,
@@ -194,6 +197,63 @@ def test_integer_powers_are_numpys_up_to_2_and_products_above():
         else:
             np.testing.assert_allclose(got, u ** k, rtol=k * 2.3e-16, atol=0.0)
         assert got is not u and isinstance(_int_power(np.float64(-1.5), k), np.float64)
+
+
+# the ranges of _sin_cos's accuracy record, from small angles to 3e8
+SIN_COS_RANGES = [(0.002, 0.02), (-8.0, 8.0), (-6e3, 6e3), (-2.2e6, 2.2e6), (-3e8, 3e8)]
+
+
+@pytest.mark.parametrize("lo, hi", SIN_COS_RANGES)
+def test_sin_cos_is_within_a_few_ulp_of_long_double(lo, hi):
+    x = np.random.default_rng(11).uniform(lo, hi, 1 << 18)
+    sin, cos = _sin_cos(x)
+    wide = x.astype(np.longdouble)
+    sin_ref, cos_ref = np.sin(wide), np.cos(wide)
+    ulp = np.abs(sin - sin_ref) / np.spacing(np.abs(sin_ref.astype(float)))
+    assert float(ulp.max()) <= 4.0
+    assert float(np.abs(cos - cos_ref).max()) <= 5e-16
+
+
+def test_sin_cos_gives_the_same_bits_for_every_layout():
+    x = np.random.default_rng(12).uniform(-50.0, 50.0, 1000)
+    x[:4] = 0.0, -0.0, np.pi, -np.pi / 2
+    sin, cos = _sin_cos(x)
+    wide = np.zeros(2 * x.size)
+    wide[::2] = x
+    scalars = [_sin_cos(v) for v in x]
+    assert isinstance(scalars[0][0], np.float64)
+    aliased = x.copy()
+    out = _sin_cos(aliased, out=(aliased, np.empty_like(x)))
+    assert out[0] is aliased
+    for got in (_sin_cos(wide[::2]), tuple(map(np.array, zip(*scalars))), out):
+        assert np.array_equal(got[0].view(np.int64), sin.view(np.int64))
+        assert np.array_equal(got[1].view(np.int64), cos.view(np.int64))
+
+
+def test_sin_cos_stay_within_one():
+    # about the points where sin or cos is +-1 or 0, and a spread of angles
+    poles = np.pi / 2 * np.arange(-8, 9)
+    x = np.concatenate([(poles[:, None] + np.linspace(-1e-6, 1e-6, 2001)).ravel(),
+                        np.random.default_rng(13).uniform(-1e4, 1e4, 1 << 16)])
+    sin, cos = _sin_cos(x)
+    assert np.abs(sin).max() <= 1.0 + 1e-15 and np.abs(cos).max() <= 1.0 + 1e-15
+    assert np.abs(sin * sin + cos * cos - 1.0).max() <= 1e-15
+
+
+def test_oscillating_evaluators_hold_no_more_arrays_than_their_results_need():
+    # F, f, f' and the jet of order 2 peak at 2, 3, 4 and 5 field-sized
+    # arrays, as they did with libm's sin and cos
+    spec = from_selection("oscillating_sin:q=2")
+    u = np.random.default_rng(14).uniform(-2.0, 2.0, 1 << 16)
+    for run, arrays in ((spec.F, 2), (spec.f, 3), (spec.fprime, 4),
+                        (lambda u: spec.jet(u, 2), 5)):
+        tracemalloc.start()
+        try:
+            run(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (arrays + 0.1) * u.nbytes
 
 
 def test_truncate_rejects_sign_violating_level():

@@ -85,9 +85,12 @@ test builds and observes the members' records.
   workload's config at T = 0.5 (23 steps): the reference and the default
   ladder's three members stepped in lockstep, with ``WaveGronwall`` reading
   each member's u_t and f(u), and the potential integrals of its energies,
-  at every record.
+  at every record;
+* ``e2e.simulate-nls``             the default simulate-nls of nls_coercive_exp
+  at d = 2, N = 128 (L = 40, radius 5, T = 0.5, dt = 1e-3: 500 steps of one
+  state), which no workload runs.
 
-Every e2e config is the workload's at seed 0.
+Every e2e config is a workload's at seed 0, or a kind's defaults at seed 0.
 """
 
 from __future__ import annotations
@@ -133,6 +136,8 @@ E2E = {
     "e2e.simulate-wave.m2": (WORKLOADS["wave3d"].command, WORKLOADS["wave3d"].config_text(0)
                              + "nonlinearity = defocusing_exp:m=2\n"),
     "e2e.weak-strong.wave.d3": ("weak-strong", WORKLOADS["wave3d"].config_text(0) + "T = 0.5\n"),
+    "e2e.simulate-nls": ("simulate-nls", "nonlinearity = nls_coercive_exp\nd = 2\nN = 128\n"
+                                         "seed = 0\n"),
 }
 
 
