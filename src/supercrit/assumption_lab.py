@@ -32,6 +32,7 @@ from .nonlinearity import (
     AssumptionClass,
     NlsNonlinearitySpec,
     NonlinearitySpec,
+    density,
     two_star,
 )
 
@@ -437,7 +438,7 @@ def _nls_constants(spec: NlsNonlinearitySpec, R: float, n_random: int, seed: int
     p = two_star(LAB_D)
 
     def ratio(u, w):
-        s = 0.5 * np.abs(u) ** 2
+        s = density(u)
         phase = spec.Fsprime(s)
         fu, fv = u * phase, spec.force(u + w)
         aw = np.abs(w)

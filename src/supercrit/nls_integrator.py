@@ -19,14 +19,17 @@ Fs'(|u|^2/2) and the half rotation exp(i phase dt/2). The rotation preserves
 next (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2006, on
 first-same-as-last compositions): a step makes two transforms, one Fs' call
 and one tangent, from which ``nonlinearity._sin_cos`` takes the rotation's
-cos and sin. The propagator exp(i |xi|^2 dt) is a cached table;
+cos and sin. The kernel runs on the previous state's rotation, which is dead
+once the step has rotated u by it, so what a step allocates peaks at the
+new state's u, phase and rotation. The propagator exp(i |xi|^2 dt) is a cached table;
 |xi|^2 is bitwise even in each frequency, so for d >= 2 the table keeps rows
 0..N/2 of axis 0 only, and ``field_core.mirror_halves`` applies it to all N
 rows in two calls. At a record the stepper gives the ``Record`` fields: the
-spectrum u_hat (one ``fftn`` per member) and f(u) = u * phase; the gradient
-energy comes from u_hat by Parseval (``field_core.parseval_norm_sq``), the
-potential energy sums F(|u|^2/2) over blocks of u, so no record builds a
-potential density, and u_t = -i (Lap u - f(u)) takes one ``ifftn`` of
+spectrum u_hat (one ``fftn`` per member) and f(u) = u * phase; the
+potential integral sums F(|u|^2/2) over blocks of u, so no record builds a
+potential density; the mass and the gradient energy, from u_hat by Parseval
+(``field_core.parseval_norm_sq``), are summed only for a record whose energy
+columns are read; and u_t = -i (Lap u - f(u)) takes one ``ifftn`` of
 -|xi|^2 u_hat, which is made in one new array from -u_hat and the |xi|^2
 table of the Parseval gradient, mirrored like the propagator. No run makes a
 full-grid |xi|^2.
@@ -52,7 +55,7 @@ from .field_core import (
     mirror_halves,
     parseval_norm_sq,
 )
-from .nonlinearity import _sin_cos
+from .nonlinearity import _sin_cos, density
 from .stepping import BlowUpError, RunSchedule
 
 __all__ = [
@@ -98,7 +101,7 @@ def nonlinear_flow(state: NlsState, tau: float, spec) -> NlsState:
     A substep of the ``strang_step`` oracle; no run calls it."""
     # an overflow here is reported as BlowUpError, so numpy's warning is silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = spec.Fsprime(0.5 * np.abs(state.u) ** 2)
+        phase = spec.Fsprime(density(state.u))
     if not np.all(np.isfinite(phase)):
         raise BlowUpError(state.t)
     return NlsState(state.grid, state.u * np.exp(1j * phase * tau), state.t + tau)
@@ -147,23 +150,30 @@ class _SpectralStrang:
         # called as parseval_norm_sq calls it (lru_cache keys keywords apart)
         (self.ksq,) = _parseval_multiplier(cfg.grid, False, True)
 
-    def _phase_rotation(self, v: np.ndarray):
+    def _phase_rotation(self, v: np.ndarray, scratch: np.ndarray | None = None):
         """phase = Fs'(|v|^2/2) and the half rotation cos + i sin of phase dt/2.
 
-        The angle is built in rot.imag, where ``_sin_cos`` takes its half
-        angle's tangent and then sin, while r and then cos go into rot.real.
-        A phase that overflows leaves a nan rotation, so the rotated u is not
-        finite and the loop raises BlowUpError; numpy's warnings are silenced.
+        ``scratch`` is a complex array shaped like v that no one reads again:
+        ``_sin_cos`` runs on the two contiguous halves of its float view, the
+        angle, its half angle's tangent and then sin in the first, r and then
+        cos in the second, and both are copied into the new rotation. On
+        contiguous halves ``np.tan`` took 31 us per 128^2 points, against 76 us
+        on the stride-2 planes of the rotation (2-vCPU Xeon, numpy 2.4). The
+        initial state has no spent rotation, so without scratch the kernel
+        runs on those planes, and setting up a member holds no extra field;
+        the kernel gives the same bits on either layout. A phase that
+        overflows leaves a nan rotation, so the rotated u is not finite and
+        the loop raises BlowUpError; numpy's warnings are silenced.
         """
-        density = v.real ** 2
-        density += v.imag ** 2
-        density *= 0.5
         with np.errstate(over="ignore", invalid="ignore"):
-            phase = self.spec.Fsprime(density)
-            del density
+            phase = self.spec.Fsprime(density(v))
             rot = np.empty(v.shape, complex)
-            np.multiply(phase, 0.5 * self.dt, out=rot.imag)
-            _sin_cos(rot.imag, out=(rot.imag, rot.real))
+            sin, cos = ((rot.imag, rot.real) if scratch is None
+                        else scratch.reshape(-1).view(float).reshape((2,) + v.shape))
+            np.multiply(phase, 0.5 * self.dt, out=sin)
+            _sin_cos(sin, out=(sin, cos))
+        if scratch is not None:
+            rot.real, rot.imag = cos, sin
         return phase, rot
 
     def start(self, u0: np.ndarray) -> _RotatedState:
@@ -177,7 +187,8 @@ class _SpectralStrang:
         # transforms in place: one field-sized buffer is the spectrum and then v
         v = s.u * s.rot
         np.fft.ifftn(_propagate(np.fft.fftn(v, out=v), self.prop), out=v)
-        phase, rot = self._phase_rotation(v)
+        # s.rot is dead once v is made: integrate never reads a stepped state
+        phase, rot = self._phase_rotation(v, s.rot)
         v *= rot
         return _RotatedState(v, phase, rot, s.t + self.dt)
 
@@ -187,9 +198,12 @@ class _SpectralStrang:
     def force(self, rec) -> np.ndarray:
         return rec.u * rec.state.phase
 
+    def potential(self, rec) -> float:
+        return _potential_integral(self.spec.potential, rec.u, self.grid)
+
     def energy(self, rec):
         grad = 0.5 * parseval_norm_sq(rec.uh, self.grid, gradient=True)
-        pot = _potential_integral(self.spec.potential, rec.u, self.grid)
+        pot = rec.potential
         return l2_norm_sq(rec.u, self.grid), grad + pot, grad, pot
 
     def velocity(self, rec) -> np.ndarray:

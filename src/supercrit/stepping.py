@@ -5,15 +5,16 @@
 of ``schedule``; each stepper carries its own nonlinearity. It records the
 initial states, every ``schedule.stride()``-th step and the last one. A
 record streams the members through the observers, one member at a time. It
-wraps member 0's state in a ``Record``, evaluates its energies and calls
-``observer.observe(ref)`` on every observer; an observer returns None, or a
-reader that takes each later member's ``Record``. Then each later member in
-turn gets its ``Record``, its energies, and every reader's call, and its
-``Record`` is dropped before the next member's is built. So a record holds
-the derived fields of member 0 and of at most one other member. A potential
-that overflows raises AmplitudeError when that member's energies are
-evaluated, before any observer evaluates the force on its record (the
-observers may have read the members before it). At the end
+wraps member 0's state in a ``Record``, evaluates its potential integral and
+calls ``observer.observe(ref)`` on every observer; an observer returns None,
+or a reader that takes each later member's ``Record``. Then each later member
+in turn gets its ``Record``, its potential integral, and every reader's call,
+and its ``Record`` is dropped before the next member's is built. So a record
+holds the derived fields of member 0 and of at most one other member. A
+potential that overflows raises AmplitudeError when that member's potential
+integral is evaluated, before any observer reads its record (the observers
+may have read the members before it). The other energies are summed only
+for an observer that reads them. At the end
 ``integrate`` returns the final records, each ``observer.result()`` and the
 run's ``Boundary``: the largest shell and tail shares of member 0's records.
 It keeps nothing else, so no run stores a trajectory: an observer keeps the
@@ -31,10 +32,12 @@ computes each derived field once, on first use, by calling the stepper
 method named in brackets with the record; the energies and every observer
 share them:
 
-* ``energy`` [``energy``]: the stepper's energy columns, whose last is the
-  potential integral for both equations (``field_core._potential_integral``,
-  which sums the potential a block at a time, so no record builds a
-  potential density); an observer that needs the integral reads it here;
+* ``potential`` [``potential``]: the potential integral
+  (``field_core._potential_integral``, which sums the potential a block at a
+  time, so no record builds a potential density), which every record takes;
+* ``energy`` [``energy``]: the stepper's energy columns, whose last is
+  ``potential`` for both equations; an observer that reads no other column
+  reads ``potential``, so its run sums no other energy;
 * ``ut`` [``velocity``]: the physical u_t;
 * ``uh`` [``spectrum``]: the spectrum of u (the ``np.fft.fftn`` spectrum
   for NLS, the ``np.fft.rfftn`` half spectrum for wave);
@@ -48,10 +51,11 @@ the record's own fields. A state has ``t``, ``u`` and ``is_finite()``. A
 non-finite member raises BlowUpError with the last record time.
 
 A stepper may overwrite the arrays of the state it is given (the wave
-stepper does), and ``integrate`` never reads a state after stepping it. So
-an observer must copy, not keep, any array of a record it needs after the
-record: the next step may overwrite it. Its reader may keep member 0's
-``Record`` until the record ends, and must not keep a later member's.
+stepper does, and the NLS stepper its rotation), and ``integrate`` never
+reads a state after stepping it. So an observer must copy, not keep, any
+array of a record it needs after the record: the next step may overwrite it.
+Its reader may keep member 0's ``Record`` until the record ends, and must not
+keep a later member's.
 
 A ``RunSchedule`` holds a run's grid, nonlinearity, the dt asked for, T and
 record stride, the same for both equations; it refuses a T/dt that
@@ -177,6 +181,10 @@ class Record:
         self.t, self.u = state.t, state.u
 
     @cached_property
+    def potential(self) -> float:
+        return self.stepper.potential(self)
+
+    @cached_property
     def energy(self) -> tuple:
         return self.stepper.energy(self)
 
@@ -221,12 +229,12 @@ def integrate(members, schedule, observers=()):
     def record() -> float:
         nonlocal shell, tail
         ref = Record(steppers[0], states[0])
-        ref.energy  # raises AmplitudeError before an observer reads the record
+        ref.potential  # raises AmplitudeError before an observer reads the record
         shell, tail = max(shell, ref.leakage), max(tail, ref.tail)
         readers = [read for obs in observers if (read := obs.observe(ref)) is not None]
         for stepper, state in zip(steppers[1:], states[1:]):
             rec = Record(stepper, state)
-            rec.energy
+            rec.potential
             for read in readers:
                 read(rec)
             # dropped before the next member's record is built

@@ -243,10 +243,13 @@ class _SpectralImpulse:
     def force(self, rec) -> np.ndarray:
         return self.spec.f(rec.u)
 
+    def potential(self, rec) -> float:
+        return _potential_integral(self.spec.F, rec.u, self.grid)
+
     def energy(self, rec):
         kin = 0.5 * parseval_norm_sq(rec.state.uth, self.grid)
         grad = 0.5 * parseval_norm_sq(rec.uh, self.grid, gradient=True)
-        pot = _potential_integral(self.spec.F, rec.u, self.grid)
+        pot = rec.potential
         return kin + grad + pot, kin, grad, pot
 
     def velocity(self, rec) -> np.ndarray:
@@ -258,8 +261,9 @@ class Verlet:
     """The velocity-leapfrog stepper, kept only as the tests' oracle for the impulse one.
 
     Its member for stepping.integrate is (Verlet(cfg), the initial WaveState).
-    Its records give the energies, u_t, f(u) and the half spectrum of u, what
-    the diagnostics trace, the weak identity and the boundary shares read.
+    Its records give the energies (the potential integral as their last
+    column), u_t, f(u) and the half spectrum of u, what the diagnostics trace,
+    the weak identity and the boundary shares read.
     """
 
     columns = WAVE_COLUMNS
@@ -273,6 +277,10 @@ class Verlet:
     def energy(self, rec):
         rep = wave_energy(rec.state, self.cfg.spec)
         return rep.total, rep.kinetic, rep.gradient, rep.potential
+
+    def potential(self, rec) -> float:
+        # the oracle's energies compute the integral, so its records take it there
+        return rec.energy[-1]
 
     def velocity(self, rec) -> np.ndarray:
         return rec.state.ut

@@ -21,7 +21,8 @@ import numpy as np
 from .assumption_lab import find_convexity_shift
 from .field_core import l2_inner, l2_norm_sq, parseval_norm_sq
 from .nls_integrator import member as nls_member
-from .nonlinearity import NlsNonlinearitySpec, find_truncation_abscissae, truncate, two_star
+from .nonlinearity import (NlsNonlinearitySpec, density, find_truncation_abscissae, truncate,
+                           two_star)
 from .stepping import RunSchedule, integrate
 from .wave_integrator import member as wave_member
 
@@ -116,11 +117,12 @@ class WaveGronwall:
     reference's f'(u) is evaluated once per record. ||grad w||^2 comes from
     the half spectra's difference by Parseval, so a record makes no forward
     transform (and one inverse per member, its u_t), and the potential
-    integrals of J from the members' energies, so F is evaluated once per
-    member and record. result() is one GronwallTrace per member. I is
-    anchored at E(v,0) - E(u,0) - J(0), which carries the initial cross term
-    of perturbed data, so ``expansion_residual`` measures only the evolution
-    error (order >= 2 under refinement).
+    integrals of J from the members' records (``Record.potential``, the last
+    energy column), so F is evaluated once per member and record. result()
+    is one GronwallTrace per member. I is anchored at E(v,0) - E(u,0) - J(0),
+    which carries the initial cross term of perturbed data, so
+    ``expansion_residual`` measures only the evolution error (order >= 2
+    under refinement).
     """
 
     def __init__(self, spec, grid):
@@ -138,8 +140,8 @@ class WaveGronwall:
         def read(rec):
             w, wt = rec.u - u, rec.ut - ut
             dw_sq = l2_norm_sq(wt, grid) + parseval_norm_sq(rec.uh - ref.uh, grid, gradient=True)
-            # int F(v) - F(u) - f(u) w, with the potential integrals of the energies
-            J = 0.5 * dw_sq + (rec.energy[-1] - ref.energy[-1]) - l2_inner(fu, w, grid)
+            # int F(v) - F(u) - f(u) w, with the records' potential integrals
+            J = 0.5 * dw_sq + (rec.potential - ref.potential) - l2_inner(fu, w, grid)
             I_rate = l2_inner(fu + fpu * w - rec.force, ut, grid)
             rows.append((dw_sq, l2_norm_sq(w, grid), J, I_rate, rec.energy[0]))
         return read
@@ -167,14 +169,15 @@ class NlsGronwall:
     sup norm of any member. G and the shifted remainder are linear in the
     convexity shift A, so traces(A) applies A once the visited radius is known.
     ||grad w||^2 comes from w_hat = v_hat - u_hat by Parseval, the defect's
-    potential integrals from the members' energies, and the derivative of f
-    at u from the reference's phase Fs'(|u|^2/2), so a record evaluates Fs''
-    once for all members and makes one transform (the reference's u_t). Each
+    potential integrals from the members' records (``Record.potential``; no
+    energy column is read, so no record sums a mass or gradient energy), and
+    the derivative of f at u from the reference's phase Fs'(|u|^2/2), so a
+    record evaluates Fs'' once for all members and makes one transform (the
+    reference's u_t). Each
     member's w, spectrum difference, Df(u)w, force f(v) = v Fs'(|v|^2/2) and
     drift residual are built in two complex buffers, with one real buffer as
-    Df(u)w's scratch, made after the member's energies; its record caches
-    only the spectrum its energies read. ``rows`` holds per record one row
-    per member.
+    Df(u)w's scratch, made after the member's potential integral; its record
+    caches only its spectrum. ``rows`` holds per record one row per member.
     """
 
     def __init__(self, spec, grid):
@@ -185,7 +188,7 @@ class NlsGronwall:
         spec, grid = self.spec, self.grid
         u, uh, fu, dtu = ref.u, ref.uh, ref.force, ref.ut
         phase = ref.state.phase
-        curv = spec.Fsprime2(0.5 * np.abs(u) ** 2)
+        curv = spec.Fsprime2(density(u))
         self.times.append(ref.t)
         self.sup_norm = max(self.sup_norm, float(np.max(np.abs(u))))
         self.rows.append(rows := [])
@@ -197,7 +200,7 @@ class NlsGronwall:
             np.subtract(rec.u, u, out=w)
             gw = parseval_norm_sq(np.subtract(rec.uh, uh, out=c), grid, gradient=True)
             # int F(|u+w|^2/2) - F(|u|^2/2) - Re(f(u) conj(w))
-            defect = rec.energy[-1] - ref.energy[-1] - l2_inner(fu, w, grid)
+            defect = rec.potential - ref.potential - l2_inner(fu, w, grid)
             row = (gw, l2_norm_sq(w, grid), defect)
             dfw = spec.dforce(u, w, phase, curv, out=w, scratch=(c, re))
             drift = np.multiply(rec.u, rec.state.phase, out=c)  # f(v), as force(rec) makes it

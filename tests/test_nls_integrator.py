@@ -1,11 +1,12 @@
 """Split-step integrator: substep exactness, conservation, plane-wave oracle."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from supercrit import config, field_core, weak_strong
+from supercrit import config, field_core, nls_integrator, weak_strong
 from supercrit.cli import main
 from supercrit.field_core import GridSpec, NlsState, bump_field, l2_norm_sq, nls_energy
 from supercrit.nls_integrator import (
@@ -83,17 +84,36 @@ def test_nonlinear_flow_preserves_modulus_pointwise():
 
 @pytest.mark.parametrize("name", ["nls_cubic", "nls_coercive_exp"])
 def test_stepper_rotation_is_the_kernels_and_unimodular(name):
-    # the rotation is built in the real and imaginary planes of one complex
-    # array; its bits are those of the kernel on the angle phase dt/2
+    # the initial rotation is built in the real and imaginary planes of one
+    # complex array, a step's in the spent rotation's contiguous halves; the
+    # bits of both are those of the kernel on the angle phase dt/2
     grid = GridSpec(2, 32, 16.0)
     u = bump_field(grid, 2.5, 4.0).astype(complex) * np.exp(0.7j * grid.coords()[1])
     cfg = RunSchedule(grid, from_selection(name), 0.05, 1.0)
     stepper, state = member(cfg, u)
-    sin, cos = _sin_cos(state.phase * (0.5 * cfg.step()))
-    assert np.array_equal(state.rot.imag.view(np.int64), sin.view(np.int64))
-    assert np.array_equal(state.rot.real.view(np.int64), cos.view(np.int64))
-    assert np.abs(np.abs(state.rot) - 1.0).max() <= 1e-15
-    assert np.abs(np.abs(stepper(state).rot) - 1.0).max() <= 1e-15
+    for _ in range(2):
+        sin, cos = _sin_cos(state.phase * (0.5 * cfg.step()))
+        assert np.array_equal(state.rot.imag.view(np.int64), sin.view(np.int64))
+        assert np.array_equal(state.rot.real.view(np.int64), cos.view(np.int64))
+        assert np.abs(np.abs(state.rot) - 1.0).max() <= 1e-15
+        state = stepper(state)  # overwrites the spent rotation
+
+
+@pytest.mark.parametrize("name", ["nls_cubic", "nls_coercive_exp"])
+def test_strang_step_allocates_only_the_new_states_arrays(name):
+    # the tangent kernel runs on the previous state's rotation, which the step
+    # has used up, so no scratch buffer joins the new u, phase and rotation
+    grid = GridSpec(2, 128, 40.0)
+    stepper, state = member(RunSchedule(grid, from_selection(name), 0.005, 0.5),
+                            bump_field(grid, 1.0, 5.0))
+    state = stepper(state)
+    tracemalloc.start()
+    try:
+        new = stepper(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= new.u.nbytes + new.phase.nbytes + new.rot.nbytes + 4096
 
 
 def test_nonlinear_flow_aborts_on_singular_phase():
@@ -230,6 +250,23 @@ def test_ladder_transforms_two_per_step_one_per_record(monkeypatch):
     # per record: one forward transform per member for the energies and
     # grad w, and one inverse transform for the reference's u_t
     assert len(calls) == 2 * cfg.steps() * members + records * members + records
+
+
+def test_nls_ladder_sums_no_energy_column(monkeypatch):
+    # the Gronwall observer reads each record's potential integral only, so
+    # no record of an NLS ladder sums a mass or gradient energy
+    calls = []
+    energy = nls_integrator._SpectralStrang.energy
+
+    def counted(self, rec):
+        calls.append(rec.t)
+        return energy(self, rec)
+
+    monkeypatch.setattr(nls_integrator._SpectralStrang, "energy", counted)
+    cfg, u0, pert, ladder = ladder_config()
+    traces, _ = weak_strong.gronwall_ladder(cfg, u0, pert, ladder)
+    assert len(traces) == len(ladder) and len(traces[0].times) == 5
+    assert calls == []
 
 
 def test_ladder_evaluates_phase_once_per_member_and_step(monkeypatch):

@@ -17,6 +17,7 @@ from supercrit.nonlinearity import (
     _sin_cos,
     beta_cutoff,
     builtin_catalog,
+    density,
     find_truncation_abscissae,
     from_selection,
     truncate,
@@ -185,6 +186,56 @@ def test_defocusing_exp_in_place_evaluators_equal_the_formula(m):
     assert np.array_equal(u.view(np.int64), kept.view(np.int64))
     # a scalar input still gives a numpy scalar
     assert isinstance(spec.f(0.5), np.float64) and isinstance(spec.F(0.5), np.float64)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_pure_power_potential_is_a_product_of_moduli(p):
+    spec = from_selection(f"pure_power:p={p}")
+    u = np.random.default_rng(p).uniform(-3.0, 3.0, 1000)
+    u[:4] = 0.0, -0.0, 1.0, -1.0
+    a = np.abs(u)
+    # |u|^(p+1) by products, not libm's pow, 3x slower; they agree to a few ulp
+    want = (a * a * a if p == 2 else (a * a) * (a * a)) / (p + 1)
+    got = spec.F(u)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_allclose(got, a ** (p + 1) / (p + 1), rtol=(p + 1) * 2.3e-16, atol=0.0)
+    assert isinstance(spec.F(-0.5), np.float64)
+
+
+@pytest.mark.parametrize("decades", [0, 100])
+def test_density_is_half_the_squared_modulus_within_2_ulp(decades):
+    rng = np.random.default_rng(15)
+    n = 1 << 16
+    u = (rng.normal(size=n) * 10.0 ** rng.uniform(-decades, decades, n)
+         + 1j * rng.normal(size=n) * 10.0 ** rng.uniform(-decades, decades, n))
+    u[:4] = 0.0, 1.5, 2.5j, -1.0 - 1.0j
+    kept = u.copy()
+    got = density(u)
+    assert got.dtype == float and got.shape == u.shape
+    re, im = u.real.astype(np.longdouble), u.imag.astype(np.longdouble)
+    exact = (re * re + im * im) / 2
+    ulp = np.spacing(exact.astype(float))
+    assert float(np.max(np.abs(got - exact) / ulp)) <= 2.0
+    # the hypot-and-square formula it replaces is itself up to 4.1 ulp off
+    assert float(np.max(np.abs(got - 0.5 * np.abs(u) ** 2) / ulp)) <= 6.0
+    assert np.array_equal(u, kept)
+    # a real field, and a complex one on a strided layout
+    assert np.array_equal(density(u.real), 0.5 * u.real ** 2)
+    field = u.reshape(256, 256)
+    assert np.array_equal(density(field[:, ::2]), density(field)[:, ::2])
+
+
+def test_coercive_curvature_is_within_4_ulp_of_long_double():
+    # Fs''(s) = e^r (r - 1) / r^3 with r = sqrt(1 + 2s), the reference taken in
+    # long double from the r the evaluator rounds: exp amplifies r's rounding
+    # r-fold and r - 1 cancels it near s = 0, which no formula in r can undo
+    spec = from_selection("nls_coercive_exp")
+    s = np.concatenate([np.random.default_rng(16).uniform(0.0, 50.0, 1 << 18),
+                        np.linspace(0.0, 50.0, 4097)])
+    r = np.sqrt(1.0 + 2.0 * s).astype(np.longdouble)
+    want = np.exp(r) * (r - 1) / r ** 3
+    got = spec.Fsprime2(s)
+    assert float(np.max(np.abs(got - want) / np.spacing(want.astype(float)))) <= 4.0
 
 
 def test_integer_powers_are_numpys_up_to_2_and_products_above():

@@ -13,7 +13,8 @@ goes first switching each round, so that a drift in host speed falls on both
 columns alike instead of reading as a change. Every row records
 
 * ``wall_s``      median of REPEATS perf_counter timings, after one warm-up,
-                  with each round's value in ``wall_s_rounds``;
+                  with each round's value in ``wall_s_rounds``; a step row
+                  times STEPS consecutive steps and reports wall_s per step;
 * ``mpoints``     points handed to the nonlinearity evaluators (F, f, f' and
                   the spec's jet; Fs, Fs' and Fs'' for an NLS spec), counted in
                   an untimed pass;
@@ -43,17 +44,18 @@ Rows:
   n = 200k, seed 0: every window of the complex sample plan;
 * ``layer.sweep.Gronw6+H222``      Gronw6 and H222 of nls_cubic at R = 2, d = 3,
   n = 400k, seed 0, from one ``_nls_constants`` call;
-* ``layer.step.wave``              one impulse step of defocusing_exp:m=1 on the
+* ``layer.step.wave``              impulse steps of defocusing_exp:m=1 on the
   grid and data of the ``wave3d`` workload (d = 3, N = 64), its member built by
   the runner's ``_base_config`` and ``_bump``; each spec's member is built at
-  its first call, which also makes its first step, and each later call
-  advances it by one step, so wall_s and peak_bytes are one later step's,
-  while mpoints, from the counting spec's only call, also counts the opening
-  kick's evaluation of f (made by the member or by its first step);
-* ``layer.step.nls``               one Strang step of the ``nls-ladder``
+  its first call, which then makes STEPS steps, and each later call advances
+  it by STEPS more, so wall_s is a later step's (a call's time over STEPS)
+  and peak_bytes the peak of STEPS later steps, while mpoints, from the
+  counting spec's only call, counts STEPS steps and the opening kick's
+  evaluation of f (made by the member or by its first step);
+* ``layer.step.nls``               Strang steps of the ``nls-ladder``
   workload's reference member (nls_coercive_exp at d = 2, N = 128), built by
-  the runner's ``_base_config`` and ``_bump`` and measured as the wave step
-  is, so mpoints also counts the opening rotation's Fs' of the member;
+  the runner's ``_base_config`` and ``_bump`` and measured as the wave steps
+  are, so mpoints also counts the opening rotation's Fs' of the member;
 * ``layer.record.wave``            one diagnostics record of that member's initial
   state, as a simulate-wave run makes it: the energies (F on the grid, Parseval
   sums of the half spectra), the boundary shares (shell and, in trees that
@@ -117,6 +119,9 @@ from workloads import WORKLOADS  # noqa: E402
 
 REPEATS = 3
 ROUNDS = 3
+# consecutive steps per timing of a step row: one 0.7-1.1 ms NLS step timed
+# alone spread its rounds by 50%, so a step row times this many and divides
+STEPS = 50
 SPEC = "oscillating_sin:q=2"
 LAYER_POINTS = 1 << 20
 SWEEP = {"R": 2.0, "n_random": 1_000_000, "seed": 0}
@@ -167,10 +172,10 @@ def _clear_caches():
                     value.cache_clear()
 
 
-def _measure(run, make_spec, faults=False):
+def _measure(run, make_spec, faults=False, per=1):
     """wall_s, mpoints and peak_bytes of run(spec), and with ``faults`` minflt;
-    make_spec() builds a fresh spec. The traced pass starts with the tree's
-    caches empty."""
+    make_spec() builds a fresh spec. wall_s is a timing over ``per``, the
+    steps a call makes. The traced pass starts with the tree's caches empty."""
     run(make_spec())  # warm-up: imports, caches
     times, minflt = [], []
     for _ in range(REPEATS):
@@ -188,7 +193,7 @@ def _measure(run, make_spec, faults=False):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    row = {"wall_s": statistics.median(times), "mpoints": counter[0] / 1e6,
+    row = {"wall_s": statistics.median(times) / per, "mpoints": counter[0] / 1e6,
            "peak_bytes": peak}
     if faults:
         row["minflt"] = statistics.median(minflt)
@@ -215,16 +220,19 @@ def _trace(stepping, grid):
 
 
 def _stepper(make_member):
-    """run(spec): one step of the member make_member(spec).
+    """run(spec): STEPS steps of the member make_member(spec).
 
-    Each spec gets its member at its first call, so a measured call is one step."""
+    Each spec gets its member at its first call, so a measured call is STEPS
+    steps, each state dropped as the loop of a run drops it."""
     members = {}
 
     def run(spec):
         if spec not in members:
             members[spec] = make_member(spec)
-        stepper, state = members[spec]
-        members[spec] = stepper, stepper(state)
+        stepper, state = members.pop(spec)
+        for _ in range(STEPS):
+            state = stepper(state)
+        members[spec] = stepper, state
     return run
 
 
@@ -318,7 +326,7 @@ def worker(src: str) -> dict:
         return _wave_run(config, runner, wave_integrator, spec)
 
     rows["layer.step.wave"] = _measure(_stepper(lambda spec: wave_run(spec)[1][0]),
-                                       lambda: wave)
+                                       lambda: wave, per=STEPS)
     rows["layer.record.wave"] = _measure(
         _record(wave_run, stepping, lambda spec, grid: _trace(stepping, grid)),
         lambda: wave)
@@ -329,7 +337,7 @@ def worker(src: str) -> dict:
         return _nls_run(config, runner, nls_integrator, field_core, spec, ladder)
 
     rows["layer.step.nls"] = _measure(_stepper(lambda spec: nls_run(spec, ())[1][0]),
-                                      lambda: ladder_spec)
+                                      lambda: ladder_spec, per=STEPS)
     rows["layer.record.nls"] = _measure(
         _record(nls_run, stepping, weak_strong.NlsGronwall), lambda: ladder_spec)
 
@@ -389,6 +397,7 @@ def main(argv=None) -> int:
                     "platform": platform.platform(), "cpus": os.cpu_count()},
         "repeats": REPEATS,
         "rounds": ROUNDS,
+        "steps_per_timing": STEPS,
         "spec": SPEC,
         "layer_points": LAYER_POINTS,
         "sweep": SWEEP,
