@@ -148,7 +148,7 @@ class _SpectralStrang:
         self.prop = _propagator(cfg.grid, self.dt)
         # |xi|^2 on the propagator's rows: the Parseval gradient's cached table,
         # called as parseval_norm_sq calls it (lru_cache keys keywords apart)
-        (self.ksq,) = _parseval_multiplier(cfg.grid, False, True)
+        self.ksq = _parseval_multiplier(cfg.grid, False)
 
     def _phase_rotation(self, v: np.ndarray, scratch: np.ndarray | None = None):
         """phase = Fs'(|v|^2/2) and the half rotation cos + i sin of phase dt/2.

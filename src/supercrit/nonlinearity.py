@@ -49,18 +49,24 @@ TWO_STAR_SURROGATE = 10.0
 TRUNCATION_C = 1.0
 
 
-def density(u) -> np.ndarray:
-    """|u|^2 / 2 of a complex (or real) field, as (re^2 + im^2) / 2, a new float
-    array; the argument of every Fs, Fs' and Fs''.
+def _abs_sq(u) -> np.ndarray:
+    """|u|^2 of a complex (or real) field as re^2 + im^2, a new float array.
 
-    Two squares and a sum, where 0.5 * np.abs(u) ** 2 is a hypot and a square:
-    30 against 49 us per 128^2 points (2-vCPU Xeon, numpy 2.4), and within
-    1.3 ulp of the exact value on random fields, where that formula is up to
-    4.1 ulp off.
+    Two squares and a sum, where np.abs(u) ** 2 is a hypot and a square: 30
+    against 49 us per 128^2 points (2-vCPU Xeon, numpy 2.4), and within 1.3
+    ulp of the exact value on random fields, where that formula is up to 4.1
+    ulp off.
     """
     u = np.asarray(u)
     out = np.square(u.real)
     out += np.square(u.imag)
+    return out
+
+
+def density(u) -> np.ndarray:
+    """|u|^2 / 2 of a complex (or real) field, as (re^2 + im^2) / 2 (see _abs_sq),
+    a new float array; the argument of every Fs, Fs' and Fs''."""
+    out = _abs_sq(u)
     out *= 0.5
     return out
 
@@ -170,7 +176,12 @@ def _int_power(u, k: int):
     right through k's bits, in the result's buffer. libm's pow is slow for a
     negative base: u ** 4 took 1.33 ms per 2^14 points, against 10-13 us
     for np.square(np.square(u)) and 62-81 us for |u| ** 4 (2-vCPU Xeon,
-    numpy 2.4). The product may differ from pow in the last digits.
+    numpy 2.4). On the assumption lab's blocks of 2^14 points pow is slow on
+    any base: |w| ** 6 took 50 us, |u| ** 3 52 us and |u| ** 4 50 us, against
+    15-16 us for this function and 12 us for (w^2)^3 from a kept w^2. A
+    product of k factors is within k - 1 rounding errors of the exact power
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1),
+    so it may differ from pow in the last digits.
     """
     if k <= 2:
         return u ** k
@@ -267,14 +278,18 @@ def _oscillating_sin(q: int) -> NonlinearitySpec:
         return aq
 
     def slope(u, cos_g, sin_g):
-        """f'(u) in two new buffers, without writing u, cos g or sin g."""
-        out = np.abs(u)
-        out **= q - 1
-        out *= q * (q + 1)
-        out *= np.sign(u)
+        """f'(u) = q(q+1) u|u|^(q-2) cos g - (q+1)^2 (u^q)^2 sin g, u|u|^-1 read
+        as sign(u), in two new buffers, without writing u, cos g or sin g."""
+        if q == 1:
+            out = np.sign(u)
+            out *= q * (q + 1)
+        else:
+            out = u * (q * (q + 1))
+            if q > 2:
+                out *= _int_power(np.abs(u), q - 2)
         out *= cos_g
-        rest = np.abs(u)
-        rest **= 2 * q
+        rest = _int_power(u, q)
+        rest *= rest
         rest *= (q + 1) ** 2
         rest *= sin_g
         out -= rest
@@ -282,16 +297,16 @@ def _oscillating_sin(q: int) -> NonlinearitySpec:
 
     def F(u):
         u = np.asarray(u, dtype=float)
-        return sin_cos(u * np.abs(u) ** q)[0]
+        return sin_cos(u * _int_power(np.abs(u), q))[0]
 
     def f(u):
         u = np.asarray(u, dtype=float)
-        aq = np.abs(u) ** q
+        aq = _int_power(np.abs(u), q)
         return force(aq, sin_cos(u * aq)[1])
 
     def fprime(u):
         u = np.asarray(u, dtype=float)
-        sin_g, cos_g = sin_cos(u * np.abs(u) ** q)
+        sin_g, cos_g = sin_cos(u * _int_power(np.abs(u), q))
         return slope(u, cos_g, sin_g)
 
     def jet(u, order):
@@ -299,8 +314,7 @@ def _oscillating_sin(q: int) -> NonlinearitySpec:
         if order == 0 or u.ndim == 0:  # a numpy scalar has no buffer to write
             return tuple(g(u) for g in (F, f, fprime)[:order + 1])
         # F = sin g goes into g's buffer and f into |u|^q's
-        aq = np.abs(u)
-        aq **= q
+        aq = _int_power(np.abs(u), q)
         sin_g, cos_g = sin_cos(u * aq)
         out = (sin_g, force(aq, cos_g))
         return out + (slope(u, cos_g, sin_g),) if order == 2 else out
@@ -326,11 +340,11 @@ def _pure_power(p: int) -> NonlinearitySpec:
 
     def f(u):
         u = np.asarray(u, dtype=float)
-        return np.abs(u) ** (p - 1) * u
+        return _int_power(np.abs(u), p - 1) * u
 
     def fprime(u):
         u = np.asarray(u, dtype=float)
-        return p * np.abs(u) ** (p - 1)
+        return p * _int_power(np.abs(u), p - 1)
 
     return NonlinearitySpec(
         name=f"pure_power:p={p}",
@@ -361,10 +375,22 @@ def _nls_coercive_exp() -> NlsNonlinearitySpec:
         return out
 
     def Fsprime2(s):
-        # r * r * r, not r ** 3, which is libm's pow
+        # in place, like Fs', beside s holding r, r - 1 and its result only:
+        # r - 1 as s / ((1 + r) / 2), the rounding of 2s / (1 + r), which does
+        # not cancel as s -> 0, and r * r * r, not r ** 3, which is libm's pow
         s = np.asarray(s, dtype=float)
-        r = np.sqrt(1.0 + 2.0 * s)
-        return np.exp(r) * (r - 1.0) / (r * r * r)
+        r = np.multiply(s, 2.0, out=np.empty(s.shape))
+        r += 1.0
+        np.sqrt(r, out=r)
+        t = np.add(r, 1.0, out=np.empty(s.shape))
+        t *= 0.5
+        np.divide(s, t, out=t)
+        out = np.exp(r)
+        out *= t
+        np.multiply(r, r, out=t)
+        t *= r
+        out /= t
+        return out
 
     # sqrt(s) Fs'(s) / Fs(s) diverges like 1/sqrt(s) as s -> 0, so no single C
     # works on all of (0, inf); 160 covers the fixed sample plan (s >= ~5e-5).

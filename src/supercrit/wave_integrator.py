@@ -133,7 +133,11 @@ class _SpectralState:
     t: float
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.uth)))
+        """Whether uth is finite: a step ends with the kick of its u, and a
+        non-finite u, f(u) or uh leaves every entry of that kick, and so of
+        uth, non-finite (the transforms spread one entry to all), so u need
+        not be read."""
+        return bool(np.all(np.isfinite(self.uth)))
 
 
 @lru_cache(maxsize=8)

@@ -4,6 +4,7 @@ import importlib
 import json
 import pathlib
 import tracemalloc
+import warnings
 from dataclasses import asdict, replace
 from itertools import chain
 
@@ -66,6 +67,13 @@ def test_growth_bound_exact_for_pure_power():
 def test_growth_bound_holds_for_oscillating():
     for q in (1, 2, 3):
         assert _pointwise(from_selection(f"oscillating_sin:q={q}"))["H2"].holds
+
+
+def test_growth_bound_refuses_a_fractional_exponent():
+    # |u|^q is taken by multiplication, so the bound takes a whole q only
+    spec = replace(from_selection("pure_power:p=3"), q=2.5)
+    with pytest.raises(ValueError, match="whole q"):
+        verify_wave_pointwise(spec, samples=N_SMALL)
 
 
 def test_potential_lower_bound_unit_constant():
@@ -291,6 +299,69 @@ def test_sup_ratio_judges_each_term_in_its_numerator_and_leaves_den_unwritten():
     assert all(np.array_equal(den, kept, equal_nan=True) for den, kept in dens)
     assert got == _argmax_sup_ratio(ratio, blocks())
     assert all(value > 0.0 for value, _ in got)
+
+
+def test_sup_ratio_counts_finite_ratios_over_positive_dens_and_keeps_the_first_tie():
+    # five terms over a grid block (u column, w row, each den a row that
+    # broadcasts) and then a random block; a sample counts only where its den
+    # is positive and its ratio finite, and a tie keeps the earlier sample
+    inf, nan = np.inf, np.nan
+    grid_terms = [
+        # 9/0 is +inf, -inf/0 is -inf, and the den -1 column's positive
+        # ratios (up to 9) are not counted: 4 at (2, 12)
+        ([[1.0, 9.0, 2.0, -4.0], [3.0, -inf, 2.0, -9.0], [4.0, 1.0, 4.0, -3.0]],
+         [[2.0, 0.0, 1.0, -1.0]]),
+        # a finite largest ratio, 8, over a negative den: 6 at (2, 11)
+        ([[1.0, 2.0, 3.0, -8.0], [0.5, 2.0, 1.0, -1.0], [1.0, 6.0, 1.0, -2.0]],
+         [[1.0, 1.0, 1.0, -1.0]]),
+        # a NaN den, over the largest num: 2 at (1, 13)
+        ([[7.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 2.0], [1.0, 1.0, 1.0, nan]],
+         [[nan, 1.0, 1.0, 1.0]]),
+        # no positive ratio
+        (-np.ones((3, 4)), [[1.0, 1.0, 1.0, 1.0]]),
+        # a +inf num is not counted: 3 at (2, 13)
+        ([[inf, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 3.0]],
+         [[1.0, 1.0, 1.0, 1.0]]),
+    ]
+    random_terms = [
+        ([4.0, 1.0, 4.0], [1.0, 1.0, 1.0]),  # ties the grid's 4: the grid's sample stays
+        ([6.0, 7.0, 1.0], [1.0, 1.0, 1.0]),  # 7 at (6, 21) beats 6
+        ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+        ([-1.0, 0.0, -inf], [1.0, 1.0, 1.0]),  # a ratio of 0 raises no slot
+        ([2.0, 3.0, 1.0], [0.5, 1.0, 1.0]),  # 4 at (5, 20) beats 3
+    ]
+    blocks = [(np.array([[0.0], [1.0], [2.0]]), np.array([[10.0, 11.0, 12.0, 13.0]])),
+              (np.array([5.0, 6.0, 7.0]), np.array([20.0, 21.0, 22.0]))]
+    terms = iter([grid_terms, random_terms])
+
+    def ratio(u, w):
+        return [(np.array(num), np.array(den)) for num, den in next(terms)]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = assumption_lab._sup_ratio(ratio, iter(blocks))
+    assert got == [(4.0, (2.0, 12.0)), (7.0, (6.0, 21.0)), (2.0, (1.0, 13.0)),
+                   (0.0, None), (4.0, (5.0, 20.0))]
+
+
+def test_taylor_denominator_is_w_squared_plus_its_cube(monkeypatch):
+    # H22 reads w^2 + |w|^p, p = 2*(LAB_D) = 6, taken as (w^2)^3 + w^2: within a
+    # few ulp of the long-double value, on a grid row and on randoms
+    assert 2 * assumption_lab._HALF_P == two_star(assumption_lab.LAB_D)
+    ratios = []
+    monkeypatch.setattr(assumption_lab, "_sampled_constants",
+                        lambda names, R, plan, ratio, *args, **kw: ratios.append(ratio))
+    assumption_lab._wave_constants(from_selection("oscillating_sin:q=2"), 2.0, 100, 0)
+    w = np.concatenate([[0.0, -0.0, 1.0, -1.0, 1e-3, -64.0],
+                        np.random.default_rng(9).uniform(-64.0, 64.0, 4096)])
+    u = np.random.default_rng(10).uniform(-2.0, 2.0, w.size)
+    W = w.astype(np.longdouble)
+    want = W ** 6 + W ** 2
+    for ub, wb in ((u, w), (u[:5, None], w[None, :])):
+        (_, wsq), (_, den) = ratios[0](ub, wb)
+        assert np.array_equal(wsq, wb ** 2)
+        assert den.shape == wb.shape
+        assert np.all(np.abs(den.ravel() - want) <= 4 * np.spacing(want.astype(float)))
 
 
 def _broken_scalar_spec():

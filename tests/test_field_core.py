@@ -284,7 +284,7 @@ def test_mirrored_gradient_multiplier_pairs_like_the_whole_table_bitwise(d, N, L
     # the weighted half-spectrum |xi|^2 of the wave energies, or the full-grid
     # |xi|^2 of the NLS ones
     grid = GridSpec(d, N, L)
-    (mult,) = field_core._parseval_multiplier(grid, half, True)
+    mult = field_core._parseval_multiplier(grid, half)
     width = N // 2 + 1 if half else N
     assert mult.shape == (N // 2 + 1,) + grid.shape[1:-1] + (width,)
     whole = (grid.half_wavenumber_sq() * _plane_weights(grid) if half

@@ -319,7 +319,7 @@ def test_nls_record_reads_one_cached_wavenumber_table():
     lap = np.fft.ifftn(-grid.wavenumber_sq() * np.fft.fftn(rec.u))
     assert np.array_equal(rec.ut, -1j * (lap - rec.force))
     assert field_core._parseval_multiplier.cache_info().currsize == 1
-    (table,) = field_core._parseval_multiplier(grid, False, True)
+    table = field_core._parseval_multiplier(grid, False)
     assert stepper.ksq is table and table.shape == (17, 32)
 
 

@@ -226,16 +226,30 @@ def test_density_is_half_the_squared_modulus_within_2_ulp(decades):
 
 
 def test_coercive_curvature_is_within_4_ulp_of_long_double():
-    # Fs''(s) = e^r (r - 1) / r^3 with r = sqrt(1 + 2s), the reference taken in
-    # long double from the r the evaluator rounds: exp amplifies r's rounding
-    # r-fold and r - 1 cancels it near s = 0, which no formula in r can undo
+    # Fs''(s) = e^r (r - 1) / r^3 with r = sqrt(1 + 2s) and r - 1 = 2s / (1 + r),
+    # the reference taken in long double from s and the r the evaluator
+    # rounds: exp amplifies r's rounding r-fold, which no formula in r can
+    # undo, while 2s / (1 + r) does not cancel it near s = 0
     spec = from_selection("nls_coercive_exp")
     s = np.concatenate([np.random.default_rng(16).uniform(0.0, 50.0, 1 << 18),
-                        np.linspace(0.0, 50.0, 4097)])
+                        np.linspace(0.0, 50.0, 4097), 10.0 ** -np.arange(1.0, 300.0, 0.5)])
     r = np.sqrt(1.0 + 2.0 * s).astype(np.longdouble)
-    want = np.exp(r) * (r - 1) / r ** 3
+    want = np.exp(r) * (2 * s.astype(np.longdouble) / (1 + r)) / r ** 3
     got = spec.Fsprime2(s)
     assert float(np.max(np.abs(got - want) / np.spacing(want.astype(float)))) <= 4.0
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-8, 1e-12])
+def test_coercive_curvature_keeps_its_relative_accuracy_as_the_density_vanishes(s):
+    # e^r (r - 1) / r^3 with r - 1 taken from the rounded r was off by 9.6e-13,
+    # 1.1e-9 and 1.3e-4 relative at these densities; the exact value is taken
+    # in long double from s itself
+    spec = from_selection("nls_coercive_exp")
+    S = np.longdouble(s)
+    r = np.sqrt(1 + 2 * S)
+    want = np.exp(r) * (2 * S / (1 + r)) / r ** 3
+    got = spec.Fsprime2(np.array([s]))[0]
+    assert abs(float((got - want) / want)) <= 5e-16
 
 
 def test_integer_powers_are_numpys_up_to_2_and_products_above():
@@ -248,6 +262,34 @@ def test_integer_powers_are_numpys_up_to_2_and_products_above():
         else:
             np.testing.assert_allclose(got, u ** k, rtol=k * 2.3e-16, atol=0.0)
         assert got is not u and isinstance(_int_power(np.float64(-1.5), k), np.float64)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_oscillating_powers_are_within_a_few_ulp_of_long_double(q):
+    # F = sin g, f = (q+1)|u|^q cos g and f' = q(q+1) u|u|^(q-2) cos g
+    # - (q+1)^2 |u|^2q sin g, g = u|u|^q, in long double from the same u, at 0,
+    # -0 and negative u; an error is measured against the size of the terms
+    # times 1 + |g|, as a rounding of g moves sin g and cos g by that much
+    spec = from_selection(f"oscillating_sin:q={q}")
+    u = np.concatenate([np.linspace(-3.0, 3.0, 6001), [0.0, -0.0, 1e-3, -1e-3],
+                        np.random.default_rng(q).uniform(-4.0, 4.0, 1 << 14)])
+    U = u.astype(np.longdouble)
+    a = np.abs(U)
+    g = U * a ** q
+    k = 1 + np.abs(g)
+    want = {
+        "F": (np.sin(g), np.abs(np.sin(g)) + np.abs(g)),
+        "f": ((q + 1) * a ** q * np.cos(g), (q + 1) * a ** q * k),
+        "fprime": (q * (q + 1) * np.sign(U) * a ** (q - 1) * np.cos(g)
+                   - (q + 1) ** 2 * a ** (2 * q) * np.sin(g),
+                   (q * (q + 1) * a ** (q - 1) + (q + 1) ** 2 * a ** (2 * q)) * k),
+    }
+    jet = dict(zip(want, spec.jet(u, 2)))
+    eps = np.finfo(float).eps
+    for name, (exact, size) in want.items():
+        for got in (getattr(spec, name)(u), jet[name]):
+            assert np.all(np.abs(got - exact) <= 4 * eps * size), name
+            assert np.all(got[u == 0.0] == 0.0), name
 
 
 # the ranges of _sin_cos's accuracy record, from small angles to 3e8

@@ -416,6 +416,27 @@ def test_residual_does_not_depend_on_the_block_size(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["defocusing_exp:m=1", "pure_power:p=3"])
+def test_kick_of_one_non_finite_entry_is_non_finite_everywhere(d, bad, name):
+    # a state is judged by its u_t alone: the step's closing kick of a u with
+    # one non-finite entry must leave no entry of u_t finite
+    grid = GridSpec(d, 16, 8.0)
+    cfg = RunSchedule(grid, from_selection(name), stable_dt(grid.h, d), 0.5)
+    stepper, state = member(cfg, bump_field(grid, 0.7, 2.5))
+    for where in (0, grid.N ** d // 2 + 3, -1):
+        u = state.u.copy()
+        u.reshape(-1)[where] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            kick = stepper._kick(u, np.empty(stepper.half_shape, complex))
+        assert not np.isfinite(kick).any()
+    # so a step from a spectrum with one non-finite entry ends non-finite
+    state.uh.reshape(-1)[1] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not stepper(state).is_finite()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_at_rest_member_equals_a_zero_field_bitwise(d):
     # rfftn of zeros has -0.0 imaginary parts; the broadcast zero keeps them
     grid = GridSpec(d, 16, 8.0)
