@@ -281,9 +281,9 @@ def working_set_bytes(cfg: ExperimentConfig) -> float:
     member plus the reference. Measured as the tracemalloc peak of a CLI
     run: simulate-wave 43 at d = 2, N = 512, 43 at d = 3, N = 64 and 77 at
     d = 1, N = 65536 (L = 10, radius 1.5); a wave weak-strong ladder 56 per
-    state at d = 3, N = 64; NLS 97 for one state and 76 per state of a
-    weak-strong ladder at d = 2, N = 512 (L = 40, radius 1.5), so one NLS
-    state needs the larger bound. The integrability probe of
+    state at d = 3, N = 64; NLS 85 for one state and 60 per state of a
+    weak-strong ladder at d = 2, N = 512 (L = 40, radius 1.5, T = 0.01), so
+    one NLS state needs the larger bound. The integrability probe of
     appendix-construct keeps scalars per record.
     """
     points = 0.0 if cfg.kind == "check-assumptions" else float(cfg.N) ** cfg.d

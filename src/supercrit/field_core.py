@@ -51,7 +51,8 @@ __all__ = [
 
 # Points per block of a pointwise evaluation done a block at a time: the
 # assumption lab's sample plans, the wave stepper's residual (in slabs of
-# whole last-axis lines) and every energy's potential integral. An assumption
+# whole last-axis lines) and linear flow (in chunks of whole axis-0 rows)
+# and every energy's potential integral. An assumption
 # lab sweep holds about ten arrays of one block, so 2^14 points (128 KiB per
 # float array) keep them in a core's 2 MiB L2: classify(oscillating_sin:q=2)
 # peaks at 1.1 MiB and takes 0.38-0.54 s (median 0.39 s), against 4.5 MiB and

@@ -14,18 +14,24 @@ Every run uses the rotation-reusing stepper of ``member``, which steps a
 ``stepping.RunSchedule`` by its ``step()`` and refuses a schedule whose
 requested dt fails the accuracy gate dt <= h. Its step is half nonlinear,
 full linear, half nonlinear (N-L-N), with its state holding u, the phase
-Fs'(|u|^2/2) and the half rotation exp(i phase dt/2). The rotation preserves
-|u|, so the closing half rotation of one step is also the opening one of the
-next (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2006, on
-first-same-as-last compositions): a step makes two transforms, one Fs' call
-and one tangent, from which ``nonlinearity._sin_cos`` takes the rotation's
-cos and sin. The kernel runs on the previous state's rotation, which is dead
-once the step has rotated u by it, so what a step allocates peaks at the
-new state's u, phase and rotation. The propagator exp(i |xi|^2 dt) is a cached table;
+Fs'(|u|^2/2) and tan(phase dt/4), the half-angle tangent of the half
+rotation exp(i phase dt/2). The rotation preserves |u|, so the closing half
+rotation of one step is also the opening one of the next (Hairer, Lubich &
+Wanner, Geometric Numerical Integration, 2006, on first-same-as-last
+compositions): a step makes two transforms, one Fs' call and one tangent,
+and ``nonlinearity._tangent_rotation`` rebuilds each rotation's cos and sin
+from its tangent, bitwise the rotation ``nonlinearity._sin_cos`` gives. A
+state holds 32 bytes per point. A step builds the opening rotation in the
+new u's buffer and multiplies the old u into it, and builds the closing
+rotation in the old u, dead once rotated, with its r in the old tangent; so
+a step allocates the new state's u, phase and tangent only, and peaks at
+40 bytes per point, the density and Fs' temporaries beside the new u and
+phase. The propagator exp(i |xi|^2 dt) is a cached table;
 |xi|^2 is bitwise even in each frequency, so for d >= 2 the table keeps rows
 0..N/2 of axis 0 only, and ``field_core.mirror_halves`` applies it to all N
 rows in two calls. At a record the stepper gives the ``Record`` fields: the
-spectrum u_hat (one ``fftn`` per member) and f(u) = u * phase; the
+spectrum u_hat (one ``fftn``, made only for a record whose energies, boundary
+shares or u_t are read) and f(u) = u * phase; the
 potential integral sums F(|u|^2/2) over blocks of u, so no record builds a
 potential density; the mass and the gradient energy, from u_hat by Parseval
 (``field_core.parseval_norm_sq``), are summed only for a record whose energy
@@ -55,7 +61,7 @@ from .field_core import (
     mirror_halves,
     parseval_norm_sq,
 )
-from .nonlinearity import _sin_cos, density
+from .nonlinearity import _half_tangent, _tangent_rotation, density
 from .stepping import BlowUpError, RunSchedule
 
 __all__ = [
@@ -121,12 +127,13 @@ def strang_step(state: NlsState, cfg: RunSchedule) -> NlsState:
 
 @dataclass(frozen=True)
 class _RotatedState:
-    """Spectral-state Strang state: u with phase = Fs'(|u|^2/2) and the half
-    rotation exp(i phase dt/2) that both closes the step to u and opens the next."""
+    """Spectral-state Strang state: u with phase = Fs'(|u|^2/2) and tan =
+    tan(phase dt/4), the half-angle tangent of the half rotation
+    exp(i phase dt/2) that both closes the step to u and opens the next."""
 
     u: np.ndarray
     phase: np.ndarray
-    rot: np.ndarray
+    tan: np.ndarray
     t: float
 
     def is_finite(self) -> bool:
@@ -136,8 +143,8 @@ class _RotatedState:
 class _SpectralStrang:
     """N-L-N Strang splitting that applies each half rotation to two half-steps.
 
-    Its initial state holds u0 itself, and the first step makes a new u, so
-    no stepper keeps an initial field past the first step."""
+    Its initial state holds the u0 it is given, which the first step
+    overwrites, so no stepper keeps an initial field past the first step."""
 
     columns = ("mass", "H_total", "H_gradient", "H_potential")
 
@@ -150,47 +157,42 @@ class _SpectralStrang:
         # called as parseval_norm_sq calls it (lru_cache keys keywords apart)
         self.ksq = _parseval_multiplier(cfg.grid, False)
 
-    def _phase_rotation(self, v: np.ndarray, scratch: np.ndarray | None = None):
-        """phase = Fs'(|v|^2/2) and the half rotation cos + i sin of phase dt/2.
-
-        ``scratch`` is a complex array shaped like v that no one reads again:
-        ``_sin_cos`` runs on the two contiguous halves of its float view, the
-        angle, its half angle's tangent and then sin in the first, r and then
-        cos in the second, and both are copied into the new rotation. On
-        contiguous halves ``np.tan`` took 31 us per 128^2 points, against 76 us
-        on the stride-2 planes of the rotation (2-vCPU Xeon, numpy 2.4). The
-        initial state has no spent rotation, so without scratch the kernel
-        runs on those planes, and setting up a member holds no extra field;
-        the kernel gives the same bits on either layout. A phase that
-        overflows leaves a nan rotation, so the rotated u is not finite and
-        the loop raises BlowUpError; numpy's warnings are silenced.
-        """
+    def _phase_tangent(self, v: np.ndarray):
+        """phase = Fs'(|v|^2/2) and tan(phase dt/4), the tangent of the half
+        rotation's half angle (``nonlinearity._half_tangent`` of phase dt/2)."""
+        # an overflow leaves a nan tangent, so the rotated u is not finite and
+        # the loop raises BlowUpError; numpy's warnings are silenced
         with np.errstate(over="ignore", invalid="ignore"):
             phase = self.spec.Fsprime(density(v))
-            rot = np.empty(v.shape, complex)
-            sin, cos = ((rot.imag, rot.real) if scratch is None
-                        else scratch.reshape(-1).view(float).reshape((2,) + v.shape))
-            np.multiply(phase, 0.5 * self.dt, out=sin)
-            _sin_cos(sin, out=(sin, cos))
-        if scratch is not None:
-            rot.real, rot.imag = cos, sin
-        return phase, rot
+            tan = phase * (0.5 * self.dt)
+            _half_tangent(tan, out=tan)
+        return phase, tan
 
     def start(self, u0: np.ndarray) -> _RotatedState:
-        """The initial state: u0 itself, with the opening rotation of step 1."""
-        phase, rot = self._phase_rotation(u0)
+        """The initial state: u0 itself, which the first step overwrites, with
+        the tangent of the opening rotation of step 1; u0 must be an array
+        that no one reads again."""
+        phase, tan = self._phase_tangent(u0)
         if not np.all(np.isfinite(phase)):
             raise BlowUpError(0.0)
-        return _RotatedState(u0, phase, rot, 0.0)
+        return _RotatedState(u0, phase, tan, 0.0)
 
     def __call__(self, s: _RotatedState) -> _RotatedState:
-        # transforms in place: one field-sized buffer is the spectrum and then v
-        v = s.u * s.rot
+        # integrate never reads a stepped state, so its arrays are free once
+        # used. The opening rotation is built in v's buffer, with a contiguous
+        # r in the old phase, and u times it is written over it in the operand
+        # order u * rotation: numpy's complex product of two arrays does not
+        # commute bitwise on AVX512 hosts. The transforms are in place
+        v = np.empty_like(s.u)
+        _tangent_rotation(s.tan, s.phase, out=(v.imag, v.real))
+        np.multiply(s.u, v, out=v)
         np.fft.ifftn(_propagate(np.fft.fftn(v, out=v), self.prop), out=v)
-        # s.rot is dead once v is made: integrate never reads a stepped state
-        phase, rot = self._phase_rotation(v, s.rot)
+        phase, tan = self._phase_tangent(v)
+        # the closing rotation in the old u, with a contiguous r in the old tangent
+        rot = s.u
+        _tangent_rotation(tan, s.tan, out=(rot.imag, rot.real))
         v *= rot
-        return _RotatedState(v, phase, rot, s.t + self.dt)
+        return _RotatedState(v, phase, tan, s.t + self.dt)
 
     def spectrum(self, rec) -> np.ndarray:
         return np.fft.fftn(rec.u, out=np.empty_like(rec.u))
@@ -221,4 +223,6 @@ def member(cfg: RunSchedule, u0: np.ndarray):
     for stepping.integrate; u0 is not written. Raises ValueError if cfg's dt fails
     the accuracy gate."""
     stepper = _SpectralStrang(cfg)
-    return stepper, stepper.start(np.asarray(u0, complex))
+    # a new array, which the first step overwrites: a real u0 is converted
+    # into it, a complex one copied
+    return stepper, stepper.start(np.array(u0, complex))

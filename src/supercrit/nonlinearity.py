@@ -194,16 +194,42 @@ def _int_power(u, k: int):
     return out
 
 
+def _half_tangent(x, out):
+    """tan(x/2) of a float array x into out, which may be x itself: the
+    tangent half of ``_sin_cos``, always through ``np.tan`` (see there)."""
+    np.multiply(x, 0.5, out=out)
+    return np.tan(out, out=out)
+
+
+def _tangent_rotation(t, r, out):
+    """(sin x, cos x) from t = tan(x/2): the rotation half of ``_sin_cos``.
+
+    r = 2/(1 + t^2) goes into the float array ``r``, then sin x = t r and
+    cos x = r - 1 into ``out``, a pair of float arrays shaped like t, whose
+    first may be t and whose second may be r; r may not be t or sin x's
+    array. Each operation is one correctly rounded ufunc, so the bits do not
+    depend on the arrays' layouts.
+    """
+    sin, cos = out
+    np.multiply(t, t, out=r)
+    r += 1.0
+    np.divide(2.0, r, out=r)
+    np.multiply(t, r, out=sin)
+    np.subtract(r, 1.0, out=cos)
+    return sin, cos
+
+
 def _sin_cos(x, out=None):
     """(sin x, cos x) of a float array or scalar x from one tangent.
 
     With t = tan(x/2) and r = 2/(1 + t^2), sin x = t r and cos x = r - 1, the
     half-angle (Weierstrass) identities (Muller, Elementary Functions, 3rd
-    ed., 2016, ch. 11). ``out`` is a pair of float arrays shaped like x: t and
-    then sin x go into the first, which may be x itself, and r and then cos x
-    into the second, which may not; without it two new arrays do, and a 0-d
-    x gives numpy scalars. Every call goes through ``np.tan``, never
-    ``math.tan``, so 0-d, contiguous and strided inputs give the same bits.
+    ed., 2016, ch. 11): ``_half_tangent`` and then ``_tangent_rotation``.
+    ``out`` is a pair of float arrays shaped like x: t and then sin x go into
+    the first, which may be x itself, and r and then cos x into the second,
+    which may not; without it two new arrays do, and a 0-d x gives numpy
+    scalars. Every call goes through ``np.tan``, never ``math.tan``, so 0-d,
+    contiguous and strided inputs give the same bits.
 
     numpy's float64 sin and cos are scalar libm calls, about 20 ns a point
     each, while its tan is a SIMD (SVML) loop on AVX512 hosts: 34 us per 2^14
@@ -218,13 +244,7 @@ def _sin_cos(x, out=None):
     """
     x = np.asarray(x, dtype=float)
     t, r = out if out is not None else (np.empty(x.shape), np.empty(x.shape))
-    np.multiply(x, 0.5, out=t)
-    np.tan(t, out=t)
-    np.multiply(t, t, out=r)
-    r += 1.0
-    np.divide(2.0, r, out=r)
-    t *= r
-    r -= 1.0
+    _tangent_rotation(_half_tangent(x, out=t), r, out=(t, r))
     return (t[()], r[()]) if x.ndim == 0 else (t, r)
 
 
@@ -361,8 +381,18 @@ def _nls_coercive_exp() -> NlsNonlinearitySpec:
     e = float(np.e)
 
     def Fs(s):
+        # e expm1(r - 1), in place like Fs'' with r - 1 as s / ((1 + r) / 2):
+        # exp(r) - e cancels as s -> 0 (1.7e-4 relative at s = 1e-12)
         s = np.asarray(s, dtype=float)
-        return np.exp(np.sqrt(1.0 + 2.0 * s)) - e
+        x = np.multiply(s, 2.0, out=np.empty(s.shape))
+        x += 1.0
+        np.sqrt(x, out=x)
+        x += 1.0
+        x *= 0.5
+        np.divide(s, x, out=x)
+        np.expm1(x, out=x)
+        x *= e
+        return x
 
     def Fsprime(s):
         # in place, so that beside s it holds r and its result only

@@ -168,16 +168,20 @@ class NlsGronwall:
     F(|u+w|^2/2) - F(|u|^2/2) - f(u).w and the drift integrand, and the largest
     sup norm of any member. G and the shifted remainder are linear in the
     convexity shift A, so traces(A) applies A once the visited radius is known.
-    ||grad w||^2 comes from w_hat = v_hat - u_hat by Parseval, the defect's
-    potential integrals from the members' records (``Record.potential``; no
-    energy column is read, so no record sums a mass or gradient energy), and
-    the derivative of f at u from the reference's phase Fs'(|u|^2/2), so a
-    record evaluates Fs'' once for all members and makes one transform (the
-    reference's u_t). Each
-    member's w, spectrum difference, Df(u)w, force f(v) = v Fs'(|v|^2/2) and
-    drift residual are built in two complex buffers, with one real buffer as
-    Df(u)w's scratch, made after the member's potential integral; its record
-    caches only its spectrum. ``rows`` holds per record one row per member.
+    ||grad w||^2 comes from ``fftn(w)`` by Parseval: w = v - u is exact where
+    the parts of v and u are within a factor 2 of each other (Sterbenz's
+    lemma), where v_hat - u_hat would keep the rounding of both spectra, and
+    no member's record makes a spectrum of its own. The defect's potential
+    integrals come from the members' records (``Record.potential``; no energy
+    column is read, so no record sums a mass or gradient energy), and the
+    derivative of f at u from the reference's phase Fs'(|u|^2/2), so a record
+    evaluates Fs'' once for all members and makes one transform per member
+    (its w_hat) beside the reference's u_t. A sup norm is sqrt(max(re^2 +
+    im^2)), the reference's from the density Fs'' reads, not a hypot pass.
+    Each member's squares, w, w_hat, Df(u)w, force f(v) = v Fs'(|v|^2/2) and
+    drift residual are built in two complex buffers and one real buffer,
+    made after the member's potential integral; its record caches no field.
+    ``rows`` holds per record one row per member.
     """
 
     def __init__(self, spec, grid):
@@ -186,24 +190,30 @@ class NlsGronwall:
 
     def observe(self, ref):
         spec, grid = self.spec, self.grid
-        u, uh, fu, dtu = ref.u, ref.uh, ref.force, ref.ut
+        u, fu, dtu = ref.u, ref.force, ref.ut
         phase = ref.state.phase
-        curv = spec.Fsprime2(density(u))
+        s = density(u)
+        # sup |u| = sqrt(2 max s): re^2 + im^2 halved and doubled exactly
+        self.sup_norm = max(self.sup_norm, float(np.sqrt(2.0 * s.max())))
+        curv = spec.Fsprime2(s)
         self.times.append(ref.t)
-        self.sup_norm = max(self.sup_norm, float(np.max(np.abs(u))))
         self.rows.append(rows := [])
 
         def read(rec):
-            self.sup_norm = max(self.sup_norm, float(np.max(np.abs(rec.u))))
+            v = rec.u
             # the member's fields are built in these three buffers
             w, c, re = np.empty_like(u), np.empty_like(u), np.empty(u.shape)
-            np.subtract(rec.u, u, out=w)
-            gw = parseval_norm_sq(np.subtract(rec.uh, uh, out=c), grid, gradient=True)
+            # sup |v| as sqrt(max(re^2 + im^2)), squared in re and w's real plane
+            np.square(v.real, out=re)
+            re += np.square(v.imag, out=w.real)
+            self.sup_norm = max(self.sup_norm, float(np.sqrt(re.max())))
+            np.subtract(v, u, out=w)
+            gw = parseval_norm_sq(np.fft.fftn(w, out=c), grid, gradient=True)
             # int F(|u+w|^2/2) - F(|u|^2/2) - Re(f(u) conj(w))
             defect = rec.potential - ref.potential - l2_inner(fu, w, grid)
             row = (gw, l2_norm_sq(w, grid), defect)
             dfw = spec.dforce(u, w, phase, curv, out=w, scratch=(c, re))
-            drift = np.multiply(rec.u, rec.state.phase, out=c)  # f(v), as force(rec) makes it
+            drift = np.multiply(v, rec.state.phase, out=c)  # f(v), as force(rec) makes it
             drift -= fu
             drift -= dfw
             rows.append(row + (-l2_inner(drift, dtu, grid),))

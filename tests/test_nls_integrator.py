@@ -20,6 +20,7 @@ from supercrit.nonlinearity import (
     AssumptionClass,
     NlsNonlinearitySpec,
     _sin_cos,
+    density,
     from_selection,
 )
 from supercrit.stepping import BlowUpError, Record, RunSchedule, integrate, run_single
@@ -84,25 +85,37 @@ def test_nonlinear_flow_preserves_modulus_pointwise():
 
 @pytest.mark.parametrize("name", ["nls_cubic", "nls_coercive_exp"])
 def test_stepper_rotation_is_the_kernels_and_unimodular(name):
-    # the initial rotation is built in the real and imaginary planes of one
-    # complex array, a step's in the spent rotation's contiguous halves; the
-    # bits of both are those of the kernel on the angle phase dt/2
+    # a state keeps the tangent of its half rotation's half angle, and a step
+    # rebuilds the opening rotation in the new u's buffer and the closing one
+    # in the old u's; both are bitwise the kernel's on the angle phase dt/2
     grid = GridSpec(2, 32, 16.0)
     u = bump_field(grid, 2.5, 4.0).astype(complex) * np.exp(0.7j * grid.coords()[1])
     cfg = RunSchedule(grid, from_selection(name), 0.05, 1.0)
     stepper, state = member(cfg, u)
+    half = 0.5 * cfg.step()
+
+    def rotation(phase):
+        sin, cos = _sin_cos(phase * half)
+        rot = np.empty(phase.shape, complex)
+        rot.real, rot.imag = cos, sin
+        assert np.abs(np.abs(rot) - 1.0).max() <= 1e-15
+        return rot
+
     for _ in range(2):
-        sin, cos = _sin_cos(state.phase * (0.5 * cfg.step()))
-        assert np.array_equal(state.rot.imag.view(np.int64), sin.view(np.int64))
-        assert np.array_equal(state.rot.real.view(np.int64), cos.view(np.int64))
-        assert np.abs(np.abs(state.rot) - 1.0).max() <= 1e-15
-        state = stepper(state)  # overwrites the spent rotation
+        tan = np.tan(state.phase * half * 0.5)
+        assert np.array_equal(state.tan.view(np.int64), tan.view(np.int64))
+        v = np.fft.ifftn(nls_integrator._propagate(np.fft.fftn(state.u * rotation(state.phase)),
+                                                   stepper.prop))
+        v *= rotation(cfg.spec.Fsprime(density(v)))
+        state = stepper(state)  # overwrites the old state's arrays
+        assert np.array_equal(state.u.view(np.int64), v.view(np.int64))
 
 
 @pytest.mark.parametrize("name", ["nls_cubic", "nls_coercive_exp"])
 def test_strang_step_allocates_only_the_new_states_arrays(name):
-    # the tangent kernel runs on the previous state's rotation, which the step
-    # has used up, so no scratch buffer joins the new u, phase and rotation
+    # the rotations are built in the new u's buffer and in the old u's, so a
+    # step allocates the new u, phase and tangent, 32 bytes per point, and at
+    # its peak the density and Fs' temporaries beside the new u and phase
     grid = GridSpec(2, 128, 40.0)
     stepper, state = member(RunSchedule(grid, from_selection(name), 0.005, 0.5),
                             bump_field(grid, 1.0, 5.0))
@@ -113,7 +126,22 @@ def test_strang_step_allocates_only_the_new_states_arrays(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= new.u.nbytes + new.phase.nbytes + new.rot.nbytes + 4096
+    points = grid.N ** grid.d
+    # between steps a state holds u, phase and tangent only
+    assert sum(a.nbytes for a in vars(new).values() if isinstance(a, np.ndarray)) == 32 * points
+    assert peak <= 40 * points + 4096
+
+
+def test_member_does_not_write_a_complex_u0():
+    # the first step overwrites its state's u, so member copies a u0 it was
+    # handed, whole or as a view
+    grid = GridSpec(1, 64, 8.0)
+    u0 = bump_field(grid, 1.0, 2.0).astype(complex)
+    kept = u0.copy()
+    for given in (u0, u0[:]):
+        stepper, state = member(RunSchedule(grid, from_selection("nls_cubic"), 0.01, 0.1), given)
+        stepper(state)
+        assert np.array_equal(u0, kept)
 
 
 def test_nonlinear_flow_aborts_on_singular_phase():

@@ -252,6 +252,18 @@ def test_coercive_curvature_keeps_its_relative_accuracy_as_the_density_vanishes(
     assert abs(float((got - want) / want)) <= 5e-16
 
 
+@pytest.mark.parametrize("s", [1e-4, 1e-8, 1e-12])
+def test_coercive_potential_keeps_its_relative_accuracy_as_the_density_vanishes(s):
+    # exp(r) - e with r = sqrt(1 + 2s) rounded first was off by 2.4e-13, 2.4e-9
+    # and 1.7e-4 relative at these densities; the exact e expm1(2s / (1 + r))
+    # is taken in long double from s itself
+    spec = from_selection("nls_coercive_exp")
+    S = np.longdouble(s)
+    want = np.exp(np.longdouble(1)) * np.expm1(2 * S / (1 + np.sqrt(1 + 2 * S)))
+    got = spec.Fs(np.array([s]))[0]
+    assert abs(float((got - want) / want)) <= 5e-16
+
+
 def test_integer_powers_are_numpys_up_to_2_and_products_above():
     u = np.random.default_rng(5).uniform(-3.0, 3.0, 1000)
     u[:4] = 0.0, -0.0, 1.0, -1.0

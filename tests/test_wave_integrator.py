@@ -415,6 +415,28 @@ def test_residual_does_not_depend_on_the_block_size(monkeypatch):
         assert np.array_equal(kick.view(np.int64), expected.view(np.int64))
 
 
+@pytest.mark.parametrize("d, N", [(1, 256), (3, 16)])
+def test_flow_does_not_depend_on_the_chunk_size(monkeypatch, d, N):
+    # the flow takes whole axis-0 rows of about field_core._BLOCK points a
+    # chunk, at most half the kick's rows: at d = 3, N = 16 a row is 144
+    # points, so blocks of 10 make chunks of one row, 1000 of six and 2^20 of
+    # eight; at d = 1 a row is one point, so chunks of 10, 100 and 64
+    grid = GridSpec(d, N, 8.0)
+    u0 = bump_field(grid, 0.7, 2.5) * np.random.default_rng(3).uniform(-1, 1, grid.shape)
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), stable_dt(grid.h, d), 0.5)
+    states = []
+    for block in (10, 100 if d == 1 else 1000, 1 << 20):
+        monkeypatch.setattr(field_core, "_BLOCK", block)
+        stepper, state = member(cfg, u0)
+        for _ in range(3):
+            state = stepper(state)
+        states.append(state)
+    for state in states[1:]:
+        for name in ("u", "uh", "uth", "rh"):
+            got, want = getattr(state, name), getattr(states[0], name)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", ["defocusing_exp:m=1", "pure_power:p=3"])

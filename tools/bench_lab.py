@@ -58,8 +58,8 @@ Rows:
   are, so mpoints also counts the opening rotation's Fs' of the member;
 * ``layer.record.wave``            one diagnostics record of that member's initial
   state, as a simulate-wave run makes it: the energies (F on the grid, Parseval
-  sums of the half spectra), the boundary shares (shell and, in trees that
-  have it, spectral tail) and the sup norm; each call observes a new record
+  sums of the half spectra), the boundary shares (shell and spectral
+  tail) and the sup norm; each call observes a new record
   of the same state, and mpoints also counts the set-up's f where the member
   makes the opening kick;
 * ``layer.record.nls``             one record of a weak-strong run of the
@@ -100,7 +100,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import inspect
 import io
 import json
 import os
@@ -128,8 +127,6 @@ SWEEP = {"R": 2.0, "n_random": 1_000_000, "seed": 0}
 NLS_SPEC = "nls_cubic"
 SHIFT_SWEEP = {"R": 2.0, "n_random": 200_000, "seed": 0}
 NLS_SWEEP = {"R": 2.0, "n_random": 400_000, "seed": 0}
-# the dimension of the lab's constants, an argument in trees that still take one
-LAB_D = 3
 WAVE_SPEC = "defocusing_exp:m=1"
 # e2e row: (subcommand, config text), each a workload's config at seed 0
 E2E = {
@@ -206,17 +203,6 @@ def _wave_run(config, runner, wave_integrator, spec):
     cfg = config.parse_config(WORKLOADS["wave3d"].config_text(0), "simulate-wave")
     base = runner._base_config(cfg, spec)
     return base, [wave_integrator.member(base, runner._bump(cfg, base.grid))]
-
-
-def _lab_args(constants, sweep: dict) -> dict:
-    """sweep as the keywords of the lab's constants, with d = LAB_D where they take it."""
-    return {**sweep, "d": LAB_D} if "d" in inspect.signature(constants).parameters else sweep
-
-
-def _trace(stepping, grid):
-    """A diagnostics trace, given the grid in trees whose trace still takes one."""
-    takes_grid = "grid" in {f.name for f in dataclasses.fields(stepping.DiagnosticTrace)}
-    return stepping.DiagnosticTrace(grid=grid) if takes_grid else stepping.DiagnosticTrace()
 
 
 def _stepper(make_member):
@@ -311,15 +297,11 @@ def worker(src: str) -> dict:
     rows["layer.nonlinearity.jet"] = _measure(lambda s: s.jet(u, 2), lambda: base)
     with np.errstate(over="ignore", invalid="ignore"):
         rows["layer.sweep.H11+H22"] = _measure(
-            lambda s: assumption_lab._wave_constants(
-                s, **_lab_args(assumption_lab._wave_constants, SWEEP)),
-            lambda: base)
+            lambda s: assumption_lab._wave_constants(s, **SWEEP), lambda: base)
     rows["layer.sweep.ClaimA"] = _measure(
         lambda s: assumption_lab.find_convexity_shift(s, **SHIFT_SWEEP), lambda: nls)
     rows["layer.sweep.Gronw6+H222"] = _measure(
-        lambda s: assumption_lab._nls_constants(
-            s, **_lab_args(assumption_lab._nls_constants, NLS_SWEEP)),
-        lambda: nls)
+        lambda s: assumption_lab._nls_constants(s, **NLS_SWEEP), lambda: nls)
     wave = nonlinearity.from_selection(WAVE_SPEC)
 
     def wave_run(spec):
@@ -328,7 +310,7 @@ def worker(src: str) -> dict:
     rows["layer.step.wave"] = _measure(_stepper(lambda spec: wave_run(spec)[1][0]),
                                        lambda: wave, per=STEPS)
     rows["layer.record.wave"] = _measure(
-        _record(wave_run, stepping, lambda spec, grid: _trace(stepping, grid)),
+        _record(wave_run, stepping, lambda spec, grid: stepping.DiagnosticTrace()),
         lambda: wave)
     ladder_spec = nonlinearity.from_selection(
         config.parse_config(WORKLOADS["nls-ladder"].config_text(0), "weak-strong").nonlinearity)
