@@ -31,14 +31,16 @@ phase. The propagator exp(i |xi|^2 dt) is a cached table;
 0..N/2 of axis 0 only, and ``field_core.mirror_halves`` applies it to all N
 rows in two calls. At a record the stepper gives the ``Record`` fields: the
 spectrum u_hat (one ``fftn``, made only for a record whose energies, boundary
-shares or u_t are read) and f(u) = u * phase; the
-potential integral sums F(|u|^2/2) over blocks of u, so no record builds a
+shares or u_t are read) and f(u) = u * phase, which no run's record caches;
+the potential integral sums F(|u|^2/2) over blocks of u, so no record builds a
 potential density; the mass and the gradient energy, from u_hat by Parseval
 (``field_core.parseval_norm_sq``), are summed only for a record whose energy
 columns are read; and u_t = -i (Lap u - f(u)) takes one ``ifftn`` of
--|xi|^2 u_hat, which is made in one new array from -u_hat and the |xi|^2
-table of the Parseval gradient, mirrored like the propagator. No run makes a
-full-grid |xi|^2.
+-|xi|^2 u_hat, made in u_hat's own buffer with the |xi|^2 table of the
+Parseval gradient, mirrored like the propagator, and f(u) as a transient
+product. u_t takes that buffer from the record (``Record.take_spectrum``), so
+a record holds its spectrum or its u_t, not both, and a read of u_hat after
+u_t transforms u again; no run makes one. No run makes a full-grid |xi|^2.
 
 ``strang_step``, ``linear_flow`` and ``nonlinear_flow`` take one Strang step
 from its three substeps; no run calls them, they are the tests' oracles for
@@ -209,11 +211,13 @@ class _SpectralStrang:
         return l2_norm_sq(rec.u, self.grid), grad + pot, grad, pot
 
     def velocity(self, rec) -> np.ndarray:
-        """u_t recovered from the equation: u_t = -i (Lap u - f(u))."""
+        """u_t recovered from the equation: u_t = -i (Lap u - f(u)), in the
+        buffer of the record's spectrum, which it takes."""
         # -|xi|^2 u_hat, the product of the exact negation -u_hat
-        ut = _propagate(np.negative(rec.uh), self.ksq)
+        ut = rec.take_spectrum()
+        _propagate(np.negative(ut, out=ut), self.ksq)
         np.fft.ifftn(ut, out=ut)  # Lap u
-        ut -= rec.force
+        ut -= self.force(rec)
         ut *= -1j
         return ut
 

@@ -123,21 +123,15 @@ class NlsNonlinearitySpec:
         """f(u) = u Fs'(|u|^2 / 2) on complex fields."""
         return u * self.Fsprime(density(u))
 
-    def dforce(self, u: np.ndarray, w: np.ndarray, phase, curv, out=None,
-               scratch=None) -> np.ndarray:
+    def dforce(self, u: np.ndarray, w: np.ndarray, phase, curv) -> np.ndarray:
         """Real-linear derivative Df(u)w = Fs'(s) w + Fs''(s) Re(u conj(w)) u.
 
-        ``phase`` and ``curv`` are Fs'(s) and Fs''(s) at u, s = |u|^2/2. The
-        result goes into ``out`` if given, which may be w itself. ``scratch``,
-        a complex and a real array shaped like u, neither of them w, holds the
-        intermediate products; without it two new arrays do.
+        ``phase`` and ``curv`` are Fs'(s) and Fs''(s) at u, s = |u|^2/2.
         """
-        t, re = scratch if scratch is not None else (np.empty(u.shape, complex),
-                                                     np.empty(u.shape))
-        np.multiply(u, np.conj(w, out=t), out=t)
-        np.multiply(curv, t.real, out=re)
-        np.multiply(re, u, out=t)
-        out = np.multiply(phase, w, out=out)
+        t = np.conj(w)
+        np.multiply(u, t, out=t)
+        np.multiply(curv * t.real, u, out=t)
+        out = phase * w
         out += t
         return out
 

@@ -118,15 +118,23 @@ def _do_simulate(cfg: ExperimentConfig):
 def _do_weak_strong(cfg: ExperimentConfig):
     """Reference vs perturbed-data ladder; one Gronwall trace per epsilon."""
     ladder = cfg.ladder or DEFAULT_LADDER
-    grid = cfg.grid()
-    pert = bump_field(grid, 1.0, 0.8 * cfg.radius)
     base = _base_config(cfg, cfg.spec())
-    traces, boundary = gronwall_ladder(base, _bump(cfg, grid), pert, ladder, seed=cfg.seed)
+    summary = {"ladder": list(ladder), "members": []}
 
+    def data(grid):
+        # built in the ladder's call, so the bump and the perturbation go once
+        # the members are built: the perturbation's norm is taken here
+        pert = bump_field(grid, 1.0, 0.8 * cfg.radius)
+        summary["pert_l2_sq"] = l2_norm_sq(pert, grid)
+        return _bump(cfg, grid), pert
+
+    traces, boundary = gronwall_ladder(base, data, ladder, seed=cfg.seed)
+
+    grid = base.grid
     volume = grid.N ** grid.d * grid.cell_volume
     outcome = OUTCOME_VIOLATION if ladder_problems(ladder, traces, volume) else OUTCOME_OK
     files = {}
-    summary = {"ladder": list(ladder), "members": [], "boundary": asdict(boundary)}
+    summary["boundary"] = asdict(boundary)
     g0, amp = ladder_ratios(ladder, traces)
     for i, (eps, tr) in enumerate(zip(ladder, traces)):
         files[f"{i}.json"] = _json_bytes(tr.as_dict())
@@ -141,7 +149,6 @@ def _do_weak_strong(cfg: ExperimentConfig):
         if tr.remainder_min is not None:
             member["remainder_min"] = tr.remainder_min
         summary["members"].append(member)
-    summary["pert_l2_sq"] = l2_norm_sq(pert, grid)
     files["summary.json"] = _json_bytes(summary)
     return _judged(boundary, outcome), files
 

@@ -40,7 +40,9 @@ share them:
   reads ``potential``, so its run sums no other energy;
 * ``ut`` [``velocity``]: the physical u_t;
 * ``uh`` [``spectrum``]: the spectrum of u (the ``np.fft.fftn`` spectrum
-  for NLS, the ``np.fft.rfftn`` half spectrum for wave);
+  for NLS, the ``np.fft.rfftn`` half spectrum for wave). A stepper may take
+  it for a buffer (``take_spectrum``), as the NLS u_t does: the record then
+  forgets it, so a later read of ``uh`` transforms u again;
 * ``force`` [``force``]: f(u);
 * ``leakage`` and ``tail``: the boundary shares of u and ``uh``
   (``field_core.leakage``), computed together, with no transform.
@@ -195,6 +197,13 @@ class Record:
     @cached_property
     def uh(self) -> np.ndarray:
         return self.stepper.spectrum(self)
+
+    def take_spectrum(self) -> np.ndarray:
+        """uh, handed to the caller to overwrite: the record forgets it, so a
+        later read of uh computes it again."""
+        uh = self.uh
+        del self.uh
+        return uh
 
     @cached_property
     def force(self) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Discrepancy functionals between trajectory pairs and the Gronwall mechanism.
 
-A "weak-like" trajectory is any of three proxy families: the Lipschitz
-truncation ladder, coarse grids, or perturbed data. All conclusions are about
-these proxies; no genuinely non-smooth weak solution is constructed.
+A "weak-like" trajectory is either of two proxy families: the Lipschitz
+truncation ladder or perturbed data. All conclusions are about these
+proxies; no genuinely non-smooth weak solution is constructed.
 
 Every functional is an observer of a lockstep run (``stepping.integrate``):
 the reference is member 0, the proxies are the other members, and each
@@ -171,17 +171,24 @@ class NlsGronwall:
     ||grad w||^2 comes from ``fftn(w)`` by Parseval: w = v - u is exact where
     the parts of v and u are within a factor 2 of each other (Sterbenz's
     lemma), where v_hat - u_hat would keep the rounding of both spectra, and
-    no member's record makes a spectrum of its own. The defect's potential
-    integrals come from the members' records (``Record.potential``; no energy
-    column is read, so no record sums a mass or gradient energy), and the
-    derivative of f at u from the reference's phase Fs'(|u|^2/2), so a record
-    evaluates Fs'' once for all members and makes one transform per member
-    (its w_hat) beside the reference's u_t. A sup norm is sqrt(max(re^2 +
-    im^2)), the reference's from the density Fs'' reads, not a hypot pass.
-    Each member's squares, w, w_hat, Df(u)w, force f(v) = v Fs'(|v|^2/2) and
-    drift residual are built in two complex buffers and one real buffer,
-    made after the member's potential integral; its record caches no field.
-    ``rows`` holds per record one row per member.
+    no member's record makes a spectrum of its own.
+
+    No record builds f(u). With phi = Fs'(|.|^2/2), the phase each state
+    holds, and r = Re(u conj(w)), the pairing f(u).w is the sum of phi_u r,
+    and the drift f(v) - f(u) - Df(u)w is v (phi_v - phi_u) - Fs''(s) r u,
+    which subtracts no two O(1) fields: it keeps the digits that
+    f(v) - f(u) - Df(u)w loses to cancellation. The defect's potential
+    integrals come from the members' records (``Record.potential``; no
+    energy column is read, so no record sums a mass or gradient energy), and
+    Fs''(s) from the reference's density, evaluated once for all members. The
+    reference's u_t takes its spectrum's buffer (``Record.take_spectrum``),
+    so a record holds the reference's u_t and Fs''(s) and makes one transform
+    per member (its w_hat) beside the reference's two. A sup norm is
+    sqrt(max(re^2 + im^2)), the reference's from the density Fs'' reads, not
+    a hypot pass. Each member's squares, w, w_hat, r and drift are built in
+    two complex buffers and one real buffer, made after the member's
+    potential integral; its record caches no field. ``rows`` holds per
+    record one row per member.
     """
 
     def __init__(self, spec, grid):
@@ -190,8 +197,7 @@ class NlsGronwall:
 
     def observe(self, ref):
         spec, grid = self.spec, self.grid
-        u, fu, dtu = ref.u, ref.force, ref.ut
-        phase = ref.state.phase
+        u, dtu, phase = ref.u, ref.ut, ref.state.phase
         s = density(u)
         # sup |u| = sqrt(2 max s): re^2 + im^2 halved and doubled exactly
         self.sup_norm = max(self.sup_norm, float(np.sqrt(2.0 * s.max())))
@@ -209,14 +215,17 @@ class NlsGronwall:
             self.sup_norm = max(self.sup_norm, float(np.sqrt(re.max())))
             np.subtract(v, u, out=w)
             gw = parseval_norm_sq(np.fft.fftn(w, out=c), grid, gradient=True)
-            # int F(|u+w|^2/2) - F(|u|^2/2) - Re(f(u) conj(w))
-            defect = rec.potential - ref.potential - l2_inner(fu, w, grid)
-            row = (gw, l2_norm_sq(w, grid), defect)
-            dfw = spec.dforce(u, w, phase, curv, out=w, scratch=(c, re))
-            drift = np.multiply(v, rec.state.phase, out=c)  # f(v), as force(rec) makes it
-            drift -= fu
-            drift -= dfw
-            rows.append(row + (-l2_inner(drift, dtu, grid),))
+            wl2 = l2_norm_sq(w, grid)
+            # r = Re(u conj(w)), with c's real plane as scratch
+            np.multiply(u.real, w.real, out=re)
+            re += np.multiply(u.imag, w.imag, out=c.real)
+            # int F(|u+w|^2/2) - F(|u|^2/2) - Re(f(u) conj(w)), the pairing phi_u r
+            defect = rec.potential - ref.potential - l2_inner(phase, re, grid)
+            # f(v) - f(u) - Df(u)w = v (phi_v - phi_u) - Fs''(s) r u
+            np.multiply(u, np.multiply(re, curv, out=re), out=c)
+            drift = np.multiply(v, np.subtract(rec.state.phase, phase, out=re), out=w)
+            drift -= c
+            rows.append((gw, wl2, defect, -l2_inner(drift, dtu, grid)))
         return read
 
     def result(self) -> NlsGronwall:
@@ -237,9 +246,14 @@ class NlsGronwall:
         return traces
 
 
-def gronwall_ladder(base, u0: np.ndarray, pert: np.ndarray, ladder, seed: int = 0):
+def _members(member, base, u0: np.ndarray, pert: np.ndarray, ladder) -> list:
+    """The reference member from u0 and one member from u0 + eps * pert per eps."""
+    return [member(base, u0)] + [member(base, u0 + eps * pert) for eps in ladder]
+
+
+def gronwall_ladder(base, data, ladder, seed: int = 0):
     """Gronwall traces of the members u0 + eps * pert against u0, run on base,
-    and the reference's ``stepping.Boundary``.
+    and the reference's ``stepping.Boundary``; data(base.grid) gives (u0, pert).
 
     Wave data start at rest. The reference and every member are stepped in
     lockstep. For NLS the convexity shift A is estimated after the run at
@@ -249,11 +263,12 @@ def gronwall_ladder(base, u0: np.ndarray, pert: np.ndarray, ladder, seed: int = 
     nls = isinstance(base.spec, NlsNonlinearitySpec)
     member = nls_member if nls else wave_member
     observer = (NlsGronwall if nls else WaveGronwall)(base.spec, base.grid)
-    # no member state outlives the run: the members are built in the call, so
-    # each initial state goes at its first step, and the final records are
-    # dropped here, before the shift allocates its sample plan
-    (result,), boundary = integrate([member(base, u0)] + [member(base, u0 + eps * pert)
-                                                          for eps in ladder], base, [observer])[1:]
+    # no initial field outlives the run's start: data's fields are built in
+    # the call that builds the members, so they go once the members are
+    # built, and each initial state goes at its first step; the final
+    # records are dropped here, before the shift allocates its sample plan
+    (result,), boundary = integrate(_members(member, base, *data(base.grid), ladder),
+                                    base, [observer])[1:]
     if not nls:
         return result, boundary
     R = max(result.sup_norm, SHIFT_R_FLOOR)

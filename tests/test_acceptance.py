@@ -253,7 +253,7 @@ def test_criterion_5_energy_expansion():
         pert = bump_field(grid, 1.0, 0.8)
         cfg = RunSchedule(grid, spec, 0.25 * grid.h, 0.5)
         # the eps = 0 member is the reference itself
-        (pert_tr, self_tr), _ = gronwall_ladder(cfg, u0, pert, (1e-2, 0.0))
+        (pert_tr, self_tr), _ = gronwall_ladder(cfg, lambda grid: (u0, pert), (1e-2, 0.0))
         residuals.append(pert_tr.expansion_residual)
     orders = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     self_residual = self_tr.expansion_residual
@@ -277,7 +277,7 @@ def _wave_ladder(spec_name, dt_factor):
     u0 = bump_field(grid, 0.5, 1.0)
     pert = bump_field(grid, 1.0, 0.8)
     base = RunSchedule(grid, spec, dt_factor * grid.h, 1.0)
-    return gronwall_ladder(base, u0, pert, LADDER)[0]
+    return gronwall_ladder(base, lambda grid: (u0, pert), LADDER)[0]
 
 
 def _nls_ladder(dt):
@@ -286,7 +286,7 @@ def _nls_ladder(dt):
     u0 = bump_field(grid, 0.5, 3.0).astype(complex)
     pert = bump_field(grid, 1.0, 2.4)
     base = RunSchedule(grid, spec, dt, 1.0)
-    return gronwall_ladder(base, u0, pert, LADDER)[0]
+    return gronwall_ladder(base, lambda grid: (u0, pert), LADDER)[0]
 
 
 def _ladder_checks(name, coarse, fine, volume, problems):

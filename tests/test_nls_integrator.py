@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from supercrit import config, field_core, nls_integrator, weak_strong
+from supercrit import config, field_core, nls_integrator, runner, weak_strong
 from supercrit.cli import main
 from supercrit.field_core import GridSpec, NlsState, bump_field, l2_norm_sq, nls_energy
 from supercrit.nls_integrator import (
@@ -265,19 +265,42 @@ def ladder_config(steps=10, stride=3):
 
 
 def test_ladder_transforms_two_per_step_one_per_record(monkeypatch):
-    calls = []
+    # the nls-ladder workload's run: 2 transforms per member step, and per
+    # record 2 for the reference (u_hat, then u_t in its buffer) and 1 per
+    # member (w_hat). A read of u_hat after u_t took it would add an fftn
+    calls = {}
     for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
-        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(_fn)
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    cfg, u0, pert, ladder = ladder_config()
-    traces, _ = weak_strong.gronwall_ladder(cfg, u0, pert, ladder)
-    members, records = 1 + len(ladder), len(traces[0].times)
-    assert records == 5  # t = 0, steps 3, 6, 9 and the last
-    # per record: one forward transform per member for the energies and
-    # grad w, and one inverse transform for the reference's u_t
-    assert len(calls) == 2 * cfg.steps() * members + records * members + records
+    cfg = config.parse_config("nonlinearity = nls_coercive_exp\nd = 2\nN = 128\nL = 40\n"
+                              "radius = 5\nT = 0.5\ndt = 0.005\n", "weak-strong")
+    outcome, _ = runner._do_weak_strong(cfg)
+    members, steps, records = 4, 100, 101
+    assert outcome == "ok"
+    assert calls == {"fftn": members * steps + records + (members - 1) * records,
+                     "ifftn": members * steps + records}
+    assert sum(calls.values()) == 1305
+
+
+def test_nls_u_t_takes_the_record_spectrum_and_a_later_read_recomputes_it(monkeypatch):
+    grid = GridSpec(2, 32, 8.0)
+    stepper, state = member(RunSchedule(grid, from_selection("nls_coercive_exp"), 0.01, 0.02),
+                            bump_field(grid, 0.5, 1.0) * np.exp(0.5j * grid.coords()[0]))
+    rec = Record(stepper, state)
+    uh = rec.uh
+    ut = rec.ut
+    # u_t is made in the spectrum's buffer, which the record no longer holds
+    assert ut is uh and "uh" not in vars(rec)
+    lap = np.fft.ifftn(-grid.wavenumber_sq() * np.fft.fftn(rec.u))
+    assert np.array_equal(ut, -1j * (lap - rec.u * state.phase))
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(1) or fftn(*a, **k))
+    assert np.array_equal(rec.uh, np.fft.fftn(rec.u)) and rec.uh is not ut
+    assert len(calls) == 2  # the record's new spectrum and the check's
+    assert rec.ut is ut
 
 
 def test_nls_ladder_sums_no_energy_column(monkeypatch):
@@ -292,7 +315,7 @@ def test_nls_ladder_sums_no_energy_column(monkeypatch):
 
     monkeypatch.setattr(nls_integrator._SpectralStrang, "energy", counted)
     cfg, u0, pert, ladder = ladder_config()
-    traces, _ = weak_strong.gronwall_ladder(cfg, u0, pert, ladder)
+    traces, _ = weak_strong.gronwall_ladder(cfg, lambda grid: (u0, pert), ladder)
     assert len(traces) == len(ladder) and len(traces[0].times) == 5
     assert calls == []
 
@@ -318,7 +341,7 @@ def test_ladder_evaluates_phase_once_per_member_and_step(monkeypatch):
 
     monkeypatch.setattr(weak_strong, "find_convexity_shift", counted_shift)
     base = dataclasses.replace(cfg, spec=dataclasses.replace(cfg.spec, Fsprime=counted))
-    weak_strong.gronwall_ladder(base, u0, pert, ladder)
+    weak_strong.gronwall_ladder(base, lambda grid: (u0, pert), ladder)
     # records, forces and the derivative of f reuse the stepper's phase
     assert calls["run"] == (cfg.steps() + 1) * (1 + len(ladder))
 

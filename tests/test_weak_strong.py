@@ -1,5 +1,6 @@
 """Discrepancy functionals, certificate fitting, and the truncation ladder."""
 
+import json
 import tracemalloc
 import weakref
 from dataclasses import asdict, replace
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from supercrit.assumption_lab import find_convexity_shift
-from supercrit.field_core import GridSpec, bump_field, l2_norm_sq, parseval_norm_sq
-from supercrit import field_core, stepping, weak_strong
+from supercrit.config import DEFAULT_LADDER, parse_config
+from supercrit.field_core import GridSpec, bump_field, l2_inner, l2_norm_sq, parseval_norm_sq
+from supercrit import field_core, runner, stepping, weak_strong
 from supercrit.nls_integrator import member as nls_member
 from supercrit.nonlinearity import density, from_selection, two_star
 from supercrit.stepping import RunSchedule, integrate, run_single
@@ -33,7 +35,7 @@ def wave_ladder(ladder=(1e-2,), N=128, T=0.5, spec_name="defocusing_exp:m=1"):
     u0 = bump_field(grid, 0.5, 1.0)
     pert = bump_field(grid, 1.0, 0.8)
     cfg = RunSchedule(grid, spec, 0.25 * grid.h, T)
-    return gronwall_ladder(cfg, u0, pert, ladder)[0]
+    return gronwall_ladder(cfg, lambda grid: (u0, pert), ladder)[0]
 
 
 def force_samples(cfg, u0):
@@ -118,7 +120,8 @@ def test_wave_ladder_evaluates_the_potential_once_per_state_and_record():
 
     cfg = RunSchedule(grid, replace(base, F=counted), 0.25 * grid.h, 0.25)
     ladder = (1e-1, 1e-2)
-    gronwall_ladder(cfg, bump_field(grid, 0.5, 1.0), bump_field(grid, 1.0, 0.8), ladder)
+    gronwall_ladder(cfg, lambda grid: (bump_field(grid, 0.5, 1.0), bump_field(grid, 1.0, 0.8)),
+                    ladder)
     states = 1 + len(ladder)
     assert sum(points) / (grid.N * states * cfg.records()) == 1.0
 
@@ -140,7 +143,7 @@ def test_nls_ladder_evaluates_the_potential_a_block_at_a_time(monkeypatch):
 
     cfg = RunSchedule(grid, replace(base, Fs=counted), 0.1, 0.2)
     u0 = bump_field(grid, 0.5, 2.0).astype(complex)
-    gronwall_ladder(cfg, u0, bump_field(grid, 1.0, 1.5), (1e-1, 1e-2))
+    gronwall_ladder(cfg, lambda grid: (u0, bump_field(grid, 1.0, 1.5)), (1e-1, 1e-2))
     assert grid.N ** grid.d > 512 and sizes and max(sizes) <= 512
 
 
@@ -167,6 +170,8 @@ def test_nls_gronwall_evaluates_curvature_once_per_record():
 class _AllocatingNlsGronwall(NlsGronwall):
     """NlsGronwall's rows with a new array per operation and np.sum's sums, the
     defect from its pointwise density: the oracle of its buffered observe.
+    Both take f(u).w as phi_u Re(u conj(w)) and the drift as
+    v (phi_v - phi_u) - Fs''(s) Re(u conj(w)) u, phi the states' phases.
 
     ``scales`` keeps per record and member the integral of |F(v)| + |F(u)|, the
     size of the potential integrals whose difference the defect is."""
@@ -177,7 +182,7 @@ class _AllocatingNlsGronwall(NlsGronwall):
 
     def observe(self, ref):
         spec, grid = self.spec, self.grid
-        u, fu, dtu = ref.u, ref.force, ref.ut
+        u, dtu, phase = ref.u, ref.ut, ref.state.phase
         Pu = spec.potential(u)
         # Fs'' at the density the observer reads: Fs'' keeps the relative
         # accuracy of s as s -> 0, so the ulps by which 0.5 |u|^2 differs move
@@ -190,10 +195,10 @@ class _AllocatingNlsGronwall(NlsGronwall):
         def read(rec):
             w = rec.u - u
             Pv = spec.potential(rec.u)
-            defect = Pv - Pu - np.real(fu * np.conj(w))
+            r = np.real(u * np.conj(w))
+            defect = Pv - Pu - phase * r
             scales.append(h * float(np.sum(np.abs(Pv) + np.abs(Pu))))
-            dfw = ref.state.phase * w + curv * np.real(u * np.conj(w)) * u
-            drift = rec.force - fu - dfw
+            drift = rec.u * (rec.state.phase - phase) - curv * r * u
             rows.append((
                 h / n * float(np.sum(grid.wavenumber_sq() * np.abs(np.fft.fftn(w)) ** 2)),
                 h * float(np.sum(np.abs(w) ** 2)),
@@ -249,7 +254,8 @@ def test_no_member_state_outlives_the_run_into_the_shift(monkeypatch):
     grid = GridSpec(1, 64, 16.0)
     u0 = bump_field(grid, 0.5, 2.0).astype(complex)
     cfg = RunSchedule(grid, from_selection("nls_cubic"), 1e-2, 0.05)
-    traces, _ = gronwall_ladder(cfg, u0, bump_field(grid, 1.0, 1.5), (1e-1, 1e-2, 1e-3))
+    traces, _ = gronwall_ladder(cfg, lambda grid: (u0, bump_field(grid, 1.0, 1.5)),
+                                (1e-1, 1e-2, 1e-3))
     assert len(traces) == 3
 
 
@@ -305,7 +311,7 @@ def test_single_run_releases_its_initial_state(monkeypatch, member, base):
 
 def _ladder(base):
     cfg, u0 = base()
-    return gronwall_ladder(cfg, u0, bump_field(cfg.grid, 1.0, 1.5), (0.1, 0.01))
+    return gronwall_ladder(cfg, lambda grid: (u0, bump_field(grid, 1.0, 1.5)), (0.1, 0.01))
 
 
 @pytest.mark.parametrize("observer, member, fresh, run", [
@@ -402,9 +408,11 @@ class _RecordOnly:
 
 
 def test_nls_ladder_record_holds_one_member_beside_the_reference():
-    # one record of a reference and three members: the energies and the
-    # Gronwall rows: 7.1 complex fields, 8.1 with a spectrum in each member's
-    # record. With every member's fields alive at once it measured 15.1
+    # one record of a reference and three members: the reference's u_t (in
+    # its spectrum's buffer) and Fs'', and one member's three buffers, 4
+    # complex fields: 5.1 measured, 7.1 with the reference's spectrum and f(u)
+    # beside its u_t, 8.1 with a spectrum in each member's record as well.
+    # With every member's fields alive at once it measured 15.1
     grid = GridSpec(2, 64, 40.0)
     spec = from_selection("nls_coercive_exp")
     u0 = bump_field(grid, 0.5, 5.0).astype(complex)
@@ -428,7 +436,7 @@ def test_nls_ladder_record_holds_one_member_beside_the_reference():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - entry) / (16 * grid.N ** grid.d) <= 7.5
+    assert (peak - entry) / (16 * grid.N ** grid.d) <= 5.5
     assert len(observer.rows) == 1 and len(observer.rows[0]) == 3
 
 
@@ -454,24 +462,89 @@ def test_nls_gradient_discrepancy_is_closer_to_long_double_than_the_spectra_diff
     assert abs(float((got - exact) / exact)) < abs(float((spectra - exact) / exact)) / 10.0
 
 
-def test_nls_ladder_peaks_below_64_bytes_per_point_and_state():
+def test_nls_weak_strong_peaks_below_52_bytes_per_point_and_state():
     # a state holds u, phase and the rotation's tangent, 32 bytes per point,
-    # and a record adds the reference's spectrum, u_t, force and curvature and
-    # one member's three buffers: 58.4 measured at d = 2, N = 128, against
-    # 70.4 with a rotation in every state and a spectrum in every member's record
-    grid = GridSpec(2, 128, 40.0)
-    cfg = RunSchedule(grid, from_selection("nls_coercive_exp"), 0.005, 0.05)
-    u0, pert = bump_field(grid, 1.0, 5.0), bump_field(grid, 1.0, 4.0)
-    ladder = (1e-3, 1e-2, 1e-1)
-    gronwall_ladder(cfg, u0, pert, ladder)  # warm the grid's cached tables
+    # and a record adds the reference's u_t and Fs'' and one member's two
+    # complex buffers and one real one, 64 bytes per point: 48 per point and
+    # state for the reference and three members, 50.3 measured at d = 2,
+    # N = 128. 62.4 with the initial fields alive through the run and the
+    # reference's spectrum and f(u) beside its u_t
+    text = ("nonlinearity = nls_coercive_exp\nd = 2\nN = 128\nL = 40\nradius = 5\n"
+            "T = 0.05\ndt = 0.005\n")
+    cfg = parse_config(text, "weak-strong")
+    runner._do_weak_strong(cfg)  # warm the grid's cached tables
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        gronwall_ladder(cfg, u0, pert, ladder)
+        runner._do_weak_strong(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - entry) / (grid.N ** grid.d * (1 + len(ladder))) <= 64.0
+    assert (peak - entry) / (cfg.N ** cfg.d * (1 + len(DEFAULT_LADDER))) <= 52.0
+
+
+def test_weak_strong_run_releases_the_bump_and_perturbation_by_its_first_step(monkeypatch):
+    built = []  # a weakref to each field the runner's bump_field builds
+    bump = runner.bump_field
+
+    def spied(*args, **kwargs):
+        field = bump(*args, **kwargs)
+        built.append(weakref.ref(field))
+        return field
+
+    monkeypatch.setattr(runner, "bump_field", spied)
+    alive = _alive_at_second_record(monkeypatch, NlsGronwall, lambda: list(built))
+    cfg = parse_config("nonlinearity = nls_cubic\nd = 2\nN = 32\nL = 16\nradius = 3\n"
+                       "T = 0.02\ndt = 0.005\nstride = 1\n", "weak-strong")
+    outcome, files = runner._do_weak_strong(cfg)
+    assert outcome == "ok" and len(built) == 2
+    # the bump u0, the perturbation, and the reference's and members' initial states
+    assert len(alive) == 2 + 1 + len(DEFAULT_LADDER) and not any(alive)
+    pert = bump_field(cfg.grid(), 1.0, 0.8 * cfg.radius)
+    assert json.loads(files["summary.json"])["pert_l2_sq"] == l2_norm_sq(pert, cfg.grid())
+
+
+@pytest.mark.parametrize("name", ["nls_cubic", "nls_coercive_exp"])
+def test_nls_drift_rate_is_closer_to_long_double_than_the_force_difference(name):
+    # the I rate -<f(v) - f(u) - Df(u)w, u_t> of the eps = 1e-3 member's first
+    # row, against long double from the same float64 fields (u, v, their
+    # phases, Fs''(s) and u_t): v (phi_v - phi_u) - Fs''(s) Re(u conj(w)) u
+    # subtracts no two O(1) fields. Measured 3.6e-15 and 6.4e-15 relative,
+    # against 4.8e-12 and 7.6e-8 for f(v) - f(u) - Df(u)w
+    grid = GridSpec(2, 128, 40.0)
+    spec = from_selection(name)
+    u0 = bump_field(grid, 1.0, 5.0) * np.exp(0.3j * grid.coords()[0])
+    v0 = u0 + 1e-3 * bump_field(grid, 1.0, 4.0)
+    cfg = RunSchedule(grid, spec, 0.005, 0.5)
+    fields = {}
+
+    class Fields:
+        def observe(self, ref):
+            fields.update(u=ref.u.copy(), ut=ref.ut.copy(), pu=ref.state.phase.copy())
+
+            def read(rec):
+                fields.update(v=rec.u.copy(), pv=rec.state.phase.copy())
+            return read
+
+        def result(self):
+            return self
+
+    observer = NlsGronwall(spec, grid)
+    with pytest.raises(_Recorded):
+        integrate([(_RecordOnly(stepper), state)
+                   for stepper, state in (nls_member(cfg, u0), nls_member(cfg, v0))],
+                  cfg, [observer, Fields()])
+    got = observer.rows[0][0][3]
+    u, v, ut, pu, pv = (fields[k] for k in ("u", "v", "ut", "pu", "pv"))
+    curv = spec.Fsprime2(density(u))
+    w = v - u
+    force_difference = -l2_inner(v * pv - u * pu - spec.dforce(u, w, pu, curv), ut, grid)
+    uL, vL, utL = (a.astype(np.clongdouble) for a in (u, v, ut))
+    puL, pvL, curvL = (a.astype(np.longdouble) for a in (pu, pv, curv))
+    driftL = vL * (pvL - puL) - curvL * np.real(uL * np.conj(vL - uL)) * uL
+    exact = -grid.cell_volume * np.sum(np.real(driftL * np.conj(utL)))
+    err = abs(float((got - exact) / exact))
+    assert err < 1e-13 and err < abs(float((force_difference - exact) / exact)) / 100.0
 
 
 def test_runs_leave_the_config_fields_unwritten():
@@ -482,7 +555,7 @@ def test_runs_leave_the_config_fields_unwritten():
     nls_u0 = (u0 + 1j * u1)
     before = u0.copy(), u1.copy(), nls_u0.copy()
     run_single(lambda c: wave_member(c, u0, u1), cfg)
-    gronwall_ladder(cfg, u0, bump_field(grid, 1.0, 1.5), (0.1, 0.01))
+    gronwall_ladder(cfg, lambda grid: (u0, bump_field(grid, 1.0, 1.5)), (0.1, 0.01))
     appendix_construction(replace(cfg, spec=from_selection("oscillating_sin:q=1")), u0,
                           (1.0, 2.0, 4.0))
     run_single(lambda c: nls_member(c, nls_u0), nls_cfg)
