@@ -9,10 +9,13 @@ is under-resolved puts its spectral tail in the shell too. That one rule is
 ``stepping.Boundary.reached``.
 
 Runs read |xi|^2 from one layout, the tables of ``table_wavenumber_sq``,
-which keep rows 0..N/2 of axis 0 (``mirror_halves``): the steppers'
-multipliers, the NLS u_t and every Parseval sum (``parseval_norm_sq``, which
-reads an ``fftn`` spectrum or an ``rfftn`` half spectrum by its shape). The
-full-grid ``GridSpec.wavenumber_sq`` is the oracles' and the tests' only.
+which keep rows 0..N/2 of every axis but the last, axis 0 at d = 2 and axes
+0 and 1 at d = 3 (``mirrored_chunks`` applies them to all N rows): the
+steppers' multipliers, the NLS u_t and every Parseval sum
+(``parseval_norm_sq``, which reads an ``fftn`` spectrum or an ``rfftn`` half
+spectrum by its shape). At d = 3 a table holds about a quarter of the
+points of the spectrum it multiplies. The full-grid
+``GridSpec.wavenumber_sq`` is the oracles' and the tests' only.
 
 The quadrature norms, pairings and Parseval sums and the boundary shares
 make no field-sized temporary: each is one ``np.einsum`` pass over its
@@ -41,7 +44,7 @@ __all__ = [
     "l2_inner",
     "gradient_norm_sq",
     "parseval_norm_sq",
-    "mirror_halves",
+    "mirrored_chunks",
     "wave_energy",
     "nls_energy",
     "leakage",
@@ -118,7 +121,7 @@ class GridSpec:
 
     def half_wavenumber_sq(self) -> np.ndarray:
         """|xi|^2 on the np.fft.rfftn half spectrum, a new array each call; the
-        tests' oracle for the tables kept on rows 0..N/2 of axis 0.
+        tests' oracle for the tables kept on rows 0..N/2.
 
         Its values are bitwise those of the last-axis half of wavenumber_sq().
         """
@@ -126,16 +129,12 @@ class GridSpec:
 
     def table_wavenumber_sq(self, half: bool) -> np.ndarray:
         """|xi|^2 as a multiplier table keeps it, a new array each call: on the
-        np.fft.fftn grid, or with ``half`` on the rfftn half spectrum, and for
-        d >= 2 on rows 0..N/2 of axis 0 only, which ``mirror_halves`` applies
-        to all N rows. Its values are bitwise those rows of wavenumber_sq()
-        (of half_wavenumber_sq())."""
-        shape = list(self.shape)
-        if half:
-            shape[-1] = self.N // 2 + 1
-        if self.d >= 2:
-            shape[0] = self.N // 2 + 1
-        return _wavenumber_sq(tuple(shape), self.N, self.L)
+        np.fft.fftn grid, or with ``half`` on the rfftn half spectrum, and on
+        rows 0..N/2 of every axis but the last, which ``mirrored_chunks``
+        applies to all N rows. Its values are bitwise those rows of
+        wavenumber_sq() (of half_wavenumber_sq())."""
+        last = self.N // 2 + 1 if half else self.N
+        return _wavenumber_sq((self.N // 2 + 1,) * (self.d - 1) + (last,), self.N, self.L)
 
 
 def _wavenumber_sq(shape: tuple, N: int, L: float) -> np.ndarray:
@@ -151,24 +150,53 @@ def _wavenumber_sq(shape: tuple, N: int, L: float) -> np.ndarray:
     return ksq
 
 
-def mirror_halves(n: int, *tables: np.ndarray) -> list:
-    """(rows, views) pairs that apply tables kept on rows 0..n/2 of axis 0 to a
-    spectrum whose axis 0 has all n rows, one call per pair on spectrum[rows].
+def mirrored_chunks(n: int, tables: tuple, chunk: int, scratch: np.ndarray | None = None):
+    """Yield (rows, views) pairs that apply tables kept as table_wavenumber_sq
+    keeps them to a spectrum whose axis 0 has n rows, one use per pair on
+    spectrum[rows], each done before the next pair is drawn.
 
-    Rows 0..n/2 read the tables; rows n/2+1..n-1, the frequencies -(n/2-1)..-1,
-    read the views table[n/2-1:0:-1], so a table even in its axis-0 frequency
-    gives bitwise the product of the full table. A table whose axis 0 already
-    has n rows is one pair, the whole spectrum. Only axis 0 is mirrored: views
-    reversed on a second axis too leave inner loops of n/2+1 elements, and
-    the wave flow at d = 3, N = 64 took 3.8-4.0 ms that way, against
-    1.8-1.9 ms mirrored on axis 0 and 2.0-2.2 ms with whole tables (median
-    of 30 calls each, 3 rounds, 2-vCPU Xeon, numpy 2.4).
+    The tables are walked in chunks of ``chunk`` axis-0 rows. Each chunk is
+    applied to its own rows and then to their mirror rows: the frequencies
+    -(n/2-1)..-1 are the forward slice n/2+1..n-1 of the spectrum, which reads
+    the chunk reversed on axis 0. At d = 3 a chunk's axis 1 is first expanded
+    once into contiguous scratch, rows 0..n/2 and then rows n/2-1..1 reversed,
+    so both uses read a chunk whose last two axes are the spectrum's. Views
+    reversed on axis 1 instead leave inner loops of a last axis only: the wave
+    flow at d = 3, N = 64 took 1.78-2.26 ms that way, against 1.01-1.33 ms
+    expanded and 0.88-1.13 ms with whole axis-1 tables (best of 30 calls, 5
+    rounds, 2-vCPU Xeon, numpy 2.4). A table even in each frequency so gives
+    bitwise the product of the whole table. A table whose axis 0 has n rows
+    is not mirrored, and neither is a table's last axis.
+
+    scratch is a flat contiguous array of the tables' dtype that holds
+    len(tables) expanded chunks, read only at d = 3; None allocates one.
     """
-    if tables[0].shape[0] == n:
-        return [(slice(None), tables)]
-    h = n // 2
-    return [(slice(0, h + 1), tables),
-            (slice(h + 1, n), tuple(t[h - 1:0:-1] for t in tables))]
+    rows, h = tables[0].shape[0], n // 2
+    if wide := tables[0].ndim == 3 and tables[0].shape[1] < n:
+        chunk = min(chunk, rows)
+        shape = (chunk, n, tables[0].shape[2])
+        size = chunk * shape[1] * shape[2]
+        if scratch is None:
+            scratch = np.empty(len(tables) * size, tables[0].dtype)
+        pieces = [scratch[k * size:(k + 1) * size].reshape(shape) for k in range(len(tables))]
+    for i in range(0, rows, chunk):
+        own = slice(i, min(i + chunk, rows))
+        views = [table[own] for table in tables]
+        if wide:
+            views = [_expanded(v, piece[:len(v)], h) for v, piece in zip(views, pieces)]
+        yield own, views
+        # table rows 1..n/2-1 stand for the spectrum's rows n-1..n/2+1
+        lo, hi = max(i, 1), min(own.stop, h)
+        if rows < n and lo < hi:
+            yield slice(n - hi + 1, n - lo + 1), [v[lo - i:hi - i][::-1] for v in views]
+
+
+def _expanded(part: np.ndarray, out: np.ndarray, h: int) -> np.ndarray:
+    """part, a chunk kept on rows 0..h of axis 1, with its rows h-1..1 after
+    them reversed, into out."""
+    out[:, :h + 1] = part
+    out[:, h + 1:] = part[:, h - 1:0:-1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -232,7 +260,7 @@ def laplacian(field: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def _re_pairing(a: np.ndarray, b: np.ndarray, *weight: np.ndarray) -> float:
-    """The sum of weight * Re(a conj(b)) over the broadcast shape, weight optional.
+    """The sum of weight * Re(a conj(b)) over the fields' shape, weight optional.
 
     Without a weight, one ``np.einsum`` pass over the fields' float views,
     which interleave the real and imaginary parts when both are complex: 33 us
@@ -244,13 +272,14 @@ def _re_pairing(a: np.ndarray, b: np.ndarray, *weight: np.ndarray) -> float:
     views takes each weight twice and three operands, 3x slower on a 64^3
     half spectrum. einsum makes no temporary and, unlike ``np.dot``,
     ``np.vdot`` and ``@``, calls no BLAS, whose threads spin on a second
-    core. It sums in sequence, so it keeps a field's first axis and
-    np.sum adds the partial sums: on the nls-ladder fields that rounds like
-    np.sum (5e-16 relative, against 2e-14 for one sequential sum). The
-    weight is a table of the fields' rank; one kept on rows 0..n/2 of axis 0
-    (see mirror_halves) pairs each mirror half of the fields with its view,
-    and the rows' partial sums are concatenated in row order, so the sum is
-    bitwise the whole table's.
+    core. It sums in sequence, so it keeps a field's first axis, writing each
+    row's partial sum into its own slot, and np.sum adds the partial sums in
+    row order: on the nls-ladder fields that rounds like np.sum (5e-16
+    relative, against 2e-14 for one sequential sum). The weight is a table of
+    the fields' rank, kept as table_wavenumber_sq keeps it; its chunks of
+    about _BLOCK points (see mirrored_chunks) pair with their rows and their
+    mirror rows of the fields, and a row sums in the same loop as with the
+    whole table, so the total is bitwise the whole table's.
     """
     views = [(a.real, b.real)]
     if np.iscomplexobj(a) and np.iscomplexobj(b):
@@ -258,16 +287,19 @@ def _re_pairing(a: np.ndarray, b: np.ndarray, *weight: np.ndarray) -> float:
             views.append((a.imag, b.imag))
         else:
             views = [(_interleaved(a), _interleaved(b))]
-    pairs = mirror_halves(a.shape[0], *weight) if weight else [(slice(None), ())]
     total = 0.0
     for x, y in views:
-        parts = []
+        axes = list(range(x.ndim))
+        if x.ndim == 1:
+            total += float(np.einsum(*[z for op in weight + (x, y) for z in (op, axes)], []))
+            continue
+        sums = np.empty(x.shape[0])
+        pairs = (mirrored_chunks(x.shape[0], weight, max(1, _BLOCK // x[0].size)) if weight
+                 else [(slice(None), [])])
         for rows, w in pairs:
-            ops = w + (x[rows], y[rows])
-            n = max(op.ndim for op in ops)
-            args = [z for op in ops for z in (op, list(range(n - op.ndim, n)))]
-            parts.append(np.einsum(*args, [0] if n > 1 else []))
-        total += float(np.sum(np.concatenate(parts) if len(parts) > 1 else parts[0]))
+            ops = w + [x[rows], y[rows]]
+            np.einsum(*[z for op in ops for z in (op, axes)], [0], out=sums[rows])
+        total += float(np.sum(sums))
     return total
 
 
@@ -303,8 +335,8 @@ def gradient_norm_sq(field: np.ndarray, grid: GridSpec) -> float:
 @lru_cache(maxsize=32)
 def _parseval_multiplier(grid: GridSpec, half: bool) -> np.ndarray:
     """The read-only weight of a Parseval gradient sum: the |xi|^2 table of
-    ``GridSpec.table_wavenumber_sq``, which keeps rows 0..N/2 of axis 0 only
-    for d >= 2 and which _re_pairing mirrors, on a half spectrum with its
+    ``GridSpec.table_wavenumber_sq``, which keeps rows 0..N/2 of every axis
+    but the last and which _re_pairing mirrors, on a half spectrum with its
     interior last-axis planes doubled.
 
     An interior last-axis plane of a half spectrum also stands for its mirror

@@ -26,21 +26,28 @@ new u's buffer and multiplies the old u into it, and builds the closing
 rotation in the old u, dead once rotated, with its r in the old tangent; so
 a step allocates the new state's u, phase and tangent only, and peaks at
 40 bytes per point, the density and Fs' temporaries beside the new u and
-phase. The propagator exp(i |xi|^2 dt) is a cached table;
-|xi|^2 is bitwise even in each frequency, so for d >= 2 the table keeps rows
-0..N/2 of axis 0 only, and ``field_core.mirror_halves`` applies it to all N
-rows in two calls. At a record the stepper gives the ``Record`` fields: the
-spectrum u_hat (one ``fftn``, made only for a record whose energies, boundary
-shares or u_t are read) and f(u) = u * phase, which no run's record caches;
-the potential integral sums F(|u|^2/2) over blocks of u, so no record builds a
-potential density; the mass and the gradient energy, from u_hat by Parseval
+phase.
+
+The propagator exp(i |xi|^2 dt) is a cached table. |xi|^2 is bitwise even in
+each frequency, so the table keeps rows 0..N/2 of every axis but the last,
+and ``field_core.mirrored_chunks`` applies it to all N rows in chunks of
+about ``field_core._BLOCK`` points; at d = 3 each chunk is expanded on axis
+1 into a buffer of its size, and the table and the |xi|^2 table of u_t
+below hold 24 bytes per point of (N/2+1)^2 N, where kept on axis 0 only they
+held (N/2+1) N^2.
+
+At a record the stepper gives the ``Record`` fields: the spectrum u_hat (one
+``fftn``, made only for a record whose energies, boundary shares or u_t are
+read) and f(u) = u * phase, which no run's record caches; the potential
+integral sums F(|u|^2/2) over blocks of u, so no record builds a potential
+density; the mass and the gradient energy, from u_hat by Parseval
 (``field_core.parseval_norm_sq``), are summed only for a record whose energy
-columns are read; and u_t = -i (Lap u - f(u)) takes one ``ifftn`` of
--|xi|^2 u_hat, made in u_hat's own buffer with the |xi|^2 table of the
-Parseval gradient, mirrored like the propagator, and f(u) as a transient
-product. u_t takes that buffer from the record (``Record.take_spectrum``), so
-a record holds its spectrum or its u_t, not both, and a read of u_hat after
-u_t transforms u again; no run makes one. No run makes a full-grid |xi|^2.
+columns are read; and u_t = -i (Lap u - f(u)) takes one ``ifftn`` of -|xi|^2
+u_hat, made in u_hat's own buffer with the |xi|^2 table of the Parseval
+gradient, mirrored like the propagator, and f(u) as a transient product. u_t
+takes that buffer from the record (``Record.take_spectrum``), so a record
+holds its spectrum or its u_t, not both, and a read of u_hat after u_t
+transforms u again; no run makes one. No run makes a full-grid |xi|^2.
 
 ``strang_step``, ``linear_flow`` and ``nonlinear_flow`` take one Strang step
 from its three substeps; no run calls them, they are the tests' oracles for
@@ -54,13 +61,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import field_core
 from .field_core import (
     GridSpec,
     NlsState,
     _parseval_multiplier,
     _potential_integral,
     l2_norm_sq,
-    mirror_halves,
+    mirrored_chunks,
     parseval_norm_sq,
 )
 from .nonlinearity import _half_tangent, _tangent_rotation, density
@@ -82,15 +90,18 @@ def accuracy_error(dt: float, h: float) -> str | None:
 
 @lru_cache(maxsize=8)
 def _propagator(grid: GridSpec, tau: float) -> np.ndarray:
-    """exp(i |xi|^2 tau) on the rows of axis 0 a table keeps (see mirror_halves)."""
+    """exp(i |xi|^2 tau) on the rows a table keeps (see field_core.mirrored_chunks)."""
     prop = np.exp(1j * grid.table_wavenumber_sq(half=False) * tau)
     prop.flags.writeable = False
     return prop
 
 
 def _propagate(uh: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """uh times a table kept as the propagator is (see mirror_halves), in place."""
-    for rows, (p,) in mirror_halves(uh.shape[0], table):
+    """uh times a table kept as the propagator is, in place, in chunks of about
+    field_core._BLOCK points (see field_core.mirrored_chunks); at d = 3 a
+    chunk's expansion takes a buffer of its size."""
+    chunk = max(1, field_core._BLOCK // uh[0].size)
+    for rows, (p,) in mirrored_chunks(uh.shape[0], (table,), chunk):
         uh[rows] *= p
     return uh
 

@@ -2,7 +2,8 @@
 
 Every experiment writes into output_dir/<experiment_id>/ atomically (temp
 directory, then rename). Payload files are byte-reproducible for identical
-configs; wall-clock timestamps live only in the manifest.
+configs; wall-clock timestamps and the run's telemetry (the Python and numpy
+versions) live only in the manifest.
 
 Every integrating kind (simulate-wave, simulate-nls, weak-strong,
 appendix-construct and identity-check) is judged by one boundary rule,
@@ -17,6 +18,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
+import platform
 import shutil
 import tempfile
 from dataclasses import asdict, dataclass
@@ -68,6 +70,7 @@ class RunManifest:
     started_at: str
     finished_at: str
     outcome: str
+    telemetry: dict
 
 
 def _json_bytes(payload) -> bytes:
@@ -76,6 +79,12 @@ def _json_bytes(payload) -> bytes:
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
+def _telemetry() -> dict:
+    """What the manifest records of the run beside its outcome: the Python and
+    numpy versions."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +224,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str) -> RunManifest:
         started_at=started,
         finished_at=_now(),
         outcome=outcome,
+        telemetry=_telemetry(),
     )
 
     target = os.path.join(output_dir, manifest.experiment_id)

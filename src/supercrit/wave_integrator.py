@@ -35,9 +35,10 @@ else; after its first step, a step allocates no field-sized array:
 
 * the tables cos(om dt), sin(om dt) / om and om sin(om dt) are made from the
   half spectrum's |xi|^2, which is not kept. |xi|^2 is bitwise even in each
-  frequency, so for d >= 2 each table keeps rows 0..N/2 of axis 0 only, and
-  ``field_core.mirror_halves`` applies it to all N rows in two calls: a
-  table is about half a real half spectrum. No full-grid |xi|^2 is made. The
+  frequency, so each table keeps rows 0..N/2 of every axis but the last,
+  and ``field_core.mirrored_chunks`` applies it to all N rows: a table is
+  about half a real half spectrum at d = 2 and a quarter at d = 3 (33^3
+  against 64^2 x 33 points at N = 64). No full-grid |xi|^2 is made. The
   tables are cached read-only per (grid, dt, mass), so the members of a
   ladder share one set; so does the Parseval multiplier of the energies,
   kept on the same rows;
@@ -48,14 +49,17 @@ else; after its first step, a step allocates no field-sized array:
   allocates no field;
 * the state keeps the kick already scaled, so each half kick is one in-place
   subtraction. Between the opening kick and the new one the kick's array is
-  free: the flow goes through each mirror half in chunks of whole axis-0
-  rows, about ``field_core._BLOCK`` points each but at most half the kick's
-  rows, and writes a chunk's om_sin * u into the kick's first rows and its
-  sin_om * u_t into the next ones; then the inverse transform's per-axis
-  ``ifft`` results go through it. A chunk's arrays then stay in a core's
-  L2: the flow took 0.96-1.0 ms at d = 3, N = 64 (7 rows), against
-  1.29-1.36 ms in chunks of half the kick (32 rows; best of 30 calls, 3
-  rounds, 2-vCPU Xeon, numpy 2.4);
+  free: the flow goes through the tables in chunks of whole axis-0 rows,
+  about ``field_core._BLOCK`` points each, each applied to its rows and to
+  their mirror rows, and writes a chunk's om_sin * u into the kick's first
+  rows and its sin_om * u_t into the next ones; at d = 3 the three tables'
+  chunks, expanded on axis 1, go into the kick's rows after those, so a
+  chunk takes at most 2/7 of the kick's rows; then the inverse transform's
+  per-axis ``ifft`` results go through it. A chunk's arrays then stay in a
+  core's L2: with tables kept on axis 0 only, the flow took 0.96-1.0 ms at
+  d = 3, N = 64 (7 rows), against 1.29-1.36 ms in chunks of half the kick
+  (32 rows; best of 30 calls, 3 rounds, 2-vCPU Xeon, numpy 2.4), and the
+  expansion adds 0.1-0.2 ms (see mirrored_chunks);
 * the residual is evaluated one slab of whole last-axis lines at a time,
   about ``field_core._BLOCK`` points (the whole line at d = 1), so that f's
   temporaries are block-sized, and each slab is ``rfft``'d straight into the
@@ -86,7 +90,7 @@ from .field_core import (
     l2_inner,
     l2_norm_sq,
     laplacian,
-    mirror_halves,
+    mirrored_chunks,
     parseval_norm_sq,
     wave_energy,
 )
@@ -147,8 +151,8 @@ class _SpectralState:
 @lru_cache(maxsize=8)
 def _flow_tables(grid: GridSpec, dt: float, mass: float) -> tuple:
     """The impulse stepper's read-only cos(om dt), sin(om dt) / om and om sin(om dt),
-    om = sqrt(|xi|^2 + mass), on the rows of axis 0 a table keeps (see
-    mirror_halves); cached, so the members of a ladder share one set."""
+    om = sqrt(|xi|^2 + mass), on the rows a table keeps (see
+    field_core.mirrored_chunks); cached, so the members of a ladder share one set."""
     om = np.sqrt(grid.table_wavenumber_sq(half=True) + mass)
     tables = (np.cos(om * dt),
               np.where(om > 0, np.sin(om * dt) / np.where(om > 0, om, 1.0), dt),
@@ -226,22 +230,23 @@ class _SpectralImpulse:
         if kick is None:
             kick = self._kick(s.u, np.empty(self.half_shape, complex))
         uth -= kick
-        # the exact flow, in chunks of about field_core._BLOCK points (at most
-        # half the kick's rows) of each mirror half: kick is free until the new
-        # one, so a chunk's om_sin * uh goes into its first r rows and
-        # sin_om * uth into the next r
-        chunk = max(1, min(kick.shape[0] // 2, field_core._BLOCK // kick[0].size))
-        for rows, tables in mirror_halves(uh.shape[0], self.cos, self.sin_om, self.om_sin):
-            for i in range(0, len(tables[0]), chunk):
-                part = slice(i, i + chunk)
-                a, b = uh[rows][part], uth[rows][part]
-                cos, sin_om, om_sin = (table[part] for table in tables)
-                r = len(a)
-                t = np.multiply(om_sin, a, out=kick[:r])
-                a *= cos
-                a += np.multiply(sin_om, b, out=kick[r:2 * r])
-                b *= cos
-                b -= t
+        # the exact flow, in chunks of about field_core._BLOCK points: kick is
+        # free until the new one, so a chunk's om_sin * uh goes into its first
+        # r rows, sin_om * uth into the next r, and at d = 3 the three tables'
+        # chunks, expanded on axis 1, into the rows after those (real, 1.5r),
+        # so a chunk takes at most 2/7 of the kick's rows
+        row = kick[0].size
+        chunk = max(1, min(2 * kick.shape[0] // 7, field_core._BLOCK // row))
+        tables = (self.cos, self.sin_om, self.om_sin)
+        scratch = kick.reshape(-1)[2 * chunk * row:].view(float)
+        for rows, (cos, sin_om, om_sin) in mirrored_chunks(uh.shape[0], tables, chunk, scratch):
+            a, b = uh[rows], uth[rows]
+            r = len(a)
+            t = np.multiply(om_sin, a, out=kick[:r])
+            a *= cos
+            a += np.multiply(sin_om, b, out=kick[r:2 * r])
+            b *= cos
+            b -= t
         u = self._inverse(uh, kick, s.u)
         uth -= self._kick(u, kick)
         return _SpectralState(u, uh, uth, kick, s.t + self.dt)

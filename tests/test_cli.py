@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -80,6 +81,15 @@ def test_simulate_wave_end_to_end(tmp_path, wave_config, capsys):
     assert manifest["experiment_id"] == exp_id
     assert manifest["outcome"] == "ok"
     assert (exp_dir / "trace.csv").read_text().startswith("t,E_total")
+
+
+def test_manifest_telemetry_holds_the_library_versions(tmp_path, wave_config, capsys):
+    out = tmp_path / "runs"
+    assert main(["simulate-wave", "--config", str(wave_config), "--output", str(out)]) == 0
+    (exp_dir,) = out.iterdir()
+    manifest = json.loads((exp_dir / "manifest.json").read_text())
+    assert manifest["telemetry"] == {"python": platform.python_version(),
+                                     "numpy": np.__version__}
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, wave_config):

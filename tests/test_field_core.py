@@ -18,7 +18,7 @@ from supercrit.field_core import (
     l2_norm_sq,
     laplacian,
     leakage,
-    mirror_halves,
+    mirrored_chunks,
     nls_energy,
     parseval_norm_sq,
     wave_energy,
@@ -114,22 +114,44 @@ def test_half_wavenumbers_are_the_full_grid_half_bitwise(d, N):
     assert half is not grid.half_wavenumber_sq()  # not cached
 
 
+def _whole_table_pairing(a, b, weight):
+    """sum weight * Re(a conj(b)) as the whole table pairs it: one einsum pass per
+    float view, keeping axis 0, whose partial sums np.sum adds."""
+    total = 0.0
+    for x, y in ((a.real, b.real), (a.imag, b.imag)):
+        axes = list(range(x.ndim))
+        total += float(np.sum(np.einsum(weight, axes, x, axes, y, axes,
+                                        [0] if x.ndim > 1 else [])))
+    return total
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("N", [8, 64])
-def test_mirror_halves_product_is_the_full_table_product_bitwise(d, N):
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("half", [True, False], ids=["half", "full"])
+@pytest.mark.parametrize("block", [1 << 10, 1 << 14, 1 << 16])
+def test_mirrored_chunks_product_and_pairing_are_the_full_tables_bitwise(monkeypatch, d, N,
+                                                                         half, block):
+    # a table keeps rows 0..N/2 of every axis but the last; applied in chunks
+    # of about block points to the rfftn half spectrum of the wave tables or
+    # the fftn spectrum of the NLS ones, its products and weighted sums are
+    # bitwise the whole table's
+    monkeypatch.setattr(field_core, "_BLOCK", block)
     grid = GridSpec(d, N, 7.3)
+    last = N // 2 + 1 if half else N
+    ksq = grid.table_wavenumber_sq(half)
+    assert ksq.shape == (N // 2 + 1,) * (d - 1) + (last,)
+    full = grid.half_wavenumber_sq() if half else grid.wavenumber_sq()
+    shape = full.shape
     rng = np.random.default_rng(d)
-    x = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    ksq = grid.table_wavenumber_sq(half=False)
-    # a real table and a complex one, both even in the axis-0 frequency
-    for table, full in ((ksq, grid.wavenumber_sq()),
-                        (np.exp(1j * ksq), np.exp(1j * grid.wavenumber_sq()))):
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    chunk = max(1, block // x[0].size)
+    # a real table and a complex one, both even in each frequency
+    for table, whole in ((ksq, full), (np.exp(1j * ksq), np.exp(1j * full))):
         ours = x.copy()
-        pairs = mirror_halves(N, table)
-        assert len(pairs) == (2 if d >= 2 else 1)
-        for rows, (view,) in pairs:
+        for rows, (view,) in mirrored_chunks(len(x), (table,), chunk):
             ours[rows] *= view
-        assert np.array_equal(ours.view(np.int64), (x * full).view(np.int64))
+        assert np.array_equal(ours.view(np.int64), (x * whole).view(np.int64))
+    assert field_core._re_pairing(x, x, ksq) == _whole_table_pairing(x, x, full)
 
 
 @pytest.mark.parametrize("d, N", [(1, 1024), (1, 1 << 16), (2, 128), (2, 256), (3, 32),
@@ -279,21 +301,22 @@ def test_reductions_equal_their_np_sum_formulas(d, complex_valued):
                                      (3, 16, 8.0), (3, 64, 10.0)])
 @pytest.mark.parametrize("half", [True, False], ids=["half", "full"])
 def test_mirrored_gradient_multiplier_pairs_like_the_whole_table_bitwise(d, N, L, half):
-    # the multiplier keeps rows 0..N/2 of axis 0, as the stepper tables do; each
-    # row's partial sum reads its mirror row, so the total is the whole table's:
+    # the multiplier keeps rows 0..N/2 of every axis but the last, as the
+    # stepper tables do; each row's partial sum reads its mirror row, so the
+    # total is the whole table's:
     # the weighted half-spectrum |xi|^2 of the wave energies, or the full-grid
     # |xi|^2 of the NLS ones
     grid = GridSpec(d, N, L)
     mult = field_core._parseval_multiplier(grid, half)
     width = N // 2 + 1 if half else N
-    assert mult.shape == (N // 2 + 1,) + grid.shape[1:-1] + (width,)
+    assert mult.shape == (N // 2 + 1,) * (d - 1) + (width,)
     whole = (grid.half_wavenumber_sq() * _plane_weights(grid) if half
              else grid.wavenumber_sq())
     rng = np.random.default_rng(N)
     for scale in (1e-4, 1.0, 1e5):
         u = scale * rng.normal(size=grid.shape)
         uh = np.fft.rfftn(u) if half else np.fft.fftn(u + 1j * rng.normal(size=grid.shape))
-        ref = grid.cell_volume / N ** d * field_core._re_pairing(uh, uh, whole)
+        ref = grid.cell_volume / N ** d * _whole_table_pairing(uh, uh, whole)
         assert parseval_norm_sq(uh, grid, gradient=True) == ref
         strided = np.stack([uh, uh], axis=-1)[..., 1]
         assert not strided.flags.c_contiguous

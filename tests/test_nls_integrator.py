@@ -374,6 +374,34 @@ def test_nls_record_reads_one_cached_wavenumber_table():
     assert stepper.ksq is table and table.shape == (17, 32)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("block", [1 << 10, 1 << 14, 1 << 16])
+def test_propagate_is_the_whole_table_product_bitwise(monkeypatch, d, block):
+    # the propagator and the u_t |xi|^2 keep rows 0..N/2 of every axis but
+    # the last; in chunks of about block points they multiply a spectrum as
+    # the whole tables do
+    monkeypatch.setattr(field_core, "_BLOCK", block)
+    grid = GridSpec(d, 16, 8.0)
+    rng = np.random.default_rng(d)
+    uh = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    ksq = grid.wavenumber_sq()
+    for table, whole in ((nls_integrator._propagator(grid, 0.01), np.exp(1j * ksq * 0.01)),
+                         (field_core._parseval_multiplier(grid, False), ksq)):
+        ours = nls_integrator._propagate(uh.copy(), table)
+        assert np.array_equal(ours.view(np.int64), (uh * whole).view(np.int64))
+
+
+def test_d3_propagator_and_gradient_weight_keep_a_quarter_of_the_spectrum():
+    # at d = 3 both tables keep rows 0..N/2 of axes 0 and 1: (N/2+1)^2 N
+    # points of 16 B and of 8 B, where tables kept on axis 0 only held
+    # (N/2+1) N^2
+    N = 32
+    grid = GridSpec(3, N, 20.0)
+    stepper, _ = member(RunSchedule(grid, from_selection("nls_cubic"), 0.01, 0.02),
+                        bump_field(grid, 0.5, 2.0))
+    assert stepper.prop.nbytes + stepper.ksq.nbytes == (N // 2 + 1) ** 2 * N * 24
+
+
 def test_trace_columns():
     cfg, u0 = make_config(T=0.1)
     _, trace, _ = run_single(starting(u0), cfg)

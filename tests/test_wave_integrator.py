@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from supercrit import field_core, nls_integrator
+from supercrit import field_core, nls_integrator, runner, wave_integrator
 from supercrit.config import parse_config
 from supercrit.field_core import GridSpec, WaveState, bump_field
 from supercrit.nonlinearity import AssumptionClass, NonlinearitySpec, from_selection
@@ -352,10 +352,11 @@ def _traced_peak(fn):
 
 def test_a_wave_step_and_its_record_allocate_no_field(monkeypatch):
     # the wave3d benchmark's grid, with small residual slabs. The flow's products
-    # go into the spent kick, so a step allocates numpy's buffer for casting the
-    # real tables to complex (getbufsize() elements), a slab and a few small
-    # objects: 0.06 half spectra. A step with a half-size temporary allocated
-    # 0.58 here, and a record that built the potential density one field
+    # and its tables' chunks, expanded on axis 1, go into the spent kick, so a
+    # step allocates numpy's buffer for casting the real tables to complex
+    # (getbufsize() elements), a slab and a few small objects: 0.06 half
+    # spectra. A step with a half-size temporary allocated 0.58 here, and a
+    # record that built the potential density one field
     monkeypatch.setattr(field_core, "_BLOCK", 1 << 10)
     grid = GridSpec(3, 64, 10.0)
     cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"),
@@ -372,10 +373,39 @@ def test_a_wave_step_and_its_record_allocate_no_field(monkeypatch):
     state, step_bytes = _traced_peak(lambda: stepper(state))
     half = 16 * 64 * 64 * 33  # the complex half spectrum
     assert step_bytes < 0.25 * half
-    assert stepper.cos.shape == (33, 64, 33)
+    assert stepper.cos.shape == (33, 33, 33)
     _, record_bytes = _traced_peak(record)
-    # F's block temporaries: a few blocks of field_core._BLOCK points
+    # F's block temporaries, a few blocks of field_core._BLOCK points, and the
+    # gradient weight's chunk, expanded a row at a time here
     assert record_bytes <= 0.2 * 8 * grid.N ** grid.d
+
+
+def test_wave3d_run_makes_two_transforms_per_step_and_three_at_its_start(monkeypatch):
+    # the wave3d workload's run: 45 steps and 46 records, and 93 n-D
+    # transforms: 2 rfftn at set-up, 46 kicks (the first step's opening kick
+    # and one per step) and 45 inverses. A kick is one rfft per slab of whole
+    # last-axis lines and 2 fft, an inverse 2 ifft and an irfft; no record
+    # transforms
+    calls = {}
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    steps = []
+    step = wave_integrator._SpectralImpulse.__call__
+    monkeypatch.setattr(wave_integrator._SpectralImpulse, "__call__",
+                        lambda self, s: steps.append(s.t) or step(self, s))
+    cfg = parse_config("nonlinearity = defocusing_exp:m=1\nd = 3\nN = 64\nL = 10\n"
+                       "radius = 1.5\nT = 1\n", "simulate-wave")
+    outcome, files = runner._do_simulate(cfg)
+    records = files["trace.csv"].decode().count("\n") - 1
+    assert outcome == "ok" and (len(steps), records) == (45, 46)
+    kicks, inverses = 46, 45
+    slabs = 64 ** 3 // (field_core._BLOCK // 64 * 64)
+    assert calls == {"rfftn": 2, "rfft": slabs * kicks, "fft": 2 * kicks,
+                     "ifft": 2 * inverses, "irfft": inverses}
+    assert calls["rfftn"] + kicks + inverses == 93
 
 
 def test_member_makes_no_kick_and_members_share_the_flow_tables():
@@ -415,17 +445,18 @@ def test_residual_does_not_depend_on_the_block_size(monkeypatch):
         assert np.array_equal(kick.view(np.int64), expected.view(np.int64))
 
 
-@pytest.mark.parametrize("d, N", [(1, 256), (3, 16)])
-def test_flow_does_not_depend_on_the_chunk_size(monkeypatch, d, N):
+@pytest.mark.parametrize("d, N, blocks", [(1, 256, (10, 20, 1 << 20)),
+                                          (3, 16, (10, 300, 1 << 20))])
+def test_flow_does_not_depend_on_the_chunk_size(monkeypatch, d, N, blocks):
     # the flow takes whole axis-0 rows of about field_core._BLOCK points a
-    # chunk, at most half the kick's rows: at d = 3, N = 16 a row is 144
-    # points, so blocks of 10 make chunks of one row, 1000 of six and 2^20 of
-    # eight; at d = 1 a row is one point, so chunks of 10, 100 and 64
+    # chunk, at most 2/7 of the kick's rows: at d = 3, N = 16 a row is 144
+    # points, so the blocks make chunks of one row, two and four; at d = 1 a
+    # row is one point, so chunks of 10, 20 and 36
     grid = GridSpec(d, N, 8.0)
     u0 = bump_field(grid, 0.7, 2.5) * np.random.default_rng(3).uniform(-1, 1, grid.shape)
     cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), stable_dt(grid.h, d), 0.5)
     states = []
-    for block in (10, 100 if d == 1 else 1000, 1 << 20):
+    for block in blocks:
         monkeypatch.setattr(field_core, "_BLOCK", block)
         stepper, state = member(cfg, u0)
         for _ in range(3):
@@ -485,18 +516,23 @@ def _full_tables(grid, mass, dt):
 
 
 def _unmirror(table, n):
-    """The table a mirrored one stands for, on all n rows of axis 0."""
-    full = np.empty((n,) + table.shape[1:], table.dtype)
-    for rows, (view,) in field_core.mirror_halves(n, table):
-        full[rows] = view
-    return full
+    """The table a mirrored one stands for, on all n rows of every axis but the last."""
+    rows = np.r_[0:n // 2 + 1, n // 2 - 1:0:-1]
+    for axis in range(table.ndim - 1):
+        if table.shape[axis] < n:
+            table = np.take(table, rows, axis=axis)
+    return table
 
 
-def test_impulse_step_matches_an_allocating_step():
-    grid = GridSpec(2, 32, 8.0)
+# at d = 3, N = 16 the spent kick limits the flow's chunk to 4 rows
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 32), (3, 16), (3, 32)])
+@pytest.mark.parametrize("block", [1 << 10, 1 << 14, 1 << 16])
+def test_impulse_step_matches_an_allocating_step(monkeypatch, d, N, block):
+    monkeypatch.setattr(field_core, "_BLOCK", block)
+    grid = GridSpec(d, N, 8.0)
     u0 = bump_field(grid, 0.7, 2.0)
     u1 = bump_field(grid, 0.3, 1.5) * np.random.default_rng(1).uniform(-1, 1, grid.shape)
-    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=2"), 0.04, 0.5)
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=2"), stable_dt(grid.h, d), 0.5)
     stepper, state = member(cfg, u0, u1)
     cos, sin_om, om_sin = _full_tables(grid, stepper.mass, stepper.dt)
     half_dt = 0.5 * stepper.dt
@@ -506,7 +542,7 @@ def test_impulse_step_matches_an_allocating_step():
         # the step as it reads with a new array per operation and whole tables
         uth = uth - kick
         uh, uth = cos * uh + sin_om * uth, cos * uth - om_sin * uh
-        u = np.fft.irfftn(uh, s=grid.shape, axes=(0, 1))
+        u = np.fft.irfftn(uh, s=grid.shape, axes=range(d))
         kick = half_dt * np.fft.rfftn(cfg.spec.f(u) - stepper.mass * u)
         uth = uth - kick
         state = stepper(state)
@@ -520,12 +556,11 @@ def test_impulse_step_matches_an_allocating_step():
                                      (3, 16, 8.0), (3, 32, 10.0)])
 def test_every_stepper_table_equals_its_mirror(d, N, L):
     # |xi|^2 is bitwise even in each frequency, so each table kept on rows
-    # 0..N/2 of axis 0 stands for the whole one
+    # 0..N/2 of every axis but the last stands for the whole one
     grid = GridSpec(d, N, L)
-    half = grid.shape[:-1] + (N // 2 + 1,)
     ksq = grid.table_wavenumber_sq(half=True)
-    assert ksq.shape == ((N // 2 + 1,) + half[1:] if d >= 2 else half)
-    assert np.array_equal(_unmirror(ksq, half[0]), grid.half_wavenumber_sq())
+    assert ksq.shape == (N // 2 + 1,) * d
+    assert np.array_equal(_unmirror(ksq, N), grid.half_wavenumber_sq())
     assert np.array_equal(_unmirror(grid.table_wavenumber_sq(half=False), N),
                           grid.wavenumber_sq())
     cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), 0.25 * grid.h / np.sqrt(d), 1.0)
@@ -533,8 +568,20 @@ def test_every_stepper_table_equals_its_mirror(d, N, L):
     ours = (stepper.cos, stepper.sin_om, stepper.om_sin)
     for table, ref in zip(ours, _full_tables(grid, stepper.mass, stepper.dt)):
         assert table.shape == ksq.shape
-        assert np.array_equal(_unmirror(table, half[0]).view(np.int64), ref.view(np.int64))
+        assert np.array_equal(_unmirror(table, N).view(np.int64), ref.view(np.int64))
     prop = nls_integrator._propagator(grid, 0.01)
     ref = np.exp(1j * grid.wavenumber_sq() * 0.01)
-    assert prop.shape[0] == (N // 2 + 1 if d >= 2 else N)
+    assert prop.shape == (N // 2 + 1,) * (d - 1) + (N,)
     assert np.array_equal(_unmirror(prop, N).view(np.int64), ref.view(np.int64))
+
+
+def test_d3_flow_tables_and_energy_weight_hold_four_quarter_tables():
+    # at d = 3 each table keeps rows 0..N/2 of axes 0 and 1 of the half
+    # spectrum: 4 x 33^3 x 8 B = 1.10 MiB at N = 64, where tables kept on
+    # axis 0 only held 2.13 MiB
+    grid = GridSpec(3, 64, 10.0)
+    cfg = RunSchedule(grid, from_selection("defocusing_exp:m=1"), stable_dt(grid.h, 3), 1.0)
+    stepper, _ = member(cfg, bump_field(grid, 0.5, 1.5))
+    tables = (stepper.cos, stepper.sin_om, stepper.om_sin,
+              field_core._parseval_multiplier(grid, True))
+    assert sum(table.nbytes for table in tables) == 4 * 33 ** 3 * 8

@@ -88,11 +88,17 @@ test builds and observes the members' records.
   ladder's three members stepped in lockstep, with ``WaveGronwall`` reading
   each member's u_t and f(u), and the potential integrals of its energies,
   at every record;
+* ``e2e.simulate-wave.d1``         the ``wave3d`` workload's config at d = 1,
+  N = 1024 (410 steps);
+* ``e2e.simulate-wave.d2``         that config at d = 2, N = 256 (145 steps);
 * ``e2e.simulate-nls``             the default simulate-nls of nls_coercive_exp
   at d = 2, N = 128 (L = 40, radius 5, T = 0.5, dt = 1e-3: 500 steps of one
-  state), which no workload runs.
+  state), which no workload runs;
+* ``e2e.simulate-nls.d3``          that run at d = 3, N = 32, T = 0.1 (100
+  steps), where the NLS tables keep rows 0..N/2 of two axes.
 
-Every e2e config is a workload's at seed 0, or a kind's defaults at seed 0.
+Every e2e config is a workload's at seed 0, or a kind's defaults at seed 0, some with
+a later line overriding a key.
 """
 
 from __future__ import annotations
@@ -138,8 +144,14 @@ E2E = {
     "e2e.simulate-wave.m2": (WORKLOADS["wave3d"].command, WORKLOADS["wave3d"].config_text(0)
                              + "nonlinearity = defocusing_exp:m=2\n"),
     "e2e.weak-strong.wave.d3": ("weak-strong", WORKLOADS["wave3d"].config_text(0) + "T = 0.5\n"),
+    "e2e.simulate-wave.d1": (WORKLOADS["wave3d"].command, WORKLOADS["wave3d"].config_text(0)
+                             + "d = 1\nN = 1024\n"),
+    "e2e.simulate-wave.d2": (WORKLOADS["wave3d"].command, WORKLOADS["wave3d"].config_text(0)
+                             + "d = 2\nN = 256\n"),
     "e2e.simulate-nls": ("simulate-nls", "nonlinearity = nls_coercive_exp\nd = 2\nN = 128\n"
                                          "seed = 0\n"),
+    "e2e.simulate-nls.d3": ("simulate-nls", "nonlinearity = nls_coercive_exp\nd = 3\nN = 32\n"
+                                            "T = 0.1\nseed = 0\n"),
 }
 
 
