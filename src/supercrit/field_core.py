@@ -17,6 +17,11 @@ spectrum by its shape). At d = 3 a table holds about a quarter of the
 points of the spectrum it multiplies. The full-grid
 ``GridSpec.wavenumber_sq`` is the oracles' and the tests' only.
 
+The energies ``wave_energy`` and ``nls_energy`` are oracles too: each
+returns the tuple of energy columns, in the order of the ``columns`` of the
+stepper it checks, that the stepper takes from its records' fields, so a
+test compares the two tuples whole.
+
 The quadrature norms, pairings and Parseval sums and the boundary shares
 make no field-sized temporary: each is one ``np.einsum`` pass over its
 fields' interleaved float views, or with a weight one per float view
@@ -37,7 +42,6 @@ __all__ = [
     "GridSpec",
     "WaveState",
     "NlsState",
-    "EnergyReport",
     "AmplitudeError",
     "laplacian",
     "l2_norm_sq",
@@ -116,23 +120,16 @@ class GridSpec:
     def wavenumber_sq(self) -> np.ndarray:
         """|xi|^2 on the full np.fft.fftn frequency grid, a new array each call;
         only the oracles ``laplacian`` and ``gradient_norm_sq`` and the tests
-        read it, runs read the tables of table_wavenumber_sq()."""
+        read it, runs read the tables of table_wavenumber_sq(). Its last-axis
+        slice [..., :N // 2 + 1] is |xi|^2 on the np.fft.rfftn half spectrum."""
         return _wavenumber_sq(self.shape, self.N, self.L)
-
-    def half_wavenumber_sq(self) -> np.ndarray:
-        """|xi|^2 on the np.fft.rfftn half spectrum, a new array each call; the
-        tests' oracle for the tables kept on rows 0..N/2.
-
-        Its values are bitwise those of the last-axis half of wavenumber_sq().
-        """
-        return _wavenumber_sq(self.shape[:-1] + (self.N // 2 + 1,), self.N, self.L)
 
     def table_wavenumber_sq(self, half: bool) -> np.ndarray:
         """|xi|^2 as a multiplier table keeps it, a new array each call: on the
         np.fft.fftn grid, or with ``half`` on the rfftn half spectrum, and on
         rows 0..N/2 of every axis but the last, which ``mirrored_chunks``
         applies to all N rows. Its values are bitwise those rows of
-        wavenumber_sq() (of half_wavenumber_sq())."""
+        wavenumber_sq() (of its last-axis half)."""
         last = self.N // 2 + 1 if half else self.N
         return _wavenumber_sq((self.N // 2 + 1,) * (self.d - 1) + (last,), self.N, self.L)
 
@@ -201,8 +198,8 @@ def _expanded(part: np.ndarray, out: np.ndarray, h: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveState:
-    """A wave state (u, u_t) at time t, for the oracles ``wave_integrator.step`` and
-    ``Verlet``; runs step the impulse stepper's own state."""
+    """A wave state (u, u_t) at time t, for the oracles ``wave_integrator.Verlet``
+    and ``wave_energy``; runs step the impulse stepper's own state."""
 
     grid: GridSpec
     u: np.ndarray
@@ -215,27 +212,12 @@ class WaveState:
 
 @dataclass(frozen=True)
 class NlsState:
-    """An NLS state u at time t, for the oracle ``nls_integrator.strang_step`` and its
-    substeps; runs step the Strang stepper's own state."""
+    """An NLS state u at time t, for the oracles ``nls_integrator.strang_step``, its
+    substeps and ``nls_energy``; runs step the Strang stepper's own state."""
 
     grid: GridSpec
     u: np.ndarray
     t: float
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.u)))
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """The energies of a state, as the oracles ``wave_energy`` and ``nls_energy``
-    compute them; runs take theirs from their records."""
-
-    kinetic: float
-    gradient: float
-    potential: float
-    total: float
-    mass: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +232,7 @@ def _check(field: np.ndarray, grid: GridSpec):
 def laplacian(field: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Exact spectral Laplacian: each mode scaled by -|xi|^2.
 
-    Only the oracle ``wave_integrator.step`` calls it; the steppers apply
+    Only the oracle ``wave_integrator.Verlet`` calls it; the steppers apply
     -|xi|^2 to the spectra they keep."""
     _check(field, grid)
     out = np.fft.ifftn(-grid.wavenumber_sq() * np.fft.fftn(field))
@@ -422,19 +404,23 @@ def _potential_integral(potential, u: np.ndarray, grid: GridSpec) -> float:
     return float(pot)
 
 
-def wave_energy(state: WaveState, spec) -> EnergyReport:
-    """Kinetic, gradient and potential energy of a wave state and their total.
+def wave_energy(state: WaveState, spec) -> tuple:
+    """(E_total, E_kinetic, E_gradient, E_potential) of a wave state: the
+    impulse stepper's energy columns, in their order.
 
-    Only the oracle ``wave_integrator.Verlet`` calls it: the impulse stepper
-    takes the same energies from its records' fields."""
+    Only the oracle ``wave_integrator.Verlet`` calls it, whose records take
+    it as their energies: the impulse stepper takes the same energies from
+    its records' fields."""
     kin = 0.5 * l2_norm_sq(state.ut, state.grid)
     grad = 0.5 * gradient_norm_sq(state.u, state.grid)
     pot = _potential_integral(spec.F, state.u, state.grid)
-    return EnergyReport(kin, grad, pot, kin + grad + pot)
+    return kin + grad + pot, kin, grad, pot
 
 
-def nls_energy(state: NlsState, spec) -> EnergyReport:
-    """Mass and the conserved Hamiltonian (1/2)||grad u||^2 + int F(|u|^2/2).
+def nls_energy(state: NlsState, spec) -> tuple:
+    """(mass, H_total, H_gradient, H_potential) of an NLS state: the Strang
+    stepper's energy columns, in their order, with the conserved Hamiltonian
+    H = (1/2)||grad u||^2 + int F(|u|^2/2).
 
     With f(u) = u F'(|u|^2/2) the gradient term carries the factor 1/2; the
     variant without it is not an invariant of the flow (checked against an
@@ -444,8 +430,7 @@ def nls_energy(state: NlsState, spec) -> EnergyReport:
     """
     grad = 0.5 * gradient_norm_sq(state.u, state.grid)
     pot = _potential_integral(spec.potential, state.u, state.grid)
-    mass = l2_norm_sq(state.u, state.grid)
-    return EnergyReport(0.0, grad, pot, grad + pot, mass=mass)
+    return l2_norm_sq(state.u, state.grid), grad + pot, grad, pot
 
 
 def leakage(field: np.ndarray, spectrum: np.ndarray, grid: GridSpec) -> tuple:

@@ -140,6 +140,15 @@ class Boundary:
         return self.leakage > max(LEAKAGE_LIMIT, self.tail)
 
 
+def _csv(columns, rows) -> str:
+    """The CSV text of a trace: a header of its column names, then one line per
+    row, each value as a float in ``.17g``, which reads back bitwise."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class DiagnosticTrace:
     """Per-record diagnostics of a run; as an observer it traces member 0.
@@ -160,10 +169,7 @@ class DiagnosticTrace:
         return np.array([r[i] for r in self.rows])
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(format(v, ".17g") for v in row))
-        return "\n".join(lines) + "\n"
+        return _csv(self.columns, self.rows)
 
     def observe(self, r):
         self.columns = ("t", *r.stepper.columns, "leakage", "tail", "sup_norm")

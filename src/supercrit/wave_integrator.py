@@ -99,7 +99,6 @@ from .stepping import RunSchedule
 __all__ = [
     "WeakIdentity",
     "Verlet",
-    "step",
     "member",
 ]
 
@@ -118,15 +117,6 @@ def stability_error(dt: float, h: float, d: int) -> str | None:
 
 
 WAVE_COLUMNS = ("E_total", "E_kinetic", "E_gradient", "E_potential")
-
-
-def step(state: WaveState, cfg: RunSchedule) -> WaveState:
-    """One velocity-leapfrog step of cfg.step(); exactly reversible under ut -> -ut."""
-    dt, grid, spec = cfg.step(), cfg.grid, cfg.spec
-    ut_half = state.ut + 0.5 * dt * (laplacian(state.u, grid) - spec.f(state.u))
-    u_new = state.u + dt * ut_half
-    ut_new = ut_half + 0.5 * dt * (laplacian(u_new, grid) - spec.f(u_new))
-    return WaveState(grid, u_new, ut_new, state.t + dt)
 
 
 @dataclass(frozen=True)
@@ -275,9 +265,10 @@ class Verlet:
     """The velocity-leapfrog stepper, kept only as the tests' oracle for the impulse one.
 
     Its member for stepping.integrate is (Verlet(cfg), the initial WaveState).
-    Its records give the energies (the potential integral as their last
-    column), u_t, f(u) and the half spectrum of u, what the diagnostics trace,
-    the weak identity and the boundary shares read.
+    Its records give the energies (``field_core.wave_energy``'s tuple, the
+    potential integral its last column), u_t, f(u) and the half spectrum of
+    u, what the diagnostics trace, the weak identity and the boundary shares
+    read.
     """
 
     columns = WAVE_COLUMNS
@@ -286,11 +277,15 @@ class Verlet:
         self.cfg, self.grid = cfg, cfg.grid
 
     def __call__(self, s: WaveState) -> WaveState:
-        return step(s, self.cfg)
+        """One velocity-leapfrog step of cfg.step(); exactly reversible under ut -> -ut."""
+        dt, grid, spec = self.cfg.step(), self.grid, self.cfg.spec
+        ut_half = s.ut + 0.5 * dt * (laplacian(s.u, grid) - spec.f(s.u))
+        u_new = s.u + dt * ut_half
+        ut_new = ut_half + 0.5 * dt * (laplacian(u_new, grid) - spec.f(u_new))
+        return WaveState(grid, u_new, ut_new, s.t + dt)
 
     def energy(self, rec):
-        rep = wave_energy(rec.state, self.cfg.spec)
-        return rep.total, rep.kinetic, rep.gradient, rep.potential
+        return wave_energy(rec.state, self.cfg.spec)
 
     def potential(self, rec) -> float:
         # the oracle's energies compute the integral, so its records take it there

@@ -23,7 +23,7 @@ from .field_core import l2_inner, l2_norm_sq, parseval_norm_sq
 from .nls_integrator import member as nls_member
 from .nonlinearity import (NlsNonlinearitySpec, density, find_truncation_abscissae, truncate,
                            two_star)
-from .stepping import RunSchedule, integrate
+from .stepping import RunSchedule, _csv, integrate
 from .wave_integrator import member as wave_member
 
 __all__ = [
@@ -69,6 +69,9 @@ def _fit_certificate(times: np.ndarray, G: np.ndarray):
 
 @dataclass
 class GronwallTrace:
+    # the per-record series beside times, in the order the CSV writes them
+    SERIES = ("G", "w_l2", "I", "J")
+
     times: np.ndarray
     G: np.ndarray
     w_l2: np.ndarray
@@ -81,28 +84,18 @@ class GronwallTrace:
     expansion_residual: float | None = None
 
     def as_dict(self) -> dict:
-        d = {
-            "times": self.times.tolist(),
-            "G": self.G.tolist(),
-            "w_l2": self.w_l2.tolist(),
-            "I": self.I.tolist(),
-            "J": self.J.tolist(),
-            "fitted_C": self.fitted_C,
-            "fitted_G0": self.fitted_G0,
-        }
+        d = {name: getattr(self, name).tolist() for name in ("times", *self.SERIES)}
+        d.update(fitted_C=self.fitted_C, fitted_G0=self.fitted_G0)
         if self.remainder_min is not None:
             d["remainder_min"] = self.remainder_min
         return d
 
     def to_csv(self) -> str:
-        lines = ["t,G,w_l2,I,J,bound"]
         # a steep enough growth overflows the bound to inf, which is its honest value
         with np.errstate(over="ignore"):
             bound = self.fitted_G0 * np.exp(self.fitted_C * self.times)
-        for i in range(len(self.times)):
-            vals = (self.times[i], self.G[i], self.w_l2[i], self.I[i], self.J[i], bound[i])
-            lines.append(",".join(format(float(v), ".17g") for v in vals))
-        return "\n".join(lines) + "\n"
+        series = [getattr(self, name) for name in self.SERIES]
+        return _csv(("t", *self.SERIES, "bound"), zip(self.times, *series, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +308,9 @@ class ConvergenceReport:
     force_l1_discrepancy: list    # spacetime L1 of f_k(v^k) - f(v_ref)
     energy_drift: list            # max_t |E(t) - E(0)| / |E(0)|
     reference_drift: float        # the same for the untruncated reference
-    monotone_l2: bool = True
-    monotone_force: bool = True
-    bounded_drift: bool = True    # every drift <= DRIFT_MULTIPLE * reference_drift
+    monotone_l2: bool
+    monotone_force: bool
+    bounded_drift: bool           # every drift <= DRIFT_MULTIPLE * reference_drift
 
 
 def _nonincreasing(values, slack: float = 0.10) -> bool:

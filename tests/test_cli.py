@@ -782,6 +782,26 @@ def test_nls_convexity_shift_covers_the_visited_radius(tmp_path, monkeypatch, ca
     assert code == 0
 
 
+@pytest.mark.parametrize("scale, code", [(1.0, 0), (1.01, 4)], ids=["exact", "scaled"])
+def test_nls_shifted_defect_gate_fails_a_force_that_is_not_the_potentials(
+        tmp_path, monkeypatch, capsys, scale, code):
+    # Fs' and Fs'' scaled by 1.01 with Fs kept: the force no longer derives
+    # from the potential, so the shifted defect of the default weak-strong run
+    # goes negative (-6.6e-6 at eps = 1e-3, against 1.3e-6 unscaled)
+    exact = config.from_selection("nls_coercive_exp")
+    spec = dataclasses.replace(exact, Fsprime=lambda s: scale * exact.Fsprime(s),
+                               Fsprime2=lambda s: scale * exact.Fsprime2(s))
+    select = config.from_selection
+    monkeypatch.setattr(config, "from_selection",
+                        lambda name: spec if name == "nls_coercive_exp" else select(name))
+    path = tmp_path / "ws.cfg"
+    path.write_text("nonlinearity = nls_coercive_exp\n")
+    assert main(["weak-strong", "--config", str(path), "--output", str(tmp_path)]) == code
+    exp_id, _ = capsys.readouterr().out.split()
+    summary = json.loads((tmp_path / exp_id / "summary.json").read_text())
+    assert (min(m["remainder_min"] for m in summary["members"]) < 0.0) == (code == 4)
+
+
 def test_heap_policy_fixes_glibc_thresholds(monkeypatch, tmp_path):
     calls = []
     libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))

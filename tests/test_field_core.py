@@ -107,11 +107,16 @@ def test_parseval_refuses_a_shape_of_neither_layout(d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("N", [8, 64])
 def test_half_wavenumbers_are_the_full_grid_half_bitwise(d, N):
+    # the last-axis half of wavenumber_sq(), the tests' |xi|^2 of an rfftn
+    # half spectrum, is bitwise |xi|^2 on the rfftfreq grid: the Nyquist
+    # frequency is -N/2 there and +N/2 here, whose squares are equal
     grid = GridSpec(d, N, 7.3)
-    half = grid.half_wavenumber_sq()
-    assert np.array_equal(half.view(np.int64),
-                          grid.wavenumber_sq()[..., : N // 2 + 1].view(np.int64))
-    assert half is not grid.half_wavenumber_sq()  # not cached
+    k = [2.0 * np.pi / grid.L * np.fft.fftfreq(N) * N] * (d - 1)
+    k.append(2.0 * np.pi / grid.L * np.fft.rfftfreq(N) * N)
+    ref = sum(np.square(ki).reshape((1,) * i + (-1,) + (1,) * (d - 1 - i))
+              for i, ki in enumerate(k))
+    half = grid.wavenumber_sq()[..., : N // 2 + 1]
+    assert np.array_equal(half.view(np.int64), ref.view(np.int64))
 
 
 def _whole_table_pairing(a, b, weight):
@@ -140,7 +145,7 @@ def test_mirrored_chunks_product_and_pairing_are_the_full_tables_bitwise(monkeyp
     last = N // 2 + 1 if half else N
     ksq = grid.table_wavenumber_sq(half)
     assert ksq.shape == (N // 2 + 1,) * (d - 1) + (last,)
-    full = grid.half_wavenumber_sq() if half else grid.wavenumber_sq()
+    full = grid.wavenumber_sq()[..., :last]
     shape = full.shape
     rng = np.random.default_rng(d)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -201,22 +206,22 @@ def test_wave_energy_parts():
     spec = from_selection("pure_power:p=3")
     u = np.full(grid.shape, 2.0)
     ut = np.full(grid.shape, 1.0)
-    rep = wave_energy(WaveState(grid, u, ut, 0.0), spec)
-    assert rep.kinetic == pytest.approx(0.5 * grid.L)
-    assert rep.gradient == pytest.approx(0.0, abs=1e-12)
-    assert rep.potential == pytest.approx(4.0 * grid.L)
-    assert rep.total == pytest.approx(rep.kinetic + rep.gradient + rep.potential)
+    total, kinetic, gradient, potential = wave_energy(WaveState(grid, u, ut, 0.0), spec)
+    assert kinetic == pytest.approx(0.5 * grid.L)
+    assert gradient == pytest.approx(0.0, abs=1e-12)
+    assert potential == pytest.approx(4.0 * grid.L)
+    assert total == pytest.approx(kinetic + gradient + potential)
 
 
 def test_nls_energy_parts_and_mass():
     grid = GridSpec(1, 64, 4.0)
     spec = from_selection("nls_cubic")
     u = np.full(grid.shape, 1.0 + 1.0j)  # |u|^2 = 2, density 0.5 * 1^2
-    rep = nls_energy(NlsState(grid, u, 0.0), spec)
-    assert rep.mass == pytest.approx(2.0 * grid.L)
-    assert rep.gradient == pytest.approx(0.0, abs=1e-12)
-    assert rep.potential == pytest.approx(0.5 * grid.L)
-    assert rep.total == pytest.approx(rep.gradient + rep.potential)
+    mass, total, gradient, potential = nls_energy(NlsState(grid, u, 0.0), spec)
+    assert mass == pytest.approx(2.0 * grid.L)
+    assert gradient == pytest.approx(0.0, abs=1e-12)
+    assert potential == pytest.approx(0.5 * grid.L)
+    assert total == pytest.approx(gradient + potential)
 
 
 def test_overflowing_potential_raises():
@@ -294,7 +299,7 @@ def test_reductions_equal_their_np_sum_formulas(d, complex_valued):
         sq = _plane_weights(grid) * np.abs(half) ** 2
         assert parseval_norm_sq(half, grid) == pytest.approx(h / n * np.sum(sq), rel=1e-13)
         assert parseval_norm_sq(half, grid, gradient=True) == pytest.approx(
-            h / n * np.sum(grid.half_wavenumber_sq() * sq), rel=1e-13)
+            h / n * np.sum(grid.wavenumber_sq()[..., :grid.N // 2 + 1] * sq), rel=1e-13)
 
 
 @pytest.mark.parametrize("d, N, L", [(2, 8, 3.0), (2, 64, 7.3), (2, 256, 40.0),
@@ -310,8 +315,9 @@ def test_mirrored_gradient_multiplier_pairs_like_the_whole_table_bitwise(d, N, L
     mult = field_core._parseval_multiplier(grid, half)
     width = N // 2 + 1 if half else N
     assert mult.shape == (N // 2 + 1,) * (d - 1) + (width,)
-    whole = (grid.half_wavenumber_sq() * _plane_weights(grid) if half
-             else grid.wavenumber_sq())
+    whole = grid.wavenumber_sq()[..., :width]
+    if half:
+        whole = whole * _plane_weights(grid)
     rng = np.random.default_rng(N)
     for scale in (1e-4, 1.0, 1e5):
         u = scale * rng.normal(size=grid.shape)

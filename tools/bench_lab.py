@@ -22,7 +22,10 @@ columns alike instead of reading as a change. Every row records
                   ``lru_cache`` of the measured tree is emptied, so that it
                   counts the tables a cold run builds (such as the NLS
                   propagator and the Parseval multipliers), which the warm-up
-                  and counting passes would otherwise have left allocated;
+                  and counting passes would otherwise have left allocated,
+                  and after a ``gc.collect()``, as ``bench/run_bench.py``
+                  makes before each run, so that no earlier pass's garbage
+                  is freed, or not, inside it;
 
 and every end-to-end row also
 
@@ -106,6 +109,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -196,6 +200,7 @@ def _measure(run, make_spec, faults=False, per=1):
     counter = [0]
     run(_counting(make_spec(), counter))
     _clear_caches()
+    gc.collect()
     tracemalloc.start()
     try:
         run(make_spec())
@@ -272,15 +277,14 @@ def _record(make_run, stepping, make_observer):
     return run
 
 
-def _nls_run(config, runner, nls_integrator, field_core, spec, ladder):
+def _nls_run(config, runner, nls_integrator, field_core, weak_strong, spec, ladder):
     """The schedule, reference and ladder members of the nls-ladder workload's
-    config with spec, built as gronwall_ladder builds them."""
+    config with spec, built by gronwall_ladder's builder."""
     cfg = config.parse_config(WORKLOADS["nls-ladder"].config_text(0), "weak-strong")
     base = runner._base_config(cfg, spec)
     u0 = runner._bump(cfg, base.grid)
     pert = field_core.bump_field(base.grid, 1.0, 0.8 * cfg.radius)
-    return base, [nls_integrator.member(base, u0)] + [
-        nls_integrator.member(base, u0 + eps * pert) for eps in ladder]
+    return base, weak_strong._members(nls_integrator.member, base, u0, pert, ladder)
 
 
 def _cli_run(cli, kind, text):
@@ -328,7 +332,7 @@ def worker(src: str) -> dict:
         config.parse_config(WORKLOADS["nls-ladder"].config_text(0), "weak-strong").nonlinearity)
 
     def nls_run(spec, ladder=config.DEFAULT_LADDER):
-        return _nls_run(config, runner, nls_integrator, field_core, spec, ladder)
+        return _nls_run(config, runner, nls_integrator, field_core, weak_strong, spec, ladder)
 
     rows["layer.step.nls"] = _measure(_stepper(lambda spec: nls_run(spec, ())[1][0]),
                                       lambda: ladder_spec, per=STEPS)
